@@ -11,17 +11,13 @@ import csv
 import re
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
 from .cases import (CASE_IDS, GROUPS, AsymptoticData, SymmetryError, descriptor,
                     in_region, k_to_asymptotic, make_k, asymptotic_to_k)
 from .enumeration import enumerate_cos_pairs, integral_solutions
-from .solver import (ConvergenceError, SolverConfig, solve_radial,
-                     verify_asymptotics)
 from .stokes import stokes_from_asymptotic, stokes_from_k
 from .theta import (CISpec, NotReducibleError, QDO, qdo_from_ci,
                     verify_corollary)
@@ -56,17 +52,6 @@ def parse_frac(text: str) -> Fraction:
 
 def fmt_s1(n: int, ambiguous: bool) -> str:
     return f"\u00b1{n}" if ambiguous and n != 0 else str(n)
-
-
-def max_threads() -> int:
-    env = os.environ.get("TTSTAR_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise CliError(f"TTSTAR_THREADS must be an integer, got {env!r}",
-                           EXIT_PARSE) from None
-    return os.cpu_count() or 1
 
 
 def record_row(rec) -> dict:
@@ -124,7 +109,6 @@ def _latex_frac(text: str) -> str:
 def _latex_tk(tk: str) -> str:
     out = tk.replace("\u03b8", "\\theta ")
     # rewrite the root fractions
-    import re
     out = re.sub(r"(\d+)/(\d+)", r"\\tfrac{\1}{\2}", out)
     return f"${out}$"
 
@@ -223,13 +207,11 @@ def cmd_enumerate(args) -> int:
         emit(_raw_rows(), ("a", "b", "m", "p"), sys.stdout)
         return 0
     if args.all:
-        cases = list(CASE_IDS)
-        with ThreadPoolExecutor(max_workers=min(max_threads(), len(cases))) as ex:
-            results = list(ex.map(lambda c: case_rows(c, args.full), cases))
-        for case_id, rows in zip(cases, results):
-            for r in rows:
+        rows = []
+        for case_id in CASE_IDS:
+            for r in case_rows(case_id, args.full):
                 r["case"] = case_id
-        rows = [r for rs in results for r in rs]
+                rows.append(r)
         emit(rows, ("case",) + FIELDS, sys.stdout)
         return 0
     if not args.case:
@@ -339,20 +321,36 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _print_history(history) -> None:
+    print("iter  residual   lambda     max|step|", file=sys.stderr)
+    for i, (res, lam, step) in enumerate(history, 1):
+        print(f"{i:4d}  {res:.3e}  {lam:.3e}  {step:.3e}", file=sys.stderr)
+
+
 def cmd_solve(args) -> int:
+    # scipy is imported here only, so the other subcommands start faster
+    from .solver import (ConvergenceError, SolverConfig, solve_radial,
+                         verify_asymptotics)
     case_id = args.case
     asym = AsymptoticData(parse_frac(args.gamma), parse_frac(args.delta))
     if not in_region(case_id, asym):
         raise CliError(f"(gamma, delta) = ({fmt_frac(asym.gamma)}, "
                        f"{fmt_frac(asym.delta)}) outside the region of "
                        f"case {case_id}", EXIT_DOMAIN)
-    cfg = SolverConfig(t_min=args.t_min, t_max=args.t_max,
-                       grid_points=args.points, newton_tol=args.tol,
-                       max_iterations=args.max_iterations)
+    try:
+        cfg = SolverConfig(t_min=args.t_min, t_max=args.t_max,
+                           grid_points=args.points, newton_tol=args.tol,
+                           max_iterations=args.max_iterations)
+    except ValueError as e:
+        raise CliError(str(e), EXIT_PARSE) from None
     try:
         sol = solve_radial(case_id, asym, cfg)
     except ConvergenceError as e:
+        if args.trace:
+            _print_history(e.history)
         raise CliError(str(e), EXIT_NO_CONVERGENCE) from None
+    if args.trace:
+        _print_history(sol.history)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(("t", "u", "v"))
@@ -434,6 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-iterations", type=int, default=60)
     s.add_argument("--tol-slope", type=float, default=0.05)
     s.add_argument("--output", help="CSV profile path (default: stdout)")
+    s.add_argument("--trace", action="store_true",
+                   help="print the Newton history (residual, line-search "
+                        "factor, step size) to stderr")
     s.set_defaults(func=cmd_solve)
     s._negative_number_matcher = _NEGATIVE_VALUE
     return p

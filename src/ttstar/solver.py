@@ -15,6 +15,14 @@ difference and homogeneous Dirichlet data at t_max, and relaxes with a
 damped Newton iteration.  The nonlinear terms are always evaluated with
 combined exponents exp(2t + a*u) etc., which stay bounded on the region of
 asymptotic data.
+
+With the unknowns interleaved as (u_0, v_0, u_1, v_1, ...), the Jacobian is
+banded: the interior rows couple a node to its neighbours two columns away
+and to the other function at the same node, and the one-sided slope rows
+reach four columns to the right.  Each Newton step fills a (7, 2m) LAPACK
+band array (lower bandwidth 2, upper 4) with vectorized slices and solves it
+with the banded LU of ``scipy.linalg.solve_banded``.  Every accepted step is
+recorded as (residual, lambda, max |step|) in the solution's ``history``.
 """
 
 from __future__ import annotations
@@ -22,8 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import spsolve
+from scipy.linalg import solve_banded
 
 from .cases import AsymptoticData, descriptor, in_region
 
@@ -31,9 +38,11 @@ from .cases import AsymptoticData, descriptor, in_region
 class ConvergenceError(RuntimeError):
     """Newton iteration failed to reach the residual tolerance."""
 
-    def __init__(self, message: str, residual: float):
+    def __init__(self, message: str, residual: float,
+                 history: tuple[tuple[float, float, float], ...] = ()):
         super().__init__(message)
         self.residual = residual
+        self.history = history
 
 
 @dataclass(frozen=True)
@@ -50,8 +59,10 @@ class SolverConfig:
             raise ValueError("t_min must be below t_max")
         if self.grid_points < 64:
             raise ValueError("grid_points must be at least 64")
-        if self.newton_tol <= 0:
+        if not self.newton_tol > 0:
             raise ValueError("newton_tol must be positive")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be nonnegative")
         if not 0 < self.damping <= 1:
             raise ValueError("damping must lie in (0, 1]")
 
@@ -71,6 +82,9 @@ class RadialSolution:
     # asymptotics fix the slope but not the constant)
     offset_u: float
     offset_v: float
+    # (residual after the step, line-search factor lambda, max |Newton step|)
+    # for each accepted Newton step
+    history: tuple[tuple[float, float, float], ...] = field(repr=False)
 
 
 def _source_terms(t, u, v, a, b):
@@ -102,42 +116,33 @@ def residual_vector(case_id: str, a: AsymptoticData, t: np.ndarray,
     return out
 
 
-def _jacobian(case_id: str, t, u, v, h) -> csr_matrix:
-    """Analytic Jacobian of residual_vector in interleaved ordering."""
+def _jacobian(case_id: str, t, u, v, h) -> np.ndarray:
+    """Analytic Jacobian of residual_vector as a LAPACK band array.
+
+    Entry (r, c) of the interleaved 2m x 2m Jacobian sits at
+    ``ab[4 + r - c, c]`` (lower bandwidth 2, upper 4), the layout
+    ``scipy.linalg.solve_banded((2, 4), ab, ...)`` expects.
+    """
     ea, eb = descriptor(case_id).ab
-    m = len(t)
     _, _, e1, e2, e3 = _source_terms(t, u, v, ea, eb)
     h2 = h * h
-    rows, cols, vals = [], [], []
-
-    def add(r, c, val):
-        rows.append(r)
-        cols.append(c)
-        vals.append(val)
-
-    # left boundary (slope rows)
-    for comp in (0, 1):
-        add(comp, comp, -3.0)
-        add(comp, comp + 2, 4.0)
-        add(comp, comp + 4, -1.0)
-    # interior rows
-    for i in range(1, m - 1):
-        ru, rv = 2 * i, 2 * i + 1
-        cu, cv = 2 * i, 2 * i + 1
-        # d(e1 - e2)/du = a*e1 + e2 ; d/dv = -e2
-        add(ru, cu - 2, 1.0)
-        add(ru, cu + 2, 1.0)
-        add(ru, cu, -2.0 - h2 * (ea * e1[i] + e2[i]))
-        add(ru, cv, -h2 * (-e2[i]))
-        # d(e2 - e3)/du = -e2 ; d/dv = e2 + b*e3
-        add(rv, cv - 2, 1.0)
-        add(rv, cv + 2, 1.0)
-        add(rv, cv, -2.0 - h2 * (e2[i] + eb * e3[i]))
-        add(rv, cu, -h2 * (-e2[i]))
-    # right boundary (Dirichlet rows)
-    add(2 * m - 2, 2 * m - 2, 1.0)
-    add(2 * m - 1, 2 * m - 1, 1.0)
-    return csr_matrix((vals, (rows, cols)), shape=(2 * m, 2 * m))
+    ab = np.zeros((7, 2 * len(t)))
+    # left boundary: slope rows 0, 1 have offsets 0, +2, +4
+    ab[4, 0:2] = -3.0
+    ab[2, 2:4] = 4.0
+    ab[0, 4:6] = -1.0
+    # interior u-rows 2i have offsets -2, 0, +1, +2 and v-rows 2i+1 have
+    # offsets -2, -1, 0, +2; d(e1 - e2)/du = a*e1 + e2, d(e1 - e2)/dv = -e2,
+    # d(e2 - e3)/du = -e2, d(e2 - e3)/dv = e2 + b*e3
+    ab[6, :-4] = 1.0
+    ab[2, 4:] = 1.0
+    ab[4, 2:-2:2] = -2.0 - h2 * (ea * e1[1:-1] + e2[1:-1])
+    ab[4, 3:-2:2] = -2.0 - h2 * (e2[1:-1] + eb * e3[1:-1])
+    ab[3, 3:-2:2] = h2 * e2[1:-1]
+    ab[5, 2:-2:2] = h2 * e2[1:-1]
+    # right boundary: Dirichlet rows on the diagonal
+    ab[4, -2:] = 1.0
+    return ab
 
 
 def _fit_slope(t: np.ndarray, w: np.ndarray) -> tuple[float, float]:
@@ -163,13 +168,12 @@ def solve_radial(case_id: str, a: AsymptoticData,
 
     res = residual_vector(case_id, a, t, u, v)
     norm = float(np.max(np.abs(res)))
-    iterations = 0
-    for iterations in range(1, cfg.max_iterations + 1):
+    history = []
+    for _ in range(cfg.max_iterations):
         if norm < cfg.newton_tol:
-            iterations -= 1
             break
-        jac = _jacobian(case_id, t, u, v, h)
-        step = spsolve(jac, -res)
+        step = solve_banded((2, 4), _jacobian(case_id, t, u, v, h), -res,
+                            overwrite_ab=True, check_finite=False)
         lam = cfg.damping
         for _ in range(40):
             un = u + lam * step[0::2]
@@ -181,17 +185,19 @@ def solve_radial(case_id: str, a: AsymptoticData,
             lam *= 0.5
         else:
             raise ConvergenceError(
-                f"line search stalled at residual {norm:.3e}", norm)
+                f"line search stalled at residual {norm:.3e}", norm,
+                tuple(history))
         u, v, res, norm = un, vn, rn, nn
+        history.append((nn, lam, float(np.max(np.abs(step)))))
     if norm >= cfg.newton_tol:
         raise ConvergenceError(
             f"no convergence after {cfg.max_iterations} iterations "
-            f"(residual {norm:.3e})", norm)
+            f"(residual {norm:.3e})", norm, tuple(history))
 
     fg, cu = _fit_slope(t, u)
     fd, cv = _fit_slope(t, v)
-    return RadialSolution(case_id, a, t, u, v, norm, fg, fd, iterations,
-                          cu, cv)
+    return RadialSolution(case_id, a, t, u, v, norm, fg, fd, len(history),
+                          cu, cv, tuple(history))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ multiset division of their factor lists.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -262,12 +263,11 @@ def match_ci(roots: Iterable[Fraction], n_plus_1: int,
     if sum(roots.values()) != n_plus_1:
         raise ValueError("root multiset size must equal the theta degree")
     # multiplicity must be constant on each class {c/e : gcd(c, e) = 1}
-    import math as _math
     class_mult: dict[int, int] = {}
     dens = sorted({r.denominator for r in roots})
     for e in dens:
         mults = {roots[Fraction(c, e)]
-                 for c in range(e) if _math.gcd(c, e) == 1 and (c or e == 1)}
+                 for c in range(e) if math.gcd(c, e) == 1 and (c or e == 1)}
         if len(mults) != 1:
             return None
         class_mult[e] = mults.pop()

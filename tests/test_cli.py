@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,8 +70,7 @@ def test_enumerate_raw(capsys):
     assert code == 0 and len(out.splitlines()) == 34
 
 
-def test_enumerate_all_deterministic(capsys, monkeypatch):
-    monkeypatch.setenv("TTSTAR_THREADS", "3")
+def test_enumerate_all_deterministic(capsys):
     code, out1, _ = run(capsys, "enumerate", "--all", "--format", "csv")
     code2, out2, _ = run(capsys, "enumerate", "--all", "--format", "csv")
     assert code == code2 == 0 and out1 == out2
@@ -151,9 +153,42 @@ def test_solve_non_convergence(capsys):
     code, _, err = run(capsys, "solve", "4a", "3", "1", "--points", "512",
                        "--max-iterations", "2")
     assert code == 6
+    assert err.startswith("error: no convergence") and err.count("\n") == 1
 
 
-def test_bad_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("TTSTAR_THREADS", "many")
-    code, _, err = run(capsys, "enumerate", "--all", "--format", "csv")
-    assert code == 2 and "TTSTAR_THREADS" in err
+def test_solve_trace(capsys, tmp_path):
+    code, _, err = run(capsys, "solve", "4a", "3", "1", "--points", "512",
+                       "--output", str(tmp_path / "p.csv"), "--trace")
+    assert code == 0
+    lines = err.splitlines()
+    assert lines[0].split() == ["iter", "residual", "lambda", "max|step|"]
+    assert len(lines) > 2 and lines[-1].split()[0] == str(len(lines) - 1)
+    code, _, err = run(capsys, "solve", "4a", "3", "1", "--points", "512",
+                       "--max-iterations", "2", "--trace")
+    assert code == 6
+    assert [line.split()[0] for line in err.splitlines()] == [
+        "iter", "1", "2", "error:"]
+
+
+@pytest.mark.parametrize("options, message", [
+    (("--points", "8"), "grid_points"),
+    (("--tol", "0"), "newton_tol"),
+    (("--tol", "nan"), "newton_tol"),
+    (("--t-min", "5", "--t-max", "0"), "t_min"),
+    (("--max-iterations", "-1"), "max_iterations"),
+])
+def test_solve_invalid_options(capsys, options, message):
+    code, _, err = run(capsys, "solve", "4a", "0", "0", *options)
+    assert code == 2 and err.startswith("error: ") and message in err
+
+
+def test_cli_import_skips_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ttstar.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

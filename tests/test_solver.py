@@ -1,11 +1,16 @@
+import math
+import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
-from ttstar.cases import AsymptoticData
+from ttstar.cases import AsymptoticData, descriptor, in_region
 from ttstar.solver import (ConvergenceError, SolverConfig, _jacobian,
-                           residual_vector, solve_radial, verify_asymptotics)
+                           _source_terms, residual_vector, solve_radial,
+                           verify_asymptotics)
 
 
 def F(x):
@@ -13,6 +18,79 @@ def F(x):
 
 
 FAST = SolverConfig(grid_points=512)
+
+
+def _reference_jacobian(case_id, t, u, v, h) -> csr_matrix:
+    """Slow reference: the Jacobian assembled entry by entry as a CSR matrix."""
+    ea, eb = descriptor(case_id).ab
+    m = len(t)
+    _, _, e1, e2, e3 = _source_terms(t, u, v, ea, eb)
+    h2 = h * h
+    rows, cols, vals = [], [], []
+
+    def add(r, c, val):
+        rows.append(r)
+        cols.append(c)
+        vals.append(val)
+
+    # left boundary (slope rows)
+    for comp in (0, 1):
+        add(comp, comp, -3.0)
+        add(comp, comp + 2, 4.0)
+        add(comp, comp + 4, -1.0)
+    # interior rows
+    for i in range(1, m - 1):
+        ru, rv = 2 * i, 2 * i + 1
+        cu, cv = 2 * i, 2 * i + 1
+        # d(e1 - e2)/du = a*e1 + e2 ; d/dv = -e2
+        add(ru, cu - 2, 1.0)
+        add(ru, cu + 2, 1.0)
+        add(ru, cu, -2.0 - h2 * (ea * e1[i] + e2[i]))
+        add(ru, cv, -h2 * (-e2[i]))
+        # d(e2 - e3)/du = -e2 ; d/dv = e2 + b*e3
+        add(rv, cv - 2, 1.0)
+        add(rv, cv + 2, 1.0)
+        add(rv, cv, -2.0 - h2 * (e2[i] + eb * e3[i]))
+        add(rv, cu, -h2 * (-e2[i]))
+    # right boundary (Dirichlet rows)
+    add(2 * m - 2, 2 * m - 2, 1.0)
+    add(2 * m - 1, 2 * m - 1, 1.0)
+    return csr_matrix((vals, (rows, cols)), shape=(2 * m, 2 * m))
+
+
+def _dense(ab: np.ndarray) -> np.ndarray:
+    """Expand a (2, 4)-band array; slots outside the matrix must be zero."""
+    n = ab.shape[1]
+    out = np.zeros((n, n))
+    cols = np.arange(n)
+    for k in range(ab.shape[0]):
+        rows = cols + k - 4
+        inside = (rows >= 0) & (rows < n)
+        out[rows[inside], cols[inside]] = ab[k, inside]
+        assert not ab[k, ~inside].any()
+    return out
+
+
+def _random_state(rng, a: AsymptoticData, m: int):
+    t = np.linspace(-6.0, 2.0, m)
+    u = float(a.gamma) * np.minimum(t, 0) + 0.05 * rng.standard_normal(m)
+    v = float(a.delta) * np.minimum(t, 0) + 0.05 * rng.standard_normal(m)
+    return t, t[1] - t[0], u, v
+
+
+def _region_points(case: str, rng: random.Random, count: int, max_den: int):
+    """The three vertices of the case's region, then random points in it."""
+    ea, eb = descriptor(case).ab
+    lo, hi = Fraction(-2, ea), Fraction(2, eb)
+    points = [AsymptoticData(lo, hi), AsymptoticData(lo, lo - 2),
+              AsymptoticData(hi + 2, hi)]
+    while len(points) < 3 + count:
+        q = rng.randint(1, max_den)
+        gamma = Fraction(rng.randint(math.ceil(lo * q), math.floor((hi + 2) * q)), q)
+        delta = Fraction(rng.randint(math.ceil((gamma - 2) * q), math.floor(hi * q)), q)
+        points.append(AsymptoticData(gamma, delta))
+    assert all(in_region(case, p) for p in points)
+    return points
 
 
 def test_config_validation():
@@ -23,7 +101,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(newton_tol=0.0)
     with pytest.raises(ValueError):
+        SolverConfig(newton_tol=float("nan"))
+    with pytest.raises(ValueError):
         SolverConfig(damping=1.5)
+    with pytest.raises(ValueError):
+        SolverConfig(max_iterations=-1)
+    SolverConfig(max_iterations=0)
 
 
 def test_outside_region_rejected():
@@ -45,14 +128,33 @@ def test_interior_point_slopes():
     assert rep.ok and sol.residual_norm < 1e-10
 
 
+def test_newton_history():
+    sol = solve_radial("4a", AsymptoticData(F(3), F(1)), FAST)
+    assert sol.iterations > 0 and len(sol.history) == sol.iterations
+    residuals = [r for r, _, _ in sol.history]
+    assert all(b < a for a, b in zip(residuals, residuals[1:]))
+    assert residuals[-1] == sol.residual_norm
+    assert all(0 < lam <= 1 and step > 0 for _, lam, step in sol.history)
+    trivial = solve_radial("4a", AsymptoticData(F(0), F(0)), FAST)
+    assert trivial.iterations == 0 and trivial.history == ()
+
+
+@pytest.mark.parametrize("case", ["4a", "5a", "5c", "6a"])
+def test_banded_jacobian_matches_reference(case):
+    rng = np.random.default_rng(11)
+    for a in _region_points(case, random.Random(case), 2, 12):
+        t, h, u, v = _random_state(rng, a, 96)
+        ab = _jacobian(case, t, u, v, h)
+        assert ab.shape == (7, 2 * len(t))
+        ref = _reference_jacobian(case, t, u, v, h).toarray()
+        assert np.array_equal(_dense(ab), ref)
+
+
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(7)
     case, a = "4a", AsymptoticData(F(1), F("-1/3"))
-    t = np.linspace(-6.0, 2.0, 80)
-    h = t[1] - t[0]
-    u = 1.0 * np.minimum(t, 0) + 0.05 * rng.standard_normal(len(t))
-    v = -1 / 3 * np.minimum(t, 0) + 0.05 * rng.standard_normal(len(t))
-    jac = _jacobian(case, t, u, v, h).toarray()
+    t, h, u, v = _random_state(rng, a, 80)
+    jac = _dense(_jacobian(case, t, u, v, h))
     state = np.empty(2 * len(t))
     state[0::2], state[1::2] = u, v
 
@@ -93,9 +195,22 @@ def test_sign_pattern_6c():
 
 
 def test_non_convergence_reported():
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError) as info:
         solve_radial("4a", AsymptoticData(F(3), F(1)),
                      SolverConfig(grid_points=512, max_iterations=2))
+    assert len(info.value.history) == 2
+    assert info.value.history[-1][0] == info.value.residual
+
+
+@pytest.mark.parametrize("case", ["4a", "5a", "5c", "6a"])
+def test_robustness_sweep(case):
+    rng = random.Random(f"radial-{case}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in _region_points(case, rng, 40, 12):
+            sol = solve_radial(case, a)
+            assert sol.residual_norm < 1e-10, (case, tuple(a))
+            assert verify_asymptotics(sol, 0.05).ok, (case, tuple(a))
 
 
 def test_grid_refinement_stability():
