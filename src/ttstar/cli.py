@@ -361,7 +361,7 @@ def cmd_solve(args) -> int:
         print(f"profile written to {args.output}")
     else:
         sys.stdout.write(buf.getvalue())
-    report = verify_asymptotics(sol, args.tol_slope, cfg.newton_tol)
+    report = verify_asymptotics(sol, args.tol_slope)
     print(f"residual      {sol.residual_norm:.3e}")
     print(f"fitted gamma  {sol.fitted_gamma:.6f}  (target {fmt_frac(asym.gamma)},"
           f" error {report.gamma_error:.4f})")

@@ -20,7 +20,7 @@ from math import gcd
 
 from .cases import AsymptoticData, KVector, descriptor, in_region, k_to_asymptotic
 from .exact import AlgReal, cos2
-from .stokes import StokesData, stokes_from_k
+from .stokes import ANGLE_SHIFTS, StokesData, stokes_from_k
 from .theta import ThetaPoly, tk_from_k
 
 BLOCKS = ("top-edge", "left-edge", "diagonal-edge", "center-line", "other-interior")
@@ -231,44 +231,45 @@ def _pair_integral(cx, cy) -> bool:
             and prod_irr == 0 and prod_rat.denominator == 1)
 
 
-def _grid(lo: Fraction, hi: Fraction, max_den: int):
+def _cosine_grid(lo: Fraction, hi: Fraction, max_den: int, shift: int, div: int):
+    """(v, class of 2cos(pi*(v + shift)/div)) over grid values v = p/q in [lo, hi].
+
+    Every reduced p/q with q <= max_den is visited; a point is dropped on
+    integers alone, before any Fraction is built, when the reduced
+    denominator of (p + shift*q)/(div*q) exceeds 6.  Every _NIVEN/_QUAD
+    label has denominator at most 6, and every value in [0, 1] with such a
+    denominator is a label, so exactly the points where _cos_class would
+    return None are dropped.
+    """
+    out = []
     for q in range(1, max_den + 1):
         start = -((-lo.numerator * q) // lo.denominator)  # ceil(lo*q)
         stop = (hi.numerator * q) // hi.denominator       # floor(hi*q)
+        dq = div * q
         for p in range(start, stop + 1):
-            if gcd(abs(p), q) == 1:
-                yield Fraction(p, q)
+            num = p + shift * q
+            if gcd(p, q) == 1 and dq // gcd(num, dq) <= 6:
+                out.append((Fraction(p, q), _cos_class(Fraction(num, dq))))
+    return out
 
 
 def brute_force_integral_points(case_id: str, max_denominator: int = 60
                                 ) -> set[tuple[Fraction, Fraction]]:
     """Exhaustive integral-Stokes sweep over the region on a rational grid.
 
-    Independent of the enumeration route: classifies the Theorem-B cosine
-    arguments by algebraic degree and decides integrality by exact
-    quadratic-field arithmetic.
+    Independent of the enumeration route and of ``AlgReal``: classifies the
+    Theorem-B cosine arguments by algebraic degree and decides integrality
+    by exact quadratic-field arithmetic.  Grid points whose cosine argument
+    has reduced denominator above 6 (degree >= 3, never integral) are
+    skipped by an integer gcd test before any Fraction is built.
     """
     desc = descriptor(case_id)
     ea, eb = desc.ab
-    g = desc.group
-    if g == "4":
-        xa = lambda gamma: (gamma + 1) / 4
-        yb = lambda delta: (delta + 3) / 4
-    elif g == "5ab":
-        xa = lambda gamma: (gamma + 6) / 5
-        yb = lambda delta: (delta + 8) / 5
-    elif g == "5cde":
-        xa = lambda gamma: (gamma + 2) / 5
-        yb = lambda delta: (delta + 4) / 5
-    else:
-        xa = lambda gamma: (gamma + 2) / 6
-        yb = lambda delta: (delta + 4) / 6
-    glo, ghi = Fraction(-2, ea), Fraction(2, eb) + 2
-    dlo, dhi = Fraction(-2, ea) - 2, Fraction(2, eb)
-    gammas = [(gm, _cos_class(xa(gm))) for gm in _grid(glo, ghi, max_denominator)]
-    deltas = [(dl, _cos_class(yb(dl))) for dl in _grid(dlo, dhi, max_denominator)]
-    gammas = [(gm, c) for gm, c in gammas if c is not None]
-    deltas = [(dl, c) for dl, c in deltas if c is not None]
+    div, shift_gamma, shift_delta = ANGLE_SHIFTS[desc.group]
+    gammas = _cosine_grid(Fraction(-2, ea), Fraction(2, eb) + 2, max_denominator,
+                          shift_gamma, div)
+    deltas = _cosine_grid(Fraction(-2, ea) - 2, Fraction(2, eb), max_denominator,
+                          shift_delta, div)
     out = set()
     for gm, cx in gammas:
         for dl, cy in deltas:

@@ -15,8 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
 
-Rational = Fraction
-
 RationalLike = Union[Fraction, int]
 
 
@@ -350,30 +348,3 @@ def cos2(r: RationalLike) -> AlgReal:
     coeffs[(M - p) % M] += 1
     return AlgReal(M, coeffs)
 
-
-def alg_add(x: AlgReal, y) -> AlgReal:
-    return x + y
-
-
-def alg_sub(x: AlgReal, y) -> AlgReal:
-    return x - y
-
-
-def alg_mul(x: AlgReal, y) -> AlgReal:
-    return x * y
-
-
-def alg_scale(x: AlgReal, q: RationalLike) -> AlgReal:
-    return x * Fraction(q)
-
-
-def as_rational(x: AlgReal) -> Optional[Fraction]:
-    return x.as_rational()
-
-
-def is_integer(x: AlgReal) -> Optional[int]:
-    return x.is_integer()
-
-
-def to_float(x: AlgReal) -> float:
-    return x.to_float()

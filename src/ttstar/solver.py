@@ -27,6 +27,7 @@ recorded as (residual, lambda, max |step|) in the solution's ``history``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,12 +46,16 @@ class ConvergenceError(RuntimeError):
         self.history = history
 
 
+# the default Newton tolerance, and the residual a verified profile must reach
+DEFAULT_NEWTON_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     t_min: float = -12.0
     t_max: float = 4.0
     grid_points: int = 2048
-    newton_tol: float = 1e-10
+    newton_tol: float = DEFAULT_NEWTON_TOL
     max_iterations: int = 60
     damping: float = 1.0
 
@@ -59,8 +64,8 @@ class SolverConfig:
             raise ValueError("t_min must be below t_max")
         if self.grid_points < 64:
             raise ValueError("grid_points must be at least 64")
-        if not self.newton_tol > 0:
-            raise ValueError("newton_tol must be positive")
+        if not 0 < self.newton_tol < math.inf:
+            raise ValueError("newton_tol must be positive and finite")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
         if not 0 < self.damping <= 1:
@@ -208,16 +213,24 @@ class AsymptoticsReport:
     gamma_error: float
     delta_error: float
     boundary_value: float
+    residual_ok: bool
 
     @property
     def ok(self) -> bool:
-        return self.gamma_ok and self.delta_ok and self.decay_ok
+        return self.gamma_ok and self.delta_ok and self.decay_ok and self.residual_ok
 
 
-def verify_asymptotics(sol: RadialSolution, tol_slope: float,
-                       newton_tol: float = 1e-10) -> AsymptoticsReport:
+def verify_asymptotics(sol: RadialSolution, tol_slope: float) -> AsymptoticsReport:
+    """Fitted slopes within tol_slope, and a solved, decaying profile.
+
+    The profile counts as solved when its Newton residual is below
+    DEFAULT_NEWTON_TOL, whatever tolerance stopped the iteration: a profile
+    left unsolved by a loose tolerance would otherwise pass on the exact
+    slopes of the initial iterate.
+    """
     ge = abs(sol.fitted_gamma - float(sol.asymptotic.gamma))
     de = abs(sol.fitted_delta - float(sol.asymptotic.delta))
     boundary = abs(float(sol.u[-1])) + abs(float(sol.v[-1]))
     return AsymptoticsReport(ge < tol_slope, de < tol_slope,
-                             boundary < 10 * newton_tol, ge, de, boundary)
+                             boundary < 10 * DEFAULT_NEWTON_TOL, ge, de, boundary,
+                             sol.residual_norm < DEFAULT_NEWTON_TOL)

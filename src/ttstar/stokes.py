@@ -19,6 +19,11 @@ from .exact import AlgReal, cos2
 # groups whose s1 is only defined up to sign
 _AMBIGUOUS_GROUPS = frozenset({"4", "6"})
 
+# per group (div, shift_gamma, shift_delta): the from-asymptotic cosine
+# arguments are x = 2cos(pi*(gamma + shift_gamma)/div) and
+# y = 2cos(pi*(delta + shift_delta)/div)
+ANGLE_SHIFTS = {"4": (4, 1, 3), "5ab": (5, 6, 8), "5cde": (5, 2, 4), "6": (6, 2, 4)}
+
 
 @dataclass(frozen=True)
 class StokesData:
@@ -62,19 +67,9 @@ def _assemble(group: str, x: AlgReal, y: AlgReal, sign_k: int, sign_l: int) -> S
 
 def stokes_from_asymptotic(case_id: str, a: AsymptoticData) -> StokesData:
     g = descriptor(case_id).group
-    gamma, delta = a.gamma, a.delta
-    if g == "4":
-        x = cos2((gamma + 1) / 4)
-        y = cos2((delta + 3) / 4)
-    elif g == "5ab":
-        x = cos2((gamma + 6) / 5)
-        y = cos2((delta + 8) / 5)
-    elif g == "5cde":
-        x = cos2((gamma + 2) / 5)
-        y = cos2((delta + 4) / 5)
-    else:
-        x = cos2((gamma + 2) / 6)
-        y = cos2((delta + 4) / 6)
+    div, shift_gamma, shift_delta = ANGLE_SHIFTS[g]
+    x = cos2((a.gamma + shift_gamma) / div)
+    y = cos2((a.delta + shift_delta) / div)
     return _assemble(g, x, y, 1, 1)
 
 
@@ -92,7 +87,3 @@ def stokes_from_k(k: KVector) -> StokesData:
     if desc.group == "5ab":
         return _assemble(desc.group, x, y, -1, 1)
     return _assemble(desc.group, x, y, 1, -1)
-
-
-def integral(s: StokesData) -> Optional[tuple[int, int]]:
-    return s.integral()

@@ -5,16 +5,20 @@ All operators in scope are lambda-graded products of linear factors
 attached to holomorphic data and the quantum differential operators of
 weighted projective complete intersections, which are built here by
 multiset division of their factor lists.
+
+The corollary verifier's converse sweep generates its candidate gap
+vectors class by class from the case symmetry and visits each cyclic
+rotation orbit once, instead of filtering every composition of the
+denominator; the rotation-invariant work is done once per orbit.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .cases import KVector
 
@@ -105,27 +109,30 @@ class CISpec:
         return f"X^{{{w}}}_{{{d}}}"
 
 
-def tk_from_k(k: KVector) -> ThetaPoly:
+def _rotations(seq: tuple) -> list[tuple]:
+    """The cyclic rotations of seq; entry j starts at position j.
+
+    The canonical form of a cyclic sequence is min(_rotations(seq)).
+    """
+    return [seq[j:] + seq[:j] for j in range(len(seq))]
+
+
+def tk_from_k(k: KVector | Sequence[Fraction]) -> ThetaPoly:
     """The monic scalar operator attached to holomorphic data with N = 1.
 
-    The cyclic rotation of k starting at the lexicographically lowest
-    position is chosen; the roots are 0 and the partial sums of the
-    rotated (k_i + 1) sequence.
+    k is a ``KVector`` or a bare sequence k_0..k_n (a rotation of case
+    data need not keep the case symmetry).  The canonical (lexicographically
+    lowest) rotation of k is chosen; the roots are 0 and the partial sums
+    of the rotated (k_i + 1) sequence, so T_k is rotation invariant.
     """
-    if k.N != 1:
+    entries = tuple(k.entries if isinstance(k, KVector) else k)
+    if len(entries) + sum(entries) != 1:
         raise ValueError("tk_from_k requires N = 1")
-    if not k.admissible:
+    if any(e < -1 for e in entries):
         raise ValueError("tk_from_k requires all k_i >= -1")
-    entries = k.entries
-    n1 = len(entries)
-    rotations = [tuple(entries[(j + t) % n1] for t in range(n1)) for j in range(n1)]
-    best = min(rotations)
-    gaps = [e + 1 for e in best]
     roots = [Fraction(0)]
-    acc = Fraction(0)
-    for g in gaps[:-1]:
-        acc += g
-        roots.append(acc)
+    for e in min(_rotations(entries))[:-1]:
+        roots.append(roots[-1] + e + 1)
     return ThetaPoly(Fraction(1), tuple(roots))
 
 
@@ -318,26 +325,25 @@ class CorollaryReport:
         return not self.forward_mismatches and not self.converse_violations
 
 
-def _case_symmetric_rotations(gaps: tuple[Fraction, ...], symmetry) -> bool:
-    n1 = len(gaps)
-    for j in range(n1):
-        rot = tuple(gaps[(j + t) % n1] for t in range(n1))
-        if all(rot[i] == rot[jj] for i, jj in symmetry):
-            return True
-    return False
-
-
 def verify_corollary(case_id: str, search_bound: int,
                      corrupt_catalog: bool = False) -> CorollaryReport:
     """Check both directions of the integral-Stokes characterization.
 
     Forward: every catalog entry's QDO equals lambda^{n+1} T_k - z of the
-    matching integral-solution record.  Converse (desk scale): over all
-    case-symmetric gap vectors with common denominator <= search_bound
-    satisfying the two abstract-QDM conditions, non-integral Stokes data
+    matching integral-solution record.  Converse: over all gap vectors with
+    common denominator <= search_bound that have a case-symmetric rotation
+    and satisfy the two abstract-QDM conditions, non-integral Stokes data
     implies no complete intersection matches the operator.
+
+    The candidates are generated, not filtered: for each q, one integer per
+    symmetry class with the class-size-weighted sum q and gcd 1 with q
+    (so each vector appears at its primitive denominator only) gives a
+    symmetric vector, whose rotation orbit is taken once.  T_k, the two
+    conditions and the CI match are rotation invariant and computed once
+    per orbit; the Stokes data once per distinct first symmetric rotation
+    of the orbit's members, each member counting as one candidate.
     """
-    from .cases import KVector, descriptor
+    from .cases import descriptor
     from .enumeration import integral_solutions
     from .stokes import stokes_from_k
 
@@ -367,63 +373,62 @@ def verify_corollary(case_id: str, search_bound: int,
 
     weight_bound = search_bound * n1
     uniform_an = theta_poly([Fraction(j, n1 + 1) for j in range(n1)])
-    seen: set[tuple[Fraction, ...]] = set()
+    # the symmetry pairs of every case are disjoint, so each pair is one
+    # class of equal gaps and every other position a class of its own
+    paired = {i for pair in desc.symmetry for i in pair}
+    classes = list(desc.symmetry) + [(i,) for i in range(n1) if i not in paired]
     for q in range(1, search_bound + 1):
-        for comp in _compositions(q, n1):
-            gaps = tuple(Fraction(c, q) for c in comp)
-            if gaps in seen:
+        # gap vectors c/q as integer numerators c; each rotation orbit of a
+        # primitive case-symmetric vector once, keyed by its canonical form
+        orbits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for counts in _class_compositions(q, [len(cls) for cls in classes]):
+            if math.gcd(q, *counts) != 1:
                 continue
-            seen.add(gaps)
-            if not _case_symmetric_rotations(gaps, desc.symmetry):
-                continue
-            tk = _tk_from_gaps(gaps)
-            gap_counter = Counter(gaps)
+            vec = [0] * n1
+            for cls, c in zip(classes, counts):
+                for i in cls:
+                    vec[i] = c
+            rots = _rotations(tuple(vec))
+            orbits.setdefault(min(rots), rots)
+        for canon, rots in orbits.items():
+            gaps = tuple(Fraction(c, q) for c in canon)
+            tk = tk_from_k([g - 1 for g in gaps])
             if tk == uniform_an:
                 report.an_type.append(str(tk))
-            if not (check_Q(gap_counter) and check_G(tk)):
+            if not (check_Q(Counter(gaps)) and check_G(tk)):
                 continue
-            kvec = _aligned_kvector(case_id, gaps, desc.symmetry)
-            s = stokes_from_k(kvec)
-            report.converse_checked += 1
-            if s.integral() is None:
-                match = match_ci(tk.roots, n1, weight_bound)
-                if match is not None:
-                    report.converse_violations.append(
-                        f"{tk}: non-integral Stokes but matches {match}")
-                else:
-                    report.flagged_non_ci.append(str(tk))
+            # every distinct gap vector of the orbit is one candidate, read
+            # through its first case-symmetric rotation
+            aligned = Counter(
+                next(r for r in _rotations(m)
+                     if all(r[i] == r[j] for i, j in desc.symmetry))
+                for m in set(rots))
+            non_integral = 0
+            for vec, count in aligned.items():
+                kvec = KVector(case_id, tuple(Fraction(c, q) - 1 for c in vec))
+                report.converse_checked += count
+                if stokes_from_k(kvec).integral() is None:
+                    non_integral += count
+            if not non_integral:
+                continue
+            match = match_ci(tk.roots, n1, weight_bound)
+            if match is not None:
+                report.converse_violations += [
+                    f"{tk}: non-integral Stokes but matches {match}"] * non_integral
+            else:
+                report.flagged_non_ci.append(str(tk))
     # dedupe flags (different gap vectors can share one operator)
     report.flagged_non_ci = sorted(set(report.flagged_non_ci))
     report.an_type = sorted(set(report.an_type))
     return report
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
+def _class_compositions(total: int, sizes: list[int]):
+    """All tuples c of nonnegative integers with sum(c[r] * sizes[r]) == total."""
+    if len(sizes) == 1:
+        if total % sizes[0] == 0:
+            yield (total // sizes[0],)
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
+    for first in range(total // sizes[0] + 1):
+        for rest in _class_compositions(total - first * sizes[0], sizes[1:]):
             yield (first,) + rest
-
-
-def _tk_from_gaps(gaps: tuple[Fraction, ...]) -> ThetaPoly:
-    n1 = len(gaps)
-    ks = tuple(g - 1 for g in gaps)
-    best = min(tuple(ks[(j + t) % n1] for t in range(n1)) for j in range(n1))
-    roots = [Fraction(0)]
-    acc = Fraction(0)
-    for g in best[:-1]:
-        acc += g + 1
-        roots.append(acc)
-    return ThetaPoly(Fraction(1), tuple(roots))
-
-
-def _aligned_kvector(case_id: str, gaps: tuple[Fraction, ...], symmetry) -> KVector:
-    n1 = len(gaps)
-    for j in range(n1):
-        rot = tuple(gaps[(j + t) % n1] for t in range(n1))
-        if all(rot[i] == rot[jj] for i, jj in symmetry):
-            return KVector(case_id, tuple(g - 1 for g in rot))
-    raise ValueError("gap vector does not satisfy the case symmetry")

@@ -28,7 +28,7 @@ from ttstar.exact import cos2
 from ttstar.solver import SolverConfig, solve_radial, verify_asymptotics
 from ttstar.stokes import stokes_from_asymptotic, stokes_from_k
 from ttstar.theta import (CISpec, QDO, catalog, check_G, check_Q, match_ci,
-                          qdo_from_ci, theta_poly, tk_from_k, _tk_from_gaps)
+                          qdo_from_ci, theta_poly, tk_from_k)
 
 REP_CASE = {"4": "4a", "5ab": "5a", "5cde": "5c", "6": "6a"}
 
@@ -282,7 +282,7 @@ def test_criterion_6_property_suites():
         n1 = len(gaps)
         for j in range(n1):
             rot = tuple(gaps[(j + i) % n1] for i in range(n1))
-            assert _tk_from_gaps(rot) == t
+            assert tk_from_k([g - 1 for g in rot]) == t
             instances += 1
     # (f) cyclotomic identities
     for _ in range(800):

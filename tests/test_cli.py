@@ -170,12 +170,21 @@ def test_solve_trace(capsys, tmp_path):
         "iter", "1", "2", "error:"]
 
 
+def test_solve_loose_tol_not_verified(capsys, tmp_path):
+    # a tolerance above the initial residual stops Newton before its first
+    # step; the unsolved profile must not pass as verified
+    code, out, _ = run(capsys, "solve", "4a", "3", "1", "--points", "512",
+                       "--tol", "1", "--output", str(tmp_path / "p.csv"))
+    assert code == 1 and "asymptotics   NOT verified" in out
+
+
 @pytest.mark.parametrize("options, message", [
     (("--points", "8"), "grid_points"),
     (("--tol", "0"), "newton_tol"),
     (("--tol", "nan"), "newton_tol"),
     (("--t-min", "5", "--t-max", "0"), "t_min"),
     (("--max-iterations", "-1"), "max_iterations"),
+    (("--tol", "inf"), "newton_tol"),
 ])
 def test_solve_invalid_options(capsys, options, message):
     code, _, err = run(capsys, "solve", "4a", "0", "0", *options)

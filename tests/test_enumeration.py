@@ -1,7 +1,11 @@
 from fractions import Fraction
+from math import gcd
 
-from ttstar.cases import CASE_IDS, GROUPS, in_region
-from ttstar.enumeration import (BLOCKS, CosPair, _cos_dictionary, admissible_points,
+import pytest
+
+from ttstar.cases import CASE_IDS, GROUPS, descriptor, in_region
+from ttstar.enumeration import (BLOCKS, CosPair, _cos_class, _cos_dictionary,
+                                _pair_integral, admissible_points,
                                 brute_force_integral_points, classify_block,
                                 enumerate_cos_pairs, integral_solutions,
                                 k_from_labels)
@@ -118,3 +122,44 @@ def test_brute_force_small_bound():
     found = brute_force_integral_points("4a", max_denominator=12)
     expected = {tuple(r.asymptotic) for r in integral_solutions("4a")}
     assert found == expected
+
+
+def _reference_grid(lo, hi, max_den):
+    for q in range(1, max_den + 1):
+        start = -((-lo.numerator * q) // lo.denominator)  # ceil(lo*q)
+        stop = (hi.numerator * q) // hi.denominator       # floor(hi*q)
+        for p in range(start, stop + 1):
+            if gcd(abs(p), q) == 1:
+                yield Fraction(p, q)
+
+
+# per group: the from-asymptotic cosine arguments, written out apart from
+# the library's table
+_REFERENCE_ARGS = {
+    "4": (lambda g: (g + 1) / 4, lambda d: (d + 3) / 4),
+    "5ab": (lambda g: (g + 6) / 5, lambda d: (d + 8) / 5),
+    "5cde": (lambda g: (g + 2) / 5, lambda d: (d + 4) / 5),
+    "6": (lambda g: (g + 2) / 6, lambda d: (d + 4) / 6),
+}
+
+
+def _reference_brute_force(case_id, max_den):
+    """The brute-force sweep without the denominator prefilter: every grid
+    point is built as a Fraction and classified."""
+    desc = descriptor(case_id)
+    ea, eb = desc.ab
+    xa, yb = _REFERENCE_ARGS[desc.group]
+    gammas = [(gm, _cos_class(xa(gm)))
+              for gm in _reference_grid(F(-2) / ea, F(2) / eb + 2, max_den)]
+    deltas = [(dl, _cos_class(yb(dl)))
+              for dl in _reference_grid(F(-2) / ea - 2, F(2) / eb, max_den)]
+    return {(gm, dl) for gm, cx in gammas if cx is not None
+            for dl, cy in deltas if cy is not None
+            if gm - dl <= 2 and _pair_integral(cx, cy)}
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_brute_force_matches_reference(case_id):
+    found = brute_force_integral_points(case_id, 60)
+    assert found == _reference_brute_force(case_id, 60)
+    assert found == {tuple(r.asymptotic) for r in integral_solutions(case_id)}

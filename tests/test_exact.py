@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttstar.exact import (AlgReal, alg_add, alg_mul, alg_scale, alg_sub,
-                          as_rational, cos2, is_integer, to_float)
+from ttstar.exact import AlgReal, cos2
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=18)
 
@@ -34,18 +33,18 @@ def test_sqrt2_square():
 
 
 def test_add_sub_scale():
-    assert alg_add(cos2(Fraction(1, 3)), cos2(Fraction(2, 3))) == 0
-    assert alg_sub(cos2(Fraction(1, 4)), cos2(Fraction(1, 4))) == 0
-    assert alg_scale(cos2(Fraction(1, 2)), Fraction(5, 7)) == 0
-    assert alg_mul(cos2(Fraction(1, 6)), cos2(Fraction(1, 6))) == 3
+    assert cos2(Fraction(1, 3)) + cos2(Fraction(2, 3)) == 0
+    assert cos2(Fraction(1, 4)) - cos2(Fraction(1, 4)) == 0
+    assert cos2(Fraction(1, 2)) * Fraction(5, 7) == 0
+    assert cos2(Fraction(1, 6)) * cos2(Fraction(1, 6)) == 3
 
 
 def test_rationality_detection():
-    assert as_rational(cos2(Fraction(1, 3))) == 1
-    assert as_rational(cos2(Fraction(1, 5))) is None
-    assert is_integer(cos2(Fraction(1, 4))) is None
-    assert is_integer(AlgReal.from_rational(Fraction(7, 2))) is None
-    assert is_integer(AlgReal.from_rational(-3)) == -3
+    assert cos2(Fraction(1, 3)).as_rational() == 1
+    assert cos2(Fraction(1, 5)).as_rational() is None
+    assert cos2(Fraction(1, 4)).is_integer() is None
+    assert AlgReal.from_rational(Fraction(7, 2)).is_integer() is None
+    assert AlgReal.from_rational(-3).is_integer() == -3
 
 
 def test_niven_sweep():
@@ -55,7 +54,7 @@ def test_niven_sweep():
     for q in range(1, 25):
         for p in range(q + 1):
             r = Fraction(p, q)
-            got = as_rational(cos2(r))
+            got = cos2(r).as_rational()
             assert (got is not None) == (r in niven), r
 
 
@@ -98,8 +97,8 @@ def test_reflection_symmetries(r):
 @given(rationals, rationals)
 def test_float_agreement(r, s):
     x, y = cos2(r), cos2(s)
-    assert abs(to_float(x * y) - to_float(x) * to_float(y)) < 1e-9
-    assert abs(to_float(x + y) - (to_float(x) + to_float(y))) < 1e-9
+    assert abs((x * y).to_float() - x.to_float() * y.to_float()) < 1e-9
+    assert abs((x + y).to_float() - (x.to_float() + y.to_float())) < 1e-9
 
 
 def test_rejects_odd_conductor():

@@ -103,6 +103,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(newton_tol=float("nan"))
     with pytest.raises(ValueError):
+        SolverConfig(newton_tol=float("inf"))
+    with pytest.raises(ValueError):
         SolverConfig(damping=1.5)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=-1)
@@ -120,6 +122,15 @@ def test_trivial_solution():
     assert np.max(np.abs(sol.v)) < 1e-10
     rep = verify_asymptotics(sol, 1e-6)
     assert rep.ok
+
+
+def test_unsolved_profile_not_verified():
+    sol = solve_radial("4a", AsymptoticData(F(3), F(1)),
+                       SolverConfig(grid_points=512, newton_tol=1.0))
+    assert sol.iterations == 0 and sol.residual_norm > 1e-3
+    rep = verify_asymptotics(sol, 0.05)
+    assert rep.gamma_ok and rep.delta_ok and rep.decay_ok
+    assert not rep.residual_ok and not rep.ok
 
 
 def test_interior_point_slopes():

@@ -5,7 +5,7 @@ import pytest
 from conftest import random_symmetric_k
 from ttstar.cases import (CASE_IDS, GROUPS, AsymptoticData, asymptotic_to_k,
                           k_to_asymptotic, make_k)
-from ttstar.stokes import integral, stokes_from_asymptotic, stokes_from_k
+from ttstar.stokes import stokes_from_asymptotic, stokes_from_k
 
 
 def F(*a):
@@ -31,7 +31,6 @@ def test_trivial_stokes():
 def test_irrational_detection():
     s = stokes_from_asymptotic("4a", AsymptoticData(F(1, 2), F(0)))
     assert s.integral() is None
-    assert integral(s) is None
 
 
 def test_ambiguous_sign_canonicalized():

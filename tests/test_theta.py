@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_symmetric_gaps, random_symmetric_k
-from ttstar.cases import CASE_IDS, GROUPS, KVector, make_k
-from ttstar.theta import (CISpec, NotReducibleError, QDO, ThetaPoly, catalog,
-                          check_G, check_Q, k_from_tk, match_ci, qdo_from_ci,
-                          theta_poly, tk_from_k, verify_corollary,
-                          _tk_from_gaps)
+from ttstar.cases import CASE_IDS, GROUPS, KVector, descriptor, make_k
+from ttstar.enumeration import integral_solutions
+from ttstar.stokes import stokes_from_k
+from ttstar.theta import (CISpec, CorollaryReport, NotReducibleError, QDO,
+                          ThetaPoly, catalog, check_G, check_Q, k_from_tk,
+                          match_ci, qdo_from_ci, theta_poly, tk_from_k,
+                          verify_corollary)
 
 
 def F(*a):
@@ -38,6 +40,10 @@ def test_tk_requires_normalization():
         tk_from_k(make_k("4a", [0, 0, 0, 0]))
     with pytest.raises(ValueError):
         tk_from_k(make_k("4a", [F("3/2"), F("-3/2"), F("1/2"), F("-3/2")]))
+    with pytest.raises(ValueError):
+        tk_from_k([F("-1/2")] * 4)
+    with pytest.raises(ValueError):
+        tk_from_k([F("3/2"), F("-3/2"), F("1/2"), F("-3/2")])
 
 
 def test_tk_rotation_invariance(rng):
@@ -49,7 +55,7 @@ def test_tk_rotation_invariance(rng):
         n1 = len(gaps)
         for j in range(n1):
             rot = tuple(gaps[(j + i) % n1] for i in range(n1))
-            assert _tk_from_gaps(rot) == t
+            assert tk_from_k([g - 1 for g in rot]) == t
 
 
 def test_k_from_tk_round_trip(rng):
@@ -159,3 +165,97 @@ def test_verify_corollary_corrupt():
 def test_verify_corollary_bound_validation():
     with pytest.raises(ValueError):
         verify_corollary("4a", 5)
+
+
+# --- slow reference for the converse sweep ------------------------------
+
+def _reference_compositions(total, parts):
+    """All tuples of `parts` nonnegative integers summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _reference_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _reference_rotations(gaps):
+    n1 = len(gaps)
+    return [tuple(gaps[(j + t) % n1] for t in range(n1)) for j in range(n1)]
+
+
+def _reference_tk(gaps):
+    best = min(_reference_rotations(tuple(g - 1 for g in gaps)))
+    roots = [F(0)]
+    acc = F(0)
+    for g in best[:-1]:
+        acc += g + 1
+        roots.append(acc)
+    return ThetaPoly(F(1), tuple(roots))
+
+
+def _reference_converse(case_id, search_bound):
+    """verify_corollary by the slow route: every composition of every q into
+    n+1 parts, deduplicated across q by a set of Fraction tuples, kept when
+    some rotation has the case symmetry and read through the first such."""
+    desc = descriptor(case_id)
+    n1 = desc.n_plus_1
+    report = CorollaryReport(case_id, search_bound)
+    by_block = {}
+    for rec in integral_solutions(case_id):
+        by_block.setdefault(rec.block, []).append(rec)
+    for spec, block, pos in catalog(desc.group):
+        expected = QDO(n1, by_block[block][pos].tk)
+        produced = qdo_from_ci(spec)
+        report.forward_checked += 1
+        if produced != expected:
+            report.forward_mismatches.append(
+                f"{spec} -> {produced} != {expected} at {block}[{pos}]")
+
+    def symmetric(rot):
+        return all(rot[i] == rot[j] for i, j in desc.symmetry)
+
+    uniform_an = theta_poly([F(j, n1 + 1) for j in range(n1)])
+    seen = set()
+    for q in range(1, search_bound + 1):
+        for comp in _reference_compositions(q, n1):
+            gaps = tuple(F(c, q) for c in comp)
+            if gaps in seen:
+                continue
+            seen.add(gaps)
+            aligned = [rot for rot in _reference_rotations(gaps) if symmetric(rot)]
+            if not aligned:
+                continue
+            tk = _reference_tk(gaps)
+            if tk == uniform_an:
+                report.an_type.append(str(tk))
+            if not (check_Q(Counter(gaps)) and check_G(tk)):
+                continue
+            s = stokes_from_k(KVector(case_id, tuple(g - 1 for g in aligned[0])))
+            report.converse_checked += 1
+            if s.integral() is None:
+                match = match_ci(tk.roots, n1, search_bound * n1)
+                if match is not None:
+                    report.converse_violations.append(
+                        f"{tk}: non-integral Stokes but matches {match}")
+                else:
+                    report.flagged_non_ci.append(str(tk))
+    report.flagged_non_ci = sorted(set(report.flagged_non_ci))
+    report.an_type = sorted(set(report.an_type))
+    return report
+
+
+@pytest.mark.parametrize("case_id, bound",
+                         [(c, 12) for c in CASE_IDS] + [("5c", 16), ("6a", 16)])
+def test_converse_matches_reference(case_id, bound):
+    assert verify_corollary(case_id, bound) == _reference_converse(case_id, bound)
+
+
+@pytest.mark.parametrize("case_id, bound, checked, flagged", [
+    ("4a", 12, 94, 19), ("4a", 24, 362, 86), ("4a", 36, 794, 194),
+    ("5a", 12, 180, 27), ("6a", 12, 78, 8), ("6a", 18, 174, 24),
+])
+def test_converse_pins(case_id, bound, checked, flagged):
+    rep = verify_corollary(case_id, bound)
+    assert (rep.converse_checked, len(rep.flagged_non_ci)) == (checked, flagged)
+    assert rep.ok and not rep.converse_violations
