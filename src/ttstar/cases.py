@@ -11,7 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
+
+from .exact import LinearSystem
 
 CASE_IDS = ("4a", "4b", "5a", "5b", "5c", "5d", "5e", "6a", "6b", "6c")
 
@@ -134,56 +137,31 @@ def k_to_asymptotic(k: KVector) -> AsymptoticData:
     return AsymptoticData(Fraction(gamma), Fraction(delta))
 
 
+@lru_cache(maxsize=None)
+def _k_system(case_id: str) -> LinearSystem:
+    """The gamma and delta forms, the sum row and one row per symmetry pair.
+
+    3 + (number of symmetry pairs) = n + 1 for every case: the system is
+    square and nonsingular, so it is consistent for every right-hand side.
+    """
+    desc = descriptor(case_id)
+    n1 = desc.n_plus_1
+    rows = [desc.gamma_row, desc.delta_row, (1,) * n1]
+    for i, j in desc.symmetry:
+        row = [0] * n1
+        row[i], row[j] = 1, -1
+        rows.append(row)
+    return LinearSystem(rows)
+
+
 def asymptotic_to_k(case_id: str, a: AsymptoticData, N=Fraction(1)) -> KVector:
     """Invert the linear forms under symmetry and sum normalization."""
     N = Fraction(N)
     if N <= 0:
         raise ValueError("N must be positive")
     desc = descriptor(case_id)
-    n1 = desc.n_plus_1
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    rows.append([Fraction(c) for c in desc.gamma_row])
-    rhs.append(N * a.gamma)
-    rows.append([Fraction(c) for c in desc.delta_row])
-    rhs.append(N * a.delta)
-    rows.append([Fraction(1)] * n1)
-    rhs.append(N - n1)
-    for i, j in desc.symmetry:
-        row = [Fraction(0)] * n1
-        row[i], row[j] = Fraction(1), Fraction(-1)
-        rows.append(row)
-        rhs.append(Fraction(0))
-    sol = _solve_exact(rows, rhs)
-    return KVector(case_id, tuple(sol))
-
-
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over the rationals; system must be uniquely solvable."""
-    n = len(rows[0])
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if pivot is None:
-            raise ValueError("singular system")
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = aug[r][c]
-        aug[r] = [v / inv for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [v - f * p for v, p in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][n] != 0:
-            raise ValueError("inconsistent system")
-    sol = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][n]
-    return sol
+    rhs = [N * a.gamma, N * a.delta, N - desc.n_plus_1] + [0] * len(desc.symmetry)
+    return KVector(case_id, tuple(_k_system(case_id).solve(rhs)))
 
 
 def in_region(case_id: str, a: AsymptoticData) -> bool:

@@ -18,7 +18,7 @@ from pathlib import Path
 from .cases import (CASE_IDS, GROUPS, AsymptoticData, SymmetryError, descriptor,
                     in_region, k_to_asymptotic, make_k, asymptotic_to_k)
 from .enumeration import enumerate_cos_pairs, integral_solutions
-from .stokes import stokes_from_asymptotic, stokes_from_k
+from .stokes import GROUP_FORMULAS, stokes_from_asymptotic, stokes_from_k
 from .theta import (CISpec, NotReducibleError, QDO, qdo_from_ci,
                     verify_corollary)
 
@@ -65,9 +65,14 @@ def record_row(rec) -> dict:
     }
 
 
+def half_table(case_id: str) -> bool:
+    """The groups with s1 defined up to sign print only the rows gamma + delta >= 0."""
+    return GROUP_FORMULAS[descriptor(case_id).group].s1_ambiguous
+
+
 def case_rows(case_id: str, full: bool) -> list[dict]:
     recs = integral_solutions(case_id)
-    if not full and descriptor(case_id).group in ("4", "6"):
+    if not full and half_table(case_id):
         recs = [r for r in recs if r.asymptotic.gamma + r.asymptotic.delta >= 0]
     return [record_row(r) for r in recs]
 
@@ -194,10 +199,8 @@ def cmd_convert(args) -> int:
 def _raw_rows() -> list[dict]:
     rows = []
     for pair in enumerate_cos_pairs():
-        m = (pair.x - pair.y).is_integer()
-        p = (pair.x * pair.y).is_integer()
         rows.append({"a": fmt_frac(pair.a_label), "b": fmt_frac(pair.b_label),
-                     "m": str(m), "p": str(p)})
+                     "m": str(pair.m), "p": str(pair.p)})
     return rows
 
 
@@ -269,7 +272,7 @@ def compare_golden(case_id: str, tables_dir: Path) -> list[str]:
     if not path.exists():
         return [f"missing golden file {path}"]
     expected = golden_rows(path)
-    got = case_rows(case_id, full=group in ("5ab", "5cde"))
+    got = case_rows(case_id, full=not half_table(case_id))
     if len(expected) != len(got):
         problems.append(f"{path.name}: {len(got)} rows computed, "
                         f"{len(expected)} expected")

@@ -20,7 +20,7 @@ from math import gcd
 
 from .cases import AsymptoticData, KVector, descriptor, in_region, k_to_asymptotic
 from .exact import AlgReal, cos2
-from .stokes import ANGLE_SHIFTS, StokesData, stokes_from_k
+from .stokes import GROUP_FORMULAS, StokesData, stokes_from_k
 from .theta import ThetaPoly, tk_from_k
 
 BLOCKS = ("top-edge", "left-edge", "diagonal-edge", "center-line", "other-interior")
@@ -32,6 +32,9 @@ class CosPair:
     y: AlgReal
     a_label: Fraction
     b_label: Fraction
+    # the integers m = x - y and p = x*y
+    m: int
+    p: int
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,7 @@ def enumerate_cos_pairs() -> tuple[CosPair, ...]:
             if p is None:
                 continue
             assert -4 <= m <= 4 and -4 <= p <= 4 and m * m + 4 * p >= 0
-            pairs.append(CosPair(x, y, la, lb))
+            pairs.append(CosPair(x, y, la, lb, m, p))
     return tuple(pairs)
 
 
@@ -265,11 +268,11 @@ def brute_force_integral_points(case_id: str, max_denominator: int = 60
     """
     desc = descriptor(case_id)
     ea, eb = desc.ab
-    div, shift_gamma, shift_delta = ANGLE_SHIFTS[desc.group]
+    g = GROUP_FORMULAS[desc.group]
     gammas = _cosine_grid(Fraction(-2, ea), Fraction(2, eb) + 2, max_denominator,
-                          shift_gamma, div)
+                          g.shift_gamma, g.div)
     deltas = _cosine_grid(Fraction(-2, ea) - 2, Fraction(2, eb), max_denominator,
-                          shift_delta, div)
+                          g.shift_delta, g.div)
     out = set()
     for gm, cx in gammas:
         for dl, cy in deltas:

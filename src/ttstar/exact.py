@@ -6,6 +6,13 @@ Q(zeta_M) for an even conductor M, reduced modulo the M-th cyclotomic
 polynomial and pushed down to the smallest even conductor containing it.
 All coefficients are exact ``fractions.Fraction`` values, so equality is
 canonical and integrality questions are decidable.
+
+Two primitives do the work.  ``_substitute`` evaluates sum_j c_j zeta_M^(a*j)
+mod Phi_M: it reduces products (a = 1), lifts an element into a larger
+field (a = M / conductor) and conjugates (a = M - 1).  ``LinearSystem`` is
+the one exact linear solver: descending to a subfield Q(zeta_d) is a solve
+against its power basis, consistent exactly when the element lies in it,
+and ``cases.asymptotic_to_k`` inverts its linear forms with the same solver.
 """
 
 from __future__ import annotations
@@ -48,22 +55,6 @@ def _polydiv_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _phi(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-@lru_cache(maxsize=None)
 def _prime_factors(n: int) -> tuple[int, ...]:
     out = []
     m = n
@@ -80,15 +71,23 @@ def _prime_factors(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_table(M: int) -> tuple[tuple[int, ...], ...]:
-    """zeta_M^e reduced mod Phi_M, for e = 0 .. M-1, as integer vectors."""
+def _phi(n: int) -> int:
+    result = n
+    for p in _prime_factors(n):
+        result -= result // p
+    return result
+
+
+@lru_cache(maxsize=None)
+def _power_table(M: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """zeta_M^e reduced mod Phi_M, for e = 0 .. M-1, as sparse (index, value) rows."""
     deg = _phi(M)
     phi_poly = _cyclotomic(M)
     rows = []
     cur = [0] * deg
     cur[0] = 1
     for _ in range(M):
-        rows.append(tuple(cur))
+        rows.append(tuple((i, v) for i, v in enumerate(cur) if v))
         # multiply by zeta
         nxt = [0] + cur[:-1]
         lead = cur[-1]
@@ -99,116 +98,106 @@ def _power_table(M: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce_poly(M: int, coeffs: list[Fraction]) -> list[Fraction]:
-    """Reduce a polynomial in zeta_M (any length) mod Phi_M."""
-    deg = _phi(M)
+def _substitute(M: int, coeffs, a: int = 1) -> list[Fraction]:
+    """sum_j c_j zeta_M^(a*j), reduced mod Phi_M.
+
+    With a = 1 this reduces a polynomial in zeta_M of any length; a = M - 1
+    is complex conjugation; a = M // c lifts an element of conductor c
+    dividing M into Q(zeta_M).
+    """
     table = _power_table(M)
-    out = [Fraction(0)] * deg
-    for e, c in enumerate(coeffs):
+    out = [Fraction(0)] * _phi(M)
+    for j, c in enumerate(coeffs):
         if c:
-            row = table[e % M]
-            for j in range(deg):
-                if row[j]:
-                    out[j] += c * row[j]
+            for i, v in table[(a * j) % M]:
+                out[i] += c * v
     return out
+
+
+class LinearSystem:
+    """An exact system A x = b whose m x n matrix A has full column rank.
+
+    The factorization is one Gauss-Jordan elimination of [A^T | I] over
+    Fraction.  Its pivot columns name n rows P of A whose square block A_P
+    is invertible, and its right half ends as the transpose of A_P^-1.
+    ``solve`` computes x = A_P^-1 b_P and multiplies the other rows of A
+    back to check it.
+    """
+
+    __slots__ = ("_pivots", "_inverse", "_others")
+
+    def __init__(self, rows):
+        m, n = len(rows), len(rows[0])
+        work = [[Fraction(row[j]) for row in rows]
+                + [Fraction(int(i == j)) for i in range(n)] for j in range(n)]
+        pivots: list[int] = []
+        for col in range(m):
+            r = len(pivots)
+            if r == n:
+                break
+            piv = next((i for i in range(r, n) if work[i][col]), None)
+            if piv is None:
+                continue
+            work[r], work[piv] = work[piv], work[r]
+            # columns up to col are never read again: only the tails change
+            head = work[r][col]
+            tail = [v / head for v in work[r][col + 1:]]
+            work[r][col + 1:] = tail
+            for i in range(n):
+                f = work[i][col]
+                if i != r and f:
+                    work[i][col + 1:] = [v - f * w if w else v
+                                         for v, w in zip(work[i][col + 1:], tail)]
+            pivots.append(col)
+        if len(pivots) < n:
+            raise ValueError("singular system")
+        self._pivots = tuple(pivots)
+        # row j of A_P^-1 is column m + j of the right half, kept sparse
+        self._inverse = tuple(tuple((k, work[k][m + j]) for k in range(n) if work[k][m + j])
+                              for j in range(n))
+        chosen = set(pivots)
+        self._others = tuple((i, tuple((j, v) for j, v in enumerate(row) if v))
+                             for i, row in enumerate(rows) if i not in chosen)
+
+    def solve(self, rhs) -> Optional[list[Fraction]]:
+        """The unique x with A x = rhs, or None if the system is inconsistent."""
+        b = [rhs[p] for p in self._pivots]
+        x = [sum((v * b[k] for k, v in row), Fraction(0)) for row in self._inverse]
+        for i, row in self._others:
+            if sum(v * x[j] for j, v in row) != rhs[i]:
+                return None
+        return x
 
 
 @lru_cache(maxsize=None)
-def _descent_solver(M: int, d: int):
-    """Data for rewriting an element of Q(zeta_M) known to lie in Q(zeta_d).
-
-    Returns (pivot_rows, inverse) where inverse is the exact inverse of the
-    square submatrix of the basis-change matrix picked out by pivot_rows.
-    Columns of the basis-change matrix are zeta_M^{(M/d)*j} reduced mod
-    Phi_M, j = 0 .. phi(d)-1.
-    """
-    degM, degd = _phi(M), _phi(d)
+def _descent_system(M: int, d: int) -> LinearSystem:
+    """Columns zeta_M^((M/d)*j), j < phi(d): the power basis of Q(zeta_d)."""
     table = _power_table(M)
-    step = M // d
-    cols = [table[(step * j) % M] for j in range(degd)]
-    # rows of the phi(M) x phi(d) matrix, tagged with their original index
-    mat = [[Fraction(cols[j][i]) for j in range(degd)] for i in range(degM)]
-    work = [(i, row[:]) for i, row in enumerate(mat)]
-    pivot_rows: list[int] = []
-    col = 0
-    for r in range(degM):
-        if col >= degd:
-            break
-        if work[r][1][col] == 0:
-            for rr in range(r + 1, degM):
-                if work[rr][1][col] != 0:
-                    work[r], work[rr] = work[rr], work[r]
-                    break
-            else:
-                continue
-        pivot_rows.append(work[r][0])
-        inv = work[r][1][col]
-        for rr in range(r + 1, degM):
-            f = work[rr][1][col] / inv
-            if f:
-                for cc in range(col, degd):
-                    work[rr][1][cc] -= f * work[r][1][cc]
-        col += 1
-    assert len(pivot_rows) == degd
-    sub = [mat[r][:] for r in pivot_rows]
-    inverse = _invert_matrix(sub)
-    return tuple(pivot_rows), inverse
-
-
-def _invert_matrix(m: list[list[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    n = len(m)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for c in range(n):
-        pivot = next(r for r in range(c, n) if aug[r][c] != 0)
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = aug[c][c]
-        aug[c] = [v / inv for v in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [v - f * p for v, p in zip(aug[r], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def _apply_automorphism(M: int, coeffs: tuple[Fraction, ...], a: int) -> list[Fraction]:
-    """sigma_a: zeta -> zeta^a applied to a reduced coefficient vector."""
-    deg = _phi(M)
-    table = _power_table(M)
-    out = [Fraction(0)] * deg
-    for j, c in enumerate(coeffs):
-        if c:
-            row = table[(a * j) % M]
-            for i in range(deg):
-                if row[i]:
-                    out[i] += c * row[i]
-    return out
+    rows = [[0] * _phi(d) for _ in range(_phi(M))]
+    for j in range(_phi(d)):
+        for i, v in table[(M // d * j) % M]:
+            rows[i][j] = v
+    return LinearSystem(rows)
 
 
 def _minimize(M: int, coeffs: list[Fraction]) -> tuple[int, tuple[Fraction, ...]]:
-    """Push an element down to its minimal even conductor."""
+    """Push an element down to its minimal even conductor, by subfield membership.
+
+    The element lies in Q(zeta_d), d = M/p, exactly when its coefficient
+    vector is a combination of the columns zeta_M^((M/d)*j), j < phi(d):
+    the descent system is consistent, and its solution is the coefficient
+    vector at conductor d.  Descend one prime at a time until no even d
+    admits the element.
+    """
     while M > 2:
-        descended = False
         for p in _prime_factors(M):
             d = M // p
-            if d % 2 == 1:
-                continue
-            # Galois-invariance under Gal(Q(zeta_M)/Q(zeta_d))
-            invariant = True
-            for a in range(1, M):
-                if a != 1 and math.gcd(a, M) == 1 and a % d == 1:
-                    if _apply_automorphism(M, tuple(coeffs), a) != coeffs:
-                        invariant = False
-                        break
-            if not invariant:
-                continue
-            rows, inverse = _descent_solver(M, d)
-            rhs = [coeffs[r] for r in rows]
-            new = [sum(inverse[i][j] * rhs[j] for j in range(len(rhs)))
-                   for i in range(len(rhs))]
-            M, coeffs = d, new
-            descended = True
-            break
-        if not descended:
+            if d % 2 == 0:
+                x = _descent_system(M, d).solve(coeffs)
+                if x is not None:
+                    M, coeffs = d, x
+                    break
+        else:
             break
     return M, tuple(coeffs)
 
@@ -223,12 +212,11 @@ class AlgReal:
     __slots__ = ("conductor", "coeffs", "_hash")
 
     def __init__(self, conductor: int, coeffs, _reduced: bool = False):
-        coeffs = [Fraction(c) for c in coeffs]
+        # coeffs are ints or Fractions; the reduction returns Fractions
         if not _reduced:
             if conductor % 2 != 0:
                 raise ValueError("conductor must be even")
-            coeffs = _reduce_poly(conductor, coeffs)
-            conductor, coeffs = _minimize(conductor, coeffs)
+            conductor, coeffs = _minimize(conductor, _substitute(conductor, coeffs))
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "_hash", hash((conductor, self.coeffs)))
@@ -252,19 +240,17 @@ class AlgReal:
 
     def _unify(self, other: "AlgReal"):
         M = math.lcm(self.conductor, other.conductor)
-        a = _reduce_poly(M, self._lift(M))
-        b = _reduce_poly(M, other._lift(M))
-        return M, a, b
-
-    def _lift(self, M: int) -> list[Fraction]:
-        step = M // self.conductor
-        out = [Fraction(0)] * (step * (len(self.coeffs) - 1) + 1)
-        for j, c in enumerate(self.coeffs):
-            out[step * j] = c
-        return out
+        return (M, _substitute(M, self.coeffs, M // self.conductor),
+                _substitute(M, other.coeffs, M // other.conductor))
 
     def __add__(self, other) -> "AlgReal":
         other = self._coerce(other)
+        if self.conductor == 2:
+            self, other = other, self
+        if other.conductor == 2:
+            # a rational moves the constant term only: still reduced and minimal
+            coeffs = (self.coeffs[0] + other.coeffs[0],) + self.coeffs[1:]
+            return AlgReal(self.conductor, coeffs, _reduced=True)
         M, a, b = self._unify(other)
         return AlgReal(M, [x + y for x, y in zip(a, b)])
 
@@ -281,7 +267,11 @@ class AlgReal:
 
     def __mul__(self, other) -> "AlgReal":
         if isinstance(other, (int, Fraction)):
-            return AlgReal(self.conductor, [c * other for c in self.coeffs])
+            if not other:
+                return AlgReal.from_rational(0)
+            # a nonzero rational multiple is still reduced and minimal
+            return AlgReal(self.conductor, [c * other for c in self.coeffs],
+                           _reduced=True)
         M, a, b = self._unify(other)
         prod = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
@@ -310,7 +300,7 @@ class AlgReal:
 
     def is_real(self) -> bool:
         """True iff the element is fixed by complex conjugation."""
-        conj = _apply_automorphism(self.conductor, self.coeffs, self.conductor - 1)
+        conj = _substitute(self.conductor, self.coeffs, self.conductor - 1)
         return tuple(conj) == self.coeffs
 
     def as_rational(self) -> Optional[Fraction]:

@@ -12,7 +12,8 @@ becomes (using u_{z zbar} = (u_tt) / (4 e^{2t}) for radial u)
 The solver discretizes with central differences on a uniform grid, imposes
 the log-slope (gamma, delta) at t_min by a second-order one-sided
 difference and homogeneous Dirichlet data at t_max, and relaxes with a
-damped Newton iteration.  The nonlinear terms are always evaluated with
+Newton iteration damped by a line search that halves lambda from 1 until
+the residual drops.  The nonlinear terms are always evaluated with
 combined exponents exp(2t + a*u) etc., which stay bounded on the region of
 asymptotic data.
 
@@ -57,7 +58,6 @@ class SolverConfig:
     grid_points: int = 2048
     newton_tol: float = DEFAULT_NEWTON_TOL
     max_iterations: int = 60
-    damping: float = 1.0
 
     def __post_init__(self):
         if not self.t_min < self.t_max:
@@ -68,8 +68,6 @@ class SolverConfig:
             raise ValueError("newton_tol must be positive and finite")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -179,7 +177,7 @@ def solve_radial(case_id: str, a: AsymptoticData,
             break
         step = solve_banded((2, 4), _jacobian(case_id, t, u, v, h), -res,
                             overwrite_ab=True, check_finite=False)
-        lam = cfg.damping
+        lam = 1.0
         for _ in range(40):
             un = u + lam * step[0::2]
             vn = v + lam * step[1::2]

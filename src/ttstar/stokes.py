@@ -2,9 +2,10 @@
 
 The two real Stokes parameters (s1, s2) are cosine polynomials in either
 the asymptotic data (gamma, delta) or the holomorphic exponents k_i.
-Both routes are implemented exactly over ``AlgReal``; they agree on the
-nose, up to the sign ambiguity of s1 in the groups of cases with an even
-size matrix.
+Both routes are implemented exactly over ``AlgReal`` from one table of
+per-group formulas; they agree on the nose.  In the groups of cases with
+an even size matrix s1 is only defined up to sign; its sign is decided
+exactly from the rational angles and s1 is reported nonnegative.
 """
 
 from __future__ import annotations
@@ -16,13 +17,35 @@ from typing import Optional
 from .cases import AsymptoticData, KVector, descriptor
 from .exact import AlgReal, cos2
 
-# groups whose s1 is only defined up to sign
-_AMBIGUOUS_GROUPS = frozenset({"4", "6"})
 
-# per group (div, shift_gamma, shift_delta): the from-asymptotic cosine
-# arguments are x = 2cos(pi*(gamma + shift_gamma)/div) and
-# y = 2cos(pi*(delta + shift_delta)/div)
-ANGLE_SHIFTS = {"4": (4, 1, 3), "5ab": (5, 6, 8), "5cde": (5, 2, 4), "6": (6, 2, 4)}
+@dataclass(frozen=True)
+class GroupFormula:
+    """The Stokes formulas of one group of cases.
+
+    With x = 2cos(pi*A) and y = 2cos(pi*B) for the slot angles A, B:
+    s1 = c1 + x + y and -s2 = c2 + ell*(x + y) + x*y.  From (gamma, delta)
+    the angles are A = (gamma + shift_gamma)/div and B = (delta +
+    shift_delta)/div; from k they are the slot angles plus k_flips, a flip
+    of 1 negating that slot's cosine.  In the groups with s1_ambiguous
+    (c1 = 0) s1 is only defined up to sign and is reported nonnegative.
+    """
+
+    div: int
+    shift_gamma: int
+    shift_delta: int
+    c1: int
+    c2: int
+    ell: int
+    k_flips: tuple[int, int]
+    s1_ambiguous: bool
+
+
+GROUP_FORMULAS = {
+    "4": GroupFormula(4, 1, 3, 0, 2, 0, (0, 1), True),
+    "5ab": GroupFormula(5, 6, 8, 1, 2, 1, (1, 0), False),
+    "5cde": GroupFormula(5, 2, 4, 1, 2, 1, (0, 1), False),
+    "6": GroupFormula(6, 2, 4, 0, 1, 0, (0, 1), True),
+}
 
 
 @dataclass(frozen=True)
@@ -39,38 +62,38 @@ class StokesData:
         return i1, i2
 
 
-def _assemble(group: str, x: AlgReal, y: AlgReal, sign_k: int, sign_l: int) -> StokesData:
-    """Combine the two cosine values per the group formula.
+def _cos_sign(t: Fraction) -> int:
+    """The exact sign of cos(pi*t)."""
+    t %= 2
+    if t in (Fraction(1, 2), Fraction(3, 2)):
+        return 0
+    return 1 if t < Fraction(1, 2) or t > Fraction(3, 2) else -1
 
-    x and y carry the angles of the k- and l-slots; sign_k/sign_l are the
-    signs with which 2cos of each slot enters (the from-asymptotic and
-    from-k statements of the formulas differ exactly by these signs).
-    """
-    xs = x * sign_k
-    ys = y * sign_l
-    if group == "4":
-        s1 = xs + ys
-        minus_s2 = AlgReal.from_rational(2) + xs * ys
-    elif group in ("5ab", "5cde"):
-        s1 = AlgReal.from_rational(1) + xs + ys
-        minus_s2 = AlgReal.from_rational(2) + xs + ys + xs * ys
-    elif group == "6":
-        s1 = xs + ys
-        minus_s2 = AlgReal.from_rational(1) + xs * ys
-    else:
-        raise ValueError(f"unknown group {group}")
-    ambiguous = group in _AMBIGUOUS_GROUPS
-    if ambiguous and s1.to_float() < 0:
+
+def cos_sum_sign(a: Fraction, b: Fraction) -> int:
+    """The exact sign of 2cos(pi*a) + 2cos(pi*b) = 4cos(pi(a+b)/2)cos(pi(a-b)/2)."""
+    return _cos_sign((a + b) / 2) * _cos_sign((a - b) / 2)
+
+
+def _assemble(g: GroupFormula, a: Fraction, b: Fraction, flips=(0, 0)) -> StokesData:
+    """The group formulas at the slot angles a + flips[0] and b + flips[1]."""
+    x, y = cos2(a), cos2(b)
+    if flips[0]:
+        x = -x
+    if flips[1]:
+        y = -y
+    s = x + y
+    s1 = s + g.c1
+    minus_s2 = x * y + s * g.ell + g.c2
+    if g.s1_ambiguous and cos_sum_sign(a + flips[0], b + flips[1]) < 0:
         s1 = -s1
-    return StokesData(s1, -minus_s2, ambiguous)
+    return StokesData(s1, -minus_s2, g.s1_ambiguous)
 
 
 def stokes_from_asymptotic(case_id: str, a: AsymptoticData) -> StokesData:
-    g = descriptor(case_id).group
-    div, shift_gamma, shift_delta = ANGLE_SHIFTS[g]
-    x = cos2((a.gamma + shift_gamma) / div)
-    y = cos2((a.delta + shift_delta) / div)
-    return _assemble(g, x, y, 1, 1)
+    g = GROUP_FORMULAS[descriptor(case_id).group]
+    return _assemble(g, (a.gamma + g.shift_gamma) / g.div,
+                     (a.delta + g.shift_delta) / g.div)
 
 
 def stokes_from_k(k: KVector) -> StokesData:
@@ -80,10 +103,6 @@ def stokes_from_k(k: KVector) -> StokesData:
         raise ValueError("N must be positive")
     ki, li = desc.kl_index
     mk, ml = desc.angle_mult
-    x = cos2(Fraction(mk) * (k.entries[ki] + 1) / N)
-    y = cos2(Fraction(ml) * (k.entries[li] + 1) / N)
-    # the from-k formulas enter with signs (+,-) for groups 4/5cde/6 on the
-    # l-slot and (-,+) for 5ab on the k-slot
-    if desc.group == "5ab":
-        return _assemble(desc.group, x, y, -1, 1)
-    return _assemble(desc.group, x, y, 1, -1)
+    g = GROUP_FORMULAS[desc.group]
+    return _assemble(g, mk * (k.entries[ki] + 1) / N, ml * (k.entries[li] + 1) / N,
+                     g.k_flips)

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .cases import KVector
+from .cases import KVector, descriptor
+from .stokes import stokes_from_k
 
 
 class NotReducibleError(ValueError):
@@ -343,9 +344,7 @@ def verify_corollary(case_id: str, search_bound: int,
     per orbit; the Stokes data once per distinct first symmetric rotation
     of the orbit's members, each member counting as one candidate.
     """
-    from .cases import descriptor
-    from .enumeration import integral_solutions
-    from .stokes import stokes_from_k
+    from .enumeration import integral_solutions  # enumeration imports this module
 
     if search_bound < 6:
         raise ValueError("search_bound must be at least 6")

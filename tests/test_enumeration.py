@@ -42,7 +42,7 @@ def _reference_cos_pairs():
             for la, x in dictionary:
                 for lb, y in dictionary:
                     if (x - y) == m and (x * y) == p:
-                        found.setdefault((la, lb), CosPair(x, y, la, lb))
+                        found.setdefault((la, lb), CosPair(x, y, la, lb, m, p))
     return tuple(found[key] for key in sorted(found))
 
 
@@ -53,6 +53,7 @@ def test_cos_pairs_match_reference_sweep():
     for got, want in zip(pairs, reference):
         assert (got.a_label, got.b_label) == (want.a_label, want.b_label)
         assert got.x == want.x and got.y == want.y
+        assert (got.m, got.p) == (want.m, want.p)
 
 
 def test_admissible_points():

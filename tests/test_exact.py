@@ -1,10 +1,13 @@
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttstar.exact import AlgReal, cos2
+from ttstar.exact import (AlgReal, LinearSystem, _cyclotomic, _phi, _prime_factors,
+                          cos2)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=18)
 
@@ -104,3 +107,191 @@ def test_float_agreement(r, s):
 def test_rejects_odd_conductor():
     with pytest.raises(ValueError):
         AlgReal(3, [1, 0])
+
+
+def test_linear_system_solves_overdetermined():
+    system = LinearSystem([[1, 0], [0, 1], [1, 1], [2, -1]])
+    assert system.solve([1, 2, 3, 0]) == [1, 2]
+    square = LinearSystem([[2, 1], [1, 1]])
+    assert square.solve([Fraction(1, 2), 0]) == [Fraction(1, 2), Fraction(-1, 2)]
+
+
+def test_linear_system_raises_on_singular():
+    with pytest.raises(ValueError, match="singular"):
+        LinearSystem([[1, 2], [2, 4]])
+    with pytest.raises(ValueError, match="singular"):
+        LinearSystem([[1, 0, 1], [0, 1, 1], [1, 1, 2], [0, 0, 0]])
+
+
+def test_linear_system_reports_inconsistent():
+    system = LinearSystem([[1, 0], [0, 1], [1, 1]])
+    assert system.solve([1, 2, 4]) is None
+    assert system.solve([1, 2, 3]) == [1, 2]
+
+
+# --- slow reference: descent by a scan over the Galois automorphisms ------
+
+@lru_cache(maxsize=None)
+def _ref_power_table(M):
+    """zeta_M^e reduced mod Phi_M, for e = 0 .. M-1, as dense integer rows."""
+    deg = _phi(M)
+    phi_poly = _cyclotomic(M)
+    rows = []
+    cur = [0] * deg
+    cur[0] = 1
+    for _ in range(M):
+        rows.append(tuple(cur))
+        nxt = [0] + cur[:-1]
+        lead = cur[-1]
+        if lead:
+            for j in range(deg):
+                nxt[j] -= lead * phi_poly[j]
+        cur = nxt
+    return tuple(rows)
+
+
+def _ref_reduce_poly(M, coeffs):
+    deg = _phi(M)
+    table = _ref_power_table(M)
+    out = [Fraction(0)] * deg
+    for e, c in enumerate(coeffs):
+        if c:
+            row = table[e % M]
+            for j in range(deg):
+                if row[j]:
+                    out[j] += c * row[j]
+    return out
+
+
+def _ref_lift(x, M):
+    step = M // x.conductor
+    out = [Fraction(0)] * (step * (len(x.coeffs) - 1) + 1)
+    for j, c in enumerate(x.coeffs):
+        out[step * j] = c
+    return _ref_reduce_poly(M, out)
+
+
+@lru_cache(maxsize=None)
+def _ref_descent_solver(M, d):
+    degM, degd = _phi(M), _phi(d)
+    table = _ref_power_table(M)
+    step = M // d
+    cols = [table[(step * j) % M] for j in range(degd)]
+    mat = [[Fraction(cols[j][i]) for j in range(degd)] for i in range(degM)]
+    work = [(i, row[:]) for i, row in enumerate(mat)]
+    pivot_rows = []
+    col = 0
+    for r in range(degM):
+        if col >= degd:
+            break
+        if work[r][1][col] == 0:
+            for rr in range(r + 1, degM):
+                if work[rr][1][col] != 0:
+                    work[r], work[rr] = work[rr], work[r]
+                    break
+            else:
+                continue
+        pivot_rows.append(work[r][0])
+        inv = work[r][1][col]
+        for rr in range(r + 1, degM):
+            f = work[rr][1][col] / inv
+            if f:
+                for cc in range(col, degd):
+                    work[rr][1][cc] -= f * work[r][1][cc]
+        col += 1
+    assert len(pivot_rows) == degd
+    return tuple(pivot_rows), _ref_invert_matrix([mat[r][:] for r in pivot_rows])
+
+
+def _ref_invert_matrix(m):
+    n = len(m)
+    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if aug[r][c] != 0)
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        inv = aug[c][c]
+        aug[c] = [v / inv for v in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [v - f * p for v, p in zip(aug[r], aug[c])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def _ref_apply_automorphism(M, coeffs, a):
+    deg = _phi(M)
+    table = _ref_power_table(M)
+    out = [Fraction(0)] * deg
+    for j, c in enumerate(coeffs):
+        if c:
+            row = table[(a * j) % M]
+            for i in range(deg):
+                if row[i]:
+                    out[i] += c * row[i]
+    return out
+
+
+def _ref_minimize(M, coeffs):
+    """Descend while the element is fixed by every automorphism of Q(zeta_M)/Q(zeta_d)."""
+    while M > 2:
+        descended = False
+        for p in _prime_factors(M):
+            d = M // p
+            if d % 2 == 1:
+                continue
+            invariant = all(
+                _ref_apply_automorphism(M, tuple(coeffs), a) == coeffs
+                for a in range(2, M) if math.gcd(a, M) == 1 and a % d == 1)
+            if not invariant:
+                continue
+            rows, inverse = _ref_descent_solver(M, d)
+            rhs = [coeffs[r] for r in rows]
+            coeffs = [sum(inverse[i][j] * rhs[j] for j in range(len(rhs)))
+                      for i in range(len(rhs))]
+            M = d
+            descended = True
+            break
+        if not descended:
+            break
+    return M, tuple(coeffs)
+
+
+def _ref_sum(x, y):
+    M = math.lcm(x.conductor, y.conductor)
+    return _ref_minimize(M, [a + b for a, b in zip(_ref_lift(x, M), _ref_lift(y, M))])
+
+
+def _ref_product(x, y):
+    M = math.lcm(x.conductor, y.conductor)
+    a, b = _ref_lift(x, M), _ref_lift(y, M)
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            prod[i + j] += u * v
+    return _ref_minimize(M, _ref_reduce_poly(M, prod))
+
+
+def _ref_scale(x, q):
+    return _ref_minimize(x.conductor, _ref_reduce_poly(x.conductor, [c * q for c in x.coeffs]))
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+elements = st.one_of(
+    st.builds(cos2, rationals),
+    st.builds(AlgReal.from_rational, small_rationals),
+    st.builds(lambda r, s: cos2(r) * cos2(s), small_rationals, small_rationals),
+    st.builds(lambda r, q: cos2(r) + q, small_rationals, small_rationals),
+)
+
+
+def _data(x):
+    return x.conductor, x.coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(elements, elements, small_rationals)
+def test_descent_matches_galois_scan_reference(x, y, q):
+    assert _data(x + y) == _ref_sum(x, y)
+    assert _data(x * y) == _ref_product(x, y)
+    assert _data(x * q) == _ref_scale(x, q)
+    assert _data(x - y) == _ref_sum(x, -y)

@@ -105,8 +105,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(newton_tol=float("inf"))
     with pytest.raises(ValueError):
-        SolverConfig(damping=1.5)
-    with pytest.raises(ValueError):
         SolverConfig(max_iterations=-1)
     SolverConfig(max_iterations=0)
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,8 @@ import pytest
 from conftest import random_symmetric_k
 from ttstar.cases import (CASE_IDS, GROUPS, AsymptoticData, asymptotic_to_k,
                           k_to_asymptotic, make_k)
-from ttstar.stokes import stokes_from_asymptotic, stokes_from_k
+from ttstar.exact import cos2
+from ttstar.stokes import cos_sum_sign, stokes_from_asymptotic, stokes_from_k
 
 
 def F(*a):
@@ -94,3 +96,41 @@ def test_bounds_on_region_grid(rng):
 def test_bad_n_rejected():
     with pytest.raises(ValueError):
         stokes_from_k(make_k("4a", [-2, -2, -2, -2]))
+
+
+SIGN_GRID = sorted({Fraction(p, q) for q in range(1, 9) for p in range(-2 * q, 2 * q + 1)})
+
+
+def test_cos_sum_sign_matches_float():
+    checked = 0
+    for a in SIGN_GRID:
+        for b in SIGN_GRID:
+            value = 2 * math.cos(math.pi * a) + 2 * math.cos(math.pi * b)
+            if abs(value) > 1e-9:
+                assert cos_sum_sign(a, b) == (1 if value > 0 else -1), (a, b)
+                checked += 1
+    assert checked > 5000
+
+
+def test_cos_sum_sign_exact_zeros():
+    # 2cos(pi*a) + 2cos(pi*b) vanishes exactly when a + b or a - b is odd
+    for a in SIGN_GRID:
+        for odd in (-3, -1, 1, 3):
+            for b in (odd - a, a + odd):
+                assert cos_sum_sign(a, b) == 0, (a, b)
+                assert cos2(a) + cos2(b) == 0
+    for a in SIGN_GRID:
+        for b in SIGN_GRID:
+            if cos_sum_sign(a, b) == 0:
+                assert cos2(a) + cos2(b) == 0, (a, b)
+
+
+def test_ambiguous_s1_identical_on_both_routes(rng):
+    ambiguous = GROUPS["4"] + GROUPS["6"]
+    for _ in range(300):
+        cid = rng.choice(ambiguous)
+        k = random_symmetric_k(rng, cid)
+        s_k = stokes_from_k(k)
+        s_a = stokes_from_asymptotic(cid, k_to_asymptotic(k))
+        assert s_k.s1 == s_a.s1
+        assert s_k.s1.to_float() > -1e-12
