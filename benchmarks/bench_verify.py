@@ -1,14 +1,15 @@
 """Parent-against-change record of the corollary verifier's converse sweep.
 
-    python benchmarks/bench_verify.py --parent DIR --out BENCH_4.json \
-        [--seed 1] [--bounds 12 24 36] [--pairs 10] [--pair-seed 4101]
+    python benchmarks/bench_verify.py --parent DIR --out BENCH_6.json \
+        [--seed 1] [--bounds 12 24 36 48 96] [--pairs 10] [--pair-seed 4101]
 
 DIR is a clone of the parent commit; the change is the checkout holding
 this file.  For each side the script
 
 * runs ``perfbench/run.py --workload verify_sweep --trace 1 --seed SEED`` in
   that checkout and keeps its per-layer metrics (``theta``, ``enumeration``
-  and ``stokes`` self times and counts);
+  and ``stokes`` self times and counts), and the calls and self times per
+  round: the traced totals less the set-up calls, over the rounds run;
 * times ``verify_corollary(case, bound)`` for every case and bound in a fresh
   interpreter that imports that checkout's ``src/`` (the integral-solution
   tables are built before timing, so each time is the converse sweep);
@@ -37,6 +38,9 @@ LAYERS = ("theta.verify_corollary", "theta.match_ci", "stokes.from_k",
           "enumeration.brute_force", "exact.cos2")
 COUNTS = ("theta.converse_checked", "theta.flagged_non_ci")
 CASES_PER_ROUND = 10
+# calls the traced window sees before the first round: building the
+# integral-solution tables makes 19 stokes_from_k calls for each case
+SETUP_CALLS = {"stokes.from_k.calls": 19 * CASES_PER_ROUND}
 
 TIMER = r"""
 import json, sys, time
@@ -78,12 +82,14 @@ def perfbench(checkout: Path, seed: int, trace: int) -> dict:
     if trace:
         values = record["all_values"]
         # the traced pass runs as many rounds as fit its time; calls and self
-        # times are also given per round (ten verify_corollary calls)
+        # times are also given per round (ten verify_corollary calls), the
+        # set-up calls taken off first so a round counts only its own work
         rounds = values["theta.verify_corollary.calls"] / CASES_PER_ROUND
         out["rounds"] = rounds
         out["per_layer"] = {name: values[name] for name in values
                             if name.startswith(LAYERS) or name in COUNTS}
-        out["per_round"] = {name: value / rounds for name, value in out["per_layer"].items()
+        out["per_round"] = {name: (value - SETUP_CALLS.get(name, 0)) / rounds
+                            for name, value in out["per_layer"].items()
                             if name.endswith((".calls", ".self_s"))}
     else:
         out["end_to_end"] = {name: m["value"] for name, m in record["metrics"].items()}
@@ -119,7 +125,7 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--bounds", type=int, nargs="+", default=[12, 24, 36])
+    ap.add_argument("--bounds", type=int, nargs="+", default=[12, 24, 36, 48, 96])
     ap.add_argument("--pairs", type=int, default=0)
     ap.add_argument("--pair-seed", type=int, default=4101)
     args = ap.parse_args(argv)

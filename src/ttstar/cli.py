@@ -360,7 +360,10 @@ def cmd_solve(args) -> int:
     for t, u, v in zip(sol.grid, sol.u, sol.v):
         w.writerow((f"{t:.12g}", f"{u:.12g}", f"{v:.12g}"))
     if args.output:
-        Path(args.output).write_text(buf.getvalue(), encoding="utf-8")
+        try:
+            Path(args.output).write_text(buf.getvalue(), encoding="utf-8")
+        except OSError as e:
+            raise CliError(f"cannot write {args.output}: {e.strerror}", EXIT_PARSE) from None
         print(f"profile written to {args.output}")
     else:
         sys.stdout.write(buf.getvalue())

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import ceil, floor
 
 from .cases import AsymptoticData, KVector, descriptor, in_region, k_to_asymptotic
 from .exact import AlgReal, cos2
@@ -237,22 +237,23 @@ def _pair_integral(cx, cy) -> bool:
 def _cosine_grid(lo: Fraction, hi: Fraction, max_den: int, shift: int, div: int):
     """(v, class of 2cos(pi*(v + shift)/div)) over grid values v = p/q in [lo, hi].
 
-    Every reduced p/q with q <= max_den is visited; a point is dropped on
-    integers alone, before any Fraction is built, when the reduced
-    denominator of (p + shift*q)/(div*q) exceeds 6.  Every _NIVEN/_QUAD
-    label has denominator at most 6, and every value in [0, 1] with such a
-    denominator is a label, so exactly the points where _cos_class would
-    return None are dropped.
+    Only grid points whose cosine argument t = (v + shift)/div has reduced
+    denominator at most 6 can carry integral Stokes data; every other point
+    has degree >= 3.  Those arguments are exactly the labels j/e with e <= 6
+    in [(lo + shift)/div, (hi + shift)/div], every one of them a _NIVEN or
+    _QUAD label after reduction to [0, 1].  So the labels are enumerated and
+    mapped back to v = div*t - shift, and v is kept when its denominator is
+    at most max_den: the same points as a sweep over every reduced p/q with
+    q <= max_den that drops those where _cos_class returns None.
     """
+    t_lo, t_hi = (lo + shift) / div, (hi + shift) / div
+    labels = {Fraction(j, e) for e in range(1, 7)
+              for j in range(ceil(t_lo * e), floor(t_hi * e) + 1)}
     out = []
-    for q in range(1, max_den + 1):
-        start = -((-lo.numerator * q) // lo.denominator)  # ceil(lo*q)
-        stop = (hi.numerator * q) // hi.denominator       # floor(hi*q)
-        dq = div * q
-        for p in range(start, stop + 1):
-            num = p + shift * q
-            if gcd(p, q) == 1 and dq // gcd(num, dq) <= 6:
-                out.append((Fraction(p, q), _cos_class(Fraction(num, dq))))
+    for t in sorted(labels):
+        v = t * div - shift
+        if v.denominator <= max_den:
+            out.append((v, _cos_class(t)))
     return out
 
 
@@ -263,8 +264,8 @@ def brute_force_integral_points(case_id: str, max_denominator: int = 60
     Independent of the enumeration route and of ``AlgReal``: classifies the
     Theorem-B cosine arguments by algebraic degree and decides integrality
     by exact quadratic-field arithmetic.  Grid points whose cosine argument
-    has reduced denominator above 6 (degree >= 3, never integral) are
-    skipped by an integer gcd test before any Fraction is built.
+    has reduced denominator above 6 (degree >= 3, never integral) are never
+    visited: each axis is built from the cosine labels (``_cosine_grid``).
     """
     desc = descriptor(case_id)
     ea, eb = desc.ab

@@ -219,7 +219,6 @@ class AlgReal:
             conductor, coeffs = _minimize(conductor, _substitute(conductor, coeffs))
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "_hash", hash((conductor, self.coeffs)))
 
     def __setattr__(self, *a):
         raise AttributeError("AlgReal is immutable")
@@ -238,10 +237,15 @@ class AlgReal:
             return x
         return AlgReal.from_rational(x)
 
+    def _lift(self, M: int) -> list:
+        """The coefficient vector in Q(zeta_M); already reduced at M itself."""
+        if self.conductor == M:
+            return list(self.coeffs)
+        return _substitute(M, self.coeffs, M // self.conductor)
+
     def _unify(self, other: "AlgReal"):
         M = math.lcm(self.conductor, other.conductor)
-        return (M, _substitute(M, self.coeffs, M // self.conductor),
-                _substitute(M, other.coeffs, M // other.conductor))
+        return M, self._lift(M), other._lift(M)
 
     def __add__(self, other) -> "AlgReal":
         other = self._coerce(other)
@@ -291,7 +295,12 @@ class AlgReal:
         return self.conductor == other.conductor and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return self._hash
+        # hashed on first use: most values are never a set member or dict key
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.conductor, self.coeffs)))
+            return self._hash
 
     def __repr__(self):
         return f"AlgReal(M={self.conductor}, coeffs={self.coeffs})"

@@ -6,13 +6,18 @@ Both routes are implemented exactly over ``AlgReal`` from one table of
 per-group formulas; they agree on the nose.  In the groups of cases with
 an even size matrix s1 is only defined up to sign; its sign is decided
 exactly from the rational angles and s1 is reported nonnegative.
+
+Whether the data are integral is also decided on integers alone, by the
+Galois-stability test of ``k_gaps_integral``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from math import gcd
+from typing import Optional, Sequence
 
 from .cases import AsymptoticData, KVector, descriptor
 from .exact import AlgReal, cos2
@@ -106,3 +111,44 @@ def stokes_from_k(k: KVector) -> StokesData:
     g = GROUP_FORMULAS[desc.group]
     return _assemble(g, mk * (k.entries[ki] + 1) / N, ml * (k.entries[li] + 1) / N,
                      g.k_flips)
+
+
+def _galois_stable(exponents: Sequence[int], n: int) -> bool:
+    """Whether the multiset of powers of zeta_n is stable under every unit mod n.
+
+    The orbit of an exponent with gcd(e, n) = g is {g*v : v a unit mod n/g};
+    the multiset is stable exactly when its multiplicity is constant on
+    every orbit it meets.
+    """
+    count = Counter(e % n for e in exponents)
+    for e, mult in count.items():
+        g = gcd(e, n)
+        order = n // g
+        for v in range(1, order):
+            if count[g * v] != mult and gcd(v, order) == 1:
+                return False
+    return True
+
+
+def k_gaps_integral(case_id: str, gaps: Sequence[int]) -> bool:
+    """Whether ``stokes_from_k`` is integral for k_i + 1 proportional to gaps.
+
+    gaps are integers with a positive sum q, so N = 1 gives k_i = gaps[i]/q - 1
+    and the slot angles are a/q and b/q with a = mk*gaps[ki] + flip*q.  With
+    x = 2cos(pi*a/q) and y = 2cos(pi*b/q), s1 and s2 are integers exactly
+    when x + y and x*y are, that is when (t^2 - x t + 1)(t^2 - y t + 1) lies
+    in Z[t].  Its roots zeta^(+-a), zeta^(+-b), zeta = exp(i*pi/q), are
+    algebraic integers, so this holds exactly when the polynomial is
+    rational (Kronecker): when {+-a, +-b} mod 2q is stable under the units
+    mod 2q, by which the Galois group of Q(zeta) acts.
+    """
+    desc = descriptor(case_id)
+    q = sum(gaps)
+    if q <= 0:
+        raise ValueError("N must be positive")
+    ki, li = desc.kl_index
+    mk, ml = desc.angle_mult
+    fa, fb = GROUP_FORMULAS[desc.group].k_flips
+    a = mk * gaps[ki] + fa * q
+    b = ml * gaps[li] + fb * q
+    return _galois_stable((a, -a, b, -b), 2 * q)

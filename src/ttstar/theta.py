@@ -9,7 +9,14 @@ multiset division of their factor lists.
 The corollary verifier's converse sweep generates its candidate gap
 vectors class by class from the case symmetry and visits each cyclic
 rotation orbit once, instead of filtering every composition of the
-denominator; the rotation-invariant work is done once per orbit.
+denominator; the rotation-invariant work is done once per orbit.  It runs
+on the integer numerators c of the gaps c/q: T_k's roots are prefix sums,
+check_Q asks for a zero gap, check_G for closure under r -> -r mod q, and
+integrality is a Galois-stability test (Kronecker): the Stokes data at the
+slot angles a/q and b/q are integral exactly when the multiset
+{+-a, +-b} mod 2q is stable under the units mod 2q
+(``stokes.k_gaps_integral``).  Operators and strings are built only for
+what the report prints and for the complete-intersection match.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .cases import KVector, descriptor
-from .stokes import stokes_from_k
+from .stokes import k_gaps_integral
 
 
 class NotReducibleError(ValueError):
@@ -186,13 +193,17 @@ def check_Q(k_gaps: Counter | Iterable) -> bool:
     return gaps[Fraction(0)] > 0
 
 
+def _mirror_closed(numerators: Sequence[int], q: int) -> bool:
+    """Whether the multiset of exponents r/q is closed under x -> 1 - x mod 1."""
+    return Counter(numerators) == Counter(-r % q for r in numerators)
+
+
 def check_G(t: ThetaPoly) -> bool:
     """Closure of the exponent multiset under x -> 1 - x taken modulo 1."""
     if t.coeff != 1 or not t.roots or t.roots[0] != 0:
         raise ValueError("operator must be monic with smallest root 0")
-    exponents = Counter(t.roots[1:])
-    mirrored = Counter((1 - x) % 1 for x in exponents.elements())
-    return exponents == mirrored
+    q = math.lcm(*(r.denominator for r in t.roots))
+    return _mirror_closed([r.numerator * (q // r.denominator) for r in t.roots[1:]], q)
 
 
 # --- Table of quantum cohomology interpretations ----------------------
@@ -343,6 +354,16 @@ def verify_corollary(case_id: str, search_bound: int,
     conditions and the CI match are rotation invariant and computed once
     per orbit; the Stokes data once per distinct first symmetric rotation
     of the orbit's members, each member counting as one candidate.
+
+    Everything runs on the integer numerators c of the gaps c/q.  The
+    integrality of the Stokes data rests on a lemma (Kronecker): with
+    x = 2cos(pi*a/q), y = 2cos(pi*b/q) at the slot angles, s1 and s2 are
+    integers exactly when (t^2 - x t + 1)(t^2 - y t + 1) lies in Z[t], and
+    since its roots are the 2q-th roots of unity zeta^(+-a), zeta^(+-b),
+    exactly when the multiset {+-a, +-b} mod 2q is stable under every unit
+    mod 2q.  ``stokes.k_gaps_integral`` decides it with gcd and integer
+    arithmetic; a ThetaPoly is built only for a reported uniform A_n
+    operator and for an orbit handed to ``match_ci``.
     """
     from .enumeration import integral_solutions  # enumeration imports this module
 
@@ -371,7 +392,6 @@ def verify_corollary(case_id: str, search_bound: int,
                 f"{spec} -> {produced} != {expected} at {block}[{pos}]")
 
     weight_bound = search_bound * n1
-    uniform_an = theta_poly([Fraction(j, n1 + 1) for j in range(n1)])
     # the symmetry pairs of every case are disjoint, so each pair is one
     # class of equal gaps and every other position a class of its own
     paired = {i for pair in desc.symmetry for i in pair}
@@ -390,11 +410,13 @@ def verify_corollary(case_id: str, search_bound: int,
             rots = _rotations(tuple(vec))
             orbits.setdefault(min(rots), rots)
         for canon, rots in orbits.items():
-            gaps = tuple(Fraction(c, q) for c in canon)
-            tk = tk_from_k([g - 1 for g in gaps])
-            if tk == uniform_an:
-                report.an_type.append(str(tk))
-            if not (check_Q(Counter(gaps)) and check_G(tk)):
+            # T_k's roots r/q: 0 and the prefix sums of the canonical rotation
+            roots = [0]
+            for c in canon[:-1]:
+                roots.append(roots[-1] + c)
+            if all(r * (n1 + 1) == j * q for j, r in enumerate(roots)):
+                report.an_type.append(str(_roots_poly(roots, q)))
+            if 0 not in canon or not _mirror_closed(roots[1:], q):
                 continue
             # every distinct gap vector of the orbit is one candidate, read
             # through its first case-symmetric rotation
@@ -402,14 +424,12 @@ def verify_corollary(case_id: str, search_bound: int,
                 next(r for r in _rotations(m)
                      if all(r[i] == r[j] for i, j in desc.symmetry))
                 for m in set(rots))
-            non_integral = 0
-            for vec, count in aligned.items():
-                kvec = KVector(case_id, tuple(Fraction(c, q) - 1 for c in vec))
-                report.converse_checked += count
-                if stokes_from_k(kvec).integral() is None:
-                    non_integral += count
+            report.converse_checked += sum(aligned.values())
+            non_integral = sum(count for vec, count in aligned.items()
+                               if not k_gaps_integral(case_id, vec))
             if not non_integral:
                 continue
+            tk = _roots_poly(roots, q)
             match = match_ci(tk.roots, n1, weight_bound)
             if match is not None:
                 report.converse_violations += [
@@ -420,6 +440,10 @@ def verify_corollary(case_id: str, search_bound: int,
     report.flagged_non_ci = sorted(set(report.flagged_non_ci))
     report.an_type = sorted(set(report.an_type))
     return report
+
+
+def _roots_poly(numerators: Sequence[int], q: int) -> ThetaPoly:
+    return ThetaPoly(Fraction(1), tuple(Fraction(r, q) for r in numerators))
 
 
 def _class_compositions(total: int, sizes: list[int]):

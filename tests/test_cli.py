@@ -170,6 +170,14 @@ def test_solve_trace(capsys, tmp_path):
         "iter", "1", "2", "error:"]
 
 
+def test_solve_unwritable_output(capsys, tmp_path):
+    target = tmp_path / "missing" / "p.csv"
+    code, _, err = run(capsys, "solve", "4a", "0", "0", "--points", "512",
+                       "--output", str(target))
+    assert code == 2 and not target.exists()
+    assert err.startswith(f"error: cannot write {target}") and "Traceback" not in err
+
+
 def test_solve_loose_tol_not_verified(capsys, tmp_path):
     # a tolerance above the initial residual stops Newton before its first
     # step; the unsolved profile must not pass as verified

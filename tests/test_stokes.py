@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_symmetric_k
-from ttstar.cases import (CASE_IDS, GROUPS, AsymptoticData, asymptotic_to_k,
-                          k_to_asymptotic, make_k)
+from conftest import random_symmetric_gaps, random_symmetric_k
+from ttstar.cases import (CASE_IDS, GROUP_OF_CASE, GROUPS, AsymptoticData,
+                          KVector, asymptotic_to_k, k_to_asymptotic, make_k)
 from ttstar.exact import cos2
-from ttstar.stokes import cos_sum_sign, stokes_from_asymptotic, stokes_from_k
+from ttstar.stokes import (cos_sum_sign, k_gaps_integral, stokes_from_asymptotic,
+                           stokes_from_k)
 
 
 def F(*a):
@@ -134,3 +135,25 @@ def test_ambiguous_s1_identical_on_both_routes(rng):
         s_a = stokes_from_asymptotic(cid, k_to_asymptotic(k))
         assert s_k.s1 == s_a.s1
         assert s_k.s1.to_float() > -1e-12
+
+
+def test_k_gaps_integral_matches_stokes_from_k(rng):
+    """The integer Galois-stability test against the AlgReal route, on random
+    symmetric gap vectors of every case at a small and a large denominator
+    bound, each scaled to integers by a random multiple of its common
+    denominator; points with s1 = 0 of both outcomes must occur in both
+    ambiguous groups."""
+    zero_s1 = set()
+    for cid in CASE_IDS:
+        for max_den in (12,) * 100 + (60,) * 40:
+            gaps = random_symmetric_gaps(rng, cid, max_den)
+            scale = math.lcm(*(g.denominator for g in gaps)) * rng.randint(1, 3)
+            numerators = [int(g * scale) for g in gaps]
+            s = stokes_from_k(KVector(cid, tuple(g - 1 for g in gaps)))
+            integral = s.integral() is not None
+            assert k_gaps_integral(cid, numerators) == integral, (cid, gaps)
+            if s.s1 == 0:
+                zero_s1.add((GROUP_OF_CASE[cid], integral))
+    assert {("4", True), ("4", False), ("6", True), ("6", False)} <= zero_s1
+    with pytest.raises(ValueError):
+        k_gaps_integral("4a", [0, 0, 0, 0])

@@ -254,6 +254,10 @@ def test_converse_matches_reference(case_id, bound):
 @pytest.mark.parametrize("case_id, bound, checked, flagged", [
     ("4a", 12, 94, 19), ("4a", 24, 362, 86), ("4a", 36, 794, 194),
     ("5a", 12, 180, 27), ("6a", 12, 78, 8), ("6a", 18, 174, 24),
+    ("4a", 48, 1426, 352), ("4b", 48, 1426, 352),
+    ("5a", 48, 2685, 528), ("5b", 48, 2685, 528), ("5c", 48, 2685, 528),
+    ("5d", 48, 2685, 528), ("5e", 48, 2685, 528),
+    ("6a", 48, 1086, 176), ("6b", 48, 1086, 176), ("6c", 48, 1086, 176),
 ])
 def test_converse_pins(case_id, bound, checked, flagged):
     rep = verify_corollary(case_id, bound)
