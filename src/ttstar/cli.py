@@ -330,6 +330,17 @@ def _print_history(history) -> None:
         print(f"{i:4d}  {res:.3e}  {lam:.3e}  {step:.3e}", file=sys.stderr)
 
 
+def _check_writable(path: Path) -> None:
+    """Fail fast on an output path that cannot be written; create nothing."""
+    existed = path.exists()
+    try:
+        path.open("a", encoding="utf-8").close()
+    except OSError as e:
+        raise CliError(f"cannot write {path}: {e.strerror}", EXIT_PARSE) from None
+    if not existed:
+        path.unlink()
+
+
 def cmd_solve(args) -> int:
     # scipy is imported here only, so the other subcommands start faster
     from .solver import (ConvergenceError, SolverConfig, solve_radial,
@@ -346,6 +357,8 @@ def cmd_solve(args) -> int:
                            max_iterations=args.max_iterations)
     except ValueError as e:
         raise CliError(str(e), EXIT_PARSE) from None
+    if args.output:
+        _check_writable(Path(args.output))
     try:
         sol = solve_radial(case_id, asym, cfg)
     except ConvergenceError as e:

@@ -20,9 +20,17 @@ asymptotic data.
 With the unknowns interleaved as (u_0, v_0, u_1, v_1, ...), the Jacobian is
 banded: the interior rows couple a node to its neighbours two columns away
 and to the other function at the same node, and the one-sided slope rows
-reach four columns to the right.  Each Newton step fills a (7, 2m) LAPACK
-band array (lower bandwidth 2, upper 4) with vectorized slices and solves it
-with the banded LU of ``scipy.linalg.solve_banded``.  Every accepted step is
+reach four columns to the right.  Each grid owns one Fortran-ordered (9, 2m)
+LAPACK band buffer (lower bandwidth 2, upper 4, two rows for the fill-in of
+the LU); every Newton step refills it in place with vectorized slices and
+factors and solves it with LAPACK's ``dgbsv``, called directly.
+
+The iteration is nested.  A grid of at least WARM_START_POINTS nodes starts
+from the converged solution of the grid COARSEN times coarser, interpolated
+linearly; a smaller grid starts from the piecewise-linear asymptotic shape.
+The tolerance and the iteration limit hold on every grid, so the profile
+returned meets the tolerance on the requested grid, and typically one Newton
+step there is left to take.  Every accepted step on the requested grid is
 recorded as (residual, lambda, max |step|) in the solution's ``history``.
 """
 
@@ -32,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from .cases import AsymptoticData, descriptor, in_region
 
@@ -49,6 +57,10 @@ class ConvergenceError(RuntimeError):
 
 # the default Newton tolerance, and the residual a verified profile must reach
 DEFAULT_NEWTON_TOL = 1e-10
+# a grid of at least WARM_START_POINTS nodes starts from the solution on a
+# grid COARSEN times coarser; smaller grids start from the asymptotic shape
+WARM_START_POINTS = 512
+COARSEN = 8
 
 
 @dataclass(frozen=True)
@@ -60,6 +72,8 @@ class SolverConfig:
     max_iterations: int = 60
 
     def __post_init__(self):
+        if not (math.isfinite(self.t_min) and math.isfinite(self.t_max)):
+            raise ValueError("t_min and t_max must be finite")
         if not self.t_min < self.t_max:
             raise ValueError("t_min must be below t_max")
         if self.grid_points < 64:
@@ -86,7 +100,7 @@ class RadialSolution:
     offset_u: float
     offset_v: float
     # (residual after the step, line-search factor lambda, max |Newton step|)
-    # for each accepted Newton step
+    # for each accepted Newton step on the requested grid
     history: tuple[tuple[float, float, float], ...] = field(repr=False)
 
 
@@ -119,17 +133,23 @@ def residual_vector(case_id: str, a: AsymptoticData, t: np.ndarray,
     return out
 
 
-def _jacobian(case_id: str, t, u, v, h) -> np.ndarray:
-    """Analytic Jacobian of residual_vector as a LAPACK band array.
+def _jacobian(case_id: str, t, u, v, h, out=None) -> np.ndarray:
+    """Analytic Jacobian of residual_vector, written into a LAPACK band buffer.
 
-    Entry (r, c) of the interleaved 2m x 2m Jacobian sits at
-    ``ab[4 + r - c, c]`` (lower bandwidth 2, upper 4), the layout
-    ``scipy.linalg.solve_banded((2, 4), ab, ...)`` expects.
+    ``out`` is a Fortran-ordered (9, 2m) buffer (a new one when None), the
+    layout ``dgbsv`` takes for lower bandwidth 2 and upper 4: rows 0-1 hold
+    the LU fill-in and need not be set, and entry (r, c) of the interleaved
+    2m x 2m Jacobian sits at ``out[6 + r - c, c]``.  Rows 2-8 are rewritten
+    in full and returned as a (7, 2m) view, whose entry (r, c) is at
+    ``[4 + r - c, c]``.
     """
     ea, eb = descriptor(case_id).ab
     _, _, e1, e2, e3 = _source_terms(t, u, v, ea, eb)
     h2 = h * h
-    ab = np.zeros((7, 2 * len(t)))
+    if out is None:
+        out = np.empty((9, 2 * len(t)), order="F")
+    ab = out[2:]
+    ab[:] = 0.0
     # left boundary: slope rows 0, 1 have offsets 0, +2, +4
     ab[4, 0:2] = -3.0
     ab[2, 2:4] = 4.0
@@ -155,28 +175,37 @@ def _fit_slope(t: np.ndarray, w: np.ndarray) -> tuple[float, float]:
     return float(slope), float(intercept)
 
 
-def solve_radial(case_id: str, a: AsymptoticData,
-                 cfg: SolverConfig = SolverConfig()) -> RadialSolution:
-    """Damped-Newton solution of the radial boundary-value problem."""
-    if not in_region(case_id, a):
-        raise ValueError(f"asymptotic data {tuple(a)} outside the region of "
-                         f"case {case_id}")
-    m = cfg.grid_points
+def _relax(case_id: str, a: AsymptoticData, cfg: SolverConfig, m: int):
+    """Damped-Newton (t, u, v, residual, history) on an m-point grid.
+
+    Grids of WARM_START_POINTS nodes or more start from the m // COARSEN grid.
+    """
     t = np.linspace(cfg.t_min, cfg.t_max, m)
     h = t[1] - t[0]
-    gamma, delta = float(a.gamma), float(a.delta)
-    # initial iterate: the piecewise-linear asymptotic shape
-    u = gamma * np.minimum(t, 0.0)
-    v = delta * np.minimum(t, 0.0)
+    if m < WARM_START_POINTS:
+        # the piecewise-linear asymptotic shape
+        u = float(a.gamma) * np.minimum(t, 0.0)
+        v = float(a.delta) * np.minimum(t, 0.0)
+    else:
+        tc, uc, vc, _, _ = _relax(case_id, a, cfg, m // COARSEN)
+        u = np.interp(t, tc, uc)
+        v = np.interp(t, tc, vc)
+    grid = (f"{m}-point grid" if m == cfg.grid_points
+            else f"{m}-point warm-start grid")
 
+    band = np.empty((9, 2 * m), order="F")
     res = residual_vector(case_id, a, t, u, v)
     norm = float(np.max(np.abs(res)))
     history = []
     for _ in range(cfg.max_iterations):
         if norm < cfg.newton_tol:
             break
-        step = solve_banded((2, 4), _jacobian(case_id, t, u, v, h), -res,
-                            overwrite_ab=True, check_finite=False)
+        _jacobian(case_id, t, u, v, h, band)
+        _, _, step, info = dgbsv(2, 4, band, -res, overwrite_ab=1, overwrite_b=1)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dgbsv")
         lam = 1.0
         for _ in range(40):
             un = u + lam * step[0::2]
@@ -188,15 +217,28 @@ def solve_radial(case_id: str, a: AsymptoticData,
             lam *= 0.5
         else:
             raise ConvergenceError(
-                f"line search stalled at residual {norm:.3e}", norm,
-                tuple(history))
+                f"line search stalled at residual {norm:.3e} on the {grid}",
+                norm, tuple(history))
         u, v, res, norm = un, vn, rn, nn
         history.append((nn, lam, float(np.max(np.abs(step)))))
     if norm >= cfg.newton_tol:
         raise ConvergenceError(
-            f"no convergence after {cfg.max_iterations} iterations "
-            f"(residual {norm:.3e})", norm, tuple(history))
+            f"no convergence after {cfg.max_iterations} iterations on the "
+            f"{grid} (residual {norm:.3e})", norm, tuple(history))
+    return t, u, v, norm, history
 
+
+def solve_radial(case_id: str, a: AsymptoticData,
+                 cfg: SolverConfig = SolverConfig()) -> RadialSolution:
+    """Damped-Newton solution of the radial boundary-value problem.
+
+    The solution's ``iterations`` and ``history`` count the Newton steps on
+    the requested grid only, not those of the coarser warm-start grids.
+    """
+    if not in_region(case_id, a):
+        raise ValueError(f"asymptotic data {tuple(a)} outside the region of "
+                         f"case {case_id}")
+    t, u, v, norm, history = _relax(case_id, a, cfg, cfg.grid_points)
     fg, cu = _fit_slope(t, u)
     fd, cv = _fit_slope(t, v)
     return RadialSolution(case_id, a, t, u, v, norm, fg, fd, len(history),

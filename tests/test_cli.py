@@ -178,6 +178,33 @@ def test_solve_unwritable_output(capsys, tmp_path):
     assert err.startswith(f"error: cannot write {target}") and "Traceback" not in err
 
 
+def test_solve_output_checked_before_solving(capsys, tmp_path, monkeypatch):
+    from ttstar import solver
+
+    def no_solve(*args):
+        raise AssertionError("solve_radial called before the output check")
+
+    monkeypatch.setattr(solver, "solve_radial", no_solve)
+    target = tmp_path / "missing" / "p.csv"
+    code, _, err = run(capsys, "solve", "4a", "3", "1", "--output", str(target))
+    assert code == 2 and err.startswith(f"error: cannot write {target}")
+    code, _, err = run(capsys, "solve", "4a", "3", "1", "--output", str(tmp_path))
+    assert code == 2 and err.startswith(f"error: cannot write {tmp_path}")
+
+
+def test_solve_non_convergence_writes_no_profile(capsys, tmp_path):
+    target = tmp_path / "p.csv"
+    code, _, err = run(capsys, "solve", "4a", "3", "1", "--points", "512",
+                       "--max-iterations", "2", "--output", str(target))
+    assert code == 6 and err.startswith("error: no convergence")
+    assert not target.exists()
+    # an existing file is neither truncated nor removed by a failed solve
+    target.write_text("old\n", encoding="utf-8")
+    code, _, _ = run(capsys, "solve", "4a", "3", "1", "--points", "512",
+                     "--max-iterations", "2", "--output", str(target))
+    assert code == 6 and target.read_text(encoding="utf-8") == "old\n"
+
+
 def test_solve_loose_tol_not_verified(capsys, tmp_path):
     # a tolerance above the initial residual stops Newton before its first
     # step; the unsolved profile must not pass as verified
@@ -193,6 +220,9 @@ def test_solve_loose_tol_not_verified(capsys, tmp_path):
     (("--t-min", "5", "--t-max", "0"), "t_min"),
     (("--max-iterations", "-1"), "max_iterations"),
     (("--tol", "inf"), "newton_tol"),
+    (("--t-max", "inf", "--points", "64"), "t_max"),
+    (("--t-min=-inf",), "t_min"),
+    (("--t-min", "nan"), "t_min"),
 ])
 def test_solve_invalid_options(capsys, options, message):
     code, _, err = run(capsys, "solve", "4a", "0", "0", *options)

@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 from scipy.sparse import csr_matrix
 
+from ttstar import solver
 from ttstar.cases import AsymptoticData, descriptor, in_region
-from ttstar.solver import (ConvergenceError, SolverConfig, _jacobian,
-                           _source_terms, residual_vector, solve_radial,
-                           verify_asymptotics)
+from ttstar.enumeration import integral_solutions
+from ttstar.solver import (ConvergenceError, SolverConfig, _fit_slope,
+                           _jacobian, _source_terms, residual_vector,
+                           solve_radial, verify_asymptotics)
 
 
 def F(x):
@@ -71,6 +74,51 @@ def _dense(ab: np.ndarray) -> np.ndarray:
     return out
 
 
+def _reference_solve(case_id, a: AsymptoticData, cfg: SolverConfig = SolverConfig()):
+    """Slow reference: damped Newton on the requested grid alone, cold-started
+    from the piecewise-linear asymptotic shape, each step by ``solve_banded``.
+    Returns (t, u, v, residual)."""
+    t = np.linspace(cfg.t_min, cfg.t_max, cfg.grid_points)
+    h = t[1] - t[0]
+    u = float(a.gamma) * np.minimum(t, 0.0)
+    v = float(a.delta) * np.minimum(t, 0.0)
+    res = residual_vector(case_id, a, t, u, v)
+    norm = float(np.max(np.abs(res)))
+    for _ in range(cfg.max_iterations):
+        if norm < cfg.newton_tol:
+            break
+        step = solve_banded((2, 4), _jacobian(case_id, t, u, v, h), -res)
+        lam = 1.0
+        for _ in range(40):
+            un = u + lam * step[0::2]
+            vn = v + lam * step[1::2]
+            rn = residual_vector(case_id, a, t, un, vn)
+            nn = float(np.max(np.abs(rn)))
+            if np.isfinite(nn) and nn < norm:
+                break
+            lam *= 0.5
+        else:
+            raise ConvergenceError(f"reference line search stalled at {norm:.3e}", norm)
+        u, v, res, norm = un, vn, rn, nn
+    return t, u, v, norm
+
+
+def _polish(case_id, a: AsymptoticData, t, u, v, tol: float = 1e-13):
+    """Full Newton steps until the residual is below tol (at most ten)."""
+    h = t[1] - t[0]
+    for _ in range(10):
+        res = residual_vector(case_id, a, t, u, v)
+        if np.max(np.abs(res)) < tol:
+            return u, v
+        step = solve_banded((2, 4), _jacobian(case_id, t, u, v, h), -res)
+        u, v = u + step[0::2], v + step[1::2]
+    raise AssertionError(f"polishing {case_id} {tuple(a)} did not reach {tol}")
+
+
+def _distance(u1, v1, u2, v2) -> float:
+    return float(max(np.max(np.abs(u1 - u2)), np.max(np.abs(v1 - v2))))
+
+
 def _random_state(rng, a: AsymptoticData, m: int):
     t = np.linspace(-6.0, 2.0, m)
     u = float(a.gamma) * np.minimum(t, 0) + 0.05 * rng.standard_normal(m)
@@ -106,6 +154,11 @@ def test_config_validation():
         SolverConfig(newton_tol=float("inf"))
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=-1)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(t_max=bad)
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(t_min=bad)
     SolverConfig(max_iterations=0)
 
 
@@ -228,3 +281,45 @@ def test_grid_refinement_stability():
     fine = solve_radial("4a", a, SolverConfig(grid_points=2048))
     assert abs(coarse.fitted_gamma - fine.fitted_gamma) < 0.05
     assert abs(coarse.fitted_delta - fine.fitted_delta) < 0.05
+
+
+def test_coarse_grid_failure_names_grid():
+    a = AsymptoticData(F(3), F(1))
+    for points, coarse in ((512, 64), (2048, 256), (4096, 64)):
+        with pytest.raises(ConvergenceError,
+                           match=f"on the {coarse}-point warm-start grid") as info:
+            solve_radial("4a", a, SolverConfig(grid_points=points, max_iterations=2))
+        assert len(info.value.history) == 2
+    with pytest.raises(ConvergenceError, match="on the 256-point grid"):
+        solve_radial("4a", a, SolverConfig(grid_points=256, max_iterations=2))
+
+
+def test_singular_step_raises(monkeypatch):
+    # a Jacobian left all zero makes gbsv report a zero pivot
+    monkeypatch.setattr(solver, "_jacobian",
+                        lambda case_id, t, u, v, h, out: out.fill(0.0))
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        solve_radial("4a", AsymptoticData(F(3), F(1)), FAST)
+
+
+@pytest.mark.parametrize("case", ["4a", "5a", "5c", "6a"])
+def test_warm_start_matches_reference(case):
+    """The nested solve against the cold single-grid reference, at the 19
+    integral points and the robustness-sweep points of the case."""
+    points = [r.asymptotic for r in integral_solutions(case)]
+    points += _region_points(case, random.Random(f"radial-{case}"), 40, 12)
+    new_gap = ref_gap = 0.0
+    for a in points:
+        sol = solve_radial(case, a)
+        t, u, v, norm = _reference_solve(case, a)
+        assert sol.residual_norm < 1e-10 and norm < 1e-10, (case, tuple(a))
+        assert np.array_equal(sol.grid, t)
+        pu, pv = _polish(case, a, t, sol.u, sol.v)
+        qu, qv = _polish(case, a, t, u, v)
+        # the same discrete solution, as far as polishing can tell
+        assert _distance(pu, pv, qu, qv) < 1e-6, (case, tuple(a))
+        new_gap = max(new_gap, _distance(sol.u, sol.v, pu, pv))
+        ref_gap = max(ref_gap, _distance(u, v, qu, qv))
+        assert abs(sol.fitted_gamma - _fit_slope(t, u)[0]) < 1e-5, (case, tuple(a))
+        assert abs(sol.fitted_delta - _fit_slope(t, v)[0]) < 1e-5, (case, tuple(a))
+    assert new_gap <= ref_gap
