@@ -259,9 +259,21 @@ def cmd_qdo(args) -> int:
     return 0
 
 
-def golden_rows(path: Path) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+def golden_rows(path: Path, columns: tuple[str, ...] = ()) -> list[dict]:
+    """The rows of a golden CSV file.
+
+    Raises ValueError naming the file when it is not UTF-8 CSV or its
+    header lacks one of the given columns.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in columns if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"{path.name}: no column {missing[0]!r}")
+            return list(reader)
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise ValueError(f"{path.name}: unreadable: {e}") from None
 
 
 def compare_golden(case_id: str, tables_dir: Path) -> list[str]:
@@ -271,7 +283,10 @@ def compare_golden(case_id: str, tables_dir: Path) -> list[str]:
     path = tables_dir / f"{GROUP_TABLE[group]}.csv"
     if not path.exists():
         return [f"missing golden file {path}"]
-    expected = golden_rows(path)
+    try:
+        expected = golden_rows(path, FIELDS)
+    except ValueError as e:
+        return [str(e)]
     got = case_rows(case_id, full=not half_table(case_id))
     if len(expected) != len(got):
         problems.append(f"{path.name}: {len(got)} rows computed, "
@@ -285,7 +300,10 @@ def compare_golden(case_id: str, tables_dir: Path) -> list[str]:
     # the (gamma, delta) summary table lists all 19 points per group
     path3 = tables_dir / "table3.csv"
     if path3.exists():
-        rows3 = golden_rows(path3)
+        try:
+            rows3 = golden_rows(path3, ("block", f"gamma_{group}", f"delta_{group}"))
+        except ValueError as e:
+            return problems + [str(e)]
         recs = integral_solutions(case_id)
         if len(rows3) != len(recs):
             problems.append(f"table3.csv: {len(rows3)} rows, expected {len(recs)}")

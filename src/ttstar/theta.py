@@ -15,8 +15,11 @@ check_Q asks for a zero gap, check_G for closure under r -> -r mod q, and
 integrality is a Galois-stability test (Kronecker): the Stokes data at the
 slot angles a/q and b/q are integral exactly when the multiset
 {+-a, +-b} mod 2q is stable under the units mod 2q
-(``stokes.k_gaps_integral``).  Operators and strings are built only for
-what the report prints and for the complete-intersection match.
+(``stokes.k_gaps_integral``).  The complete-intersection match
+(``_match_numerators``, behind ``match_ci``) and the operator strings
+(``_fmt_roots``, behind ``ThetaPoly.__str__``) take the same numerators
+over q, and the forward check's ``qdo_from_ci`` counts its factor roots as
+integers over the lcm of the weights and degrees.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Optional, Sequence
 
 from .cases import KVector, descriptor
@@ -35,8 +39,26 @@ class NotReducibleError(ValueError):
     """The hypersurface factor does not divide the ambient-space factor."""
 
 
-def _fmt_root(r: Fraction) -> str:
-    return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+def _fmt_ratio(r: int, q: int) -> str:
+    """r/q in lowest terms, without a denominator of 1."""
+    g = math.gcd(r, q)
+    return str(r // g) if g == q else f"{r // g}/{q // g}"
+
+
+def _fmt_roots(numerators: Iterable[int], q: int) -> str:
+    """prod (theta - r/q) over the multiset of numerators, e.g. "θ^2(θ-1/6)"."""
+    parts = []
+    for r, run in groupby(sorted(numerators)):
+        mult = len(list(run))
+        parts.append(("θ" if r == 0 else f"(θ-{_fmt_ratio(r, q)})")
+                     + (f"^{mult}" if mult > 1 else ""))
+    return "".join(parts)
+
+
+def _numerators(roots: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The roots as integer numerators over their common denominator q."""
+    q = math.lcm(*(r.denominator for r in roots))
+    return [r.numerator * (q // r.denominator) for r in roots], q
 
 
 @dataclass(frozen=True)
@@ -59,16 +81,11 @@ class ThetaPoly:
         return ThetaPoly(Fraction(1), self.roots)
 
     def __str__(self) -> str:
-        parts = []
+        coeff = _fmt_ratio(self.coeff.numerator, self.coeff.denominator)
+        body = _fmt_roots(*_numerators(self.roots))
         if self.coeff != 1:
-            parts.append(_fmt_root(self.coeff) + "*")
-        for r, mult in sorted(Counter(self.roots).items()):
-            if r == 0:
-                base = "θ"
-            else:
-                base = f"(θ-{_fmt_root(r)})"
-            parts.append(base + (f"^{mult}" if mult > 1 else ""))
-        return "".join(parts) or _fmt_root(self.coeff)
+            return coeff + "*" + body
+        return body or coeff
 
 
 def theta_poly(roots: Iterable, coeff=Fraction(1)) -> ThetaPoly:
@@ -158,12 +175,9 @@ def k_from_tk(t: ThetaPoly, n_plus_1: int) -> Counter:
     return Counter(gaps)
 
 
-def _factor_roots(ns: Iterable[int]) -> Counter:
-    out: Counter = Counter()
-    for v in ns:
-        for j in range(v):
-            out[Fraction(j, v)] += 1
-    return out
+def _factor_roots(ns: Iterable[int], lcm: int) -> Counter:
+    """The roots j/v (0 <= j < v) over every v in ns, as numerators over lcm."""
+    return Counter(j for v in ns for j in range(0, lcm, lcm // v))
 
 
 def qdo_from_ci(spec: CISpec) -> QDO:
@@ -171,16 +185,18 @@ def qdo_from_ci(spec: CISpec) -> QDO:
 
     Forms the ambient and hypersurface factor lists and left-divides by
     their common part, which is required to absorb the whole hypersurface
-    factor; scalar coefficients are normalized away.
+    factor; scalar coefficients are normalized away.  The roots are
+    counted as integer numerators over the lcm of the weights and degrees.
     """
-    a_roots = _factor_roots(spec.weights)
-    b_roots = _factor_roots(spec.degrees)
+    lcm = math.lcm(*spec.weights, *spec.degrees)
+    a_roots = _factor_roots(spec.weights, lcm)
+    b_roots = _factor_roots(spec.degrees, lcm)
     if b_roots - a_roots:
         raise NotReducibleError(
             f"{spec}: hypersurface factor is not a sub-multiset of the ambient factor")
-    remaining = a_roots - b_roots
+    remaining = (a_roots - b_roots).elements()
     power = sum(spec.weights) - sum(spec.degrees)
-    return QDO(power, ThetaPoly(Fraction(1), tuple(remaining.elements())))
+    return QDO(power, ThetaPoly(Fraction(1), tuple(Fraction(r, lcm) for r in remaining)))
 
 
 def check_Q(k_gaps: Counter | Iterable) -> bool:
@@ -195,15 +211,15 @@ def check_Q(k_gaps: Counter | Iterable) -> bool:
 
 def _mirror_closed(numerators: Sequence[int], q: int) -> bool:
     """Whether the multiset of exponents r/q is closed under x -> 1 - x mod 1."""
-    return Counter(numerators) == Counter(-r % q for r in numerators)
+    return sorted(numerators) == sorted(-r % q for r in numerators)
 
 
 def check_G(t: ThetaPoly) -> bool:
     """Closure of the exponent multiset under x -> 1 - x taken modulo 1."""
     if t.coeff != 1 or not t.roots or t.roots[0] != 0:
         raise ValueError("operator must be monic with smallest root 0")
-    q = math.lcm(*(r.denominator for r in t.roots))
-    return _mirror_closed([r.numerator * (q // r.denominator) for r in t.roots[1:]], q)
+    numerators, q = _numerators(t.roots)
+    return _mirror_closed(numerators[1:], q)
 
 
 # --- Table of quantum cohomology interpretations ----------------------
@@ -269,31 +285,25 @@ def _moebius(n: int) -> int:
     return mu
 
 
-def match_ci(roots: Iterable[Fraction], n_plus_1: int,
-             weight_sum_bound: int) -> Optional[CISpec]:
-    """The minimal complete intersection whose QDO has the given theta roots.
-
-    The root multiset of a weight/degree factor list is determined by the
-    divisor counts of the weights and degrees; matching reduces to a
-    Moebius inversion over denominators.  Returns None when no weights
-    and degrees reproduce the multiset with the weight sum within bound.
-    """
-    roots = Counter(Fraction(r) for r in roots)
-    if sum(roots.values()) != n_plus_1:
+def _match_numerators(numerators: Sequence[int], q: int, n_plus_1: int,
+                      weight_sum_bound: int) -> Optional[CISpec]:
+    """``match_ci`` on the roots r/q given as integer numerators r."""
+    if len(numerators) != n_plus_1:
         raise ValueError("root multiset size must equal the theta degree")
-    # multiplicity must be constant on each class {c/e : gcd(c, e) = 1}
+    if any(not (0 <= r < q) for r in numerators):
+        return None
+    # multiplicity must be constant on each class {c/e : gcd(c, e) = 1}; the
+    # roots r with gcd(r, q) = g are that class for e = q/g, as numerators c*g
+    count = Counter(numerators)
     class_mult: dict[int, int] = {}
-    dens = sorted({r.denominator for r in roots})
-    for e in dens:
-        mults = {roots[Fraction(c, e)]
-                 for c in range(e) if math.gcd(c, e) == 1 and (c or e == 1)}
+    for g in {math.gcd(r, q) for r in count}:
+        e = q // g
+        mults = {count[c * g] for c in range(e) if math.gcd(c, e) == 1}
         if len(mults) != 1:
             return None
         class_mult[e] = mults.pop()
-    if any(not (0 <= r < 1) for r in roots):
-        return None
     # net count of weights-minus-degrees equal to e, by Moebius inversion
-    support = sorted({f for e in class_mult for f in _divisors(e)} | set(class_mult))
+    support = sorted({f for e in class_mult for f in _divisors(e)})
     net: dict[int, int] = {}
     for e in support:
         total = 0
@@ -316,9 +326,22 @@ def match_ci(roots: Iterable[Fraction], n_plus_1: int,
     spec = CISpec(tuple(weights), tuple(degrees))
     # paranoia: the divisor-count argument is exact, but verify anyway
     produced = qdo_from_ci(spec)
-    assert Counter(produced.theta.roots) == roots
+    assert sorted(r * q for r in produced.theta.roots) == sorted(count.elements())
     assert produced.lambda_power == n_plus_1
     return spec
+
+
+def match_ci(roots: Iterable[Fraction], n_plus_1: int,
+             weight_sum_bound: int) -> Optional[CISpec]:
+    """The minimal complete intersection whose QDO has the given theta roots.
+
+    The root multiset of a weight/degree factor list is determined by the
+    divisor counts of the weights and degrees; matching reduces to a
+    Moebius inversion over denominators.  Returns None when no weights
+    and degrees reproduce the multiset with the weight sum within bound.
+    """
+    numerators, q = _numerators([Fraction(r) for r in roots])
+    return _match_numerators(numerators, q, n_plus_1, weight_sum_bound)
 
 
 @dataclass
@@ -362,8 +385,11 @@ def verify_corollary(case_id: str, search_bound: int,
     since its roots are the 2q-th roots of unity zeta^(+-a), zeta^(+-b),
     exactly when the multiset {+-a, +-b} mod 2q is stable under every unit
     mod 2q.  ``stokes.k_gaps_integral`` decides it with gcd and integer
-    arithmetic; a ThetaPoly is built only for a reported uniform A_n
-    operator and for an orbit handed to ``match_ci``.
+    arithmetic.  The complete-intersection match of a non-integral orbit
+    (``_match_numerators``) and the strings of the reported uniform A_n and
+    flagged operators (``_fmt_roots``) take the same numerators, and the
+    forward check's ``qdo_from_ci`` counts roots as integers, making a
+    ``Fraction`` only for each root of the operator it returns.
     """
     from .enumeration import integral_solutions  # enumeration imports this module
 
@@ -415,35 +441,37 @@ def verify_corollary(case_id: str, search_bound: int,
             for c in canon[:-1]:
                 roots.append(roots[-1] + c)
             if all(r * (n1 + 1) == j * q for j, r in enumerate(roots)):
-                report.an_type.append(str(_roots_poly(roots, q)))
+                report.an_type.append(_fmt_roots(roots, q))
             if 0 not in canon or not _mirror_closed(roots[1:], q):
                 continue
             # every distinct gap vector of the orbit is one candidate, read
-            # through its first case-symmetric rotation
-            aligned = Counter(
-                next(r for r in _rotations(m)
-                     if all(r[i] == r[j] for i, j in desc.symmetry))
-                for m in set(rots))
-            report.converse_checked += sum(aligned.values())
+            # through its first case-symmetric rotation: the first symmetric
+            # entry of rots at or after its own index, cyclically (rots[0],
+            # the generated vector, is symmetric)
+            first = [0] * n1
+            nxt = 0
+            for i in range(n1 - 1, -1, -1):
+                if all(rots[i][a] == rots[i][b] for a, b in desc.symmetry):
+                    nxt = i
+                first[i] = nxt
+            period = next((j for j in range(1, n1) if rots[j] == rots[0]), n1)
+            aligned = Counter(rots[first[i]] for i in range(period))
+            report.converse_checked += period
             non_integral = sum(count for vec, count in aligned.items()
                                if not k_gaps_integral(case_id, vec))
             if not non_integral:
                 continue
-            tk = _roots_poly(roots, q)
-            match = match_ci(tk.roots, n1, weight_bound)
+            tk = _fmt_roots(roots, q)
+            match = _match_numerators(roots, q, n1, weight_bound)
             if match is not None:
                 report.converse_violations += [
                     f"{tk}: non-integral Stokes but matches {match}"] * non_integral
             else:
-                report.flagged_non_ci.append(str(tk))
+                report.flagged_non_ci.append(tk)
     # dedupe flags (different gap vectors can share one operator)
     report.flagged_non_ci = sorted(set(report.flagged_non_ci))
     report.an_type = sorted(set(report.an_type))
     return report
-
-
-def _roots_poly(numerators: Sequence[int], q: int) -> ThetaPoly:
-    return ThetaPoly(Fraction(1), tuple(Fraction(r, q) for r in numerators))
 
 
 def _class_compositions(total: int, sizes: list[int]):

@@ -135,6 +135,44 @@ def test_verify_detects_corrupted_golden(capsys, tmp_path):
     assert code == 5 and "field s2" in err
 
 
+def _copy_tables(tmp_path):
+    for src in TABLES.glob("*.csv"):
+        (tmp_path / src.name).write_bytes(src.read_bytes())
+
+
+def test_verify_golden_missing_group_column(capsys, tmp_path):
+    _copy_tables(tmp_path)
+    rows = list(csv.reader(io.StringIO((tmp_path / "table3.csv").read_text())))
+    keep = [i for i, name in enumerate(rows[0]) if name != "gamma_4"]
+    (tmp_path / "table3.csv").write_text(
+        "".join(",".join(row[i] for i in keep) + "\n" for row in rows))
+    code, _, err = run(capsys, "verify", "--case", "4a", "--bound", "6",
+                       "--tables", str(tmp_path))
+    assert code == 5 and "table3.csv: no column 'gamma_4'" in err
+    assert "Traceback" not in err
+
+
+def test_verify_golden_not_utf8(capsys, tmp_path):
+    _copy_tables(tmp_path)
+    (tmp_path / "table5.csv").write_bytes(
+        (TABLES / "table5.csv").read_text(encoding="utf-8").encode("utf-16"))
+    code, _, err = run(capsys, "verify", "--case", "4a", "--bound", "6",
+                       "--tables", str(tmp_path))
+    assert code == 5 and "table5.csv: unreadable" in err
+
+
+def test_verify_golden_missing_field_column(capsys, tmp_path):
+    _copy_tables(tmp_path)
+    lines = (TABLES / "table5.csv").read_text(encoding="utf-8").splitlines()
+    # drop the tk column (second to last) from every line
+    (tmp_path / "table5.csv").write_text("".join(
+        ",".join(cells[:-2] + cells[-1:]) + "\n"
+        for cells in (line.split(",") for line in lines)), encoding="utf-8")
+    code, _, err = run(capsys, "verify", "--case", "4a", "--bound", "6",
+                       "--tables", str(tmp_path))
+    assert code == 5 and "table5.csv: no column 'tk'" in err
+
+
 def test_solve_trivial(capsys, tmp_path):
     out_file = tmp_path / "p.csv"
     code, out, _ = run(capsys, "solve", "4a", "0", "0", "--points", "512",

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -8,9 +9,9 @@ from ttstar.cases import CASE_IDS, GROUPS, KVector, descriptor, make_k
 from ttstar.enumeration import integral_solutions
 from ttstar.stokes import stokes_from_k
 from ttstar.theta import (CISpec, CorollaryReport, NotReducibleError, QDO,
-                          ThetaPoly, catalog, check_G, check_Q, k_from_tk,
-                          match_ci, qdo_from_ci, theta_poly, tk_from_k,
-                          verify_corollary)
+                          ThetaPoly, _class_compositions, _fmt_roots, catalog,
+                          check_G, check_Q, k_from_tk, match_ci, qdo_from_ci,
+                          theta_poly, tk_from_k, verify_corollary)
 
 
 def F(*a):
@@ -167,6 +168,169 @@ def test_verify_corollary_bound_validation():
         verify_corollary("4a", 5)
 
 
+# --- Fraction references for the integer operator code ----------------
+
+def _reference_str(t):
+    """str(ThetaPoly) over Fraction roots, grouped with a Counter."""
+    def fmt(r):
+        return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+    parts = []
+    if t.coeff != 1:
+        parts.append(fmt(t.coeff) + "*")
+    for r, mult in sorted(Counter(t.roots).items()):
+        base = "θ" if r == 0 else f"(θ-{fmt(r)})"
+        parts.append(base + (f"^{mult}" if mult > 1 else ""))
+    return "".join(parts) or fmt(t.coeff)
+
+
+def _reference_factor_roots(ns):
+    return Counter(F(j, v) for v in ns for j in range(v))
+
+
+def _reference_qdo_from_ci(spec):
+    """qdo_from_ci with the factor roots counted as Fractions."""
+    a_roots = _reference_factor_roots(spec.weights)
+    b_roots = _reference_factor_roots(spec.degrees)
+    if b_roots - a_roots:
+        raise NotReducibleError(
+            f"{spec}: hypersurface factor is not a sub-multiset of the ambient factor")
+    power = sum(spec.weights) - sum(spec.degrees)
+    return QDO(power, ThetaPoly(F(1), tuple((a_roots - b_roots).elements())))
+
+
+def _reference_moebius(n):
+    primes = [p for p in range(2, n + 1) if n % p == 0
+              and all(p % d for d in range(2, p))]
+    if any(n % (p * p) == 0 for p in primes):
+        return 0
+    return (-1) ** len(primes)
+
+
+def _reference_match_ci(roots, n_plus_1, weight_sum_bound):
+    """match_ci on Fraction roots: class multiplicities keyed by Fraction."""
+    roots = Counter(F(r) for r in roots)
+    if sum(roots.values()) != n_plus_1:
+        raise ValueError("root multiset size must equal the theta degree")
+    class_mult = {}
+    for e in sorted({r.denominator for r in roots}):
+        mults = {roots[F(c, e)]
+                 for c in range(e) if math.gcd(c, e) == 1 and (c or e == 1)}
+        if len(mults) != 1:
+            return None
+        class_mult[e] = mults.pop()
+    if any(not (0 <= r < 1) for r in roots):
+        return None
+    support = {f for e in class_mult for f in range(1, e + 1) if e % f == 0}
+    net = {}
+    for e in sorted(support):
+        total = sum(_reference_moebius(f // e) * m
+                    for f, m in class_mult.items() if f % e == 0)
+        if total:
+            net[e] = total
+    if sum(e * c for e, c in net.items()) != n_plus_1:
+        return None
+    weights = [e for e, c in sorted(net.items()) for _ in range(c)]
+    degrees = [e for e, c in sorted(net.items()) for _ in range(-c)]
+    if not weights or sum(weights) > weight_sum_bound:
+        return None
+    spec = CISpec(tuple(weights), tuple(degrees))
+    produced = _reference_qdo_from_ci(spec)
+    assert Counter(produced.theta.roots) == roots
+    assert produced.lambda_power == n_plus_1
+    return spec
+
+
+def _random_spec(rng, reducible):
+    """A random CISpec; when reducible, each degree divides its own weight."""
+    while True:
+        weights = [rng.randint(1, 12) for _ in range(rng.randint(1, 6))]
+        if reducible:
+            degrees = [rng.choice([d for d in range(1, v + 1) if v % d == 0])
+                       for v in rng.sample(weights, rng.randint(0, len(weights)))]
+        else:
+            degrees = [rng.randint(1, 12) for _ in range(rng.randint(0, 3))]
+        if sum(weights) > sum(degrees):
+            return CISpec(tuple(weights), tuple(degrees))
+
+
+def test_qdo_matches_reference(rng):
+    not_reducible = 0
+    for i in range(400):
+        spec = _random_spec(rng, reducible=i % 2 == 0)
+        try:
+            expected = _reference_qdo_from_ci(spec)
+        except NotReducibleError as e:
+            not_reducible += 1
+            with pytest.raises(NotReducibleError) as got:
+                qdo_from_ci(spec)
+            assert str(got.value) == str(e)
+            continue
+        assert qdo_from_ci(spec) == expected
+    assert not_reducible > 50
+
+
+def test_fmt_roots_matches_reference(rng):
+    assert _fmt_roots([0, 0, 0], 1) == "θ^3"
+    assert _fmt_roots([0, 0, 2, 10, 10], 12) == "θ^2(θ-1/6)(θ-5/6)^2"
+    for _ in range(500):
+        q = rng.choice([1, 1, 2, 6, 12, rng.randint(1, 60)])
+        numerators = [rng.randrange(-q, 2 * q) for _ in range(rng.randint(0, 7))]
+        numerators += [0] * rng.randint(0, 3) + numerators[:rng.randint(0, 2)]
+        t = ThetaPoly(F(1), tuple(F(r, q) for r in numerators))
+        if numerators:
+            assert _fmt_roots(numerators, q) == _reference_str(t)
+        assert str(t) == _reference_str(t)
+        coeff = F(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+        scaled = ThetaPoly(coeff, t.roots)
+        assert str(scaled) == _reference_str(scaled)
+
+
+def _orbit_roots(case_id, bound):
+    """The T_k roots of every rotation orbit of case-symmetric gap vectors."""
+    desc = descriptor(case_id)
+    paired = {i for pair in desc.symmetry for i in pair}
+    classes = list(desc.symmetry) + [(i,) for i in range(desc.n_plus_1)
+                                     if i not in paired]
+    seen = set()
+    for q in range(1, bound + 1):
+        for counts in _class_compositions(q, [len(c) for c in classes]):
+            k = [F(0)] * desc.n_plus_1
+            for cls, c in zip(classes, counts):
+                for i in cls:
+                    k[i] = F(c, q) - 1
+            seen.add(tk_from_k(k).roots)
+    return seen
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_match_ci_matches_reference_on_orbits(case_id):
+    n1 = descriptor(case_id).n_plus_1
+    for roots in _orbit_roots(case_id, 24):
+        for bound in (2 * n1, 24 * n1):
+            assert match_ci(roots, n1, bound) == _reference_match_ci(roots, n1, bound)
+
+
+def test_match_ci_matches_reference_on_ci_roots(rng):
+    for _ in range(300):
+        spec = _random_spec(rng, reducible=True)
+        roots = list(qdo_from_ci(spec).theta.roots)
+        n1 = len(roots)
+        bound = rng.choice([sum(spec.weights), n1, 10 ** 6])
+        assert match_ci(roots, n1, bound) == _reference_match_ci(roots, n1, bound)
+        found = match_ci(roots, n1, 10 ** 6)
+        assert found is not None and qdo_from_ci(found) == qdo_from_ci(spec)
+        with pytest.raises(ValueError):
+            match_ci(roots, n1 + 1, bound)
+        # a near miss: one root moved, possibly out of [0, 1)
+        i = rng.randrange(n1)
+        if rng.random() < 0.5:
+            d = rng.randint(1, 12)
+            roots[i] = F(rng.randrange(d), d)
+        else:
+            roots[i] += F(rng.choice([-1, 1]), rng.randint(1, 30))
+        assert match_ci(roots, n1, 10 ** 6) == _reference_match_ci(roots, n1, 10 ** 6)
+
+
 # --- slow reference for the converse sweep ------------------------------
 
 def _reference_compositions(total, parts):
@@ -206,7 +370,7 @@ def _reference_converse(case_id, search_bound):
         by_block.setdefault(rec.block, []).append(rec)
     for spec, block, pos in catalog(desc.group):
         expected = QDO(n1, by_block[block][pos].tk)
-        produced = qdo_from_ci(spec)
+        produced = _reference_qdo_from_ci(spec)
         report.forward_checked += 1
         if produced != expected:
             report.forward_mismatches.append(
@@ -234,7 +398,7 @@ def _reference_converse(case_id, search_bound):
             s = stokes_from_k(KVector(case_id, tuple(g - 1 for g in aligned[0])))
             report.converse_checked += 1
             if s.integral() is None:
-                match = match_ci(tk.roots, n1, search_bound * n1)
+                match = _reference_match_ci(tk.roots, n1, search_bound * n1)
                 if match is not None:
                     report.converse_violations.append(
                         f"{tk}: non-integral Stokes but matches {match}")
