@@ -1,11 +1,12 @@
 """Parent-against-change record of one perfbench workload.
 
-    python benchmarks/bench.py --workload verify_sweep|radial_bvp --parent DIR \
+    python benchmarks/bench.py --workload W --parent DIR \
         --out BENCH_n.json [--seed 1] [--pairs 10] [--pair-seed 4101] \
         [--bounds 12 24 36 48 96] [--repeats 5]
 
-DIR is a clone of the parent commit; the change is the checkout holding
-this file.  For each side the script
+W is any workload of ``BENCHMARK.json``.  DIR is a clone of the parent
+commit; the change is the checkout holding this file.  For ``verify_sweep``
+and ``radial_bvp`` the script, for each side,
 
 * runs ``perfbench/run.py --workload W --trace 1 --seed SEED`` in that
   checkout and keeps the per-layer metrics of the layers W exercises, and
@@ -23,9 +24,9 @@ this file.  For each side the script
   per solve of each phase, the median over ``--repeats`` rounds, next to
   the untimed time per solve;
 
-then, with ``--pairs N``, runs N untraced pairs with seeds PAIR_SEED,
-PAIR_SEED + 1, ..., alternating which side runs first, and keeps each run's
-end-to-end metrics.  The JSON written holds the machine, the Python version
+then, for every workload, with ``--pairs N``, runs N untraced pairs with
+seeds PAIR_SEED, PAIR_SEED + 1, ..., alternating which side runs first, and
+keeps each run's end-to-end metrics.  The JSON written holds the machine, the Python version
 and the git SHA of each side.  The runs are sequential; run nothing else on
 the machine meanwhile.
 """
@@ -48,7 +49,7 @@ CHANGE = Path(__file__).resolve().parents[1]
 # round, and the calls the traced window sees before the first round
 WORKLOADS = {
     "verify_sweep": {
-        "layers": ("theta.verify_corollary", "theta.match_ci", "stokes.from_k",
+        "layers": ("theta.verify_corollary", "stokes.from_k",
                    "enumeration.brute_force", "exact.cos2"),
         "counts": ("theta.converse_checked", "theta.flagged_non_ci"),
         "round": ("theta.verify_corollary.calls", "cases_per_round"),
@@ -211,11 +212,10 @@ def run_script(checkout: Path, script: str, *args) -> list[dict]:
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
-def summarize(pairs: list[dict]) -> dict:
+def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per end-to-end metric: each side's median and quartiles, the change's wins."""
-    config = json.loads((CHANGE / "BENCHMARK.json").read_text(encoding="utf-8"))
     out = {}
-    for metric in config["end_to_end"]:
+    for metric in metrics:
         name, sign = metric["name"], (1 if metric["better"] == "lower" else -1)
         runs = {side: [p[side]["end_to_end"][name] for p in pairs]
                 for side in ("parent", "change")}
@@ -230,7 +230,9 @@ def summarize(pairs: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", choices=tuple(WORKLOADS), required=True)
+    config = json.loads((CHANGE / "BENCHMARK.json").read_text(encoding="utf-8"))
+    ap.add_argument("--workload", required=True,
+                    choices=tuple(w["name"] for w in config["workloads"]))
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--seed", type=int, default=1)
@@ -249,13 +251,14 @@ def main(argv=None) -> int:
                     "nproc": os.cpu_count()},
         "python": platform.python_version(),
         "git_sha": {name: git_sha(path) for name, path in sides.items()},
-        "traced": {name: perfbench(path, args.workload, args.seed, 1)
-                   for name, path in sides.items()},
     }
+    if args.workload in WORKLOADS:
+        result["traced"] = {name: perfbench(path, args.workload, args.seed, 1)
+                            for name, path in sides.items()}
     if args.workload == "verify_sweep":
         result["verify_corollary"] = {name: run_script(path, TIMER, *args.bounds)
                                       for name, path in sides.items()}
-    else:
+    elif args.workload == "radial_bvp":
         result["solve_phases"] = {name: run_script(path, PHASES, args.repeats)[0]
                                   for name, path in sides.items()}
     result["pairs"] = []
@@ -267,7 +270,7 @@ def main(argv=None) -> int:
             pair[name] = perfbench(sides[name], args.workload, seed, 0)
         result["pairs"].append(pair)
     if len(result["pairs"]) >= 2:
-        result["pair_summary"] = summarize(result["pairs"])
+        result["pair_summary"] = summarize(result["pairs"], config["end_to_end"])
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     return 0
 

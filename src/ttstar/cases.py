@@ -56,6 +56,14 @@ class CaseDescriptor:
     # gamma + delta on the interior line of symmetry of the region
     center_sum: int
 
+    @property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """The classes of positions whose k_i are equal: the symmetry pairs,
+        which are disjoint in every case, then each unpaired position."""
+        paired = {i for pair in self.symmetry for i in pair}
+        return self.symmetry + tuple((i,) for i in range(self.n_plus_1)
+                                     if i not in paired)
+
 
 _DESCRIPTORS = {
     "4a": CaseDescriptor(

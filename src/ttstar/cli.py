@@ -11,6 +11,7 @@ import csv
 import re
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -375,6 +376,8 @@ def cmd_solve(args) -> int:
                            max_iterations=args.max_iterations)
     except ValueError as e:
         raise CliError(str(e), EXIT_PARSE) from None
+    if not 0 < args.tol_slope < math.inf:
+        raise CliError("--tol-slope must be positive and finite", EXIT_PARSE)
     if args.output:
         _check_writable(Path(args.output))
     try:

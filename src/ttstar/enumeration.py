@@ -5,10 +5,10 @@ both m = 2cos(a) - 2cos(b) and p = 4cos(a)cos(b) are integers, then
 2cos(a) and -2cos(b) are the roots of t^2 - m t - p, a monic integer
 quadratic with both roots in [-2, 2], hence (Kronecker) twice cosines of
 rational multiples of pi of degree at most 2.  The dictionary holds all
-such cosines, so testing m and p for integrality once per dictionary
-pair recovers the full candidate set without reference to any published
-list.  The quadratics' finite range (-4 <= m, p <= 4, m^2 + 4p >= 0) is
-asserted for each pair found, not iterated over.
+such cosines, so one integrality decision per dictionary pair, made on
+integer angles by ``exact.cyclotomic_factors`` (which states the lemma),
+recovers the full candidate set without reference to any published list.
+The quadratics' range (-4 <= m, p <= 4, m^2 + 4p >= 0) is asserted.
 """
 
 from __future__ import annotations
@@ -16,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor
+from math import ceil, floor, lcm
+from typing import Optional, Sequence
 
 from .cases import AsymptoticData, KVector, descriptor, in_region, k_to_asymptotic
-from .exact import AlgReal, cos2
+from .exact import AlgReal, cos2, cyclotomic_factors, moebius
 from .stokes import GROUP_FORMULAS, StokesData, stokes_from_k
 from .theta import ThetaPoly, tk_from_k
 
@@ -57,23 +58,35 @@ def _cos_dictionary() -> tuple[tuple[Fraction, AlgReal], ...]:
     return tuple((lab, cos2(lab)) for lab in labels)
 
 
+def _root_sum(exponents: Sequence[int], n: int) -> Optional[int]:
+    """The sum of the roots zeta_n^e, or None when they are not a product of
+    cyclotomic polynomials: the primitive d-th roots of unity sum to mu(d)."""
+    factors = cyclotomic_factors(exponents, n)
+    if factors is None:
+        return None
+    return sum(m * moebius(d) for d, m in factors.items())
+
+
 @lru_cache(maxsize=1)
 def enumerate_cos_pairs() -> tuple[CosPair, ...]:
     """All (a, b) in [0, pi]^2 with 2cos a - 2cos b and 4cos a cos b integral.
 
-    One integrality test of m = x - y and p = x*y per dictionary pair, in
-    label order; the quadratic's (m, p) range is asserted, not iterated.
+    Each pair of labels, in label order, is put over the lcm h of their
+    denominators as x = 2cos(pi*a/h) and -y = 2cos(pi*b/h).  Then m = x - y
+    is the root sum of {+-a, +-b} mod 2h, None when not integral, and
+    p = x*y = -(2cos(pi(a+b)/h) + 2cos(pi(a-b)/h)).
     """
     dictionary = _cos_dictionary()
     pairs = []
     for la, x in dictionary:
         for lb, y in dictionary:
-            m = (x - y).is_integer()
+            h = lcm(la.denominator, lb.denominator)
+            a = la.numerator * (h // la.denominator)
+            b = lb.numerator * (h // lb.denominator) + h
+            m = _root_sum((a, -a, b, -b), 2 * h)
             if m is None:
                 continue
-            p = (x * y).is_integer()
-            if p is None:
-                continue
+            p = -_root_sum((a + b, -a - b, a - b, b - a), 2 * h)
             assert -4 <= m <= 4 and -4 <= p <= 4 and m * m + 4 * p >= 0
             pairs.append(CosPair(x, y, la, lb, m, p))
     return tuple(pairs)
@@ -127,28 +140,21 @@ def k_from_labels(case_id: str, a_label: Fraction, b_label: Fraction) -> KVector
     desc = descriptor(case_id)
     mk, ml = desc.angle_mult
     ki, li = desc.kl_index
-    n1 = desc.n_plus_1
-    gaps: list[Fraction | None] = [None] * n1
-    gaps[ki] = a_label / mk
-    gaps[li] = b_label / ml
-    # propagate the case symmetry, then the single free class is fixed by sum 1
-    changed = True
-    while changed:
-        changed = False
-        for i, j in desc.symmetry:
-            gi, gj = gaps[i], gaps[j]
-            if gi is None and gj is not None:
-                gaps[i] = gj
-                changed = True
-            elif gj is None and gi is not None:
-                gaps[j] = gi
-                changed = True
-    free = [i for i, g in enumerate(gaps) if g is None]
-    if free:
-        remainder = 1 - sum(g for g in gaps if g is not None)
-        fill = remainder / len(free)
-        for i in free:
-            gaps[i] = fill
+    # each symmetry class takes the gap of the slot it holds; the one class
+    # holding neither slot shares what is left of the sum 1
+    slot_gap = {ki: a_label / mk, li: b_label / ml}
+    gaps: list[Fraction] = [Fraction(0)] * desc.n_plus_1
+    free = []
+    for cls in desc.classes:
+        known = [slot_gap[i] for i in cls if i in slot_gap]
+        if known:
+            for i in cls:
+                gaps[i] = known[0]
+        else:
+            free += cls
+    fill = (1 - sum(gaps)) / len(free)
+    for i in free:
+        gaps[i] = fill
     assert sum(gaps) == 1
     return KVector(case_id, tuple(g - 1 for g in gaps))
 

@@ -13,14 +13,16 @@ field (a = M / conductor) and conjugates (a = M - 1).  ``LinearSystem`` is
 the one exact linear solver: descending to a subfield Q(zeta_d) is a solve
 against its power basis, consistent exactly when the element lies in it,
 and ``cases.asymptotic_to_k`` inverts its linear forms with the same solver.
+Integrality is decided on integers instead (``cyclotomic_factors``).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 RationalLike = Union[Fraction, int]
 
@@ -76,6 +78,36 @@ def _phi(n: int) -> int:
     for p in _prime_factors(n):
         result -= result // p
     return result
+
+
+def moebius(n: int) -> int:
+    """The Moebius function: the sum of the primitive n-th roots of unity."""
+    primes = _prime_factors(n)
+    if any(n % (p * p) == 0 for p in primes):
+        return 0
+    return -1 if len(primes) % 2 else 1
+
+
+def cyclotomic_factors(exponents: Iterable[int], n: int) -> Optional[dict[int, int]]:
+    """{d: m_d} with prod Phi_d^m_d having exactly the roots zeta_n^e, or None.
+
+    The one integrality decision of the package (Kronecker): a monic
+    polynomial whose roots are roots of unity lies in Z[t] exactly when its
+    roots are stable under the Galois group of Q(zeta_n), zeta_n^e ->
+    zeta_n^(u*e) for the units u mod n, and is then a product of cyclotomic
+    polynomials.  The zeta_n^e with n/gcd(e, n) = d, the phi(d) primitive
+    d-th roots of unity, are one orbit: each one met must be present in
+    full with one multiplicity m_d.  The root sum is sum m_d*mu(d).
+    """
+    classes: dict[int, list[int]] = {}
+    for e, mult in Counter(e % n for e in exponents).items():
+        classes.setdefault(n // math.gcd(e, n), []).append(mult)
+    factors = {}
+    for d, mults in classes.items():
+        if len(mults) != _phi(d) or min(mults) != max(mults):
+            return None
+        factors[d] = mults[0]
+    return factors
 
 
 @lru_cache(maxsize=None)

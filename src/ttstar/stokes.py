@@ -7,20 +7,18 @@ per-group formulas; they agree on the nose.  In the groups of cases with
 an even size matrix s1 is only defined up to sign; its sign is decided
 exactly from the rational angles and s1 is reported nonnegative.
 
-Whether the data are integral is also decided on integers alone, by the
-Galois-stability test of ``k_gaps_integral``.
+Whether the data are integral is also decided on integers alone, by
+``exact.cyclotomic_factors`` (which states the lemma) in ``k_gaps_integral``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
 
 from .cases import AsymptoticData, KVector, descriptor
-from .exact import AlgReal, cos2
+from .exact import AlgReal, cos2, cyclotomic_factors
 
 
 @dataclass(frozen=True)
@@ -113,23 +111,6 @@ def stokes_from_k(k: KVector) -> StokesData:
                      g.k_flips)
 
 
-def _galois_stable(exponents: Sequence[int], n: int) -> bool:
-    """Whether the multiset of powers of zeta_n is stable under every unit mod n.
-
-    The orbit of an exponent with gcd(e, n) = g is {g*v : v a unit mod n/g};
-    the multiset is stable exactly when its multiplicity is constant on
-    every orbit it meets.
-    """
-    count = Counter(e % n for e in exponents)
-    for e, mult in count.items():
-        g = gcd(e, n)
-        order = n // g
-        for v in range(1, order):
-            if count[g * v] != mult and gcd(v, order) == 1:
-                return False
-    return True
-
-
 def k_gaps_integral(case_id: str, gaps: Sequence[int]) -> bool:
     """Whether ``stokes_from_k`` is integral for k_i + 1 proportional to gaps.
 
@@ -137,10 +118,8 @@ def k_gaps_integral(case_id: str, gaps: Sequence[int]) -> bool:
     and the slot angles are a/q and b/q with a = mk*gaps[ki] + flip*q.  With
     x = 2cos(pi*a/q) and y = 2cos(pi*b/q), s1 and s2 are integers exactly
     when x + y and x*y are, that is when (t^2 - x t + 1)(t^2 - y t + 1) lies
-    in Z[t].  Its roots zeta^(+-a), zeta^(+-b), zeta = exp(i*pi/q), are
-    algebraic integers, so this holds exactly when the polynomial is
-    rational (Kronecker): when {+-a, +-b} mod 2q is stable under the units
-    mod 2q, by which the Galois group of Q(zeta) acts.
+    in Z[t].  Its roots are zeta^(+-a), zeta^(+-b) with zeta = exp(i*pi/q),
+    so ``cyclotomic_factors`` decides it on the exponents mod 2q.
     """
     desc = descriptor(case_id)
     q = sum(gaps)
@@ -151,4 +130,4 @@ def k_gaps_integral(case_id: str, gaps: Sequence[int]) -> bool:
     fa, fb = GROUP_FORMULAS[desc.group].k_flips
     a = mk * gaps[ki] + fa * q
     b = ml * gaps[li] + fb * q
-    return _galois_stable((a, -a, b, -b), 2 * q)
+    return cyclotomic_factors((a, -a, b, -b), 2 * q) is not None

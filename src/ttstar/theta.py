@@ -12,14 +12,13 @@ rotation orbit once, instead of filtering every composition of the
 denominator; the rotation-invariant work is done once per orbit.  It runs
 on the integer numerators c of the gaps c/q: T_k's roots are prefix sums,
 check_Q asks for a zero gap, check_G for closure under r -> -r mod q, and
-integrality is a Galois-stability test (Kronecker): the Stokes data at the
-slot angles a/q and b/q are integral exactly when the multiset
-{+-a, +-b} mod 2q is stable under the units mod 2q
-(``stokes.k_gaps_integral``).  The complete-intersection match
-(``_match_numerators``, behind ``match_ci``) and the operator strings
-(``_fmt_roots``, behind ``ThetaPoly.__str__``) take the same numerators
-over q, and the forward check's ``qdo_from_ci`` counts its factor roots as
-integers over the lcm of the weights and degrees.
+integrality (``stokes.k_gaps_integral``) and the complete-intersection
+match (``_match_numerators``, behind ``match_ci``) both read the
+cyclotomic factors of the numerators (``exact.cyclotomic_factors``, which
+states the lemma).  The operator strings (``_fmt_roots``, behind
+``ThetaPoly.__str__``) take the same numerators over q, and the forward
+check's ``qdo_from_ci`` counts its factor roots as integers over the lcm
+of the weights and degrees.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from itertools import groupby
 from typing import Iterable, Optional, Sequence
 
 from .cases import KVector, descriptor
+from .exact import cyclotomic_factors, moebius
 from .stokes import k_gaps_integral
 
 
@@ -267,24 +267,6 @@ def catalog(group: str) -> list[tuple[CISpec, str, int]]:
 
 # --- CI matching and the corollary verifier ---------------------------
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _moebius(n: int) -> int:
-    mu, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            mu = -mu
-        p += 1
-    if m > 1:
-        mu = -mu
-    return mu
-
-
 def _match_numerators(numerators: Sequence[int], q: int, n_plus_1: int,
                       weight_sum_bound: int) -> Optional[CISpec]:
     """``match_ci`` on the roots r/q given as integer numerators r."""
@@ -292,41 +274,28 @@ def _match_numerators(numerators: Sequence[int], q: int, n_plus_1: int,
         raise ValueError("root multiset size must equal the theta degree")
     if any(not (0 <= r < q) for r in numerators):
         return None
-    # multiplicity must be constant on each class {c/e : gcd(c, e) = 1}; the
-    # roots r with gcd(r, q) = g are that class for e = q/g, as numerators c*g
-    count = Counter(numerators)
-    class_mult: dict[int, int] = {}
-    for g in {math.gcd(r, q) for r in count}:
-        e = q // g
-        mults = {count[c * g] for c in range(e) if math.gcd(c, e) == 1}
-        if len(mults) != 1:
-            return None
-        class_mult[e] = mults.pop()
+    # the root multiplicity must be constant on each class {c/e : gcd(c, e) = 1},
+    # the exponents of the primitive e-th roots of unity
+    class_mult = cyclotomic_factors(numerators, q)
+    if class_mult is None:
+        return None
     # net count of weights-minus-degrees equal to e, by Moebius inversion
-    support = sorted({f for e in class_mult for f in _divisors(e)})
+    support = {e for f in class_mult for e in range(1, f + 1) if f % e == 0}
     net: dict[int, int] = {}
-    for e in support:
-        total = 0
-        for f in class_mult:
-            if f % e == 0:
-                total += _moebius(f // e) * class_mult[f]
+    for e in sorted(support):
+        total = sum(moebius(f // e) * m for f, m in class_mult.items() if f % e == 0)
         if total:
             net[e] = total
     if sum(e * c for e, c in net.items()) != n_plus_1:
         return None
-    weights = []
-    degrees = []
-    for e, c in sorted(net.items()):
-        if c > 0:
-            weights.extend([e] * c)
-        else:
-            degrees.extend([e] * (-c))
+    weights = [e for e, c in net.items() for _ in range(c)]
+    degrees = [e for e, c in net.items() for _ in range(-c)]
     if not weights or sum(weights) > weight_sum_bound:
         return None
     spec = CISpec(tuple(weights), tuple(degrees))
     # paranoia: the divisor-count argument is exact, but verify anyway
     produced = qdo_from_ci(spec)
-    assert sorted(r * q for r in produced.theta.roots) == sorted(count.elements())
+    assert sorted(r * q for r in produced.theta.roots) == sorted(numerators)
     assert produced.lambda_power == n_plus_1
     return spec
 
@@ -379,17 +348,16 @@ def verify_corollary(case_id: str, search_bound: int,
     of the orbit's members, each member counting as one candidate.
 
     Everything runs on the integer numerators c of the gaps c/q.  The
-    integrality of the Stokes data rests on a lemma (Kronecker): with
-    x = 2cos(pi*a/q), y = 2cos(pi*b/q) at the slot angles, s1 and s2 are
-    integers exactly when (t^2 - x t + 1)(t^2 - y t + 1) lies in Z[t], and
-    since its roots are the 2q-th roots of unity zeta^(+-a), zeta^(+-b),
-    exactly when the multiset {+-a, +-b} mod 2q is stable under every unit
-    mod 2q.  ``stokes.k_gaps_integral`` decides it with gcd and integer
-    arithmetic.  The complete-intersection match of a non-integral orbit
-    (``_match_numerators``) and the strings of the reported uniform A_n and
-    flagged operators (``_fmt_roots``) take the same numerators, and the
-    forward check's ``qdo_from_ci`` counts roots as integers, making a
-    ``Fraction`` only for each root of the operator it returns.
+    Stokes data at the slot angles a/q and b/q are integral exactly when
+    the roots of unity exp(i*pi*(+-a)/q), exp(i*pi*(+-b)/q) form a product
+    of cyclotomic polynomials; ``stokes.k_gaps_integral`` asks
+    ``exact.cyclotomic_factors``, whose docstring states the lemma
+    (Kronecker).  The complete-intersection match of a non-integral orbit
+    (``_match_numerators``) reads its class multiplicities from the same
+    routine, the strings of the reported uniform A_n and flagged operators
+    (``_fmt_roots``) take the same numerators, and the forward check's
+    ``qdo_from_ci`` counts roots as integers, making a ``Fraction`` only
+    for each root of the operator it returns.
     """
     from .enumeration import integral_solutions  # enumeration imports this module
 
@@ -418,10 +386,7 @@ def verify_corollary(case_id: str, search_bound: int,
                 f"{spec} -> {produced} != {expected} at {block}[{pos}]")
 
     weight_bound = search_bound * n1
-    # the symmetry pairs of every case are disjoint, so each pair is one
-    # class of equal gaps and every other position a class of its own
-    paired = {i for pair in desc.symmetry for i in pair}
-    classes = list(desc.symmetry) + [(i,) for i in range(n1) if i not in paired]
+    classes = desc.classes
     for q in range(1, search_bound + 1):
         # gap vectors c/q as integer numerators c; each rotation orbit of a
         # primitive case-symmetric vector once, keyed by its canonical form

@@ -261,6 +261,10 @@ def test_solve_loose_tol_not_verified(capsys, tmp_path):
     (("--t-max", "inf", "--points", "64"), "t_max"),
     (("--t-min=-inf",), "t_min"),
     (("--t-min", "nan"), "t_min"),
+    (("--tol-slope", "inf"), "tol-slope"),
+    (("--tol-slope", "nan"), "tol-slope"),
+    (("--tol-slope", "-1"), "tol-slope"),
+    (("--tol-slope", "0"), "tol-slope"),
 ])
 def test_solve_invalid_options(capsys, options, message):
     code, _, err = run(capsys, "solve", "4a", "0", "0", *options)

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 from ttstar.cases import CASE_IDS, GROUPS, descriptor, in_region
+from ttstar.exact import _cyclotomic
 from ttstar.enumeration import (BLOCKS, CosPair, _cos_class, _cos_dictionary,
                                 _pair_integral, admissible_points,
                                 brute_force_integral_points, classify_block,
@@ -63,6 +64,25 @@ def test_admissible_points():
     assert (F("3/4"), F("3/4")) not in pts
     simple = {F(0), F("1/3"), F("1/2"), F("2/3"), F(1)}
     assert sum(1 for a, b in pts if {a, b} <= simple) == 15
+
+
+def test_admissible_count_from_cyclotomic_quartics():
+    """19 = 15 + 4, counted apart from the sweep: the rational points are
+    the label pairs of the five rational cosines with a + b <= 1, and each
+    irrational admissible pair has (t^2 - x t + 1)(t^2 + y t + 1), built
+    from its AlgReal values, equal to one of Phi_5, Phi_8, Phi_10, Phi_12."""
+    simple = (F(0), F("1/3"), F("1/2"), F("2/3"), F(1))
+    rational = {(a, b) for a in simple for b in simple if a + b <= 1}
+    assert len(rational) == 15
+    pairs = {(p.a_label, p.b_label): p for p in enumerate_cos_pairs()}
+    irrational = set(admissible_points()) - rational
+    assert len(irrational) == 4
+    quartics = set()
+    for label in irrational:
+        x, y = pairs[label].x, pairs[label].y
+        c1, c2 = (y - x).is_integer(), (2 - x * y).is_integer()
+        quartics.add((1, c1, c2, c1, 1))
+    assert quartics == {_cyclotomic(d) for d in (5, 8, 10, 12)}
 
 
 def test_integral_solution_invariants():

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttstar.exact import (AlgReal, LinearSystem, _cyclotomic, _phi, _prime_factors,
-                          cos2)
+                          cos2, cyclotomic_factors, moebius)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=18)
 
@@ -295,3 +296,45 @@ def test_descent_matches_galois_scan_reference(x, y, q):
     assert _data(x * y) == _ref_product(x, y)
     assert _data(x * q) == _ref_scale(x, q)
     assert _data(x - y) == _ref_sum(x, -y)
+
+
+@st.composite
+def root_multisets(draw):
+    """(exponents, n): arbitrary exponents, or whole Galois orbits of random
+    multiplicity, written with random representatives mod n, sometimes with
+    one exponent changed so the multiset is just off stable."""
+    n = draw(st.integers(1, 36))
+    if draw(st.booleans()):
+        exponents = draw(st.lists(st.integers(-2 * n, 2 * n), min_size=1, max_size=10))
+    else:
+        exponents = []
+        for d in draw(st.lists(st.sampled_from([d for d in range(1, n + 1)
+                                                 if n % d == 0]), min_size=1, max_size=4)):
+            exponents += [(n // d) * v + n * draw(st.integers(-2, 2))
+                          for v in range(d) if math.gcd(v, d) == 1]
+        if draw(st.booleans()):
+            exponents[draw(st.integers(0, len(exponents) - 1))] += draw(st.integers(1, n))
+    return draw(st.permutations(exponents)), n
+
+
+@settings(max_examples=400, deadline=None)
+@given(root_multisets())
+def test_cyclotomic_factors_match_definition(case):
+    exponents, n = case
+    count = Counter(e % n for e in exponents)
+    stable = all(Counter(u * e % n for e in exponents) == count
+                 for u in range(1, n + 1) if math.gcd(u, n) == 1)
+    factors = cyclotomic_factors(exponents, n)
+    assert (factors is not None) == stable
+    if factors is not None:
+        assert all(n % d == 0 and m > 0 for d, m in factors.items())
+        assert sum(m * _phi(d) for d, m in factors.items()) == len(exponents)
+        root_sum = math.fsum(math.cos(2 * math.pi * e / n) for e in exponents)
+        assert sum(m * moebius(d) for d, m in factors.items()) == round(root_sum)
+
+
+def test_moebius_is_sum_of_primitive_roots():
+    for n in range(1, 200):
+        primitive = math.fsum(math.cos(2 * math.pi * k / n)
+                              for k in range(n) if math.gcd(k, n) == 1)
+        assert moebius(n) == round(primitive), n
