@@ -15,7 +15,9 @@ and ``radial_bvp`` the script, for each side,
 * for ``verify_sweep``, times ``verify_corollary(case, bound)`` for every
   case and bound (``--bounds``) in a fresh interpreter that imports that
   checkout's ``src/`` (the integral-solution tables are built before
-  timing, so each time is the converse sweep);
+  timing, so each time is the converse sweep), in ``--repeats`` rounds
+  that alternate which side runs first, and keeps each side's median per
+  (case, bound);
 * for ``radial_bvp``, splits ``solve_radial`` at the 76 integral points of
   4a, 5a, 5c and 6a into phases, in a fresh interpreter likewise: the warm
   start (relaxing the coarser grids), Jacobian assembly, the banded linear
@@ -24,7 +26,12 @@ and ``radial_bvp`` the script, for each side,
   per solve of each phase, the median over ``--repeats`` rounds, next to
   the untimed time per solve;
 
-then, for every workload, with ``--pairs N``, runs N untraced pairs with
+and, for ``cli_cold``, times every ``ttstar`` command of the README and
+``import ttstar.solver``, each in a fresh interpreter, in ``--repeats``
+rounds that alternate which side runs first; it keeps each side's wall
+times, their median, the exit code and whether ``scipy.linalg`` was loaded.
+
+Then, for every workload, with ``--pairs N``, runs N untraced pairs with
 seeds PAIR_SEED, PAIR_SEED + 1, ..., alternating which side runs first, and
 keeps each run's end-to-end metrics.  The JSON written holds the machine, the Python version
 and the git SHA of each side.  The runs are sequential; run nothing else on
@@ -37,9 +44,13 @@ import argparse
 import json
 import os
 import platform
+import re
+import shlex
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 CHANGE = Path(__file__).resolve().parents[1]
@@ -212,6 +223,85 @@ def run_script(checkout: Path, script: str, *args) -> list[dict]:
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
+def alternating(sides: dict[str, Path], repeats: int, run) -> dict[str, list]:
+    """``run(checkout)`` for both sides in ``repeats`` rounds, the parent
+    first in even rounds and the change first in odd ones."""
+    out = {name: [] for name in sides}
+    for i in range(repeats):
+        for name in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
+            out[name].append(run(sides[name]))
+    return out
+
+
+def verify_times(sides: dict[str, Path], bounds: list[int], repeats: int) -> dict:
+    """Per side, the ``TIMER`` records with each (case, bound)'s median wall
+    time over the rounds, and every round's time."""
+    runs = alternating(sides, repeats, lambda path: run_script(path, TIMER, *bounds))
+    return {name: [dict(rec, wall_s=statistics.median(r[j]["wall_s"] for r in rounds),
+                        runs_s=[r[j]["wall_s"] for r in rounds])
+                   for j, rec in enumerate(rounds[0])]
+            for name, rounds in runs.items()}
+
+
+# One cold command in a fresh interpreter: ``python -m ttstar.cli ARGS``,
+# run by ``runpy`` as ``-m`` does, or ``import ttstar.solver`` when ARGS is
+# empty.  At exit it adds a last stderr line saying whether ``scipy.linalg``
+# was loaded.
+COLD = r"""
+import atexit, runpy, sys
+atexit.register(lambda: print("\nscipy.linalg loaded:", "scipy.linalg" in sys.modules,
+                              file=sys.stderr))
+if len(sys.argv) > 1:
+    runpy.run_module("ttstar.cli", run_name="__main__", alter_sys=True)
+else:
+    import ttstar.solver
+"""
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of every ``ttstar`` command line in the README."""
+    text = (CHANGE / "README.md").read_text(encoding="utf-8")
+    return [shlex.split(m.group(1), comments=True)
+            for m in re.finditer(r"^ttstar (.*)$", text, re.MULTILINE)]
+
+
+def cold_run(checkout: Path, argv: list[str]) -> dict:
+    """Wall time, exit code and ``scipy.linalg`` flag of one cold command,
+    run in an empty directory (the README's ``--output profile.csv`` lands
+    there)."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    with tempfile.TemporaryDirectory() as cwd:
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", COLD, *argv], cwd=cwd, env=env,
+                              text=True, capture_output=True)
+        wall = time.perf_counter() - t0
+    flag = proc.stderr.rstrip().rsplit("\n", 1)[-1]
+    if flag not in ("scipy.linalg loaded: True", "scipy.linalg loaded: False"):
+        raise RuntimeError(f"{argv}: no scipy.linalg line on stderr: {proc.stderr[-300:]}")
+    return {"wall_s": wall, "returncode": proc.returncode,
+            "scipy_linalg_loaded": flag.endswith("True")}
+
+
+def cold_commands(sides: dict[str, Path], repeats: int) -> list[dict]:
+    """Per README command and the solver import, each side's cold runs."""
+    commands = readme_commands() + [[]]
+    runs = alternating(sides, repeats,
+                       lambda path: [cold_run(path, argv) for argv in commands])
+    out = []
+    for j, argv in enumerate(commands):
+        entry = {"command": "ttstar " + shlex.join(argv) if argv
+                 else 'python -c "import ttstar.solver"'}
+        for name, rounds in runs.items():
+            recs = [r[j] for r in rounds]
+            entry[name] = {"median_s": statistics.median(r["wall_s"] for r in recs),
+                           "runs_s": [r["wall_s"] for r in recs],
+                           "returncode": sorted({r["returncode"] for r in recs}),
+                           "scipy_linalg_loaded": sorted({r["scipy_linalg_loaded"]
+                                                          for r in recs})}
+        out.append(entry)
+    return out
+
+
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per end-to-end metric: each side's median and quartiles, the change's wins."""
     out = {}
@@ -239,7 +329,9 @@ def main(argv=None) -> int:
     ap.add_argument("--bounds", type=int, nargs="+", default=[12, 24, 36, 48, 96],
                     help="verify_sweep: the bounds verify_corollary is timed at")
     ap.add_argument("--repeats", type=int, default=5,
-                    help="radial_bvp: rounds of the per-phase split")
+                    help="rounds of the verify_corollary times (verify_sweep), "
+                         "the per-phase split (radial_bvp) and the cold "
+                         "commands (cli_cold)")
     ap.add_argument("--pairs", type=int, default=0)
     ap.add_argument("--pair-seed", type=int, default=4101)
     args = ap.parse_args(argv)
@@ -256,11 +348,12 @@ def main(argv=None) -> int:
         result["traced"] = {name: perfbench(path, args.workload, args.seed, 1)
                             for name, path in sides.items()}
     if args.workload == "verify_sweep":
-        result["verify_corollary"] = {name: run_script(path, TIMER, *args.bounds)
-                                      for name, path in sides.items()}
+        result["verify_corollary"] = verify_times(sides, args.bounds, args.repeats)
     elif args.workload == "radial_bvp":
         result["solve_phases"] = {name: run_script(path, PHASES, args.repeats)[0]
                                   for name, path in sides.items()}
+    elif args.workload == "cli_cold":
+        result["cold_commands"] = cold_commands(sides, args.repeats)
     result["pairs"] = []
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")

@@ -361,7 +361,8 @@ def _check_writable(path: Path) -> None:
 
 
 def cmd_solve(args) -> int:
-    # scipy is imported here only, so the other subcommands start faster
+    # numpy and scipy's LAPACK extension load here only, so the other
+    # subcommands start faster; the solver never imports scipy.linalg
     from .solver import (ConvergenceError, SolverConfig, solve_radial,
                          verify_asymptotics)
     case_id = args.case

@@ -25,6 +25,16 @@ LAPACK band buffer (lower bandwidth 2, upper 4, two rows for the fill-in of
 the LU); every Newton step refills it in place with vectorized slices and
 factors and solves it with LAPACK's ``dgbsv``, called directly.
 
+``dgbsv`` is the f2py wrapper of scipy's LAPACK extension module
+``scipy.linalg._flapack``, the same object ``scipy.linalg.lapack.dgbsv``
+is.  The solver loads that extension from its file in scipy's package
+directory rather than importing ``scipy.linalg``: the package import walks
+numpy's lazy submodules (``numpy.f2py``, ``numpy.testing``, ``numpy.ma``,
+``numpy.random``) and takes about 0.3 s on a 2-core x86-64 machine, which
+a cold ``ttstar solve`` would otherwise pay for this one routine.  Python
+records the loaded extension in ``sys.modules`` under its real name, so a
+later import of ``scipy.linalg`` reuses it.
+
 The iteration is nested.  A grid of at least WARM_START_POINTS nodes starts
 from the converged solution of the grid COARSEN times coarser, interpolated
 linearly; a smaller grid starts from the piecewise-linear asymptotic shape.
@@ -36,13 +46,35 @@ recorded as (residual, lambda, max |step|) in the solution's ``history``.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 from dataclasses import dataclass, field
+from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
+                                 FileFinder)
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
 
 from .cases import AsymptoticData, descriptor, in_region
+
+
+def _load_dgbsv():
+    """``dgbsv`` from scipy's ``linalg/_flapack`` extension, loaded from its
+    file without importing the ``scipy`` or ``scipy.linalg`` packages."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        raise ImportError("the radial solver needs scipy, which is not installed")
+    linalg = Path(scipy.submodule_search_locations[0], "linalg")
+    finder = FileFinder(str(linalg), (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack not found in {linalg}")
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.dgbsv
+
+
+dgbsv = _load_dgbsv()
 
 
 class ConvergenceError(RuntimeError):
@@ -169,10 +201,14 @@ def _jacobian(case_id: str, t, u, v, h, out=None) -> np.ndarray:
 
 
 def _fit_slope(t: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-    """Least-squares (slope, intercept) of w over the left 10% of the grid."""
+    """Least-squares (slope, intercept) of w over the left 10% of the grid,
+    in closed form on the mean-centred points."""
     n = max(len(t) // 10, 4)
-    slope, intercept = np.polyfit(t[:n], w[:n], 1)
-    return float(slope), float(intercept)
+    x, y = t[:n], w[:n]
+    x_mean, y_mean = x.mean(), y.mean()
+    dx = x - x_mean
+    slope = float(dx @ (y - y_mean)) / float(dx @ dx)
+    return slope, float(y_mean) - slope * float(x_mean)
 
 
 def _relax(case_id: str, a: AsymptoticData, cfg: SolverConfig, m: int):

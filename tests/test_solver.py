@@ -1,11 +1,17 @@
+import importlib.machinery
+import importlib.util
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack, solve_banded
 from scipy.sparse import csr_matrix
 
 from ttstar import solver
@@ -300,6 +306,72 @@ def test_singular_step_raises(monkeypatch):
                         lambda case_id, t, u, v, h, out: out.fill(0.0))
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
         solve_radial("4a", AsymptoticData(F(3), F(1)), FAST)
+
+
+def test_solver_import_skips_scipy_linalg():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ttstar.solver; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['scipy.linalg._flapack']"
+
+
+def test_missing_lapack_extension_raises(monkeypatch, tmp_path):
+    fake = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    fake.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: fake)
+    with pytest.raises(ImportError, match="_flapack not found"):
+        solver._load_dgbsv()
+
+
+def test_direct_dgbsv_matches_scipy(monkeypatch):
+    """Every Newton step of two solves, through the directly loaded ``dgbsv``
+    and through ``scipy.linalg.lapack.dgbsv``: bitwise-equal LU, pivots,
+    steps and ``info``; then a singular band, where both report a zero pivot."""
+    calls, direct = [], solver.dgbsv
+
+    def recording(kl, ku, ab, b, **kwargs):
+        calls.append((ab.copy(order="F"), b.copy()))
+        return direct(kl, ku, ab, b, **kwargs)
+
+    monkeypatch.setattr(solver, "dgbsv", recording)
+    solve_radial("4a", AsymptoticData(F(3), F(1)))
+    solve_radial("6a", AsymptoticData(F(1), F(2)))
+    monkeypatch.undo()
+    assert len(calls) > 10
+    singular = np.zeros_like(calls[0][0], order="F")
+    infos = []
+    for ab, b in calls + [(singular, calls[0][1])]:
+        ours = direct(2, 4, ab.copy(order="F"), b.copy())
+        ref = lapack.dgbsv(2, 4, ab.copy(order="F"), b.copy())
+        assert ours[3] == ref[3]
+        for x, y in zip(ours[:3], ref[:3]):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        infos.append(ours[3])
+    assert infos[:-1] == [0] * len(calls) and infos[-1] > 0
+
+
+def test_fit_slope_matches_polyfit():
+    rng = np.random.default_rng(5)
+    samples = []
+    for m in (40, 64, 512, 2048):
+        t = np.linspace(-12.0, 4.0, m)
+        samples += [(t, 3.0 * t + 2.0 + rng.standard_normal(m)),
+                    (t, rng.uniform(-1e3, 1e3, m))]
+    for case in ("4a", "5a", "5c", "6a"):
+        for r in integral_solutions(case):
+            sol = solve_radial(case, r.asymptotic)
+            samples += [(sol.grid, sol.u), (sol.grid, sol.v)]
+    assert len(samples) == 8 + 2 * 76
+    for t, w in samples:
+        n = max(len(t) // 10, 4)
+        ref = np.polyfit(t[:n], w[:n], 1)
+        assert np.allclose(_fit_slope(t, w), ref, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("case", ["4a", "5a", "5c", "6a"])
