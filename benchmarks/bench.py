@@ -10,8 +10,10 @@ and ``radial_bvp`` the script, for each side,
 
 * runs ``perfbench/run.py --workload W --trace 1 --seed SEED`` in that
   checkout and keeps the per-layer metrics of the layers W exercises, and
-  the calls and self times per round: the traced totals less the set-up
-  calls, over the rounds run;
+  the calls and self times per round: the traced totals over the rounds
+  run, set-up included (building the integral-solution tables on integer
+  gaps calls no traced layer; before that it made 190 ``stokes_from_k``
+  calls);
 * for ``verify_sweep``, times ``verify_corollary(case, bound)`` for every
   case and bound (``--bounds``) in a fresh interpreter that imports that
   checkout's ``src/`` (the integral-solution tables are built before
@@ -19,12 +21,13 @@ and ``radial_bvp`` the script, for each side,
   that alternate which side runs first, and keeps each side's median per
   (case, bound);
 * for ``radial_bvp``, splits ``solve_radial`` at the 76 integral points of
-  4a, 5a, 5c and 6a into phases, in a fresh interpreter likewise: the warm
-  start (relaxing the coarser grids), Jacobian assembly, the banded linear
-  solve and the line search on the requested grid, and the rest (initial
-  guess, interpolation, first residual, slope fits).  It reports the mean
-  per solve of each phase, the median over ``--repeats`` rounds, next to
-  the untimed time per solve;
+  4a, 5a, 5c and 6a into phases: the warm start (relaxing the coarser
+  grids), Jacobian assembly, the banded linear solve and the line search on
+  the requested grid, and the rest (initial guess, interpolation, first
+  residual, slope fits).  Each of ``--repeats`` rounds, alternating which
+  side runs first, is a fresh interpreter that reports the mean per solve
+  of each phase next to the untimed time per solve; each side keeps the
+  median over its rounds and every round's values;
 
 and, for ``cli_cold``, times every ``ttstar`` command of the README and
 ``import ttstar.solver``, each in a fresh interpreter, in ``--repeats``
@@ -33,9 +36,11 @@ times, their median, the exit code and whether ``scipy.linalg`` was loaded.
 
 Then, for every workload, with ``--pairs N``, runs N untraced pairs with
 seeds PAIR_SEED, PAIR_SEED + 1, ..., alternating which side runs first, and
-keeps each run's end-to-end metrics.  The JSON written holds the machine, the Python version
-and the git SHA of each side.  The runs are sequential; run nothing else on
-the machine meanwhile.
+keeps each run's end-to-end metrics and set-up phases (``import_cli_s``,
+``cos_pairs_cold_s``, ``tables_cold_s``, ``inputs_s``: the median over the
+run's set-up samples), summarized per side over the pairs.  The JSON
+written holds the machine, the Python version and the git SHA of each side.
+The runs are sequential; run nothing else on the machine meanwhile.
 """
 
 from __future__ import annotations
@@ -55,24 +60,20 @@ from pathlib import Path
 
 CHANGE = Path(__file__).resolve().parents[1]
 
-# per workload: the per-layer metric prefixes kept, the counts kept, the call
-# count that marks a round with the ``sizes`` entry giving its calls per
-# round, and the calls the traced window sees before the first round
+# per workload: the per-layer metric prefixes kept, the counts kept, and the
+# call count that marks a round with the ``sizes`` entry giving its calls per
+# round
 WORKLOADS = {
     "verify_sweep": {
         "layers": ("theta.verify_corollary", "stokes.from_k",
                    "enumeration.brute_force", "exact.cos2"),
         "counts": ("theta.converse_checked", "theta.flagged_non_ci"),
         "round": ("theta.verify_corollary.calls", "cases_per_round"),
-        # building the integral-solution tables makes 19 stokes_from_k calls
-        # for each of the ten cases
-        "setup_calls": {"stokes.from_k.calls": 19 * 10},
     },
     "radial_bvp": {
         "layers": ("solver.",),
         "counts": (),
         "round": ("solver.solve_radial.calls", "solves_per_round"),
-        "setup_calls": {},
     },
 }
 
@@ -105,7 +106,6 @@ PHASES = r"""
 import json, statistics, sys, time
 from ttstar import enumeration, solver
 
-repeats = int(sys.argv[1])
 points = [(c, r.asymptotic) for c in ("4a", "5a", "5c", "6a")
           for r in enumeration.integral_solutions(c)]
 events, depth = [], [0]
@@ -157,23 +157,20 @@ def phases(c, a):
 
 for _ in range(2):
     round_untimed()
-untimed = [round_untimed() for _ in range(repeats)]
+untimed = round_untimed()
 for name, kind in (("_relax", "relax"), ("_jacobian", "jacobian"),
                    ("dgbsv", "linear_solve"), ("solve_banded", "linear_solve"),
                    ("_fit_slope", "fit")):
     if hasattr(solver, name):
         setattr(solver, name, timed(kind, getattr(solver, name)))
-rounds, steps = [], None
-for _ in range(repeats):
-    per_point = [phases(c, a) for c, a in points]
-    rounds.append({k: statistics.fmean(p[k] for p, _ in per_point) * 1e3
-                   for k in per_point[0][0]})
-    steps = {k: sum(s[k] for _, s in per_point) for k in per_point[0][1]}
+per_point = [phases(c, a) for c, a in points]
 print(json.dumps({
-    "points": len(points), "repeats": repeats,
-    "untimed_ms_per_solve": statistics.median(untimed) * 1e3,
-    "phase_ms_per_solve": {k: statistics.median(r[k] for r in rounds) for k in rounds[0]},
-    "newton_steps_over_points": steps,
+    "points": len(points),
+    "untimed_ms_per_solve": untimed * 1e3,
+    "phase_ms_per_solve": {k: statistics.fmean(p[k] for p, _ in per_point) * 1e3
+                           for k in per_point[0][0]},
+    "newton_steps_over_points": {k: sum(s[k] for _, s in per_point)
+                                 for k in per_point[0][1]},
 }))
 """
 
@@ -199,18 +196,20 @@ def perfbench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
         spec = WORKLOADS[workload]
         values = record["all_values"]
         # the traced pass runs as many rounds as fit its time; calls and self
-        # times are also given per round, the set-up calls taken off first so
-        # a round counts only its own work
+        # times are also given per round
         calls, size = spec["round"]
         rounds = values[calls] / record["sizes"][size]
         out["rounds"] = rounds
         out["per_layer"] = {name: values[name] for name in values
                             if name.startswith(spec["layers"]) or name in spec["counts"]}
-        out["per_round"] = {name: (value - spec["setup_calls"].get(name, 0)) / rounds
+        out["per_round"] = {name: value / rounds
                             for name, value in out["per_layer"].items()
                             if name.endswith((".calls", ".self_s"))}
     else:
         out["end_to_end"] = {name: m["value"] for name, m in record["metrics"].items()}
+        phases = record["setup_phases"]
+        out["setup_phases"] = {name: statistics.median(p[name] for p in phases)
+                               for name in phases[0]}
     return out
 
 
@@ -241,6 +240,24 @@ def verify_times(sides: dict[str, Path], bounds: list[int], repeats: int) -> dic
                         runs_s=[r[j]["wall_s"] for r in rounds])
                    for j, rec in enumerate(rounds[0])]
             for name, rounds in runs.items()}
+
+
+def solve_phases(sides: dict[str, Path], repeats: int) -> dict:
+    """Per side, the ``PHASES`` split over ``repeats`` fresh interpreters:
+    each time's median over the rounds, and every round's record."""
+    runs = alternating(sides, repeats, lambda path: run_script(path, PHASES)[0])
+    out = {}
+    for name, rounds in runs.items():
+        phases = rounds[0]["phase_ms_per_solve"]
+        out[name] = {
+            "points": rounds[0]["points"], "repeats": repeats,
+            "untimed_ms_per_solve": statistics.median(
+                r["untimed_ms_per_solve"] for r in rounds),
+            "phase_ms_per_solve": {k: statistics.median(
+                r["phase_ms_per_solve"][k] for r in rounds) for k in phases},
+            "newton_steps_over_points": rounds[0]["newton_steps_over_points"],
+            "rounds": rounds}
+    return out
 
 
 # One cold command in a fresh interpreter: ``python -m ttstar.cli ARGS``,
@@ -318,6 +335,14 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def summarize_setup(pairs: list[dict]) -> dict:
+    """Per set-up phase: each side's median over the pairs, in seconds."""
+    return {phase: {side: statistics.median(p[side]["setup_phases"][phase]
+                                            for p in pairs)
+                    for side in ("parent", "change")}
+            for phase in pairs[0]["parent"]["setup_phases"]}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     config = json.loads((CHANGE / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -350,8 +375,7 @@ def main(argv=None) -> int:
     if args.workload == "verify_sweep":
         result["verify_corollary"] = verify_times(sides, args.bounds, args.repeats)
     elif args.workload == "radial_bvp":
-        result["solve_phases"] = {name: run_script(path, PHASES, args.repeats)[0]
-                                  for name, path in sides.items()}
+        result["solve_phases"] = solve_phases(sides, args.repeats)
     elif args.workload == "cli_cold":
         result["cold_commands"] = cold_commands(sides, args.repeats)
     result["pairs"] = []
@@ -364,6 +388,7 @@ def main(argv=None) -> int:
         result["pairs"].append(pair)
     if len(result["pairs"]) >= 2:
         result["pair_summary"] = summarize(result["pairs"], config["end_to_end"])
+        result["setup_phase_summary"] = summarize_setup(result["pairs"])
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     return 0
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from operator import mul
+from typing import Iterable, Sequence
 
 from .exact import LinearSystem
 
@@ -135,14 +136,27 @@ def make_k(case_id: str, entries: Iterable) -> KVector:
     return KVector(case_id, tuple(Fraction(e) for e in entries))
 
 
-def k_to_asymptotic(k: KVector) -> AsymptoticData:
-    desc = descriptor(k.case)
-    N = k.N
-    if N <= 0:
+def _asymptotic(desc: CaseDescriptor, values: Sequence, n) -> AsymptoticData:
+    """(gamma, delta) = (sum(row_i * values_i)/n) over the two rows.
+
+    gamma = sum(row_i * k_i)/N.  Every row of every case sums to 0, so the
+    values may be the k_i or the gaps k_i + 1, at any common scale with n
+    scaled alike.
+    """
+    if n <= 0:
         raise ValueError("N must be positive")
-    gamma = sum(c * ki for c, ki in zip(desc.gamma_row, k.entries)) / N
-    delta = sum(c * ki for c, ki in zip(desc.delta_row, k.entries)) / N
-    return AsymptoticData(Fraction(gamma), Fraction(delta))
+    return AsymptoticData(Fraction(sum(map(mul, desc.gamma_row, values)), n),
+                          Fraction(sum(map(mul, desc.delta_row, values)), n))
+
+
+def k_to_asymptotic(k: KVector) -> AsymptoticData:
+    return _asymptotic(descriptor(k.case), k.entries, k.N)
+
+
+def gaps_to_asymptotic(case_id: str, gaps: Sequence[int]) -> AsymptoticData:
+    """(gamma, delta) at k_i = gaps_i/q - 1 for integer gaps with sum q: only
+    the two Fractions returned are made."""
+    return _asymptotic(descriptor(case_id), gaps, sum(gaps))
 
 
 @lru_cache(maxsize=None)

@@ -18,10 +18,10 @@ from pathlib import Path
 
 from .cases import (CASE_IDS, GROUPS, AsymptoticData, SymmetryError, descriptor,
                     in_region, k_to_asymptotic, make_k, asymptotic_to_k)
-from .enumeration import enumerate_cos_pairs, integral_solutions
 from .stokes import GROUP_FORMULAS, stokes_from_asymptotic, stokes_from_k
-from .theta import (CISpec, NotReducibleError, QDO, qdo_from_ci,
-                    verify_corollary)
+
+# ``enumeration`` and ``theta`` (and ``solver``) load in the subcommands that
+# use them, so ``convert`` and ``solve`` do not pay for their import
 
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
@@ -72,6 +72,7 @@ def half_table(case_id: str) -> bool:
 
 
 def case_rows(case_id: str, full: bool) -> list[dict]:
+    from .enumeration import integral_solutions
     recs = integral_solutions(case_id)
     if not full and half_table(case_id):
         recs = [r for r in recs if r.asymptotic.gamma + r.asymptotic.delta >= 0]
@@ -156,7 +157,10 @@ def default_tables_dir() -> Path:
 
 def cmd_convert(args) -> int:
     case_id = args.case
-    n = parse_frac(args.n)
+    if args.source == "k" and args.n is not None:
+        raise CliError("--n applies to --from asymptotic only: a k-vector "
+                       "fixes its own N", EXIT_PARSE)
+    n = parse_frac(args.n or "1")
     if n <= 0:
         raise CliError("N must be positive", EXIT_PARSE)
     values = [parse_frac(v) for v in args.values]
@@ -198,6 +202,7 @@ def cmd_convert(args) -> int:
 
 
 def _raw_rows() -> list[dict]:
+    from .enumeration import enumerate_cos_pairs
     rows = []
     for pair in enumerate_cos_pairs():
         rows.append({"a": fmt_frac(pair.a_label), "b": fmt_frac(pair.b_label),
@@ -235,6 +240,8 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def cmd_qdo(args) -> int:
+    from .enumeration import integral_solutions
+    from .theta import CISpec, NotReducibleError, QDO, qdo_from_ci
     weights = _parse_int_list(args.weights)
     degrees = _parse_int_list(args.degrees)
     try:
@@ -279,6 +286,7 @@ def golden_rows(path: Path, columns: tuple[str, ...] = ()) -> list[dict]:
 
 def compare_golden(case_id: str, tables_dir: Path) -> list[str]:
     """Mismatches between computed records and the golden table files."""
+    from .enumeration import integral_solutions
     problems = []
     group = descriptor(case_id).group
     path = tables_dir / f"{GROUP_TABLE[group]}.csv"
@@ -322,6 +330,7 @@ def compare_golden(case_id: str, tables_dir: Path) -> list[str]:
 
 
 def cmd_verify(args) -> int:
+    from .theta import verify_corollary
     case_id = args.case
     if args.bound < 6:
         raise CliError("--bound must be at least 6", EXIT_PARSE)
@@ -431,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--from", dest="source", choices=("asymptotic", "k"),
                    required=True)
     c.add_argument("values", nargs="+")
-    c.add_argument("--n", default="1", help="normalization N (default 1)")
+    c.add_argument("--n", help="normalization N of --from asymptotic "
+                                "(default 1)")
     c.set_defaults(func=cmd_convert)
     c._negative_number_matcher = _NEGATIVE_VALUE
 

@@ -9,6 +9,15 @@ such cosines, so one integrality decision per dictionary pair, made on
 integer angles by ``exact.cyclotomic_factors`` (which states the lemma),
 recovers the full candidate set without reference to any published list.
 The quadratics' range (-4 <= m, p <= 4, m^2 + 4p >= 0) is asserted.
+
+The tables are built on integers too.  Each admissible label pair gives
+integer gaps c over q = sum(c) (``k_from_labels``), and from them come the
+asymptotic data (``cases.gaps_to_asymptotic``), the Stokes data as root
+sums (``stokes.k_gaps_stokes``) and T_k's root numerators
+(``theta.tk_numerators``); a ``Fraction`` is made only for each field a
+record stores, and no ``AlgReal`` arithmetic is done.  ``AlgReal`` and
+``stokes.stokes_from_k`` serve arbitrary rational points and are the tests'
+oracle for these records.
 """
 
 from __future__ import annotations
@@ -16,13 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, lcm
-from typing import Optional, Sequence
+from math import ceil, floor, gcd, lcm
 
-from .cases import AsymptoticData, KVector, descriptor, in_region, k_to_asymptotic
-from .exact import AlgReal, cos2, cyclotomic_factors, moebius
-from .stokes import GROUP_FORMULAS, StokesData, stokes_from_k
-from .theta import ThetaPoly, tk_from_k
+from .cases import (AsymptoticData, KVector, descriptor, gaps_to_asymptotic,
+                    in_region)
+from .exact import AlgReal, cos2, root_sum
+from .stokes import GROUP_FORMULAS, StokesData, k_gaps_stokes
+# unused here, but perfbench's tracer patches and restores this binding
+from .stokes import stokes_from_k  # noqa: F401
+from .theta import ThetaPoly, canonical_rotation, tk_numerators
 
 BLOCKS = ("top-edge", "left-edge", "diagonal-edge", "center-line", "other-interior")
 
@@ -58,15 +69,6 @@ def _cos_dictionary() -> tuple[tuple[Fraction, AlgReal], ...]:
     return tuple((lab, cos2(lab)) for lab in labels)
 
 
-def _root_sum(exponents: Sequence[int], n: int) -> Optional[int]:
-    """The sum of the roots zeta_n^e, or None when they are not a product of
-    cyclotomic polynomials: the primitive d-th roots of unity sum to mu(d)."""
-    factors = cyclotomic_factors(exponents, n)
-    if factors is None:
-        return None
-    return sum(m * moebius(d) for d, m in factors.items())
-
-
 @lru_cache(maxsize=1)
 def enumerate_cos_pairs() -> tuple[CosPair, ...]:
     """All (a, b) in [0, pi]^2 with 2cos a - 2cos b and 4cos a cos b integral.
@@ -83,10 +85,10 @@ def enumerate_cos_pairs() -> tuple[CosPair, ...]:
             h = lcm(la.denominator, lb.denominator)
             a = la.numerator * (h // la.denominator)
             b = lb.numerator * (h // lb.denominator) + h
-            m = _root_sum((a, -a, b, -b), 2 * h)
+            m = root_sum((a, -a, b, -b), 2 * h)
             if m is None:
                 continue
-            p = -_root_sum((a + b, -a - b, a - b, b - a), 2 * h)
+            p = -root_sum((a + b, -a - b, a - b, b - a), 2 * h)
             assert -4 <= m <= 4 and -4 <= p <= 4 and m * m + 4 * p >= 0
             pairs.append(CosPair(x, y, la, lb, m, p))
     return tuple(pairs)
@@ -135,15 +137,21 @@ def classify_block(case_id: str, a: AsymptoticData) -> str:
     return "other-interior"
 
 
-def k_from_labels(case_id: str, a_label: Fraction, b_label: Fraction) -> KVector:
-    """Holomorphic data with N = 1 for one admissible cosine-pair point."""
+def k_from_labels(case_id: str, a_label: Fraction, b_label: Fraction
+                  ) -> tuple[int, ...]:
+    """Holomorphic data with N = 1 for one admissible cosine-pair point, as
+    integer gaps c: k_i = c_i/q - 1 with q = sum(c)."""
     desc = descriptor(case_id)
     mk, ml = desc.angle_mult
     ki, li = desc.kl_index
+    # the slot gaps a/mk and b/ml over one denominator q
+    da, db = a_label.denominator * mk, b_label.denominator * ml
+    q = lcm(da, db)
+    slot_gap = {ki: a_label.numerator * (q // da), li: b_label.numerator * (q // db)}
     # each symmetry class takes the gap of the slot it holds; the one class
-    # holding neither slot shares what is left of the sum 1
-    slot_gap = {ki: a_label / mk, li: b_label / ml}
-    gaps: list[Fraction] = [Fraction(0)] * desc.n_plus_1
+    # holding neither slot shares what is left of q, over a multiple of q
+    # when it does not divide evenly
+    gaps = [0] * desc.n_plus_1
     free = []
     for cls in desc.classes:
         known = [slot_gap[i] for i in cls if i in slot_gap]
@@ -152,34 +160,44 @@ def k_from_labels(case_id: str, a_label: Fraction, b_label: Fraction) -> KVector
                 gaps[i] = known[0]
         else:
             free += cls
-    fill = (1 - sum(gaps)) / len(free)
+    rest = q - sum(gaps)
+    scale = len(free) // gcd(rest, len(free))
+    gaps = [c * scale for c in gaps]
     for i in free:
-        gaps[i] = fill
-    assert sum(gaps) == 1
-    return KVector(case_id, tuple(g - 1 for g in gaps))
+        gaps[i] = rest * scale // len(free)
+    assert sum(gaps) == q * scale
+    return tuple(gaps)
 
 
 @lru_cache(maxsize=None)
 def integral_solutions(case_id: str) -> tuple[SolutionRecord, ...]:
     """The 19 complete solution records of one case, in table order."""
     admissible = set(admissible_points())
+    ambiguous = GROUP_FORMULAS[descriptor(case_id).group].s1_ambiguous
     records = []
     for block, labels in _BLOCK_ORDER:
         for a_label, b_label in labels:
             assert (a_label, b_label) in admissible
-            k = k_from_labels(case_id, a_label, b_label)
-            asym = k_to_asymptotic(k)
-            stokes = stokes_from_k(k)
-            ints = stokes.integral()
+            gaps = k_from_labels(case_id, a_label, b_label)
+            q = sum(gaps)
+            asym = gaps_to_asymptotic(case_id, gaps)
+            ints = k_gaps_stokes(case_id, gaps)
             if ints is None:
                 raise AssertionError(
                     f"non-integral Stokes data at {case_id} {(a_label, b_label)}")
-            assert in_region(case_id, asym) and k.admissible
+            # k admissible: every k_i = c_i/q - 1 >= -1
+            assert in_region(case_id, asym) and min(gaps) >= 0
             derived_block = classify_block(case_id, asym)
             assert derived_block == block, (case_id, a_label, b_label, derived_block)
+            s1, s2 = ints
+            stokes = StokesData(AlgReal.from_rational(s1),
+                                AlgReal.from_rational(s2), ambiguous)
+            roots = tk_numerators(canonical_rotation(gaps))
+            tk = ThetaPoly(Fraction(1), tuple(Fraction(r, q) for r in roots))
             records.append(SolutionRecord(
-                case_id, a_label, b_label, asym, stokes, ints, k,
-                tk_from_k(k), block))
+                case_id, a_label, b_label, asym, stokes, ints,
+                KVector(case_id, tuple(Fraction(c - q, q) for c in gaps)),
+                tk, block))
     assert len(records) == 19
     return tuple(records)
 

@@ -13,7 +13,8 @@ field (a = M / conductor) and conjugates (a = M - 1).  ``LinearSystem`` is
 the one exact linear solver: descending to a subfield Q(zeta_d) is a solve
 against its power basis, consistent exactly when the element lies in it,
 and ``cases.asymptotic_to_k`` inverts its linear forms with the same solver.
-Integrality is decided on integers instead (``cyclotomic_factors``).
+Integrality, and the value of integral cosine sums, are decided on integers
+instead (``cyclotomic_factors``, ``root_sum``).
 """
 
 from __future__ import annotations
@@ -108,6 +109,15 @@ def cyclotomic_factors(exponents: Iterable[int], n: int) -> Optional[dict[int, i
             return None
         factors[d] = mults[0]
     return factors
+
+
+def root_sum(exponents: Iterable[int], n: int) -> Optional[int]:
+    """The sum of the roots zeta_n^e, or None when they are not a product of
+    cyclotomic polynomials: the primitive d-th roots of unity sum to mu(d)."""
+    factors = cyclotomic_factors(exponents, n)
+    if factors is None:
+        return None
+    return sum(m * moebius(d) for d, m in factors.items())
 
 
 @lru_cache(maxsize=None)
@@ -259,7 +269,8 @@ class AlgReal:
 
     @staticmethod
     def from_rational(q: RationalLike) -> "AlgReal":
-        return AlgReal(2, [Fraction(q)])
+        # a rational is reduced and minimal at conductor 2
+        return AlgReal(2, (Fraction(q),), _reduced=True)
 
     # -- ring operations ----------------------------------------------
 

@@ -93,6 +93,9 @@ DEFAULT_NEWTON_TOL = 1e-10
 # grid COARSEN times coarser; smaller grids start from the asymptotic shape
 WARM_START_POINTS = 512
 COARSEN = 8
+# the largest grid a config accepts (its banded Newton matrix alone takes
+# 38 MB); a far larger one would end in a numpy allocation error
+MAX_GRID_POINTS = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -108,8 +111,9 @@ class SolverConfig:
             raise ValueError("t_min and t_max must be finite")
         if not self.t_min < self.t_max:
             raise ValueError("t_min must be below t_max")
-        if self.grid_points < 64:
-            raise ValueError("grid_points must be at least 64")
+        if not 64 <= self.grid_points <= MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid_points must be between 64 and {MAX_GRID_POINTS}")
         if not 0 < self.newton_tol < math.inf:
             raise ValueError("newton_tol must be positive and finite")
         if self.max_iterations < 0:

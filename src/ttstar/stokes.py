@@ -7,8 +7,10 @@ per-group formulas; they agree on the nose.  In the groups of cases with
 an even size matrix s1 is only defined up to sign; its sign is decided
 exactly from the rational angles and s1 is reported nonnegative.
 
-Whether the data are integral is also decided on integers alone, by
-``exact.cyclotomic_factors`` (which states the lemma) in ``k_gaps_integral``.
+At a point given by integer gaps the data are also decided and computed
+on integers alone (``k_gaps_stokes``): whether they are integral, by
+``exact.cyclotomic_factors`` (which states the lemma), and their values as
+root sums of roots of unity (``exact.root_sum``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cases import AsymptoticData, KVector, descriptor
-from .exact import AlgReal, cos2, cyclotomic_factors
+from .exact import AlgReal, cos2, root_sum
 
 
 @dataclass(frozen=True)
@@ -111,15 +113,19 @@ def stokes_from_k(k: KVector) -> StokesData:
                      g.k_flips)
 
 
-def k_gaps_integral(case_id: str, gaps: Sequence[int]) -> bool:
-    """Whether ``stokes_from_k`` is integral for k_i + 1 proportional to gaps.
+def k_gaps_stokes(case_id: str, gaps: Sequence[int]) -> Optional[tuple[int, int]]:
+    """``stokes_from_k(k).integral()`` for k_i + 1 proportional to gaps.
 
     gaps are integers with a positive sum q, so N = 1 gives k_i = gaps[i]/q - 1
     and the slot angles are a/q and b/q with a = mk*gaps[ki] + flip*q.  With
     x = 2cos(pi*a/q) and y = 2cos(pi*b/q), s1 and s2 are integers exactly
     when x + y and x*y are, that is when (t^2 - x t + 1)(t^2 - y t + 1) lies
     in Z[t].  Its roots are zeta^(+-a), zeta^(+-b) with zeta = exp(i*pi/q),
-    so ``cyclotomic_factors`` decides it on the exponents mod 2q.
+    so ``root_sum`` decides it on the exponents mod 2q and gives x + y.  Then
+    x*y = 2cos(pi(a+b)/q) + 2cos(pi(a-b)/q) is the root sum of +-(a+b),
+    +-(a-b), a multiset that every unit mod 2q permuting +-a, +-b permutes
+    too.  Returns the integers (s1, s2), s1 taken nonnegative where it is
+    s1_ambiguous, or None when the data are not integral.
     """
     desc = descriptor(case_id)
     q = sum(gaps)
@@ -127,7 +133,13 @@ def k_gaps_integral(case_id: str, gaps: Sequence[int]) -> bool:
         raise ValueError("N must be positive")
     ki, li = desc.kl_index
     mk, ml = desc.angle_mult
-    fa, fb = GROUP_FORMULAS[desc.group].k_flips
+    g = GROUP_FORMULAS[desc.group]
+    fa, fb = g.k_flips
     a = mk * gaps[ki] + fa * q
     b = ml * gaps[li] + fb * q
-    return cyclotomic_factors((a, -a, b, -b), 2 * q) is not None
+    s = root_sum((a, -a, b, -b), 2 * q)
+    if s is None:
+        return None
+    xy = root_sum((a + b, -a - b, a - b, b - a), 2 * q)
+    s1 = g.c1 + s
+    return abs(s1) if g.s1_ambiguous else s1, -(g.c2 + g.ell * s + xy)

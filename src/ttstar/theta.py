@@ -10,9 +10,10 @@ The corollary verifier's converse sweep generates its candidate gap
 vectors class by class from the case symmetry and visits each cyclic
 rotation orbit once, instead of filtering every composition of the
 denominator; the rotation-invariant work is done once per orbit.  It runs
-on the integer numerators c of the gaps c/q: T_k's roots are prefix sums,
-check_Q asks for a zero gap, check_G for closure under r -> -r mod q, and
-integrality (``stokes.k_gaps_integral``) and the complete-intersection
+on the integer numerators c of the gaps c/q: T_k's roots are prefix sums
+(``tk_numerators``, which the tables and ``tk_from_k`` use too), check_Q
+asks for a zero gap, check_G for closure under r -> -r mod q, and
+integrality (``stokes.k_gaps_stokes``) and the complete-intersection
 match (``_match_numerators``, behind ``match_ci``) both read the
 cyclotomic factors of the numerators (``exact.cyclotomic_factors``, which
 states the lemma).  The operator strings (``_fmt_roots``, behind
@@ -27,12 +28,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
+from itertools import accumulate, groupby
 from typing import Iterable, Optional, Sequence
 
 from .cases import KVector, descriptor
 from .exact import cyclotomic_factors, moebius
-from .stokes import k_gaps_integral
+from .stokes import k_gaps_stokes
 
 
 class NotReducibleError(ValueError):
@@ -135,44 +136,40 @@ class CISpec:
 
 
 def _rotations(seq: tuple) -> list[tuple]:
-    """The cyclic rotations of seq; entry j starts at position j.
-
-    The canonical form of a cyclic sequence is min(_rotations(seq)).
-    """
+    """The cyclic rotations of seq; entry j starts at position j."""
     return [seq[j:] + seq[:j] for j in range(len(seq))]
+
+
+def canonical_rotation(seq: Sequence) -> tuple:
+    """The canonical form of a cyclic sequence: its lowest rotation."""
+    return min(_rotations(tuple(seq)))
+
+
+def tk_numerators(canon: Sequence) -> list:
+    """T_k's roots times q = sum(canon): 0 and the prefix sums of canon, the
+    ``canonical_rotation`` of the gaps.
+
+    The gaps are the k_i + 1, as integer numerators c over q = sum(c) or as
+    rationals with q = 1; the canonical rotation makes T_k rotation
+    invariant.
+    """
+    return [0, *accumulate(canon[:-1])]
 
 
 def tk_from_k(k: KVector | Sequence[Fraction]) -> ThetaPoly:
     """The monic scalar operator attached to holomorphic data with N = 1.
 
     k is a ``KVector`` or a bare sequence k_0..k_n (a rotation of case
-    data need not keep the case symmetry).  The canonical (lexicographically
-    lowest) rotation of k is chosen; the roots are 0 and the partial sums
-    of the rotated (k_i + 1) sequence, so T_k is rotation invariant.
+    data need not keep the case symmetry); its roots are ``tk_numerators``
+    of the canonical rotation of the gaps k_i + 1.
     """
     entries = tuple(k.entries if isinstance(k, KVector) else k)
     if len(entries) + sum(entries) != 1:
         raise ValueError("tk_from_k requires N = 1")
     if any(e < -1 for e in entries):
         raise ValueError("tk_from_k requires all k_i >= -1")
-    roots = [Fraction(0)]
-    for e in min(_rotations(entries))[:-1]:
-        roots.append(roots[-1] + e + 1)
-    return ThetaPoly(Fraction(1), tuple(roots))
-
-
-def k_from_tk(t: ThetaPoly, n_plus_1: int) -> Counter:
-    """Recover the cyclic multiset of (k_i + 1) gaps from a T_k operator."""
-    if t.coeff != 1:
-        raise ValueError("operator must be monic")
-    if t.degree != n_plus_1:
-        raise ValueError(f"degree {t.degree} != {n_plus_1}")
-    roots = t.roots
-    if roots[0] != 0 or any(not (0 <= r < 1) for r in roots):
-        raise ValueError("roots must lie in [0, 1) with smallest root 0")
-    gaps = [b - a for a, b in zip(roots, roots[1:])]
-    gaps.append(1 - roots[-1])
-    return Counter(gaps)
+    roots = tk_numerators(canonical_rotation(e + 1 for e in entries))
+    return ThetaPoly(Fraction(1), tuple(map(Fraction, roots)))
 
 
 def _factor_roots(ns: Iterable[int], lcm: int) -> Counter:
@@ -350,11 +347,12 @@ def verify_corollary(case_id: str, search_bound: int,
     Everything runs on the integer numerators c of the gaps c/q.  The
     Stokes data at the slot angles a/q and b/q are integral exactly when
     the roots of unity exp(i*pi*(+-a)/q), exp(i*pi*(+-b)/q) form a product
-    of cyclotomic polynomials; ``stokes.k_gaps_integral`` asks
+    of cyclotomic polynomials; ``stokes.k_gaps_stokes`` asks
     ``exact.cyclotomic_factors``, whose docstring states the lemma
-    (Kronecker).  The complete-intersection match of a non-integral orbit
-    (``_match_numerators``) reads its class multiplicities from the same
-    routine, the strings of the reported uniform A_n and flagged operators
+    (Kronecker).  T_k's roots are the ``tk_numerators`` of the orbit's
+    canonical rotation.  The complete-intersection match of a non-integral
+    orbit (``_match_numerators``) reads its class multiplicities from the
+    same routine, the strings of the reported uniform A_n and flagged operators
     (``_fmt_roots``) take the same numerators, and the forward check's
     ``qdo_from_ci`` counts roots as integers, making a ``Fraction`` only
     for each root of the operator it returns.
@@ -401,10 +399,7 @@ def verify_corollary(case_id: str, search_bound: int,
             rots = _rotations(tuple(vec))
             orbits.setdefault(min(rots), rots)
         for canon, rots in orbits.items():
-            # T_k's roots r/q: 0 and the prefix sums of the canonical rotation
-            roots = [0]
-            for c in canon[:-1]:
-                roots.append(roots[-1] + c)
+            roots = tk_numerators(canon)  # T_k's roots r/q
             if all(r * (n1 + 1) == j * q for j, r in enumerate(roots)):
                 report.an_type.append(_fmt_roots(roots, q))
             if 0 not in canon or not _mirror_closed(roots[1:], q):
@@ -423,7 +418,7 @@ def verify_corollary(case_id: str, search_bound: int,
             aligned = Counter(rots[first[i]] for i in range(period))
             report.converse_checked += period
             non_integral = sum(count for vec, count in aligned.items()
-                               if not k_gaps_integral(case_id, vec))
+                               if k_gaps_stokes(case_id, vec) is None)
             if not non_integral:
                 continue
             tk = _fmt_roots(roots, q)

@@ -25,6 +25,8 @@ def test_descriptor_shapes():
         assert d.ab in {(2, 2), (2, 1), (1, 2), (1, 1)}
         ki, li = d.kl_index
         assert 0 <= ki < d.n_plus_1 and 0 <= li < d.n_plus_1 and ki != li
+        # gaps_to_asymptotic reads (gamma, delta) off gaps at any scale
+        assert sum(d.gamma_row) == sum(d.delta_row) == 0
 
 
 def test_unknown_case():

@@ -40,6 +40,16 @@ def test_convert_irrational_marker(capsys):
     assert code == 0 and "[irrational]" in out
 
 
+def test_convert_n_with_k_rejected(capsys):
+    """A k-vector fixes its own N, so --n with --from k is a parse error."""
+    code, _, err = run(capsys, "convert", "4a", "--from", "k",
+                       "0", "0", "0", "0", "--n", "2")
+    assert code == 2 and "--n applies to --from asymptotic only" in err
+    code, out, _ = run(capsys, "convert", "4a", "--from", "asymptotic",
+                       "3", "1", "--n", "2")
+    assert code == 0 and "N         2" in out
+
+
 def test_convert_parse_error(capsys):
     code, _, err = run(capsys, "convert", "4a", "--from", "asymptotic", "x", "0")
     assert code == 2 and "not an exact rational" in err
@@ -253,6 +263,7 @@ def test_solve_loose_tol_not_verified(capsys, tmp_path):
 
 @pytest.mark.parametrize("options, message", [
     (("--points", "8"), "grid_points"),
+    (("--points", "100000000"), "grid_points"),
     (("--tol", "0"), "newton_tol"),
     (("--tol", "nan"), "newton_tol"),
     (("--t-min", "5", "--t-max", "0"), "t_min"),
@@ -281,3 +292,20 @@ def test_cli_import_skips_scipy():
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_convert_skips_enumeration_and_theta():
+    """``convert`` runs without importing the table and operator modules."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from ttstar.cli import main; "
+         "code = main(['convert', '4a', '--from', 'asymptotic', '3', '1']); "
+         "print(code, sorted(m for m in ('ttstar.theta', 'ttstar.enumeration') "
+         "if m in sys.modules))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "stokes    (±4, -6)  [integral]" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "0 []"

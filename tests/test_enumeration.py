@@ -3,13 +3,16 @@ from math import gcd
 
 import pytest
 
-from ttstar.cases import CASE_IDS, GROUPS, descriptor, in_region
+from ttstar import enumeration, exact, stokes
+from ttstar.cases import CASE_IDS, GROUPS, descriptor, in_region, k_to_asymptotic
 from ttstar.exact import _cyclotomic
 from ttstar.enumeration import (BLOCKS, CosPair, _cos_class, _cos_dictionary,
                                 _pair_integral, admissible_points,
                                 brute_force_integral_points, classify_block,
                                 enumerate_cos_pairs, integral_solutions,
                                 k_from_labels)
+from ttstar.stokes import stokes_from_k
+from ttstar.theta import tk_from_k
 
 
 def F(x):
@@ -125,9 +128,43 @@ def test_even_size_label_swap():
 
 
 def test_k_from_labels_consistency():
-    k = k_from_labels("4a", F("1/2"), F("1/3"))
-    assert tuple(e + 1 for e in k.entries) == (
+    gaps = k_from_labels("4a", F("1/2"), F("1/3"))
+    q = sum(gaps)
+    assert tuple(Fraction(c, q) for c in gaps) == (
         F("1/2"), F("1/12"), F("1/3"), F("1/12"))
+
+
+def test_records_match_algreal_oracle():
+    """Every record's integer-built fields equal the Fraction and AlgReal
+    routes at its k: ``stokes_from_k``, ``k_to_asymptotic`` and ``tk_from_k``."""
+    for cid in CASE_IDS:
+        for rec in integral_solutions(cid):
+            assert rec.k.N == 1
+            assert rec.stokes == stokes_from_k(rec.k)
+            assert rec.stokes_int == rec.stokes.integral()
+            assert rec.asymptotic == k_to_asymptotic(rec.k)
+            assert rec.tk == tk_from_k(rec.k)
+
+
+def test_cold_tables_make_no_algreal_arithmetic(monkeypatch):
+    """A cold build of the ten tables, after the cosine-pair sweep, runs with
+    every cos2 binding and AlgReal's ring operations made to raise."""
+    enumerate_cos_pairs()
+    for cached in (integral_solutions, exact._descent_system, exact._power_table,
+                   exact._cyclotomic, exact._phi, exact._prime_factors):
+        cached.cache_clear()
+
+    def forbidden(*args):
+        raise AssertionError("AlgReal arithmetic in the table build")
+
+    for module in (exact, enumeration, stokes):
+        if hasattr(module, "cos2"):
+            monkeypatch.setattr(module, "cos2", forbidden)
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+               "__mul__", "__rmul__"):
+        monkeypatch.setattr(exact.AlgReal, op, forbidden)
+    for cid in CASE_IDS:
+        assert len(integral_solutions(cid)) == 19
 
 
 def test_block_order_counts():

@@ -17,8 +17,8 @@ from scipy.sparse import csr_matrix
 from ttstar import solver
 from ttstar.cases import AsymptoticData, descriptor, in_region
 from ttstar.enumeration import integral_solutions
-from ttstar.solver import (ConvergenceError, SolverConfig, _fit_slope,
-                           _jacobian, _source_terms, residual_vector,
+from ttstar.solver import (MAX_GRID_POINTS, ConvergenceError, SolverConfig,
+                           _fit_slope, _jacobian, _source_terms, residual_vector,
                            solve_radial, verify_asymptotics)
 
 
@@ -166,6 +166,15 @@ def test_config_validation():
         with pytest.raises(ValueError, match="finite"):
             SolverConfig(t_min=bad)
     SolverConfig(max_iterations=0)
+
+
+def test_config_grid_points_cap():
+    """Grids above MAX_GRID_POINTS are refused when the config is built, so
+    nothing is allocated for them; the cap itself is accepted."""
+    SolverConfig(grid_points=MAX_GRID_POINTS)
+    for points in (MAX_GRID_POINTS + 1, 100_000_000):
+        with pytest.raises(ValueError, match="grid_points"):
+            SolverConfig(grid_points=points)
 
 
 def test_outside_region_rejected():

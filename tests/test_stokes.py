@@ -5,10 +5,11 @@ import pytest
 
 from conftest import random_symmetric_gaps, random_symmetric_k
 from ttstar.cases import (CASE_IDS, GROUP_OF_CASE, GROUPS, AsymptoticData,
-                          KVector, asymptotic_to_k, k_to_asymptotic, make_k)
+                          KVector, descriptor, asymptotic_to_k, k_to_asymptotic, make_k)
 from ttstar.exact import cos2
-from ttstar.stokes import (cos_sum_sign, k_gaps_integral, stokes_from_asymptotic,
+from ttstar.stokes import (cos_sum_sign, k_gaps_stokes, stokes_from_asymptotic,
                            stokes_from_k)
+from ttstar.theta import _class_compositions
 
 
 def F(*a):
@@ -138,7 +139,7 @@ def test_ambiguous_s1_identical_on_both_routes(rng):
 
 
 def test_k_gaps_integral_matches_stokes_from_k(rng):
-    """The integer Galois-stability test against the AlgReal route, on random
+    """The integer Stokes routine against the AlgReal route, on random
     symmetric gap vectors of every case at a small and a large denominator
     bound, each scaled to integers by a random multiple of its common
     denominator; points with s1 = 0 of both outcomes must occur in both
@@ -151,9 +152,29 @@ def test_k_gaps_integral_matches_stokes_from_k(rng):
             numerators = [int(g * scale) for g in gaps]
             s = stokes_from_k(KVector(cid, tuple(g - 1 for g in gaps)))
             integral = s.integral() is not None
-            assert k_gaps_integral(cid, numerators) == integral, (cid, gaps)
+            assert k_gaps_stokes(cid, numerators) == s.integral(), (cid, gaps)
             if s.s1 == 0:
                 zero_s1.add((GROUP_OF_CASE[cid], integral))
     assert {("4", True), ("4", False), ("6", True), ("6", False)} <= zero_s1
     with pytest.raises(ValueError):
-        k_gaps_integral("4a", [0, 0, 0, 0])
+        k_gaps_stokes("4a", [0, 0, 0, 0])
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_k_gaps_stokes_exhaustive(case_id):
+    """``k_gaps_stokes`` equals ``stokes_from_k(k).integral()`` on every
+    case-symmetric integer gap vector with sum q <= 12, primitive or not;
+    every integral point of the paper has q <= 12."""
+    desc = descriptor(case_id)
+    integral = 0
+    for q in range(1, 13):
+        for counts in _class_compositions(q, [len(c) for c in desc.classes]):
+            gaps = [0] * desc.n_plus_1
+            for cls, c in zip(desc.classes, counts):
+                for i in cls:
+                    gaps[i] = c
+            k = KVector(case_id, tuple(Fraction(c - q, q) for c in gaps))
+            want = stokes_from_k(k).integral()
+            assert k_gaps_stokes(case_id, gaps) == want, (case_id, gaps)
+            integral += want is not None
+    assert integral >= 19

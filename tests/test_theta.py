@@ -10,7 +10,7 @@ from ttstar.enumeration import integral_solutions
 from ttstar.stokes import stokes_from_k
 from ttstar.theta import (CISpec, CorollaryReport, NotReducibleError, QDO,
                           ThetaPoly, _class_compositions, _fmt_roots, catalog,
-                          check_G, check_Q, k_from_tk, match_ci, qdo_from_ci,
+                          check_G, check_Q, match_ci, qdo_from_ci,
                           theta_poly, tk_from_k, verify_corollary)
 
 
@@ -57,6 +57,21 @@ def test_tk_rotation_invariance(rng):
         for j in range(n1):
             rot = tuple(gaps[(j + i) % n1] for i in range(n1))
             assert tk_from_k([g - 1 for g in rot]) == t
+
+
+def k_from_tk(t: ThetaPoly, n_plus_1: int) -> Counter:
+    """Recover the cyclic multiset of (k_i + 1) gaps from a T_k operator: the
+    inverse of ``tk_from_k`` up to rotation, kept as its check."""
+    if t.coeff != 1:
+        raise ValueError("operator must be monic")
+    if t.degree != n_plus_1:
+        raise ValueError(f"degree {t.degree} != {n_plus_1}")
+    roots = t.roots
+    if roots[0] != 0 or any(not (0 <= r < 1) for r in roots):
+        raise ValueError("roots must lie in [0, 1) with smallest root 0")
+    gaps = [b - a for a, b in zip(roots, roots[1:])]
+    gaps.append(1 - roots[-1])
+    return Counter(gaps)
 
 
 def test_k_from_tk_round_trip(rng):
