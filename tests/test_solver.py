@@ -166,15 +166,12 @@ def test_config_validation():
         with pytest.raises(ValueError, match="finite"):
             SolverConfig(t_min=bad)
     SolverConfig(max_iterations=0)
-
-
-def test_config_grid_points_cap():
-    """Grids above MAX_GRID_POINTS are refused when the config is built, so
-    nothing is allocated for them; the cap itself is accepted."""
-    SolverConfig(grid_points=MAX_GRID_POINTS)
+    # a grid above the cap is refused when the config is built, before
+    # anything is allocated for it
     for points in (MAX_GRID_POINTS + 1, 100_000_000):
         with pytest.raises(ValueError, match="grid_points"):
             SolverConfig(grid_points=points)
+    SolverConfig(grid_points=MAX_GRID_POINTS)
 
 
 def test_outside_region_rejected():
