@@ -20,7 +20,6 @@ instead (``cyclotomic_factors``, ``root_sum``).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Union
@@ -81,6 +80,7 @@ def _phi(n: int) -> int:
     return result
 
 
+@lru_cache(maxsize=None)
 def moebius(n: int) -> int:
     """The Moebius function: the sum of the primitive n-th roots of unity."""
     primes = _prime_factors(n)
@@ -100,8 +100,12 @@ def cyclotomic_factors(exponents: Iterable[int], n: int) -> Optional[dict[int, i
     d-th roots of unity, are one orbit: each one met must be present in
     full with one multiplicity m_d.  The root sum is sum m_d*mu(d).
     """
+    counts: dict[int, int] = {}
+    for e in exponents:
+        e %= n
+        counts[e] = counts.get(e, 0) + 1
     classes: dict[int, list[int]] = {}
-    for e, mult in Counter(e % n for e in exponents).items():
+    for e, mult in counts.items():
         classes.setdefault(n // math.gcd(e, n), []).append(mult)
     factors = {}
     for d, mults in classes.items():
