@@ -20,8 +20,8 @@ from .cases import (CASE_IDS, GROUPS, AsymptoticData, SymmetryError, descriptor,
                     in_region, k_to_asymptotic, make_k, asymptotic_to_k)
 from .stokes import GROUP_FORMULAS, stokes_from_asymptotic, stokes_from_k
 
-# ``enumeration`` and ``theta`` (and ``solver``) load in the subcommands that
-# use them, so ``convert`` and ``solve`` do not pay for their import
+# ``enumeration`` and ``theta``, like ``solver``, load only in the subcommands
+# that use them, so ``convert`` and ``solve`` skip their import
 
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3

@@ -263,7 +263,6 @@ def test_solve_loose_tol_not_verified(capsys, tmp_path):
 
 @pytest.mark.parametrize("options, message", [
     (("--points", "8"), "grid_points"),
-    (("--points", "100000000"), "grid_points"),
     (("--tol", "0"), "newton_tol"),
     (("--tol", "nan"), "newton_tol"),
     (("--t-min", "5", "--t-max", "0"), "t_min"),
@@ -276,6 +275,7 @@ def test_solve_loose_tol_not_verified(capsys, tmp_path):
     (("--tol-slope", "nan"), "tol-slope"),
     (("--tol-slope", "-1"), "tol-slope"),
     (("--tol-slope", "0"), "tol-slope"),
+    (("--points", "100000000"), "grid_points"),
 ])
 def test_solve_invalid_options(capsys, options, message):
     code, _, err = run(capsys, "solve", "4a", "0", "0", *options)
