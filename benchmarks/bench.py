@@ -12,8 +12,7 @@ and ``radial_bvp`` the script, for each side,
   checkout and keeps the per-layer metrics of the layers W exercises, and
   the calls and self times per round: the traced totals over the rounds
   run, set-up included (building the integral-solution tables on integer
-  gaps calls no traced layer; before that it made 190 ``stokes_from_k``
-  calls);
+  gaps calls no traced layer);
 * for ``verify_sweep``, times ``verify_corollary(case, bound)`` for every
   case and bound (``--bounds``) in a fresh interpreter that imports that
   checkout's ``src/`` (the integral-solution tables are built before
@@ -96,9 +95,9 @@ for bound in map(int, sys.argv[1:]):
               flush=True)
 """
 
-# Wraps the solver's internals with timers (whichever of them the checkout
-# has: the linear solve is ``dgbsv`` or ``solve_banded``, and ``_relax`` is
-# the nested grid relaxation) and classifies the intervals of each solve.
+# Wraps the solver's internals with timers (the linear solve is ``dgbsv``,
+# and ``_relax`` is the nested grid relaxation) and classifies the intervals
+# of each solve.
 # A ``_relax`` called inside another is the warm start, and so is every call
 # inside it; the line search runs from the end of a linear solve on the
 # requested grid to its next Jacobian or to the slope fit.
@@ -159,10 +158,8 @@ for _ in range(2):
     round_untimed()
 untimed = round_untimed()
 for name, kind in (("_relax", "relax"), ("_jacobian", "jacobian"),
-                   ("dgbsv", "linear_solve"), ("solve_banded", "linear_solve"),
-                   ("_fit_slope", "fit")):
-    if hasattr(solver, name):
-        setattr(solver, name, timed(kind, getattr(solver, name)))
+                   ("dgbsv", "linear_solve"), ("_fit_slope", "fit")):
+    setattr(solver, name, timed(kind, getattr(solver, name)))
 per_point = [phases(c, a) for c, a in points]
 print(json.dumps({
     "points": len(points),

@@ -29,6 +29,10 @@ EXIT_NOT_REDUCIBLE = 4
 EXIT_VERIFY = 5
 EXIT_NO_CONVERGENCE = 6
 
+# the largest common denominator q of the gaps (k_i + 1)/N ``convert`` accepts:
+# Stokes data in Q(zeta_2q) take time about q^2, up to about 1 s at q = 480
+MAX_CONVERT_DENOMINATOR = 480
+
 # first case of each group carries the group's table
 GROUP_TABLE = {"4": "table5", "5ab": "table6", "5cde": "table7", "6": "table8"}
 
@@ -61,7 +65,7 @@ def record_row(rec) -> dict:
         "a": fmt_frac(rec.a_label), "b": fmt_frac(rec.b_label),
         "gamma": fmt_frac(rec.asymptotic.gamma),
         "delta": fmt_frac(rec.asymptotic.delta),
-        "s1": fmt_s1(s1, rec.stokes.s1_sign_ambiguous), "s2": str(s2),
+        "s1": fmt_s1(s1, half_table(rec.case)), "s2": str(s2),
         "tk": str(rec.tk), "block": rec.block,
     }
 
@@ -173,7 +177,6 @@ def cmd_convert(args) -> int:
                            f"{fmt_frac(asym.delta)}) outside the region of "
                            f"case {case_id}", EXIT_DOMAIN)
         k = asymptotic_to_k(case_id, asym, n)
-        stokes = stokes_from_asymptotic(case_id, asym)
     else:
         try:
             k = make_k(case_id, values)
@@ -184,7 +187,12 @@ def cmd_convert(args) -> int:
         if k.N <= 0:
             raise CliError("k-vector has nonpositive N", EXIT_DOMAIN)
         asym = k_to_asymptotic(k)
-        stokes = stokes_from_k(k)
+    q = math.lcm(*(((e + 1) / k.N).denominator for e in k.entries))
+    if q > MAX_CONVERT_DENOMINATOR:
+        raise CliError(f"the gaps (k_i + 1)/N have common denominator {q}, above "
+                       f"convert's limit of {MAX_CONVERT_DENOMINATOR}", EXIT_PARSE)
+    stokes = (stokes_from_asymptotic(case_id, asym) if args.source == "asymptotic"
+              else stokes_from_k(k))
     ints = stokes.integral()
     print(f"case      {case_id}")
     print(f"gamma     {fmt_frac(asym.gamma)}")

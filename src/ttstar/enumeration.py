@@ -6,17 +6,17 @@ both m = 2cos(a) - 2cos(b) and p = 4cos(a)cos(b) are integers, then
 quadratic with both roots in [-2, 2], hence (Kronecker) twice cosines of
 rational multiples of pi of degree at most 2.  The dictionary holds all
 such cosines, so one integrality decision per dictionary pair, made on
-integer angles by ``exact.cyclotomic_factors`` (which states the lemma),
+integer angles by ``exact.cos_pair_sums`` (which states the lemma),
 recovers the full candidate set without reference to any published list.
 The quadratics' range (-4 <= m, p <= 4, m^2 + 4p >= 0) is asserted.
 
-The tables are built on integers too.  Each admissible label pair gives
-integer gaps c over q = sum(c) (``k_from_labels``), and from them come the
-asymptotic data (``cases.gaps_to_asymptotic``), the Stokes data as root
-sums (``stokes.k_gaps_stokes``) and T_k's root numerators
-(``theta.tk_numerators``); a ``Fraction`` is made only for each field a
-record stores, and no ``AlgReal`` arithmetic is done.  ``AlgReal`` and
-``stokes.stokes_from_k`` serve arbitrary rational points and are the tests'
+The tables are built on integers too, and this module holds no ``AlgReal``.
+Each admissible label pair gives integer gaps c over q = sum(c)
+(``k_from_labels``), and from them come the asymptotic data
+(``cases.gaps_to_asymptotic``), the Stokes data (``stokes.k_gaps_stokes``,
+over the same kernel) and T_k's root numerators (``theta.tk_numerators``);
+a ``Fraction`` is made only for each field a record stores.
+``stokes.stokes_from_k`` serves arbitrary rational points and is the tests'
 oracle for these records.
 """
 
@@ -29,10 +29,8 @@ from math import ceil, floor, gcd, lcm
 
 from .cases import (AsymptoticData, KVector, descriptor, gaps_to_asymptotic,
                     in_region)
-from .exact import AlgReal, cos2, root_sum
-from .stokes import GROUP_FORMULAS, StokesData, k_gaps_stokes
-# unused here, but perfbench's tracer patches and restores this binding
-from .stokes import stokes_from_k  # noqa: F401
+from .exact import cos_pair_sums
+from .stokes import GROUP_FORMULAS, k_gaps_stokes
 from .theta import ThetaPoly, canonical_rotation, tk_numerators
 
 BLOCKS = ("top-edge", "left-edge", "diagonal-edge", "center-line", "other-interior")
@@ -40,11 +38,9 @@ BLOCKS = ("top-edge", "left-edge", "diagonal-edge", "center-line", "other-interi
 
 @dataclass(frozen=True)
 class CosPair:
-    x: AlgReal
-    y: AlgReal
     a_label: Fraction
     b_label: Fraction
-    # the integers m = x - y and p = x*y
+    # the integers m = x - y and p = x*y for x = 2cos(pi*a), y = 2cos(pi*b)
     m: int
     p: int
 
@@ -55,7 +51,6 @@ class SolutionRecord:
     a_label: Fraction
     b_label: Fraction
     asymptotic: AsymptoticData
-    stokes: StokesData
     stokes_int: tuple[int, int]
     k: KVector
     tk: ThetaPoly
@@ -63,10 +58,9 @@ class SolutionRecord:
 
 
 @lru_cache(maxsize=1)
-def _cos_dictionary() -> tuple[tuple[Fraction, AlgReal], ...]:
-    """2cos(pi*j/q) for all labels j/q in [0,1] with q <= 6."""
-    labels = sorted({Fraction(j, q) for q in range(1, 7) for j in range(q + 1)})
-    return tuple((lab, cos2(lab)) for lab in labels)
+def _cos_dictionary() -> tuple[Fraction, ...]:
+    """The labels j/q in [0,1] with q <= 6 of the cosines 2cos(pi*j/q)."""
+    return tuple(sorted({Fraction(j, q) for q in range(1, 7) for j in range(q + 1)}))
 
 
 @lru_cache(maxsize=1)
@@ -74,23 +68,23 @@ def enumerate_cos_pairs() -> tuple[CosPair, ...]:
     """All (a, b) in [0, pi]^2 with 2cos a - 2cos b and 4cos a cos b integral.
 
     Each pair of labels, in label order, is put over the lcm h of their
-    denominators as x = 2cos(pi*a/h) and -y = 2cos(pi*b/h).  Then m = x - y
-    is the root sum of {+-a, +-b} mod 2h, None when not integral, and
-    p = x*y = -(2cos(pi(a+b)/h) + 2cos(pi(a-b)/h)).
+    denominators as x = 2cos(pi*a/h) and y = 2cos(pi*b/h).  Since
+    -y = 2cos(pi*(b + h)/h), (m, -p) = ``exact.cos_pair_sums(a, b + h, h)``,
+    None when not integral.
     """
-    dictionary = _cos_dictionary()
+    labels = _cos_dictionary()
     pairs = []
-    for la, x in dictionary:
-        for lb, y in dictionary:
+    for la in labels:
+        for lb in labels:
             h = lcm(la.denominator, lb.denominator)
             a = la.numerator * (h // la.denominator)
-            b = lb.numerator * (h // lb.denominator) + h
-            m = root_sum((a, -a, b, -b), 2 * h)
-            if m is None:
+            b = lb.numerator * (h // lb.denominator)
+            sums = cos_pair_sums(a, b + h, h)
+            if sums is None:
                 continue
-            p = -root_sum((a + b, -a - b, a - b, b - a), 2 * h)
+            m, p = sums[0], -sums[1]
             assert -4 <= m <= 4 and -4 <= p <= 4 and m * m + 4 * p >= 0
-            pairs.append(CosPair(x, y, la, lb, m, p))
+            pairs.append(CosPair(la, lb, m, p))
     return tuple(pairs)
 
 
@@ -173,7 +167,6 @@ def k_from_labels(case_id: str, a_label: Fraction, b_label: Fraction
 def integral_solutions(case_id: str) -> tuple[SolutionRecord, ...]:
     """The 19 complete solution records of one case, in table order."""
     admissible = set(admissible_points())
-    ambiguous = GROUP_FORMULAS[descriptor(case_id).group].s1_ambiguous
     records = []
     for block, labels in _BLOCK_ORDER:
         for a_label, b_label in labels:
@@ -189,13 +182,10 @@ def integral_solutions(case_id: str) -> tuple[SolutionRecord, ...]:
             assert in_region(case_id, asym) and min(gaps) >= 0
             derived_block = classify_block(case_id, asym)
             assert derived_block == block, (case_id, a_label, b_label, derived_block)
-            s1, s2 = ints
-            stokes = StokesData(AlgReal.from_rational(s1),
-                                AlgReal.from_rational(s2), ambiguous)
             roots = tk_numerators(canonical_rotation(gaps))
             tk = ThetaPoly(Fraction(1), tuple(Fraction(r, q) for r in roots))
             records.append(SolutionRecord(
-                case_id, a_label, b_label, asym, stokes, ints,
+                case_id, a_label, b_label, asym, ints,
                 KVector(case_id, tuple(Fraction(c - q, q) for c in gaps)),
                 tk, block))
     assert len(records) == 19

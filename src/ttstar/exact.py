@@ -14,7 +14,7 @@ the one exact linear solver: descending to a subfield Q(zeta_d) is a solve
 against its power basis, consistent exactly when the element lies in it,
 and ``cases.asymptotic_to_k`` inverts its linear forms with the same solver.
 Integrality, and the value of integral cosine sums, are decided on integers
-instead (``cyclotomic_factors``, ``root_sum``).
+instead, by one kernel (``cos_pair_sums``, over ``cyclotomic_factors``).
 """
 
 from __future__ import annotations
@@ -122,6 +122,23 @@ def root_sum(exponents: Iterable[int], n: int) -> Optional[int]:
     if factors is None:
         return None
     return sum(m * moebius(d) for d, m in factors.items())
+
+
+def cos_pair_sums(a: int, b: int, n: int) -> Optional[tuple[int, int]]:
+    """The integers (x + y, x*y) for x = 2cos(pi*a/n), y = 2cos(pi*b/n), or
+    None when they are not integral: the one integer kernel behind every
+    integral Stokes answer.
+
+    They are integral exactly when (t^2 - x t + 1)(t^2 - y t + 1), whose
+    roots are zeta^(+-a), zeta^(+-b) with zeta = exp(i*pi/n), lies in Z[t]:
+    ``root_sum`` decides it on the exponents mod 2n and gives x + y.  Then
+    x*y = 2cos(pi(a+b)/n) + 2cos(pi(a-b)/n) is the root sum of +-(a+b),
+    +-(a-b), which every unit mod 2n permuting +-a, +-b permutes too.
+    """
+    s = root_sum((a, -a, b, -b), 2 * n)
+    if s is None:
+        return None
+    return s, root_sum((a + b, -a - b, a - b, b - a), 2 * n)
 
 
 @lru_cache(maxsize=None)

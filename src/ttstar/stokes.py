@@ -7,10 +7,9 @@ per-group formulas; they agree on the nose.  In the groups of cases with
 an even size matrix s1 is only defined up to sign; its sign is decided
 exactly from the rational angles and s1 is reported nonnegative.
 
-At a point given by integer gaps the data are also decided and computed
-on integers alone (``k_gaps_stokes``): whether they are integral, by
-``exact.cyclotomic_factors`` (which states the lemma), and their values as
-root sums of roots of unity (``exact.root_sum``).
+Both k routes read the slot angles from one map (``_slots``).  At a point
+given by integer gaps the data are also decided and computed on integers
+alone (``k_gaps_stokes``), by the one integer kernel ``exact.cos_pair_sums``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cases import AsymptoticData, KVector, descriptor
-from .exact import AlgReal, cos2, root_sum
+from .exact import AlgReal, cos2, cos_pair_sums
 
 
 @dataclass(frozen=True)
@@ -80,19 +79,27 @@ def cos_sum_sign(a: Fraction, b: Fraction) -> int:
     return _cos_sign((a + b) / 2) * _cos_sign((a - b) / 2)
 
 
-def _assemble(g: GroupFormula, a: Fraction, b: Fraction, flips=(0, 0)) -> StokesData:
-    """The group formulas at the slot angles a + flips[0] and b + flips[1]."""
+def _assemble(g: GroupFormula, a: Fraction, b: Fraction) -> StokesData:
+    """The group formulas at the slot angles a and b."""
     x, y = cos2(a), cos2(b)
-    if flips[0]:
-        x = -x
-    if flips[1]:
-        y = -y
     s = x + y
     s1 = s + g.c1
     minus_s2 = x * y + s * g.ell + g.c2
-    if g.s1_ambiguous and cos_sum_sign(a + flips[0], b + flips[1]) < 0:
+    if g.s1_ambiguous and cos_sum_sign(a, b) < 0:
         s1 = -s1
     return StokesData(s1, -minus_s2, g.s1_ambiguous)
+
+
+def _slots(case_id: str, gaps: Sequence) -> tuple:
+    """The group formula and the slot angles a/q, b/q, a = mk*gaps[ki] + flip*q,
+    at the gaps k_i + 1 given at any common scale, q = sum(gaps)."""
+    desc = descriptor(case_id)
+    q = sum(gaps)
+    if q <= 0:
+        raise ValueError("N must be positive")
+    g = GROUP_FORMULAS[desc.group]
+    (ki, li), (mk, ml), (fa, fb) = desc.kl_index, desc.angle_mult, g.k_flips
+    return g, mk * gaps[ki] + fa * q, ml * gaps[li] + fb * q, q
 
 
 def stokes_from_asymptotic(case_id: str, a: AsymptoticData) -> StokesData:
@@ -102,44 +109,23 @@ def stokes_from_asymptotic(case_id: str, a: AsymptoticData) -> StokesData:
 
 
 def stokes_from_k(k: KVector) -> StokesData:
-    desc = descriptor(k.case)
-    N = k.N
-    if N <= 0:
-        raise ValueError("N must be positive")
-    ki, li = desc.kl_index
-    mk, ml = desc.angle_mult
-    g = GROUP_FORMULAS[desc.group]
-    return _assemble(g, mk * (k.entries[ki] + 1) / N, ml * (k.entries[li] + 1) / N,
-                     g.k_flips)
+    g, a, b, q = _slots(k.case, [e + 1 for e in k.entries])
+    return _assemble(g, Fraction(a, q), Fraction(b, q))
 
 
 def k_gaps_stokes(case_id: str, gaps: Sequence[int]) -> Optional[tuple[int, int]]:
     """``stokes_from_k(k).integral()`` for k_i + 1 proportional to gaps.
 
-    gaps are integers with a positive sum q, so N = 1 gives k_i = gaps[i]/q - 1
-    and the slot angles are a/q and b/q with a = mk*gaps[ki] + flip*q.  With
-    x = 2cos(pi*a/q) and y = 2cos(pi*b/q), s1 and s2 are integers exactly
-    when x + y and x*y are, that is when (t^2 - x t + 1)(t^2 - y t + 1) lies
-    in Z[t].  Its roots are zeta^(+-a), zeta^(+-b) with zeta = exp(i*pi/q),
-    so ``root_sum`` decides it on the exponents mod 2q and gives x + y.  Then
-    x*y = 2cos(pi(a+b)/q) + 2cos(pi(a-b)/q) is the root sum of +-(a+b),
-    +-(a-b), a multiset that every unit mod 2q permuting +-a, +-b permutes
-    too.  Returns the integers (s1, s2), s1 taken nonnegative where it is
+    gaps are integers with a positive sum q, so the slot angles are a/q and
+    b/q with integer a, b (``_slots``), and s1, s2 are integers exactly when
+    x + y and x*y are (``exact.cos_pair_sums``, which states the lemma).
+    Returns the integers (s1, s2), s1 taken nonnegative where it is
     s1_ambiguous, or None when the data are not integral.
     """
-    desc = descriptor(case_id)
-    q = sum(gaps)
-    if q <= 0:
-        raise ValueError("N must be positive")
-    ki, li = desc.kl_index
-    mk, ml = desc.angle_mult
-    g = GROUP_FORMULAS[desc.group]
-    fa, fb = g.k_flips
-    a = mk * gaps[ki] + fa * q
-    b = ml * gaps[li] + fb * q
-    s = root_sum((a, -a, b, -b), 2 * q)
-    if s is None:
+    g, a, b, q = _slots(case_id, gaps)
+    sums = cos_pair_sums(a, b, q)
+    if sums is None:
         return None
-    xy = root_sum((a + b, -a - b, a - b, b - a), 2 * q)
+    s, xy = sums
     s1 = g.c1 + s
     return abs(s1) if g.s1_ambiguous else s1, -(g.c2 + g.ell * s + xy)

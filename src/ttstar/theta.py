@@ -345,17 +345,15 @@ def verify_corollary(case_id: str, search_bound: int,
     of the orbit's members, each member counting as one candidate.
 
     Everything runs on the integer numerators c of the gaps c/q.  The
-    Stokes data at the slot angles a/q and b/q are integral exactly when
-    the roots of unity exp(i*pi*(+-a)/q), exp(i*pi*(+-b)/q) form a product
-    of cyclotomic polynomials; ``stokes.k_gaps_stokes`` asks
-    ``exact.cyclotomic_factors``, whose docstring states the lemma
-    (Kronecker).  T_k's roots are the ``tk_numerators`` of the orbit's
-    canonical rotation.  The complete-intersection match of a non-integral
-    orbit (``_match_numerators``) reads its class multiplicities from the
-    same routine, the strings of the reported uniform A_n and flagged operators
-    (``_fmt_roots``) take the same numerators, and the forward check's
-    ``qdo_from_ci`` counts roots as integers, making a ``Fraction`` only
-    for each root of the operator it returns.
+    Stokes data come from ``stokes.k_gaps_stokes``, over the one integer
+    kernel ``exact.cos_pair_sums`` (which states the lemma).  T_k's roots
+    are the ``tk_numerators`` of the orbit's canonical rotation.  The
+    complete-intersection match of a non-integral orbit
+    (``_match_numerators``) reads its class multiplicities from
+    ``exact.cyclotomic_factors``, the strings of the reported uniform A_n
+    and flagged operators (``_fmt_roots``) take the same numerators, and
+    the forward check's ``qdo_from_ci`` counts roots as integers, making a
+    ``Fraction`` only for each root of the operator it returns.
     """
     from .enumeration import integral_solutions  # enumeration imports this module
 

@@ -182,8 +182,8 @@ def test_criterion_1_golden_tables():
 def test_criterion_2_counts():
     pairs = enumerate_cos_pairs()
     assert len(pairs) == 33
-    halves = [p for p in pairs if p.x.as_rational() is not None
-              and p.y.as_rational() is not None]
+    halves = [p for p in pairs if cos2(p.a_label).as_rational() is not None
+              and cos2(p.b_label).as_rational() is not None]
     assert len(halves) == 25
     assert len(pairs) - len(halves) == 8
     assert len(admissible_points()) == 19

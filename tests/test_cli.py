@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from ttstar.cli import default_tables_dir, main
+from ttstar.cli import MAX_CONVERT_DENOMINATOR, default_tables_dir, main
 
 TABLES = default_tables_dir()
 
@@ -58,6 +59,20 @@ def test_convert_parse_error(capsys):
 def test_convert_region_violation(capsys):
     code, _, err = run(capsys, "convert", "4a", "--from", "asymptotic", "5", "0")
     assert code == 3 and "outside the region" in err
+
+
+def test_convert_large_denominator_rejected(capsys):
+    """Exact Stokes data cost about q^2 in the common denominator q of the
+    gaps (k_i + 1)/N, so convert refuses q above its limit at once."""
+    start = time.perf_counter()
+    code, _, err = run(capsys, "convert", "4a", "--from", "asymptotic",
+                       "1/2003", "0")
+    assert code == 2 and "common denominator 16024" in err
+    # N = 1004
+    code, _, err = run(capsys, "convert", "4a", "--from", "k",
+                       "1000", "0", "0", "0")
+    assert code == 2 and f"limit of {MAX_CONVERT_DENOMINATOR}" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_convert_symmetry_violation(capsys):

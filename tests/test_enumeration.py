@@ -5,7 +5,8 @@ import pytest
 
 from ttstar import enumeration, exact, stokes
 from ttstar.cases import CASE_IDS, GROUPS, descriptor, in_region, k_to_asymptotic
-from ttstar.exact import _cyclotomic
+from ttstar.cli import half_table
+from ttstar.exact import _cyclotomic, cos2
 from ttstar.enumeration import (BLOCKS, CosPair, _cos_class, _cos_dictionary,
                                 _pair_integral, admissible_points,
                                 brute_force_integral_points, classify_block,
@@ -22,8 +23,8 @@ def F(x):
 def test_pair_count_and_split():
     pairs = enumerate_cos_pairs()
     assert len(pairs) == 33
-    halves = [p for p in pairs
-              if p.x.as_rational() is not None and p.y.as_rational() is not None]
+    halves = [p for p in pairs if cos2(p.a_label).as_rational() is not None
+              and cos2(p.b_label).as_rational() is not None]
     assert len(halves) == 25
     extras = {(p.a_label, p.b_label) for p in pairs} - {(p.a_label, p.b_label)
                                                         for p in halves}
@@ -36,8 +37,9 @@ def test_pair_count_and_split():
 
 def _reference_cos_pairs():
     """Slow reference: sweep every monic integer quadratic t^2 - m t - p
-    with roots in [-2, 2] and match both roots against the dictionary."""
-    dictionary = _cos_dictionary()
+    with roots in [-2, 2] and match both roots, x = cos2(a) and
+    y = cos2(b), against the dictionary."""
+    dictionary = [(lab, cos2(lab)) for lab in _cos_dictionary()]
     found = {}
     for m in range(-4, 5):
         for p in range(-4, 5):
@@ -46,7 +48,7 @@ def _reference_cos_pairs():
             for la, x in dictionary:
                 for lb, y in dictionary:
                     if (x - y) == m and (x * y) == p:
-                        found.setdefault((la, lb), CosPair(x, y, la, lb, m, p))
+                        found.setdefault((la, lb), CosPair(la, lb, m, p))
     return tuple(found[key] for key in sorted(found))
 
 
@@ -55,9 +57,7 @@ def test_cos_pairs_match_reference_sweep():
     reference = _reference_cos_pairs()
     assert len(pairs) == len(reference) == 33
     for got, want in zip(pairs, reference):
-        assert (got.a_label, got.b_label) == (want.a_label, want.b_label)
-        assert got.x == want.x and got.y == want.y
-        assert (got.m, got.p) == (want.m, want.p)
+        assert got == want
 
 
 def test_admissible_points():
@@ -73,7 +73,8 @@ def test_admissible_count_from_cyclotomic_quartics():
     """19 = 15 + 4, counted apart from the sweep: the rational points are
     the label pairs of the five rational cosines with a + b <= 1, and each
     irrational admissible pair has (t^2 - x t + 1)(t^2 + y t + 1), built
-    from its AlgReal values, equal to one of Phi_5, Phi_8, Phi_10, Phi_12."""
+    from x = cos2(a) and y = cos2(b), equal to one of Phi_5, Phi_8, Phi_10,
+    Phi_12."""
     simple = (F(0), F("1/3"), F("1/2"), F("2/3"), F(1))
     rational = {(a, b) for a in simple for b in simple if a + b <= 1}
     assert len(rational) == 15
@@ -82,7 +83,8 @@ def test_admissible_count_from_cyclotomic_quartics():
     assert len(irrational) == 4
     quartics = set()
     for label in irrational:
-        x, y = pairs[label].x, pairs[label].y
+        assert label in pairs
+        x, y = cos2(label[0]), cos2(label[1])
         c1, c2 = (y - x).is_integer(), (2 - x * y).is_integer()
         quartics.add((1, c1, c2, c1, 1))
     assert quartics == {_cyclotomic(d) for d in (5, 8, 10, 12)}
@@ -136,21 +138,23 @@ def test_k_from_labels_consistency():
 
 def test_records_match_algreal_oracle():
     """Every record's integer-built fields equal the Fraction and AlgReal
-    routes at its k: ``stokes_from_k``, ``k_to_asymptotic`` and ``tk_from_k``."""
+    routes at its k: ``stokes_from_k``, ``k_to_asymptotic`` and ``tk_from_k``;
+    the table's +- flag is ``stokes_from_k``'s ``s1_sign_ambiguous``."""
     for cid in CASE_IDS:
         for rec in integral_solutions(cid):
             assert rec.k.N == 1
-            assert rec.stokes == stokes_from_k(rec.k)
-            assert rec.stokes_int == rec.stokes.integral()
+            stokes = stokes_from_k(rec.k)
+            assert stokes.integral() == rec.stokes_int
+            assert stokes.s1_sign_ambiguous == half_table(rec.case)
             assert rec.asymptotic == k_to_asymptotic(rec.k)
             assert rec.tk == tk_from_k(rec.k)
 
 
 def test_cold_tables_make_no_algreal_arithmetic(monkeypatch):
-    """A cold build of the ten tables, after the cosine-pair sweep, runs with
+    """A cold cosine-pair sweep and a cold build of the ten tables run with
     every cos2 binding and AlgReal's ring operations made to raise."""
-    enumerate_cos_pairs()
-    for cached in (integral_solutions, exact._descent_system, exact._power_table,
+    for cached in (_cos_dictionary, enumerate_cos_pairs, integral_solutions,
+                   exact._descent_system, exact._power_table,
                    exact._cyclotomic, exact._phi, exact._prime_factors):
         cached.cache_clear()
 
@@ -163,8 +167,11 @@ def test_cold_tables_make_no_algreal_arithmetic(monkeypatch):
     for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
                "__mul__", "__rmul__"):
         monkeypatch.setattr(exact.AlgReal, op, forbidden)
+    assert len(enumerate_cos_pairs()) == 33
     for cid in CASE_IDS:
         assert len(integral_solutions(cid)) == 19
+    bound = vars(enumeration).keys()
+    assert not {"AlgReal", "cos2", "StokesData", "stokes_from_k"} & bound
 
 
 def test_block_order_counts():

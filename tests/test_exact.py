@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttstar.exact import (AlgReal, LinearSystem, _cyclotomic, _phi, _prime_factors,
-                          cos2, cyclotomic_factors, moebius)
+                          cos2, cos_pair_sums, cyclotomic_factors, moebius)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=18)
 
@@ -338,3 +338,18 @@ def test_moebius_is_sum_of_primitive_roots():
         primitive = math.fsum(math.cos(2 * math.pi * k / n)
                               for k in range(n) if math.gcd(k, n) == 1)
         assert moebius(n) == round(primitive), n
+
+
+def test_cos_pair_sums_match_algreal():
+    """The integer kernel against AlgReal for all 0 <= a, b < 2n, n <= 12:
+    integral exactly when x + y and x*y both are, with the same values."""
+    integral = 0
+    for n in range(1, 13):
+        xs = [cos2(Fraction(a, n)) for a in range(2 * n)]
+        for a, x in enumerate(xs):
+            for b, y in enumerate(xs):
+                s, p = (x + y).is_integer(), (x * y).is_integer()
+                want = None if s is None or p is None else (s, p)
+                assert cos_pair_sums(a, b, n) == want, (a, b, n)
+                integral += want is not None
+    assert 0 < integral < sum(4 * n * n for n in range(1, 13))

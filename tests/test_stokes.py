@@ -53,6 +53,9 @@ def test_sign_flag_per_group():
 def test_from_k_worked_example():
     k = make_k("4a", [F("-1/2"), F("-11/12"), F("-2/3"), F("-11/12")])
     assert stokes_from_k(k).integral() == (1, -2)
+    # integer entries give the same exact data as their Fractions
+    assert stokes_from_k(KVector("4a", (0, -1, 1, -1))) == \
+        stokes_from_k(make_k("4a", [0, -1, 1, -1]))
 
 
 def test_consistency_random(rng):
