@@ -5,14 +5,18 @@
         [--bounds 12 24 36 48 96] [--repeats 5]
 
 W is any workload of ``BENCHMARK.json``.  DIR is a clone of the parent
-commit; the change is the checkout holding this file.  For ``verify_sweep``
-and ``radial_bvp`` the script, for each side,
+commit; the change is the checkout holding this file.  For
+``exact_stream``, ``verify_sweep`` and ``radial_bvp`` the script, for each
+side,
 
 * runs ``perfbench/run.py --workload W --trace 1 --seed SEED`` in that
   checkout and keeps the per-layer metrics of the layers W exercises, and
   the calls and self times per round: the traced totals over the rounds
   run, set-up included (building the integral-solution tables on integer
-  gaps calls no traced layer);
+  gaps calls no traced layer); on ``exact_stream``, whose rounds are single
+  operations, these are the calls and self times of ``stokes.*`` and
+  ``cases.asymptotic_to_k`` per operation, next to the ``exact.add_*_us``
+  and ``exact.mul_*_us`` probes of ``AlgReal`` arithmetic;
 * for ``verify_sweep``, times ``verify_corollary(case, bound)`` for every
   case and bound (``--bounds``) in a fresh interpreter that imports that
   checkout's ``src/`` (the integral-solution tables are built before
@@ -61,8 +65,15 @@ CHANGE = Path(__file__).resolve().parents[1]
 
 # per workload: the per-layer metric prefixes kept, the counts kept, and the
 # call count that marks a round with the ``sizes`` entry giving its calls per
-# round
+# round (None: one call per round)
 WORKLOADS = {
+    # a round of exact_stream is one operation: one point through both routes
+    "exact_stream": {
+        "layers": ("stokes.", "cases.asymptotic_to_k", "exact.cos2",
+                   "exact.add_", "exact.mul_"),
+        "counts": (),
+        "round": ("stokes.from_asymptotic.calls", None),
+    },
     "verify_sweep": {
         "layers": ("theta.verify_corollary", "stokes.from_k",
                    "enumeration.brute_force", "exact.cos2"),
@@ -195,7 +206,7 @@ def perfbench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
         # the traced pass runs as many rounds as fit its time; calls and self
         # times are also given per round
         calls, size = spec["round"]
-        rounds = values[calls] / record["sizes"][size]
+        rounds = values[calls] / (record["sizes"][size] if size else 1)
         out["rounds"] = rounds
         out["per_layer"] = {name: values[name] for name in values
                             if name.startswith(spec["layers"]) or name in spec["counts"]}

@@ -15,8 +15,6 @@ from functools import lru_cache
 from operator import mul
 from typing import Iterable, Sequence
 
-from .exact import LinearSystem
-
 CASE_IDS = ("4a", "4b", "5a", "5b", "5c", "5d", "5e", "6a", "6b", "6c")
 
 GROUPS = {
@@ -159,31 +157,38 @@ def gaps_to_asymptotic(case_id: str, gaps: Sequence[int]) -> AsymptoticData:
     return _asymptotic(descriptor(case_id), gaps, sum(gaps))
 
 
-@lru_cache(maxsize=None)
-def _k_system(case_id: str) -> LinearSystem:
-    """The gamma and delta forms, the sum row and one row per symmetry pair.
+def _det3(rows):
+    """The determinant of a 3 x 3 matrix."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
-    3 + (number of symmetry pairs) = n + 1 for every case: the system is
-    square and nonsingular, so it is consistent for every right-hand side.
-    """
+
+@lru_cache(maxsize=None)
+def _class_system(case_id: str) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The gamma, delta and sum rows summed over each class of equal k_i,
+    and their determinant: every case has three classes, and the 3 x 3
+    system is nonsingular."""
     desc = descriptor(case_id)
-    n1 = desc.n_plus_1
-    rows = [desc.gamma_row, desc.delta_row, (1,) * n1]
-    for i, j in desc.symmetry:
-        row = [0] * n1
-        row[i], row[j] = 1, -1
-        rows.append(row)
-    return LinearSystem(rows)
+    rows = tuple(tuple(sum(row[i] for i in cls) for cls in desc.classes)
+                 for row in (desc.gamma_row, desc.delta_row, (1,) * desc.n_plus_1))
+    return rows, _det3(rows)
 
 
 def asymptotic_to_k(case_id: str, a: AsymptoticData, N=Fraction(1)) -> KVector:
-    """Invert the linear forms under symmetry and sum normalization."""
+    """Invert the linear forms under symmetry and sum normalization, by
+    Cramer's rule on the class values."""
     N = Fraction(N)
     if N <= 0:
         raise ValueError("N must be positive")
     desc = descriptor(case_id)
-    rhs = [N * a.gamma, N * a.delta, N - desc.n_plus_1] + [0] * len(desc.symmetry)
-    return KVector(case_id, tuple(_k_system(case_id).solve(rhs)))
+    rows, det = _class_system(case_id)
+    rhs = (N * a.gamma, N * a.delta, N - desc.n_plus_1)
+    entries = [None] * desc.n_plus_1
+    for c, cls in enumerate(desc.classes):
+        value = _det3([row[:c] + (b,) + row[c + 1:] for row, b in zip(rows, rhs)]) / det
+        for i in cls:
+            entries[i] = value
+    return KVector(case_id, tuple(entries))
 
 
 def in_region(case_id: str, a: AsymptoticData) -> bool:

@@ -30,8 +30,14 @@ EXIT_VERIFY = 5
 EXIT_NO_CONVERGENCE = 6
 
 # the largest common denominator q of the gaps (k_i + 1)/N ``convert`` accepts:
-# Stokes data in Q(zeta_2q) take time about q^2, up to about 1 s at q = 480
+# Stokes data in Q(zeta_2q) reduce through a table of the 2q powers of zeta_2q
+# (``exact._power_table``), which takes memory and time about q * phi(2q);
+# at q = 480 the Stokes data take about 0.1 s
 MAX_CONVERT_DENOMINATOR = 480
+
+# the largest weight sum ``qdo`` accepts: the operator has one root per unit
+# of weight (the degrees sum to less), and at this sum it takes about 0.3 s
+MAX_QDO_WEIGHT_SUM = 10_000
 
 # first case of each group carries the group's table
 GROUP_TABLE = {"4": "table5", "5ab": "table6", "5cde": "table7", "6": "table8"}
@@ -254,6 +260,9 @@ def cmd_qdo(args) -> int:
     degrees = _parse_int_list(args.degrees)
     try:
         spec = CISpec(weights, degrees)
+        if sum(spec.weights) > MAX_QDO_WEIGHT_SUM:
+            raise CliError(f"the weights sum to {sum(spec.weights)}, above qdo's "
+                           f"limit of {MAX_QDO_WEIGHT_SUM}", EXIT_PARSE)
         op = qdo_from_ci(spec)
     except (ValueError, NotReducibleError) as e:
         raise CliError(str(e), EXIT_NOT_REDUCIBLE) from None

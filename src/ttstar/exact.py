@@ -9,10 +9,10 @@ canonical and integrality questions are decidable.
 
 Two primitives do the work.  ``_substitute`` evaluates sum_j c_j zeta_M^(a*j)
 mod Phi_M: it reduces products (a = 1), lifts an element into a larger
-field (a = M / conductor) and conjugates (a = M - 1).  ``LinearSystem`` is
-the one exact linear solver: descending to a subfield Q(zeta_d) is a solve
-against its power basis, consistent exactly when the element lies in it,
-and ``cases.asymptotic_to_k`` inverts its linear forms with the same solver.
+field (a = M / conductor) and conjugates (a = M - 1).  ``_descend`` pushes
+an element of Q(zeta_M) into Q(zeta_(M/p)) when it lies there, by
+projecting it onto the subfield with an index map: there is no linear
+solver.
 Integrality, and the value of integral cosine sums, are decided on integers
 instead, by one kernel (``cos_pair_sums``, over ``cyclotomic_factors``).
 """
@@ -177,88 +177,46 @@ def _substitute(M: int, coeffs, a: int = 1) -> list[Fraction]:
     return out
 
 
-class LinearSystem:
-    """An exact system A x = b whose m x n matrix A has full column rank.
+def _descend(M: int, p: int, coeffs) -> Optional[list[Fraction]]:
+    """The coefficients at conductor d = M/p of an element of Q(zeta_M), or
+    None when it does not lie in Q(zeta_d).
 
-    The factorization is one Gauss-Jordan elimination of [A^T | I] over
-    Fraction.  Its pivot columns name n rows P of A whose square block A_P
-    is invertible, and its right half ends as the transpose of A_P^-1.
-    ``solve`` computes x = A_P^-1 b_P and multiplies the other rows of A
-    back to check it.
+    Over Q(zeta_d), Q(zeta_M) has the basis zeta_M^r (r < p) when p divides
+    d, and otherwise zeta_p^r (r < p - 1) with zeta_p = zeta_M^d; an element
+    lies in Q(zeta_d) exactly when it equals its coefficient of the basis
+    element 1.  When p | d, zeta_M^(p*i + r) = zeta_d^i zeta_M^r, so that
+    coefficient is the stride coeffs[::p].  Otherwise zeta_M^j =
+    zeta_d^(j/p mod d) zeta_p^(j/d mod p), and zeta_p^(p-1) = -(1 + ... +
+    zeta_p^(p-2)) gives it as the terms of zeta_p-exponent 0 minus those of
+    exponent p - 1.
     """
-
-    __slots__ = ("_pivots", "_inverse", "_others")
-
-    def __init__(self, rows):
-        m, n = len(rows), len(rows[0])
-        work = [[Fraction(row[j]) for row in rows]
-                + [Fraction(int(i == j)) for i in range(n)] for j in range(n)]
-        pivots: list[int] = []
-        for col in range(m):
-            r = len(pivots)
-            if r == n:
-                break
-            piv = next((i for i in range(r, n) if work[i][col]), None)
-            if piv is None:
-                continue
-            work[r], work[piv] = work[piv], work[r]
-            # columns up to col are never read again: only the tails change
-            head = work[r][col]
-            tail = [v / head for v in work[r][col + 1:]]
-            work[r][col + 1:] = tail
-            for i in range(n):
-                f = work[i][col]
-                if i != r and f:
-                    work[i][col + 1:] = [v - f * w if w else v
-                                         for v, w in zip(work[i][col + 1:], tail)]
-            pivots.append(col)
-        if len(pivots) < n:
-            raise ValueError("singular system")
-        self._pivots = tuple(pivots)
-        # row j of A_P^-1 is column m + j of the right half, kept sparse
-        self._inverse = tuple(tuple((k, work[k][m + j]) for k in range(n) if work[k][m + j])
-                              for j in range(n))
-        chosen = set(pivots)
-        self._others = tuple((i, tuple((j, v) for j, v in enumerate(row) if v))
-                             for i, row in enumerate(rows) if i not in chosen)
-
-    def solve(self, rhs) -> Optional[list[Fraction]]:
-        """The unique x with A x = rhs, or None if the system is inconsistent."""
-        b = [rhs[p] for p in self._pivots]
-        x = [sum((v * b[k] for k, v in row), Fraction(0)) for row in self._inverse]
-        for i, row in self._others:
-            if sum(v * x[j] for j, v in row) != rhs[i]:
-                return None
-        return x
-
-
-@lru_cache(maxsize=None)
-def _descent_system(M: int, d: int) -> LinearSystem:
-    """Columns zeta_M^((M/d)*j), j < phi(d): the power basis of Q(zeta_d)."""
-    table = _power_table(M)
-    rows = [[0] * _phi(d) for _ in range(_phi(M))]
-    for j in range(_phi(d)):
-        for i, v in table[(M // d * j) % M]:
-            rows[i][j] = v
-    return LinearSystem(rows)
+    d = M // p
+    if d % p == 0:
+        if any(c for j, c in enumerate(coeffs) if j % p):
+            return None
+        return list(coeffs[::p])
+    inv_p, inv_d = pow(p, -1, d), pow(d, -1, p)
+    y = [Fraction(0)] * d
+    for j, c in enumerate(coeffs):
+        if c:
+            b = j * inv_d % p
+            if b == 0:
+                y[j * inv_p % d] += c
+            elif b == p - 1:
+                y[j * inv_p % d] -= c
+    y = _substitute(d, y)
+    return y if _substitute(M, y, p) == list(coeffs) else None
 
 
 def _minimize(M: int, coeffs: list[Fraction]) -> tuple[int, tuple[Fraction, ...]]:
-    """Push an element down to its minimal even conductor, by subfield membership.
-
-    The element lies in Q(zeta_d), d = M/p, exactly when its coefficient
-    vector is a combination of the columns zeta_M^((M/d)*j), j < phi(d):
-    the descent system is consistent, and its solution is the coefficient
-    vector at conductor d.  Descend one prime at a time until no even d
-    admits the element.
-    """
+    """Push an element down to its minimal even conductor: descend one prime
+    at a time until no even d = M/p admits the element."""
     while M > 2:
         for p in _prime_factors(M):
-            d = M // p
-            if d % 2 == 0:
-                x = _descent_system(M, d).solve(coeffs)
+            if M // p % 2 == 0:
+                x = _descend(M, p, coeffs)
                 if x is not None:
-                    M, coeffs = d, x
+                    M, coeffs = M // p, x
                     break
         else:
             break

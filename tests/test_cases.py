@@ -6,6 +6,7 @@ from conftest import random_symmetric_k
 from ttstar.cases import (CASE_IDS, GROUP_OF_CASE, GROUPS, AsymptoticData,
                           SymmetryError, asymptotic_to_k, descriptor,
                           in_region, k_to_asymptotic, make_k)
+from ttstar.cases import _class_system
 
 
 def F(x):
@@ -27,6 +28,8 @@ def test_descriptor_shapes():
         assert 0 <= ki < d.n_plus_1 and 0 <= li < d.n_plus_1 and ki != li
         # gaps_to_asymptotic reads (gamma, delta) off gaps at any scale
         assert sum(d.gamma_row) == sum(d.delta_row) == 0
+        # asymptotic_to_k solves for one value per class of equal k_i
+        assert len(d.classes) == 3 and _class_system(cid)[1] != 0
 
 
 def test_unknown_case():

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from ttstar.cli import MAX_CONVERT_DENOMINATOR, default_tables_dir, main
+from ttstar.cli import (MAX_CONVERT_DENOMINATOR, MAX_QDO_WEIGHT_SUM, default_tables_dir,
+                        main)
 
 TABLES = default_tables_dir()
 
@@ -136,6 +137,17 @@ def test_qdo_not_reducible(capsys):
     assert code == 4
     code, _, err = run(capsys, "qdo", "--weights", "1,1,1", "--degrees", "2")
     assert code == 4
+
+
+def test_qdo_large_weight_sum_rejected(capsys):
+    """qdo builds one root per unit of weight, so it refuses a weight sum
+    above its limit before building any; the limit itself is accepted."""
+    start = time.perf_counter()
+    code, _, err = run(capsys, "qdo", "--weights", "1,10000000")
+    assert code == 2 and f"limit of {MAX_QDO_WEIGHT_SUM}" in err
+    assert time.perf_counter() - start < 1.0
+    code, out, _ = run(capsys, "qdo", "--weights", f"1,{MAX_QDO_WEIGHT_SUM - 1}")
+    assert code == 0 and out.startswith(f"P^{{1,{MAX_QDO_WEIGHT_SUM - 1}}}: ")
 
 
 def test_verify_pass(capsys):

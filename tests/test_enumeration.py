@@ -154,8 +154,8 @@ def test_cold_tables_make_no_algreal_arithmetic(monkeypatch):
     """A cold cosine-pair sweep and a cold build of the ten tables run with
     every cos2 binding and AlgReal's ring operations made to raise."""
     for cached in (_cos_dictionary, enumerate_cos_pairs, integral_solutions,
-                   exact._descent_system, exact._power_table,
-                   exact._cyclotomic, exact._phi, exact._prime_factors):
+                   exact._power_table, exact._cyclotomic, exact._phi,
+                   exact._prime_factors):
         cached.cache_clear()
 
     def forbidden(*args):

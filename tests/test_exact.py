@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttstar.exact import (AlgReal, LinearSystem, _cyclotomic, _phi, _prime_factors,
-                          cos2, cos_pair_sums, cyclotomic_factors, moebius)
+from ttstar.exact import (AlgReal, _cyclotomic, _descend, _phi, _prime_factors,
+                          _substitute, cos2, cos_pair_sums, cyclotomic_factors,
+                          moebius)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=18)
 
@@ -108,26 +109,6 @@ def test_float_agreement(r, s):
 def test_rejects_odd_conductor():
     with pytest.raises(ValueError):
         AlgReal(3, [1, 0])
-
-
-def test_linear_system_solves_overdetermined():
-    system = LinearSystem([[1, 0], [0, 1], [1, 1], [2, -1]])
-    assert system.solve([1, 2, 3, 0]) == [1, 2]
-    square = LinearSystem([[2, 1], [1, 1]])
-    assert square.solve([Fraction(1, 2), 0]) == [Fraction(1, 2), Fraction(-1, 2)]
-
-
-def test_linear_system_raises_on_singular():
-    with pytest.raises(ValueError, match="singular"):
-        LinearSystem([[1, 2], [2, 4]])
-    with pytest.raises(ValueError, match="singular"):
-        LinearSystem([[1, 0, 1], [0, 1, 1], [1, 1, 2], [0, 0, 0]])
-
-
-def test_linear_system_reports_inconsistent():
-    system = LinearSystem([[1, 0], [0, 1], [1, 1]])
-    assert system.solve([1, 2, 4]) is None
-    assert system.solve([1, 2, 3]) == [1, 2]
 
 
 # --- slow reference: descent by a scan over the Galois automorphisms ------
@@ -296,6 +277,42 @@ def test_descent_matches_galois_scan_reference(x, y, q):
     assert _data(x * y) == _ref_product(x, y)
     assert _data(x * q) == _ref_scale(x, q)
     assert _data(x - y) == _ref_sum(x, -y)
+
+
+def _ref_descend(M, d, coeffs):
+    """Descent to Q(zeta_d) by the reference solve, or None when the
+    solution does not lift back to coeffs."""
+    rows, inverse = _ref_descent_solver(M, d)
+    x = [sum(v * coeffs[r] for v, r in zip(row, rows)) for row in inverse]
+    step = M // d
+    lifted = [Fraction(0)] * (step * len(x))
+    lifted[::step] = x
+    return x if _ref_reduce_poly(M, lifted) == list(coeffs) else None
+
+
+def test_descend_matches_reference_solve(rng):
+    """Both branches of _descend, on every even M <= 120 and prime p | M with
+    M/p even: a lifted element of Q(zeta_(M/p)) descends back exactly,
+    zeta_M does not descend, and on random vectors, half of them lifted
+    elements with one coefficient changed, it agrees with the reference."""
+    branches = set()
+    for M in range(4, 121, 2):
+        for p in _prime_factors(M):
+            d = M // p
+            if d % 2:
+                continue
+            branches.add(d % p == 0)
+            y = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(_phi(d))]
+            assert _descend(M, p, _substitute(M, y, p)) == y
+            assert _descend(M, p, [Fraction(int(j == 1)) for j in range(_phi(M))]) is None
+            for _ in range(4):
+                if rng.random() < 0.5:
+                    v = [Fraction(rng.randint(-3, 3)) for _ in range(_phi(M))]
+                else:
+                    v = _substitute(M, [rng.randint(-3, 3) for _ in range(_phi(d))], p)
+                    v[rng.randrange(len(v))] += rng.randint(0, 2)
+                assert _descend(M, p, v) == _ref_descend(M, d, v)
+    assert branches == {True, False}
 
 
 @st.composite
