@@ -4,9 +4,8 @@ import pytest
 
 from conftest import random_symmetric_k
 from ttstar.cases import (CASE_IDS, GROUP_OF_CASE, GROUPS, AsymptoticData,
-                          SymmetryError, asymptotic_to_k, descriptor,
-                          in_region, k_to_asymptotic, make_k)
-from ttstar.cases import _class_system
+                          SymmetryError, _class_system, asymptotic_to_k,
+                          descriptor, in_region, k_to_asymptotic, make_k)
 
 
 def F(x):

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from ttstar.cli import (MAX_CONVERT_DENOMINATOR, MAX_QDO_WEIGHT_SUM, default_tables_dir,
-                        main)
+from ttstar.cli import (MAX_CONVERT_DENOMINATOR, MAX_QDO_WEIGHT_SUM,
+                        default_tables_dir, main)
 
 TABLES = default_tables_dir()
 
