@@ -10,19 +10,24 @@ commit; the change is the checkout holding this file.  For
 side,
 
 * runs ``perfbench/run.py --workload W --trace 1 --seed SEED`` in that
-  checkout and keeps the per-layer metrics of the layers W exercises, and
-  the calls and self times per round: the traced totals over the rounds
-  run, set-up included (building the integral-solution tables on integer
-  gaps calls no traced layer); on ``exact_stream``, whose rounds are single
-  operations, these are the calls and self times of ``stokes.*`` and
+  checkout ``TRACED_REPEATS`` (3) times, alternating which side runs
+  first, and keeps the median over the runs (and every run) of the
+  per-layer metrics of the layers W exercises, and of the calls and self
+  times per round: the traced totals over the rounds run, set-up included
+  (building the integral-solution tables on integer gaps calls no traced
+  layer); on ``exact_stream``, whose rounds are single operations, these
+  are the calls and self times of ``stokes.*`` and
   ``cases.asymptotic_to_k`` per operation, next to the ``exact.add_*_us``
   and ``exact.mul_*_us`` probes of ``AlgReal`` arithmetic;
-* for ``verify_sweep``, times ``verify_corollary(case, bound)`` for every
-  case and bound (``--bounds``) in a fresh interpreter that imports that
-  checkout's ``src/`` (the integral-solution tables are built before
-  timing, so each time is the converse sweep), in ``--repeats`` rounds
-  that alternate which side runs first, and keeps each side's median per
-  (case, bound);
+* for ``verify_sweep``, times the two halves of a round in a fresh
+  interpreter that imports that checkout's ``src/``:
+  ``brute_force_integral_points(case, 60)`` for every case, then
+  ``verify_corollary(case, bound)`` for every case and bound
+  (``--bounds``); the integral-solution tables are built before timing, so
+  each ``verify_corollary`` time is the forward check and the converse
+  sweep.  It runs ``--repeats`` rounds that alternate which side runs
+  first, and keeps each side's median per (case, bound) and per case of
+  the brute force;
 * for ``radial_bvp``, splits ``solve_radial`` at the 76 integral points of
   4a, 5a, 5c and 6a into phases: the warm start (relaxing the coarser
   grids), Jacobian assembly, the banded linear solve and the line search on
@@ -63,6 +68,11 @@ from pathlib import Path
 
 CHANGE = Path(__file__).resolve().parents[1]
 
+# traced perfbench runs per side; machine drift between runs is of the order
+# of the per-layer differences being measured, so one run per side is not
+# enough to compare them
+TRACED_REPEATS = 3
+
 # per workload: the per-layer metric prefixes kept, the counts kept, and the
 # call count that marks a round with the ``sizes`` entry giving its calls per
 # round (None: one call per round)
@@ -90,10 +100,16 @@ WORKLOADS = {
 TIMER = r"""
 import json, sys, time
 from ttstar.cases import CASE_IDS
-from ttstar.enumeration import integral_solutions
+from ttstar.enumeration import brute_force_integral_points, integral_solutions
 from ttstar.theta import verify_corollary
 for case in CASE_IDS:
     integral_solutions(case)
+for case in CASE_IDS:
+    t0 = time.perf_counter()
+    points = brute_force_integral_points(case, 60)
+    print(json.dumps({"case": case, "brute_force_den": 60,
+                      "wall_s": time.perf_counter() - t0, "points": len(points)}),
+          flush=True)
 for bound in map(int, sys.argv[1:]):
     for case in CASE_IDS:
         t0 = time.perf_counter()
@@ -221,6 +237,23 @@ def perfbench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     return out
 
 
+def traced(sides: dict[str, Path], workload: str, seed: int) -> dict:
+    """Per side, ``TRACED_REPEATS`` traced runs, alternating which side runs
+    first: each kept number's median over the runs, and every run."""
+    runs = alternating(sides, TRACED_REPEATS,
+                       lambda path: perfbench(path, workload, seed, 1))
+    out = {}
+    for name, recs in runs.items():
+        out[name] = {"seed": seed, "repeats": len(recs),
+                     "failed": max(r["failed"] for r in recs),
+                     "rounds": statistics.median(r["rounds"] for r in recs)}
+        for key in ("per_layer", "per_round"):
+            out[name][key] = {metric: statistics.median(r[key][metric] for r in recs)
+                              for metric in recs[0][key]}
+        out[name]["runs"] = recs
+    return out
+
+
 def run_script(checkout: Path, script: str, *args) -> list[dict]:
     """Run a script in a fresh interpreter on the checkout's ``src/``; its
     JSON output lines."""
@@ -241,13 +274,23 @@ def alternating(sides: dict[str, Path], repeats: int, run) -> dict[str, list]:
 
 
 def verify_times(sides: dict[str, Path], bounds: list[int], repeats: int) -> dict:
-    """Per side, the ``TIMER`` records with each (case, bound)'s median wall
-    time over the rounds, and every round's time."""
+    """Per side, the ``TIMER`` records with each one's median wall time over
+    the rounds and every round's time, and the split of a round summed over
+    the ten cases: the brute force at 60 and ``verify_corollary`` at each
+    bound (``verify_sweep`` runs it at 12)."""
     runs = alternating(sides, repeats, lambda path: run_script(path, TIMER, *bounds))
-    return {name: [dict(rec, wall_s=statistics.median(r[j]["wall_s"] for r in rounds),
+    out = {}
+    for name, rounds in runs.items():
+        records = [dict(rec, wall_s=statistics.median(r[j]["wall_s"] for r in rounds),
                         runs_s=[r[j]["wall_s"] for r in rounds])
                    for j, rec in enumerate(rounds[0])]
-            for name, rounds in runs.items()}
+        split = {"brute_force_60": sum(r["wall_s"] for r in records
+                                       if "brute_force_den" in r)}
+        for bound in bounds:
+            split[f"verify_corollary_{bound}"] = sum(
+                r["wall_s"] for r in records if r.get("bound") == bound)
+        out[name] = {"round_split_s": split, "records": records}
+    return out
 
 
 def solve_phases(sides: dict[str, Path], repeats: int) -> dict:
@@ -378,8 +421,7 @@ def main(argv=None) -> int:
         "git_sha": {name: git_sha(path) for name, path in sides.items()},
     }
     if args.workload in WORKLOADS:
-        result["traced"] = {name: perfbench(path, args.workload, args.seed, 1)
-                            for name, path in sides.items()}
+        result["traced"] = traced(sides, args.workload, args.seed)
     if args.workload == "verify_sweep":
         result["verify_corollary"] = verify_times(sides, args.bounds, args.repeats)
     elif args.workload == "radial_bvp":

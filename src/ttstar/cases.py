@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -62,6 +62,12 @@ class CaseDescriptor:
         paired = {i for pair in self.symmetry for i in pair}
         return self.symmetry + tuple((i,) for i in range(self.n_plus_1)
                                      if i not in paired)
+
+    @cached_property
+    def corners(self) -> tuple[Fraction, Fraction]:
+        """(-2/a, 2/b): the least gamma and the greatest delta of the region."""
+        ea, eb = self.ab
+        return Fraction(-2, ea), Fraction(2, eb)
 
 
 _DESCRIPTORS = {
@@ -193,7 +199,5 @@ def asymptotic_to_k(case_id: str, a: AsymptoticData, N=Fraction(1)) -> KVector:
 
 def in_region(case_id: str, a: AsymptoticData) -> bool:
     """Membership in the closed triangular region of asymptotic data."""
-    ea, eb = descriptor(case_id).ab
-    return (a.gamma >= Fraction(-2, ea)
-            and a.delta <= Fraction(2, eb)
-            and a.gamma - a.delta <= 2)
+    gamma_lo, delta_hi = descriptor(case_id).corners
+    return a.gamma >= gamma_lo and a.delta <= delta_hi and a.gamma - a.delta <= 2

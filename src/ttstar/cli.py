@@ -39,6 +39,10 @@ MAX_CONVERT_DENOMINATOR = 480
 # of weight (the degrees sum to less), and at this sum it takes about 0.3 s
 MAX_QDO_WEIGHT_SUM = 10_000
 
+# the largest --bound ``verify`` accepts: the converse sweep grows about as
+# bound^3, and at this bound its slowest case, 4a, takes about 3.3 s
+MAX_VERIFY_BOUND = 192
+
 # first case of each group carries the group's table
 GROUP_TABLE = {"4": "table5", "5ab": "table6", "5cde": "table7", "6": "table8"}
 
@@ -351,6 +355,9 @@ def cmd_verify(args) -> int:
     case_id = args.case
     if args.bound < 6:
         raise CliError("--bound must be at least 6", EXIT_PARSE)
+    if args.bound > MAX_VERIFY_BOUND:
+        raise CliError(f"--bound {args.bound} is above verify's limit of "
+                       f"{MAX_VERIFY_BOUND}", EXIT_PARSE)
     report = verify_corollary(case_id, args.bound,
                               corrupt_catalog=args.self_test)
     print(f"case {case_id}, bound {args.bound}")

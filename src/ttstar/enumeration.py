@@ -18,6 +18,10 @@ over the same kernel) and T_k's root numerators (``theta.tk_numerators``);
 a ``Fraction`` is made only for each field a record stores.
 ``stokes.stokes_from_k`` serves arbitrary rational points and is the tests'
 oracle for these records.
+
+The brute-force completeness sweep (``brute_force_integral_points``) checks
+the list from outside, on integers over 60 and by quadratic-field
+arithmetic, without the integer kernels of ``exact``.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
 
 from .cases import (AsymptoticData, KVector, descriptor, gaps_to_asymptotic,
                     in_region)
@@ -94,6 +98,11 @@ def admissible_points() -> list[tuple[Fraction, Fraction]]:
             if c.a_label + c.b_label <= 1]
 
 
+@lru_cache(maxsize=1)
+def _admissible_set() -> frozenset[tuple[Fraction, Fraction]]:
+    return frozenset(admissible_points())
+
+
 # Canonical row order of the published tables: the five blocks, each with
 # a fixed label sequence (top and diagonal sweep a downward/upward along
 # the respective edge; the paper fixes the rest by printing order).
@@ -119,10 +128,10 @@ _BLOCK_ORDER: tuple[tuple[str, tuple[tuple[Fraction, Fraction], ...]], ...] = (
 def classify_block(case_id: str, a: AsymptoticData) -> str:
     """Block of the five-block table partition, from (gamma, delta) alone."""
     desc = descriptor(case_id)
-    ea, eb = desc.ab
-    if a.delta == Fraction(2, eb):
+    gamma_lo, delta_hi = desc.corners
+    if a.delta == delta_hi:
         return "top-edge"
-    if a.gamma == Fraction(-2, ea):
+    if a.gamma == gamma_lo:
         return "left-edge"
     if a.gamma - a.delta == 2:
         return "diagonal-edge"
@@ -166,7 +175,7 @@ def k_from_labels(case_id: str, a_label: Fraction, b_label: Fraction
 @lru_cache(maxsize=None)
 def integral_solutions(case_id: str) -> tuple[SolutionRecord, ...]:
     """The 19 complete solution records of one case, in table order."""
-    admissible = set(admissible_points())
+    admissible = _admissible_set()
     records = []
     for block, labels in _BLOCK_ORDER:
         for a_label, b_label in labels:
@@ -248,26 +257,37 @@ def _pair_integral(cx, cy) -> bool:
             and prod_irr == 0 and prod_rat.denominator == 1)
 
 
-def _cosine_grid(lo: Fraction, hi: Fraction, max_den: int, shift: int, div: int):
-    """(v, class of 2cos(pi*(v + shift)/div)) over grid values v = p/q in [lo, hi].
+# every cosine label j/e with e <= 6 is an integer J over L = 60
+_LABEL_DEN = 60
 
-    Only grid points whose cosine argument t = (v + shift)/div has reduced
-    denominator at most 6 can carry integral Stokes data; every other point
-    has degree >= 3.  Those arguments are exactly the labels j/e with e <= 6
-    in [(lo + shift)/div, (hi + shift)/div], every one of them a _NIVEN or
-    _QUAD label after reduction to [0, 1].  So the labels are enumerated and
-    mapped back to v = div*t - shift, and v is kept when its denominator is
-    at most max_den: the same points as a sweep over every reduced p/q with
-    q <= max_den that drops those where _cos_class returns None.
+
+@lru_cache(maxsize=1)
+def _integral_label_pairs() -> frozenset[tuple[int, int]]:
+    """The pairs (J_x, J_y) of folded labels J/L in [0, 1] (the 13 of
+    ``_cos_dictionary``) whose cosines pass ``_pair_integral``."""
+    classes = {int(label * _LABEL_DEN): _cos_class(label) for label in _cos_dictionary()}
+    return frozenset((jx, jy) for jx, cx in classes.items()
+                     for jy, cy in classes.items() if _pair_integral(cx, cy))
+
+
+def _label_axis(lo: int, hi: int, max_den: int, shift: int, div: int
+                ) -> list[tuple[int, int]]:
+    """(V, folded J) over the grid values v = V/L in [lo/L, hi/L] whose cosine
+    argument (v + shift)/div is a label J/L with denominator at most 6.
+
+    v = (div*J - L*shift)/L, kept when its reduced denominator
+    L/gcd(V, L) is at most max_den; J is folded to [0, L] by the symmetries
+    of the cosine (period 2L, even).
     """
-    t_lo, t_hi = (lo + shift) / div, (hi + shift) / div
-    labels = {Fraction(j, e) for e in range(1, 7)
-              for j in range(ceil(t_lo * e), floor(t_hi * e) + 1)}
+    L = _LABEL_DEN
     out = []
-    for t in sorted(labels):
-        v = t * div - shift
-        if v.denominator <= max_den:
-            out.append((v, _cos_class(t)))
+    for J in range(-(-(lo + L * shift) // div), (hi + L * shift) // div + 1):
+        if L // gcd(J, L) > 6:
+            continue
+        V = div * J - L * shift
+        if L // gcd(V, L) <= max_den:
+            J %= 2 * L
+            out.append((V, min(J, 2 * L - J)))
     return out
 
 
@@ -275,22 +295,25 @@ def brute_force_integral_points(case_id: str, max_denominator: int = 60
                                 ) -> set[tuple[Fraction, Fraction]]:
     """Exhaustive integral-Stokes sweep over the region on a rational grid.
 
-    Independent of the enumeration route and of ``AlgReal``: classifies the
-    Theorem-B cosine arguments by algebraic degree and decides integrality
-    by exact quadratic-field arithmetic.  Grid points whose cosine argument
-    has reduced denominator above 6 (degree >= 3, never integral) are never
-    visited: each axis is built from the cosine labels (``_cosine_grid``).
+    Independent of the enumeration route, of ``AlgReal`` and of the integer
+    kernels in ``exact``: integrality is decided by exact quadratic-field
+    arithmetic (``_cos_class``, ``_pair_integral``) and read from a table of
+    folded label pairs (``_integral_label_pairs``).  Grid points whose
+    cosine argument has reduced denominator above 6 (degree >= 3, never
+    integral) are never visited; the rest are integers over L = 60, the lcm
+    of the label denominators: gamma = G/L and delta = D/L
+    (``_label_axis``), and the region's diagonal is G - D <= 2L.
     """
     desc = descriptor(case_id)
     ea, eb = desc.ab
     g = GROUP_FORMULAS[desc.group]
-    gammas = _cosine_grid(Fraction(-2, ea), Fraction(2, eb) + 2, max_denominator,
-                          g.shift_gamma, g.div)
-    deltas = _cosine_grid(Fraction(-2, ea) - 2, Fraction(2, eb), max_denominator,
-                          g.shift_delta, g.div)
-    out = set()
-    for gm, cx in gammas:
-        for dl, cy in deltas:
-            if gm - dl <= 2 and _pair_integral(cx, cy):
-                out.add((gm, dl))
-    return out
+    L = _LABEL_DEN
+    # the bounding box of the region: gamma in [-2/ea, 2/eb + 2],
+    # delta in [-2/ea - 2, 2/eb]
+    lo, hi = -2 * L // ea, 2 * L // eb
+    gammas = _label_axis(lo, hi + 2 * L, max_denominator, g.shift_gamma, g.div)
+    deltas = _label_axis(lo - 2 * L, hi, max_denominator, g.shift_delta, g.div)
+    table = _integral_label_pairs()
+    return {(Fraction(G, L), Fraction(D, L))
+            for G, jx in gammas for D, jy in deltas
+            if G - D <= 2 * L and (jx, jy) in table}

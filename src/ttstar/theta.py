@@ -7,19 +7,22 @@ weighted projective complete intersections, which are built here by
 multiset division of their factor lists.
 
 The corollary verifier's converse sweep generates its candidate gap
-vectors class by class from the case symmetry and visits each cyclic
-rotation orbit once, instead of filtering every composition of the
-denominator; the rotation-invariant work is done once per orbit.  It runs
-on the integer numerators c of the gaps c/q: T_k's roots are prefix sums
-(``tk_numerators``, which the tables and ``tk_from_k`` use too), check_Q
-asks for a zero gap, check_G for closure under r -> -r mod q, and
-integrality (``stokes.k_gaps_stokes``) and the complete-intersection
-match (``_match_numerators``, behind ``match_ci``) both read the
-cyclotomic factors of the numerators (``exact.cyclotomic_factors``, which
-states the lemma).  The operator strings (``_fmt_roots``, behind
-``ThetaPoly.__str__``) take the same numerators over q, and the forward
-check's ``qdo_from_ci`` counts its factor roots as integers over the lcm
-of the weights and degrees.
+vectors from the case symmetry, one integer for each of the three classes
+of equal k_i, and visits each cyclic rotation orbit once, instead of
+filtering every composition of the denominator; the rotation-invariant
+work is done once per orbit.  It runs on the integer numerators c of the
+gaps c/q: T_k's roots are prefix sums (``tk_numerators``, which the
+tables and ``tk_from_k`` use too), check_Q asks for a zero gap, check_G
+for closure under r -> -r mod q, and integrality (``stokes.k_gaps_stokes``)
+and the complete-intersection match (``_match_numerators``, behind
+``match_ci``) both read the cyclotomic factors of the numerators
+(``exact.cyclotomic_factors``, which states the lemma).  The operator
+strings (``_fmt_roots``, behind ``ThetaPoly.__str__``) take the same
+numerators over q.  The forward check compares integer root numerators
+too: a catalog entry's over the lcm of its weights and degrees
+(``_ci_numerators``, behind ``qdo_from_ci``) against its record's T_k
+roots over theirs (``_qdo_matches``); operators are built only to report
+a mismatch.
 """
 
 from __future__ import annotations
@@ -177,23 +180,32 @@ def _factor_roots(ns: Iterable[int], lcm: int) -> Counter:
     return Counter(j for v in ns for j in range(0, lcm, lcm // v))
 
 
-def qdo_from_ci(spec: CISpec) -> QDO:
-    """Quantum differential operator of a weighted projective complete intersection.
-
-    Forms the ambient and hypersurface factor lists and left-divides by
-    their common part, which is required to absorb the whole hypersurface
-    factor; scalar coefficients are normalized away.  The roots are
-    counted as integer numerators over the lcm of the weights and degrees.
-    """
+def _ci_numerators(spec: CISpec) -> tuple[list[int], int]:
+    """The theta roots of spec's QDO as integer numerators over the lcm of
+    its weights and degrees: the ambient factor's roots less the
+    hypersurface factor's, which must all be among them."""
     lcm = math.lcm(*spec.weights, *spec.degrees)
     a_roots = _factor_roots(spec.weights, lcm)
     b_roots = _factor_roots(spec.degrees, lcm)
     if b_roots - a_roots:
         raise NotReducibleError(
             f"{spec}: hypersurface factor is not a sub-multiset of the ambient factor")
-    remaining = (a_roots - b_roots).elements()
+    return sorted((a_roots - b_roots).elements()), lcm
+
+
+def qdo_from_ci(spec: CISpec) -> QDO:
+    """Quantum differential operator of a weighted projective complete intersection.
+
+    Forms the ambient and hypersurface factor lists and left-divides by
+    their common part, which is required to absorb the whole hypersurface
+    factor; scalar coefficients are normalized away.  The roots are
+    counted as integer numerators over the lcm of the weights and degrees
+    (``_ci_numerators``).
+    """
+    numerators, lcm = _ci_numerators(spec)
     power = sum(spec.weights) - sum(spec.degrees)
-    return QDO(power, ThetaPoly(Fraction(1), tuple(Fraction(r, lcm) for r in remaining)))
+    roots = tuple(Fraction(r, lcm) for r in numerators)
+    return QDO(power, ThetaPoly(Fraction(1), roots))
 
 
 def check_Q(k_gaps: Counter | Iterable) -> bool:
@@ -297,6 +309,22 @@ def _match_numerators(numerators: Sequence[int], q: int, n_plus_1: int,
     return spec
 
 
+def _qdo_matches(spec: CISpec, n_plus_1: int, tk: ThetaPoly) -> bool:
+    """Whether ``qdo_from_ci(spec) == QDO(n_plus_1, tk)``, decided on integer
+    root numerators: spec's over its lcm, tk's over their common denominator.
+
+    The QDO of spec has as many roots as its lambda power, so equal root
+    multisets of the n_plus_1 roots of tk also give equal powers.
+    """
+    try:
+        numerators, lcm = _ci_numerators(spec)
+    except NotReducibleError:
+        return False
+    roots, q = _numerators(tk.roots)
+    # both lists are sorted, and scaling by a positive integer keeps the order
+    return [r * q for r in numerators] == [r * lcm for r in roots]
+
+
 def match_ci(roots: Iterable[Fraction], n_plus_1: int,
              weight_sum_bound: int) -> Optional[CISpec]:
     """The minimal complete intersection whose QDO has the given theta roots.
@@ -337,12 +365,13 @@ def verify_corollary(case_id: str, search_bound: int,
     implies no complete intersection matches the operator.
 
     The candidates are generated, not filtered: for each q, one integer per
-    symmetry class with the class-size-weighted sum q and gcd 1 with q
-    (so each vector appears at its primitive denominator only) gives a
-    symmetric vector, whose rotation orbit is taken once.  T_k, the two
-    conditions and the CI match are rotation invariant and computed once
-    per orbit; the Stokes data once per distinct first symmetric rotation
-    of the orbit's members, each member counting as one candidate.
+    symmetry class (every case has three) with the class-size-weighted sum
+    q and gcd 1 with q (so each vector appears at its primitive denominator
+    only) gives a symmetric vector, whose rotation orbit is taken once.
+    T_k, the two conditions and the CI match are rotation invariant and
+    computed once per orbit; the Stokes data once per distinct first
+    symmetric rotation of the orbit's members, each member counting as one
+    candidate.
 
     Everything runs on the integer numerators c of the gaps c/q.  The
     Stokes data come from ``stokes.k_gaps_stokes``, over the one integer
@@ -352,8 +381,8 @@ def verify_corollary(case_id: str, search_bound: int,
     (``_match_numerators``) reads its class multiplicities from
     ``exact.cyclotomic_factors``, the strings of the reported uniform A_n
     and flagged operators (``_fmt_roots``) take the same numerators, and
-    the forward check's ``qdo_from_ci`` counts roots as integers, making a
-    ``Fraction`` only for each root of the operator it returns.
+    the forward check compares integer root numerators (``_qdo_matches``),
+    building the two operators only for the message of a mismatch.
     """
     from .enumeration import integral_solutions  # enumeration imports this module
 
@@ -369,33 +398,35 @@ def verify_corollary(case_id: str, search_bound: int,
         by_block.setdefault(rec.block, []).append(rec)
     for idx, (spec, block, pos) in enumerate(catalog(desc.group)):
         rec = by_block[block][pos]
-        expected = QDO(n1, rec.tk)
         if corrupt_catalog and idx == 0:
             spec = CISpec((1,) * (n1 + 1))
-        try:
-            produced = qdo_from_ci(spec)
-        except NotReducibleError:
-            produced = None
         report.forward_checked += 1
-        if produced != expected:
+        if not _qdo_matches(spec, n1, rec.tk):
+            try:
+                produced = qdo_from_ci(spec)
+            except NotReducibleError:
+                produced = None
             report.forward_mismatches.append(
-                f"{spec} -> {produced} != {expected} at {block}[{pos}]")
+                f"{spec} -> {produced} != {QDO(n1, rec.tk)} at {block}[{pos}]")
 
     weight_bound = search_bound * n1
     classes = desc.classes
+    s0, s1, s2 = map(len, classes)  # every case has three classes
     for q in range(1, search_bound + 1):
         # gap vectors c/q as integer numerators c; each rotation orbit of a
         # primitive case-symmetric vector once, keyed by its canonical form
         orbits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for counts in _class_compositions(q, [len(cls) for cls in classes]):
-            if math.gcd(q, *counts) != 1:
-                continue
-            vec = [0] * n1
-            for cls, c in zip(classes, counts):
-                for i in cls:
-                    vec[i] = c
-            rots = _rotations(tuple(vec))
-            orbits.setdefault(min(rots), rots)
+        for c0 in range(q // s0 + 1):
+            for c1 in range((q - c0 * s0) // s1 + 1):
+                c2, left = divmod(q - c0 * s0 - c1 * s1, s2)
+                if left or math.gcd(q, c0, c1, c2) != 1:
+                    continue
+                vec = [0] * n1
+                for cls, c in zip(classes, (c0, c1, c2)):
+                    for i in cls:
+                        vec[i] = c
+                rots = _rotations(tuple(vec))
+                orbits.setdefault(min(rots), rots)
         for canon, rots in orbits.items():
             roots = tk_numerators(canon)  # T_k's roots r/q
             if all(r * (n1 + 1) == j * q for j, r in enumerate(roots)):
@@ -431,13 +462,3 @@ def verify_corollary(case_id: str, search_bound: int,
     report.an_type = sorted(set(report.an_type))
     return report
 
-
-def _class_compositions(total: int, sizes: list[int]):
-    """All tuples c of nonnegative integers with sum(c[r] * sizes[r]) == total."""
-    if len(sizes) == 1:
-        if total % sizes[0] == 0:
-            yield (total // sizes[0],)
-        return
-    for first in range(total // sizes[0] + 1):
-        for rest in _class_compositions(total - first * sizes[0], sizes[1:]):
-            yield (first,) + rest

@@ -41,6 +41,17 @@ def random_symmetric_gaps(rng: random.Random, case_id: str,
     return tuple(gaps)
 
 
+def class_compositions(total: int, sizes: list[int]):
+    """All tuples c of nonnegative integers with sum(c[r] * sizes[r]) == total."""
+    if len(sizes) == 1:
+        if total % sizes[0] == 0:
+            yield (total // sizes[0],)
+        return
+    for first in range(total // sizes[0] + 1):
+        for rest in class_compositions(total - first * sizes[0], sizes[1:]):
+            yield (first,) + rest
+
+
 def random_symmetric_k(rng: random.Random, case_id: str,
                        max_den: int = 24) -> KVector:
     gaps = random_symmetric_gaps(rng, case_id, max_den)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from ttstar.cli import (MAX_CONVERT_DENOMINATOR, MAX_QDO_WEIGHT_SUM,
-                        default_tables_dir, main)
+                        MAX_VERIFY_BOUND, default_tables_dir, main)
 
 TABLES = default_tables_dir()
 
@@ -148,6 +148,16 @@ def test_qdo_large_weight_sum_rejected(capsys):
     assert time.perf_counter() - start < 1.0
     code, out, _ = run(capsys, "qdo", "--weights", f"1,{MAX_QDO_WEIGHT_SUM - 1}")
     assert code == 0 and out.startswith(f"P^{{1,{MAX_QDO_WEIGHT_SUM - 1}}}: ")
+
+
+def test_verify_large_bound_rejected(capsys):
+    """The converse sweep grows about as bound^3, so verify refuses a bound
+    above its limit at once."""
+    start = time.perf_counter()
+    for bound in (MAX_VERIFY_BOUND + 1, 100_000):
+        code, out, err = run(capsys, "verify", "--case", "4a", "--bound", str(bound))
+        assert code == 2 and f"limit of {MAX_VERIFY_BOUND}" in err and not out
+    assert time.perf_counter() - start < 1.0
 
 
 def test_verify_pass(capsys):

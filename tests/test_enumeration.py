@@ -3,11 +3,12 @@ from math import gcd
 
 import pytest
 
-from ttstar import enumeration, exact, stokes
+from ttstar import enumeration, exact, stokes, theta
 from ttstar.cases import CASE_IDS, GROUPS, descriptor, in_region, k_to_asymptotic
 from ttstar.cli import half_table
 from ttstar.exact import _cyclotomic, cos2
-from ttstar.enumeration import (BLOCKS, CosPair, _cos_class, _cos_dictionary,
+from ttstar.enumeration import (BLOCKS, CosPair, _admissible_set, _cos_class,
+                                _cos_dictionary, _integral_label_pairs,
                                 _pair_integral, admissible_points,
                                 brute_force_integral_points, classify_block,
                                 enumerate_cos_pairs, integral_solutions,
@@ -153,9 +154,9 @@ def test_records_match_algreal_oracle():
 def test_cold_tables_make_no_algreal_arithmetic(monkeypatch):
     """A cold cosine-pair sweep and a cold build of the ten tables run with
     every cos2 binding and AlgReal's ring operations made to raise."""
-    for cached in (_cos_dictionary, enumerate_cos_pairs, integral_solutions,
-                   exact._power_table, exact._cyclotomic, exact._phi,
-                   exact._prime_factors):
+    for cached in (_cos_dictionary, enumerate_cos_pairs, _admissible_set,
+                   integral_solutions, exact._power_table, exact._cyclotomic,
+                   exact._phi, exact._prime_factors):
         cached.cache_clear()
 
     def forbidden(*args):
@@ -226,9 +227,37 @@ def _reference_brute_force(case_id, max_den):
 @pytest.mark.parametrize("case_id", CASE_IDS)
 def test_brute_force_matches_reference(case_id):
     # small grids too: below 6 the grid drops some of the cosine labels
-    for max_den in (1, 5, 6, 12):
+    for max_den in (*range(1, 13), 30):
         assert (brute_force_integral_points(case_id, max_den)
                 == _reference_brute_force(case_id, max_den)), max_den
     found = brute_force_integral_points(case_id, 60)
     assert found == _reference_brute_force(case_id, 60)
     assert found == {tuple(r.asymptotic) for r in integral_solutions(case_id)}
+
+
+def test_brute_force_label_table():
+    """The sweep's table holds exactly the label pairs whose cosines pass
+    ``_pair_integral``, and, as 2cos(pi(1 - b)) = -2cos(pi b), exactly the
+    pairs (a, 1 - b) of the cosine pairs that ``exact.cos_pair_sums`` finds."""
+    labels = _cos_dictionary()
+    assert len(labels) == 13
+    table = {(Fraction(jx, 60), Fraction(jy, 60)) for jx, jy in _integral_label_pairs()}
+    assert table == {(a, b) for a in labels for b in labels
+                     if _pair_integral(_cos_class(a), _cos_class(b))}
+    assert table == {(p.a_label, 1 - p.b_label) for p in enumerate_cos_pairs()}
+
+
+def test_brute_force_independent_of_exact_kernels(monkeypatch):
+    """The sweep, its label table built cold, runs with the integer kernels
+    it checks made to raise wherever they are bound."""
+    def forbidden(*args):
+        raise AssertionError("the brute-force sweep called an exact kernel")
+
+    _integral_label_pairs.cache_clear()
+    for module in (exact, enumeration, stokes, theta):
+        for name in ("cos_pair_sums", "cyclotomic_factors"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    for case_id in CASE_IDS:
+        found = brute_force_integral_points(case_id, 60)
+        assert len(found) == 19

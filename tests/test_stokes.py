@@ -3,13 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_symmetric_gaps, random_symmetric_k
+from conftest import class_compositions, random_symmetric_gaps, random_symmetric_k
 from ttstar.cases import (CASE_IDS, GROUP_OF_CASE, GROUPS, AsymptoticData,
                           KVector, descriptor, asymptotic_to_k, k_to_asymptotic, make_k)
 from ttstar.exact import cos2
 from ttstar.stokes import (cos_sum_sign, k_gaps_stokes, stokes_from_asymptotic,
                            stokes_from_k)
-from ttstar.theta import _class_compositions
 
 
 def F(*a):
@@ -171,7 +170,7 @@ def test_k_gaps_stokes_exhaustive(case_id):
     desc = descriptor(case_id)
     integral = 0
     for q in range(1, 13):
-        for counts in _class_compositions(q, [len(c) for c in desc.classes]):
+        for counts in class_compositions(q, [len(c) for c in desc.classes]):
             gaps = [0] * desc.n_plus_1
             for cls, c in zip(desc.classes, counts):
                 for i in cls:

@@ -1,15 +1,17 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from conftest import random_symmetric_gaps, random_symmetric_k
+from conftest import (class_compositions, random_symmetric_gaps,
+                      random_symmetric_k)
 from ttstar.cases import CASE_IDS, GROUPS, KVector, descriptor, make_k
 from ttstar.enumeration import integral_solutions
 from ttstar.stokes import stokes_from_k
 from ttstar.theta import (CISpec, CorollaryReport, NotReducibleError, QDO,
-                          ThetaPoly, _class_compositions, _fmt_roots, catalog,
+                          ThetaPoly, _fmt_roots, _qdo_matches, catalog,
                           check_G, check_Q, match_ci, qdo_from_ci,
                           theta_poly, tk_from_k, verify_corollary)
 
@@ -308,7 +310,7 @@ def _orbit_roots(case_id, bound):
                                      if i not in paired]
     seen = set()
     for q in range(1, bound + 1):
-        for counts in _class_compositions(q, [len(c) for c in classes]):
+        for counts in class_compositions(q, [len(c) for c in classes]):
             k = [F(0)] * desc.n_plus_1
             for cls, c in zip(classes, counts):
                 for i in cls:
@@ -373,12 +375,31 @@ def _reference_tk(gaps):
     return ThetaPoly(F(1), tuple(roots))
 
 
-def _reference_converse(case_id, search_bound):
+def _symmetric_rotations(case_id, q):
+    """Every rotation of every case-symmetric composition of q: the
+    compositions of q that have a case-symmetric rotation, with repeats."""
+    desc = descriptor(case_id)
+    for counts in class_compositions(q, [len(c) for c in desc.classes]):
+        gaps = [0] * desc.n_plus_1
+        for cls, c in zip(desc.classes, counts):
+            for i in cls:
+                gaps[i] = c
+        yield from _reference_rotations(gaps)
+
+
+def _reference_converse(case_id, search_bound, compositions=None):
     """verify_corollary by the slow route: every composition of every q into
     n+1 parts, deduplicated across q by a set of Fraction tuples, kept when
-    some rotation has the case symmetry and read through the first such."""
+    some rotation has the case symmetry and read through the first such.
+
+    ``compositions(q)``, when given, yields the integer gap vectors of sum q
+    to visit instead of every composition; ``_symmetric_rotations`` visits
+    the same kept vectors, so the route stays affordable at larger bounds."""
     desc = descriptor(case_id)
     n1 = desc.n_plus_1
+    if compositions is None:
+        def compositions(q):
+            return _reference_compositions(q, n1)
     report = CorollaryReport(case_id, search_bound)
     by_block = {}
     for rec in integral_solutions(case_id):
@@ -397,7 +418,7 @@ def _reference_converse(case_id, search_bound):
     uniform_an = theta_poly([F(j, n1 + 1) for j in range(n1)])
     seen = set()
     for q in range(1, search_bound + 1):
-        for comp in _reference_compositions(q, n1):
+        for comp in compositions(q):
             gaps = tuple(F(c, q) for c in comp)
             if gaps in seen:
                 continue
@@ -428,6 +449,47 @@ def _reference_converse(case_id, search_bound):
                          [(c, 12) for c in CASE_IDS] + [("5c", 16), ("6a", 16)])
 def test_converse_matches_reference(case_id, bound):
     assert verify_corollary(case_id, bound) == _reference_converse(case_id, bound)
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_converse_matches_reference_on_symmetric_rotations(case_id):
+    """Field for field at bounds 12 and 24, the reference visiting only the
+    rotations of the case-symmetric compositions (the full sweep above
+    confirms it at 12 and 16)."""
+    rotations = partial(_symmetric_rotations, case_id)
+    for bound in (12, 24):
+        assert (verify_corollary(case_id, bound)
+                == _reference_converse(case_id, bound, rotations)), bound
+
+
+def test_forward_verdict_matches_reference():
+    """The forward check's integer comparison (``_qdo_matches``) gives the
+    Fraction reference's verdict for every catalog entry of the four
+    groups, the self-test's corrupt entry and a non-reducible space, against
+    every record of each group; the corrupt entry is flagged with the
+    reference's message."""
+    specs = [spec for group in GROUPS for spec, _, _ in catalog(group)]
+    specs += [CISpec((1,) * n1) for n1 in (5, 6, 7)] + [CISpec((1, 1, 4), (3,))]
+    for group, cases in GROUPS.items():
+        n1 = descriptor(cases[0]).n_plus_1
+        matches = 0
+        for rec in integral_solutions(cases[0]):
+            expected = QDO(n1, rec.tk)
+            for spec in specs:
+                try:
+                    want = _reference_qdo_from_ci(spec) == expected
+                except NotReducibleError:
+                    want = False
+                assert _qdo_matches(spec, n1, rec.tk) == want, (spec, rec.tk)
+                matches += want
+        assert matches >= len(catalog(group))
+        for case_id in cases:
+            assert verify_corollary(case_id, 6).forward_mismatches == []
+            rep = verify_corollary(case_id, 6, corrupt_catalog=True)
+            spec, top = CISpec((1,) * (n1 + 1)), integral_solutions(case_id)[0]
+            assert rep.forward_mismatches == [
+                f"{spec} -> {_reference_qdo_from_ci(spec)} != {QDO(n1, top.tk)} "
+                f"at top-edge[0]"]
 
 
 @pytest.mark.parametrize("case_id, bound, checked, flagged", [
