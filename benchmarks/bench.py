@@ -85,8 +85,7 @@ WORKLOADS = {
         "round": ("stokes.from_asymptotic.calls", None),
     },
     "verify_sweep": {
-        "layers": ("theta.verify_corollary", "stokes.from_k",
-                   "enumeration.brute_force", "exact.cos2"),
+        "layers": ("theta.verify_corollary", "enumeration.brute_force"),
         "counts": ("theta.converse_checked", "theta.flagged_non_ci"),
         "round": ("theta.verify_corollary.calls", "cases_per_round"),
     },

@@ -43,6 +43,11 @@ MAX_QDO_WEIGHT_SUM = 10_000
 # bound^3, and at this bound its slowest case, 4a, takes about 3.3 s
 MAX_VERIFY_BOUND = 192
 
+# the most digits of a numerator or denominator ``parse_frac`` accepts:
+# ``Fraction("1e100000000")`` alone takes minutes, and Python refuses to
+# print an integer of more than 4,300 digits
+MAX_DIGITS = 1_000
+
 # first case of each group carries the group's table
 GROUP_TABLE = {"4": "table5", "5ab": "table6", "5cde": "table7", "6": "table8"}
 
@@ -58,7 +63,22 @@ def fmt_frac(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+# n/d, or w.p times 10^(+-e), which Fraction forms as wp*10^e / 10^len(p)
+_NUMBER = re.compile(r"[-+]?0*(\d*)(?:/0*(\d+)|\.?(\d*)(?:e([-+]?)0*(\d*))?)", re.I)
+
+
 def parse_frac(text: str) -> Fraction:
+    m = _NUMBER.fullmatch(text.replace("_", "").strip())
+    if m:  # the digits Fraction would form, read before it forms them
+        whole, den, places, sign, exp = m.groups(default="")
+        shift = int(exp or 0) if len(exp) < 9 else 10**9  # past the cap either way
+        up, down = (0, shift) if sign == "-" else (shift, 0)
+        sizes = (len(whole), len(den)) if den else (
+            len((whole + places).lstrip("0")) + up, 1 + len(places) + down)
+        if max(sizes) > MAX_DIGITS:
+            shown = text if len(text) <= 40 else text[:37] + "..."
+            raise CliError(f"{shown!r} has a numerator or denominator of more "
+                           f"than {MAX_DIGITS:,} digits", EXIT_PARSE)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

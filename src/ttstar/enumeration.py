@@ -35,7 +35,7 @@ from .cases import (AsymptoticData, KVector, descriptor, gaps_to_asymptotic,
                     in_region)
 from .exact import cos_pair_sums
 from .stokes import GROUP_FORMULAS, k_gaps_stokes
-from .theta import ThetaPoly, canonical_rotation, tk_numerators
+from .theta import ThetaPoly, tk_numerators
 
 BLOCKS = ("top-edge", "left-edge", "diagonal-edge", "center-line", "other-interior")
 
@@ -191,7 +191,7 @@ def integral_solutions(case_id: str) -> tuple[SolutionRecord, ...]:
             assert in_region(case_id, asym) and min(gaps) >= 0
             derived_block = classify_block(case_id, asym)
             assert derived_block == block, (case_id, a_label, b_label, derived_block)
-            roots = tk_numerators(canonical_rotation(gaps))
+            roots = tk_numerators(gaps)
             tk = ThetaPoly(Fraction(1), tuple(Fraction(r, q) for r in roots))
             records.append(SolutionRecord(
                 case_id, a_label, b_label, asym, ints,

@@ -6,16 +6,15 @@ attached to holomorphic data and the quantum differential operators of
 weighted projective complete intersections, which are built here by
 multiset division of their factor lists.
 
-The corollary verifier's converse sweep generates its candidate gap
-vectors from the case symmetry, one integer for each of the three classes
-of equal k_i, and visits each cyclic rotation orbit once, instead of
-filtering every composition of the denominator; the rotation-invariant
-work is done once per orbit.  It runs on the integer numerators c of the
-gaps c/q: T_k's roots are prefix sums (``tk_numerators``, which the
-tables and ``tk_from_k`` use too), check_Q asks for a zero gap, check_G
-for closure under r -> -r mod q, and integrality (``stokes.k_gaps_stokes``)
-and the complete-intersection match (``_match_numerators``, behind
-``match_ci``) both read the cyclotomic factors of the numerators
+The corollary verifier's converse sweep is one pass over the primitive
+case-symmetric gap vectors, one integer per class of equal k_i, each
+counting the rotations back to the previous symmetric one.  It runs on
+the integer numerators c of the gaps c/q: T_k's roots are the prefix sums
+of the lowest rotation (``tk_numerators``, which the tables and
+``tk_from_k`` use too), check_Q asks for a zero gap, check_G for closure
+under r -> -r mod q, and integrality (``stokes.k_gaps_stokes``) and the
+complete-intersection match (``_match_numerators``, behind ``match_ci``)
+both read the cyclotomic factors of the numerators
 (``exact.cyclotomic_factors``, which states the lemma).  The operator
 strings (``_fmt_roots``, behind ``ThetaPoly.__str__``) take the same
 numerators over q.  The forward check compares integer root numerators
@@ -81,9 +80,6 @@ class ThetaPoly:
     def degree(self) -> int:
         return len(self.roots)
 
-    def monic(self) -> "ThetaPoly":
-        return ThetaPoly(Fraction(1), self.roots)
-
     def __str__(self) -> str:
         coeff = _fmt_ratio(self.coeff.numerator, self.coeff.denominator)
         body = _fmt_roots(*_numerators(self.roots))
@@ -138,24 +134,12 @@ class CISpec:
         return f"X^{{{w}}}_{{{d}}}"
 
 
-def _rotations(seq: tuple) -> list[tuple]:
-    """The cyclic rotations of seq; entry j starts at position j."""
-    return [seq[j:] + seq[:j] for j in range(len(seq))]
-
-
-def canonical_rotation(seq: Sequence) -> tuple:
-    """The canonical form of a cyclic sequence: its lowest rotation."""
-    return min(_rotations(tuple(seq)))
-
-
-def tk_numerators(canon: Sequence) -> list:
-    """T_k's roots times q = sum(canon): 0 and the prefix sums of canon, the
-    ``canonical_rotation`` of the gaps.
-
-    The gaps are the k_i + 1, as integer numerators c over q = sum(c) or as
-    rationals with q = 1; the canonical rotation makes T_k rotation
-    invariant.
-    """
+def tk_numerators(gaps: Sequence) -> list:
+    """T_k's roots times q = sum(gaps): 0 and the prefix sums of the lowest
+    rotation (which makes T_k rotation invariant) of the gaps k_i + 1, as
+    integer numerators c over q = sum(c) or as rationals with q = 1."""
+    gaps = tuple(gaps)
+    canon = min(gaps[j:] + gaps[:j] for j in range(len(gaps)))
     return [0, *accumulate(canon[:-1])]
 
 
@@ -163,15 +147,15 @@ def tk_from_k(k: KVector | Sequence[Fraction]) -> ThetaPoly:
     """The monic scalar operator attached to holomorphic data with N = 1.
 
     k is a ``KVector`` or a bare sequence k_0..k_n (a rotation of case
-    data need not keep the case symmetry); its roots are ``tk_numerators``
-    of the canonical rotation of the gaps k_i + 1.
+    data need not keep the case symmetry); its roots are the
+    ``tk_numerators`` of the gaps k_i + 1.
     """
     entries = tuple(k.entries if isinstance(k, KVector) else k)
     if len(entries) + sum(entries) != 1:
         raise ValueError("tk_from_k requires N = 1")
     if any(e < -1 for e in entries):
         raise ValueError("tk_from_k requires all k_i >= -1")
-    roots = tk_numerators(canonical_rotation(e + 1 for e in entries))
+    roots = tk_numerators(e + 1 for e in entries)
     return ThetaPoly(Fraction(1), tuple(map(Fraction, roots)))
 
 
@@ -364,20 +348,23 @@ def verify_corollary(case_id: str, search_bound: int,
     and satisfy the two abstract-QDM conditions, non-integral Stokes data
     implies no complete intersection matches the operator.
 
-    The candidates are generated, not filtered: for each q, one integer per
+    One pass over the case-symmetric vectors: for each q, one integer per
     symmetry class (every case has three) with the class-size-weighted sum
     q and gcd 1 with q (so each vector appears at its primitive denominator
-    only) gives a symmetric vector, whose rotation orbit is taken once.
-    T_k, the two conditions and the CI match are rotation invariant and
-    computed once per orbit; the Stokes data once per distinct first
-    symmetric rotation of the orbit's members, each member counting as one
-    candidate.
+    only) gives a symmetric vector s.  A candidate is read through its first
+    case-symmetric rotation at or after its own index.  So s stands for
+    itself and its rotations by -1, ..., -(back - 1), where back is the
+    least j >= 1 with s rotated by -j (entry i is s[i - j]) case-symmetric:
+    s counts back candidates, which share its T_k, its two conditions and
+    its CI match (all rotation invariant) and are read through its Stokes
+    data.  Every distinct gap vector is counted once, because the symmetric
+    rotations of an orbit, each generated once, cut its cycle of distinct
+    rotations into arcs that end one at each of them.
 
     Everything runs on the integer numerators c of the gaps c/q.  The
     Stokes data come from ``stokes.k_gaps_stokes``, over the one integer
-    kernel ``exact.cos_pair_sums`` (which states the lemma).  T_k's roots
-    are the ``tk_numerators`` of the orbit's canonical rotation.  The
-    complete-intersection match of a non-integral orbit
+    kernel ``exact.cos_pair_sums`` (which states the lemma).  The
+    complete-intersection match of a non-integral vector
     (``_match_numerators``) reads its class multiplicities from
     ``exact.cyclotomic_factors``, the strings of the reported uniform A_n
     and flagged operators (``_fmt_roots``) take the same numerators, and
@@ -413,9 +400,7 @@ def verify_corollary(case_id: str, search_bound: int,
     classes = desc.classes
     s0, s1, s2 = map(len, classes)  # every case has three classes
     for q in range(1, search_bound + 1):
-        # gap vectors c/q as integer numerators c; each rotation orbit of a
-        # primitive case-symmetric vector once, keyed by its canonical form
-        orbits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        # every primitive case-symmetric gap vector c/q, as integer numerators c
         for c0 in range(q // s0 + 1):
             for c1 in range((q - c0 * s0) // s1 + 1):
                 c2, left = divmod(q - c0 * s0 - c1 * s1, s2)
@@ -425,38 +410,29 @@ def verify_corollary(case_id: str, search_bound: int,
                 for cls, c in zip(classes, (c0, c1, c2)):
                     for i in cls:
                         vec[i] = c
-                rots = _rotations(tuple(vec))
-                orbits.setdefault(min(rots), rots)
-        for canon, rots in orbits.items():
-            roots = tk_numerators(canon)  # T_k's roots r/q
-            if all(r * (n1 + 1) == j * q for j, r in enumerate(roots)):
-                report.an_type.append(_fmt_roots(roots, q))
-            if 0 not in canon or not _mirror_closed(roots[1:], q):
-                continue
-            # every distinct gap vector of the orbit is one candidate, read
-            # through its first case-symmetric rotation: the first symmetric
-            # entry of rots at or after its own index, cyclically (rots[0],
-            # the generated vector, is symmetric)
-            first = [0] * n1
-            nxt = 0
-            for i in range(n1 - 1, -1, -1):
-                if all(rots[i][a] == rots[i][b] for a, b in desc.symmetry):
-                    nxt = i
-                first[i] = nxt
-            period = next((j for j in range(1, n1) if rots[j] == rots[0]), n1)
-            aligned = Counter(rots[first[i]] for i in range(period))
-            report.converse_checked += period
-            non_integral = sum(count for vec, count in aligned.items()
-                               if k_gaps_stokes(case_id, vec) is None)
-            if not non_integral:
-                continue
-            tk = _fmt_roots(roots, q)
-            match = _match_numerators(roots, q, n1, weight_bound)
-            if match is not None:
-                report.converse_violations += [
-                    f"{tk}: non-integral Stokes but matches {match}"] * non_integral
-            else:
-                report.flagged_non_ci.append(tk)
+                if 0 not in vec:  # fails check_Q
+                    # n+1 positive gaps with sum n+2 are 1, ..., 1, 2 in their
+                    # lowest rotation: T_k's roots j/(n+2), the uniform A_n
+                    if q == n1 + 1:
+                        report.an_type.append(_fmt_roots(range(n1), q))
+                    continue
+                roots = tk_numerators(vec)  # T_k's roots r/q
+                if not _mirror_closed(roots[1:], q):
+                    continue
+                # vec stands for itself and its rotations by -1, -2, ... up to
+                # the previous case-symmetric one, excluded (at -n1 at most)
+                back = next(j for j in range(1, n1 + 1) if all(
+                    vec[a - j] == vec[b - j] for a, b in desc.symmetry))
+                report.converse_checked += back
+                if k_gaps_stokes(case_id, vec) is not None:
+                    continue
+                tk = _fmt_roots(roots, q)
+                match = _match_numerators(roots, q, n1, weight_bound)
+                if match is None:
+                    report.flagged_non_ci.append(tk)
+                else:
+                    report.converse_violations += [
+                        f"{tk}: non-integral Stokes but matches {match}"] * back
     # dedupe flags (different gap vectors can share one operator)
     report.flagged_non_ci = sorted(set(report.flagged_non_ci))
     report.an_type = sorted(set(report.an_type))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ttstar.cli import (MAX_CONVERT_DENOMINATOR, MAX_QDO_WEIGHT_SUM,
+from ttstar.cli import (MAX_CONVERT_DENOMINATOR, MAX_DIGITS, MAX_QDO_WEIGHT_SUM,
                         MAX_VERIFY_BOUND, default_tables_dir, main)
 
 TABLES = default_tables_dir()
@@ -55,6 +55,37 @@ def test_convert_n_with_k_rejected(capsys):
 def test_convert_parse_error(capsys):
     code, _, err = run(capsys, "convert", "4a", "--from", "asymptotic", "x", "0")
     assert code == 2 and "not an exact rational" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("convert", "4a", "--from", "asymptotic", "1e5000", "1"),
+    ("convert", "4a", "--from", "asymptotic", "3", "1", "--n", "1e5000"),
+    ("convert", "4a", "--from", "k", "1e5000", "0", "0", "0"),
+    ("convert", "4a", "--from", "asymptotic", "1/3", "1e-5000"),
+    ("solve", "4a", "1e5000", "1"),
+    ("convert", "4a", "--from", "asymptotic", "1e100000000", "1"),
+    ("solve", "4a", "0", "1e-1_000_000_000_000"),
+    ("convert", "4a", "--from", "asymptotic", "1/" + "7" * (MAX_DIGITS + 1), "0"),
+])
+def test_huge_exact_input_rejected(capsys, argv):
+    """A numerator or denominator of more than MAX_DIGITS digits exits 2 at
+    once: ``Fraction("1e100000000")`` alone takes minutes, and Python refuses
+    to print an integer of more than 4,300 digits."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith("error:") and f"more than {MAX_DIGITS:,} digits" in err
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("command", ["convert", "solve"])
+def test_long_exact_input_parsed(capsys, command):
+    """A gamma of MAX_DIGITS digits still parses, and lies outside the region."""
+    argv = [command, "4a", "9" * MAX_DIGITS, "0"]
+    if command == "convert":
+        argv[2:2] = ["--from", "asymptotic"]
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and "outside the region" in err and not out
 
 
 def test_convert_region_violation(capsys):

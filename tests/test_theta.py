@@ -9,11 +9,12 @@ from conftest import (class_compositions, random_symmetric_gaps,
                       random_symmetric_k)
 from ttstar.cases import CASE_IDS, GROUPS, KVector, descriptor, make_k
 from ttstar.enumeration import integral_solutions
-from ttstar.stokes import stokes_from_k
+from ttstar.stokes import k_gaps_stokes, stokes_from_k
 from ttstar.theta import (CISpec, CorollaryReport, NotReducibleError, QDO,
                           ThetaPoly, _fmt_roots, _qdo_matches, catalog,
                           check_G, check_Q, match_ci, qdo_from_ci,
-                          theta_poly, tk_from_k, verify_corollary)
+                          theta_poly, tk_from_k, tk_numerators,
+                          verify_corollary)
 
 
 def F(*a):
@@ -499,8 +500,48 @@ def test_forward_verdict_matches_reference():
     ("5a", 48, 2685, 528), ("5b", 48, 2685, 528), ("5c", 48, 2685, 528),
     ("5d", 48, 2685, 528), ("5e", 48, 2685, 528),
     ("6a", 48, 1086, 176), ("6b", 48, 1086, 176), ("6c", 48, 1086, 176),
+    ("4a", 96, 5614, 1399), ("5a", 96, 10580, 2107), ("6a", 96, 4278, 708),
 ])
 def test_converse_pins(case_id, bound, checked, flagged):
     rep = verify_corollary(case_id, bound)
     assert (rep.converse_checked, len(rep.flagged_non_ci)) == (checked, flagged)
     assert rep.ok and not rep.converse_violations
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_no_integral_or_ci_point_past_12(case_id):
+    """The finiteness behind the converse (ROADMAP Direction K): for q from
+    13 to 48 no primitive case-symmetric gap vector c/q has integral Stokes
+    data, and no T_k root multiset matches a complete intersection, even
+    with weight sums up to 10^6."""
+    desc = descriptor(case_id)
+    n1 = desc.n_plus_1
+    for q in range(13, 49):
+        for counts in class_compositions(q, [len(c) for c in desc.classes]):
+            if math.gcd(q, *counts) != 1:
+                continue
+            gaps = [0] * n1
+            for cls, c in zip(desc.classes, counts):
+                for i in cls:
+                    gaps[i] = c
+            assert k_gaps_stokes(case_id, gaps) is None, gaps
+            roots = [F(r, q) for r in tk_numerators(gaps)]
+            assert match_ci(roots, n1, 10**6) is None, gaps
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_converse_violations_count_every_gap_vector(case_id, monkeypatch):
+    """With every Stokes datum read as non-integral, each distinct gap vector
+    with a case-symmetric rotation, both conditions and a T_k matching a
+    complete intersection is one violation: a symmetric vector's violations
+    carry the count of the rotations it stands for."""
+    monkeypatch.setattr("ttstar.theta.k_gaps_stokes", lambda case_id, gaps: None)
+    n1 = descriptor(case_id).n_plus_1
+    matching = set()
+    for q in range(1, 13):
+        for gaps in _symmetric_rotations(case_id, q):
+            tk = _reference_tk(tuple(F(c, q) for c in gaps))
+            if (math.gcd(q, *gaps) == 1 and 0 in gaps and check_G(tk)
+                    and match_ci(tk.roots, n1, 12 * n1) is not None):
+                matching.add(gaps)
+    assert len(verify_corollary(case_id, 12).converse_violations) == len(matching) > 0
