@@ -40,7 +40,7 @@ MAX_CONVERT_DENOMINATOR = 480
 MAX_QDO_WEIGHT_SUM = 10_000
 
 # the largest --bound ``verify`` accepts: the converse sweep grows about as
-# bound^3, and at this bound its slowest case, 4a, takes about 3.3 s
+# bound^3, and at this bound its slowest case, 4a, takes about 1 s
 MAX_VERIFY_BOUND = 192
 
 # the most digits of a numerator or denominator ``parse_frac`` accepts:
