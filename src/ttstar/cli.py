@@ -40,7 +40,7 @@ MAX_CONVERT_DENOMINATOR = 480
 MAX_QDO_WEIGHT_SUM = 10_000
 
 # the largest --bound ``verify`` accepts: the converse sweep grows about as
-# bound^3, and at this bound its slowest case, 4a, takes about 1 s
+# bound^2, and at this bound its slowest cases, 4a and 5a, take about 0.2 s
 MAX_VERIFY_BOUND = 192
 
 # the most digits of a numerator or denominator ``parse_frac`` accepts:
@@ -63,6 +63,11 @@ def fmt_frac(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _excerpt(text: str) -> str:
+    """text, or its first 37 characters and "..." when it is longer than 40."""
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 # n/d, or w.p times 10^(+-e), which Fraction forms as wp*10^e / 10^len(p)
 _NUMBER = re.compile(r"[-+]?0*(\d*)(?:/0*(\d+)|\.?(\d*)(?:e([-+]?)0*(\d*))?)", re.I)
 
@@ -76,13 +81,12 @@ def parse_frac(text: str) -> Fraction:
         sizes = (len(whole), len(den)) if den else (
             len((whole + places).lstrip("0")) + up, 1 + len(places) + down)
         if max(sizes) > MAX_DIGITS:
-            shown = text if len(text) <= 40 else text[:37] + "..."
-            raise CliError(f"{shown!r} has a numerator or denominator of more "
-                           f"than {MAX_DIGITS:,} digits", EXIT_PARSE)
+            raise CliError(f"{_excerpt(text)!r} has a numerator or denominator "
+                           f"of more than {MAX_DIGITS:,} digits", EXIT_PARSE)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise CliError(f"not an exact rational: {text!r}", EXIT_PARSE) from None
+        raise CliError(f"not an exact rational: {_excerpt(text)!r}", EXIT_PARSE) from None
 
 
 def fmt_s1(n: int, ambiguous: bool) -> str:
@@ -183,6 +187,13 @@ EMITTERS = {"table": emit_table, "csv": emit_csv, "json": emit_json,
             "latex": emit_latex}
 
 
+def check_region(case_id: str, asym: AsymptoticData) -> None:
+    if not in_region(case_id, asym):
+        raise CliError(f"(gamma, delta) = ({_excerpt(fmt_frac(asym.gamma))}, "
+                       f"{_excerpt(fmt_frac(asym.delta))}) outside the region "
+                       f"of case {case_id}", EXIT_DOMAIN)
+
+
 def default_tables_dir() -> Path:
     return Path(__file__).resolve().parents[2] / "tables"
 
@@ -202,10 +213,7 @@ def cmd_convert(args) -> int:
         if len(values) != 2:
             raise CliError("asymptotic input needs exactly two values", EXIT_PARSE)
         asym = AsymptoticData(*values)
-        if not in_region(case_id, asym):
-            raise CliError(f"(gamma, delta) = ({fmt_frac(asym.gamma)}, "
-                           f"{fmt_frac(asym.delta)}) outside the region of "
-                           f"case {case_id}", EXIT_DOMAIN)
+        check_region(case_id, asym)
         k = asymptotic_to_k(case_id, asym, n)
     else:
         try:
@@ -219,7 +227,8 @@ def cmd_convert(args) -> int:
         asym = k_to_asymptotic(k)
     q = math.lcm(*(((e + 1) / k.N).denominator for e in k.entries))
     if q > MAX_CONVERT_DENOMINATOR:
-        raise CliError(f"the gaps (k_i + 1)/N have common denominator {q}, above "
+        shown = q if q < 10**40 else f"of {len(str(q)):,} digits"
+        raise CliError(f"the gaps (k_i + 1)/N have common denominator {shown}, above "
                        f"convert's limit of {MAX_CONVERT_DENOMINATOR}", EXIT_PARSE)
     stokes = (stokes_from_asymptotic(case_id, asym) if args.source == "asymptotic"
               else stokes_from_k(k))
@@ -414,16 +423,13 @@ def _check_writable(path: Path) -> None:
 
 
 def cmd_solve(args) -> int:
-    # numpy and scipy's LAPACK extension load here only, so the other
-    # subcommands start faster; the solver never imports scipy.linalg
-    from .solver import (ConvergenceError, SolverConfig, solve_radial,
-                         verify_asymptotics)
     case_id = args.case
     asym = AsymptoticData(parse_frac(args.gamma), parse_frac(args.delta))
-    if not in_region(case_id, asym):
-        raise CliError(f"(gamma, delta) = ({fmt_frac(asym.gamma)}, "
-                       f"{fmt_frac(asym.delta)}) outside the region of "
-                       f"case {case_id}", EXIT_DOMAIN)
+    check_region(case_id, asym)
+    # numpy and scipy's LAPACK extension load here only, after the input checks,
+    # so bad input and the other subcommands exit sooner (never scipy.linalg)
+    from .solver import (ConvergenceError, SolverConfig, solve_radial,
+                         verify_asymptotics)
     try:
         cfg = SolverConfig(t_min=args.t_min, t_max=args.t_max,
                            grid_points=args.points, newton_tol=args.tol,

@@ -7,21 +7,21 @@ weighted projective complete intersections, which are built here by
 multiset division of their factor lists.
 
 The corollary verifier's converse sweep is one pass over the primitive
-case-symmetric gap vectors, one integer per class of equal k_i, each
-counting the rotations back to the previous symmetric one.  It runs on
-the integer numerators c of the gaps c/q: T_k's roots are the prefix sums
-of the lowest rotation (``tk_numerators``, which the tables and
-``tk_from_k`` use too), check_Q asks for a zero gap, check_G for closure
-under r -> -r mod q, and integrality (``stokes.k_gaps_stokes``) and the
-complete-intersection match (``_match_numerators``, behind ``match_ci``)
-both read the cyclotomic factors of the numerators
-(``exact.cyclotomic_factors``, which states the lemma).  The operator
-strings (``_fmt_roots``, behind ``ThetaPoly.__str__``) take the same
-numerators over q.  The forward check compares integer root numerators
-too: a catalog entry's over the lcm of its weights and degrees
-(``_ci_numerators``, behind ``qdo_from_ci``) against its record's T_k
-roots over theirs (``_qdo_matches``); operators are built only to report
-a mismatch.
+case-symmetric gap vectors with a zero class (check_Q asks for a zero
+gap), one integer per class of equal k_i, each counting the rotations
+back to the previous symmetric one.  It runs on the integer numerators c
+of the gaps c/q: T_k's roots are the prefix sums of the lowest rotation
+(``tk_numerators``, which the tables and ``tk_from_k`` use too), check_G
+asks for closure under r -> -r mod q, and integrality
+(``stokes.k_gaps_stokes``) and the complete-intersection match
+(``_match_numerators``, behind ``match_ci``) both read the cyclotomic
+factors of the numerators (``exact.cyclotomic_factors``, which states
+the lemma).  The operator strings (``_fmt_roots``, behind
+``ThetaPoly.__str__``) take the same numerators over q.  The forward
+check compares integer root numerators too: a catalog entry's over the
+lcm of its weights and degrees (``_ci_numerators``, behind
+``qdo_from_ci``) against its record's T_k roots over theirs
+(``_qdo_matches``); operators are built only to report a mismatch.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, groupby
 from typing import Iterable, Optional, Sequence
 
@@ -164,17 +165,19 @@ def _factor_roots(ns: Iterable[int], lcm: int) -> Counter:
     return Counter(j for v in ns for j in range(0, lcm, lcm // v))
 
 
-def _ci_numerators(spec: CISpec) -> tuple[list[int], int]:
+@lru_cache
+def _ci_numerators(spec: CISpec) -> tuple[tuple[int, ...], int]:
     """The theta roots of spec's QDO as integer numerators over the lcm of
-    its weights and degrees: the ambient factor's roots less the
-    hypersurface factor's, which must all be among them."""
+    its weights and degrees (cached: the catalog is constant): the ambient
+    factor's roots less the hypersurface factor's, which must all be among
+    them."""
     lcm = math.lcm(*spec.weights, *spec.degrees)
     a_roots = _factor_roots(spec.weights, lcm)
     b_roots = _factor_roots(spec.degrees, lcm)
     if b_roots - a_roots:
         raise NotReducibleError(
             f"{spec}: hypersurface factor is not a sub-multiset of the ambient factor")
-    return sorted((a_roots - b_roots).elements()), lcm
+    return tuple(sorted((a_roots - b_roots).elements())), lcm
 
 
 def qdo_from_ci(spec: CISpec) -> QDO:
@@ -351,25 +354,25 @@ def verify_corollary(case_id: str, search_bound: int,
     One pass over the case-symmetric vectors: for each q, one integer per
     symmetry class (every case has three) with the class-size-weighted sum
     q and gcd 1 with q (so each vector appears at its primitive denominator
-    only) gives a symmetric vector s.  A candidate is read through its first
-    case-symmetric rotation at or after its own index.  So s stands for
-    itself and its rotations by -1, ..., -(back - 1), where back is the
-    least j >= 1 with s rotated by -j (entry i is s[i - j]) case-symmetric:
-    s counts back candidates, which share its T_k, its two conditions and
-    its CI match (all rotation invariant) and are read through its Stokes
-    data.  Every distinct gap vector is counted once, because the symmetric
-    rotations of an orbit, each generated once, cut its cycle of distinct
-    rotations into arcs that end one at each of them.
+    only) gives a symmetric vector s.  Only the triples (c0, c1, c2) with a
+    zero, which check_Q asks for, are visited: for c0 = 0 every c1, else
+    c1 = 0 and the c1 giving c2 = 0; at q = n+2, for the uniform A_n, every
+    triple.  A candidate is read through its first case-symmetric rotation
+    at or after its own index.  So s stands for itself and its rotations by
+    -1, ..., -(back - 1), where back is the least j >= 1 with s rotated by
+    -j (entry i is s[i - j]) case-symmetric: s counts back candidates,
+    which share its T_k, its two conditions and its CI match (all rotation
+    invariant) and are read through its Stokes data.  Every distinct gap
+    vector is counted once, because the symmetric rotations of an orbit,
+    each generated once, cut its cycle of distinct rotations into arcs that
+    end one at each of them.  Which classes are equal fixes back, so it is
+    searched once per such pattern and call.
 
-    Everything runs on the integer numerators c of the gaps c/q.  The
-    Stokes data come from ``stokes.k_gaps_stokes``, over the one integer
-    kernel ``exact.cos_pair_sums`` (which states the lemma).  The
-    complete-intersection match of a non-integral vector
-    (``_match_numerators``) reads its class multiplicities from
-    ``exact.cyclotomic_factors``, the strings of the reported uniform A_n
-    and flagged operators (``_fmt_roots``) take the same numerators, and
-    the forward check compares integer root numerators (``_qdo_matches``),
-    building the two operators only for the message of a mismatch.
+    Every vector passing both conditions gets ``stokes.k_gaps_stokes``, and
+    every non-integral one ``_match_numerators``; a flagged operator's
+    string is formatted once per distinct (T_k numerators, q).  The forward
+    check compares integer root numerators (``_qdo_matches``), building the
+    two operators only for the message of a mismatch.
     """
     from .enumeration import integral_solutions  # enumeration imports this module
 
@@ -379,9 +382,8 @@ def verify_corollary(case_id: str, search_bound: int,
     n1 = desc.n_plus_1
     report = CorollaryReport(case_id, search_bound)
 
-    records = integral_solutions(case_id)
     by_block: dict[str, list] = {}
-    for rec in records:
+    for rec in integral_solutions(case_id):
         by_block.setdefault(rec.block, []).append(rec)
     for idx, (spec, block, pos) in enumerate(catalog(desc.group)):
         rec = by_block[block][pos]
@@ -399,42 +401,49 @@ def verify_corollary(case_id: str, search_bound: int,
     weight_bound = search_bound * n1
     classes = desc.classes
     s0, s1, s2 = map(len, classes)  # every case has three classes
+    slot = [next(k for k, cls in enumerate(classes) if i in cls) for i in range(n1)]
+    backs: dict[tuple[bool, bool, bool], int] = {}  # by which classes are equal
+    flagged: set[tuple[tuple[int, ...], int]] = set()  # (T_k numerators, q)
     for q in range(1, search_bound + 1):
-        # every primitive case-symmetric gap vector c/q, as integer numerators c
+        # the primitive case-symmetric gap vectors c/q with a zero class, as
+        # integer numerators c, and every one at q = n+2
         for c0 in range(q // s0 + 1):
-            for c1 in range((q - c0 * s0) // s1 + 1):
-                c2, left = divmod(q - c0 * s0 - c1 * s1, s2)
+            rest = q - c0 * s0
+            c1s = (range(rest // s1 + 1) if c0 == 0 or q == n1 + 1
+                   else (0,) if rest < s1 else (0, rest // s1))
+            for c1 in c1s:
+                c2, left = divmod(rest - c1 * s1, s2)
                 if left or math.gcd(q, c0, c1, c2) != 1:
                     continue
-                vec = [0] * n1
-                for cls, c in zip(classes, (c0, c1, c2)):
-                    for i in cls:
-                        vec[i] = c
-                if 0 not in vec:  # fails check_Q
+                if c0 and c1 and c2:  # fails check_Q
                     # n+1 positive gaps with sum n+2 are 1, ..., 1, 2 in their
                     # lowest rotation: T_k's roots j/(n+2), the uniform A_n
                     if q == n1 + 1:
                         report.an_type.append(_fmt_roots(range(n1), q))
                     continue
+                vec = [(c0, c1, c2)[k] for k in slot]
                 roots = tk_numerators(vec)  # T_k's roots r/q
                 if not _mirror_closed(roots[1:], q):
                     continue
                 # vec stands for itself and its rotations by -1, -2, ... up to
                 # the previous case-symmetric one, excluded (at -n1 at most)
-                back = next(j for j in range(1, n1 + 1) if all(
-                    vec[a - j] == vec[b - j] for a, b in desc.symmetry))
+                pattern = (c0 == c1, c0 == c2, c1 == c2)
+                if pattern not in backs:
+                    backs[pattern] = next(j for j in range(1, n1 + 1) if all(
+                        vec[a - j] == vec[b - j] for a, b in desc.symmetry))
+                back = backs[pattern]
                 report.converse_checked += back
                 if k_gaps_stokes(case_id, vec) is not None:
                     continue
-                tk = _fmt_roots(roots, q)
                 match = _match_numerators(roots, q, n1, weight_bound)
                 if match is None:
-                    report.flagged_non_ci.append(tk)
+                    flagged.add((tuple(roots), q))
                 else:
                     report.converse_violations += [
-                        f"{tk}: non-integral Stokes but matches {match}"] * back
-    # dedupe flags (different gap vectors can share one operator)
-    report.flagged_non_ci = sorted(set(report.flagged_non_ci))
+                        f"{_fmt_roots(roots, q)}: non-integral Stokes but "
+                        f"matches {match}"] * back
+    # one string per operator (different gap vectors can share one)
+    report.flagged_non_ci = sorted({_fmt_roots(r, q) for r, q in flagged})
     report.an_type = sorted(set(report.an_type))
     return report
 

@@ -88,6 +88,31 @@ def test_long_exact_input_parsed(capsys, command):
     assert code == 3 and "outside the region" in err and not out
 
 
+# a gamma and delta in lowest terms, each part of about MAX_DIGITS digits,
+# well outside every region
+_LONG_GAMMA = f"{10**999 + 1}/{10**999 + 3}"
+_LONG_DELTA = f"-{10**999 + 7}/{3 * 10**998 + 1}"
+_LONG_K = ["1/" + str(10**999 + j) for j in (1, 3, 7, 3)]  # 4a: k_1 = k_3
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    (["convert", "4a", "--from", "asymptotic", _LONG_GAMMA, _LONG_DELTA], 3,
+     "...) outside the region"),
+    (["solve", "4a", _LONG_GAMMA, _LONG_DELTA], 3, "...) outside the region"),
+    (["convert", "4a", "--from", "k", *_LONG_K], 2,
+     "digits, above convert's limit"),
+    (["convert", "4a", "--from", "asymptotic", "0", "1" * 999 + "x"], 2,
+     "not an exact rational: '111"),
+    (["solve", "4a", "1" * 999 + "x", "0"], 2, "not an exact rational: '111"),
+])
+def test_long_exact_values_shortened_in_errors(capsys, argv, code, text):
+    """Region errors, convert's denominator limit and unparsable input show
+    a value of about MAX_DIGITS digits as an excerpt or a digit count."""
+    got, out, err = run(capsys, *argv)
+    assert got == code and not out
+    assert err.startswith("error:") and text in err and len(err) < 200, err
+
+
 def test_convert_region_violation(capsys):
     code, _, err = run(capsys, "convert", "4a", "--from", "asymptotic", "5", "0")
     assert code == 3 and "outside the region" in err
@@ -377,3 +402,17 @@ def test_convert_skips_enumeration_and_theta():
     assert proc.returncode == 0, proc.stderr
     assert "stokes    (±4, -6)  [integral]" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_solve_parse_error_skips_solver_import():
+    """``solve`` checks its input before it imports numpy and the solver."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from ttstar.cli import main; "
+         "code = main(['solve', '4a', 'x', '0']); "
+         "print(code, 'numpy' in sys.modules, 'ttstar.solver' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout.split() == ["2", "False", "False"], proc.stderr

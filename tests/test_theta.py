@@ -7,14 +7,15 @@ import pytest
 
 from conftest import (class_compositions, random_symmetric_gaps,
                       random_symmetric_k)
+from ttstar import theta
 from ttstar.cases import CASE_IDS, GROUPS, KVector, descriptor, make_k
 from ttstar.enumeration import integral_solutions
 from ttstar.stokes import k_gaps_stokes, stokes_from_k
 from ttstar.theta import (CISpec, CorollaryReport, NotReducibleError, QDO,
-                          ThetaPoly, _fmt_roots, _qdo_matches, catalog,
-                          check_G, check_Q, match_ci, qdo_from_ci,
-                          theta_poly, tk_from_k, tk_numerators,
-                          verify_corollary)
+                          ThetaPoly, _fmt_roots, _match_numerators,
+                          _mirror_closed, _qdo_matches, catalog, check_G,
+                          check_Q, match_ci, qdo_from_ci, theta_poly,
+                          tk_from_k, tk_numerators, verify_corollary)
 
 
 def F(*a):
@@ -501,6 +502,7 @@ def test_forward_verdict_matches_reference():
     ("5d", 48, 2685, 528), ("5e", 48, 2685, 528),
     ("6a", 48, 1086, 176), ("6b", 48, 1086, 176), ("6c", 48, 1086, 176),
     ("4a", 96, 5614, 1399), ("5a", 96, 10580, 2107), ("6a", 96, 4278, 708),
+    ("4a", 192, 22462, 5611), ("5a", 192, 42110, 8413), ("6a", 192, 16842, 2802),
 ])
 def test_converse_pins(case_id, bound, checked, flagged):
     rep = verify_corollary(case_id, bound)
@@ -545,3 +547,90 @@ def test_converse_violations_count_every_gap_vector(case_id, monkeypatch):
                     and match_ci(tk.roots, n1, 12 * n1) is not None):
                 matching.add(gaps)
     assert len(verify_corollary(case_id, 12).converse_violations) == len(matching) > 0
+
+
+def _reference_sweep(case_id, search_bound, corrupt_catalog=False):
+    """``verify_corollary`` as it stood before the zero-class visit: every
+    (c0, c1) triple builds its vector before the check_Q test, ``back`` is
+    searched per vector, and every flagged operator is formatted.  It reads
+    ``k_gaps_stokes`` through ``ttstar.theta``, so a test that patches it
+    there patches both sweeps."""
+    desc = descriptor(case_id)
+    n1 = desc.n_plus_1
+    report = CorollaryReport(case_id, search_bound)
+
+    records = integral_solutions(case_id)
+    by_block: dict[str, list] = {}
+    for rec in records:
+        by_block.setdefault(rec.block, []).append(rec)
+    for idx, (spec, block, pos) in enumerate(catalog(desc.group)):
+        rec = by_block[block][pos]
+        if corrupt_catalog and idx == 0:
+            spec = CISpec((1,) * (n1 + 1))
+        report.forward_checked += 1
+        if not _qdo_matches(spec, n1, rec.tk):
+            try:
+                produced = qdo_from_ci(spec)
+            except NotReducibleError:
+                produced = None
+            report.forward_mismatches.append(
+                f"{spec} -> {produced} != {QDO(n1, rec.tk)} at {block}[{pos}]")
+
+    weight_bound = search_bound * n1
+    classes = desc.classes
+    s0, s1, s2 = map(len, classes)  # every case has three classes
+    for q in range(1, search_bound + 1):
+        # every primitive case-symmetric gap vector c/q, as integer numerators c
+        for c0 in range(q // s0 + 1):
+            for c1 in range((q - c0 * s0) // s1 + 1):
+                c2, left = divmod(q - c0 * s0 - c1 * s1, s2)
+                if left or math.gcd(q, c0, c1, c2) != 1:
+                    continue
+                vec = [0] * n1
+                for cls, c in zip(classes, (c0, c1, c2)):
+                    for i in cls:
+                        vec[i] = c
+                if 0 not in vec:  # fails check_Q
+                    # n+1 positive gaps with sum n+2 are 1, ..., 1, 2 in their
+                    # lowest rotation: T_k's roots j/(n+2), the uniform A_n
+                    if q == n1 + 1:
+                        report.an_type.append(_fmt_roots(range(n1), q))
+                    continue
+                roots = tk_numerators(vec)  # T_k's roots r/q
+                if not _mirror_closed(roots[1:], q):
+                    continue
+                # vec stands for itself and its rotations by -1, -2, ... up to
+                # the previous case-symmetric one, excluded (at -n1 at most)
+                back = next(j for j in range(1, n1 + 1) if all(
+                    vec[a - j] == vec[b - j] for a, b in desc.symmetry))
+                report.converse_checked += back
+                if theta.k_gaps_stokes(case_id, vec) is not None:
+                    continue
+                tk = _fmt_roots(roots, q)
+                match = _match_numerators(roots, q, n1, weight_bound)
+                if match is None:
+                    report.flagged_non_ci.append(tk)
+                else:
+                    report.converse_violations += [
+                        f"{tk}: non-integral Stokes but matches {match}"] * back
+    # dedupe flags (different gap vectors can share one operator)
+    report.flagged_non_ci = sorted(set(report.flagged_non_ci))
+    report.an_type = sorted(set(report.an_type))
+    return report
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_sweep_matches_reference_sweep(case_id, monkeypatch):
+    """The zero-class visit gives the triple loop's report field for field at
+    bounds 6 to 48, the catalog corrupted or not, and again with every
+    Stokes datum read as non-integral, which fills converse_violations and
+    so compares its order."""
+    for bound in (6, 12, 24, 48):
+        for corrupt in (False, True):
+            assert (verify_corollary(case_id, bound, corrupt)
+                    == _reference_sweep(case_id, bound, corrupt)), (bound, corrupt)
+    monkeypatch.setattr("ttstar.theta.k_gaps_stokes", lambda case_id, gaps: None)
+    for bound in (6, 12, 24, 48):
+        rep = verify_corollary(case_id, bound)
+        assert rep.converse_violations
+        assert rep == _reference_sweep(case_id, bound), bound
