@@ -48,8 +48,6 @@ class CaseDescriptor:
     symmetry: tuple[tuple[int, int], ...]
     gamma_row: tuple[int, ...]
     delta_row: tuple[int, ...]
-    kl_index: tuple[int, int]
-    angle_mult: tuple[int, int]
     group: str
     # gamma + delta on the interior line of symmetry of the region
     center_sum: int
@@ -72,34 +70,34 @@ class CaseDescriptor:
 _DESCRIPTORS = {
     "4a": CaseDescriptor(
         "4a", 4, (2, 2), ((1, 3),),
-        (3, -2, -1, 0), (1, 2, -3, 0), (0, 2), (1, 1), "4", 0),
+        (3, -2, -1, 0), (1, 2, -3, 0), "4", 0),
     "4b": CaseDescriptor(
         "4b", 4, (2, 2), ((0, 2),),
-        (-2, -1, 0, 3), (2, -3, 0, 1), (3, 1), (1, 1), "4", 0),
+        (-2, -1, 0, 3), (2, -3, 0, 1), "4", 0),
     "5a": CaseDescriptor(
         "5a", 5, (2, 1), ((1, 4), (2, 3)),
-        (4, -2, -2, 0, 0), (2, 4, -6, 0, 0), (0, 2), (1, 2), "5ab", 1),
+        (4, -2, -2, 0, 0), (2, 4, -6, 0, 0), "5ab", 1),
     "5b": CaseDescriptor(
         "5b", 5, (2, 1), ((0, 3), (1, 2)),
-        (-2, -2, 0, 0, 4), (4, -6, 0, 0, 2), (4, 1), (1, 2), "5ab", 1),
+        (-2, -2, 0, 0, 4), (4, -6, 0, 0, 2), "5ab", 1),
     "5c": CaseDescriptor(
         "5c", 5, (1, 2), ((1, 3), (0, 4)),
-        (6, -4, -2, 0, 0), (2, 2, -4, 0, 0), (0, 2), (2, 1), "5cde", -1),
+        (6, -4, -2, 0, 0), (2, 2, -4, 0, 0), "5cde", -1),
     "5d": CaseDescriptor(
         "5d", 5, (1, 2), ((2, 4), (0, 1)),
-        (6, 0, -4, -2, 0), (2, 0, 2, -4, 0), (0, 3), (2, 1), "5cde", -1),
+        (6, 0, -4, -2, 0), (2, 0, 2, -4, 0), "5cde", -1),
     "5e": CaseDescriptor(
         "5e", 5, (1, 2), ((0, 2), (3, 4)),
-        (-4, -2, 0, 6, 0), (2, -4, 0, 2, 0), (3, 1), (2, 1), "5cde", -1),
+        (-4, -2, 0, 6, 0), (2, -4, 0, 2, 0), "5cde", -1),
     "6a": CaseDescriptor(
         "6a", 6, (1, 1), ((1, 4), (0, 5), (2, 3)),
-        (8, -4, -4, 0, 0, 0), (4, 4, -8, 0, 0, 0), (0, 2), (2, 2), "6", 0),
+        (8, -4, -4, 0, 0, 0), (4, 4, -8, 0, 0, 0), "6", 0),
     "6b": CaseDescriptor(
         "6b", 6, (1, 1), ((2, 5), (0, 1), (3, 4)),
-        (8, 0, -4, -4, 0, 0), (4, 0, 4, -8, 0, 0), (0, 3), (2, 2), "6", 0),
+        (8, 0, -4, -4, 0, 0), (4, 0, 4, -8, 0, 0), "6", 0),
     "6c": CaseDescriptor(
         "6c", 6, (1, 1), ((0, 3), (4, 5), (1, 2)),
-        (-4, -4, 0, 0, 8, 0), (4, -8, 0, 0, 4, 0), (4, 1), (2, 2), "6", 0),
+        (-4, -4, 0, 0, 8, 0), (4, -8, 0, 0, 4, 0), "6", 0),
 }
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .cases import (CASE_IDS, GROUPS, AsymptoticData, SymmetryError, descriptor,
                     in_region, k_to_asymptotic, make_k, asymptotic_to_k)
-from .stokes import GROUP_FORMULAS, stokes_from_asymptotic, stokes_from_k
+from .stokes import stokes_from_asymptotic, stokes_from_k
 
 # ``enumeration`` and ``theta``, like ``solver``, load only in the subcommands
 # that use them, so ``convert`` and ``solve`` skip their import
@@ -105,8 +105,9 @@ def record_row(rec) -> dict:
 
 
 def half_table(case_id: str) -> bool:
-    """The groups with s1 defined up to sign print only the rows gamma + delta >= 0."""
-    return GROUP_FORMULAS[descriptor(case_id).group].s1_ambiguous
+    """The cases with s1 defined up to sign (even n+1) print only the rows
+    gamma + delta >= 0."""
+    return descriptor(case_id).n_plus_1 % 2 == 0
 
 
 def case_rows(case_id: str, full: bool) -> list[dict]:

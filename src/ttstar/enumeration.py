@@ -12,7 +12,8 @@ The quadratics' range (-4 <= m, p <= 4, m^2 + 4p >= 0) is asserted.
 
 The tables are built on integers too, and this module holds no ``AlgReal``.
 Each admissible label pair gives integer gaps c over q = sum(c)
-(``k_from_labels``), and from them come the asymptotic data
+(``k_from_labels``, which puts the labels on the two slot gaps of
+``stokes.case_formula``), and from them come the asymptotic data
 (``cases.gaps_to_asymptotic``), the Stokes data (``stokes.k_gaps_stokes``,
 over the same kernel) and T_k's root numerators (``theta.tk_numerators``);
 a ``Fraction`` is made only for each field a record stores.
@@ -34,7 +35,7 @@ from math import gcd, lcm
 from .cases import (AsymptoticData, KVector, descriptor, gaps_to_asymptotic,
                     in_region)
 from .exact import cos_pair_sums
-from .stokes import GROUP_FORMULAS, k_gaps_stokes
+from .stokes import GROUP_FORMULAS, case_formula, k_gaps_stokes
 from .theta import ThetaPoly, tk_numerators
 
 BLOCKS = ("top-edge", "left-edge", "diagonal-edge", "center-line", "other-interior")
@@ -145,8 +146,7 @@ def k_from_labels(case_id: str, a_label: Fraction, b_label: Fraction
     """Holomorphic data with N = 1 for one admissible cosine-pair point, as
     integer gaps c: k_i = c_i/q - 1 with q = sum(c)."""
     desc = descriptor(case_id)
-    mk, ml = desc.angle_mult
-    ki, li = desc.kl_index
+    (ki, mk, _), (li, ml, _) = case_formula(case_id).slots
     # the slot gaps a/mk and b/ml over one denominator q
     da, db = a_label.denominator * mk, b_label.denominator * ml
     q = lcm(da, db)

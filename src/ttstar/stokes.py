@@ -1,21 +1,26 @@
 """Exact Stokes data of the two-function tt*-Toda solutions.
 
-The two real Stokes parameters (s1, s2) are cosine polynomials in either
-the asymptotic data (gamma, delta) or the holomorphic exponents k_i.
-Both routes are implemented exactly over ``AlgReal`` from one table of
-per-group formulas; they agree on the nose.  In the groups of cases with
-an even size matrix s1 is only defined up to sign; its sign is decided
-exactly from the rational angles and s1 is reported nonnegative.
+The two real Stokes parameters (s1, s2) are one cosine polynomial per case,
+in two slot angles read from either the asymptotic data (gamma, delta) or
+the holomorphic exponents k_i.  The polynomial and the k -> slot map are
+derived once per case from the case's reflection of the gaps
+(``case_formula``); the (gamma, delta) -> slot map is a small per-group
+table (``GROUP_FORMULAS``).  Both routes are exact over ``AlgReal`` and
+agree on the nose.  In the cases with an even size matrix s1 is only
+defined up to sign; its sign is decided exactly from the rational angles
+and s1 is reported nonnegative.
 
-Both k routes read the slot angles from one map (``_slots``).  At a point
-given by integer gaps the data are also decided and computed on integers
-alone (``k_gaps_stokes``), by the one integer kernel ``exact.cos_pair_sums``.
+Both k routes read the slot angles as m*gaps[i] + f*q over q (``_slots``).
+At a point given by integer gaps the data are also decided and computed on
+integers alone (``k_gaps_stokes``), by the one integer kernel
+``exact.cos_pair_sums``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .cases import AsymptoticData, KVector, descriptor
@@ -24,32 +29,82 @@ from .exact import AlgReal, cos2, cos_pair_sums
 
 @dataclass(frozen=True)
 class GroupFormula:
-    """The Stokes formulas of one group of cases.
-
-    With x = 2cos(pi*A) and y = 2cos(pi*B) for the slot angles A, B:
-    s1 = c1 + x + y and -s2 = c2 + ell*(x + y) + x*y.  From (gamma, delta)
-    the angles are A = (gamma + shift_gamma)/div and B = (delta +
-    shift_delta)/div; from k they are the slot angles plus k_flips, a flip
-    of 1 negating that slot's cosine.  In the groups with s1_ambiguous
-    (c1 = 0) s1 is only defined up to sign and is reported nonnegative.
+    """The slot angles of one group of cases read from (gamma, delta):
+    A = (gamma + shift_gamma)/div and B = (delta + shift_delta)/div, in the
+    order of the slots of ``case_formula``.  The brute-force sweep of
+    ``enumeration`` reads them too, so both stay independent of the k route.
     """
 
     div: int
     shift_gamma: int
     shift_delta: int
-    c1: int
-    c2: int
-    ell: int
-    k_flips: tuple[int, int]
-    s1_ambiguous: bool
 
 
 GROUP_FORMULAS = {
-    "4": GroupFormula(4, 1, 3, 0, 2, 0, (0, 1), True),
-    "5ab": GroupFormula(5, 6, 8, 1, 2, 1, (1, 0), False),
-    "5cde": GroupFormula(5, 2, 4, 1, 2, 1, (0, 1), False),
-    "6": GroupFormula(6, 2, 4, 0, 1, 0, (0, 1), True),
+    "4": GroupFormula(4, 1, 3),
+    "5ab": GroupFormula(5, 6, 8),
+    "5cde": GroupFormula(5, 2, 4),
+    "6": GroupFormula(6, 2, 4),
 }
+
+
+@dataclass(frozen=True)
+class CaseFormula:
+    """The Stokes formula of one case, derived by ``case_formula``.
+
+    slots are the two (i, m, f) whose slot angles are (m*gaps[i] + f*q)/q.
+    With x = 2cos(pi*A) and y = 2cos(pi*B) at the slot angles A, B:
+    s1 = t + x + y and -s2 = c2 + t*(x + y) + x*y, with t = (n+1) mod 2.
+    Where t = 0 (even n+1) s1 is only defined up to sign and is reported
+    nonnegative.
+    """
+
+    slots: tuple[tuple[int, int, int], ...]
+    t: int
+    c2: int
+
+
+@lru_cache(maxsize=None)
+def case_formula(case_id: str) -> CaseFormula:
+    """The case's Stokes formula, derived from its reflection of the gaps.
+
+    The symmetry pairs (i, j) of a case are the orbits of one reflection
+    i -> rho - i of the gaps, and all give rho + 1 = (i + j mod n+1) + 1.
+    With r_k = gaps[0] + ... + gaps[k-1] (r_0 = 0, r_(n+1) = q) the roots are
+    xi_k = exp(i*pi*(2r_k - r_(rho+1))/q), k = 0..n, and s1 = e1, s2 = -e2
+    of them (s1 up to sign for even n+1).  The reflection maps root k to
+    root rho+1-k mod n+1, its conjugate.  Over the three class values of
+    case-symmetric gaps each exponent reduces to m*gaps[i] + f*q, i the
+    first gap of one class, and conjugate roots share that class.
+
+    - The first root, by k, of each of the two conjugate pairs gives a
+      slot (i, |m|, f mod 2); in this order they are the table's slots.
+    - A root on the axis has m = 0: its exponent is f*q at every
+      case-symmetric vector, so it is (-1)^f there and its side never
+      changes.  For odd n+1 every f gains the one on-axis root's f, which
+      negates all roots and puts that root at +1.
+    - Each pair gives a factor z^2 - x z + 1, so e1 = t + x + y and
+      e2 = c2 + t*(x + y) + x*y, with t the sum of the on-axis roots
+      ((n+1) mod 2) and c2 = 2 + their e2 = 2 - (number of them)//2.
+    """
+    desc = descriptor(case_id)
+    n1, classes = desc.n_plus_1, desc.classes
+    rho1 = sum(desc.symmetry[0]) % n1 + 1
+    # r[k] counts each class's gaps among gaps[0..k-1], so r[n1] stands for q
+    r = [[sum(g < k for g in cls) for cls in classes] for k in range(n1 + 1)]
+    slots, axis = {}, []
+    for k in range(n1):
+        e = [2 * a - c for a, c in zip(r[k], r[rho1])]
+        # e - f*q vanishes on every class but at most one, x
+        f = next(f for f in range(-1, 3) if sum(a != f * s for a, s in zip(e, r[n1])) < 2)
+        m, x = max((abs(a - f * s), x) for x, (a, s) in enumerate(zip(e, r[n1])))
+        if m:  # setdefault keeps the first root of each conjugate pair
+            slots.setdefault(classes[x][0], (m, f))
+        else:
+            axis.append(f)
+    flip = axis[0] if n1 % 2 else 0
+    return CaseFormula(tuple((i, m, (f + flip) % 2) for i, (m, f) in slots.items()),
+                       n1 % 2, 2 - len(axis) // 2)
 
 
 @dataclass(frozen=True)
@@ -79,38 +134,37 @@ def cos_sum_sign(a: Fraction, b: Fraction) -> int:
     return _cos_sign((a + b) / 2) * _cos_sign((a - b) / 2)
 
 
-def _assemble(g: GroupFormula, a: Fraction, b: Fraction) -> StokesData:
-    """The group formulas at the slot angles a and b."""
+def _assemble(c: CaseFormula, a: Fraction, b: Fraction) -> StokesData:
+    """The case's formula at the slot angles a and b."""
     x, y = cos2(a), cos2(b)
     s = x + y
-    s1 = s + g.c1
-    minus_s2 = x * y + s * g.ell + g.c2
-    if g.s1_ambiguous and cos_sum_sign(a, b) < 0:
-        s1 = -s1
-    return StokesData(s1, -minus_s2, g.s1_ambiguous)
+    # where t = 0, s1 = x + y is only defined up to sign: take it nonnegative
+    s1 = s + c.t if c.t or cos_sum_sign(a, b) >= 0 else -s
+    minus_s2 = x * y + s * c.t + c.c2
+    return StokesData(s1, -minus_s2, not c.t)
 
 
 def _slots(case_id: str, gaps: Sequence) -> tuple:
-    """The group formula and the slot angles a/q, b/q, a = mk*gaps[ki] + flip*q,
-    at the gaps k_i + 1 given at any common scale, q = sum(gaps)."""
-    desc = descriptor(case_id)
+    """The case's formula and its slot angles a/q, b/q, a = m*gaps[i] + f*q
+    for the slots (i, m, f), at the gaps k_i + 1 given at any common scale,
+    q = sum(gaps)."""
+    c = case_formula(case_id)
     q = sum(gaps)
     if q <= 0:
         raise ValueError("N must be positive")
-    g = GROUP_FORMULAS[desc.group]
-    (ki, li), (mk, ml), (fa, fb) = desc.kl_index, desc.angle_mult, g.k_flips
-    return g, mk * gaps[ki] + fa * q, ml * gaps[li] + fb * q, q
+    (ki, mk, fa), (li, ml, fb) = c.slots
+    return c, mk * gaps[ki] + fa * q, ml * gaps[li] + fb * q, q
 
 
 def stokes_from_asymptotic(case_id: str, a: AsymptoticData) -> StokesData:
     g = GROUP_FORMULAS[descriptor(case_id).group]
-    return _assemble(g, (a.gamma + g.shift_gamma) / g.div,
+    return _assemble(case_formula(case_id), (a.gamma + g.shift_gamma) / g.div,
                      (a.delta + g.shift_delta) / g.div)
 
 
 def stokes_from_k(k: KVector) -> StokesData:
-    g, a, b, q = _slots(k.case, [e + 1 for e in k.entries])
-    return _assemble(g, Fraction(a, q), Fraction(b, q))
+    c, a, b, q = _slots(k.case, [e + 1 for e in k.entries])
+    return _assemble(c, Fraction(a, q), Fraction(b, q))
 
 
 def k_gaps_stokes(case_id: str, gaps: Sequence[int]) -> Optional[tuple[int, int]]:
@@ -119,13 +173,12 @@ def k_gaps_stokes(case_id: str, gaps: Sequence[int]) -> Optional[tuple[int, int]
     gaps are integers with a positive sum q, so the slot angles are a/q and
     b/q with integer a, b (``_slots``), and s1, s2 are integers exactly when
     x + y and x*y are (``exact.cos_pair_sums``, which states the lemma).
-    Returns the integers (s1, s2), s1 taken nonnegative where it is
-    s1_ambiguous, or None when the data are not integral.
+    Returns the integers (s1, s2), s1 taken nonnegative where it is only
+    defined up to sign (even n+1), or None when the data are not integral.
     """
-    g, a, b, q = _slots(case_id, gaps)
+    c, a, b, q = _slots(case_id, gaps)
     sums = cos_pair_sums(a, b, q)
     if sums is None:
         return None
     s, xy = sums
-    s1 = g.c1 + s
-    return abs(s1) if g.s1_ambiguous else s1, -(g.c2 + g.ell * s + xy)
+    return c.t + s if c.t else abs(s), -(c.c2 + c.t * s + xy)

@@ -23,8 +23,9 @@ def test_descriptor_shapes():
         d = descriptor(cid)
         assert len(d.gamma_row) == len(d.delta_row) == d.n_plus_1
         assert d.ab in {(2, 2), (2, 1), (1, 2), (1, 1)}
-        ki, li = d.kl_index
-        assert 0 <= ki < d.n_plus_1 and 0 <= li < d.n_plus_1 and ki != li
+        # every symmetry pair (i, j) gives one reflection i -> rho - i, with
+        # rho = i + j mod n+1; ``stokes.case_formula`` reads only the first
+        assert len({(i + j) % d.n_plus_1 for i, j in d.symmetry}) == 1
         # gaps_to_asymptotic reads (gamma, delta) off gaps at any scale
         assert sum(d.gamma_row) == sum(d.delta_row) == 0
         # asymptotic_to_k solves for one value per class of equal k_i

@@ -1,14 +1,15 @@
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
 from conftest import class_compositions, random_symmetric_gaps, random_symmetric_k
 from ttstar.cases import (CASE_IDS, GROUP_OF_CASE, GROUPS, AsymptoticData,
                           KVector, descriptor, asymptotic_to_k, k_to_asymptotic, make_k)
-from ttstar.exact import cos2
-from ttstar.stokes import (cos_sum_sign, k_gaps_stokes, stokes_from_asymptotic,
-                           stokes_from_k)
+from ttstar.exact import cos2, cos_pair_sums
+from ttstar.stokes import (GROUP_FORMULAS, StokesData, case_formula, cos_sum_sign,
+                           k_gaps_stokes, stokes_from_asymptotic, stokes_from_k)
 
 
 def F(*a):
@@ -180,3 +181,146 @@ def test_k_gaps_stokes_exhaustive(case_id):
             assert k_gaps_stokes(case_id, gaps) == want, (case_id, gaps)
             integral += want is not None
     assert integral >= 19
+
+
+# --- the retired hand-set formula tables, kept as the oracle of case_formula
+
+# per group: (c1, c2, ell, k_flips, s1_ambiguous), with s1 = c1 + x + y and
+# -s2 = c2 + ell*(x + y) + x*y
+_RETIRED_GROUPS = {
+    "4": (0, 2, 0, (0, 1), True),
+    "5ab": (1, 2, 1, (1, 0), False),
+    "5cde": (1, 2, 1, (0, 1), False),
+    "6": (0, 1, 0, (0, 1), True),
+}
+
+# per case: (kl_index, angle_mult), slot angle = (mult*gaps[index] + flip*q)/q
+_RETIRED_SLOTS = {
+    "4a": ((0, 2), (1, 1)), "4b": ((3, 1), (1, 1)),
+    "5a": ((0, 2), (1, 2)), "5b": ((4, 1), (1, 2)),
+    "5c": ((0, 2), (2, 1)), "5d": ((0, 3), (2, 1)), "5e": ((3, 1), (2, 1)),
+    "6a": ((0, 2), (2, 2)), "6b": ((0, 3), (2, 2)), "6c": ((4, 1), (2, 2)),
+}
+
+
+def _retired_slots(case_id, gaps):
+    """The retired slot numerators a, b over q = sum(gaps), and the group row."""
+    (ki, li), (mk, ml) = _RETIRED_SLOTS[case_id]
+    group = _RETIRED_GROUPS[GROUP_OF_CASE[case_id]]
+    fa, fb = group[3]
+    q = sum(gaps)
+    return group, mk * gaps[ki] + fa * q, ml * gaps[li] + fb * q, q
+
+
+def _reference_k_gaps_stokes(case_id, gaps):
+    """``k_gaps_stokes`` as it was computed from the retired tables."""
+    (c1, c2, ell, _, ambiguous), a, b, q = _retired_slots(case_id, gaps)
+    sums = cos_pair_sums(a, b, q)
+    if sums is None:
+        return None
+    s, xy = sums
+    s1 = c1 + s
+    return abs(s1) if ambiguous else s1, -(c2 + ell * s + xy)
+
+
+def _reference_assemble(case_id, a, b):
+    """The retired group formula over ``AlgReal`` at the slot angles a, b."""
+    c1, c2, ell, _, ambiguous = _RETIRED_GROUPS[GROUP_OF_CASE[case_id]]
+    x, y = cos2(a), cos2(b)
+    s1 = x + y + c1
+    if ambiguous and cos_sum_sign(a, b) < 0:
+        s1 = -s1
+    return StokesData(s1, -(x * y + (x + y) * ell + c2), ambiguous)
+
+
+def _symmetric_gap_vectors(case_id, max_q):
+    """Every case-symmetric integer gap vector with 0 < sum <= max_q."""
+    desc = descriptor(case_id)
+    for q in range(1, max_q + 1):
+        for counts in class_compositions(q, [len(c) for c in desc.classes]):
+            gaps = [0] * desc.n_plus_1
+            for cls, c in zip(desc.classes, counts):
+                for i in cls:
+                    gaps[i] = c
+            yield gaps
+
+
+def test_k_gaps_stokes_matches_retired_tables():
+    """The derived formula equals the retired tables on every case-symmetric
+    integer gap vector with q <= 36, primitive or not, None included."""
+    checked = integral = 0
+    for cid in CASE_IDS:
+        for gaps in _symmetric_gap_vectors(cid, 36):
+            want = _reference_k_gaps_stokes(cid, gaps)
+            assert k_gaps_stokes(cid, gaps) == want, (cid, gaps)
+            checked += 1
+            integral += want is not None
+    assert checked == 25830 and integral > 190
+
+
+def test_algreal_routes_match_retired_assembly(rng):
+    """Both ``AlgReal`` routes equal the retired formula exactly."""
+    for _ in range(300):
+        cid = rng.choice(CASE_IDS)
+        k = random_symmetric_k(rng, cid)
+        _, a, b, q = _retired_slots(cid, [e + 1 for e in k.entries])
+        assert stokes_from_k(k) == _reference_assemble(cid, Fraction(a, q), Fraction(b, q))
+        g = GROUP_FORMULAS[GROUP_OF_CASE[cid]]
+        asym = k_to_asymptotic(k)
+        want = _reference_assemble(cid, (asym.gamma + g.shift_gamma) / g.div,
+                                   (asym.delta + g.shift_delta) / g.div)
+        assert stokes_from_asymptotic(cid, asym) == want
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_case_formula_pins_retired_constants(case_id):
+    """The derivation reproduces the retired slot indices and multipliers in
+    order, the group constants, and the flips (up to negating both cosines,
+    which only flips the sign of s1, where n+1 is even)."""
+    desc = descriptor(case_id)
+    formula = case_formula(case_id)
+    c1, c2, ell, flips, ambiguous = _RETIRED_GROUPS[GROUP_OF_CASE[case_id]]
+    (ki, li), mults = _RETIRED_SLOTS[case_id]
+    assert [(i, m) for i, m, _ in formula.slots] == [(ki, mults[0]), (li, mults[1])]
+    assert 0 <= ki < desc.n_plus_1 and 0 <= li < desc.n_plus_1 and ki != li
+    assert (formula.t, formula.t, formula.c2) == (c1, ell, c2)
+    assert (desc.n_plus_1 % 2 == 0) == ambiguous == (formula.t == 0)
+    derived = tuple(f for _, _, f in formula.slots)
+    assert derived == flips or (ambiguous and derived == tuple(1 - f for f in flips))
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_on_axis_lemma(case_id):
+    """On every case-symmetric vector with q <= 36 the roots
+    exp(i*pi*(2r_k - r_(rho+1))/q) come in conjugate pairs k, rho+1-k; each
+    root on the axis sits at 0 or q mod 2q, on one side for the whole case;
+    and, with the odd-n+1 on-axis root moved to +1, the roots are exactly the
+    derived slots' pairs and on-axis roots summing to t with c2 = 2 + e2."""
+    desc = descriptor(case_id)
+    n1 = desc.n_plus_1
+    rho1 = sum(desc.symmetry[0]) % n1 + 1
+    formula = case_formula(case_id)
+    on_axis = [k for k in range(n1) if (2 * k - rho1) % n1 == 0]
+    assert len(on_axis) == n1 - 2 * len(formula.slots)
+    sides = set()
+    for gaps in _symmetric_gap_vectors(case_id, 36):
+        q = sum(gaps)
+        r = list(accumulate(gaps, initial=0))
+        e = [(2 * r[k] - r[rho1]) % (2 * q) for k in range(n1)]
+        for k in range(n1):
+            assert e[(rho1 - k) % n1] == -e[k] % (2 * q), (gaps, k)
+        assert all(e[k] in (0, q) for k in on_axis), gaps
+        side = tuple(e[k] // q for k in on_axis)
+        sides.add(side)
+        # odd n+1: negate every root, which puts the on-axis one at +1
+        flip = side[0] if n1 % 2 else 0
+        slots = [m * gaps[i] + f * q for i, m, f in formula.slots]
+        want = [(s + flip) * q for s in side] + slots + [-a for a in slots]
+        assert sorted((x + flip * q) % (2 * q) for x in e) == \
+            sorted(x % (2 * q) for x in want), gaps
+    assert len(sides) == 1
+    side, = sides
+    values = [(-1) ** (s + flip) for s in side]
+    assert n1 % 2 == 0 or values == [1]
+    assert sum(values) == formula.t
+    assert 2 + (sum(values) ** 2 - len(values)) // 2 == formula.c2
