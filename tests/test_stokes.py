@@ -163,23 +163,30 @@ def test_k_gaps_integral_matches_stokes_from_k(rng):
         k_gaps_stokes("4a", [0, 0, 0, 0])
 
 
-@pytest.mark.parametrize("case_id", CASE_IDS)
-def test_k_gaps_stokes_exhaustive(case_id):
-    """``k_gaps_stokes`` equals ``stokes_from_k(k).integral()`` on every
-    case-symmetric integer gap vector with sum q <= 12, primitive or not;
-    every integral point of the paper has q <= 12."""
+def _symmetric_gap_vectors(case_id, max_q):
+    """Every case-symmetric integer gap vector with 0 < sum <= max_q."""
     desc = descriptor(case_id)
-    integral = 0
-    for q in range(1, 13):
+    for q in range(1, max_q + 1):
         for counts in class_compositions(q, [len(c) for c in desc.classes]):
             gaps = [0] * desc.n_plus_1
             for cls, c in zip(desc.classes, counts):
                 for i in cls:
                     gaps[i] = c
-            k = KVector(case_id, tuple(Fraction(c - q, q) for c in gaps))
-            want = stokes_from_k(k).integral()
-            assert k_gaps_stokes(case_id, gaps) == want, (case_id, gaps)
-            integral += want is not None
+            yield gaps
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_k_gaps_stokes_exhaustive(case_id):
+    """``k_gaps_stokes`` equals ``stokes_from_k(k).integral()`` on every
+    case-symmetric integer gap vector with sum q <= 12, primitive or not;
+    every integral point of the paper has q <= 12."""
+    integral = 0
+    for gaps in _symmetric_gap_vectors(case_id, 12):
+        q = sum(gaps)
+        k = KVector(case_id, tuple(Fraction(c - q, q) for c in gaps))
+        want = stokes_from_k(k).integral()
+        assert k_gaps_stokes(case_id, gaps) == want, (case_id, gaps)
+        integral += want is not None
     assert integral >= 19
 
 
@@ -231,18 +238,6 @@ def _reference_assemble(case_id, a, b):
     if ambiguous and cos_sum_sign(a, b) < 0:
         s1 = -s1
     return StokesData(s1, -(x * y + (x + y) * ell + c2), ambiguous)
-
-
-def _symmetric_gap_vectors(case_id, max_q):
-    """Every case-symmetric integer gap vector with 0 < sum <= max_q."""
-    desc = descriptor(case_id)
-    for q in range(1, max_q + 1):
-        for counts in class_compositions(q, [len(c) for c in desc.classes]):
-            gaps = [0] * desc.n_plus_1
-            for cls, c in zip(desc.classes, counts):
-                for i in cls:
-                    gaps[i] = c
-            yield gaps
 
 
 def test_k_gaps_stokes_matches_retired_tables():
