@@ -26,16 +26,18 @@ side,
   (``--bounds``); the integral-solution tables are built before timing, so
   each ``verify_corollary`` time is the forward check and the converse
   sweep.  It runs ``--repeats`` rounds that alternate which side runs
-  first, and keeps each side's median per (case, bound) and per case of
-  the brute force;
+  first, and keeps, per side, the median and quartiles of each (case,
+  bound), of each case's brute force and of the round's split summed over
+  the cases;
 * for ``radial_bvp``, splits ``solve_radial`` at the 76 integral points of
   4a, 5a, 5c and 6a into phases: the warm start (relaxing the coarser
   grids), Jacobian assembly, the banded linear solve and the line search on
   the requested grid, and the rest (initial guess, interpolation, first
   residual, slope fits).  Each of ``--repeats`` rounds, alternating which
   side runs first, is a fresh interpreter that reports the mean per solve
-  of each phase next to the untimed time per solve; each side keeps the
-  median over its rounds and every round's values;
+  of each phase next to the untimed time per solve, and the Newton steps
+  on the coarser and on the requested grid; each side keeps the median
+  and quartiles over its rounds and every round's values;
 
 and, for ``cli_cold``, times every ``ttstar`` command of the README and
 ``import ttstar.solver``, each in a fresh interpreter, in ``--repeats``
@@ -272,39 +274,58 @@ def alternating(sides: dict[str, Path], repeats: int, run) -> dict[str, list]:
     return out
 
 
+def spread(values) -> dict:
+    """The median and quartiles of one side's values over its rounds."""
+    values = list(values)
+    quartiles = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": statistics.median(values), "quartiles": quartiles}
+
+
+def round_split(records: list[dict], bounds: list[int]) -> dict:
+    """The wall time of one ``TIMER`` round, summed over the ten cases: the
+    brute force at 60 and ``verify_corollary`` at each bound."""
+    split = {"brute_force_60": sum(r["wall_s"] for r in records
+                                   if "brute_force_den" in r)}
+    for bound in bounds:
+        split[f"verify_corollary_{bound}"] = sum(
+            r["wall_s"] for r in records if r.get("bound") == bound)
+    return split
+
+
 def verify_times(sides: dict[str, Path], bounds: list[int], repeats: int) -> dict:
-    """Per side, the ``TIMER`` records with each one's median wall time over
-    the rounds and every round's time, and the split of a round summed over
-    the ten cases: the brute force at 60 and ``verify_corollary`` at each
-    bound (``verify_sweep`` runs it at 12)."""
+    """Per side, the ``TIMER`` records with each one's median and quartiles
+    of the wall time over the rounds and every round's time, and the median
+    and quartiles over the rounds of ``round_split`` (``verify_sweep`` runs
+    ``verify_corollary`` at 12)."""
     runs = alternating(sides, repeats, lambda path: run_script(path, TIMER, *bounds))
     out = {}
     for name, rounds in runs.items():
-        records = [dict(rec, wall_s=statistics.median(r[j]["wall_s"] for r in rounds),
-                        runs_s=[r[j]["wall_s"] for r in rounds])
-                   for j, rec in enumerate(rounds[0])]
-        split = {"brute_force_60": sum(r["wall_s"] for r in records
-                                       if "brute_force_den" in r)}
-        for bound in bounds:
-            split[f"verify_corollary_{bound}"] = sum(
-                r["wall_s"] for r in records if r.get("bound") == bound)
-        out[name] = {"round_split_s": split, "records": records}
+        records = []
+        for j, rec in enumerate(rounds[0]):
+            times = spread(r[j]["wall_s"] for r in rounds)
+            records.append(dict(rec, wall_s=times["median"],
+                                quartiles_s=times["quartiles"],
+                                runs_s=[r[j]["wall_s"] for r in rounds]))
+        splits = [round_split(r, bounds) for r in rounds]
+        out[name] = {"round_split_s": {part: spread(split[part] for split in splits)
+                                       for part in splits[0]},
+                     "records": records}
     return out
 
 
 def solve_phases(sides: dict[str, Path], repeats: int) -> dict:
     """Per side, the ``PHASES`` split over ``repeats`` fresh interpreters:
-    each time's median over the rounds, and every round's record."""
+    each time's median and quartiles over the rounds, and every round's
+    record."""
     runs = alternating(sides, repeats, lambda path: run_script(path, PHASES)[0])
     out = {}
     for name, rounds in runs.items():
         phases = rounds[0]["phase_ms_per_solve"]
         out[name] = {
             "points": rounds[0]["points"], "repeats": repeats,
-            "untimed_ms_per_solve": statistics.median(
-                r["untimed_ms_per_solve"] for r in rounds),
-            "phase_ms_per_solve": {k: statistics.median(
-                r["phase_ms_per_solve"][k] for r in rounds) for k in phases},
+            "untimed_ms_per_solve": spread(r["untimed_ms_per_solve"] for r in rounds),
+            "phase_ms_per_solve": {k: spread(r["phase_ms_per_solve"][k] for r in rounds)
+                                   for k in phases},
             "newton_steps_over_points": rounds[0]["newton_steps_over_points"],
             "rounds": rounds}
     return out

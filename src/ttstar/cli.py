@@ -1,7 +1,8 @@
 """Command-line interface: conversions, enumeration, operators, verification, BVP.
 
-Exit codes: 0 success, 2 parse error, 3 symmetry/region violation,
-4 operator not reducible, 5 verification mismatch, 6 solver non-convergence.
+Exit codes: 0 success, 1 asymptotics not verified, 2 parse error,
+3 symmetry/region violation, 4 operator not reducible, 5 verification
+mismatch, 6 solver non-convergence.
 """
 
 from __future__ import annotations

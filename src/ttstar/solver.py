@@ -15,7 +15,10 @@ difference and homogeneous Dirichlet data at t_max, and relaxes with a
 Newton iteration damped by a line search that halves lambda from 1 until
 the residual drops.  The nonlinear terms are always evaluated with
 combined exponents exp(2t + a*u) etc., which stay bounded on the region of
-asymptotic data.
+asymptotic data.  Each iterate's three exponentials are evaluated once: the
+residual that accepts the iterate is built from them, and so is the next
+step's Jacobian.  The constants of a grid (a, b, 2t, the slope terms and
+h^2) are computed once per grid.
 
 With the unknowns interleaved as (u_0, v_0, u_1, v_1, ...), the Jacobian is
 banded: the interior rows couple a node to its neighbours two columns away
@@ -37,7 +40,12 @@ later import of ``scipy.linalg`` reuses it.
 
 The iteration is nested.  A grid of at least WARM_START_POINTS nodes starts
 from the converged solution of the grid COARSEN times coarser, interpolated
-linearly; a smaller grid starts from the piecewise-linear asymptotic shape.
+linearly.  A smaller grid starts from the piecewise-linear asymptotic shape
+gamma*min(t - KINK, 0), delta*min(t - KINK, 0).  A solution behaves like
+gamma*t + rho near t = -infinity, and at the integral points of 4a, 5a, 5c
+and 6a that line crosses zero at t = -1.5 in the median; with the kink at
+-2 the 256-point grid of the default solve takes 3.8 Newton steps there on
+average, against 6.5 with the kink at 0.
 The tolerance and the iteration limit hold on every grid, so the profile
 returned meets the tolerance on the requested grid, and typically one Newton
 step there is left to take.  Every accepted step on the requested grid is
@@ -93,6 +101,9 @@ DEFAULT_NEWTON_TOL = 1e-10
 # grid COARSEN times coarser; smaller grids start from the asymptotic shape
 WARM_START_POINTS = 512
 COARSEN = 8
+# the coarsest grid starts from the asymptotic shape bent at t = KINK, near
+# where the converged asymptote crosses zero
+KINK = -2.0
 # the largest grid a config accepts (its banded Newton matrix alone takes
 # 38 MB); a far larger one would end in a numpy allocation error
 MAX_GRID_POINTS = 2 ** 18
@@ -140,12 +151,36 @@ class RadialSolution:
     history: tuple[tuple[float, float, float], ...] = field(repr=False)
 
 
-def _source_terms(t, u, v, a, b):
-    """The two right-hand sides 4 e^{2t}(...), with combined exponents."""
-    e1 = 4.0 * np.exp(2.0 * t + a * u)
-    e2 = 4.0 * np.exp(2.0 * t + v - u)
-    e3 = 4.0 * np.exp(2.0 * t - b * v)
-    return e1 - e2, e2 - e3, e1, e2, e3
+def _exponentials(t2, u, v, a, b) -> np.ndarray:
+    """e^{2t + au}, e^{2t + v - u} and e^{2t - bv} as the rows of one array,
+    from t2 = 2t: the three source terms without their factor 4."""
+    return np.exp([t2 + a * u, t2 + v - u, t2 - b * v])
+
+
+def _problem(case_id: str, a: AsymptoticData, t: np.ndarray) -> tuple:
+    """The constants of one discretized problem: the exponents (a, b), 2t at
+    the interior nodes, the slope terms 2h*gamma and 2h*delta, and 4h^2."""
+    ea, eb = descriptor(case_id).ab
+    h = float(t[1] - t[0])
+    return (ea, eb, 2.0 * t[1:-1], 2.0 * h * float(a.gamma),
+            2.0 * h * float(a.delta), 4.0 * (h * h))
+
+
+def _residual(problem: tuple, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The residual at the interleaved state s = (u_0, v_0, u_1, v_1, ...),
+    and the exponentials at the interior nodes it was built from."""
+    ea, eb, t2, slope_u, slope_v, c = problem
+    e = _exponentials(t2, s[2:-2:2], s[3:-2:2], ea, eb)
+    u0, v0, u1, v1, u2, v2 = s[:6].tolist()
+    out = np.empty(len(s))
+    out[0] = -3.0 * u0 + 4.0 * u1 - u2 - slope_u
+    out[1] = -3.0 * v0 + 4.0 * v1 - v2 - slope_v
+    # h^2 times the interleaved source terms (e1 - e2, e2 - e3), scaled by 4
+    # in c (exactly: scaling by 4 rounds nothing)
+    np.subtract((s[:-4] - 2.0 * s[2:-2] + s[4:]).reshape(-1, 2),
+                c * (e[:2] - e[1:]).T, out=out[2:-2].reshape(-1, 2))
+    out[-2:] = s[-2:]
+    return out, e
 
 
 def residual_vector(case_id: str, a: AsymptoticData, t: np.ndarray,
@@ -155,50 +190,43 @@ def residual_vector(case_id: str, a: AsymptoticData, t: np.ndarray,
     Layout: interleaved (F_u[i], F_v[i]) per node; boundary rows encode the
     one-sided slope condition at t_min and the Dirichlet condition at t_max.
     """
-    ea, eb = descriptor(case_id).ab
-    h = t[1] - t[0]
-    gamma, delta = float(a.gamma), float(a.delta)
-    fu, fv, *_ = _source_terms(t, u, v, ea, eb)
-    out = np.empty(2 * len(t))
-    out[0] = -3.0 * u[0] + 4.0 * u[1] - u[2] - 2.0 * h * gamma
-    out[1] = -3.0 * v[0] + 4.0 * v[1] - v[2] - 2.0 * h * delta
-    out[2:-2:2] = u[:-2] - 2.0 * u[1:-1] + u[2:] - h * h * fu[1:-1]
-    out[3:-2:2] = v[:-2] - 2.0 * v[1:-1] + v[2:] - h * h * fv[1:-1]
-    out[-2] = u[-1]
-    out[-1] = v[-1]
-    return out
+    return _residual(_problem(case_id, a, t), np.column_stack((u, v)).ravel())[0]
 
 
-def _jacobian(case_id: str, t, u, v, h, out=None) -> np.ndarray:
+def _jacobian(case_id: str, t, u, v, h, out=None, e=None) -> np.ndarray:
     """Analytic Jacobian of residual_vector, written into a LAPACK band buffer.
 
-    ``out`` is a Fortran-ordered (9, 2m) buffer (a new one when None), the
-    layout ``dgbsv`` takes for lower bandwidth 2 and upper 4: rows 0-1 hold
-    the LU fill-in and need not be set, and entry (r, c) of the interleaved
-    2m x 2m Jacobian sits at ``out[6 + r - c, c]``.  Rows 2-8 are rewritten
-    in full and returned as a (7, 2m) view, whose entry (r, c) is at
-    ``[4 + r - c, c]``.
+    ``e`` is ``_exponentials`` at the interior nodes of (t, u, v) when the
+    caller has it already (the Newton loop passes that of its residual);
+    otherwise it is evaluated here.  ``out`` is a Fortran-ordered (9, 2m)
+    buffer (a new one when None), the layout ``dgbsv`` takes for lower
+    bandwidth 2 and upper 4: rows 0-1 hold the LU fill-in, and entry (r, c)
+    of the interleaved 2m x 2m Jacobian sits at ``out[6 + r - c, c]``.  The
+    buffer is rewritten in full, and rows 2-8 are returned as a (7, 2m)
+    view, whose entry (r, c) is at ``[4 + r - c, c]``.
     """
     ea, eb = descriptor(case_id).ab
-    _, _, e1, e2, e3 = _source_terms(t, u, v, ea, eb)
-    h2 = h * h
+    if e is None:
+        e = _exponentials(2.0 * t[1:-1], u[1:-1], v[1:-1], ea, eb)
     if out is None:
         out = np.empty((9, 2 * len(t)), order="F")
+    e1, e2, e3 = e
+    c = 4.0 * (h * h)
+    out.fill(0.0)
     ab = out[2:]
-    ab[:] = 0.0
     # left boundary: slope rows 0, 1 have offsets 0, +2, +4
     ab[4, 0:2] = -3.0
     ab[2, 2:4] = 4.0
     ab[0, 4:6] = -1.0
     # interior u-rows 2i have offsets -2, 0, +1, +2 and v-rows 2i+1 have
     # offsets -2, -1, 0, +2; d(e1 - e2)/du = a*e1 + e2, d(e1 - e2)/dv = -e2,
-    # d(e2 - e3)/du = -e2, d(e2 - e3)/dv = e2 + b*e3
+    # d(e2 - e3)/du = -e2, d(e2 - e3)/dv = e2 + b*e3 (c = 4h^2 takes the
+    # source terms' factor 4)
     ab[6, :-4] = 1.0
     ab[2, 4:] = 1.0
-    ab[4, 2:-2:2] = -2.0 - h2 * (ea * e1[1:-1] + e2[1:-1])
-    ab[4, 3:-2:2] = -2.0 - h2 * (e2[1:-1] + eb * e3[1:-1])
-    ab[3, 3:-2:2] = h2 * e2[1:-1]
-    ab[5, 2:-2:2] = h2 * e2[1:-1]
+    ab[4, 2:-2:2] = -2.0 - c * (ea * e1 + e2)
+    ab[4, 3:-2:2] = -2.0 - c * (e2 + eb * e3)
+    ab[3, 3:-2:2] = ab[5, 2:-2:2] = c * e2
     # right boundary: Dirichlet rows on the diagonal
     ab[4, -2:] = 1.0
     return ab
@@ -221,26 +249,29 @@ def _relax(case_id: str, a: AsymptoticData, cfg: SolverConfig, m: int):
     Grids of WARM_START_POINTS nodes or more start from the m // COARSEN grid.
     """
     t = np.linspace(cfg.t_min, cfg.t_max, m)
-    h = t[1] - t[0]
+    s = np.empty(2 * m)  # the interleaved state (u_0, v_0, u_1, v_1, ...)
     if m < WARM_START_POINTS:
-        # the piecewise-linear asymptotic shape
-        u = float(a.gamma) * np.minimum(t, 0.0)
-        v = float(a.delta) * np.minimum(t, 0.0)
+        # the asymptotic shape, bent at t = KINK
+        bend = np.minimum(t - KINK, 0.0)
+        s[0::2] = float(a.gamma) * bend
+        s[1::2] = float(a.delta) * bend
     else:
         tc, uc, vc, _, _ = _relax(case_id, a, cfg, m // COARSEN)
-        u = np.interp(t, tc, uc)
-        v = np.interp(t, tc, vc)
+        s[0::2] = np.interp(t, tc, uc)
+        s[1::2] = np.interp(t, tc, vc)
     grid = (f"{m}-point grid" if m == cfg.grid_points
             else f"{m}-point warm-start grid")
 
+    problem = _problem(case_id, a, t)
+    h = t[1] - t[0]
     band = np.empty((9, 2 * m), order="F")
-    res = residual_vector(case_id, a, t, u, v)
+    res, e = _residual(problem, s)
     norm = float(np.max(np.abs(res)))
     history = []
     for _ in range(cfg.max_iterations):
         if norm < cfg.newton_tol:
             break
-        _jacobian(case_id, t, u, v, h, band)
+        _jacobian(case_id, t, s[0::2], s[1::2], h, band, e)
         _, _, step, info = dgbsv(2, 4, band, -res, overwrite_ab=1, overwrite_b=1)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
@@ -248,24 +279,23 @@ def _relax(case_id: str, a: AsymptoticData, cfg: SolverConfig, m: int):
             raise ValueError(f"illegal value in argument {-info} of dgbsv")
         lam = 1.0
         for _ in range(40):
-            un = u + lam * step[0::2]
-            vn = v + lam * step[1::2]
-            rn = residual_vector(case_id, a, t, un, vn)
+            sn = s + lam * step
+            rn, en = _residual(problem, sn)
             nn = float(np.max(np.abs(rn)))
-            if np.isfinite(nn) and nn < norm:
+            if nn < norm:  # a nan or inf residual never passes
                 break
             lam *= 0.5
         else:
             raise ConvergenceError(
                 f"line search stalled at residual {norm:.3e} on the {grid}",
                 norm, tuple(history))
-        u, v, res, norm = un, vn, rn, nn
+        s, res, e, norm = sn, rn, en, nn
         history.append((nn, lam, float(np.max(np.abs(step)))))
     if norm >= cfg.newton_tol:
         raise ConvergenceError(
             f"no convergence after {cfg.max_iterations} iterations on the "
             f"{grid} (residual {norm:.3e})", norm, tuple(history))
-    return t, u, v, norm, history
+    return t, s[0::2], s[1::2], norm, history
 
 
 def solve_radial(case_id: str, a: AsymptoticData,

@@ -416,3 +416,15 @@ def test_solve_parse_error_skips_solver_import():
          "print(code, 'numpy' in sys.modules, 'ttstar.solver' in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.stdout.split() == ["2", "False", "False"], proc.stderr
+
+
+def test_exit_codes_documented_alike():
+    """The module docstring lists the exit codes the README documents."""
+    from ttstar import cli
+
+    def exit_codes(text):
+        return " ".join(text[text.index("Exit codes:"):].split(".")[0].split())
+
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    assert exit_codes(cli.__doc__) == exit_codes(readme.read_text(encoding="utf-8"))
+    assert "1 asymptotics not verified" in exit_codes(cli.__doc__)

@@ -18,8 +18,8 @@ from ttstar import solver
 from ttstar.cases import AsymptoticData, descriptor, in_region
 from ttstar.enumeration import integral_solutions
 from ttstar.solver import (MAX_GRID_POINTS, ConvergenceError, SolverConfig,
-                           _fit_slope, _jacobian, _source_terms, residual_vector,
-                           solve_radial, verify_asymptotics)
+                           _fit_slope, _jacobian, residual_vector, solve_radial,
+                           verify_asymptotics)
 
 
 def F(x):
@@ -27,6 +27,14 @@ def F(x):
 
 
 FAST = SolverConfig(grid_points=512)
+
+
+def _source_terms(t, u, v, a, b):
+    """The two right-hand sides 4 e^{2t}(...) and the terms e1, e2, e3."""
+    e1 = 4.0 * np.exp(2.0 * t + a * u)
+    e2 = 4.0 * np.exp(2.0 * t + v - u)
+    e3 = 4.0 * np.exp(2.0 * t - b * v)
+    return e1 - e2, e2 - e3, e1, e2, e3
 
 
 def _reference_jacobian(case_id, t, u, v, h) -> csr_matrix:
@@ -309,7 +317,7 @@ def test_coarse_grid_failure_names_grid():
 def test_singular_step_raises(monkeypatch):
     # a Jacobian left all zero makes gbsv report a zero pivot
     monkeypatch.setattr(solver, "_jacobian",
-                        lambda case_id, t, u, v, h, out: out.fill(0.0))
+                        lambda case_id, t, u, v, h, out, e: out.fill(0.0))
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
         solve_radial("4a", AsymptoticData(F(3), F(1)), FAST)
 
@@ -336,7 +344,7 @@ def test_missing_lapack_extension_raises(monkeypatch, tmp_path):
 
 
 def test_direct_dgbsv_matches_scipy(monkeypatch):
-    """Every Newton step of two solves, through the directly loaded ``dgbsv``
+    """Every Newton step of three solves, through the directly loaded ``dgbsv``
     and through ``scipy.linalg.lapack.dgbsv``: bitwise-equal LU, pivots,
     steps and ``info``; then a singular band, where both report a zero pivot."""
     calls, direct = [], solver.dgbsv
@@ -348,6 +356,7 @@ def test_direct_dgbsv_matches_scipy(monkeypatch):
     monkeypatch.setattr(solver, "dgbsv", recording)
     solve_radial("4a", AsymptoticData(F(3), F(1)))
     solve_radial("6a", AsymptoticData(F(1), F(2)))
+    solve_radial("5c", AsymptoticData(F(-2), F(1)))
     monkeypatch.undo()
     assert len(calls) > 10
     singular = np.zeros_like(calls[0][0], order="F")
@@ -401,3 +410,35 @@ def test_warm_start_matches_reference(case):
         assert abs(sol.fitted_gamma - _fit_slope(t, u)[0]) < 1e-5, (case, tuple(a))
         assert abs(sol.fitted_delta - _fit_slope(t, v)[0]) < 1e-5, (case, tuple(a))
     assert new_gap <= ref_gap
+
+
+def test_residual_norm_is_residual_vector():
+    """The Newton loop's residual, evaluated with the Jacobian's exponentials,
+    is the public ``residual_vector`` of the profile it returns, exactly."""
+    for case in ("4a", "5a", "5c", "6a"):
+        for r in integral_solutions(case):
+            sol = solve_radial(case, r.asymptotic)
+            res = residual_vector(case, r.asymptotic, sol.grid, sol.u, sol.v)
+            assert sol.residual_norm == float(np.max(np.abs(res))), (case, r.asymptotic)
+
+
+def test_warm_start_steps(monkeypatch):
+    """The coarse grid starts near the true asymptote: at most 4.5 Newton
+    steps on the 256-point warm-start grid per solve at the 76 integral
+    points (6.5 from the asymptotic shape bent at t = 0)."""
+    steps, direct = {}, solver.dgbsv
+
+    def recording(kl, ku, ab, b, **kwargs):
+        steps[ab.shape[1]] = steps.get(ab.shape[1], 0) + 1
+        return direct(kl, ku, ab, b, **kwargs)
+
+    points = [(case, r.asymptotic) for case in ("4a", "5a", "5c", "6a")
+              for r in integral_solutions(case)]
+    assert len(points) == 76
+    monkeypatch.setattr(solver, "dgbsv", recording)
+    for case, a in points:
+        solve_radial(case, a)
+    monkeypatch.undo()
+    coarse = SolverConfig().grid_points // solver.COARSEN
+    assert set(steps) == {2 * coarse, 2 * SolverConfig().grid_points}
+    assert steps[2 * coarse] / len(points) <= 4.5
