@@ -28,7 +28,13 @@ side,
   sweep.  It runs ``--repeats`` rounds that alternate which side runs
   first, and keeps, per side, the median and quartiles of each (case,
   bound), of each case's brute force and of the round's split summed over
-  the cases;
+  the cases; and it splits ``verify_corollary`` at bound 12 over the ten
+  cases, in ``--repeats`` fresh interpreters of 20 rounds each, into the
+  forward check (``_qdo_matches``), ``k_gaps_stokes``,
+  ``_match_numerators``, the formatting of operator strings
+  (``_fmt_roots``) and the rest, candidate generation with check_G, with
+  the median and quartiles of each over the rounds next to the untimed
+  round;
 * for ``radial_bvp``, splits ``solve_radial`` at the 76 integral points of
   4a, 5a, 5c and 6a into phases: the warm start (relaxing the coarser
   grids), Jacobian assembly, the banded linear solve and the line search on
@@ -121,6 +127,55 @@ for bound in map(int, sys.argv[1:]):
                           "flagged_non_ci": len(rep.flagged_non_ci),
                           "converse_violations": len(rep.converse_violations)}),
               flush=True)
+"""
+
+# Splits ``verify_corollary`` at bound 12 over the ten cases, as a
+# ``verify_sweep`` round runs it, into pieces: the timed helpers, looked up
+# in ``ttstar.theta`` by the call, are wrapped with timers, and the rest of
+# the call is candidate generation with check_G (the loops, T_k's roots and
+# the mirror test).  Each round first runs untimed, then timed.
+SWEEP_SPLIT = r"""
+import json, sys, time
+from ttstar import theta
+from ttstar.cases import CASE_IDS
+from ttstar.enumeration import integral_solutions
+
+bound, rounds = int(sys.argv[1]), int(sys.argv[2])
+for case in CASE_IDS:
+    integral_solutions(case)
+PIECES = {"forward_check": "_qdo_matches", "k_gaps_stokes": "k_gaps_stokes",
+          "match_numerators": "_match_numerators", "formatting": "_fmt_roots"}
+spent = dict.fromkeys(PIECES, 0.0)
+
+def timed(piece, fn):
+    def wrapper(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            spent[piece] += time.perf_counter() - t0
+    return wrapper
+
+def one_round():
+    t0 = time.perf_counter()
+    for case in CASE_IDS:
+        theta.verify_corollary(case, bound)
+    return time.perf_counter() - t0
+
+originals = {piece: getattr(theta, name) for piece, name in PIECES.items()}
+for _ in range(3):
+    one_round()
+for _ in range(rounds):
+    for piece, name in PIECES.items():
+        setattr(theta, name, originals[piece])
+    untimed = one_round()
+    for piece, name in PIECES.items():
+        setattr(theta, name, timed(piece, originals[piece]))
+        spent[piece] = 0.0
+    total = one_round()
+    out = dict(spent, candidates_check_G=total - sum(spent.values()),
+               total=total, untimed=untimed)
+    print(json.dumps({k: v * 1e3 for k, v in out.items()}), flush=True)
 """
 
 # Wraps the solver's internals with timers (the linear solve is ``dgbsv``,
@@ -313,6 +368,21 @@ def verify_times(sides: dict[str, Path], bounds: list[int], repeats: int) -> dic
     return out
 
 
+def sweep_split(sides: dict[str, Path], repeats: int, rounds: int = 20) -> dict:
+    """Per side, the ``SWEEP_SPLIT`` of ``rounds`` rounds in each of
+    ``repeats`` fresh interpreters, alternating which side runs first: the
+    median and quartiles over all rounds of each piece, in ms per round."""
+    runs = alternating(sides, repeats,
+                       lambda path: run_script(path, SWEEP_SPLIT, 12, rounds))
+    out = {}
+    for name, interpreters in runs.items():
+        records = [r for recs in interpreters for r in recs]
+        out[name] = {"bound": 12, "rounds": len(records),
+                     "ms_per_round": {piece: spread(r[piece] for r in records)
+                                      for piece in records[0]}}
+    return out
+
+
 def solve_phases(sides: dict[str, Path], repeats: int) -> dict:
     """Per side, the ``PHASES`` split over ``repeats`` fresh interpreters:
     each time's median and quartiles over the rounds, and every round's
@@ -444,6 +514,7 @@ def main(argv=None) -> int:
         result["traced"] = traced(sides, args.workload, args.seed)
     if args.workload == "verify_sweep":
         result["verify_corollary"] = verify_times(sides, args.bounds, args.repeats)
+        result["verify_corollary_split"] = sweep_split(sides, args.repeats)
     elif args.workload == "radial_bvp":
         result["solve_phases"] = solve_phases(sides, args.repeats)
     elif args.workload == "cli_cold":

@@ -322,8 +322,8 @@ def cmd_qdo(args) -> int:
 def golden_rows(path: Path, columns: tuple[str, ...] = ()) -> list[dict]:
     """The rows of a golden CSV file.
 
-    Raises ValueError naming the file when it is not UTF-8 CSV or its
-    header lacks one of the given columns.
+    Raises ValueError naming the file when it cannot be read (a directory,
+    say), is not UTF-8 CSV or its header lacks one of the given columns.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -332,7 +332,7 @@ def golden_rows(path: Path, columns: tuple[str, ...] = ()) -> list[dict]:
             if missing:
                 raise ValueError(f"{path.name}: no column {missing[0]!r}")
             return list(reader)
-    except (UnicodeDecodeError, csv.Error) as e:
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
         raise ValueError(f"{path.name}: unreadable: {e}") from None
 
 

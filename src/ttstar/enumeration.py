@@ -15,8 +15,10 @@ Each admissible label pair gives integer gaps c over q = sum(c)
 (``k_from_labels``, which puts the labels on the two slot gaps of
 ``stokes.case_formula``), and from them come the asymptotic data
 (``cases.gaps_to_asymptotic``), the Stokes data (``stokes.k_gaps_stokes``,
-over the same kernel) and T_k's root numerators (``theta.tk_numerators``);
-a ``Fraction`` is made only for each field a record stores.
+over the same kernel) and T_k's root numerators (``theta.tk_numerators``),
+which each record keeps over its q for the forward check of
+``theta.verify_corollary``; a ``Fraction`` is made only for the other
+fields a record stores.
 ``stokes.stokes_from_k`` serves arbitrary rational points and is the tests'
 oracle for these records.
 
@@ -60,6 +62,9 @@ class SolutionRecord:
     k: KVector
     tk: ThetaPoly
     block: str
+    # T_k's roots r/q as integer numerators r, over q = sum of the integer gaps
+    tk_numerators: tuple[int, ...]
+    q: int
 
 
 @lru_cache(maxsize=1)
@@ -191,12 +196,12 @@ def integral_solutions(case_id: str) -> tuple[SolutionRecord, ...]:
             assert in_region(case_id, asym) and min(gaps) >= 0
             derived_block = classify_block(case_id, asym)
             assert derived_block == block, (case_id, a_label, b_label, derived_block)
-            roots = tk_numerators(gaps)
+            roots = tuple(tk_numerators(gaps))
             tk = ThetaPoly(Fraction(1), tuple(Fraction(r, q) for r in roots))
             records.append(SolutionRecord(
                 case_id, a_label, b_label, asym, ints,
                 KVector(case_id, tuple(Fraction(c - q, q) for c in gaps)),
-                tk, block))
+                tk, block, roots, q))
     assert len(records) == 19
     return tuple(records)
 

@@ -14,7 +14,8 @@ an element of Q(zeta_M) into Q(zeta_(M/p)) when it lies there, by
 projecting it onto the subfield with an index map: there is no linear
 solver.
 Integrality, and the value of integral cosine sums, are decided on integers
-instead, by one kernel (``cos_pair_sums``, over ``cyclotomic_factors``).
+instead, by one kernel (``cos_pair_sums``, the root sums of
+``cyclotomic_factors`` worked out in closed form for four roots).
 """
 
 from __future__ import annotations
@@ -98,20 +99,21 @@ def cyclotomic_factors(exponents: Iterable[int], n: int) -> Optional[dict[int, i
     zeta_n^(u*e) for the units u mod n, and is then a product of cyclotomic
     polynomials.  The zeta_n^e with n/gcd(e, n) = d, the phi(d) primitive
     d-th roots of unity, are one orbit: each one met must be present in
-    full with one multiplicity m_d.  The root sum is sum m_d*mu(d).
+    full with one multiplicity m_d.  One pass over the distinct exponents
+    checks the multiplicities; as each orbit holds at most phi(d) of them,
+    all are full exactly when the phi(d) add up to their number.  The root
+    sum is sum m_d*mu(d).
     """
     counts: dict[int, int] = {}
     for e in exponents:
         e %= n
         counts[e] = counts.get(e, 0) + 1
-    classes: dict[int, list[int]] = {}
+    factors: dict[int, int] = {}
     for e, mult in counts.items():
-        classes.setdefault(n // math.gcd(e, n), []).append(mult)
-    factors = {}
-    for d, mults in classes.items():
-        if len(mults) != _phi(d) or min(mults) != max(mults):
+        if factors.setdefault(n // math.gcd(e, n), mult) != mult:
             return None
-        factors[d] = mults[0]
+    if sum(map(_phi, factors)) != len(counts):
+        return None
     return factors
 
 
@@ -124,6 +126,33 @@ def root_sum(exponents: Iterable[int], n: int) -> Optional[int]:
     return sum(m * moebius(d) for d, m in factors.items())
 
 
+# (2/phi(d))*mu(d) = 2cos(2*pi/d) at the orders d with phi(d) <= 2, where
+# zeta^(+-a) fill their orbit: the only rational values of 2cos (Niven)
+_RATIONAL_2COS = {1: 2, 2: -2, 3: -1, 4: 0, 6: 1}
+
+
+def _pair_root_sum(a: int, b: int, n: int) -> Optional[int]:
+    """``root_sum((a, -a, b, -b), n)`` in closed form, from the orders
+    d_a = n/gcd(a, n) and d_b of zeta_n^a and zeta_n^b.
+
+    The orbit of zeta_n^a holds phi(d_a) roots, among them zeta_n^(+-a).
+    When d_a != d_b the two orbits are apart, and each is full only when
+    phi <= 2, with multiplicity 2/phi: the sum is then
+    (2/phi(d_a))*mu(d_a) + (2/phi(d_b))*mu(d_b), the rational values
+    2cos(2*pi*a/n) + 2cos(2*pi*b/n).  When d_a = d_b = d, one orbit holds
+    all four: with phi(d) <= 2 the sum is 2*(2/phi(d))*mu(d), the same
+    values; with phi(d) = 4 it is full, once, exactly when b is neither a
+    nor -a mod n, and the sum is mu(d); with phi(d) > 4 it is never full.
+    """
+    da, db = n // math.gcd(a, n), n // math.gcd(b, n)
+    x, y = _RATIONAL_2COS.get(da), _RATIONAL_2COS.get(db)
+    if x is not None and y is not None:
+        return x + y
+    if da == db and _phi(da) == 4 and (a - b) % n and (a + b) % n:
+        return moebius(da)
+    return None
+
+
 def cos_pair_sums(a: int, b: int, n: int) -> Optional[tuple[int, int]]:
     """The integers (x + y, x*y) for x = 2cos(pi*a/n), y = 2cos(pi*b/n), or
     None when they are not integral: the one integer kernel behind every
@@ -131,14 +160,15 @@ def cos_pair_sums(a: int, b: int, n: int) -> Optional[tuple[int, int]]:
 
     They are integral exactly when (t^2 - x t + 1)(t^2 - y t + 1), whose
     roots are zeta^(+-a), zeta^(+-b) with zeta = exp(i*pi/n), lies in Z[t]:
-    ``root_sum`` decides it on the exponents mod 2n and gives x + y.  Then
-    x*y = 2cos(pi(a+b)/n) + 2cos(pi(a-b)/n) is the root sum of +-(a+b),
+    ``root_sum((a, -a, b, -b), 2n)`` decides it and gives x + y, worked out
+    in closed form from the orders of zeta^a and zeta^b (``_pair_root_sum``).
+    Then x*y = 2cos(pi(a+b)/n) + 2cos(pi(a-b)/n) is the root sum of +-(a+b),
     +-(a-b), which every unit mod 2n permuting +-a, +-b permutes too.
     """
-    s = root_sum((a, -a, b, -b), 2 * n)
+    s = _pair_root_sum(a, b, 2 * n)
     if s is None:
         return None
-    return s, root_sum((a + b, -a - b, a - b, b - a), 2 * n)
+    return s, _pair_root_sum(a + b, a - b, 2 * n)
 
 
 @lru_cache(maxsize=None)

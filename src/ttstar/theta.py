@@ -11,17 +11,22 @@ case-symmetric gap vectors with a zero class (check_Q asks for a zero
 gap), one integer per class of equal k_i, each counting the rotations
 back to the previous symmetric one.  It runs on the integer numerators c
 of the gaps c/q: T_k's roots are the prefix sums of the lowest rotation
-(``tk_numerators``, which the tables and ``tk_from_k`` use too), check_G
-asks for closure under r -> -r mod q, and integrality
-(``stokes.k_gaps_stokes``) and the complete-intersection match
-(``_match_numerators``, behind ``match_ci``) both read the cyclotomic
-factors of the numerators (``exact.cyclotomic_factors``, which states
-the lemma).  The operator strings (``_fmt_roots``, behind
-``ThetaPoly.__str__``) take the same numerators over q.  The forward
+(``tk_numerators``, which the tables and ``tk_from_k`` use too; the sweep
+finds that rotation once per order pattern of the class values,
+``_shape``), they come out ascending, so check_G's closure under
+r -> -r mod q is a sort-free mirror test (``_mirror_closed``).
+Integrality is decided at the slot angles (``stokes.k_gaps_stokes``, over
+the closed-form kernel ``exact.cos_pair_sums``), and the
+complete-intersection match (``_match_numerators``, behind ``match_ci``)
+reads the cyclotomic factors of the numerators
+(``exact.cyclotomic_factors``, which states the lemma).  The operator
+strings (``_fmt_roots``, behind ``ThetaPoly.__str__``) take the same
+numerators over q.  The forward
 check compares integer root numerators too: a catalog entry's over the
 lcm of its weights and degrees (``_ci_numerators``, behind
-``qdo_from_ci``) against its record's T_k roots over theirs
-(``_qdo_matches``); operators are built only to report a mismatch.
+``qdo_from_ci``) against the T_k numerators its integral-solution record
+keeps over the record's q (``_qdo_matches``); operators are built only to
+report a mismatch.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, groupby
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from .cases import KVector, descriptor
@@ -51,9 +56,10 @@ def _fmt_ratio(r: int, q: int) -> str:
 
 def _fmt_roots(numerators: Iterable[int], q: int) -> str:
     """prod (theta - r/q) over the multiset of numerators, e.g. "θ^2(θ-1/6)"."""
+    ordered = sorted(numerators)
     parts = []
-    for r, run in groupby(sorted(numerators)):
-        mult = len(list(run))
+    for r in dict.fromkeys(ordered):  # the distinct numerators, ascending
+        mult = ordered.count(r)
         parts.append(("θ" if r == 0 else f"(θ-{_fmt_ratio(r, q)})")
                      + (f"^{mult}" if mult > 1 else ""))
     return "".join(parts)
@@ -144,6 +150,22 @@ def tk_numerators(gaps: Sequence) -> list:
     return [0, *accumulate(canon[:-1])]
 
 
+def _shape(cs: Sequence[int], slot: list[int],
+           symmetry: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """For the gaps cs[slot[i]]: the classes of their lowest rotation but
+    its last, whose prefix sums are ``tk_numerators``, and back, the least
+    j >= 1 with the gaps rotated by -j (entry i is gaps[i - j]) symmetric.
+
+    Both depend only on how the class values cs compare, as every
+    comparison of two rotations, or of two entries, compares two of them."""
+    n1 = len(slot)
+    vec = [cs[k] for k in slot]
+    j = min(range(n1), key=lambda j: vec[j:] + vec[:j])
+    back = next(j for j in range(1, n1 + 1) if all(
+        vec[a - j] == vec[b - j] for a, b in symmetry))
+    return (slot[j:] + slot[:j])[:-1], back
+
+
 def tk_from_k(k: KVector | Sequence[Fraction]) -> ThetaPoly:
     """The monic scalar operator attached to holomorphic data with N = 1.
 
@@ -205,17 +227,19 @@ def check_Q(k_gaps: Counter | Iterable) -> bool:
     return gaps[Fraction(0)] > 0
 
 
-def _mirror_closed(numerators: Sequence[int], q: int) -> bool:
-    """Whether the multiset of exponents r/q is closed under x -> 1 - x mod 1."""
-    return sorted(numerators) == sorted(-r % q for r in numerators)
+def _mirror_closed(numerators: list[int], q: int) -> bool:
+    """Whether the multiset of exponents r/q, given as an ascending list of
+    numerators r >= 0, is closed under x -> 1 - x mod 1: the zeros map to
+    themselves, and the nonzero part must map onto itself reversed."""
+    tail = numerators[numerators.count(0):]
+    return tail == [q - r for r in reversed(tail)]
 
 
 def check_G(t: ThetaPoly) -> bool:
     """Closure of the exponent multiset under x -> 1 - x taken modulo 1."""
     if t.coeff != 1 or not t.roots or t.roots[0] != 0:
         raise ValueError("operator must be monic with smallest root 0")
-    numerators, q = _numerators(t.roots)
-    return _mirror_closed(numerators[1:], q)
+    return _mirror_closed(*_numerators(t.roots))
 
 
 # --- Table of quantum cohomology interpretations ----------------------
@@ -268,7 +292,7 @@ def _match_numerators(numerators: Sequence[int], q: int, n_plus_1: int,
     """``match_ci`` on the roots r/q given as integer numerators r."""
     if len(numerators) != n_plus_1:
         raise ValueError("root multiset size must equal the theta degree")
-    if any(not (0 <= r < q) for r in numerators):
+    if min(numerators) < 0 or max(numerators) >= q:
         return None
     # the root multiplicity must be constant on each class {c/e : gcd(c, e) = 1},
     # the exponents of the primitive e-th roots of unity
@@ -296,18 +320,19 @@ def _match_numerators(numerators: Sequence[int], q: int, n_plus_1: int,
     return spec
 
 
-def _qdo_matches(spec: CISpec, n_plus_1: int, tk: ThetaPoly) -> bool:
-    """Whether ``qdo_from_ci(spec) == QDO(n_plus_1, tk)``, decided on integer
-    root numerators: spec's over its lcm, tk's over their common denominator.
+def _qdo_matches(spec: CISpec, roots: Sequence[int], q: int) -> bool:
+    """Whether ``qdo_from_ci(spec)`` is lambda^(n+1) T - z for the monic T
+    with the n+1 roots r/q, given as ascending integer numerators r (a
+    record's ``tk_numerators`` over its q), decided on integers: spec's
+    roots over their lcm against these over q.
 
     The QDO of spec has as many roots as its lambda power, so equal root
-    multisets of the n_plus_1 roots of tk also give equal powers.
+    multisets also give equal powers.
     """
     try:
         numerators, lcm = _ci_numerators(spec)
     except NotReducibleError:
         return False
-    roots, q = _numerators(tk.roots)
     # both lists are sorted, and scaling by a positive integer keeps the order
     return [r * q for r in numerators] == [r * lcm for r in roots]
 
@@ -365,14 +390,20 @@ def verify_corollary(case_id: str, search_bound: int,
     invariant) and are read through its Stokes data.  Every distinct gap
     vector is counted once, because the symmetric rotations of an orbit,
     each generated once, cut its cycle of distinct rotations into arcs that
-    end one at each of them.  Which classes are equal fixes back, so it is
-    searched once per such pattern and call.
+    end one at each of them.
 
-    Every vector passing both conditions gets ``stokes.k_gaps_stokes``, and
-    every non-integral one ``_match_numerators``; a flagged operator's
-    string is formatted once per distinct (T_k numerators, q).  The forward
-    check compares integer root numerators (``_qdo_matches``), building the
-    two operators only for the message of a mismatch.
+    How c0, c1 and c2 compare fixes both back and the lowest rotation of s,
+    as each comparison of two rotations or two entries is one of the class
+    values against another; so both are found once per such order pattern
+    and call (``_shape``), and T_k's roots are one prefix sum over the
+    lowest rotation's classes.  They come out ascending, so check_G is the
+    sort-free mirror test of ``_mirror_closed``.  Every vector passing both
+    conditions gets ``stokes.k_gaps_stokes``, and every non-integral one
+    ``_match_numerators``; a flagged operator's string is formatted once per
+    distinct (T_k numerators, q).  The forward check compares integer root
+    numerators, the catalog entry's against those its record keeps
+    (``_qdo_matches``), building the two operators only for the message of
+    a mismatch.
     """
     from .enumeration import integral_solutions  # enumeration imports this module
 
@@ -390,7 +421,7 @@ def verify_corollary(case_id: str, search_bound: int,
         if corrupt_catalog and idx == 0:
             spec = CISpec((1,) * (n1 + 1))
         report.forward_checked += 1
-        if not _qdo_matches(spec, n1, rec.tk):
+        if not _qdo_matches(spec, rec.tk_numerators, rec.q):
             try:
                 produced = qdo_from_ci(spec)
             except NotReducibleError:
@@ -402,7 +433,9 @@ def verify_corollary(case_id: str, search_bound: int,
     classes = desc.classes
     s0, s1, s2 = map(len, classes)  # every case has three classes
     slot = [next(k for k, cls in enumerate(classes) if i in cls) for i in range(n1)]
-    backs: dict[tuple[bool, bool, bool], int] = {}  # by which classes are equal
+    # by how c0, c1 and c2 compare: the classes of the lowest rotation but
+    # its last, and back
+    shapes: dict[tuple[bool, ...], tuple[list[int], int]] = {}
     flagged: set[tuple[tuple[int, ...], int]] = set()  # (T_k numerators, q)
     for q in range(1, search_bound + 1):
         # the primitive case-symmetric gap vectors c/q with a zero class, as
@@ -421,18 +454,19 @@ def verify_corollary(case_id: str, search_bound: int,
                     if q == n1 + 1:
                         report.an_type.append(_fmt_roots(range(n1), q))
                     continue
-                vec = [(c0, c1, c2)[k] for k in slot]
-                roots = tk_numerators(vec)  # T_k's roots r/q
-                if not _mirror_closed(roots[1:], q):
+                cs = (c0, c1, c2)
+                pattern = (c0 < c1, c0 < c2, c1 < c2, c0 == c1, c0 == c2, c1 == c2)
+                shape = shapes.get(pattern)
+                if shape is None:
+                    shape = shapes[pattern] = _shape(cs, slot, desc.symmetry)
+                lowest, back = shape
+                roots = [0, *accumulate([cs[k] for k in lowest])]  # T_k's roots r/q
+                if not _mirror_closed(roots, q):
                     continue
                 # vec stands for itself and its rotations by -1, -2, ... up to
                 # the previous case-symmetric one, excluded (at -n1 at most)
-                pattern = (c0 == c1, c0 == c2, c1 == c2)
-                if pattern not in backs:
-                    backs[pattern] = next(j for j in range(1, n1 + 1) if all(
-                        vec[a - j] == vec[b - j] for a, b in desc.symmetry))
-                back = backs[pattern]
                 report.converse_checked += back
+                vec = [cs[k] for k in slot]
                 if k_gaps_stokes(case_id, vec) is not None:
                     continue
                 match = _match_numerators(roots, q, n1, weight_bound)

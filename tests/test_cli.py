@@ -264,6 +264,17 @@ def test_verify_golden_not_utf8(capsys, tmp_path):
     assert code == 5 and "table5.csv: unreadable" in err
 
 
+@pytest.mark.parametrize("name", ["table5.csv", "table3.csv"])
+def test_verify_golden_unreadable_file(capsys, tmp_path, name):
+    _copy_tables(tmp_path)
+    (tmp_path / name).unlink()
+    (tmp_path / name).mkdir()
+    code, _, err = run(capsys, "verify", "--case", "4a", "--bound", "6",
+                       "--tables", str(tmp_path))
+    assert code == 5 and f"{name}: unreadable" in err
+    assert "Traceback" not in err
+
+
 def test_verify_golden_missing_field_column(capsys, tmp_path):
     _copy_tables(tmp_path)
     lines = (TABLES / "table5.csv").read_text(encoding="utf-8").splitlines()

@@ -139,11 +139,14 @@ def test_k_from_labels_consistency():
 
 def test_records_match_algreal_oracle():
     """Every record's integer-built fields equal the Fraction and AlgReal
-    routes at its k: ``stokes_from_k``, ``k_to_asymptotic`` and ``tk_from_k``;
+    routes at its k: ``stokes_from_k``, ``k_to_asymptotic`` and ``tk_from_k``
+    (also as the integer numerators over q that the forward check reads);
     the table's +- flag is ``stokes_from_k``'s ``s1_sign_ambiguous``."""
     for cid in CASE_IDS:
         for rec in integral_solutions(cid):
             assert rec.k.N == 1
+            assert all(((e + 1) * rec.q).denominator == 1 for e in rec.k.entries)
+            assert rec.tk.roots == tuple(Fraction(r, rec.q) for r in rec.tk_numerators)
             stokes = stokes_from_k(rec.k)
             assert stokes.integral() == rec.stokes_int
             assert stokes.s1_sign_ambiguous == half_table(rec.case)

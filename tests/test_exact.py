@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttstar.exact import (AlgReal, _cyclotomic, _descend, _phi, _prime_factors,
-                          _substitute, cos2, cos_pair_sums, cyclotomic_factors,
-                          moebius)
+from ttstar.exact import (AlgReal, _cyclotomic, _descend, _pair_root_sum, _phi,
+                          _prime_factors, _substitute, cos2, cos_pair_sums,
+                          cyclotomic_factors, moebius, root_sum)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=18)
 
@@ -370,3 +370,18 @@ def test_cos_pair_sums_match_algreal():
                 assert cos_pair_sums(a, b, n) == want, (a, b, n)
                 integral += want is not None
     assert 0 < integral < sum(4 * n * n for n in range(1, 13))
+
+
+def test_pair_root_sum_matches_root_sum():
+    """The closed form behind ``cos_pair_sums`` equals the generic
+    ``root_sum((a, -a, b, -b), m)`` for every even m <= 120, a in [-m, 2m)
+    and b in [0, m]; ``root_sum`` reads exponents mod m, so it is called
+    once per residue of a."""
+    none = 0
+    for m in range(2, 121, 2):
+        for b in range(m + 1):
+            want = [root_sum((a, -a, b, -b), m) for a in range(m)]
+            for a in range(-m, 2 * m):
+                assert _pair_root_sum(a, b, m) == want[a % m], (a, b, m)
+            none += want.count(None)
+    assert 0 < none < sum(m * (m + 1) for m in range(2, 121, 2))

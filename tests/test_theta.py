@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -138,6 +139,64 @@ def test_check_g():
     assert check_G(theta_poly([0, 0, F("1/3"), F("2/3")]))
     assert check_G(theta_poly([0, 0, F("1/10"), F("9/10")]))
     assert not check_G(theta_poly([0, F("1/5"), F("1/2"), F("4/5"), F("4/5")]))
+
+
+def test_mirror_closed_matches_sorted_comparison():
+    """The sort-free check_G test gives the sorted comparison on every
+    ascending list of up to five numerators in [0, q + 1], for q <= 8."""
+    def ascending(length, lo, hi):
+        if length == 0:
+            yield []
+            return
+        for r in range(lo, hi + 1):
+            for rest in ascending(length - 1, r, hi):
+                yield [r] + rest
+
+    closed = 0
+    for q in range(1, 9):
+        for length in range(6):
+            for numerators in ascending(length, 0, q + 1):
+                want = _reference_mirror_closed(numerators, q)
+                assert _mirror_closed(numerators, q) == want, (numerators, q)
+                closed += want
+    assert closed > 100
+
+
+def _weak_orders():
+    """One value triple for each of the 13 ways three values can compare."""
+    orders = {}
+    for cs in itertools.product(range(3), repeat=3):
+        ranks = sorted(set(cs))
+        orders.setdefault(tuple(ranks.index(c) for c in cs), cs)
+    assert len(orders) == 13
+    return orders
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_shape_matches_min_over_rotations(case_id):
+    """For every order pattern of the class values (c0, c1, c2), the lowest
+    rotation and back that ``theta._shape`` finds at one triple hold for
+    every triple of values up to 6 with that pattern: the prefix sums of
+    the rotation are ``min`` over the rotations, and back is the first
+    rotation by -j that is case-symmetric."""
+    desc = descriptor(case_id)
+    n1 = desc.n_plus_1
+    slot = [next(k for k, cls in enumerate(desc.classes) if i in cls)
+            for i in range(n1)]
+    for order, rep in _weak_orders().items():
+        lowest, back = theta._shape(rep, slot, desc.symmetry)
+        for cs in itertools.product(range(7), repeat=3):
+            ranks = sorted(set(cs))
+            if tuple(ranks.index(c) for c in cs) != order:
+                continue
+            vec = [cs[k] for k in slot]
+            canon = min(_reference_rotations(vec))
+            assert [cs[k] for k in lowest] == list(canon[:-1]), (order, cs)
+            rotated = [vec[(i - back) % n1] for i in range(n1)]
+            assert all(rotated[a] == rotated[b] for a, b in desc.symmetry)
+            assert not any(all(vec[(a - j) % n1] == vec[(b - j) % n1]
+                               for a, b in desc.symmetry) for j in range(1, back))
+            assert [0, *itertools.accumulate(cs[k] for k in lowest)] == tk_numerators(vec)
 
 
 def test_match_ci_positive():
@@ -482,7 +541,7 @@ def test_forward_verdict_matches_reference():
                     want = _reference_qdo_from_ci(spec) == expected
                 except NotReducibleError:
                     want = False
-                assert _qdo_matches(spec, n1, rec.tk) == want, (spec, rec.tk)
+                assert _qdo_matches(spec, rec.tk_numerators, rec.q) == want, (spec, rec.tk)
                 matches += want
         assert matches >= len(catalog(group))
         for case_id in cases:
@@ -549,9 +608,29 @@ def test_converse_violations_count_every_gap_vector(case_id, monkeypatch):
     assert len(verify_corollary(case_id, 12).converse_violations) == len(matching) > 0
 
 
+def _reference_qdo_matches(spec, n_plus_1, tk):
+    """``_qdo_matches`` as it stood with the zero-class visit: the record's
+    Fraction roots put back over their common denominator."""
+    try:
+        numerators, lcm = theta._ci_numerators(spec)
+    except NotReducibleError:
+        return False
+    q = math.lcm(*(r.denominator for r in tk.roots))
+    return [r * q for r in numerators] == [r.numerator * (q // r.denominator) * lcm
+                                           for r in tk.roots]
+
+
+def _reference_mirror_closed(numerators, q):
+    """``_mirror_closed`` by sorting, for numerators in any order."""
+    return sorted(numerators) == sorted(-r % q for r in numerators)
+
+
 def _reference_sweep(case_id, search_bound, corrupt_catalog=False):
     """``verify_corollary`` as it stood before the zero-class visit: every
-    (c0, c1) triple builds its vector before the check_Q test, ``back`` is
+    (c0, c1) triple builds its vector before the check_Q test, T_k's roots
+    come from ``min`` over the rotations (``tk_numerators``), check_G and
+    the forward check are the sorted and Fraction comparisons
+    (``_reference_mirror_closed``, ``_reference_qdo_matches``), ``back`` is
     searched per vector, and every flagged operator is formatted.  It reads
     ``k_gaps_stokes`` through ``ttstar.theta``, so a test that patches it
     there patches both sweeps."""
@@ -568,7 +647,7 @@ def _reference_sweep(case_id, search_bound, corrupt_catalog=False):
         if corrupt_catalog and idx == 0:
             spec = CISpec((1,) * (n1 + 1))
         report.forward_checked += 1
-        if not _qdo_matches(spec, n1, rec.tk):
+        if not _reference_qdo_matches(spec, n1, rec.tk):
             try:
                 produced = qdo_from_ci(spec)
             except NotReducibleError:
@@ -597,7 +676,7 @@ def _reference_sweep(case_id, search_bound, corrupt_catalog=False):
                         report.an_type.append(_fmt_roots(range(n1), q))
                     continue
                 roots = tk_numerators(vec)  # T_k's roots r/q
-                if not _mirror_closed(roots[1:], q):
+                if not _reference_mirror_closed(roots[1:], q):
                     continue
                 # vec stands for itself and its rotations by -1, -2, ... up to
                 # the previous case-symmetric one, excluded (at -n1 at most)
