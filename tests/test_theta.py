@@ -608,7 +608,7 @@ def test_converse_violations_count_every_gap_vector(case_id, monkeypatch):
     assert len(verify_corollary(case_id, 12).converse_violations) == len(matching) > 0
 
 
-def _reference_qdo_matches(spec, n_plus_1, tk):
+def _reference_qdo_matches(spec, tk):
     """``_qdo_matches`` as it stood with the zero-class visit: the record's
     Fraction roots put back over their common denominator."""
     try:
@@ -647,7 +647,7 @@ def _reference_sweep(case_id, search_bound, corrupt_catalog=False):
         if corrupt_catalog and idx == 0:
             spec = CISpec((1,) * (n1 + 1))
         report.forward_checked += 1
-        if not _reference_qdo_matches(spec, n1, rec.tk):
+        if not _reference_qdo_matches(spec, rec.tk):
             try:
                 produced = qdo_from_ci(spec)
             except NotReducibleError:
