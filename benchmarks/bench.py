@@ -30,7 +30,8 @@ side,
   bound), of each case's brute force and of the round's split summed over
   the cases; and it splits ``verify_corollary`` at bound 12 over the ten
   cases, in ``--repeats`` fresh interpreters of 20 rounds each, into the
-  forward check (``_qdo_matches``), ``k_gaps_stokes``,
+  forward check (``qdo_from_ci``; ``_qdo_matches`` in a checkout that
+  still compares integer copies of the roots), ``k_gaps_stokes``,
   ``_match_numerators``, the formatting of operator strings
   (``_fmt_roots``) and the rest, candidate generation with check_G, with
   the median and quartiles of each over the rounds next to the untimed
@@ -48,7 +49,8 @@ side,
 and, for ``cli_cold``, times every ``ttstar`` command of the README and
 ``import ttstar.solver``, each in a fresh interpreter, in ``--repeats``
 rounds that alternate which side runs first; it keeps each side's wall
-times, their median, the exit code and whether ``scipy.linalg`` was loaded.
+times, their median and quartiles, the exit code and whether
+``scipy.linalg`` was loaded.
 
 Then, for every workload, with ``--pairs N``, runs N untraced pairs with
 seeds PAIR_SEED, PAIR_SEED + 1, ..., alternating which side runs first, and
@@ -143,7 +145,10 @@ from ttstar.enumeration import integral_solutions
 bound, rounds = int(sys.argv[1]), int(sys.argv[2])
 for case in CASE_IDS:
     integral_solutions(case)
-PIECES = {"forward_check": "_qdo_matches", "k_gaps_stokes": "k_gaps_stokes",
+# a checkout that keeps integer copies of the records' roots compares them
+# in _qdo_matches; otherwise the forward check's one helper is qdo_from_ci
+FORWARD = "_qdo_matches" if hasattr(theta, "_qdo_matches") else "qdo_from_ci"
+PIECES = {"forward_check": FORWARD, "k_gaps_stokes": "k_gaps_stokes",
           "match_numerators": "_match_numerators", "formatting": "_fmt_roots"}
 spent = dict.fromkeys(PIECES, 0.0)
 
@@ -441,7 +446,8 @@ def cold_run(checkout: Path, argv: list[str]) -> dict:
 
 
 def cold_commands(sides: dict[str, Path], repeats: int) -> list[dict]:
-    """Per README command and the solver import, each side's cold runs."""
+    """Per README command and the solver import, each side's cold runs and
+    their median and quartiles."""
     commands = readme_commands() + [[]]
     runs = alternating(sides, repeats,
                        lambda path: [cold_run(path, argv) for argv in commands])
@@ -451,7 +457,9 @@ def cold_commands(sides: dict[str, Path], repeats: int) -> list[dict]:
                  else 'python -c "import ttstar.solver"'}
         for name, rounds in runs.items():
             recs = [r[j] for r in rounds]
-            entry[name] = {"median_s": statistics.median(r["wall_s"] for r in recs),
+            times = spread(r["wall_s"] for r in recs)
+            entry[name] = {"median_s": times["median"],
+                           "quartiles_s": times["quartiles"],
                            "runs_s": [r["wall_s"] for r in recs],
                            "returncode": sorted({r["returncode"] for r in recs}),
                            "scipy_linalg_loaded": sorted({r["scipy_linalg_loaded"]

@@ -17,15 +17,6 @@ from typing import Iterable, Sequence
 
 CASE_IDS = ("4a", "4b", "5a", "5b", "5c", "5d", "5e", "6a", "6b", "6c")
 
-GROUPS = {
-    "4": ("4a", "4b"),
-    "5ab": ("5a", "5b"),
-    "5cde": ("5c", "5d", "5e"),
-    "6": ("6a", "6b", "6c"),
-}
-
-GROUP_OF_CASE = {c: g for g, cs in GROUPS.items() for c in cs}
-
 
 class SymmetryError(ValueError):
     """A k-vector violates its case's equality constraints."""
@@ -49,8 +40,6 @@ class CaseDescriptor:
     gamma_row: tuple[int, ...]
     delta_row: tuple[int, ...]
     group: str
-    # gamma + delta on the interior line of symmetry of the region
-    center_sum: int
 
     @property
     def classes(self) -> tuple[tuple[int, ...], ...]:
@@ -66,39 +55,53 @@ class CaseDescriptor:
         ea, eb = self.ab
         return Fraction(-2, ea), Fraction(2, eb)
 
+    @cached_property
+    def center_sum(self) -> Fraction:
+        """gamma + delta on the region's line of symmetry: the region is a
+        right isosceles triangle, and that line passes through the corner
+        at its right angle."""
+        return sum(self.corners)
+
 
 _DESCRIPTORS = {
     "4a": CaseDescriptor(
         "4a", 4, (2, 2), ((1, 3),),
-        (3, -2, -1, 0), (1, 2, -3, 0), "4", 0),
+        (3, -2, -1, 0), (1, 2, -3, 0), "4"),
     "4b": CaseDescriptor(
         "4b", 4, (2, 2), ((0, 2),),
-        (-2, -1, 0, 3), (2, -3, 0, 1), "4", 0),
+        (-2, -1, 0, 3), (2, -3, 0, 1), "4"),
     "5a": CaseDescriptor(
         "5a", 5, (2, 1), ((1, 4), (2, 3)),
-        (4, -2, -2, 0, 0), (2, 4, -6, 0, 0), "5ab", 1),
+        (4, -2, -2, 0, 0), (2, 4, -6, 0, 0), "5ab"),
     "5b": CaseDescriptor(
         "5b", 5, (2, 1), ((0, 3), (1, 2)),
-        (-2, -2, 0, 0, 4), (4, -6, 0, 0, 2), "5ab", 1),
+        (-2, -2, 0, 0, 4), (4, -6, 0, 0, 2), "5ab"),
     "5c": CaseDescriptor(
         "5c", 5, (1, 2), ((1, 3), (0, 4)),
-        (6, -4, -2, 0, 0), (2, 2, -4, 0, 0), "5cde", -1),
+        (6, -4, -2, 0, 0), (2, 2, -4, 0, 0), "5cde"),
     "5d": CaseDescriptor(
         "5d", 5, (1, 2), ((2, 4), (0, 1)),
-        (6, 0, -4, -2, 0), (2, 0, 2, -4, 0), "5cde", -1),
+        (6, 0, -4, -2, 0), (2, 0, 2, -4, 0), "5cde"),
     "5e": CaseDescriptor(
         "5e", 5, (1, 2), ((0, 2), (3, 4)),
-        (-4, -2, 0, 6, 0), (2, -4, 0, 2, 0), "5cde", -1),
+        (-4, -2, 0, 6, 0), (2, -4, 0, 2, 0), "5cde"),
     "6a": CaseDescriptor(
         "6a", 6, (1, 1), ((1, 4), (0, 5), (2, 3)),
-        (8, -4, -4, 0, 0, 0), (4, 4, -8, 0, 0, 0), "6", 0),
+        (8, -4, -4, 0, 0, 0), (4, 4, -8, 0, 0, 0), "6"),
     "6b": CaseDescriptor(
         "6b", 6, (1, 1), ((2, 5), (0, 1), (3, 4)),
-        (8, 0, -4, -4, 0, 0), (4, 0, 4, -8, 0, 0), "6", 0),
+        (8, 0, -4, -4, 0, 0), (4, 0, 4, -8, 0, 0), "6"),
     "6c": CaseDescriptor(
         "6c", 6, (1, 1), ((0, 3), (4, 5), (1, 2)),
-        (-4, -4, 0, 0, 8, 0), (4, -8, 0, 0, 4, 0), "6", 0),
+        (-4, -4, 0, 0, 8, 0), (4, -8, 0, 0, 4, 0), "6"),
 }
+
+
+GROUP_OF_CASE = {c: _DESCRIPTORS[c].group for c in CASE_IDS}
+
+# the cases of each group, in CASE_IDS order
+GROUPS = {g: tuple(c for c in CASE_IDS if GROUP_OF_CASE[c] == g)
+          for g in dict.fromkeys(GROUP_OF_CASE.values())}
 
 
 def descriptor(case_id: str) -> CaseDescriptor:

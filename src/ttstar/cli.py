@@ -290,7 +290,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 def cmd_qdo(args) -> int:
     from .enumeration import integral_solutions
-    from .theta import CISpec, NotReducibleError, QDO, qdo_from_ci
+    from .theta import CISpec, NotReducibleError, qdo_from_ci
     weights = _parse_int_list(args.weights)
     degrees = _parse_int_list(args.degrees)
     try:
@@ -305,10 +305,9 @@ def cmd_qdo(args) -> int:
     if args.match:
         found = []
         for group, cases in GROUPS.items():
-            case_id = cases[0]
-            n1 = descriptor(case_id).n_plus_1
-            for rec in integral_solutions(case_id):
-                if QDO(n1, rec.tk) == op:
+            for rec in integral_solutions(cases[0]):
+                # a QDO has one root per power of lambda
+                if op.theta == rec.tk:
                     found.append(f"group {group} {rec.block} "
                                  f"(a,b)=({fmt_frac(rec.a_label)},{fmt_frac(rec.b_label)})")
         if found:

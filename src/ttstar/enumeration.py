@@ -15,10 +15,9 @@ Each admissible label pair gives integer gaps c over q = sum(c)
 (``k_from_labels``, which puts the labels on the two slot gaps of
 ``stokes.case_formula``), and from them come the asymptotic data
 (``cases.gaps_to_asymptotic``), the Stokes data (``stokes.k_gaps_stokes``,
-over the same kernel) and T_k's root numerators (``theta.tk_numerators``),
-which each record keeps over its q for the forward check of
-``theta.verify_corollary``; a ``Fraction`` is made only for the other
-fields a record stores.
+over the same kernel) and T_k, whose ``ThetaPoly`` keeps its roots as the
+integer numerators ``theta.tk_numerators`` over q; a ``Fraction`` is made
+only for the other fields a record stores.
 ``stokes.stokes_from_k`` serves arbitrary rational points and is the tests'
 oracle for these records.
 
@@ -62,9 +61,6 @@ class SolutionRecord:
     k: KVector
     tk: ThetaPoly
     block: str
-    # T_k's roots r/q as integer numerators r, over q = sum of the integer gaps
-    tk_numerators: tuple[int, ...]
-    q: int
 
 
 @lru_cache(maxsize=1)
@@ -196,12 +192,10 @@ def integral_solutions(case_id: str) -> tuple[SolutionRecord, ...]:
             assert in_region(case_id, asym) and min(gaps) >= 0
             derived_block = classify_block(case_id, asym)
             assert derived_block == block, (case_id, a_label, b_label, derived_block)
-            roots = tuple(tk_numerators(gaps))
-            tk = ThetaPoly(Fraction(1), tuple(Fraction(r, q) for r in roots))
             records.append(SolutionRecord(
                 case_id, a_label, b_label, asym, ints,
                 KVector(case_id, tuple(Fraction(c - q, q) for c in gaps)),
-                tk, block, roots, q))
+                ThetaPoly(tk_numerators(gaps), q), block))
     assert len(records) == 19
     return tuple(records)
 

@@ -21,12 +21,11 @@ complete-intersection match (``_match_numerators``, behind ``match_ci``)
 reads the cyclotomic factors of the numerators
 (``exact.cyclotomic_factors``, which states the lemma).  The operator
 strings (``_fmt_roots``, behind ``ThetaPoly.__str__``) take the same
-numerators over q.  The forward
-check compares integer root numerators too: a catalog entry's over the
-lcm of its weights and degrees (``_ci_numerators``, behind
-``qdo_from_ci``) against the T_k numerators its integral-solution record
-keeps over the record's q (``_qdo_matches``); operators are built only to
-report a mismatch.
+numerators over q, and so does every operator: a ``ThetaPoly`` keeps its
+roots as ascending integer numerators over their least common
+denominator, so the forward check is one equality of ``ThetaPoly``s, a
+catalog entry's (``qdo_from_ci``, which counts its roots over the lcm of
+its weights and degrees) against its integral-solution record's T_k.
 """
 
 from __future__ import annotations
@@ -65,38 +64,48 @@ def _fmt_roots(numerators: Iterable[int], q: int) -> str:
     return "".join(parts)
 
 
-def _numerators(roots: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The roots as integer numerators over their common denominator q."""
-    q = math.lcm(*(r.denominator for r in roots))
-    return [r.numerator * (q // r.denominator) for r in roots], q
-
-
 @dataclass(frozen=True)
 class ThetaPoly:
-    """coeff * prod (theta - r) over the sorted multiset of roots."""
+    """coeff * prod (theta - r/q) over the multiset of root numerators r.
 
-    coeff: Fraction
-    roots: tuple[Fraction, ...]
+    The numerators are kept ascending over their least common denominator
+    q, so equal operators are equal objects however they were built.
+    """
+
+    numerators: tuple[int, ...]
+    q: int
+    coeff: Fraction = Fraction(1)
 
     def __post_init__(self):
         if self.coeff == 0:
             raise ValueError("leading coefficient must be nonzero")
-        object.__setattr__(self, "roots", tuple(sorted(self.roots)))
+        g = math.gcd(self.q, *self.numerators)
+        object.__setattr__(self, "numerators",
+                           tuple(sorted(r // g for r in self.numerators)))
+        object.__setattr__(self, "q", self.q // g)
+
+    @property
+    def roots(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(r, self.q) for r in self.numerators)
 
     @property
     def degree(self) -> int:
-        return len(self.roots)
+        return len(self.numerators)
 
     def __str__(self) -> str:
         coeff = _fmt_ratio(self.coeff.numerator, self.coeff.denominator)
-        body = _fmt_roots(*_numerators(self.roots))
+        body = _fmt_roots(self.numerators, self.q)
         if self.coeff != 1:
             return coeff + "*" + body
         return body or coeff
 
 
-def theta_poly(roots: Iterable, coeff=Fraction(1)) -> ThetaPoly:
-    return ThetaPoly(Fraction(coeff), tuple(Fraction(r) for r in roots))
+def theta_poly(roots: Iterable, coeff=1) -> ThetaPoly:
+    """The ``ThetaPoly`` with the given rational roots."""
+    roots = [Fraction(r) for r in roots]
+    q = math.lcm(*(r.denominator for r in roots))
+    return ThetaPoly(tuple(r.numerator * (q // r.denominator) for r in roots), q,
+                     Fraction(coeff))
 
 
 @dataclass(frozen=True)
@@ -178,8 +187,7 @@ def tk_from_k(k: KVector | Sequence[Fraction]) -> ThetaPoly:
         raise ValueError("tk_from_k requires N = 1")
     if any(e < -1 for e in entries):
         raise ValueError("tk_from_k requires all k_i >= -1")
-    roots = tk_numerators(e + 1 for e in entries)
-    return ThetaPoly(Fraction(1), tuple(map(Fraction, roots)))
+    return theta_poly(tk_numerators(e + 1 for e in entries))
 
 
 def _factor_roots(ns: Iterable[int], lcm: int) -> Counter:
@@ -188,20 +196,6 @@ def _factor_roots(ns: Iterable[int], lcm: int) -> Counter:
 
 
 @lru_cache
-def _ci_numerators(spec: CISpec) -> tuple[tuple[int, ...], int]:
-    """The theta roots of spec's QDO as integer numerators over the lcm of
-    its weights and degrees (cached: the catalog is constant): the ambient
-    factor's roots less the hypersurface factor's, which must all be among
-    them."""
-    lcm = math.lcm(*spec.weights, *spec.degrees)
-    a_roots = _factor_roots(spec.weights, lcm)
-    b_roots = _factor_roots(spec.degrees, lcm)
-    if b_roots - a_roots:
-        raise NotReducibleError(
-            f"{spec}: hypersurface factor is not a sub-multiset of the ambient factor")
-    return tuple(sorted((a_roots - b_roots).elements())), lcm
-
-
 def qdo_from_ci(spec: CISpec) -> QDO:
     """Quantum differential operator of a weighted projective complete intersection.
 
@@ -209,12 +203,16 @@ def qdo_from_ci(spec: CISpec) -> QDO:
     their common part, which is required to absorb the whole hypersurface
     factor; scalar coefficients are normalized away.  The roots are
     counted as integer numerators over the lcm of the weights and degrees
-    (``_ci_numerators``).
+    (cached: the catalog is constant).
     """
-    numerators, lcm = _ci_numerators(spec)
+    lcm = math.lcm(*spec.weights, *spec.degrees)
+    a_roots = _factor_roots(spec.weights, lcm)
+    b_roots = _factor_roots(spec.degrees, lcm)
+    if b_roots - a_roots:
+        raise NotReducibleError(
+            f"{spec}: hypersurface factor is not a sub-multiset of the ambient factor")
     power = sum(spec.weights) - sum(spec.degrees)
-    roots = tuple(Fraction(r, lcm) for r in numerators)
-    return QDO(power, ThetaPoly(Fraction(1), roots))
+    return QDO(power, ThetaPoly(tuple((a_roots - b_roots).elements()), lcm))
 
 
 def check_Q(k_gaps: Counter | Iterable) -> bool:
@@ -227,19 +225,19 @@ def check_Q(k_gaps: Counter | Iterable) -> bool:
     return gaps[Fraction(0)] > 0
 
 
-def _mirror_closed(numerators: list[int], q: int) -> bool:
-    """Whether the multiset of exponents r/q, given as an ascending list of
-    numerators r >= 0, is closed under x -> 1 - x mod 1: the zeros map to
-    themselves, and the nonzero part must map onto itself reversed."""
+def _mirror_closed(numerators: Sequence[int], q: int) -> bool:
+    """Whether the multiset of exponents r/q, given as ascending numerators
+    r >= 0, is closed under x -> 1 - x mod 1: the zeros map to themselves,
+    and the nonzero part must map onto itself reversed."""
     tail = numerators[numerators.count(0):]
-    return tail == [q - r for r in reversed(tail)]
+    return list(tail) == [q - r for r in reversed(tail)]
 
 
 def check_G(t: ThetaPoly) -> bool:
     """Closure of the exponent multiset under x -> 1 - x taken modulo 1."""
-    if t.coeff != 1 or not t.roots or t.roots[0] != 0:
+    if t.coeff != 1 or not t.numerators or t.numerators[0] != 0:
         raise ValueError("operator must be monic with smallest root 0")
-    return _mirror_closed(*_numerators(t.roots))
+    return _mirror_closed(t.numerators, t.q)
 
 
 # --- Table of quantum cohomology interpretations ----------------------
@@ -314,27 +312,8 @@ def _match_numerators(numerators: Sequence[int], q: int, n_plus_1: int,
         return None
     spec = CISpec(tuple(weights), tuple(degrees))
     # paranoia: the divisor-count argument is exact, but verify anyway
-    produced = qdo_from_ci(spec)
-    assert sorted(r * q for r in produced.theta.roots) == sorted(numerators)
-    assert produced.lambda_power == n_plus_1
+    assert qdo_from_ci(spec) == QDO(n_plus_1, ThetaPoly(numerators, q))
     return spec
-
-
-def _qdo_matches(spec: CISpec, roots: Sequence[int], q: int) -> bool:
-    """Whether ``qdo_from_ci(spec)`` is lambda^(n+1) T - z for the monic T
-    with the n+1 roots r/q, given as ascending integer numerators r (a
-    record's ``tk_numerators`` over its q), decided on integers: spec's
-    roots over their lcm against these over q.
-
-    The QDO of spec has as many roots as its lambda power, so equal root
-    multisets also give equal powers.
-    """
-    try:
-        numerators, lcm = _ci_numerators(spec)
-    except NotReducibleError:
-        return False
-    # both lists are sorted, and scaling by a positive integer keeps the order
-    return [r * q for r in numerators] == [r * lcm for r in roots]
 
 
 def match_ci(roots: Iterable[Fraction], n_plus_1: int,
@@ -346,8 +325,8 @@ def match_ci(roots: Iterable[Fraction], n_plus_1: int,
     Moebius inversion over denominators.  Returns None when no weights
     and degrees reproduce the multiset with the weight sum within bound.
     """
-    numerators, q = _numerators([Fraction(r) for r in roots])
-    return _match_numerators(numerators, q, n_plus_1, weight_sum_bound)
+    t = theta_poly(roots)
+    return _match_numerators(t.numerators, t.q, n_plus_1, weight_sum_bound)
 
 
 @dataclass
@@ -400,10 +379,9 @@ def verify_corollary(case_id: str, search_bound: int,
     sort-free mirror test of ``_mirror_closed``.  Every vector passing both
     conditions gets ``stokes.k_gaps_stokes``, and every non-integral one
     ``_match_numerators``; a flagged operator's string is formatted once per
-    distinct (T_k numerators, q).  The forward check compares integer root
-    numerators, the catalog entry's against those its record keeps
-    (``_qdo_matches``), building the two operators only for the message of
-    a mismatch.
+    distinct (T_k numerators, q).  The forward check compares the catalog
+    entry's theta part (``qdo_from_ci``) with its record's T_k; a QDO has
+    one root per power of lambda, so equal roots give equal powers.
     """
     from .enumeration import integral_solutions  # enumeration imports this module
 
@@ -421,11 +399,11 @@ def verify_corollary(case_id: str, search_bound: int,
         if corrupt_catalog and idx == 0:
             spec = CISpec((1,) * (n1 + 1))
         report.forward_checked += 1
-        if not _qdo_matches(spec, rec.tk_numerators, rec.q):
-            try:
-                produced = qdo_from_ci(spec)
-            except NotReducibleError:
-                produced = None
+        try:
+            produced = qdo_from_ci(spec)
+        except NotReducibleError:
+            produced = None
+        if produced is None or produced.theta != rec.tk:
             report.forward_mismatches.append(
                 f"{spec} -> {produced} != {QDO(n1, rec.tk)} at {block}[{pos}]")
 

@@ -18,6 +18,29 @@ def test_case_enumeration():
     assert set(GROUP_OF_CASE) == set(CASE_IDS)
 
 
+# the paper's data, as the descriptors once stated them: the cases of each
+# group, and gamma + delta on the region's line of symmetry
+PAPER_GROUPS = {
+    "4": ("4a", "4b"),
+    "5ab": ("5a", "5b"),
+    "5cde": ("5c", "5d", "5e"),
+    "6": ("6a", "6b", "6c"),
+}
+PAPER_CENTER_SUM = {"4a": 0, "4b": 0, "5a": 1, "5b": 1, "5c": -1, "5d": -1,
+                    "5e": -1, "6a": 0, "6b": 0, "6c": 0}
+
+
+def test_derived_case_facts_match_paper():
+    """GROUPS and GROUP_OF_CASE come from the descriptors' group field and
+    center_sum from the corners; all three equal the paper's data."""
+    assert GROUPS == PAPER_GROUPS
+    assert list(GROUPS.items()) == list(PAPER_GROUPS.items())
+    assert GROUP_OF_CASE == {c: g for g, cs in PAPER_GROUPS.items() for c in cs}
+    for cid in CASE_IDS:
+        d = descriptor(cid)
+        assert d.center_sum == PAPER_CENTER_SUM[cid] == sum(d.corners)
+
+
 def test_descriptor_shapes():
     for cid in CASE_IDS:
         d = descriptor(cid)

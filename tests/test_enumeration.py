@@ -145,8 +145,8 @@ def test_records_match_algreal_oracle():
     for cid in CASE_IDS:
         for rec in integral_solutions(cid):
             assert rec.k.N == 1
-            assert all(((e + 1) * rec.q).denominator == 1 for e in rec.k.entries)
-            assert rec.tk.roots == tuple(Fraction(r, rec.q) for r in rec.tk_numerators)
+            assert all(((e + 1) * rec.tk.q).denominator == 1 for e in rec.k.entries)
+            assert rec.tk.roots == tuple(Fraction(r, rec.tk.q) for r in rec.tk.numerators)
             stokes = stokes_from_k(rec.k)
             assert stokes.integral() == rec.stokes_int
             assert stokes.s1_sign_ambiguous == half_table(rec.case)

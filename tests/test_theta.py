@@ -14,7 +14,7 @@ from ttstar.enumeration import integral_solutions
 from ttstar.stokes import k_gaps_stokes, stokes_from_k
 from ttstar.theta import (CISpec, CorollaryReport, NotReducibleError, QDO,
                           ThetaPoly, _fmt_roots, _match_numerators,
-                          _mirror_closed, _qdo_matches, catalog, check_G,
+                          _mirror_closed, catalog, check_G,
                           check_Q, match_ci, qdo_from_ci, theta_poly,
                           tk_from_k, tk_numerators, verify_corollary)
 
@@ -273,7 +273,7 @@ def _reference_qdo_from_ci(spec):
         raise NotReducibleError(
             f"{spec}: hypersurface factor is not a sub-multiset of the ambient factor")
     power = sum(spec.weights) - sum(spec.degrees)
-    return QDO(power, ThetaPoly(F(1), tuple((a_roots - b_roots).elements())))
+    return QDO(power, theta_poly((a_roots - b_roots).elements()))
 
 
 def _reference_moebius(n):
@@ -354,13 +354,36 @@ def test_fmt_roots_matches_reference(rng):
         q = rng.choice([1, 1, 2, 6, 12, rng.randint(1, 60)])
         numerators = [rng.randrange(-q, 2 * q) for _ in range(rng.randint(0, 7))]
         numerators += [0] * rng.randint(0, 3) + numerators[:rng.randint(0, 2)]
-        t = ThetaPoly(F(1), tuple(F(r, q) for r in numerators))
+        t = theta_poly(F(r, q) for r in numerators)
         if numerators:
             assert _fmt_roots(numerators, q) == _reference_str(t)
         assert str(t) == _reference_str(t)
         coeff = F(rng.randint(-5, 5) or 1, rng.randint(1, 4))
-        scaled = ThetaPoly(coeff, t.roots)
+        scaled = theta_poly(t.roots, coeff)
         assert str(scaled) == _reference_str(scaled)
+
+
+def test_theta_poly_canonical_form(rng):
+    """A ThetaPoly keeps its roots as ascending numerators over their least
+    common denominator: built from unsorted numerators over any multiple of
+    it, or from the Fraction roots, it is one object with one hash, its
+    roots round-trip, and its string is the Fraction reference's."""
+    for _ in range(500):
+        q = rng.choice([1, 2, 6, 12, rng.randint(1, 60)])
+        numerators = [rng.randrange(-q, 2 * q) for _ in range(rng.randint(0, 7))]
+        numerators += [0] * rng.randint(0, 3)
+        rng.shuffle(numerators)
+        roots = [F(r, q) for r in numerators]
+        coeff = rng.choice([F(1), F(rng.randint(-5, 5) or 1, rng.randint(1, 4))])
+        t = ThetaPoly(tuple(numerators), q, coeff)
+        assert t == theta_poly(roots, coeff)
+        assert t.q == math.lcm(*(r.denominator for r in roots))
+        assert t.roots == tuple(sorted(roots))
+        assert theta_poly(t.roots, coeff) == t
+        k = rng.randint(2, 7)
+        scaled = ThetaPoly(tuple(r * k for r in numerators), q * k, coeff)
+        assert scaled == t and hash(scaled) == hash(t)
+        assert str(t) == _reference_str(t)
 
 
 def _orbit_roots(case_id, bound):
@@ -433,7 +456,7 @@ def _reference_tk(gaps):
     for g in best[:-1]:
         acc += g + 1
         roots.append(acc)
-    return ThetaPoly(F(1), tuple(roots))
+    return theta_poly(roots)
 
 
 def _symmetric_rotations(case_id, q):
@@ -523,27 +546,36 @@ def test_converse_matches_reference_on_symmetric_rotations(case_id):
                 == _reference_converse(case_id, bound, rotations)), bound
 
 
+def _forward_verdict(spec, tk):
+    """The forward check's comparison: spec's theta part against T_k."""
+    try:
+        return qdo_from_ci(spec).theta == tk
+    except NotReducibleError:
+        return False
+
+
 def test_forward_verdict_matches_reference():
-    """The forward check's integer comparison (``_qdo_matches``) gives the
-    Fraction reference's verdict for every catalog entry of the four
-    groups, the self-test's corrupt entry and a non-reducible space, against
-    every record of each group; the corrupt entry is flagged with the
+    """The forward check's comparison (``qdo_from_ci(spec).theta == rec.tk``)
+    gives the Fraction reference's verdict for every catalog entry of the
+    four groups, the self-test's corrupt entry and a non-reducible space,
+    against all 190 records; the corrupt entry is flagged with the
     reference's message."""
     specs = [spec for group in GROUPS for spec, _, _ in catalog(group)]
     specs += [CISpec((1,) * n1) for n1 in (5, 6, 7)] + [CISpec((1, 1, 4), (3,))]
     for group, cases in GROUPS.items():
         n1 = descriptor(cases[0]).n_plus_1
-        matches = 0
-        for rec in integral_solutions(cases[0]):
-            expected = QDO(n1, rec.tk)
-            for spec in specs:
-                try:
-                    want = _reference_qdo_from_ci(spec) == expected
-                except NotReducibleError:
-                    want = False
-                assert _qdo_matches(spec, rec.tk_numerators, rec.q) == want, (spec, rec.tk)
-                matches += want
-        assert matches >= len(catalog(group))
+        for case_id in cases:
+            matches = 0
+            for rec in integral_solutions(case_id):
+                expected = QDO(n1, rec.tk)
+                for spec in specs:
+                    try:
+                        want = _reference_qdo_from_ci(spec) == expected
+                    except NotReducibleError:
+                        want = False
+                    assert _forward_verdict(spec, rec.tk) == want, (spec, rec.tk)
+                    matches += want
+            assert matches >= len(catalog(group))
         for case_id in cases:
             assert verify_corollary(case_id, 6).forward_mismatches == []
             rep = verify_corollary(case_id, 6, corrupt_catalog=True)
@@ -609,15 +641,14 @@ def test_converse_violations_count_every_gap_vector(case_id, monkeypatch):
 
 
 def _reference_qdo_matches(spec, tk):
-    """``_qdo_matches`` as it stood with the zero-class visit: the record's
-    Fraction roots put back over their common denominator."""
+    """Whether spec's QDO is lambda^(n+1) T_k - z, by ``_reference_qdo_from_ci``:
+    the two root multisets counted as Fractions with a Counter."""
     try:
-        numerators, lcm = theta._ci_numerators(spec)
+        produced = _reference_qdo_from_ci(spec)
     except NotReducibleError:
         return False
-    q = math.lcm(*(r.denominator for r in tk.roots))
-    return [r * q for r in numerators] == [r.numerator * (q // r.denominator) * lcm
-                                           for r in tk.roots]
+    return (produced.lambda_power == tk.degree
+            and Counter(produced.theta.roots) == Counter(tk.roots))
 
 
 def _reference_mirror_closed(numerators, q):
