@@ -50,7 +50,9 @@ and, for ``cli_cold``, times every ``ttstar`` command of the README and
 ``import ttstar.solver``, each in a fresh interpreter, in ``--repeats``
 rounds that alternate which side runs first; it keeps each side's wall
 times, their median and quartiles, the exit code and whether
-``scipy.linalg`` was loaded.
+``scipy.linalg`` was loaded.  In as many fresh interpreters it times
+``convert`` in-process at three common denominators of the gaps
+(``CONVERT``).
 
 Then, for every workload, with ``--pairs N``, runs N untraced pairs with
 seeds PAIR_SEED, PAIR_SEED + 1, ..., alternating which side runs first, and
@@ -468,6 +470,44 @@ def cold_commands(sides: dict[str, Path], repeats: int) -> list[dict]:
     return out
 
 
+# ``convert`` in-process, after one README conversion has loaded the modules,
+# at three common denominators q of the gaps (k_i + 1)/N: q = 480, the
+# prime q = 10^16 + 61 (both slot roots of one huge order) and a q of about
+# 3,000 digits (k_i = 1/(10^999 + j)).  Each input is timed once per
+# interpreter, with its exit code.
+CONVERT = r"""
+import contextlib, io, json, sys, time
+from ttstar.cli import main
+X = str(5 * 10**15 + 28)
+INPUTS = {"q_480": ["0", "0", "476", "0"], "q_10e16_61": ["0", X, "1", X],
+          "q_3000_digits": ["1/" + str(10**999 + j) for j in (1, 3, 7, 3)]}
+sink = io.StringIO()
+with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+    main(["convert", "4a", "--from", "asymptotic", "3", "1"])
+    for name, values in INPUTS.items():
+        t0 = time.perf_counter()
+        code = main(["convert", "4a", "--from", "k", *values])
+        print(json.dumps({"input": name, "wall_s": time.perf_counter() - t0,
+                          "returncode": code}), file=sys.__stdout__, flush=True)
+"""
+
+
+def convert_times(sides: dict[str, Path], repeats: int) -> list[dict]:
+    """Per ``CONVERT`` input, each side's in-process times over ``repeats``
+    fresh interpreters, alternating which side runs first."""
+    runs = alternating(sides, repeats, lambda path: run_script(path, CONVERT))
+    out = []
+    for j, rec in enumerate(runs["parent"][0]):
+        entry = {"input": rec["input"]}
+        for name, rounds in runs.items():
+            times = spread(r[j]["wall_s"] for r in rounds)
+            entry[name] = {"median_s": times["median"], "quartiles_s": times["quartiles"],
+                           "runs_s": [r[j]["wall_s"] for r in rounds],
+                           "returncode": sorted({r[j]["returncode"] for r in rounds})}
+        out.append(entry)
+    return out
+
+
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per end-to-end metric: each side's median and quartiles, the change's wins."""
     out = {}
@@ -527,6 +567,7 @@ def main(argv=None) -> int:
         result["solve_phases"] = solve_phases(sides, args.repeats)
     elif args.workload == "cli_cold":
         result["cold_commands"] = cold_commands(sides, args.repeats)
+        result["convert_times"] = convert_times(sides, args.repeats)
     result["pairs"] = []
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")

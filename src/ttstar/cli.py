@@ -1,5 +1,7 @@
 """Command-line interface: conversions, enumeration, operators, verification, BVP.
 
+``convert`` decides integrality on integers and gives other Stokes data as floats.
+
 Exit codes: 0 success, 1 asymptotics not verified, 2 parse error,
 3 symmetry/region violation, 4 operator not reducible, 5 verification
 mismatch, 6 solver non-convergence.
@@ -19,7 +21,7 @@ from pathlib import Path
 
 from .cases import (CASE_IDS, GROUPS, AsymptoticData, SymmetryError, descriptor,
                     in_region, k_to_asymptotic, make_k, asymptotic_to_k)
-from .stokes import stokes_from_asymptotic, stokes_from_k
+from .stokes import k_gaps_floats, k_gaps_stokes
 
 # ``enumeration`` and ``theta``, like ``solver``, load only in the subcommands
 # that use them, so ``convert`` and ``solve`` skip their import
@@ -29,12 +31,6 @@ EXIT_DOMAIN = 3
 EXIT_NOT_REDUCIBLE = 4
 EXIT_VERIFY = 5
 EXIT_NO_CONVERGENCE = 6
-
-# the largest common denominator q of the gaps (k_i + 1)/N ``convert`` accepts:
-# Stokes data in Q(zeta_2q) reduce through a table of the 2q powers of zeta_2q
-# (``exact._power_table``), which takes memory and time about q * phi(2q);
-# at q = 480 the Stokes data take about 0.1 s
-MAX_CONVERT_DENOMINATOR = 480
 
 # the largest weight sum ``qdo`` accepts: the operator has one root per unit
 # of weight (the degrees sum to less), and at this sum it takes about 0.3 s
@@ -228,13 +224,8 @@ def cmd_convert(args) -> int:
             raise CliError("k-vector has nonpositive N", EXIT_DOMAIN)
         asym = k_to_asymptotic(k)
     q = math.lcm(*(((e + 1) / k.N).denominator for e in k.entries))
-    if q > MAX_CONVERT_DENOMINATOR:
-        shown = q if q < 10**40 else f"of {len(str(q)):,} digits"
-        raise CliError(f"the gaps (k_i + 1)/N have common denominator {shown}, above "
-                       f"convert's limit of {MAX_CONVERT_DENOMINATOR}", EXIT_PARSE)
-    stokes = (stokes_from_asymptotic(case_id, asym) if args.source == "asymptotic"
-              else stokes_from_k(k))
-    ints = stokes.integral()
+    gaps = [int((e + 1) * q / k.N) for e in k.entries]
+    ints = k_gaps_stokes(case_id, gaps)
     print(f"case      {case_id}")
     print(f"gamma     {fmt_frac(asym.gamma)}")
     print(f"delta     {fmt_frac(asym.delta)}")
@@ -243,10 +234,10 @@ def cmd_convert(args) -> int:
     print(f"in_region {'yes' if in_region(case_id, asym) else 'no'}")
     if ints is not None:
         s1, s2 = ints
-        print(f"stokes    ({fmt_s1(s1, stokes.s1_sign_ambiguous)}, {s2})  [integral]")
+        print(f"stokes    ({fmt_s1(s1, half_table(case_id))}, {s2})  [integral]")
     else:
-        print(f"stokes    ({stokes.s1.to_float():.12g}, "
-              f"{stokes.s2.to_float():.12g})  [irrational]")
+        s1, s2 = k_gaps_floats(case_id, gaps)
+        print(f"stokes    ({s1:.12g}, {s2:.12g})  [irrational]")
     return 0
 
 

@@ -141,14 +141,14 @@ def _pair_root_sum(a: int, b: int, n: int) -> Optional[int]:
     (2/phi(d_a))*mu(d_a) + (2/phi(d_b))*mu(d_b), the rational values
     2cos(2*pi*a/n) + 2cos(2*pi*b/n).  When d_a = d_b = d, one orbit holds
     all four: with phi(d) <= 2 the sum is 2*(2/phi(d))*mu(d), the same
-    values; with phi(d) = 4 it is full, once, exactly when b is neither a
-    nor -a mod n, and the sum is mu(d); with phi(d) > 4 it is never full.
+    values; with phi(d) = 4 (d in 5, 8, 10, 12) it is full, once, exactly
+    when b is not +-a mod n, and the sum is mu(d); else it is never full.
     """
     da, db = n // math.gcd(a, n), n // math.gcd(b, n)
     x, y = _RATIONAL_2COS.get(da), _RATIONAL_2COS.get(db)
     if x is not None and y is not None:
         return x + y
-    if da == db and _phi(da) == 4 and (a - b) % n and (a + b) % n:
+    if da == db and da in (5, 8, 10, 12) and (a - b) % n and (a + b) % n:
         return moebius(da)
     return None
 

@@ -10,14 +10,14 @@ agree on the nose.  In the cases with an even size matrix s1 is only
 defined up to sign; its sign is decided exactly from the rational angles
 and s1 is reported nonnegative.
 
-Both k routes read the slot angles as m*gaps[i] + f*q over q (``_slots``).
-At a point given by integer gaps the data are also decided and computed on
-integers alone (``k_gaps_stokes``), by the one integer kernel
-``exact.cos_pair_sums``.
+The k routes read the slot angles as m*gaps[i] + f*q over q (``_slots``); at
+integer gaps ``k_gaps_stokes`` decides and computes integral data on integers
+(``exact.cos_pair_sums``), and ``k_gaps_floats`` gives other data as floats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -182,3 +182,12 @@ def k_gaps_stokes(case_id: str, gaps: Sequence[int]) -> Optional[tuple[int, int]
         return None
     s, xy = sums
     return c.t + s if c.t else abs(s), -(c.c2 + c.t * s + xy)
+
+
+def k_gaps_floats(case_id: str, gaps: Sequence[int]) -> tuple[float, float]:
+    """(s1, s2) as floats at the integer gaps of ``k_gaps_stokes``, each slot
+    numerator reduced mod 2q first; s1 = 0 exactly where ``cos_sum_sign`` is."""
+    c, a, b, q = _slots(case_id, gaps)
+    x, y = (2 * math.cos(math.pi * (v % (2 * q) / q)) for v in (a, b))
+    s = x + y if c.t or cos_sum_sign(Fraction(a, q), Fraction(b, q)) else 0.0
+    return c.t + s if c.t else abs(s), -(c.c2 + c.t * s + x * y)

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from ttstar.cli import (MAX_CONVERT_DENOMINATOR, MAX_DIGITS, MAX_QDO_WEIGHT_SUM,
-                        MAX_VERIFY_BOUND, default_tables_dir, main)
+from ttstar.cli import (MAX_DIGITS, MAX_QDO_WEIGHT_SUM, MAX_VERIFY_BOUND,
+                        default_tables_dir, main)
 
 TABLES = default_tables_dir()
 
@@ -99,15 +99,13 @@ _LONG_K = ["1/" + str(10**999 + j) for j in (1, 3, 7, 3)]  # 4a: k_1 = k_3
     (["convert", "4a", "--from", "asymptotic", _LONG_GAMMA, _LONG_DELTA], 3,
      "...) outside the region"),
     (["solve", "4a", _LONG_GAMMA, _LONG_DELTA], 3, "...) outside the region"),
-    (["convert", "4a", "--from", "k", *_LONG_K], 2,
-     "digits, above convert's limit"),
     (["convert", "4a", "--from", "asymptotic", "0", "1" * 999 + "x"], 2,
      "not an exact rational: '111"),
     (["solve", "4a", "1" * 999 + "x", "0"], 2, "not an exact rational: '111"),
 ])
 def test_long_exact_values_shortened_in_errors(capsys, argv, code, text):
-    """Region errors, convert's denominator limit and unparsable input show
-    a value of about MAX_DIGITS digits as an excerpt or a digit count."""
+    """Region errors and unparsable input show a value of about MAX_DIGITS
+    digits as an excerpt."""
     got, out, err = run(capsys, *argv)
     assert got == code and not out
     assert err.startswith("error:") and text in err and len(err) < 200, err
@@ -118,18 +116,49 @@ def test_convert_region_violation(capsys):
     assert code == 3 and "outside the region" in err
 
 
-def test_convert_large_denominator_rejected(capsys):
-    """Exact Stokes data cost about q^2 in the common denominator q of the
-    gaps (k_i + 1)/N, so convert refuses q above its limit at once."""
-    start = time.perf_counter()
-    code, _, err = run(capsys, "convert", "4a", "--from", "asymptotic",
-                       "1/2003", "0")
-    assert code == 2 and "common denominator 16024" in err
-    # N = 1004
-    code, _, err = run(capsys, "convert", "4a", "--from", "k",
-                       "1000", "0", "0", "0")
-    assert code == 2 and f"limit of {MAX_CONVERT_DENOMINATOR}" in err
-    assert time.perf_counter() - start < 1.0
+_HUGE_PRIME_GAP = str(5 * 10**15 + 28)  # q = 10^16 + 61, a prime
+
+
+def test_convert_large_denominator_answered(capsys):
+    """Stokes data are decided on the integer gaps over their common
+    denominator q and evaluated as floats otherwise, so any q answers at
+    once, among them a prime q, where both slot roots have one huge order."""
+    for argv in [
+            ("asymptotic", "1/2003", "0"),  # q = 16,024
+            ("k", "1000", "0", "0", "0"),  # q = 1,004
+            ("k", *_LONG_K),  # q of about 3,000 digits
+            ("asymptotic", f"{10**999 + 1}/{10**999 + 3}",
+             f"{10**999 + 7}/{3 * 10**999 + 1}", "--n", f"{10**999 + 9}/{10**999 + 13}"),
+            ("k", "0", _HUGE_PRIME_GAP, "1", _HUGE_PRIME_GAP)]:
+        start = time.perf_counter()
+        code, out, err = run(capsys, "convert", "4a", "--from", *argv)
+        assert time.perf_counter() - start < 1.0, argv[:2]
+        assert code == 0 and not err, (argv[:2], err)
+        assert out.splitlines()[-1].endswith("[irrational]"), argv[:2]
+
+
+def test_convert_runs_without_algreal(capsys, monkeypatch):
+    """``convert`` builds no ``AlgReal``: with its constructor and ``cos2``
+    raising, the README commands and an irrational point print as before."""
+    def fail(*args, **kwargs):
+        raise AssertionError("AlgReal on the convert path")
+
+    monkeypatch.setattr("ttstar.exact.AlgReal.__init__", fail)
+    monkeypatch.setattr("ttstar.exact.cos2", fail)
+    monkeypatch.setattr("ttstar.stokes.cos2", fail)
+    fields = ("case", "gamma", "delta", "k", "N", "in_region", "stokes")
+    for argv, want in [
+            (("4a", "--from", "asymptotic", "3", "1"),
+             ("4a", "3", "1", "0 -1 -1 -1", "1", "yes", "(±4, -6)  [integral]")),
+            (("5a", "--from", "k", "-2/3", "-5/6", "-5/6", "-5/6", "-5/6"),
+             ("5a", "2/3", "1/3", "-2/3 -5/6 -5/6 -5/6 -5/6", "1", "yes",
+              "(1, -1)  [integral]")),
+            (("4a", "--from", "asymptotic", "1/2", "0"),
+             ("4a", "1/2", "0", "-5/8 -13/16 -3/4 -13/16", "1", "yes",
+              "(0.648846697643, -0.917607799708)  [irrational]"))]:
+        code, out, err = run(capsys, "convert", *argv)
+        assert code == 0 and not err
+        assert out == "".join(f"{f:<10}{v}\n" for f, v in zip(fields, want))
 
 
 def test_convert_symmetry_violation(capsys):

@@ -1,4 +1,5 @@
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -385,3 +386,13 @@ def test_pair_root_sum_matches_root_sum():
                 assert _pair_root_sum(a, b, m) == want[a % m], (a, b, m)
             none += want.count(None)
     assert 0 < none < sum(m * (m + 1) for m in range(2, 121, 2))
+
+
+def test_pair_root_sum_at_a_huge_prime_order():
+    """Equal orders are tested against the four with phi = 4, not by
+    computing phi: for the prime p = 10^16 + 61, zeta^1 and zeta^3 both have
+    order 2p, whose phi by trial division takes seconds (and forever for a
+    prime of 30 digits)."""
+    start = time.perf_counter()
+    assert cos_pair_sums(1, 3, 10**16 + 61) is None
+    assert time.perf_counter() - start < 0.1

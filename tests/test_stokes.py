@@ -9,7 +9,8 @@ from ttstar.cases import (CASE_IDS, GROUP_OF_CASE, GROUPS, AsymptoticData,
                           KVector, descriptor, asymptotic_to_k, k_to_asymptotic, make_k)
 from ttstar.exact import cos2, cos_pair_sums
 from ttstar.stokes import (GROUP_FORMULAS, StokesData, case_formula, cos_sum_sign,
-                           k_gaps_stokes, stokes_from_asymptotic, stokes_from_k)
+                           k_gaps_floats, k_gaps_stokes, stokes_from_asymptotic,
+                           stokes_from_k)
 
 
 def F(*a):
@@ -161,6 +162,45 @@ def test_k_gaps_integral_matches_stokes_from_k(rng):
     assert {("4", True), ("4", False), ("6", True), ("6", False)} <= zero_s1
     with pytest.raises(ValueError):
         k_gaps_stokes("4a", [0, 0, 0, 0])
+
+
+def test_k_gaps_floats_match_algreal(rng):
+    """``convert``'s route against the AlgReal route at a few hundred random
+    symmetric points of every case with gap denominator up to 480: the same
+    integral data, and elsewhere the same values to 1e-12, with s1 = 0
+    exactly where the exact s1 is 0."""
+    irrational = zero_s1 = 0
+    for cid in CASE_IDS:
+        for max_den in (24,) * 10 + (240,) * 20:
+            gaps = random_symmetric_gaps(rng, cid, max_den)
+            q = math.lcm(*(g.denominator for g in gaps))
+            assert q <= 480
+            numerators = [int(g * q) for g in gaps]
+            s = stokes_from_k(KVector(cid, tuple(g - 1 for g in gaps)))
+            assert k_gaps_stokes(cid, numerators) == s.integral(), (cid, gaps)
+            if s.integral() is None:
+                s1, s2 = k_gaps_floats(cid, numerators)
+                assert abs(s1 - s.s1.to_float()) < 1e-12, (cid, gaps)
+                assert abs(s2 - s.s2.to_float()) < 1e-12, (cid, gaps)
+                assert (s1 == 0) == (s.s1 == 0), (cid, gaps)
+                irrational += 1
+                zero_s1 += s1 == 0
+    assert irrational > 200 and zero_s1 > 0
+
+
+def test_k_gaps_floats_s1_nonnegative_near_cancelling_slots():
+    """6a (even n+1) at gamma, delta and N of 1,000 digits with
+    gamma + delta = 1/(10^999 + 3), where x + y is of that size and its float
+    is about -2.4e-16: s1 is taken nonnegative, and 0 at gamma + delta = 0."""
+    d = 10**999
+    gamma, n = F(d + 1, d + 3), F(d + 9, d + 13)
+    for delta in (F(-d, d + 3), -gamma):
+        k = asymptotic_to_k("6a", AsymptoticData(gamma, delta), n)
+        q = math.lcm(*(((e + 1) / k.N).denominator for e in k.entries))
+        gaps = [int((e + 1) * q / k.N) for e in k.entries]
+        assert k_gaps_stokes("6a", gaps) is None
+        s1, _ = k_gaps_floats("6a", gaps)
+        assert s1 >= 0 and (s1 == 0) == (delta == -gamma)
 
 
 def _symmetric_gap_vectors(case_id, max_q):
