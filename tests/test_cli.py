@@ -99,6 +99,8 @@ _LONG_K = ["1/" + str(10**999 + j) for j in (1, 3, 7, 3)]  # 4a: k_1 = k_3
     (["convert", "4a", "--from", "asymptotic", _LONG_GAMMA, _LONG_DELTA], 3,
      "...) outside the region"),
     (["solve", "4a", _LONG_GAMMA, _LONG_DELTA], 3, "...) outside the region"),
+    (["convert", "4a", "--from", "k", "1" * 999 + "x", "0", "0", "0"], 2,
+     "not an exact rational: '111"),
     (["convert", "4a", "--from", "asymptotic", "0", "1" * 999 + "x"], 2,
      "not an exact rational: '111"),
     (["solve", "4a", "1" * 999 + "x", "0"], 2, "not an exact rational: '111"),
