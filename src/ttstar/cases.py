@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -180,21 +181,33 @@ def _class_system(case_id: str) -> tuple[tuple[tuple[int, ...], ...], int]:
     return rows, _det3(rows)
 
 
+def asymptotic_gaps(case_id: str, a: AsymptoticData) -> list[int]:
+    """The integer gaps c with k_i + 1 = N*c_i/sum(c) at (gamma, delta), for
+    every N (every row sums to 0): Cramer's rule on the class values, with
+    the right-hand side (gamma, delta, 1) scaled to integers by the lcm of
+    its denominators, signed like det so that sum(c) = |det|*lcm > 0."""
+    desc = descriptor(case_id)
+    rows, det = _class_system(case_id)
+    scale = lcm(a.gamma.denominator, a.delta.denominator) * (1 if det > 0 else -1)
+    rhs = (a.gamma.numerator * scale // a.gamma.denominator,
+           a.delta.numerator * scale // a.delta.denominator, scale)
+    gaps = [0] * desc.n_plus_1
+    for c, cls in enumerate(desc.classes):
+        value = _det3([row[:c] + (b,) + row[c + 1:] for row, b in zip(rows, rhs)])
+        for i in cls:
+            gaps[i] = value
+    return gaps
+
+
 def asymptotic_to_k(case_id: str, a: AsymptoticData, N=Fraction(1)) -> KVector:
-    """Invert the linear forms under symmetry and sum normalization, by
-    Cramer's rule on the class values."""
+    """Invert the linear forms under symmetry and sum normalization:
+    k_i = N*c_i/q - 1 over the gaps c of ``asymptotic_gaps``, q = sum(c)."""
     N = Fraction(N)
     if N <= 0:
         raise ValueError("N must be positive")
-    desc = descriptor(case_id)
-    rows, det = _class_system(case_id)
-    rhs = (N * a.gamma, N * a.delta, N - desc.n_plus_1)
-    entries = [None] * desc.n_plus_1
-    for c, cls in enumerate(desc.classes):
-        value = _det3([row[:c] + (b,) + row[c + 1:] for row, b in zip(rows, rhs)]) / det
-        for i in cls:
-            entries[i] = value
-    return KVector(case_id, tuple(entries))
+    gaps = asymptotic_gaps(case_id, a)
+    d = N.denominator * sum(gaps)
+    return KVector(case_id, tuple(Fraction(N.numerator * c - d, d) for c in gaps))
 
 
 def in_region(case_id: str, a: AsymptoticData) -> bool:

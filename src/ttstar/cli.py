@@ -464,8 +464,8 @@ def cmd_solve(args) -> int:
     return 0 if report.ok else 1
 
 
-# let argparse accept negative rationals ("-2/3") as positional values
-_NEGATIVE_VALUE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+# let argparse take tokens that start like negative numbers ("-1e0", "-.5") as values
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
 
 
 def build_parser() -> argparse.ArgumentParser:

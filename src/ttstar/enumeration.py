@@ -23,7 +23,8 @@ oracle for these records.
 
 The brute-force completeness sweep (``brute_force_integral_points``) checks
 the list from outside, on integers over 60 and by quadratic-field
-arithmetic, without the integer kernels of ``exact``.
+arithmetic, with its own cosine arguments and without the integer kernels
+of ``exact``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from math import gcd, lcm
 from .cases import (AsymptoticData, KVector, descriptor, gaps_to_asymptotic,
                     in_region)
 from .exact import cos_pair_sums
-from .stokes import GROUP_FORMULAS, case_formula, k_gaps_stokes
+from .stokes import case_formula, k_gaps_stokes
 from .theta import ThetaPoly, tk_numerators
 
 BLOCKS = ("top-edge", "left-edge", "diagonal-edge", "center-line", "other-interior")
@@ -259,6 +260,10 @@ def _pair_integral(cx, cy) -> bool:
 # every cosine label j/e with e <= 6 is an integer J over L = 60
 _LABEL_DEN = 60
 
+# the sweep's own cosine arguments (gamma + shift_gamma)/div and
+# (delta + shift_delta)/div per group, as (div, shift_gamma, shift_delta)
+_GROUP_ANGLES = {"4": (4, 1, 3), "5ab": (5, 6, 8), "5cde": (5, 2, 4), "6": (6, 2, 4)}
+
 
 @lru_cache(maxsize=1)
 def _integral_label_pairs() -> frozenset[tuple[int, int]]:
@@ -294,24 +299,25 @@ def brute_force_integral_points(case_id: str, max_denominator: int = 60
                                 ) -> set[tuple[Fraction, Fraction]]:
     """Exhaustive integral-Stokes sweep over the region on a rational grid.
 
-    Independent of the enumeration route, of ``AlgReal`` and of the integer
-    kernels in ``exact``: integrality is decided by exact quadratic-field
-    arithmetic (``_cos_class``, ``_pair_integral``) and read from a table of
-    folded label pairs (``_integral_label_pairs``).  Grid points whose
-    cosine argument has reduced denominator above 6 (degree >= 3, never
-    integral) are never visited; the rest are integers over L = 60, the lcm
-    of the label denominators: gamma = G/L and delta = D/L
-    (``_label_axis``), and the region's diagonal is G - D <= 2L.
+    Independent of the enumeration route, of ``AlgReal``, of the integer
+    kernels in ``exact`` and of ``stokes.case_formula``: the cosine
+    arguments are its own (``_GROUP_ANGLES``), and integrality is decided
+    by exact quadratic-field arithmetic (``_cos_class``, ``_pair_integral``)
+    and read from a table of folded label pairs (``_integral_label_pairs``).
+    Grid points whose cosine argument has reduced denominator above 6
+    (degree >= 3, never integral) are never visited; the rest are integers
+    over L = 60, the lcm of the label denominators: gamma = G/L and
+    delta = D/L (``_label_axis``), and the region's diagonal is G - D <= 2L.
     """
     desc = descriptor(case_id)
     ea, eb = desc.ab
-    g = GROUP_FORMULAS[desc.group]
+    div, shift_gamma, shift_delta = _GROUP_ANGLES[desc.group]
     L = _LABEL_DEN
     # the bounding box of the region: gamma in [-2/ea, 2/eb + 2],
     # delta in [-2/ea - 2, 2/eb]
     lo, hi = -2 * L // ea, 2 * L // eb
-    gammas = _label_axis(lo, hi + 2 * L, max_denominator, g.shift_gamma, g.div)
-    deltas = _label_axis(lo - 2 * L, hi, max_denominator, g.shift_delta, g.div)
+    gammas = _label_axis(lo, hi + 2 * L, max_denominator, shift_gamma, div)
+    deltas = _label_axis(lo - 2 * L, hi, max_denominator, shift_delta, div)
     table = _integral_label_pairs()
     return {(Fraction(G, L), Fraction(D, L))
             for G, jx in gammas for D, jy in deltas

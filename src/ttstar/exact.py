@@ -117,23 +117,16 @@ def cyclotomic_factors(exponents: Iterable[int], n: int) -> Optional[dict[int, i
     return factors
 
 
-def root_sum(exponents: Iterable[int], n: int) -> Optional[int]:
-    """The sum of the roots zeta_n^e, or None when they are not a product of
-    cyclotomic polynomials: the primitive d-th roots of unity sum to mu(d)."""
-    factors = cyclotomic_factors(exponents, n)
-    if factors is None:
-        return None
-    return sum(m * moebius(d) for d, m in factors.items())
-
-
 # (2/phi(d))*mu(d) = 2cos(2*pi/d) at the orders d with phi(d) <= 2, where
 # zeta^(+-a) fill their orbit: the only rational values of 2cos (Niven)
 _RATIONAL_2COS = {1: 2, 2: -2, 3: -1, 4: 0, 6: 1}
 
 
 def _pair_root_sum(a: int, b: int, n: int) -> Optional[int]:
-    """``root_sum((a, -a, b, -b), n)`` in closed form, from the orders
-    d_a = n/gcd(a, n) and d_b of zeta_n^a and zeta_n^b.
+    """The sum of the roots zeta_n^(+-a), zeta_n^(+-b), or None when they are
+    not a product of cyclotomic polynomials (``cyclotomic_factors``), in
+    closed form from the orders d_a = n/gcd(a, n) and d_b of zeta_n^a and
+    zeta_n^b; the primitive d-th roots of unity sum to mu(d).
 
     The orbit of zeta_n^a holds phi(d_a) roots, among them zeta_n^(+-a).
     When d_a != d_b the two orbits are apart, and each is full only when
@@ -159,9 +152,10 @@ def cos_pair_sums(a: int, b: int, n: int) -> Optional[tuple[int, int]]:
     integral Stokes answer.
 
     They are integral exactly when (t^2 - x t + 1)(t^2 - y t + 1), whose
-    roots are zeta^(+-a), zeta^(+-b) with zeta = exp(i*pi/n), lies in Z[t]:
-    ``root_sum((a, -a, b, -b), 2n)`` decides it and gives x + y, worked out
-    in closed form from the orders of zeta^a and zeta^b (``_pair_root_sum``).
+    roots are zeta^(+-a), zeta^(+-b) with zeta = exp(i*pi/n), lies in Z[t],
+    that is, when those roots are a product of cyclotomic polynomials; their
+    sum is then x + y.  ``_pair_root_sum`` decides it and gives the sum in
+    closed form from the orders of zeta^a and zeta^b.
     Then x*y = 2cos(pi(a+b)/n) + 2cos(pi(a-b)/n) is the root sum of +-(a+b),
     +-(a-b), which every unit mod 2n permuting +-a, +-b permutes too.
     """

@@ -1,18 +1,19 @@
 """Exact Stokes data of the two-function tt*-Toda solutions.
 
 The two real Stokes parameters (s1, s2) are one cosine polynomial per case,
-in two slot angles read from either the asymptotic data (gamma, delta) or
-the holomorphic exponents k_i.  The polynomial and the k -> slot map are
-derived once per case from the case's reflection of the gaps
-(``case_formula``); the (gamma, delta) -> slot map is a small per-group
-table (``GROUP_FORMULAS``).  Both routes are exact over ``AlgReal`` and
-agree on the nose.  In the cases with an even size matrix s1 is only
-defined up to sign; its sign is decided exactly from the rational angles
-and s1 is reported nonnegative.
+in two slot angles read from the gaps k_i + 1 of the holomorphic data.  The
+polynomial and the gaps -> slot map are derived once per case from the
+case's reflection of the gaps (``case_formula``).  The asymptotic data
+(gamma, delta) take the same route, through their integer gaps
+(``cases.asymptotic_gaps``), so there is one slot map.  In the cases with an
+even size matrix s1 is only defined up to sign; its sign is decided exactly
+from the rational angles and s1 is reported nonnegative.
 
-The k routes read the slot angles as m*gaps[i] + f*q over q (``_slots``); at
-integer gaps ``k_gaps_stokes`` decides and computes integral data on integers
-(``exact.cos_pair_sums``), and ``k_gaps_floats`` gives other data as floats.
+Every route reads the slot angles as m*gaps[i] + f*q over q (``_slots``);
+``stokes_from_k`` and ``stokes_from_asymptotic`` evaluate them over
+``AlgReal``; at integer gaps ``k_gaps_stokes`` decides and computes integral
+data on integers (``exact.cos_pair_sums``), and ``k_gaps_floats`` gives
+other data as floats.
 """
 
 from __future__ import annotations
@@ -23,29 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .cases import AsymptoticData, KVector, descriptor
+from .cases import AsymptoticData, KVector, asymptotic_gaps, descriptor
 from .exact import AlgReal, cos2, cos_pair_sums
-
-
-@dataclass(frozen=True)
-class GroupFormula:
-    """The slot angles of one group of cases read from (gamma, delta):
-    A = (gamma + shift_gamma)/div and B = (delta + shift_delta)/div, in the
-    order of the slots of ``case_formula``.  The brute-force sweep of
-    ``enumeration`` reads them too, so both stay independent of the k route.
-    """
-
-    div: int
-    shift_gamma: int
-    shift_delta: int
-
-
-GROUP_FORMULAS = {
-    "4": GroupFormula(4, 1, 3),
-    "5ab": GroupFormula(5, 6, 8),
-    "5cde": GroupFormula(5, 2, 4),
-    "6": GroupFormula(6, 2, 4),
-}
 
 
 @dataclass(frozen=True)
@@ -134,8 +114,9 @@ def cos_sum_sign(a: Fraction, b: Fraction) -> int:
     return _cos_sign((a + b) / 2) * _cos_sign((a - b) / 2)
 
 
-def _assemble(c: CaseFormula, a: Fraction, b: Fraction) -> StokesData:
-    """The case's formula at the slot angles a and b."""
+def _assemble(c: CaseFormula, a, b, q) -> StokesData:
+    """The case's formula at the slot angles a/q and b/q of ``_slots``."""
+    a, b = Fraction(a, q), Fraction(b, q)
     x, y = cos2(a), cos2(b)
     s = x + y
     # where t = 0, s1 = x + y is only defined up to sign: take it nonnegative
@@ -157,14 +138,11 @@ def _slots(case_id: str, gaps: Sequence) -> tuple:
 
 
 def stokes_from_asymptotic(case_id: str, a: AsymptoticData) -> StokesData:
-    g = GROUP_FORMULAS[descriptor(case_id).group]
-    return _assemble(case_formula(case_id), (a.gamma + g.shift_gamma) / g.div,
-                     (a.delta + g.shift_delta) / g.div)
+    return _assemble(*_slots(case_id, asymptotic_gaps(case_id, a)))
 
 
 def stokes_from_k(k: KVector) -> StokesData:
-    c, a, b, q = _slots(k.case, [e + 1 for e in k.entries])
-    return _assemble(c, Fraction(a, q), Fraction(b, q))
+    return _assemble(*_slots(k.case, [e + 1 for e in k.entries]))
 
 
 def k_gaps_stokes(case_id: str, gaps: Sequence[int]) -> Optional[tuple[int, int]]:

@@ -1,11 +1,14 @@
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 
 from conftest import random_symmetric_k
 from ttstar.cases import (CASE_IDS, GROUP_OF_CASE, GROUPS, AsymptoticData,
-                          SymmetryError, _class_system, asymptotic_to_k,
-                          descriptor, in_region, k_to_asymptotic, make_k)
+                          KVector, SymmetryError, _class_system, _det3,
+                          asymptotic_gaps, asymptotic_to_k, descriptor,
+                          gaps_to_asymptotic, in_region, k_to_asymptotic, make_k)
 
 
 def F(x):
@@ -124,3 +127,56 @@ def test_nonpositive_n_rejected():
         asymptotic_to_k("4a", AsymptoticData(F(0), F(0)), 0)
     with pytest.raises(ValueError):
         k_to_asymptotic(make_k("4a", [-2, -2, -2, -2]))
+
+
+def _reference_asymptotic_to_k(case_id, a, N):
+    """The retired ``asymptotic_to_k``: Cramer's rule over Fractions on the
+    class values k, with right-hand side (N*gamma, N*delta, N - (n+1))."""
+    desc = descriptor(case_id)
+    rows, det = _class_system(case_id)
+    rhs = (N * a.gamma, N * a.delta, N - desc.n_plus_1)
+    entries = [None] * desc.n_plus_1
+    for c, cls in enumerate(desc.classes):
+        value = _det3([row[:c] + (b,) + row[c + 1:] for row, b in zip(rows, rhs)]) / det
+        for i in cls:
+            entries[i] = value
+    return KVector(case_id, tuple(entries))
+
+
+def test_asymptotic_to_k_matches_fraction_cramer(rng):
+    """The integer Cramer equals the retired Fraction one at N = 1, 3/2 and 7,
+    inside the region and outside it."""
+    for i in range(300):
+        cid = CASE_IDS[i % 10]
+        a = AsymptoticData(Fraction(rng.randint(-90, 90), rng.randint(1, 30)),
+                           Fraction(rng.randint(-90, 90), rng.randint(1, 30)))
+        for n in (F(1), Fraction(3, 2), F(7)):
+            assert asymptotic_to_k(cid, a, n) == _reference_asymptotic_to_k(cid, a, n)
+
+
+def _primitive(gaps):
+    g = reduce(gcd, gaps)
+    return [c // g for c in gaps]
+
+
+def test_asymptotic_gaps_inverts_gaps_to_asymptotic(rng):
+    """On case-symmetric integer gaps with a positive sum, negative ones
+    included, the gaps read back from (gamma, delta) are the same up to
+    scale, and their sum is positive."""
+    for i in range(400):
+        cid = CASE_IDS[i % 10]
+        desc = descriptor(cid)
+        gaps = [0] * desc.n_plus_1
+        while sum(gaps) <= 0:
+            for cls in desc.classes:
+                value = rng.randint(-6, 40)
+                for j in cls:
+                    gaps[j] = value
+        back = asymptotic_gaps(cid, gaps_to_asymptotic(cid, gaps))
+        assert sum(back) > 0 and _primitive(back) == _primitive(gaps), (cid, gaps)
+
+
+@pytest.mark.parametrize("n", [0, -1, Fraction(-1, 2)])
+def test_asymptotic_to_k_rejects_nonpositive_n(n):
+    with pytest.raises(ValueError):
+        asymptotic_to_k("5c", AsymptoticData(F(1), F(0)), n)

@@ -169,6 +169,31 @@ def test_convert_symmetry_violation(capsys):
     assert code == 3 and "requires k_1 = k_3" in err
 
 
+def test_negative_values_in_every_exact_form(capsys):
+    """Every negative value that parses is taken as a value, not as an
+    option: the same point in any written form prints the same bytes."""
+    _, want, _ = run(capsys, "convert", "4a", "--from", "asymptotic", "-1", "1")
+    for value in ("-1e0", "-1.", "-1_0/10", "-10E-1"):
+        assert run(capsys, "convert", "4a", "--from", "asymptotic", value, "1") \
+            == (0, want, "")
+    code, _, err = run(capsys, "convert", "4a", "--from", "k",
+                       "0", "-5E-1", "0", "0")
+    assert code == 3 and "requires k_1 = k_3" in err
+    code, out, _ = run(capsys, "convert", "4a", "--from", "asymptotic", "-.5", "0")
+    assert code == 0 and "gamma     -1/2" in out
+
+
+def test_negative_float_option_and_help(capsys, tmp_path):
+    code, _, _ = run(capsys, "solve", "4a", "0", "0", "--points", "64",
+                     "--t-min", "-1e1", "--output", str(tmp_path / "p.csv"))
+    assert code == 0
+    for command in ("convert", "solve"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "-h"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: ttstar {command}")
+
+
 def test_enumerate_default_and_full(capsys):
     code, out, _ = run(capsys, "enumerate", "4a", "--format", "csv")
     assert code == 0 and len(out.splitlines()) == 13  # header + 12

@@ -252,13 +252,15 @@ def test_brute_force_label_table():
 
 def test_brute_force_independent_of_exact_kernels(monkeypatch):
     """The sweep, its label table built cold, runs with the integer kernels
-    it checks made to raise wherever they are bound."""
+    it checks, and the k route's slot map, made to raise wherever they are
+    bound."""
     def forbidden(*args):
-        raise AssertionError("the brute-force sweep called an exact kernel")
+        raise AssertionError("the brute-force sweep called a route it checks")
 
     _integral_label_pairs.cache_clear()
     for module in (exact, enumeration, stokes, theta):
-        for name in ("cos_pair_sums", "cyclotomic_factors"):
+        for name in ("cos_pair_sums", "cyclotomic_factors", "case_formula",
+                     "_slots", "k_gaps_stokes"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     for case_id in CASE_IDS:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ttstar.exact import (AlgReal, _cyclotomic, _descend, _pair_root_sum, _phi,
                           _prime_factors, _substitute, cos2, cos_pair_sums,
-                          cyclotomic_factors, moebius, root_sum)
+                          cyclotomic_factors, moebius)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=18)
 
@@ -371,6 +371,16 @@ def test_cos_pair_sums_match_algreal():
                 assert cos_pair_sums(a, b, n) == want, (a, b, n)
                 integral += want is not None
     assert 0 < integral < sum(4 * n * n for n in range(1, 13))
+
+
+def root_sum(exponents, n):
+    """The sum of the roots zeta_n^e, or None when they are not a product of
+    cyclotomic polynomials: the primitive d-th roots of unity sum to mu(d).
+    The generic oracle of ``_pair_root_sum``."""
+    factors = cyclotomic_factors(exponents, n)
+    if factors is None:
+        return None
+    return sum(m * moebius(d) for d, m in factors.items())
 
 
 def test_pair_root_sum_matches_root_sum():

@@ -8,7 +8,7 @@ from conftest import class_compositions, random_symmetric_gaps, random_symmetric
 from ttstar.cases import (CASE_IDS, GROUP_OF_CASE, GROUPS, AsymptoticData,
                           KVector, descriptor, asymptotic_to_k, k_to_asymptotic, make_k)
 from ttstar.exact import cos2, cos_pair_sums
-from ttstar.stokes import (GROUP_FORMULAS, StokesData, case_formula, cos_sum_sign,
+from ttstar.stokes import (StokesData, case_formula, cos_sum_sign,
                            k_gaps_floats, k_gaps_stokes, stokes_from_asymptotic,
                            stokes_from_k)
 
@@ -249,6 +249,10 @@ _RETIRED_SLOTS = {
     "6a": ((0, 2), (2, 2)), "6b": ((0, 3), (2, 2)), "6c": ((4, 1), (2, 2)),
 }
 
+# per group: (div, shift_gamma, shift_delta), the retired (gamma, delta) ->
+# slot map: slot angles (gamma + shift_gamma)/div and (delta + shift_delta)/div
+_RETIRED_ANGLES = {"4": (4, 1, 3), "5ab": (5, 6, 8), "5cde": (5, 2, 4), "6": (6, 2, 4)}
+
 
 def _retired_slots(case_id, gaps):
     """The retired slot numerators a, b over q = sum(gaps), and the group row."""
@@ -300,10 +304,10 @@ def test_algreal_routes_match_retired_assembly(rng):
         k = random_symmetric_k(rng, cid)
         _, a, b, q = _retired_slots(cid, [e + 1 for e in k.entries])
         assert stokes_from_k(k) == _reference_assemble(cid, Fraction(a, q), Fraction(b, q))
-        g = GROUP_FORMULAS[GROUP_OF_CASE[cid]]
+        div, shift_gamma, shift_delta = _RETIRED_ANGLES[GROUP_OF_CASE[cid]]
         asym = k_to_asymptotic(k)
-        want = _reference_assemble(cid, (asym.gamma + g.shift_gamma) / g.div,
-                                   (asym.delta + g.shift_delta) / g.div)
+        want = _reference_assemble(cid, (asym.gamma + shift_gamma) / div,
+                                   (asym.delta + shift_delta) / div)
         assert stokes_from_asymptotic(cid, asym) == want
 
 
