@@ -52,7 +52,8 @@ rounds that alternate which side runs first; it keeps each side's wall
 times, their median and quartiles, the exit code and whether
 ``scipy.linalg`` was loaded.  In as many fresh interpreters it times
 ``convert`` in-process at three common denominators of the gaps
-(``CONVERT``).
+(``CONVERT``), and it runs the Tier-1 tests (``TIER1``) once per side, the
+parent first, keeping each side's wall time and passed and failed counts.
 
 Then, for every workload, with ``--pairs N``, runs N untraced pairs with
 seeds PAIR_SEED, PAIR_SEED + 1, ..., alternating which side runs first, and
@@ -508,6 +509,27 @@ def convert_times(sides: dict[str, Path], repeats: int) -> list[dict]:
     return out
 
 
+# the Tier-1 command of ROADMAP.md, run in the root of a checkout with its
+# src/ in front of PYTHONPATH
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+
+
+def tier1_run(checkout: Path) -> dict:
+    """Wall time, exit code and the passed and failed counts of one Tier-1 run."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(checkout / "src"), os.environ.get("PYTHONPATH")])))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=env,
+                          text=True, capture_output=True)
+    wall = time.perf_counter() - t0
+    summary = proc.stdout.rstrip().rsplit("\n", 1)[-1]
+    out = {"wall_s": wall, "returncode": proc.returncode, "summary": summary}
+    for kind in ("passed", "failed"):
+        count = re.search(rf"(\d+) {kind}", summary)
+        out[kind] = int(count.group(1)) if count else 0
+    return out
+
+
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per end-to-end metric: each side's median and quartiles, the change's wins."""
     out = {}
@@ -568,6 +590,9 @@ def main(argv=None) -> int:
     elif args.workload == "cli_cold":
         result["cold_commands"] = cold_commands(sides, args.repeats)
         result["convert_times"] = convert_times(sides, args.repeats)
+        result["tier1"] = {"command": "python " + shlex.join(TIER1),
+                           **{name: runs[0] for name, runs in
+                              alternating(sides, 1, tier1_run).items()}}
     result["pairs"] = []
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")

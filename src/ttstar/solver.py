@@ -25,8 +25,10 @@ banded: the interior rows couple a node to its neighbours two columns away
 and to the other function at the same node, and the one-sided slope rows
 reach four columns to the right.  Each grid owns one Fortran-ordered (9, 2m)
 LAPACK band buffer (lower bandwidth 2, upper 4, two rows for the fill-in of
-the LU); every Newton step refills it in place with vectorized slices and
-factors and solves it with LAPACK's ``dgbsv``, called directly.
+the LU).  ``dgbsv`` overwrites it with the LU factors, so every Newton step
+refills it in place: one copy of a cached read-only template of the entries
+that no iterate changes, then the three rows that depend on the iterate.  It
+is factored and solved with LAPACK's ``dgbsv``, called directly.
 
 ``dgbsv`` is the f2py wrapper of scipy's LAPACK extension module
 ``scipy.linalg._flapack``, the same object ``scipy.linalg.lapack.dgbsv``
@@ -44,16 +46,21 @@ linearly.  A smaller grid starts from the piecewise-linear asymptotic shape
 gamma*min(t - KINK, 0), delta*min(t - KINK, 0).  A solution behaves like
 gamma*t + rho near t = -infinity, and at the integral points of 4a, 5a, 5c
 and 6a that line crosses zero at t = -1.5 in the median; with the kink at
--2 the 256-point grid of the default solve takes 3.8 Newton steps there on
-average, against 6.5 with the kink at 0.
-The tolerance and the iteration limit hold on every grid, so the profile
-returned meets the tolerance on the requested grid, and typically one Newton
-step there is left to take.  Every accepted step on the requested grid is
-recorded as (residual, lambda, max |step|) in the solution's ``history``.
+-2 the 256-point grid of the default solve needs 3.8 Newton steps there on
+average to reach the default tolerance, against 6.5 with the kink at 0.
+The requested grid iterates to the tolerance ``newton_tol``, and a coarser
+grid only to max(newton_tol, WARM_START_TOL): the requested grid starts
+from its linear interpolant, whose error is O(h_coarse^2) whatever the
+coarse residual, so a tighter warm start buys no steps there.  The 256-point
+grid then takes 2.8 steps on average at those points, and the requested grid
+typically one.  The iteration limit holds on every grid.  Every accepted
+step on the requested grid is recorded as (residual, lambda, max |step|) in
+the solution's ``history``.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import math
 from dataclasses import dataclass, field
@@ -104,6 +111,12 @@ COARSEN = 8
 # the coarsest grid starts from the asymptotic shape bent at t = KINK, near
 # where the converged asymptote crosses zero
 KINK = -2.0
+# a warm-start grid stops at max(newton_tol, WARM_START_TOL); 1e-6 is the
+# loosest decade at which the default requested grid takes no more steps than
+# with warm grids solved to 1e-10 (74 at the 76 integral points; at 1e-5 the
+# tests' 172 sweep points take 193 instead of 185, and at 1e-4 the integral
+# points 120)
+WARM_START_TOL = 1e-6
 # the largest grid a config accepts (its banded Newton matrix alone takes
 # 38 MB); a far larger one would end in a numpy allocation error
 MAX_GRID_POINTS = 2 ** 18
@@ -193,6 +206,27 @@ def residual_vector(case_id: str, a: AsymptoticData, t: np.ndarray,
     return _residual(_problem(case_id, a, t), np.column_stack((u, v)).ravel())[0]
 
 
+@functools.lru_cache(maxsize=8)
+def _band_template(width: int) -> np.ndarray:
+    """The read-only (9, width) band of ``_jacobian``'s entries that no
+    iterate changes, zero elsewhere.  A nested solve has at most five grids,
+    so the cache holds every width of one solve (at 2^18 points a template
+    takes 38 MB, as much as the band)."""
+    out = np.zeros((9, width), order="F")
+    ab = out[2:]
+    # left boundary: slope rows 0, 1 have offsets 0, +2, +4
+    ab[4, 0:2] = -3.0
+    ab[2, 2:4] = 4.0
+    ab[0, 4:6] = -1.0
+    # interior rows: the second difference's neighbours at offsets -2, +2
+    ab[6, :-4] = 1.0
+    ab[2, 4:] = 1.0
+    # right boundary: Dirichlet rows on the diagonal
+    ab[4, -2:] = 1.0
+    out.flags.writeable = False
+    return out
+
+
 def _jacobian(case_id: str, t, u, v, h, out=None, e=None) -> np.ndarray:
     """Analytic Jacobian of residual_vector, written into a LAPACK band buffer.
 
@@ -202,8 +236,9 @@ def _jacobian(case_id: str, t, u, v, h, out=None, e=None) -> np.ndarray:
     buffer (a new one when None), the layout ``dgbsv`` takes for lower
     bandwidth 2 and upper 4: rows 0-1 hold the LU fill-in, and entry (r, c)
     of the interleaved 2m x 2m Jacobian sits at ``out[6 + r - c, c]``.  The
-    buffer is rewritten in full, and rows 2-8 are returned as a (7, 2m)
-    view, whose entry (r, c) is at ``[4 + r - c, c]``.
+    buffer is rewritten in full: one copy of ``_band_template``, then the
+    three rows that depend on the iterate.  Rows 2-8 are returned as a
+    (7, 2m) view, whose entry (r, c) is at ``[4 + r - c, c]``.
     """
     ea, eb = descriptor(case_id).ab
     if e is None:
@@ -212,23 +247,15 @@ def _jacobian(case_id: str, t, u, v, h, out=None, e=None) -> np.ndarray:
         out = np.empty((9, 2 * len(t)), order="F")
     e1, e2, e3 = e
     c = 4.0 * (h * h)
-    out.fill(0.0)
+    out[...] = _band_template(2 * len(t))
     ab = out[2:]
-    # left boundary: slope rows 0, 1 have offsets 0, +2, +4
-    ab[4, 0:2] = -3.0
-    ab[2, 2:4] = 4.0
-    ab[0, 4:6] = -1.0
     # interior u-rows 2i have offsets -2, 0, +1, +2 and v-rows 2i+1 have
     # offsets -2, -1, 0, +2; d(e1 - e2)/du = a*e1 + e2, d(e1 - e2)/dv = -e2,
     # d(e2 - e3)/du = -e2, d(e2 - e3)/dv = e2 + b*e3 (c = 4h^2 takes the
     # source terms' factor 4)
-    ab[6, :-4] = 1.0
-    ab[2, 4:] = 1.0
     ab[4, 2:-2:2] = -2.0 - c * (ea * e1 + e2)
     ab[4, 3:-2:2] = -2.0 - c * (e2 + eb * e3)
     ab[3, 3:-2:2] = ab[5, 2:-2:2] = c * e2
-    # right boundary: Dirichlet rows on the diagonal
-    ab[4, -2:] = 1.0
     return ab
 
 
@@ -247,6 +274,8 @@ def _relax(case_id: str, a: AsymptoticData, cfg: SolverConfig, m: int):
     """Damped-Newton (t, u, v, residual, history) on an m-point grid.
 
     Grids of WARM_START_POINTS nodes or more start from the m // COARSEN grid.
+    The requested grid iterates to ``cfg.newton_tol``, and a coarser one to
+    ``max(cfg.newton_tol, WARM_START_TOL)``.
     """
     t = np.linspace(cfg.t_min, cfg.t_max, m)
     s = np.empty(2 * m)  # the interleaved state (u_0, v_0, u_1, v_1, ...)
@@ -259,17 +288,19 @@ def _relax(case_id: str, a: AsymptoticData, cfg: SolverConfig, m: int):
         tc, uc, vc, _, _ = _relax(case_id, a, cfg, m // COARSEN)
         s[0::2] = np.interp(t, tc, uc)
         s[1::2] = np.interp(t, tc, vc)
-    grid = (f"{m}-point grid" if m == cfg.grid_points
-            else f"{m}-point warm-start grid")
+    if m == cfg.grid_points:
+        grid, tol = f"{m}-point grid", cfg.newton_tol
+    else:
+        grid, tol = f"{m}-point warm-start grid", max(cfg.newton_tol, WARM_START_TOL)
 
     problem = _problem(case_id, a, t)
     h = t[1] - t[0]
     band = np.empty((9, 2 * m), order="F")
     res, e = _residual(problem, s)
-    norm = float(np.max(np.abs(res)))
+    norm = float(np.abs(res).max())
     history = []
     for _ in range(cfg.max_iterations):
-        if norm < cfg.newton_tol:
+        if norm < tol:
             break
         _jacobian(case_id, t, s[0::2], s[1::2], h, band, e)
         _, _, step, info = dgbsv(2, 4, band, -res, overwrite_ab=1, overwrite_b=1)
@@ -281,7 +312,7 @@ def _relax(case_id: str, a: AsymptoticData, cfg: SolverConfig, m: int):
         for _ in range(40):
             sn = s + lam * step
             rn, en = _residual(problem, sn)
-            nn = float(np.max(np.abs(rn)))
+            nn = float(np.abs(rn).max())
             if nn < norm:  # a nan or inf residual never passes
                 break
             lam *= 0.5
@@ -290,8 +321,8 @@ def _relax(case_id: str, a: AsymptoticData, cfg: SolverConfig, m: int):
                 f"line search stalled at residual {norm:.3e} on the {grid}",
                 norm, tuple(history))
         s, res, e, norm = sn, rn, en, nn
-        history.append((nn, lam, float(np.max(np.abs(step)))))
-    if norm >= cfg.newton_tol:
+        history.append((nn, lam, float(np.abs(step).max())))
+    if norm >= tol:
         raise ConvergenceError(
             f"no convergence after {cfg.max_iterations} iterations on the "
             f"{grid} (residual {norm:.3e})", norm, tuple(history))

@@ -164,8 +164,9 @@ def k_gaps_stokes(case_id: str, gaps: Sequence[int]) -> Optional[tuple[int, int]
 
 def k_gaps_floats(case_id: str, gaps: Sequence[int]) -> tuple[float, float]:
     """(s1, s2) as floats at the integer gaps of ``k_gaps_stokes``, each slot
-    numerator reduced mod 2q first; s1 = 0 exactly where ``cos_sum_sign`` is."""
+    numerator reduced mod 2q first; s1 = 0 exactly where ``cos_sum_sign`` is.
+    Neither is -0.0: s2 is subtracted from 0.0, not negated."""
     c, a, b, q = _slots(case_id, gaps)
     x, y = (2 * math.cos(math.pi * (v % (2 * q) / q)) for v in (a, b))
     s = x + y if c.t or cos_sum_sign(Fraction(a, q), Fraction(b, q)) else 0.0
-    return c.t + s if c.t else abs(s), -(c.c2 + c.t * s + x * y)
+    return c.t + s if c.t else abs(s), 0.0 - (c.c2 + c.t * s + x * y)

@@ -42,6 +42,17 @@ def test_convert_irrational_marker(capsys):
     assert code == 0 and "[irrational]" in out
 
 
+@pytest.mark.parametrize("case,k", [
+    ("6a", ("-23/24", "-3/4", "-19/24", "-19/24", "-3/4", "-23/24")),
+    ("6b", ("-19/24", "-19/24", "-3/4", "-23/24", "-23/24", "-3/4")),
+    ("6c", ("-3/4", "-19/24", "-19/24", "-3/4", "-23/24", "-23/24"))])
+def test_convert_prints_no_negative_zero(capsys, case, k):
+    """An irrational point whose float s2 is zero prints 0, not -0."""
+    code, out, _ = run(capsys, "convert", case, "--from", "k", *k)
+    assert code == 0
+    assert out.splitlines()[-1] == "stokes    (1.41421356237, 0)  [irrational]"
+
+
 def test_convert_n_with_k_rejected(capsys):
     """A k-vector fixes its own N, so --n with --from k is a parse error."""
     code, _, err = run(capsys, "convert", "4a", "--from", "k",

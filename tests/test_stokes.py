@@ -203,6 +203,19 @@ def test_k_gaps_floats_s1_nonnegative_near_cancelling_slots():
         assert s1 >= 0 and (s1 == 0) == (delta == -gamma)
 
 
+def test_k_gaps_floats_no_negative_zero():
+    """Over every case-symmetric gap vector with sum up to 24 whose data are
+    not integral, a zero s1 or s2 is +0.0, so that it prints as 0."""
+    zeros = 0
+    for cid in CASE_IDS:
+        for gaps in _symmetric_gap_vectors(cid, 24):
+            if k_gaps_stokes(cid, gaps) is None:
+                for value in k_gaps_floats(cid, gaps):
+                    assert value != 0 or math.copysign(1.0, value) > 0, (cid, gaps)
+                    zeros += value == 0
+    assert zeros > 0
+
+
 def _symmetric_gap_vectors(case_id, max_q):
     """Every case-symmetric integer gap vector with 0 < sum <= max_q."""
     desc = descriptor(case_id)
