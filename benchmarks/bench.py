@@ -30,8 +30,7 @@ side,
   bound), of each case's brute force and of the round's split summed over
   the cases; and it splits ``verify_corollary`` at bound 12 over the ten
   cases, in ``--repeats`` fresh interpreters of 20 rounds each, into the
-  forward check (``qdo_from_ci``; ``_qdo_matches`` in a checkout that
-  still compares integer copies of the roots), ``k_gaps_stokes``,
+  forward check (``qdo_from_ci``), ``k_gaps_stokes``,
   ``_match_numerators``, the formatting of operator strings
   (``_fmt_roots``) and the rest, candidate generation with check_G, with
   the median and quartiles of each over the rounds next to the untimed
@@ -148,10 +147,7 @@ from ttstar.enumeration import integral_solutions
 bound, rounds = int(sys.argv[1]), int(sys.argv[2])
 for case in CASE_IDS:
     integral_solutions(case)
-# a checkout that keeps integer copies of the records' roots compares them
-# in _qdo_matches; otherwise the forward check's one helper is qdo_from_ci
-FORWARD = "_qdo_matches" if hasattr(theta, "_qdo_matches") else "qdo_from_ci"
-PIECES = {"forward_check": FORWARD, "k_gaps_stokes": "k_gaps_stokes",
+PIECES = {"forward_check": "qdo_from_ci", "k_gaps_stokes": "k_gaps_stokes",
           "match_numerators": "_match_numerators", "formatting": "_fmt_roots"}
 spent = dict.fromkeys(PIECES, 0.0)
 

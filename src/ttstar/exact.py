@@ -3,16 +3,14 @@
 Values of the form 2*cos(pi*p/q) generate, together with the rationals,
 a tower of real cyclotomic fields.  ``AlgReal`` represents an element of
 Q(zeta_M) for an even conductor M, reduced modulo the M-th cyclotomic
-polynomial and pushed down to the smallest even conductor containing it.
-All coefficients are exact ``fractions.Fraction`` values, so equality is
-canonical and integrality questions are decidable.
+polynomial at the conductor its operands give it (the lcm of theirs).
+All coefficients are exact ``fractions.Fraction`` values.  Equality lifts
+both sides to a common conductor, where the reduced form is unique, and
+the hash is the normalized trace, which does not depend on the conductor.
 
-Two primitives do the work.  ``_substitute`` evaluates sum_j c_j zeta_M^(a*j)
-mod Phi_M: it reduces products (a = 1), lifts an element into a larger
-field (a = M / conductor) and conjugates (a = M - 1).  ``_descend`` pushes
-an element of Q(zeta_M) into Q(zeta_(M/p)) when it lies there, by
-projecting it onto the subfield with an index map: there is no linear
-solver.
+One primitive does the work: ``_substitute`` evaluates sum_j c_j zeta_M^(a*j)
+mod Phi_M.  It reduces products (a = 1), lifts an element into a larger
+field (a = M / conductor) and conjugates (a = M - 1).
 Integrality, and the value of integral cosine sums, are decided on integers
 instead, by one kernel (``cos_pair_sums``, the root sums of
 ``cyclotomic_factors`` worked out in closed form for four roots).
@@ -201,57 +199,21 @@ def _substitute(M: int, coeffs, a: int = 1) -> list[Fraction]:
     return out
 
 
-def _descend(M: int, p: int, coeffs) -> Optional[list[Fraction]]:
-    """The coefficients at conductor d = M/p of an element of Q(zeta_M), or
-    None when it does not lie in Q(zeta_d).
-
-    Over Q(zeta_d), Q(zeta_M) has the basis zeta_M^r (r < p) when p divides
-    d, and otherwise zeta_p^r (r < p - 1) with zeta_p = zeta_M^d; an element
-    lies in Q(zeta_d) exactly when it equals its coefficient of the basis
-    element 1.  When p | d, zeta_M^(p*i + r) = zeta_d^i zeta_M^r, so that
-    coefficient is the stride coeffs[::p].  Otherwise zeta_M^j =
-    zeta_d^(j/p mod d) zeta_p^(j/d mod p), and zeta_p^(p-1) = -(1 + ... +
-    zeta_p^(p-2)) gives it as the terms of zeta_p-exponent 0 minus those of
-    exponent p - 1.
-    """
-    d = M // p
-    if d % p == 0:
-        if any(c for j, c in enumerate(coeffs) if j % p):
-            return None
-        return list(coeffs[::p])
-    inv_p, inv_d = pow(p, -1, d), pow(d, -1, p)
-    y = [Fraction(0)] * d
-    for j, c in enumerate(coeffs):
-        if c:
-            b = j * inv_d % p
-            if b == 0:
-                y[j * inv_p % d] += c
-            elif b == p - 1:
-                y[j * inv_p % d] -= c
-    y = _substitute(d, y)
-    return y if _substitute(M, y, p) == list(coeffs) else None
-
-
-def _minimize(M: int, coeffs: list[Fraction]) -> tuple[int, tuple[Fraction, ...]]:
-    """Push an element down to its minimal even conductor: descend one prime
-    at a time until no even d = M/p admits the element."""
-    while M > 2:
-        for p in _prime_factors(M):
-            if M // p % 2 == 0:
-                x = _descend(M, p, coeffs)
-                if x is not None:
-                    M, coeffs = M // p, x
-                    break
-        else:
-            break
-    return M, tuple(coeffs)
+@lru_cache(maxsize=None)
+def _trace_weight(d: int) -> Fraction:
+    """mu(d)/phi(d), the trace of a primitive d-th root of unity over
+    Q(zeta_M), for any M divisible by d, divided by [Q(zeta_M):Q]."""
+    return Fraction(moebius(d), _phi(d))
 
 
 class AlgReal:
     """An exact real element of a cyclotomic field of even conductor.
 
-    Instances are immutable, canonically reduced, and hashable; two equal
-    values always have identical ``(conductor, coeffs)`` data.
+    Instances are immutable and hashable.  A value is kept reduced mod
+    Phi_M at the conductor M its operands give it, not pushed down to the
+    smallest one, so equal values may have different ``(conductor,
+    coeffs)`` data: they compare equal at the lcm of their conductors and
+    hash alike by their normalized trace.
     """
 
     __slots__ = ("conductor", "coeffs", "_hash")
@@ -261,7 +223,7 @@ class AlgReal:
         if not _reduced:
             if conductor % 2 != 0:
                 raise ValueError("conductor must be even")
-            conductor, coeffs = _minimize(conductor, _substitute(conductor, coeffs))
+            coeffs = _substitute(conductor, coeffs)
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
@@ -272,7 +234,7 @@ class AlgReal:
 
     @staticmethod
     def from_rational(q: RationalLike) -> "AlgReal":
-        # a rational is reduced and minimal at conductor 2
+        # a rational is reduced at conductor 2
         return AlgReal(2, (Fraction(q),), _reduced=True)
 
     # -- ring operations ----------------------------------------------
@@ -298,7 +260,7 @@ class AlgReal:
         if self.conductor == 2:
             self, other = other, self
         if other.conductor == 2:
-            # a rational moves the constant term only: still reduced and minimal
+            # a rational moves the constant term only: still reduced
             coeffs = (self.coeffs[0] + other.coeffs[0],) + self.coeffs[1:]
             return AlgReal(self.conductor, coeffs, _reduced=True)
         M, a, b = self._unify(other)
@@ -317,9 +279,7 @@ class AlgReal:
 
     def __mul__(self, other) -> "AlgReal":
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return AlgReal.from_rational(0)
-            # a nonzero rational multiple is still reduced and minimal
+            # a rational multiple is still reduced
             return AlgReal(self.conductor, [c * other for c in self.coeffs],
                            _reduced=True)
         M, a, b = self._unify(other)
@@ -338,14 +298,19 @@ class AlgReal:
             other = AlgReal.from_rational(other)
         if not isinstance(other, AlgReal):
             return NotImplemented
-        return self.conductor == other.conductor and self.coeffs == other.coeffs
+        _, a, b = self._unify(other)
+        return a == b
 
     def __hash__(self):
-        # hashed on first use: most values are never a set member or dict key
+        # the normalized trace, the same at every conductor (a rational q
+        # hashes as q); on first use, as most values are never hashed
         try:
             return self._hash
         except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.conductor, self.coeffs)))
+            M = self.conductor
+            trace = sum(c * _trace_weight(M // math.gcd(j, M))
+                        for j, c in enumerate(self.coeffs) if c)
+            object.__setattr__(self, "_hash", hash(trace))
             return self._hash
 
     def __repr__(self):
@@ -359,9 +324,11 @@ class AlgReal:
         return tuple(conj) == self.coeffs
 
     def as_rational(self) -> Optional[Fraction]:
-        if self.conductor == 2:
-            return self.coeffs[0]
-        return None
+        """The value, or None when irrational: a reduced value is rational
+        exactly when every coefficient but the constant one is zero."""
+        if any(self.coeffs[1:]):
+            return None
+        return self.coeffs[0]
 
     def is_integer(self) -> Optional[int]:
         q = self.as_rational()
@@ -377,19 +344,10 @@ class AlgReal:
 
 
 def cos2(r: RationalLike) -> AlgReal:
-    """The exact value 2*cos(pi*r) for rational r."""
+    """The exact value 2*cos(pi*r) for rational r: zeta^p + zeta^-p for
+    r = p/q mod 2, zeta = zeta_2q."""
     r = Fraction(r) % 2
-    if r > 1:
-        r = 2 - r
-    if r == 0:
-        return AlgReal.from_rational(2)
-    if r == 1:
-        return AlgReal.from_rational(-2)
-    q = r.denominator
-    p = r.numerator
-    M = 2 * q
-    coeffs = [Fraction(0)] * M
-    coeffs[p % M] += 1
-    coeffs[(M - p) % M] += 1
-    return AlgReal(M, coeffs)
-
+    coeffs = [0] * (2 * r.denominator)
+    coeffs[r.numerator] += 1
+    coeffs[-r.numerator] += 1
+    return AlgReal(len(coeffs), coeffs)

@@ -13,7 +13,7 @@ Every route reads the slot angles as m*gaps[i] + f*q over q (``_slots``);
 ``stokes_from_k`` and ``stokes_from_asymptotic`` evaluate them over
 ``AlgReal``; at integer gaps ``k_gaps_stokes`` decides and computes integral
 data on integers (``exact.cos_pair_sums``), and ``k_gaps_floats`` gives
-other data as floats.
+other data as floats.  All three apply the formula through ``_stokes``.
 """
 
 from __future__ import annotations
@@ -114,15 +114,19 @@ def cos_sum_sign(a: Fraction, b: Fraction) -> int:
     return _cos_sign((a + b) / 2) * _cos_sign((a - b) / 2)
 
 
+def _stokes(c: CaseFormula, s, xy, sign) -> tuple:
+    """(s1, s2) = (t + s, -(c2 + t*s + xy)) from s = x + y and xy = x*y; where
+    t = 0, s1 = +-s by the sign of ``sign`` (that of s), so s1 >= 0.  s2 is
+    subtracted from 0, so a float s2 is never -0.0."""
+    s1 = c.t + s if c.t else (-s if sign < 0 else s)
+    return s1, 0 - (c.c2 + c.t * s + xy)
+
+
 def _assemble(c: CaseFormula, a, b, q) -> StokesData:
     """The case's formula at the slot angles a/q and b/q of ``_slots``."""
     a, b = Fraction(a, q), Fraction(b, q)
     x, y = cos2(a), cos2(b)
-    s = x + y
-    # where t = 0, s1 = x + y is only defined up to sign: take it nonnegative
-    s1 = s + c.t if c.t or cos_sum_sign(a, b) >= 0 else -s
-    minus_s2 = x * y + s * c.t + c.c2
-    return StokesData(s1, -minus_s2, not c.t)
+    return StokesData(*_stokes(c, x + y, x * y, c.t or cos_sum_sign(a, b)), not c.t)
 
 
 def _slots(case_id: str, gaps: Sequence) -> tuple:
@@ -159,14 +163,14 @@ def k_gaps_stokes(case_id: str, gaps: Sequence[int]) -> Optional[tuple[int, int]
     if sums is None:
         return None
     s, xy = sums
-    return c.t + s if c.t else abs(s), -(c.c2 + c.t * s + xy)
+    return _stokes(c, s, xy, s)
 
 
 def k_gaps_floats(case_id: str, gaps: Sequence[int]) -> tuple[float, float]:
     """(s1, s2) as floats at the integer gaps of ``k_gaps_stokes``, each slot
     numerator reduced mod 2q first; s1 = 0 exactly where ``cos_sum_sign`` is.
-    Neither is -0.0: s2 is subtracted from 0.0, not negated."""
+    Neither is -0.0 (``_stokes``)."""
     c, a, b, q = _slots(case_id, gaps)
     x, y = (2 * math.cos(math.pi * (v % (2 * q) / q)) for v in (a, b))
     s = x + y if c.t or cos_sum_sign(Fraction(a, q), Fraction(b, q)) else 0.0
-    return c.t + s if c.t else abs(s), 0.0 - (c.c2 + c.t * s + x * y)
+    return _stokes(c, s, x * y, s)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttstar.exact import (AlgReal, _cyclotomic, _descend, _pair_root_sum, _phi,
+from ttstar.exact import (AlgReal, _cyclotomic, _pair_root_sum, _phi,
                           _prime_factors, _substitute, cos2, cos_pair_sums,
                           cyclotomic_factors, moebius)
 
@@ -64,11 +64,13 @@ def test_niven_sweep():
             assert (got is not None) == (r in niven), r
 
 
-def test_conductor_is_minimal():
-    # zeta_12 + zeta_12^-1 = sqrt(3) lives at conductor 12, but the sum of
-    # two such values collapsing to a rational must land at conductor 2
+def test_rational_at_conductor_12():
+    # zeta_12 + zeta_12^-1 = sqrt(3) lives at conductor 12, and the sum of
+    # two such values collapsing to a rational stays there: it must still
+    # read as that rational and hash like it
     v = cos2(Fraction(1, 6)) + cos2(Fraction(5, 6))
-    assert v.conductor == 2 and v == 0
+    assert v == 0 and v.is_integer() == 0 and v.as_rational() == 0
+    assert hash(v) == hash(0)
     w = cos2(Fraction(1, 12)) * cos2(Fraction(1, 12))
     assert w == cos2(Fraction(1, 6)) + 2  # product-to-sum collapses
 
@@ -79,6 +81,12 @@ def test_immutability_and_hash():
         x.conductor = 4
     y = cos2(Fraction(1, 5)) * 1
     assert hash(x) == hash(y) and x == y
+
+
+def test_rational_hash_contract():
+    three = AlgReal.from_rational(3)
+    assert three == 3 and hash(three) == hash(3)
+    assert len({three, 3}) == 1
 
 
 def test_is_real():
@@ -267,53 +275,29 @@ elements = st.one_of(
 )
 
 
-def _data(x):
-    return x.conductor, x.coeffs
+def _ref(data):
+    return AlgReal(*data, _reduced=True)
 
 
 @settings(max_examples=150, deadline=None)
 @given(elements, elements, small_rationals)
 def test_descent_matches_galois_scan_reference(x, y, q):
-    assert _data(x + y) == _ref_sum(x, y)
-    assert _data(x * y) == _ref_product(x, y)
-    assert _data(x * q) == _ref_scale(x, q)
-    assert _data(x - y) == _ref_sum(x, -y)
+    assert x + y == _ref(_ref_sum(x, y))
+    assert x * y == _ref(_ref_product(x, y))
+    assert x * q == _ref(_ref_scale(x, q))
+    assert x - y == _ref(_ref_sum(x, -y))
 
 
-def _ref_descend(M, d, coeffs):
-    """Descent to Q(zeta_d) by the reference solve, or None when the
-    solution does not lift back to coeffs."""
-    rows, inverse = _ref_descent_solver(M, d)
-    x = [sum(v * coeffs[r] for v, r in zip(row, rows)) for row in inverse]
-    step = M // d
-    lifted = [Fraction(0)] * (step * len(x))
-    lifted[::step] = x
-    return x if _ref_reduce_poly(M, lifted) == list(coeffs) else None
-
-
-def test_descend_matches_reference_solve(rng):
-    """Both branches of _descend, on every even M <= 120 and prime p | M with
-    M/p even: a lifted element of Q(zeta_(M/p)) descends back exactly,
-    zeta_M does not descend, and on random vectors, half of them lifted
-    elements with one coefficient changed, it agrees with the reference."""
-    branches = set()
-    for M in range(4, 121, 2):
-        for p in _prime_factors(M):
-            d = M // p
-            if d % 2:
-                continue
-            branches.add(d % p == 0)
-            y = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(_phi(d))]
-            assert _descend(M, p, _substitute(M, y, p)) == y
-            assert _descend(M, p, [Fraction(int(j == 1)) for j in range(_phi(M))]) is None
-            for _ in range(4):
-                if rng.random() < 0.5:
-                    v = [Fraction(rng.randint(-3, 3)) for _ in range(_phi(M))]
-                else:
-                    v = _substitute(M, [rng.randint(-3, 3) for _ in range(_phi(d))], p)
-                    v[rng.randrange(len(v))] += rng.randint(0, 2)
-                assert _descend(M, p, v) == _ref_descend(M, d, v)
-    assert branches == {True, False}
+@settings(max_examples=150, deadline=None)
+@given(elements, st.integers(1, 6))
+def test_lift_keeps_value_and_hash(x, m):
+    """x written at a multiple M of its conductor equals x, hashes alike and
+    dedupes with it in a set."""
+    M = m * x.conductor
+    lifted = AlgReal(M, _substitute(M, x.coeffs, m), _reduced=True)
+    assert lifted == x and x == lifted
+    assert hash(lifted) == hash(x)
+    assert len({x, lifted}) == 1
 
 
 @st.composite
