@@ -298,6 +298,8 @@ class AlgReal:
             other = AlgReal.from_rational(other)
         if not isinstance(other, AlgReal):
             return NotImplemented
+        if self.conductor != other.conductor and hash(self) != hash(other):
+            return False  # spares a lift to the lcm, whose power table can be large
         _, a, b = self._unify(other)
         return a == b
 

@@ -13,7 +13,7 @@ Every route reads the slot angles as m*gaps[i] + f*q over q (``_slots``);
 ``stokes_from_k`` and ``stokes_from_asymptotic`` evaluate them over
 ``AlgReal``; at integer gaps ``k_gaps_stokes`` decides and computes integral
 data on integers (``exact.cos_pair_sums``), and ``k_gaps_floats`` gives
-other data as floats.  All three apply the formula through ``_stokes``.
+other data as floats; each applies the formula through ``_stokes``.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttstar.exact import (AlgReal, _cyclotomic, _pair_root_sum, _phi,
-                          _prime_factors, _substitute, cos2, cos_pair_sums,
-                          cyclotomic_factors, moebius)
+                          _power_table, _prime_factors, _substitute, cos2,
+                          cos_pair_sums, cyclotomic_factors, moebius)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=18)
 
@@ -87,6 +87,15 @@ def test_rational_hash_contract():
     three = AlgReal.from_rational(3)
     assert three == 3 and hash(three) == hash(3)
     assert len({three, 3}) == 1
+
+
+def test_unequal_traces_compare_without_a_lift():
+    # conductors 58 and 62: values whose traces differ are unequal at once,
+    # without the power table of the lcm 1798
+    x, y = cos2(Fraction(1, 29)), cos2(Fraction(1, 31))
+    tables = _power_table.cache_info().currsize
+    assert x != y and hash(x) != hash(y)
+    assert _power_table.cache_info().currsize == tables
 
 
 def test_is_real():
