@@ -5,8 +5,9 @@ a tower of real cyclotomic fields.  ``AlgReal`` represents an element of
 Q(zeta_M) for an even conductor M, reduced modulo the M-th cyclotomic
 polynomial at the conductor its operands give it (the lcm of theirs).
 All coefficients are exact ``fractions.Fraction`` values.  Equality lifts
-both sides to a common conductor, where the reduced form is unique, and
-the hash is the normalized trace, which does not depend on the conductor.
+both sides to a common conductor, where the reduced form is unique; the
+hash is a linear form that vanishes on every relation among roots of
+unity, so it does not depend on the conductor.
 
 One primitive does the work: ``_substitute`` evaluates sum_j c_j zeta_M^(a*j)
 mod Phi_M.  It reduces products (a = 1), lifts an element into a larger
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from hashlib import blake2b
 from typing import Iterable, Optional, Union
 
 RationalLike = Union[Fraction, int]
@@ -199,11 +201,36 @@ def _substitute(M: int, coeffs, a: int = 1) -> list[Fraction]:
     return out
 
 
+_P = 2**61 - 1  # the modulus of Python's numeric hash
+
+
 @lru_cache(maxsize=None)
-def _trace_weight(d: int) -> Fraction:
-    """mu(d)/phi(d), the trace of a primitive d-th root of unity over
-    Q(zeta_M), for any M divisible by d, divided by [Q(zeta_M):Q]."""
-    return Fraction(moebius(d), _phi(d))
+def _root_weight(p: int, pa: int, k: int) -> int:
+    """w(zeta_pa^k) mod P, pa a power of the prime p and k/pa in lowest
+    terms: 1 at k = 0, pseudo-random elsewhere but at the last point of each
+    coset k + (pa/p)*Z, which takes minus the rest, so every coset sums to 0."""
+    if k == 0:
+        return 1
+    step = pa // p
+    if k < pa - step:
+        return int.from_bytes(blake2b(b"%d/%d" % (k, pa)).digest()[:8], "big") % _P
+    return -sum(_root_weight(p, pa, k - i * step) for i in range(1, p)) % _P
+
+
+@lru_cache(maxsize=None)
+def _hash_weights(M: int) -> tuple[int, ...]:
+    """w(zeta_M^j) for j < phi(M), the product of ``_root_weight`` over the
+    p-primary parts of j/M.  w sends each rotated sum of the p-th roots of
+    unity to 0, and these span every linear relation among roots of unity
+    (de Bruijn), so sum_j c_j w(zeta_M^j) mod P depends on the value only."""
+    out = [1] * _phi(M)
+    for p in _prime_factors(M):
+        pa = math.gcd(M, p ** M.bit_length())  # the p-part of M
+        inv = pow(M // pa, -1, pa)
+        for j in range(len(out)):
+            g = math.gcd(j * inv, pa)
+            out[j] = out[j] * _root_weight(p, pa // g, j * inv % pa // g) % _P
+    return tuple(out)
 
 
 class AlgReal:
@@ -213,7 +240,7 @@ class AlgReal:
     Phi_M at the conductor M its operands give it, not pushed down to the
     smallest one, so equal values may have different ``(conductor,
     coeffs)`` data: they compare equal at the lcm of their conductors and
-    hash alike by their normalized trace.
+    hash alike (``_hash_weights``).
     """
 
     __slots__ = ("conductor", "coeffs", "_hash")
@@ -298,21 +325,30 @@ class AlgReal:
             other = AlgReal.from_rational(other)
         if not isinstance(other, AlgReal):
             return NotImplemented
-        if self.conductor != other.conductor and hash(self) != hash(other):
-            return False  # spares a lift to the lcm, whose power table can be large
+        if self.conductor == other.conductor:
+            return self.coeffs == other.coeffs
+        # a rational side or unequal hashes decide without the lift to the
+        # lcm, whose power table can be large
+        q, r = self.as_rational(), other.as_rational()
+        if q is not None or r is not None:
+            return q == r
+        if hash(self) != hash(other):
+            return False
         _, a, b = self._unify(other)
         return a == b
 
     def __hash__(self):
-        # the normalized trace, the same at every conductor (a rational q
-        # hashes as q); on first use, as most values are never hashed
+        # a rational q hashes as q, an irrational value as sum_j c_j w(zeta_M^j)
+        # mod P (``_hash_weights``), the same at every conductor; on first
+        # use, as most values are never hashed
         try:
             return self._hash
         except AttributeError:
-            M = self.conductor
-            trace = sum(c * _trace_weight(M // math.gcd(j, M))
-                        for j, c in enumerate(self.coeffs) if c)
-            object.__setattr__(self, "_hash", hash(trace))
+            q = self.as_rational()
+            if q is None:
+                q = sum(c.numerator * pow(c.denominator, -1, _P) * w for c, w
+                        in zip(self.coeffs, _hash_weights(self.conductor)) if c) % _P
+            object.__setattr__(self, "_hash", hash(q))
             return self._hash
 
     def __repr__(self):

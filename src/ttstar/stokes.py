@@ -126,7 +126,8 @@ def _assemble(c: CaseFormula, a, b, q) -> StokesData:
     """The case's formula at the slot angles a/q and b/q of ``_slots``."""
     a, b = Fraction(a, q), Fraction(b, q)
     x, y = cos2(a), cos2(b)
-    return StokesData(*_stokes(c, x + y, x * y, c.t or cos_sum_sign(a, b)), not c.t)
+    sign = cos_sum_sign(a, b) if not c.t else 1  # read only where t = 0
+    return StokesData(*_stokes(c, x + y, x * y, sign), not c.t)
 
 
 def _slots(case_id: str, gaps: Sequence) -> tuple:

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -8,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ttstar.cases import CASE_IDS, AsymptoticData, descriptor
 from ttstar.exact import (AlgReal, _cyclotomic, _pair_root_sum, _phi,
-                          _power_table, _prime_factors, _substitute, cos2,
-                          cos_pair_sums, cyclotomic_factors, moebius)
+                          _prime_factors, _substitute, cos2, cos_pair_sums,
+                          cyclotomic_factors, moebius)
+from ttstar.stokes import stokes_from_asymptotic
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=18)
 
@@ -89,13 +92,56 @@ def test_rational_hash_contract():
     assert len({three, 3}) == 1
 
 
-def test_unequal_traces_compare_without_a_lift():
-    # conductors 58 and 62: values whose traces differ are unequal at once,
-    # without the power table of the lcm 1798
-    x, y = cos2(Fraction(1, 29)), cos2(Fraction(1, 31))
-    tables = _power_table.cache_info().currsize
-    assert x != y and hash(x) != hash(y)
-    assert _power_table.cache_info().currsize == tables
+def test_unrelated_values_compare_without_a_lift(monkeypatch):
+    """Unequal hashes, or a rational side, decide equality across conductors
+    without the lift to their lcm (1,798, 7,192 and 259,192 here, whose
+    power tables are large).  2cos(pi/716) and 2cos(pi/724) are primitive
+    roots of the non-squarefree orders 8*179 and 8*181."""
+    pairs = [(cos2(Fraction(1, 29)), cos2(Fraction(1, 31))),
+             (cos2(Fraction(1, 116)), cos2(Fraction(1, 124))),
+             (cos2(Fraction(1, 716)), cos2(Fraction(1, 724)))]
+    zeros = [x - x for pair in pairs for x in pair]
+
+    def no_lift(*args):
+        raise AssertionError("lift to the lcm")
+
+    monkeypatch.setattr(AlgReal, "_unify", no_lift)
+    for x, y in pairs:
+        assert x != y and hash(x) != hash(y)
+        assert x != 1 and x != AlgReal.from_rational(1)
+    assert all(z == 0 and z == zeros[0] for z in zeros)
+
+
+def _exact_stream_values(count, seed):
+    """s1, s2 at count random rational points of the cases' regions, drawn as
+    perfbench's exact_stream draws them."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        case = rng.choice(CASE_IDS)
+        q = rng.randint(13, 30) if rng.random() < 0.2 else rng.randint(1, 12)
+        ea, eb = descriptor(case).ab
+        gamma = Fraction(rng.randint(math.ceil(Fraction(-2 * q, ea)),
+                                     math.floor(Fraction(2 * q, eb) + 2 * q)), q)
+        delta = Fraction(rng.randint(math.ceil((gamma - 2) * q),
+                                     math.floor(Fraction(2 * q, eb))), q)
+        s = stokes_from_asymptotic(case, AsymptoticData(gamma, delta))
+        out += [s.s1, s.s2]
+    return out
+
+
+def test_set_of_stokes_values():
+    """3,000 Stokes values, kept at the conductors their points give them, go
+    into a set in well under a second (a trace hash put 767 of them in one
+    bucket, and the set did not finish in 90 s): distinct irrational values
+    hash apart, and equal values dedupe."""
+    values = _exact_stream_values(1500, 2025)
+    start = time.perf_counter()
+    distinct = set(values)
+    assert time.perf_counter() - start < 2.0
+    irrational = [v for v in distinct if v.as_rational() is None]
+    assert len({hash(v) for v in irrational}) == len(irrational)
+    assert len(distinct) == len({round(v.to_float(), 9) for v in values}) < len(values)
 
 
 def test_is_real():
