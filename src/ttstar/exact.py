@@ -20,9 +20,9 @@ instead, by one kernel (``cos_pair_sums``, the root sums of
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
-from hashlib import blake2b
 from typing import Iterable, Optional, Union
 
 RationalLike = Union[Fraction, int]
@@ -207,13 +207,14 @@ _P = 2**61 - 1  # the modulus of Python's numeric hash
 @lru_cache(maxsize=None)
 def _root_weight(p: int, pa: int, k: int) -> int:
     """w(zeta_pa^k) mod P, pa a power of the prime p and k/pa in lowest
-    terms: 1 at k = 0, pseudo-random elsewhere but at the last point of each
-    coset k + (pa/p)*Z, which takes minus the rest, so every coset sums to 0."""
+    terms: 1 at k = 0, pseudo-random (seeded by pa^2 + k) elsewhere but at
+    the last point of each coset k + (pa/p)*Z, which takes minus the rest,
+    so every coset sums to 0."""
     if k == 0:
         return 1
     step = pa // p
     if k < pa - step:
-        return int.from_bytes(blake2b(b"%d/%d" % (k, pa)).digest()[:8], "big") % _P
+        return random.Random(pa * pa + k).getrandbits(61)
     return -sum(_root_weight(p, pa, k - i * step) for i in range(1, p)) % _P
 
 
