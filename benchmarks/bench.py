@@ -2,7 +2,7 @@
 
     python benchmarks/bench.py --workload W --parent DIR \
         --out BENCH_n.json [--seed 1] [--pairs 10] [--pair-seed 4101] \
-        [--bounds 12 24 36 48 96] [--repeats 5]
+        [--bounds 12 24 36 48 96] [--repeats N]
 
 W is any workload of ``BENCHMARK.json``.  DIR is a clone of the parent
 commit; the change is the checkout holding this file.  For
@@ -36,14 +36,13 @@ side,
   the median and quartiles of each over the rounds next to the untimed
   round;
 * for ``radial_bvp``, splits ``solve_radial`` at the 76 integral points of
-  4a, 5a, 5c and 6a into phases: the warm start (relaxing the coarser
-  grids), Jacobian assembly, the banded linear solve and the line search on
-  the requested grid, and the rest (initial guess, interpolation, first
-  residual, slope fits).  Each of ``--repeats`` rounds, alternating which
-  side runs first, is a fresh interpreter that reports the mean per solve
-  of each phase next to the untimed time per solve, and the Newton steps
-  on the coarser and on the requested grid; each side keeps the median
-  and quartiles over its rounds and every round's values;
+  4a, 5a, 5c and 6a into phases: Jacobian assembly, the banded linear
+  solve, the line search, and the rest (grid, initial guess, first
+  residual, slope fit).  Each of ``--repeats`` rounds (11 by default for
+  this workload), alternating which side runs first, is a fresh
+  interpreter that reports the mean per solve of each phase next to the
+  untimed time per solve, and the Newton steps per grid size; each side
+  keeps the median and quartiles over its rounds and every round's values;
 
 and, for ``cli_cold``, times every ``ttstar`` command of the README and
 ``import ttstar.solver``, each in a fresh interpreter, in ``--repeats``
@@ -182,30 +181,30 @@ for _ in range(rounds):
     print(json.dumps({k: v * 1e3 for k, v in out.items()}), flush=True)
 """
 
-# Wraps the solver's internals with timers (the linear solve is ``dgbsv``,
-# and ``_relax`` is the nested grid relaxation) and classifies the intervals
-# of each solve.
-# A ``_relax`` called inside another is the warm start, and so is every call
-# inside it; the line search runs from the end of a linear solve on the
-# requested grid to its next Jacobian or to the slope fit.
+# Wraps the solver's internals with timers (the linear solve is ``dgbsv``)
+# and classifies the intervals of each solve; the line search runs from the
+# end of a linear solve to the next Jacobian or to the slope fit.  A solve
+# that relaxes a nested sequence of grids, each started from the solution
+# on a coarser one (the central-difference solver before the Numerov one),
+# has the phases of every grid summed, and the interpolation between grids
+# counted in the line search; its Newton steps are counted per grid size.
 PHASES = r"""
 import json, statistics, sys, time
 from ttstar import enumeration, solver
 
 points = [(c, r.asymptotic) for c in ("4a", "5a", "5c", "6a")
           for r in enumeration.integral_solutions(c)]
-events, depth = [], [0]
+events = []
 
 def timed(kind, fn):
     def wrapper(*args, **kwargs):
-        level = depth[0]  # the number of _relax calls open around this one
-        depth[0] += kind == "relax"
+        # the grid size of a linear solve: its band has two columns per node
+        size = args[2].shape[1] // 2 if kind == "linear_solve" else 0
         t0 = time.perf_counter()
         try:
             return fn(*args, **kwargs)
         finally:
-            events.append((kind, level, t0, time.perf_counter()))
-            depth[0] -= kind == "relax"
+            events.append((kind, size, t0, time.perf_counter()))
     return wrapper
 
 def round_untimed():
@@ -219,21 +218,15 @@ def phases(c, a):
     t0 = time.perf_counter()
     solver.solve_radial(c, a)
     total = time.perf_counter() - t0
-    out = dict.fromkeys(("warm_start", "jacobian", "linear_solve", "line_search"), 0.0)
-    steps = {"coarse_steps": 0, "fine_steps": 0}
+    out = dict.fromkeys(("jacobian", "linear_solve", "line_search"), 0.0)
+    steps = {}
     solve_end = None
-    for kind, level, s, e in sorted(events, key=lambda ev: ev[2]):
-        if kind == "relax":
-            out["warm_start"] += (e - s) * (level == 1)
-            continue
-        if level > 1:
-            steps["coarse_steps"] += kind == "linear_solve"
-            continue
+    for kind, size, s, e in events:
         if solve_end is not None and kind in ("jacobian", "fit"):
             out["line_search"] += s - solve_end
             solve_end = None
         if kind == "linear_solve":
-            steps["fine_steps"] += 1
+            steps[size] = steps.get(size, 0) + 1
             solve_end = e
         if kind != "fit":
             out[kind] += e - s
@@ -244,17 +237,20 @@ def phases(c, a):
 for _ in range(2):
     round_untimed()
 untimed = round_untimed()
-for name, kind in (("_relax", "relax"), ("_jacobian", "jacobian"),
-                   ("dgbsv", "linear_solve"), ("_fit_slope", "fit")):
+for name, kind in (("_jacobian", "jacobian"), ("dgbsv", "linear_solve"),
+                   ("_fit_slope", "fit")):
     setattr(solver, name, timed(kind, getattr(solver, name)))
 per_point = [phases(c, a) for c, a in points]
+steps = {}
+for _, point_steps in per_point:
+    for size, count in point_steps.items():
+        steps[size] = steps.get(size, 0) + count
 print(json.dumps({
     "points": len(points),
     "untimed_ms_per_solve": untimed * 1e3,
     "phase_ms_per_solve": {k: statistics.fmean(p[k] for p, _ in per_point) * 1e3
                            for k in per_point[0][0]},
-    "newton_steps_over_points": {k: sum(s[k] for _, s in per_point)
-                                 for k in per_point[0][1]},
+    "newton_steps_over_points": {f"{size}_points": steps[size] for size in sorted(steps)},
 }))
 """
 
@@ -560,13 +556,16 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--bounds", type=int, nargs="+", default=[12, 24, 36, 48, 96],
                     help="verify_sweep: the bounds verify_corollary is timed at")
-    ap.add_argument("--repeats", type=int, default=5,
-                    help="rounds of the verify_corollary times (verify_sweep), "
-                         "the per-phase split (radial_bvp) and the cold "
-                         "commands (cli_cold)")
+    ap.add_argument("--repeats", type=int,
+                    help="rounds of the verify_corollary times (verify_sweep, "
+                         "default 5), the per-phase split (radial_bvp, default "
+                         "11: 5 rounds cannot resolve a 0.1 ms phase) and the "
+                         "cold commands (cli_cold, default 5)")
     ap.add_argument("--pairs", type=int, default=0)
     ap.add_argument("--pair-seed", type=int, default=4101)
     args = ap.parse_args(argv)
+    if args.repeats is None:
+        args.repeats = 11 if args.workload == "radial_bvp" else 5
     sides = {"parent": args.parent.resolve(), "change": CHANGE}
 
     result = {

@@ -9,26 +9,39 @@ becomes (using u_{z zbar} = (u_tt) / (4 e^{2t}) for radial u)
     u_tt = 4 e^{2t} (e^{au} - e^{v-u}),
     v_tt = 4 e^{2t} (e^{v-u} - e^{-bv}).
 
-The solver discretizes with central differences on a uniform grid, imposes
-the log-slope (gamma, delta) at t_min by a second-order one-sided
-difference and homogeneous Dirichlet data at t_max, and relaxes with a
-Newton iteration damped by a line search that halves lambda from 1 until
-the residual drops.  The nonlinear terms are always evaluated with
+The solver discretizes with Numerov's fourth-order stencil on a uniform grid,
+
+    y_{i-1} - 2 y_i + y_{i+1} - (h^2/12)(F_{i-1} + 10 F_i + F_{i+1}) = 0,
+
+for y = (u, v) and y'' = F(t, y).  At t_min it imposes the log-slope
+(gamma, delta) by the compact row
+
+    y_1 - y_0 - h (gamma, delta) - h^2 (5 F_0 + F_1)/12 - h^3 y_0^(3)/12 = 0,
+
+exact to O(h^5), where y^(3) = dF/dt + (dF/dy) y' is known at node 0 from the
+slope itself; at t_max it imposes homogeneous Dirichlet data.  It relaxes
+from the piecewise-linear asymptotic shape gamma*min(t - KINK, 0),
+delta*min(t - KINK, 0) with a Newton iteration damped by a line search that
+halves lambda from 1 until the residual drops.  A solution behaves like
+gamma*t + rho near t = -infinity, and at the integral points of 4a, 5a, 5c
+and 6a that line crosses zero at t = -1.5 in the median; with the kink at -2
+the default 256-point grid takes 3.8 Newton steps on average there, and
+every point of a random sweep of those regions converges from it on grids
+of 256 to 4096 points.  The nonlinear terms are always evaluated with
 combined exponents exp(2t + a*u) etc., which stay bounded on the region of
 asymptotic data.  Each iterate's three exponentials are evaluated once: the
 residual that accepts the iterate is built from them, and so is the next
-step's Jacobian.  The constants of a grid (a, b, 2t, the slope terms and
-h^2) are computed once per grid.
+step's Jacobian.  Every accepted step is recorded as (residual, lambda,
+max |step|) in the solution's ``history``.
 
 With the unknowns interleaved as (u_0, v_0, u_1, v_1, ...), the Jacobian is
-banded: the interior rows couple a node to its neighbours two columns away
-and to the other function at the same node, and the one-sided slope rows
-reach four columns to the right.  Each grid owns one Fortran-ordered (9, 2m)
-LAPACK band buffer (lower bandwidth 2, upper 4, two rows for the fill-in of
-the LU).  ``dgbsv`` overwrites it with the LU factors, so every Newton step
-refills it in place: one copy of a cached read-only template of the entries
-that no iterate changes, then the three rows that depend on the iterate.  It
-is factored and solved with LAPACK's ``dgbsv``, called directly.
+banded with lower and upper bandwidth 3: a row of node i reaches both
+functions at nodes i - 1, i and i + 1, and the slope rows reach nodes 0 and
+1.  Every entry of a column depends on the iterate at that column's node
+only.  Each solve owns one Fortran-ordered (10, 2m) LAPACK band buffer
+(three rows for the fill-in of the LU); ``dgbsv`` overwrites it with the LU
+factors, so every Newton step refills it in place.  It is factored and
+solved with LAPACK's ``dgbsv``, called directly.
 
 ``dgbsv`` is the f2py wrapper of scipy's LAPACK extension module
 ``scipy.linalg._flapack``, the same object ``scipy.linalg.lapack.dgbsv``
@@ -39,34 +52,17 @@ numpy's lazy submodules (``numpy.f2py``, ``numpy.testing``, ``numpy.ma``,
 a cold ``ttstar solve`` would otherwise pay for this one routine.  Python
 records the loaded extension in ``sys.modules`` under its real name, so a
 later import of ``scipy.linalg`` reuses it.
-
-The iteration is nested.  A grid of at least WARM_START_POINTS nodes starts
-from the converged solution of the grid COARSEN times coarser, interpolated
-linearly.  A smaller grid starts from the piecewise-linear asymptotic shape
-gamma*min(t - KINK, 0), delta*min(t - KINK, 0).  A solution behaves like
-gamma*t + rho near t = -infinity, and at the integral points of 4a, 5a, 5c
-and 6a that line crosses zero at t = -1.5 in the median; with the kink at
--2 the 256-point grid of the default solve needs 3.8 Newton steps there on
-average to reach the default tolerance, against 6.5 with the kink at 0.
-The requested grid iterates to the tolerance ``newton_tol``, and a coarser
-grid only to max(newton_tol, WARM_START_TOL): the requested grid starts
-from its linear interpolant, whose error is O(h_coarse^2) whatever the
-coarse residual, so a tighter warm start buys no steps there.  The 256-point
-grid then takes 2.8 steps on average at those points, and the requested grid
-typically one.  The iteration limit holds on every grid.  Every accepted
-step on the requested grid is recorded as (residual, lambda, max |step|) in
-the solution's ``history``.
 """
 
 from __future__ import annotations
 
-import functools
 import importlib.util
 import math
 from dataclasses import dataclass, field
 from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
                                  FileFinder)
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,21 +100,11 @@ class ConvergenceError(RuntimeError):
 
 # the default Newton tolerance, and the residual a verified profile must reach
 DEFAULT_NEWTON_TOL = 1e-10
-# a grid of at least WARM_START_POINTS nodes starts from the solution on a
-# grid COARSEN times coarser; smaller grids start from the asymptotic shape
-WARM_START_POINTS = 512
-COARSEN = 8
-# the coarsest grid starts from the asymptotic shape bent at t = KINK, near
-# where the converged asymptote crosses zero
+# the initial iterate is the asymptotic shape bent at t = KINK, near where the
+# converged asymptote crosses zero
 KINK = -2.0
-# a warm-start grid stops at max(newton_tol, WARM_START_TOL); 1e-6 is the
-# loosest decade at which the default requested grid takes no more steps than
-# with warm grids solved to 1e-10 (74 at the 76 integral points; at 1e-5 the
-# tests' 172 sweep points take 193 instead of 185, and at 1e-4 the integral
-# points 120)
-WARM_START_TOL = 1e-6
-# the largest grid a config accepts (its banded Newton matrix alone takes
-# 38 MB); a far larger one would end in a numpy allocation error
+# the largest grid a config accepts (its Newton band alone takes 42 MB); a
+# far larger one would end in a numpy allocation error
 MAX_GRID_POINTS = 2 ** 18
 
 
@@ -126,7 +112,7 @@ MAX_GRID_POINTS = 2 ** 18
 class SolverConfig:
     t_min: float = -12.0
     t_max: float = 4.0
-    grid_points: int = 2048
+    grid_points: int = 256
     newton_tol: float = DEFAULT_NEWTON_TOL
     max_iterations: int = 60
 
@@ -164,34 +150,57 @@ class RadialSolution:
     history: tuple[tuple[float, float, float], ...] = field(repr=False)
 
 
-def _exponentials(t2, u, v, a, b) -> np.ndarray:
-    """e^{2t + au}, e^{2t + v - u} and e^{2t - bv} as the rows of one array,
-    from t2 = 2t: the three source terms without their factor 4."""
-    return np.exp([t2 + a * u, t2 + v - u, t2 - b * v])
+class _Problem(NamedTuple):
+    """The constants of one discretized problem on m nodes, with c = h^2/3."""
+    ab: tuple[int, int]
+    # (u, v) @ exponents = (au, v - u, -bv), the source terms' exponents less 2t
+    exponents: np.ndarray
+    t2: np.ndarray  # (m, 3): 2t at every node, once per source term
+    # (e1, e2, e3) @ source = c (e1 - e2, e2 - e3) = h^2 F/12, where F is the
+    # right-hand side 4 (e1 - e2, e2 - e3) and e1 = e^{2t + au}, e2 =
+    # e^{2t + v - u}, e3 = e^{2t - bv}; (e1, e2, e3) @ diagonal = c (a e1 + e2,
+    # e2 + b e3), the diagonal of d(h^2 F/12)/d(u, v); the off-diagonal is -c e2
+    source: np.ndarray
+    diagonal: np.ndarray
+    c: float
+    slope: tuple[float, float]  # h (gamma, delta)
+    # h c kappa: the rates kappa = (2 + a gamma, 2 + delta - gamma,
+    # 2 - b delta) at which e1, e2, e3 decay along the asymptote
+    rates: tuple[float, float, float]
 
 
-def _problem(case_id: str, a: AsymptoticData, t: np.ndarray) -> tuple:
-    """The constants of one discretized problem: the exponents (a, b), 2t at
-    the interior nodes, the slope terms 2h*gamma and 2h*delta, and 4h^2."""
+def _problem(case_id: str, a: AsymptoticData, t: np.ndarray) -> _Problem:
     ea, eb = descriptor(case_id).ab
     h = float(t[1] - t[0])
-    return (ea, eb, 2.0 * t[1:-1], 2.0 * h * float(a.gamma),
-            2.0 * h * float(a.delta), 4.0 * (h * h))
+    g, d, c = float(a.gamma), float(a.delta), h * h / 3.0
+    return _Problem(
+        (ea, eb), np.array([[ea, -1.0, 0.0], [0.0, 1.0, -eb]]),
+        np.repeat(2.0 * t[:, None], 3, axis=1),
+        c * np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]]),
+        c * np.array([[ea, 0.0], [1.0, 1.0], [0.0, eb]]), c, (h * g, h * d),
+        (h * c * (2.0 + ea * g), h * c * (2.0 + d - g), h * c * (2.0 - eb * d)))
 
 
-def _residual(problem: tuple, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _residual(problem: _Problem, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The residual at the interleaved state s = (u_0, v_0, u_1, v_1, ...),
-    and the exponentials at the interior nodes it was built from."""
-    ea, eb, t2, slope_u, slope_v, c = problem
-    e = _exponentials(t2, s[2:-2:2], s[3:-2:2], ea, eb)
-    u0, v0, u1, v1, u2, v2 = s[:6].tolist()
+    and the (m, 3) exponentials (e1, e2, e3) at every node it was built from."""
+    e = s.reshape(-1, 2) @ problem.exponents
+    e += problem.t2
+    np.exp(e, out=e)
+    z = (e @ problem.source).ravel()  # h^2 F/12, interleaved
     out = np.empty(len(s))
-    out[0] = -3.0 * u0 + 4.0 * u1 - u2 - slope_u
-    out[1] = -3.0 * v0 + 4.0 * v1 - v2 - slope_v
-    # h^2 times the interleaved source terms (e1 - e2, e2 - e3), scaled by 4
-    # in c (exactly: scaling by 4 rounds nothing)
-    np.subtract((s[:-4] - 2.0 * s[2:-2] + s[4:]).reshape(-1, 2),
-                c * (e[:2] - e[1:]).T, out=out[2:-2].reshape(-1, 2))
+    # Numerov: w_{i-1} - 2 w_i + w_{i+1} - 12 z_i with w = y - z
+    w = s - z
+    out[2:-2] = w[:-4] + w[4:] - 2.0 * (s[2:-2] + 5.0 * z[2:-2])
+    # the slope rows y_1 - y_0 - h (gamma, delta) - h^2 (5 F_0 + F_1)/12 -
+    # h^3 y_0^(3)/12, where y^(3) = dF/dt + (dF/dy) y' at t_min is
+    # 4 (k1 e1 - k2 e2, k2 e2 - k3 e3) with y' = (gamma, delta)
+    u0, v0, u1, v1 = s[:4].tolist()
+    zu0, zv0, zu1, zv1 = z[:4].tolist()
+    e1, e2, e3 = e[0].tolist()
+    (slope_u, slope_v), (k1, k2, k3) = problem.slope, problem.rates
+    out[0] = u1 - u0 - slope_u - 5.0 * zu0 - zu1 - (k1 * e1 - k2 * e2)
+    out[1] = v1 - v0 - slope_v - 5.0 * zv0 - zv1 - (k2 * e2 - k3 * e3)
     out[-2:] = s[-2:]
     return out, e
 
@@ -201,109 +210,82 @@ def residual_vector(case_id: str, a: AsymptoticData, t: np.ndarray,
     """h^2-scaled residual of the discretized boundary-value problem.
 
     Layout: interleaved (F_u[i], F_v[i]) per node; boundary rows encode the
-    one-sided slope condition at t_min and the Dirichlet condition at t_max.
+    compact slope condition at t_min and the Dirichlet condition at t_max.
     """
     return _residual(_problem(case_id, a, t), np.column_stack((u, v)).ravel())[0]
 
 
-@functools.lru_cache(maxsize=8)
-def _band_template(width: int) -> np.ndarray:
-    """The read-only (9, width) band of ``_jacobian``'s entries that no
-    iterate changes, zero elsewhere.  A nested solve has at most five grids,
-    so the cache holds every width of one solve (at 2^18 points a template
-    takes 38 MB, as much as the band)."""
-    out = np.zeros((9, width), order="F")
-    ab = out[2:]
-    # left boundary: slope rows 0, 1 have offsets 0, +2, +4
-    ab[4, 0:2] = -3.0
-    ab[2, 2:4] = 4.0
-    ab[0, 4:6] = -1.0
-    # interior rows: the second difference's neighbours at offsets -2, +2
-    ab[6, :-4] = 1.0
-    ab[2, 4:] = 1.0
-    # right boundary: Dirichlet rows on the diagonal
-    ab[4, -2:] = 1.0
-    out.flags.writeable = False
-    return out
+def _jacobian(problem: _Problem, e: np.ndarray, out=None) -> np.ndarray:
+    """Analytic Jacobian of ``_residual``, written into a LAPACK band buffer.
 
-
-def _jacobian(case_id: str, t, u, v, h, out=None, e=None) -> np.ndarray:
-    """Analytic Jacobian of residual_vector, written into a LAPACK band buffer.
-
-    ``e`` is ``_exponentials`` at the interior nodes of (t, u, v) when the
-    caller has it already (the Newton loop passes that of its residual);
-    otherwise it is evaluated here.  ``out`` is a Fortran-ordered (9, 2m)
-    buffer (a new one when None), the layout ``dgbsv`` takes for lower
-    bandwidth 2 and upper 4: rows 0-1 hold the LU fill-in, and entry (r, c)
-    of the interleaved 2m x 2m Jacobian sits at ``out[6 + r - c, c]``.  The
-    buffer is rewritten in full: one copy of ``_band_template``, then the
-    three rows that depend on the iterate.  Rows 2-8 are returned as a
-    (7, 2m) view, whose entry (r, c) is at ``[4 + r - c, c]``.
+    ``e`` is the exponentials ``_residual`` returns with the residual.
+    ``out`` is a Fortran-ordered (10, 2m) buffer (a new one when None), the
+    layout ``dgbsv`` takes for lower and upper bandwidth 3: rows 0-2 hold the
+    LU fill-in, and entry (r, c) of the interleaved 2m x 2m Jacobian sits at
+    ``out[6 + r - c, c]``.  The buffer is rewritten in full.  Rows 3-9 are
+    returned as a (7, 2m) view, whose entry (r, c) is at ``[3 + r - c, c]``.
     """
-    ea, eb = descriptor(case_id).ab
-    if e is None:
-        e = _exponentials(2.0 * t[1:-1], u[1:-1], v[1:-1], ea, eb)
     if out is None:
-        out = np.empty((9, 2 * len(t)), order="F")
-    e1, e2, e3 = e
-    c = 4.0 * (h * h)
-    out[...] = _band_template(2 * len(t))
-    ab = out[2:]
-    # interior u-rows 2i have offsets -2, 0, +1, +2 and v-rows 2i+1 have
-    # offsets -2, -1, 0, +2; d(e1 - e2)/du = a*e1 + e2, d(e1 - e2)/dv = -e2,
-    # d(e2 - e3)/du = -e2, d(e2 - e3)/dv = e2 + b*e3 (c = 4h^2 takes the
-    # source terms' factor 4)
-    ab[4, 2:-2:2] = -2.0 - c * (ea * e1 + e2)
-    ab[4, 3:-2:2] = -2.0 - c * (e2 + eb * e3)
-    ab[3, 3:-2:2] = ab[5, 2:-2:2] = c * e2
-    return ab
+        out = np.empty((10, 2 * len(e)), order="F")
+    # the derivatives of h^2 F/12 at every node: the diagonal p, interleaved,
+    # and the off-diagonal -q; all entries of a column come from its own node
+    p = (e @ problem.diagonal).ravel()
+    q = problem.c * e[:, 1]
+    out.fill(0.0)
+    # interior rows of nodes i - 1, i, i + 1 reach node i with weights 1, 10, 1
+    out[8, :-4] = 1.0 - p[:-4]
+    out[6, 2:-2] = -2.0 - 10.0 * p[2:-2]
+    out[4, 4:] = 1.0 - p[4:]
+    out[9, 0:-4:2] = out[7, 1:-4:2] = q[:-2]
+    out[7, 2:-2:2] = out[5, 3:-2:2] = 10.0 * q[1:-1]
+    out[5, 4::2] = out[3, 5::2] = q[2:]
+    # the slope rows 0, 1 reach node 1 with weight 1, and node 0 with weight
+    # 5 and through its third derivative
+    pu0, pv0, pu1, pv1 = p[:4].tolist()
+    e1, e2, e3 = e[0].tolist()
+    (ea, eb), (k1, k2, k3) = problem.ab, problem.rates
+    q0, q1 = 5.0 * q[0] + k2 * e2, q[1]
+    out[6:8, 0] = -1.0 - 5.0 * pu0 - k1 * ea * e1 - k2 * e2, q0
+    out[5:7, 1] = q0, -1.0 - 5.0 * pv0 - k2 * e2 - k3 * eb * e3
+    out[4:6, 2] = 1.0 - pu1, q1
+    out[3:5, 3] = q1, 1.0 - pv1
+    # the Dirichlet rows at t_max
+    out[6, -2:] = 1.0
+    return out[3:]
 
 
-def _fit_slope(t: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-    """Least-squares (slope, intercept) of w over the left 10% of the grid,
-    in closed form on the mean-centred points."""
+def _fit_slope(t: np.ndarray, w: np.ndarray):
+    """Least-squares (slope, intercept) of w, or of each column of w, over the
+    left 10% of the uniform grid t, in closed form: the n nodes are t_0 + ih,
+    with mean t_0 + (n - 1)h/2 and sum of squared deviations h^2 n(n^2 - 1)/12."""
     n = max(len(t) // 10, 4)
-    x, y = t[:n], w[:n]
-    x_mean, y_mean = x.mean(), y.mean()
-    dx = x - x_mean
-    slope = float(dx @ (y - y_mean)) / float(dx @ dx)
-    return slope, float(y_mean) - slope * float(x_mean)
+    h = float(t[1] - t[0])
+    y = w[:n]
+    slope = (np.arange(n) - 0.5 * (n - 1)) @ y * (12.0 / (h * n * (n * n - 1)))
+    return slope, y.sum(axis=0) / n - slope * (float(t[0]) + 0.5 * (n - 1) * h)
 
 
-def _relax(case_id: str, a: AsymptoticData, cfg: SolverConfig, m: int):
-    """Damped-Newton (t, u, v, residual, history) on an m-point grid.
-
-    Grids of WARM_START_POINTS nodes or more start from the m // COARSEN grid.
-    The requested grid iterates to ``cfg.newton_tol``, and a coarser one to
-    ``max(cfg.newton_tol, WARM_START_TOL)``.
-    """
+def solve_radial(case_id: str, a: AsymptoticData,
+                 cfg: SolverConfig = SolverConfig()) -> RadialSolution:
+    """Damped-Newton solution of the radial boundary-value problem."""
+    if not in_region(case_id, a):
+        raise ValueError(f"asymptotic data {tuple(a)} outside the region of "
+                         f"case {case_id}")
+    m = cfg.grid_points
     t = np.linspace(cfg.t_min, cfg.t_max, m)
-    s = np.empty(2 * m)  # the interleaved state (u_0, v_0, u_1, v_1, ...)
-    if m < WARM_START_POINTS:
-        # the asymptotic shape, bent at t = KINK
-        bend = np.minimum(t - KINK, 0.0)
-        s[0::2] = float(a.gamma) * bend
-        s[1::2] = float(a.delta) * bend
-    else:
-        tc, uc, vc, _, _ = _relax(case_id, a, cfg, m // COARSEN)
-        s[0::2] = np.interp(t, tc, uc)
-        s[1::2] = np.interp(t, tc, vc)
-    if m == cfg.grid_points:
-        grid, tol = f"{m}-point grid", cfg.newton_tol
-    else:
-        grid, tol = f"{m}-point warm-start grid", max(cfg.newton_tol, WARM_START_TOL)
-
+    # the interleaved state (u_0, v_0, u_1, v_1, ...), first the asymptotic
+    # shape bent at t = KINK
+    s = np.outer(np.minimum(t - KINK, 0.0), (float(a.gamma), float(a.delta))).ravel()
     problem = _problem(case_id, a, t)
-    h = t[1] - t[0]
-    band = np.empty((9, 2 * m), order="F")
+    band = np.empty((10, 2 * m), order="F")
     res, e = _residual(problem, s)
     norm = float(np.abs(res).max())
     history = []
     for _ in range(cfg.max_iterations):
-        if norm < tol:
+        if norm < cfg.newton_tol:
             break
-        _jacobian(case_id, t, s[0::2], s[1::2], h, band, e)
-        _, _, step, info = dgbsv(2, 4, band, -res, overwrite_ab=1, overwrite_b=1)
+        _jacobian(problem, e, band)
+        _, _, step, info = dgbsv(3, 3, band, -res, overwrite_ab=1, overwrite_b=1)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
         if info < 0:
@@ -318,32 +300,17 @@ def _relax(case_id: str, a: AsymptoticData, cfg: SolverConfig, m: int):
             lam *= 0.5
         else:
             raise ConvergenceError(
-                f"line search stalled at residual {norm:.3e} on the {grid}",
+                f"line search stalled at residual {norm:.3e} on the {m}-point grid",
                 norm, tuple(history))
         s, res, e, norm = sn, rn, en, nn
         history.append((nn, lam, float(np.abs(step).max())))
-    if norm >= tol:
+    if norm >= cfg.newton_tol:
         raise ConvergenceError(
             f"no convergence after {cfg.max_iterations} iterations on the "
-            f"{grid} (residual {norm:.3e})", norm, tuple(history))
-    return t, s[0::2], s[1::2], norm, history
-
-
-def solve_radial(case_id: str, a: AsymptoticData,
-                 cfg: SolverConfig = SolverConfig()) -> RadialSolution:
-    """Damped-Newton solution of the radial boundary-value problem.
-
-    The solution's ``iterations`` and ``history`` count the Newton steps on
-    the requested grid only, not those of the coarser warm-start grids.
-    """
-    if not in_region(case_id, a):
-        raise ValueError(f"asymptotic data {tuple(a)} outside the region of "
-                         f"case {case_id}")
-    t, u, v, norm, history = _relax(case_id, a, cfg, cfg.grid_points)
-    fg, cu = _fit_slope(t, u)
-    fd, cv = _fit_slope(t, v)
-    return RadialSolution(case_id, a, t, u, v, norm, fg, fd, len(history),
-                          cu, cv, tuple(history))
+            f"{m}-point grid (residual {norm:.3e})", norm, tuple(history))
+    (fg, fd), (cu, cv) = (x.tolist() for x in _fit_slope(t, s.reshape(-1, 2)))
+    return RadialSolution(case_id, a, t, s[0::2], s[1::2], norm, fg, fd,
+                          len(history), cu, cv, tuple(history))
 
 
 @dataclass(frozen=True)

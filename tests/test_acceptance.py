@@ -297,7 +297,7 @@ def test_criterion_6_property_suites():
 
 def test_criterion_7_bvp_all_integral_points():
     start = time.time()
-    cfg = SolverConfig()  # t in [-12, 4], 2048 nodes, tol 1e-10
+    cfg = SolverConfig()  # t in [-12, 4], 256 nodes, tol 1e-10
     for cid in ("4a", "6a"):
         for rec in integral_solutions(cid):
             sol = solve_radial(cid, rec.asymptotic, cfg)

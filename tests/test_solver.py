@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_bvp
 from scipy.linalg import lapack, solve_banded
 from scipy.sparse import csr_matrix
 
@@ -18,8 +19,8 @@ from ttstar import solver
 from ttstar.cases import AsymptoticData, descriptor, in_region
 from ttstar.enumeration import integral_solutions
 from ttstar.solver import (MAX_GRID_POINTS, ConvergenceError, SolverConfig,
-                           _fit_slope, _jacobian, residual_vector, solve_radial,
-                           verify_asymptotics)
+                           _fit_slope, _jacobian, _problem, _residual,
+                           residual_vector, solve_radial, verify_asymptotics)
 
 
 def F(x):
@@ -37,12 +38,16 @@ def _source_terms(t, u, v, a, b):
     return e1 - e2, e2 - e3, e1, e2, e3
 
 
-def _reference_jacobian(case_id, t, u, v, h) -> csr_matrix:
-    """Slow reference: the Jacobian assembled entry by entry as a CSR matrix."""
+def _reference_jacobian(case_id, a: AsymptoticData, t, u, v) -> csr_matrix:
+    """Slow reference: the Jacobian of the Numerov system, assembled entry by
+    entry as a CSR matrix."""
     ea, eb = descriptor(case_id).ab
+    g, d = float(a.gamma), float(a.delta)
     m = len(t)
+    h = t[1] - t[0]
     _, _, e1, e2, e3 = _source_terms(t, u, v, ea, eb)
-    h2 = h * h
+    # dF/d(u, v) at every node; F_u = e1 - e2 and F_v = e2 - e3 (with the 4)
+    fuu, fuv, fvu, fvv = ea * e1 + e2, -e2, -e2, e2 + eb * e3
     rows, cols, vals = [], [], []
 
     def add(r, c, val):
@@ -50,25 +55,26 @@ def _reference_jacobian(case_id, t, u, v, h) -> csr_matrix:
         cols.append(c)
         vals.append(val)
 
-    # left boundary (slope rows)
-    for comp in (0, 1):
-        add(comp, comp, -3.0)
-        add(comp, comp + 2, 4.0)
-        add(comp, comp + 4, -1.0)
+    # left boundary: y_1 - y_0 - h y' - h^2 (5 F_0 + F_1)/12 - h^3 y_0^(3)/12,
+    # with y_0^(3) = 2 F_0 + (dF/dy)(gamma, delta), so that d(y_0^(3))/du_0 is
+    # 2 fuu + (a^2 e1 - e2) gamma + e2 delta and so on
+    d3 = [[2 * fuu[0] + (ea * ea * e1[0] - e2[0]) * g + e2[0] * d,
+           2 * fuv[0] + e2[0] * g - e2[0] * d],
+          [2 * fvu[0] + e2[0] * g - e2[0] * d,
+           2 * fvv[0] - e2[0] * g + (e2[0] - eb * eb * e3[0]) * d]]
+    jac0 = [[fuu, fuv], [fvu, fvv]]
+    for r in (0, 1):
+        for k in (0, 1):
+            add(r, k, -(r == k) - h * h * 5 * jac0[r][k][0] / 12 - h ** 3 * d3[r][k] / 12)
+            add(r, 2 + k, (r == k) - h * h * jac0[r][k][1] / 12)
     # interior rows
     for i in range(1, m - 1):
-        ru, rv = 2 * i, 2 * i + 1
-        cu, cv = 2 * i, 2 * i + 1
-        # d(e1 - e2)/du = a*e1 + e2 ; d/dv = -e2
-        add(ru, cu - 2, 1.0)
-        add(ru, cu + 2, 1.0)
-        add(ru, cu, -2.0 - h2 * (ea * e1[i] + e2[i]))
-        add(ru, cv, -h2 * (-e2[i]))
-        # d(e2 - e3)/du = -e2 ; d/dv = e2 + b*e3
-        add(rv, cv - 2, 1.0)
-        add(rv, cv + 2, 1.0)
-        add(rv, cv, -2.0 - h2 * (e2[i] + eb * e3[i]))
-        add(rv, cu, -h2 * (-e2[i]))
+        for r in (0, 1):
+            for k in (0, 1):
+                for j, weight in ((i - 1, 1), (i, 10), (i + 1, 1)):
+                    second = (r == k) * (-2 if j == i else 1)
+                    add(2 * i + r, 2 * j + k,
+                        second - h * h * weight * jac0[r][k][j] / 12)
     # right boundary (Dirichlet rows)
     add(2 * m - 2, 2 * m - 2, 1.0)
     add(2 * m - 1, 2 * m - 1, 1.0)
@@ -76,57 +82,36 @@ def _reference_jacobian(case_id, t, u, v, h) -> csr_matrix:
 
 
 def _dense(ab: np.ndarray) -> np.ndarray:
-    """Expand a (2, 4)-band array; slots outside the matrix must be zero."""
+    """Expand a (3, 3)-band array; slots outside the matrix must be zero."""
     n = ab.shape[1]
     out = np.zeros((n, n))
     cols = np.arange(n)
     for k in range(ab.shape[0]):
-        rows = cols + k - 4
+        rows = cols + k - 3
         inside = (rows >= 0) & (rows < n)
         out[rows[inside], cols[inside]] = ab[k, inside]
         assert not ab[k, ~inside].any()
     return out
 
 
-def _reference_solve(case_id, a: AsymptoticData, cfg: SolverConfig = SolverConfig()):
-    """Slow reference: damped Newton on the requested grid alone, cold-started
-    from the piecewise-linear asymptotic shape, each step by ``solve_banded``.
-    Returns (t, u, v, residual)."""
-    t = np.linspace(cfg.t_min, cfg.t_max, cfg.grid_points)
-    h = t[1] - t[0]
-    u = float(a.gamma) * np.minimum(t, 0.0)
-    v = float(a.delta) * np.minimum(t, 0.0)
-    res = residual_vector(case_id, a, t, u, v)
-    norm = float(np.max(np.abs(res)))
-    for _ in range(cfg.max_iterations):
-        if norm < cfg.newton_tol:
-            break
-        step = solve_banded((2, 4), _jacobian(case_id, t, u, v, h), -res)
-        lam = 1.0
-        for _ in range(40):
-            un = u + lam * step[0::2]
-            vn = v + lam * step[1::2]
-            rn = residual_vector(case_id, a, t, un, vn)
-            nn = float(np.max(np.abs(rn)))
-            if np.isfinite(nn) and nn < norm:
-                break
-            lam *= 0.5
-        else:
-            raise ConvergenceError(f"reference line search stalled at {norm:.3e}", norm)
-        u, v, res, norm = un, vn, rn, nn
-    return t, u, v, norm
+def _band(case_id, a: AsymptoticData, t, u, v, out=None) -> np.ndarray:
+    """``_jacobian`` at (u, v), from the exponentials of its residual."""
+    problem = _problem(case_id, a, t)
+    _, e = _residual(problem, np.column_stack((u, v)).ravel())
+    return _jacobian(problem, e, out)
 
 
-def _polish(case_id, a: AsymptoticData, t, u, v, tol: float = 1e-13):
-    """Full Newton steps until the residual is below tol (at most ten)."""
-    h = t[1] - t[0]
-    for _ in range(10):
+def _polish(case_id, a: AsymptoticData, t, u, v):
+    """Two full Newton steps from a profile solved to the default tolerance.
+    The first removes the error that stopping on the h^2-scaled residual
+    leaves (up to 6e-7); the second stays at rounding level (below 5e-11 on
+    grids of up to 1025 points)."""
+    for _ in range(2):
         res = residual_vector(case_id, a, t, u, v)
-        if np.max(np.abs(res)) < tol:
-            return u, v
-        step = solve_banded((2, 4), _jacobian(case_id, t, u, v, h), -res)
+        step = solve_banded((3, 3), _band(case_id, a, t, u, v), -res)
         u, v = u + step[0::2], v + step[1::2]
-    raise AssertionError(f"polishing {case_id} {tuple(a)} did not reach {tol}")
+    assert np.max(np.abs(step)) < 1e-9, (case_id, tuple(a))
+    return u, v
 
 
 def _distance(u1, v1, u2, v2) -> float:
@@ -137,7 +122,7 @@ def _random_state(rng, a: AsymptoticData, m: int):
     t = np.linspace(-6.0, 2.0, m)
     u = float(a.gamma) * np.minimum(t, 0) + 0.05 * rng.standard_normal(m)
     v = float(a.delta) * np.minimum(t, 0) + 0.05 * rng.standard_normal(m)
-    return t, t[1] - t[0], u, v
+    return t, u, v
 
 
 def _region_points(case: str, rng: random.Random, count: int, max_den: int):
@@ -225,18 +210,18 @@ def test_newton_history():
 def test_banded_jacobian_matches_reference(case):
     rng = np.random.default_rng(11)
     for a in _region_points(case, random.Random(case), 2, 12):
-        t, h, u, v = _random_state(rng, a, 96)
-        ab = _jacobian(case, t, u, v, h)
+        t, u, v = _random_state(rng, a, 96)
+        ab = _band(case, a, t, u, v)
         assert ab.shape == (7, 2 * len(t))
-        ref = _reference_jacobian(case, t, u, v, h).toarray()
-        assert np.array_equal(_dense(ab), ref)
+        ref = _reference_jacobian(case, a, t, u, v).toarray()
+        assert np.allclose(_dense(ab), ref, rtol=1e-13, atol=1e-15)
 
 
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(7)
     case, a = "4a", AsymptoticData(F(1), F("-1/3"))
-    t, h, u, v = _random_state(rng, a, 80)
-    jac = _dense(_jacobian(case, t, u, v, h))
+    t, u, v = _random_state(rng, a, 80)
+    jac = _dense(_band(case, a, t, u, v))
     state = np.empty(2 * len(t))
     state[0::2], state[1::2] = u, v
 
@@ -305,19 +290,17 @@ def test_grid_refinement_stability():
 
 def test_coarse_grid_failure_names_grid():
     a = AsymptoticData(F(3), F(1))
-    for points, coarse in ((512, 64), (2048, 256), (4096, 64)):
+    for points in (256, 512, 2048):
         with pytest.raises(ConvergenceError,
-                           match=f"on the {coarse}-point warm-start grid") as info:
+                           match=f"on the {points}-point grid") as info:
             solve_radial("4a", a, SolverConfig(grid_points=points, max_iterations=2))
         assert len(info.value.history) == 2
-    with pytest.raises(ConvergenceError, match="on the 256-point grid"):
-        solve_radial("4a", a, SolverConfig(grid_points=256, max_iterations=2))
 
 
 def test_singular_step_raises(monkeypatch):
     # a Jacobian left all zero makes gbsv report a zero pivot
     monkeypatch.setattr(solver, "_jacobian",
-                        lambda case_id, t, u, v, h, out, e: out.fill(0.0))
+                        lambda problem, e, out: out.fill(0.0))
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
         solve_radial("4a", AsymptoticData(F(3), F(1)), FAST)
 
@@ -362,8 +345,8 @@ def test_direct_dgbsv_matches_scipy(monkeypatch):
     singular = np.zeros_like(calls[0][0], order="F")
     infos = []
     for ab, b in calls + [(singular, calls[0][1])]:
-        ours = direct(2, 4, ab.copy(order="F"), b.copy())
-        ref = lapack.dgbsv(2, 4, ab.copy(order="F"), b.copy())
+        ours = direct(3, 3, ab.copy(order="F"), b.copy())
+        ref = lapack.dgbsv(3, 3, ab.copy(order="F"), b.copy())
         assert ours[3] == ref[3]
         for x, y in zip(ours[:3], ref[:3]):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
@@ -372,6 +355,7 @@ def test_direct_dgbsv_matches_scipy(monkeypatch):
 
 
 def test_fit_slope_matches_polyfit():
+    """``_fit_slope`` of one column and of the (u, v) columns of a solve."""
     rng = np.random.default_rng(5)
     samples = []
     for m in (40, 64, 512, 2048):
@@ -381,35 +365,16 @@ def test_fit_slope_matches_polyfit():
     for case in ("4a", "5a", "5c", "6a"):
         for r in integral_solutions(case):
             sol = solve_radial(case, r.asymptotic)
-            samples += [(sol.grid, sol.u), (sol.grid, sol.v)]
-    assert len(samples) == 8 + 2 * 76
+            w = np.column_stack((sol.u, sol.v))
+            (fg, fd), (cu, cv) = _fit_slope(sol.grid, w)
+            assert (fg, fd, cu, cv) == (sol.fitted_gamma, sol.fitted_delta,
+                                        sol.offset_u, sol.offset_v)
+            samples.append((sol.grid, w))
+    assert len(samples) == 8 + 76
     for t, w in samples:
         n = max(len(t) // 10, 4)
         ref = np.polyfit(t[:n], w[:n], 1)
         assert np.allclose(_fit_slope(t, w), ref, rtol=0, atol=1e-9)
-
-
-@pytest.mark.parametrize("case", ["4a", "5a", "5c", "6a"])
-def test_warm_start_matches_reference(case):
-    """The nested solve against the cold single-grid reference, at the 19
-    integral points and the robustness-sweep points of the case."""
-    points = [r.asymptotic for r in integral_solutions(case)]
-    points += _region_points(case, random.Random(f"radial-{case}"), 40, 12)
-    new_gap = ref_gap = 0.0
-    for a in points:
-        sol = solve_radial(case, a)
-        t, u, v, norm = _reference_solve(case, a)
-        assert sol.residual_norm < 1e-10 and norm < 1e-10, (case, tuple(a))
-        assert np.array_equal(sol.grid, t)
-        pu, pv = _polish(case, a, t, sol.u, sol.v)
-        qu, qv = _polish(case, a, t, u, v)
-        # the same discrete solution, as far as polishing can tell
-        assert _distance(pu, pv, qu, qv) < 1e-6, (case, tuple(a))
-        new_gap = max(new_gap, _distance(sol.u, sol.v, pu, pv))
-        ref_gap = max(ref_gap, _distance(u, v, qu, qv))
-        assert abs(sol.fitted_gamma - _fit_slope(t, u)[0]) < 1e-5, (case, tuple(a))
-        assert abs(sol.fitted_delta - _fit_slope(t, v)[0]) < 1e-5, (case, tuple(a))
-    assert new_gap <= ref_gap
 
 
 def test_residual_norm_is_residual_vector():
@@ -422,102 +387,151 @@ def test_residual_norm_is_residual_vector():
             assert sol.residual_norm == float(np.max(np.abs(res))), (case, r.asymptotic)
 
 
-def test_warm_start_steps(monkeypatch):
-    """The coarse grid starts near the true asymptote and stops at
-    WARM_START_TOL: at most 3 Newton steps on the 256-point warm-start grid
-    per solve at the 76 integral points (2.84 measured; 3.8 when it iterated
-    to the requested tolerance, 6.5 from the asymptotic shape bent at t = 0).
-    The requested grid takes no more steps for it: at most 74 in all, which
-    a WARM_START_TOL of 1e-4 would raise to 120."""
-    steps, direct = {}, solver.dgbsv
+def _recording_dgbsv(monkeypatch) -> list[int]:
+    """Replace ``solver.dgbsv`` by a wrapper that records the order of every
+    band it solves; the list it fills."""
+    sizes, direct = [], solver.dgbsv
 
     def recording(kl, ku, ab, b, **kwargs):
-        steps[ab.shape[1]] = steps.get(ab.shape[1], 0) + 1
+        sizes.append(ab.shape[1])
         return direct(kl, ku, ab, b, **kwargs)
 
+    monkeypatch.setattr(solver, "dgbsv", recording)
+    return sizes
+
+
+def test_newton_steps(monkeypatch):
+    """From the asymptotic shape bent at t = KINK, the default grid takes at
+    most 4 Newton steps per solve on average at the 76 integral points (3.76
+    measured) and at most 5 at any, each a solve of the requested size."""
     points = [(case, r.asymptotic) for case in ("4a", "5a", "5c", "6a")
               for r in integral_solutions(case)]
     assert len(points) == 76
-    monkeypatch.setattr(solver, "dgbsv", recording)
-    for case, a in points:
-        solve_radial(case, a)
+    sizes = _recording_dgbsv(monkeypatch)
+    steps = [solve_radial(case, a).iterations for case, a in points]
     monkeypatch.undo()
-    coarse = SolverConfig().grid_points // solver.COARSEN
-    assert set(steps) == {2 * coarse, 2 * SolverConfig().grid_points}
-    assert steps[2 * coarse] / len(points) <= 3.0
-    assert steps[2 * SolverConfig().grid_points] <= 74
-
-
-def _grid_residuals(monkeypatch, case, a, cfg):
-    """Per grid of one nested solve, coarsest first: its size, the residual
-    it returned and the residuals after each of its Newton steps."""
-    grids, relax = [], solver._relax
-
-    def recording(case_id, a, cfg, m):
-        t, u, v, norm, history = relax(case_id, a, cfg, m)
-        grids.append((m, norm, [r for r, _, _ in history]))
-        return t, u, v, norm, history
-
-    monkeypatch.setattr(solver, "_relax", recording)
-    sol = solve_radial(case, a, cfg)
-    monkeypatch.undo()
-    assert grids[-1][1] == sol.residual_norm
-    return grids
-
-
-def _stops_at(grid, tol) -> bool:
-    """The grid stopped at its first iterate with a residual below tol."""
-    _, norm, residuals = grid
-    return norm < tol and all(r >= tol for r in residuals[:-1])
+    assert len(sizes) == sum(steps) <= 4 * len(points) and max(steps) <= 5
+    assert set(sizes) == {2 * SolverConfig().grid_points}
 
 
 @pytest.mark.parametrize("points", [2048, 4096])
 def test_tight_tol_bounds_requested_grid(monkeypatch, points):
-    """A newton_tol below WARM_START_TOL: the warm-start grids stop at
-    WARM_START_TOL, and the requested grid's residual is below newton_tol."""
+    """A newton_tol of 1e-12 on a fine grid: the iteration runs on the
+    requested grid alone, from the kink, and stops at its first iterate with
+    a residual below newton_tol."""
     tol = 1e-12
-    assert tol < solver.WARM_START_TOL
     cfg = SolverConfig(grid_points=points, newton_tol=tol)
+    sizes = _recording_dgbsv(monkeypatch)
     for case, a in (("4a", AsymptoticData(F(3), F(1))),
                     ("6a", AsymptoticData(F(1), F(2))),
                     ("5c", AsymptoticData(F(-2), F(1)))):
-        *warm, requested = _grid_residuals(monkeypatch, case, a, cfg)
-        assert [m for m, _, _ in warm] == [
-            points // solver.COARSEN ** j for j in range(len(warm), 0, -1)]
-        assert all(_stops_at(grid, solver.WARM_START_TOL) for grid in warm)
-        assert warm[-1][1] > tol, (case, tuple(a))
-        assert requested[0] == points and _stops_at(requested, tol)
-
-
-def test_loose_tol_governs_warm_grids(monkeypatch):
-    """A newton_tol above WARM_START_TOL stops every grid, the warm-start
-    grids included."""
-    tol = 1e-4
-    assert tol > solver.WARM_START_TOL
-    for case, a in (("4a", AsymptoticData(F(3), F(1))),
-                    ("6a", AsymptoticData(F(1), F(2)))):
-        grids = _grid_residuals(monkeypatch, case, a,
-                                SolverConfig(grid_points=4096, newton_tol=tol))
-        assert [m for m, _, _ in grids] == [64, 512, 4096]
-        assert all(_stops_at(grid, tol) for grid in grids), (case, grids)
-        assert any(norm > solver.WARM_START_TOL for _, norm, _ in grids[:-1])
+        sol = solve_radial(case, a, cfg)
+        residuals = [r for r, _, _ in sol.history]
+        assert sol.residual_norm < tol, (case, tuple(a))
+        assert all(r >= tol for r in residuals[:-1]), (case, tuple(a))
+    assert set(sizes) == {2 * points}
 
 
 def test_jacobian_refills_band():
     """``_jacobian`` rewrites its buffer in full: into a buffer of NaN, and
     into the same buffer after ``dgbsv`` has overwritten it with LU factors,
-    it writes exactly the reference Jacobian and zero fill-in rows, at
-    several sizes (96 twice, the second time from the cached template)."""
+    it writes the reference Jacobian and zero fill-in rows, at several
+    sizes."""
     rng = np.random.default_rng(3)
-    for case, m in (("4a", 8), ("5a", 96), ("5c", 256), ("6a", 64), ("4a", 96)):
+    for case, m in (("4a", 8), ("5a", 96), ("5c", 256), ("6a", 64)):
         a = _region_points(case, random.Random(case), 1, 12)[-1]
-        t, h, u, v = _random_state(rng, a, m)
-        ref = _reference_jacobian(case, t, u, v, h).toarray()
-        band = np.full((9, 2 * m), np.nan, order="F")
+        t, u, v = _random_state(rng, a, m)
+        ref = _reference_jacobian(case, a, t, u, v).toarray()
+        band = np.full((10, 2 * m), np.nan, order="F")
         for _ in range(2):
-            ab = _jacobian(case, t, u, v, h, band)
-            assert np.array_equal(_dense(ab), ref) and not band[:2].any(), (case, m)
+            ab = _band(case, a, t, u, v, band)
+            assert np.allclose(_dense(ab), ref, rtol=1e-13, atol=1e-15), (case, m)
+            assert not band[:3].any(), (case, m)
             before = band.copy()
-            info = solver.dgbsv(2, 4, band, np.ones(2 * m), overwrite_ab=1,
+            info = solver.dgbsv(3, 3, band, np.ones(2 * m), overwrite_ab=1,
                                 overwrite_b=1)[3]
             assert info == 0 and not np.array_equal(band, before)
+
+
+# integral points of each case for the independent checks of the profile:
+# among them the largest errors of the default solve against solve_bvp
+# (5a (-1, 1/3), 6a (1, -1), 4a (1/3, 1)) and the largest slope error
+# (6a (-2, -4))
+ORACLE_POINTS = {
+    "4a": [(3, 1), ("1/3", 1), (-1, -3)],
+    "5a": [(4, 2), (-1, "1/3"), ("-1/6", "7/6")],
+    "5c": [(-2, 1), (-2, -4)],
+    "6a": [(-2, -4), (1, -1), (-2, 2)],
+}
+
+
+def _solve_bvp_profile(case_id, sol) -> tuple[np.ndarray, np.ndarray]:
+    """The (u, v) of ``scipy.integrate.solve_bvp`` at tol 1e-10 on the
+    first-order system (u, u', v, v'), with the continuous boundary
+    conditions, at the nodes of ``sol`` (its profile is the initial guess)."""
+    ea, eb = descriptor(case_id).ab
+    gamma, delta = float(sol.asymptotic.gamma), float(sol.asymptotic.delta)
+
+    def rhs(t, y):
+        u, du, v, dv = y
+        e1, e2, e3 = np.exp(2 * t + ea * u), np.exp(2 * t + v - u), np.exp(2 * t - eb * v)
+        return np.vstack([du, 4 * (e1 - e2), dv, 4 * (e2 - e3)])
+
+    def bc(ya, yb):
+        return np.array([ya[1] - gamma, ya[3] - delta, yb[0], yb[2]])
+
+    t = sol.grid
+    guess = np.vstack([sol.u, np.gradient(sol.u, t), sol.v, np.gradient(sol.v, t)])
+    ref = solve_bvp(rhs, bc, t, guess, tol=1e-10, max_nodes=10 ** 6)
+    assert ref.success, ref.message
+    y = ref.sol(t)
+    return y[0], y[2]
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_POINTS))
+def test_profile_matches_solve_bvp(case):
+    """The default profile within 5e-7 of an independent collocation solve
+    (at most 3.7e-7 measured over all 76 integral points of 4a, 5a, 5c and
+    6a; the 2,048-point central differences this solver replaced were off
+    by 6e-7 to 3.2e-6)."""
+    for gamma, delta in ORACLE_POINTS[case]:
+        a = AsymptoticData(F(gamma), F(delta))
+        assert a in {r.asymptotic for r in integral_solutions(case)}
+        sol = solve_radial(case, a)
+        u, v = _solve_bvp_profile(case, sol)
+        assert _distance(sol.u, sol.v, u, v) <= 5e-7, (case, tuple(a))
+
+
+def test_fourth_order_self_convergence():
+    """Polished profiles on the nested grids of 257, 513 and 1025 points: the
+    change from 257 to 513 is at least 12 times the change from 513 to 1025
+    at the shared nodes (15.9 to 16.0 measured at every nonzero integral point
+    of 4a, 5a, 5c and 6a; a third-order scheme would give 8).  The points off
+    the integral set have a source term that decays slowly along the
+    asymptote (kappa of 0.2 to 0.4), so the third derivative in the slope row
+    matters there: without it the ratio falls to 4."""
+    slow_decay = [("4a", "-9/10", "-1/2"), ("4a", "-4/5", "1/5"),
+                  ("6a", "-9/5", "1"), ("5a", "-9/10", "1/3")]
+    points = [(case, g, d) for case, pts in ORACLE_POINTS.items() for g, d in pts]
+    for case, gamma, delta in points + slow_decay:
+        a = AsymptoticData(F(gamma), F(delta))
+        assert in_region(case, a)
+        u, v = [], []
+        for m in (257, 513, 1025):
+            sol = solve_radial(case, a, SolverConfig(grid_points=m))
+            pu, pv = _polish(case, a, sol.grid, sol.u, sol.v)
+            u.append(pu[::(m - 1) // 256])
+            v.append(pv[::(m - 1) // 256])
+        coarse = _distance(u[0], v[0], u[1], v[1])
+        fine = _distance(u[1], v[1], u[2], v[2])
+        assert coarse >= 12 * fine, (case, tuple(a), coarse / fine)
+
+
+def test_integral_points_verified():
+    """The default solve at all 76 integral points of 4a, 5a, 5c and 6a: a
+    residual below 1e-10 and fitted slopes within 0.05."""
+    for case in ("4a", "5a", "5c", "6a"):
+        for r in integral_solutions(case):
+            sol = solve_radial(case, r.asymptotic)
+            assert sol.residual_norm < 1e-10, (case, r.asymptotic)
+            assert verify_asymptotics(sol, 0.05).ok, (case, r.asymptotic)
