@@ -65,7 +65,8 @@ def _reference_jacobian(case_id, a: AsymptoticData, t, u, v) -> csr_matrix:
     jac0 = [[fuu, fuv], [fvu, fvv]]
     for r in (0, 1):
         for k in (0, 1):
-            add(r, k, -(r == k) - h * h * 5 * jac0[r][k][0] / 12 - h ** 3 * d3[r][k] / 12)
+            add(r, k, -(r == k) - h * h * 5 * jac0[r][k][0] / 12
+                - h ** 3 * d3[r][k] / 12)
             add(r, 2 + k, (r == k) - h * h * jac0[r][k][1] / 12)
     # interior rows
     for i in range(1, m - 1):
