@@ -281,7 +281,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 def cmd_qdo(args) -> int:
     from .enumeration import integral_solutions
-    from .theta import CISpec, NotReducibleError, qdo_from_ci
+    from .theta import CISpec, fmt_qdo, qdo_from_ci
     weights = _parse_int_list(args.weights)
     degrees = _parse_int_list(args.degrees)
     try:
@@ -290,15 +290,18 @@ def cmd_qdo(args) -> int:
             raise CliError(f"the weights sum to {sum(spec.weights)}, above qdo's "
                            f"limit of {MAX_QDO_WEIGHT_SUM}", EXIT_PARSE)
         op = qdo_from_ci(spec)
-    except (ValueError, NotReducibleError) as e:
-        raise CliError(str(e), EXIT_NOT_REDUCIBLE) from None
-    print(f"{spec}: {op}")
+    except ValueError as e:  # NotReducibleError too
+        # a list without a weight or with an entry below 1 is malformed
+        malformed = not weights or min(weights + degrees) < 1
+        raise CliError(str(e), EXIT_PARSE if malformed
+                       else EXIT_NOT_REDUCIBLE) from None
+    print(f"{spec}: {fmt_qdo(op)}")
     if args.match:
         found = []
         for group, cases in GROUPS.items():
             for rec in integral_solutions(cases[0]):
-                # a QDO has one root per power of lambda
-                if op.theta == rec.tk:
+                # an operator has one root per power of lambda
+                if op == rec.tk:
                     found.append(f"group {group} {rec.block} "
                                  f"(a,b)=({fmt_frac(rec.a_label)},{fmt_frac(rec.b_label)})")
         if found:

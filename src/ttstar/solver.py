@@ -279,32 +279,35 @@ def solve_radial(case_id: str, a: AsymptoticData,
     s = np.outer(np.minimum(t - KINK, 0.0), (float(a.gamma), float(a.delta))).ravel()
     problem = _problem(case_id, a, t)
     band = np.empty((10, 2 * m), order="F")
-    res, e = _residual(problem, s)
-    norm = float(np.abs(res).max())
     history = []
-    for _ in range(cfg.max_iterations):
-        if norm < cfg.newton_tol:
-            break
-        _jacobian(problem, e, band)
-        _, _, step, info = dgbsv(3, 3, band, -res, overwrite_ab=1, overwrite_b=1)
-        if info > 0:
-            raise np.linalg.LinAlgError("singular matrix")
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of dgbsv")
-        lam = 1.0
-        for _ in range(40):
-            sn = s + lam * step
-            rn, en = _residual(problem, sn)
-            nn = float(np.abs(rn).max())
-            if nn < norm:  # a nan or inf residual never passes
+    # the line search rejects the nan and inf that a diverging iterate
+    # gives, so numpy's warnings about them are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        res, e = _residual(problem, s)
+        norm = float(np.abs(res).max())
+        for _ in range(cfg.max_iterations):
+            if norm < cfg.newton_tol:
                 break
-            lam *= 0.5
-        else:
-            raise ConvergenceError(
-                f"line search stalled at residual {norm:.3e} on the {m}-point grid",
-                norm, tuple(history))
-        s, res, e, norm = sn, rn, en, nn
-        history.append((nn, lam, float(np.abs(step).max())))
+            _jacobian(problem, e, band)
+            _, _, step, info = dgbsv(3, 3, band, -res, overwrite_ab=1, overwrite_b=1)
+            if info > 0:
+                raise np.linalg.LinAlgError("singular matrix")
+            if info < 0:
+                raise ValueError(f"illegal value in argument {-info} of dgbsv")
+            lam = 1.0
+            for _ in range(40):
+                sn = s + lam * step
+                rn, en = _residual(problem, sn)
+                nn = float(np.abs(rn).max())
+                if nn < norm:  # a nan or inf residual never passes
+                    break
+                lam *= 0.5
+            else:
+                raise ConvergenceError(
+                    f"line search stalled at residual {norm:.3e} on the {m}-point grid",
+                    norm, tuple(history))
+            s, res, e, norm = sn, rn, en, nn
+            history.append((nn, lam, float(np.abs(step).max())))
     if norm >= cfg.newton_tol:
         raise ConvergenceError(
             f"no convergence after {cfg.max_iterations} iterations on the "

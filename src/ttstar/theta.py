@@ -1,10 +1,14 @@
 """Operator algebra in the Euler operator theta = z d/dz.
 
-All operators in scope are lambda-graded products of linear factors
-(theta - r) with rational r, minus z.  That covers the T_k operators
+All operators in scope are lambda^h P(theta) - z with P a monic product
+of linear factors (theta - r), r rational.  That covers the T_k operators
 attached to holomorphic data and the quantum differential operators of
 weighted projective complete intersections, which are built here by
-multiset division of their factor lists.
+multiset division of their factor lists.  There is one operator type,
+``ThetaPoly``, the monic theta-part P, and lambda's power h is its
+degree: a record's T_k has n+1 roots, and a complete intersection's P
+keeps the sum(weights) roots of its ambient factor less the sum(degrees)
+of its hypersurface factor.  ``fmt_qdo`` writes the operator from P.
 
 The corollary verifier's converse sweep is one pass over the primitive
 case-symmetric gap vectors with a zero class (check_Q asks for a zero
@@ -66,7 +70,7 @@ def _fmt_roots(numerators: Iterable[int], q: int) -> str:
 
 @dataclass(frozen=True)
 class ThetaPoly:
-    """coeff * prod (theta - r/q) over the multiset of root numerators r.
+    """prod (theta - r/q) over the multiset of root numerators r.
 
     The numerators are kept ascending over their least common denominator
     q, so equal operators are equal objects however they were built.
@@ -74,11 +78,8 @@ class ThetaPoly:
 
     numerators: tuple[int, ...]
     q: int
-    coeff: Fraction = Fraction(1)
 
     def __post_init__(self):
-        if self.coeff == 0:
-            raise ValueError("leading coefficient must be nonzero")
         g = math.gcd(self.q, *self.numerators)
         object.__setattr__(self, "numerators",
                            tuple(sorted(r // g for r in self.numerators)))
@@ -93,36 +94,19 @@ class ThetaPoly:
         return len(self.numerators)
 
     def __str__(self) -> str:
-        coeff = _fmt_ratio(self.coeff.numerator, self.coeff.denominator)
-        body = _fmt_roots(self.numerators, self.q)
-        if self.coeff != 1:
-            return coeff + "*" + body
-        return body or coeff
+        return _fmt_roots(self.numerators, self.q) or "1"
 
 
-def theta_poly(roots: Iterable, coeff=1) -> ThetaPoly:
+def theta_poly(roots: Iterable) -> ThetaPoly:
     """The ``ThetaPoly`` with the given rational roots."""
     roots = [Fraction(r) for r in roots]
     q = math.lcm(*(r.denominator for r in roots))
-    return ThetaPoly(tuple(r.numerator * (q // r.denominator) for r in roots), q,
-                     Fraction(coeff))
+    return ThetaPoly(tuple(r.numerator * (q // r.denominator) for r in roots), q)
 
 
-@dataclass(frozen=True)
-class QDO:
-    """The operator lambda^h * theta_poly(theta) - z, coefficient-normalized."""
-
-    lambda_power: int
-    theta: ThetaPoly
-
-    def __post_init__(self):
-        if self.lambda_power < 0:
-            raise ValueError("lambda power must be nonnegative")
-        if self.theta.coeff != 1:
-            raise ValueError("QDO theta part must be monic")
-
-    def __str__(self) -> str:
-        return f"λ^{self.lambda_power} {self.theta} - z"
+def fmt_qdo(t: ThetaPoly) -> str:
+    """The operator lambda^degree t(theta) - z, e.g. "λ^4 θ^4 - z"."""
+    return f"λ^{t.degree} {t} - z"
 
 
 @dataclass(frozen=True)
@@ -196,14 +180,14 @@ def _factor_roots(ns: Iterable[int], lcm: int) -> Counter:
 
 
 @lru_cache
-def qdo_from_ci(spec: CISpec) -> QDO:
-    """Quantum differential operator of a weighted projective complete intersection.
+def qdo_from_ci(spec: CISpec) -> ThetaPoly:
+    """The monic theta-part of a weighted projective complete intersection's
+    quantum differential operator, of degree sum(weights) - sum(degrees).
 
     Forms the ambient and hypersurface factor lists and left-divides by
     their common part, which is required to absorb the whole hypersurface
-    factor; scalar coefficients are normalized away.  The roots are
-    counted as integer numerators over the lcm of the weights and degrees
-    (cached: the catalog is constant).
+    factor.  The roots are counted as integer numerators over the lcm of
+    the weights and degrees (cached: the catalog is constant).
     """
     lcm = math.lcm(*spec.weights, *spec.degrees)
     a_roots = _factor_roots(spec.weights, lcm)
@@ -211,8 +195,7 @@ def qdo_from_ci(spec: CISpec) -> QDO:
     if b_roots - a_roots:
         raise NotReducibleError(
             f"{spec}: hypersurface factor is not a sub-multiset of the ambient factor")
-    power = sum(spec.weights) - sum(spec.degrees)
-    return QDO(power, ThetaPoly(tuple((a_roots - b_roots).elements()), lcm))
+    return ThetaPoly(tuple((a_roots - b_roots).elements()), lcm)
 
 
 def check_Q(k_gaps: Counter | Iterable) -> bool:
@@ -235,8 +218,8 @@ def _mirror_closed(numerators: Sequence[int], q: int) -> bool:
 
 def check_G(t: ThetaPoly) -> bool:
     """Closure of the exponent multiset under x -> 1 - x taken modulo 1."""
-    if t.coeff != 1 or not t.numerators or t.numerators[0] != 0:
-        raise ValueError("operator must be monic with smallest root 0")
+    if not t.numerators or t.numerators[0] != 0:
+        raise ValueError("operator must have smallest root 0")
     return _mirror_closed(t.numerators, t.q)
 
 
@@ -285,11 +268,9 @@ def catalog(group: str) -> list[tuple[CISpec, str, int]]:
 
 # --- CI matching and the corollary verifier ---------------------------
 
-def _match_numerators(numerators: Sequence[int], q: int, n_plus_1: int,
+def _match_numerators(numerators: Sequence[int], q: int,
                       weight_sum_bound: int) -> Optional[CISpec]:
     """``match_ci`` on the roots r/q given as integer numerators r."""
-    if len(numerators) != n_plus_1:
-        raise ValueError("root multiset size must equal the theta degree")
     if min(numerators) < 0 or max(numerators) >= q:
         return None
     # the root multiplicity must be constant on each class {c/e : gcd(c, e) = 1},
@@ -297,28 +278,27 @@ def _match_numerators(numerators: Sequence[int], q: int, n_plus_1: int,
     class_mult = cyclotomic_factors(numerators, q)
     if class_mult is None:
         return None
-    # net count of weights-minus-degrees equal to e, by Moebius inversion
+    # net count of weights-minus-degrees equal to e, by Moebius inversion;
+    # sum(e * net[e]) = sum(phi(f) * class_mult[f]) is the number of roots
     support = {e for f in class_mult for e in range(1, f + 1) if f % e == 0}
     net: dict[int, int] = {}
     for e in sorted(support):
         total = sum(moebius(f // e) * m for f, m in class_mult.items() if f % e == 0)
         if total:
             net[e] = total
-    if sum(e * c for e, c in net.items()) != n_plus_1:
-        return None
     weights = [e for e, c in net.items() for _ in range(c)]
     degrees = [e for e, c in net.items() for _ in range(-c)]
     if not weights or sum(weights) > weight_sum_bound:
         return None
     spec = CISpec(tuple(weights), tuple(degrees))
     # paranoia: the divisor-count argument is exact, but verify anyway
-    assert qdo_from_ci(spec) == QDO(n_plus_1, ThetaPoly(numerators, q))
+    assert qdo_from_ci(spec) == ThetaPoly(numerators, q)
     return spec
 
 
-def match_ci(roots: Iterable[Fraction], n_plus_1: int,
+def match_ci(roots: Iterable[Fraction],
              weight_sum_bound: int) -> Optional[CISpec]:
-    """The minimal complete intersection whose QDO has the given theta roots.
+    """The minimal complete intersection whose operator has the given theta roots.
 
     The root multiset of a weight/degree factor list is determined by the
     divisor counts of the weights and degrees; matching reduces to a
@@ -326,7 +306,7 @@ def match_ci(roots: Iterable[Fraction], n_plus_1: int,
     and degrees reproduce the multiset with the weight sum within bound.
     """
     t = theta_poly(roots)
-    return _match_numerators(t.numerators, t.q, n_plus_1, weight_sum_bound)
+    return _match_numerators(t.numerators, t.q, weight_sum_bound)
 
 
 @dataclass
@@ -338,7 +318,6 @@ class CorollaryReport:
     converse_checked: int = 0
     converse_violations: list[str] = field(default_factory=list)
     flagged_non_ci: list[str] = field(default_factory=list)
-    an_type: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -349,8 +328,8 @@ def verify_corollary(case_id: str, search_bound: int,
                      corrupt_catalog: bool = False) -> CorollaryReport:
     """Check both directions of the integral-Stokes characterization.
 
-    Forward: every catalog entry's QDO equals lambda^{n+1} T_k - z of the
-    matching integral-solution record.  Converse: over all gap vectors with
+    Forward: every catalog entry's operator equals lambda^{n+1} T_k - z of
+    the matching integral-solution record.  Converse: over all gap vectors with
     common denominator <= search_bound that have a case-symmetric rotation
     and satisfy the two abstract-QDM conditions, non-integral Stokes data
     implies no complete intersection matches the operator.
@@ -360,16 +339,15 @@ def verify_corollary(case_id: str, search_bound: int,
     q and gcd 1 with q (so each vector appears at its primitive denominator
     only) gives a symmetric vector s.  Only the triples (c0, c1, c2) with a
     zero, which check_Q asks for, are visited: for c0 = 0 every c1, else
-    c1 = 0 and the c1 giving c2 = 0; at q = n+2, for the uniform A_n, every
-    triple.  A candidate is read through its first case-symmetric rotation
-    at or after its own index.  So s stands for itself and its rotations by
-    -1, ..., -(back - 1), where back is the least j >= 1 with s rotated by
-    -j (entry i is s[i - j]) case-symmetric: s counts back candidates,
-    which share its T_k, its two conditions and its CI match (all rotation
-    invariant) and are read through its Stokes data.  Every distinct gap
-    vector is counted once, because the symmetric rotations of an orbit,
-    each generated once, cut its cycle of distinct rotations into arcs that
-    end one at each of them.
+    c1 = 0 and the c1 giving c2 = 0.  A candidate is read through its first
+    case-symmetric rotation at or after its own index.  So s stands for
+    itself and its rotations by -1, ..., -(back - 1), where back is the
+    least j >= 1 with s rotated by -j (entry i is s[i - j]) case-symmetric:
+    s counts back candidates, which share its T_k, its two conditions and
+    its CI match (all rotation invariant) and are read through its Stokes
+    data.  Every distinct gap vector is counted once, because the symmetric
+    rotations of an orbit, each generated once, cut its cycle of distinct
+    rotations into arcs that end one at each of them.
 
     How c0, c1 and c2 compare fixes both back and the lowest rotation of s,
     as each comparison of two rotations or two entries is one of the class
@@ -380,8 +358,8 @@ def verify_corollary(case_id: str, search_bound: int,
     conditions gets ``stokes.k_gaps_stokes``, and every non-integral one
     ``_match_numerators``; a flagged operator's string is formatted once per
     distinct (T_k numerators, q).  The forward check compares the catalog
-    entry's theta part (``qdo_from_ci``) with its record's T_k; a QDO has
-    one root per power of lambda, so equal roots give equal powers.
+    entry's theta-part (``qdo_from_ci``) with its record's T_k; an operator
+    has one root per power of lambda, so equal roots give equal powers.
     """
     from .enumeration import integral_solutions  # enumeration imports this module
 
@@ -403,9 +381,10 @@ def verify_corollary(case_id: str, search_bound: int,
             produced = qdo_from_ci(spec)
         except NotReducibleError:
             produced = None
-        if produced is None or produced.theta != rec.tk:
+        if produced != rec.tk:
             report.forward_mismatches.append(
-                f"{spec} -> {produced} != {QDO(n1, rec.tk)} at {block}[{pos}]")
+                f"{spec} -> {produced and fmt_qdo(produced)} != {fmt_qdo(rec.tk)} "
+                f"at {block}[{pos}]")
 
     weight_bound = search_bound * n1
     classes = desc.classes
@@ -417,20 +396,16 @@ def verify_corollary(case_id: str, search_bound: int,
     flagged: set[tuple[tuple[int, ...], int]] = set()  # (T_k numerators, q)
     for q in range(1, search_bound + 1):
         # the primitive case-symmetric gap vectors c/q with a zero class, as
-        # integer numerators c, and every one at q = n+2
+        # integer numerators c
         for c0 in range(q // s0 + 1):
             rest = q - c0 * s0
-            c1s = (range(rest // s1 + 1) if c0 == 0 or q == n1 + 1
+            c1s = (range(rest // s1 + 1) if c0 == 0
                    else (0,) if rest < s1 else (0, rest // s1))
             for c1 in c1s:
                 c2, left = divmod(rest - c1 * s1, s2)
                 if left or math.gcd(q, c0, c1, c2) != 1:
                     continue
                 if c0 and c1 and c2:  # fails check_Q
-                    # n+1 positive gaps with sum n+2 are 1, ..., 1, 2 in their
-                    # lowest rotation: T_k's roots j/(n+2), the uniform A_n
-                    if q == n1 + 1:
-                        report.an_type.append(_fmt_roots(range(n1), q))
                     continue
                 cs = (c0, c1, c2)
                 pattern = (c0 < c1, c0 < c2, c1 < c2, c0 == c1, c0 == c2, c1 == c2)
@@ -447,7 +422,7 @@ def verify_corollary(case_id: str, search_bound: int,
                 vec = [cs[k] for k in slot]
                 if k_gaps_stokes(case_id, vec) is not None:
                     continue
-                match = _match_numerators(roots, q, n1, weight_bound)
+                match = _match_numerators(roots, q, weight_bound)
                 if match is None:
                     flagged.add((tuple(roots), q))
                 else:
@@ -456,6 +431,5 @@ def verify_corollary(case_id: str, search_bound: int,
                         f"matches {match}"] * back
     # one string per operator (different gap vectors can share one)
     report.flagged_non_ci = sorted({_fmt_roots(r, q) for r, q in flagged})
-    report.an_type = sorted(set(report.an_type))
     return report
 

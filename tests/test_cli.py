@@ -251,7 +251,7 @@ def test_qdo_match(capsys):
     code, out, _ = run(capsys, "qdo", "--weights", "1,2,3", "--degrees", "2",
                        "--match")
     assert code == 0
-    assert "λ^4 θ^2(θ-1/3)(θ-2/3) - z" in out
+    assert out.splitlines()[0] == "X^{1,2,3}_{2}: λ^4 θ^2(θ-1/3)(θ-2/3) - z"
     assert "match: group 4 top-edge (a,b)=(1/3,0)" in out
 
 
@@ -260,6 +260,21 @@ def test_qdo_not_reducible(capsys):
     assert code == 4
     code, _, err = run(capsys, "qdo", "--weights", "1,1,1", "--degrees", "2")
     assert code == 4
+
+
+@pytest.mark.parametrize("weights, degrees, message", [
+    (",1", "", "not a comma-separated integer list"),
+    ("1,1", "0", "degrees must be positive integers"),
+    ("0,1", "", "weights must be a nonempty list of positive integers"),
+    ("", "", "weights must be a nonempty list of positive integers"),
+    ("0", "5", "weights must be a nonempty list of positive integers"),
+], ids=["not-integers", "degree-0", "weight-0", "empty", "weight-0-small-sum"])
+def test_qdo_malformed_list(capsys, weights, degrees, message):
+    """A list that is not integers, has no weight or has an entry below 1 is
+    a parse error (exit 2), not an operator that does not reduce (exit 4)."""
+    code, out, err = run(capsys, "qdo", "--weights", weights, "--degrees", degrees)
+    assert code == 2 and not out
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_qdo_large_weight_sum_rejected(capsys):
@@ -373,6 +388,21 @@ def test_solve_non_convergence(capsys):
                        "--max-iterations", "2")
     assert code == 6
     assert err.startswith("error: no convergence") and err.count("\n") == 1
+
+
+def test_solve_overflow_prints_only_the_error():
+    """A diverging solve exits 6 with one error line on stderr: numpy's
+    overflow warnings from the rejected iterates are not printed."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ttstar.cli", "solve", "4a", "3", "1",
+         "--t-max", "400", "--points", "64"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 6 and not proc.stdout
+    assert proc.stderr == ("error: line search stalled at residual nan "
+                           "on the 64-point grid\n")
 
 
 def test_solve_trace(capsys, tmp_path):

@@ -270,6 +270,17 @@ def test_non_convergence_reported():
     assert info.value.history[-1][0] == info.value.residual
 
 
+def test_overflow_raises_convergence_error():
+    """A solve whose iterates overflow ends in ConvergenceError, also with
+    numpy's warnings turned into errors: the line search rejects the nan and
+    inf residuals, and no RuntimeWarning escapes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="line search stalled"):
+            solve_radial("4a", AsymptoticData(F(3), F(1)),
+                         SolverConfig(t_max=400.0, grid_points=64))
+
+
 @pytest.mark.parametrize("case", ["4a", "5a", "5c", "6a"])
 def test_robustness_sweep(case):
     rng = random.Random(f"radial-{case}")

@@ -12,11 +12,11 @@ from ttstar import theta
 from ttstar.cases import CASE_IDS, GROUPS, KVector, descriptor, make_k
 from ttstar.enumeration import integral_solutions
 from ttstar.stokes import k_gaps_stokes, stokes_from_k
-from ttstar.theta import (CISpec, CorollaryReport, NotReducibleError, QDO,
+from ttstar.theta import (CISpec, CorollaryReport, NotReducibleError,
                           ThetaPoly, _fmt_roots, _match_numerators,
-                          _mirror_closed, catalog, check_G,
-                          check_Q, match_ci, qdo_from_ci, theta_poly,
-                          tk_from_k, tk_numerators, verify_corollary)
+                          _mirror_closed, catalog, check_G, check_Q, fmt_qdo,
+                          match_ci, qdo_from_ci, theta_poly, tk_from_k,
+                          tk_numerators, verify_corollary)
 
 
 def F(*a):
@@ -27,6 +27,7 @@ def test_theta_poly_printing():
     t = theta_poly([0, 0, F("1/6"), F("5/6")])
     assert str(t) == "θ^2(θ-1/6)(θ-5/6)"
     assert str(theta_poly([0, 0, 0, 0])) == "θ^4"
+    assert str(theta_poly([])) == "1"
 
 
 def test_tk_worked_example():
@@ -67,8 +68,6 @@ def test_tk_rotation_invariance(rng):
 def k_from_tk(t: ThetaPoly, n_plus_1: int) -> Counter:
     """Recover the cyclic multiset of (k_i + 1) gaps from a T_k operator: the
     inverse of ``tk_from_k`` up to rotation, kept as its check."""
-    if t.coeff != 1:
-        raise ValueError("operator must be monic")
     if t.degree != n_plus_1:
         raise ValueError(f"degree {t.degree} != {n_plus_1}")
     roots = t.roots
@@ -97,20 +96,23 @@ def test_k_from_tk_validation():
 
 def test_qdo_projective_space():
     op = qdo_from_ci(CISpec((1, 1, 1, 1)))
-    assert op == QDO(4, theta_poly([0, 0, 0, 0]))
-    assert str(op) == "λ^4 θ^4 - z"
+    assert op == theta_poly([0, 0, 0, 0]) and op.degree == 4
+    assert fmt_qdo(op) == "λ^4 θ^4 - z"
 
 
 def test_qdo_worked_examples():
     # P^{1,2,3} and the quadric hypersurface X^{1,2,3}_2 inside it
     op = qdo_from_ci(CISpec((1, 2, 3)))
-    assert op.lambda_power == 6
-    assert Counter(op.theta.roots) == Counter(
+    assert op.degree == 6
+    assert Counter(op.roots) == Counter(
         [F(0), F(0), F(0), F("1/2"), F("1/3"), F("2/3")])
-    op2 = qdo_from_ci(CISpec((1, 2, 3), (2,)))
-    assert op2 == QDO(4, theta_poly([0, 0, F("1/3"), F("2/3")]))
+    spec2 = CISpec((1, 2, 3), (2,))
+    op2 = qdo_from_ci(spec2)
+    assert op2 == theta_poly([0, 0, F("1/3"), F("2/3")]) and op2.degree == 4
+    # the README's qdo line
+    assert f"{spec2}: {fmt_qdo(op2)}" == "X^{1,2,3}_{2}: λ^4 θ^2(θ-1/3)(θ-2/3) - z"
     op3 = qdo_from_ci(CISpec((1, 1, 1, 6), (2, 3)))
-    assert op3 == QDO(4, theta_poly([0, 0, F("1/6"), F("5/6")]))
+    assert op3 == theta_poly([0, 0, F("1/6"), F("5/6")]) and op3.degree == 4
 
 
 def test_qdo_not_reducible():
@@ -125,7 +127,7 @@ def test_division_soundness():
     op = qdo_from_ci(spec)
     upstairs = Counter(F(j, v) for v in spec.weights for j in range(v))
     downstairs = Counter(F(j, d) for d in spec.degrees for j in range(d))
-    assert downstairs + Counter(op.theta.roots) == upstairs
+    assert downstairs + Counter(op.roots) == upstairs
 
 
 def test_check_q():
@@ -202,14 +204,14 @@ def test_shape_matches_min_over_rotations(case_id):
 def test_match_ci_positive():
     # the minimal-weight representative is returned (the quadric in
     # P^{1,2,3} shares its operator with P^{1,3})
-    assert match_ci([F(0), F(0), F("1/3"), F("2/3")], 4, 48) == CISpec((1, 3))
-    assert match_ci([F(0)] * 4, 4, 48) == CISpec((1, 1, 1, 1))
-    assert match_ci([F(0), F(0), F("1/6"), F("5/6")], 4, 48) == CISpec(
+    assert match_ci([F(0), F(0), F("1/3"), F("2/3")], 48) == CISpec((1, 3))
+    assert match_ci([F(0)] * 4, 48) == CISpec((1, 1, 1, 1))
+    assert match_ci([F(0), F(0), F("1/6"), F("5/6")], 48) == CISpec(
         (1, 1, 1, 6), (2, 3))
 
 
 def test_match_ci_counterexample():
-    assert match_ci([F(0), F(0), F("1/10"), F("9/10")], 4, 72) is None
+    assert match_ci([F(0), F(0), F("1/10"), F("9/10")], 72) is None
 
 
 def test_catalog_shape():
@@ -220,12 +222,14 @@ def test_catalog_shape():
 
 
 def test_catalog_qdo_grading():
+    """Every catalog operator has degree n+1, lambda's power, which is the
+    weight sum less the degree sum."""
     for group, cases in GROUPS.items():
         n1 = 4 if group == "4" else (5 if group.startswith("5") else 6)
         for spec, _, _ in catalog(group):
             op = qdo_from_ci(spec)
-            assert op.lambda_power == n1
-            assert op.theta.degree == n1
+            assert op.degree == sum(spec.weights) - sum(spec.degrees) == n1
+            assert fmt_qdo(op).startswith(f"λ^{n1} ")
 
 
 def test_verify_corollary_4a():
@@ -233,7 +237,8 @@ def test_verify_corollary_4a():
     assert rep.ok
     assert rep.forward_checked == 9
     assert "θ^2(θ-1/10)(θ-9/10)" in rep.flagged_non_ci
-    assert rep.an_type  # the uniform A_n operator was seen and excluded
+    # the uniform A_n operator has no zero gap, so check_Q excludes it
+    assert "θ(θ-1/5)(θ-2/5)(θ-3/5)" not in rep.flagged_non_ci
 
 
 def test_verify_corollary_corrupt():
@@ -253,12 +258,10 @@ def _reference_str(t):
     def fmt(r):
         return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
     parts = []
-    if t.coeff != 1:
-        parts.append(fmt(t.coeff) + "*")
     for r, mult in sorted(Counter(t.roots).items()):
         base = "θ" if r == 0 else f"(θ-{fmt(r)})"
         parts.append(base + (f"^{mult}" if mult > 1 else ""))
-    return "".join(parts) or fmt(t.coeff)
+    return "".join(parts) or "1"
 
 
 def _reference_factor_roots(ns):
@@ -272,8 +275,7 @@ def _reference_qdo_from_ci(spec):
     if b_roots - a_roots:
         raise NotReducibleError(
             f"{spec}: hypersurface factor is not a sub-multiset of the ambient factor")
-    power = sum(spec.weights) - sum(spec.degrees)
-    return QDO(power, theta_poly((a_roots - b_roots).elements()))
+    return theta_poly((a_roots - b_roots).elements())
 
 
 def _reference_moebius(n):
@@ -284,11 +286,10 @@ def _reference_moebius(n):
     return (-1) ** len(primes)
 
 
-def _reference_match_ci(roots, n_plus_1, weight_sum_bound):
+def _reference_match_ci(roots, weight_sum_bound):
     """match_ci on Fraction roots: class multiplicities keyed by Fraction."""
     roots = Counter(F(r) for r in roots)
-    if sum(roots.values()) != n_plus_1:
-        raise ValueError("root multiset size must equal the theta degree")
+    n_plus_1 = sum(roots.values())
     class_mult = {}
     for e in sorted({r.denominator for r in roots}):
         mults = {roots[F(c, e)]
@@ -313,8 +314,8 @@ def _reference_match_ci(roots, n_plus_1, weight_sum_bound):
         return None
     spec = CISpec(tuple(weights), tuple(degrees))
     produced = _reference_qdo_from_ci(spec)
-    assert Counter(produced.theta.roots) == roots
-    assert produced.lambda_power == n_plus_1
+    assert Counter(produced.roots) == roots
+    assert sum(weights) - sum(degrees) == n_plus_1
     return spec
 
 
@@ -344,6 +345,7 @@ def test_qdo_matches_reference(rng):
             assert str(got.value) == str(e)
             continue
         assert qdo_from_ci(spec) == expected
+        assert qdo_from_ci(spec).degree == sum(spec.weights) - sum(spec.degrees)
     assert not_reducible > 50
 
 
@@ -358,9 +360,6 @@ def test_fmt_roots_matches_reference(rng):
         if numerators:
             assert _fmt_roots(numerators, q) == _reference_str(t)
         assert str(t) == _reference_str(t)
-        coeff = F(rng.randint(-5, 5) or 1, rng.randint(1, 4))
-        scaled = theta_poly(t.roots, coeff)
-        assert str(scaled) == _reference_str(scaled)
 
 
 def test_theta_poly_canonical_form(rng):
@@ -374,14 +373,13 @@ def test_theta_poly_canonical_form(rng):
         numerators += [0] * rng.randint(0, 3)
         rng.shuffle(numerators)
         roots = [F(r, q) for r in numerators]
-        coeff = rng.choice([F(1), F(rng.randint(-5, 5) or 1, rng.randint(1, 4))])
-        t = ThetaPoly(tuple(numerators), q, coeff)
-        assert t == theta_poly(roots, coeff)
+        t = ThetaPoly(tuple(numerators), q)
+        assert t == theta_poly(roots)
         assert t.q == math.lcm(*(r.denominator for r in roots))
         assert t.roots == tuple(sorted(roots))
-        assert theta_poly(t.roots, coeff) == t
+        assert theta_poly(t.roots) == t
         k = rng.randint(2, 7)
-        scaled = ThetaPoly(tuple(r * k for r in numerators), q * k, coeff)
+        scaled = ThetaPoly(tuple(r * k for r in numerators), q * k)
         assert scaled == t and hash(scaled) == hash(t)
         assert str(t) == _reference_str(t)
 
@@ -408,20 +406,18 @@ def test_match_ci_matches_reference_on_orbits(case_id):
     n1 = descriptor(case_id).n_plus_1
     for roots in _orbit_roots(case_id, 24):
         for bound in (2 * n1, 24 * n1):
-            assert match_ci(roots, n1, bound) == _reference_match_ci(roots, n1, bound)
+            assert match_ci(roots, bound) == _reference_match_ci(roots, bound)
 
 
 def test_match_ci_matches_reference_on_ci_roots(rng):
     for _ in range(300):
         spec = _random_spec(rng, reducible=True)
-        roots = list(qdo_from_ci(spec).theta.roots)
+        roots = list(qdo_from_ci(spec).roots)
         n1 = len(roots)
         bound = rng.choice([sum(spec.weights), n1, 10 ** 6])
-        assert match_ci(roots, n1, bound) == _reference_match_ci(roots, n1, bound)
-        found = match_ci(roots, n1, 10 ** 6)
+        assert match_ci(roots, bound) == _reference_match_ci(roots, bound)
+        found = match_ci(roots, 10 ** 6)
         assert found is not None and qdo_from_ci(found) == qdo_from_ci(spec)
-        with pytest.raises(ValueError):
-            match_ci(roots, n1 + 1, bound)
         # a near miss: one root moved, possibly out of [0, 1)
         i = rng.randrange(n1)
         if rng.random() < 0.5:
@@ -429,7 +425,7 @@ def test_match_ci_matches_reference_on_ci_roots(rng):
             roots[i] = F(rng.randrange(d), d)
         else:
             roots[i] += F(rng.choice([-1, 1]), rng.randint(1, 30))
-        assert match_ci(roots, n1, 10 ** 6) == _reference_match_ci(roots, n1, 10 ** 6)
+        assert match_ci(roots, 10 ** 6) == _reference_match_ci(roots, 10 ** 6)
 
 
 # --- slow reference for the converse sweep ------------------------------
@@ -489,17 +485,16 @@ def _reference_converse(case_id, search_bound, compositions=None):
     for rec in integral_solutions(case_id):
         by_block.setdefault(rec.block, []).append(rec)
     for spec, block, pos in catalog(desc.group):
-        expected = QDO(n1, by_block[block][pos].tk)
+        expected = by_block[block][pos].tk
         produced = _reference_qdo_from_ci(spec)
         report.forward_checked += 1
         if produced != expected:
             report.forward_mismatches.append(
-                f"{spec} -> {produced} != {expected} at {block}[{pos}]")
+                f"{spec} -> {fmt_qdo(produced)} != {fmt_qdo(expected)} at {block}[{pos}]")
 
     def symmetric(rot):
         return all(rot[i] == rot[j] for i, j in desc.symmetry)
 
-    uniform_an = theta_poly([F(j, n1 + 1) for j in range(n1)])
     seen = set()
     for q in range(1, search_bound + 1):
         for comp in compositions(q):
@@ -511,21 +506,18 @@ def _reference_converse(case_id, search_bound, compositions=None):
             if not aligned:
                 continue
             tk = _reference_tk(gaps)
-            if tk == uniform_an:
-                report.an_type.append(str(tk))
             if not (check_Q(Counter(gaps)) and check_G(tk)):
                 continue
             s = stokes_from_k(KVector(case_id, tuple(g - 1 for g in aligned[0])))
             report.converse_checked += 1
             if s.integral() is None:
-                match = _reference_match_ci(tk.roots, n1, search_bound * n1)
+                match = _reference_match_ci(tk.roots, search_bound * n1)
                 if match is not None:
                     report.converse_violations.append(
                         f"{tk}: non-integral Stokes but matches {match}")
                 else:
                     report.flagged_non_ci.append(str(tk))
     report.flagged_non_ci = sorted(set(report.flagged_non_ci))
-    report.an_type = sorted(set(report.an_type))
     return report
 
 
@@ -547,15 +539,15 @@ def test_converse_matches_reference_on_symmetric_rotations(case_id):
 
 
 def _forward_verdict(spec, tk):
-    """The forward check's comparison: spec's theta part against T_k."""
+    """The forward check's comparison: spec's theta-part against T_k."""
     try:
-        return qdo_from_ci(spec).theta == tk
+        return qdo_from_ci(spec) == tk
     except NotReducibleError:
         return False
 
 
 def test_forward_verdict_matches_reference():
-    """The forward check's comparison (``qdo_from_ci(spec).theta == rec.tk``)
+    """The forward check's comparison (``qdo_from_ci(spec) == rec.tk``)
     gives the Fraction reference's verdict for every catalog entry of the
     four groups, the self-test's corrupt entry and a non-reducible space,
     against all 190 records; the corrupt entry is flagged with the
@@ -567,12 +559,9 @@ def test_forward_verdict_matches_reference():
         for case_id in cases:
             matches = 0
             for rec in integral_solutions(case_id):
-                expected = QDO(n1, rec.tk)
+                assert rec.tk.degree == n1
                 for spec in specs:
-                    try:
-                        want = _reference_qdo_from_ci(spec) == expected
-                    except NotReducibleError:
-                        want = False
+                    want = _reference_qdo_matches(spec, rec.tk)
                     assert _forward_verdict(spec, rec.tk) == want, (spec, rec.tk)
                     matches += want
             assert matches >= len(catalog(group))
@@ -581,8 +570,8 @@ def test_forward_verdict_matches_reference():
             rep = verify_corollary(case_id, 6, corrupt_catalog=True)
             spec, top = CISpec((1,) * (n1 + 1)), integral_solutions(case_id)[0]
             assert rep.forward_mismatches == [
-                f"{spec} -> {_reference_qdo_from_ci(spec)} != {QDO(n1, top.tk)} "
-                f"at top-edge[0]"]
+                f"{spec} -> λ^{n1 + 1} {_reference_qdo_from_ci(spec)} - z != "
+                f"λ^{n1} {top.tk} - z at top-edge[0]"]
 
 
 @pytest.mark.parametrize("case_id, bound, checked, flagged", [
@@ -619,7 +608,7 @@ def test_no_integral_or_ci_point_past_12(case_id):
                     gaps[i] = c
             assert k_gaps_stokes(case_id, gaps) is None, gaps
             roots = [F(r, q) for r in tk_numerators(gaps)]
-            assert match_ci(roots, n1, 10**6) is None, gaps
+            assert match_ci(roots, 10**6) is None, gaps
 
 
 @pytest.mark.parametrize("case_id", CASE_IDS)
@@ -635,20 +624,22 @@ def test_converse_violations_count_every_gap_vector(case_id, monkeypatch):
         for gaps in _symmetric_rotations(case_id, q):
             tk = _reference_tk(tuple(F(c, q) for c in gaps))
             if (math.gcd(q, *gaps) == 1 and 0 in gaps and check_G(tk)
-                    and match_ci(tk.roots, n1, 12 * n1) is not None):
+                    and match_ci(tk.roots, 12 * n1) is not None):
                 matching.add(gaps)
     assert len(verify_corollary(case_id, 12).converse_violations) == len(matching) > 0
 
 
 def _reference_qdo_matches(spec, tk):
-    """Whether spec's QDO is lambda^(n+1) T_k - z, by ``_reference_qdo_from_ci``:
-    the two root multisets counted as Fractions with a Counter."""
+    """Whether spec's operator is lambda^(n+1) T_k - z, by
+    ``_reference_qdo_from_ci``: lambda's power, the weight sum less the
+    degree sum, against T_k's degree, and the two root multisets counted as
+    Fractions with a Counter."""
     try:
         produced = _reference_qdo_from_ci(spec)
     except NotReducibleError:
         return False
-    return (produced.lambda_power == tk.degree
-            and Counter(produced.theta.roots) == Counter(tk.roots))
+    return (sum(spec.weights) - sum(spec.degrees) == tk.degree
+            and Counter(produced.roots) == Counter(tk.roots))
 
 
 def _reference_mirror_closed(numerators, q):
@@ -684,7 +675,8 @@ def _reference_sweep(case_id, search_bound, corrupt_catalog=False):
             except NotReducibleError:
                 produced = None
             report.forward_mismatches.append(
-                f"{spec} -> {produced} != {QDO(n1, rec.tk)} at {block}[{pos}]")
+                f"{spec} -> {produced and fmt_qdo(produced)} != {fmt_qdo(rec.tk)} "
+                f"at {block}[{pos}]")
 
     weight_bound = search_bound * n1
     classes = desc.classes
@@ -701,10 +693,6 @@ def _reference_sweep(case_id, search_bound, corrupt_catalog=False):
                     for i in cls:
                         vec[i] = c
                 if 0 not in vec:  # fails check_Q
-                    # n+1 positive gaps with sum n+2 are 1, ..., 1, 2 in their
-                    # lowest rotation: T_k's roots j/(n+2), the uniform A_n
-                    if q == n1 + 1:
-                        report.an_type.append(_fmt_roots(range(n1), q))
                     continue
                 roots = tk_numerators(vec)  # T_k's roots r/q
                 if not _reference_mirror_closed(roots[1:], q):
@@ -717,7 +705,7 @@ def _reference_sweep(case_id, search_bound, corrupt_catalog=False):
                 if theta.k_gaps_stokes(case_id, vec) is not None:
                     continue
                 tk = _fmt_roots(roots, q)
-                match = _match_numerators(roots, q, n1, weight_bound)
+                match = _match_numerators(roots, q, weight_bound)
                 if match is None:
                     report.flagged_non_ci.append(tk)
                 else:
@@ -725,7 +713,6 @@ def _reference_sweep(case_id, search_bound, corrupt_catalog=False):
                         f"{tk}: non-integral Stokes but matches {match}"] * back
     # dedupe flags (different gap vectors can share one operator)
     report.flagged_non_ci = sorted(set(report.flagged_non_ci))
-    report.an_type = sorted(set(report.an_type))
     return report
 
 
