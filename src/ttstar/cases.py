@@ -5,6 +5,11 @@ Each case carries the size of the underlying cyclic matrix, the exponents
 exponents k_0..k_n, and the linear forms giving the asymptotic data
 (gamma, delta) in terms of the k_i.  Conversions between k-vectors and
 (gamma, delta) are exact in both directions.
+
+On case-symmetric points every data set is linear in the three class values
+of the gaps k_i + 1, so every inverse map (from (gamma, delta) here, from
+the cosine-pair labels in ``enumeration.k_from_labels``) is one integer
+solve, ``class_gaps``, of three linear forms on them.
 """
 
 from __future__ import annotations
@@ -49,6 +54,13 @@ class CaseDescriptor:
         paired = {i for pair in self.symmetry for i in pair}
         return self.symmetry + tuple((i,) for i in range(self.n_plus_1)
                                      if i not in paired)
+
+    @cached_property
+    def class_of(self) -> tuple[int, ...]:
+        """The index in ``classes`` of each position's class."""
+        classes = self.classes
+        return tuple(next(c for c, cls in enumerate(classes) if i in cls)
+                     for i in range(self.n_plus_1))
 
     @cached_property
     def corners(self) -> tuple[Fraction, Fraction]:
@@ -171,32 +183,35 @@ def _det3(rows):
 
 
 @lru_cache(maxsize=None)
-def _class_system(case_id: str) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The gamma, delta and sum rows summed over each class of equal k_i,
-    and their determinant: every case has three classes, and the 3 x 3
-    system is nonsingular."""
+def _class_system(case_id: str) -> tuple[tuple[int, ...], ...]:
+    """The gamma, delta and sum rows summed over each class of equal k_i:
+    every case has three classes, and the 3 x 3 system is nonsingular."""
     desc = descriptor(case_id)
-    rows = tuple(tuple(sum(row[i] for i in cls) for cls in desc.classes)
+    return tuple(tuple(sum(row[i] for i in cls) for cls in desc.classes)
                  for row in (desc.gamma_row, desc.delta_row, (1,) * desc.n_plus_1))
-    return rows, _det3(rows)
+
+
+def class_gaps(case_id: str, rows: Sequence[tuple[int, ...]],
+               values: Sequence[Fraction | int]) -> list[int]:
+    """The integer gaps, one value per class spread to its positions, whose
+    class values x satisfy rows . x = lam * values, lam = |det|*lcm > 0:
+    Cramer's rule on three integer linear forms of the class values, with
+    the right-hand side scaled to integers by the lcm of the denominators
+    of the values and signed like det.  Every inverse data map is one call.
+    """
+    det = _det3(rows)
+    scale = lcm(*[v.denominator for v in values]) * (1 if det > 0 else -1)
+    rhs = [v.numerator * scale // v.denominator for v in values]
+    xs = [_det3([row[:c] + (b,) + row[c + 1:] for row, b in zip(rows, rhs)])
+          for c in range(3)]
+    return [xs[c] for c in descriptor(case_id).class_of]
 
 
 def asymptotic_gaps(case_id: str, a: AsymptoticData) -> list[int]:
     """The integer gaps c with k_i + 1 = N*c_i/sum(c) at (gamma, delta), for
-    every N (every row sums to 0): Cramer's rule on the class values, with
-    the right-hand side (gamma, delta, 1) scaled to integers by the lcm of
-    its denominators, signed like det so that sum(c) = |det|*lcm > 0."""
-    desc = descriptor(case_id)
-    rows, det = _class_system(case_id)
-    scale = lcm(a.gamma.denominator, a.delta.denominator) * (1 if det > 0 else -1)
-    rhs = (a.gamma.numerator * scale // a.gamma.denominator,
-           a.delta.numerator * scale // a.delta.denominator, scale)
-    gaps = [0] * desc.n_plus_1
-    for c, cls in enumerate(desc.classes):
-        value = _det3([row[:c] + (b,) + row[c + 1:] for row, b in zip(rows, rhs)])
-        for i in cls:
-            gaps[i] = value
-    return gaps
+    every N (every row sums to 0): ``class_gaps`` on the gamma, delta and
+    sum rows with values (gamma, delta, 1), so sum(c) > 0."""
+    return class_gaps(case_id, _class_system(case_id), (a.gamma, a.delta, 1))
 
 
 def asymptotic_to_k(case_id: str, a: AsymptoticData, N=Fraction(1)) -> KVector:

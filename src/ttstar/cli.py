@@ -19,8 +19,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .cases import (CASE_IDS, GROUPS, AsymptoticData, SymmetryError, descriptor,
-                    in_region, k_to_asymptotic, make_k, asymptotic_to_k)
+from .cases import (CASE_IDS, GROUPS, AsymptoticData, SymmetryError,
+                    asymptotic_gaps, asymptotic_to_k, descriptor, in_region,
+                    k_to_asymptotic, make_k)
 from .stokes import k_gaps_floats, k_gaps_stokes
 
 # ``enumeration`` and ``theta``, like ``solver``, load only in the subcommands
@@ -223,8 +224,7 @@ def cmd_convert(args) -> int:
         if k.N <= 0:
             raise CliError("k-vector has nonpositive N", EXIT_DOMAIN)
         asym = k_to_asymptotic(k)
-    q = math.lcm(*(((e + 1) / k.N).denominator for e in k.entries))
-    gaps = [int((e + 1) * q / k.N) for e in k.entries]
+    gaps = asymptotic_gaps(case_id, asym)
     ints = k_gaps_stokes(case_id, gaps)
     print(f"case      {case_id}")
     print(f"gamma     {fmt_frac(asym.gamma)}")

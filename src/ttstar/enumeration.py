@@ -12,8 +12,9 @@ The quadratics' range (-4 <= m, p <= 4, m^2 + 4p >= 0) is asserted.
 
 The tables are built on integers too, and this module holds no ``AlgReal``.
 Each admissible label pair gives integer gaps c over q = sum(c)
-(``k_from_labels``, which puts the labels on the two slot gaps of
-``stokes.case_formula``), and from them come the asymptotic data
+(``k_from_labels``: the labels on the two slot gaps of
+``stokes.case_formula`` and the sum q are one ``cases.class_gaps`` solve,
+as every inverse data map is), and from them come the asymptotic data
 (``cases.gaps_to_asymptotic``), the Stokes data (``stokes.k_gaps_stokes``,
 over the same kernel) and T_k, whose ``ThetaPoly`` keeps its roots as the
 integer numerators ``theta.tk_numerators`` over q; a ``Fraction`` is made
@@ -34,8 +35,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .cases import (AsymptoticData, KVector, descriptor, gaps_to_asymptotic,
-                    in_region)
+from .cases import (AsymptoticData, KVector, class_gaps, descriptor,
+                    gaps_to_asymptotic, in_region)
 from .exact import cos_pair_sums
 from .stokes import case_formula, k_gaps_stokes
 from .theta import ThetaPoly, tk_numerators
@@ -144,34 +145,18 @@ def classify_block(case_id: str, a: AsymptoticData) -> str:
 
 
 def k_from_labels(case_id: str, a_label: Fraction, b_label: Fraction
-                  ) -> tuple[int, ...]:
+                  ) -> list[int]:
     """Holomorphic data with N = 1 for one admissible cosine-pair point, as
-    integer gaps c: k_i = c_i/q - 1 with q = sum(c)."""
+    integer gaps c: k_i = c_i/q - 1 with q = sum(c).
+
+    One ``class_gaps`` solve: the two slots (i, m, f) of
+    ``stokes.case_formula`` give m*c_i = a*q and m*c_i = b*q, and the class
+    sizes give sum(c) = q."""
     desc = descriptor(case_id)
-    (ki, mk, _), (li, ml, _) = case_formula(case_id).slots
-    # the slot gaps a/mk and b/ml over one denominator q
-    da, db = a_label.denominator * mk, b_label.denominator * ml
-    q = lcm(da, db)
-    slot_gap = {ki: a_label.numerator * (q // da), li: b_label.numerator * (q // db)}
-    # each symmetry class takes the gap of the slot it holds; the one class
-    # holding neither slot shares what is left of q, over a multiple of q
-    # when it does not divide evenly
-    gaps = [0] * desc.n_plus_1
-    free = []
-    for cls in desc.classes:
-        known = [slot_gap[i] for i in cls if i in slot_gap]
-        if known:
-            for i in cls:
-                gaps[i] = known[0]
-        else:
-            free += cls
-    rest = q - sum(gaps)
-    scale = len(free) // gcd(rest, len(free))
-    gaps = [c * scale for c in gaps]
-    for i in free:
-        gaps[i] = rest * scale // len(free)
-    assert sum(gaps) == q * scale
-    return tuple(gaps)
+    rows = [tuple(m if c == desc.class_of[i] else 0 for c in range(3))
+            for i, m, _ in case_formula(case_id).slots]
+    rows.append(tuple(map(len, desc.classes)))
+    return class_gaps(case_id, rows, (a_label, b_label, 1))
 
 
 @lru_cache(maxsize=None)

@@ -10,8 +10,8 @@ hash is a linear form that vanishes on every relation among roots of
 unity, so it does not depend on the conductor.
 
 One primitive does the work: ``_substitute`` evaluates sum_j c_j zeta_M^(a*j)
-mod Phi_M.  It reduces products (a = 1), lifts an element into a larger
-field (a = M / conductor) and conjugates (a = M - 1).
+mod Phi_M.  It reduces products (a = 1) and lifts an element into a
+larger field (a = M / conductor).
 Integrality, and the value of integral cosine sums, are decided on integers
 instead, by one kernel (``cos_pair_sums``, the root sums of
 ``cyclotomic_factors`` worked out in closed form for four roots).
@@ -188,9 +188,8 @@ def _power_table(M: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 def _substitute(M: int, coeffs, a: int = 1) -> list[Fraction]:
     """sum_j c_j zeta_M^(a*j), reduced mod Phi_M.
 
-    With a = 1 this reduces a polynomial in zeta_M of any length; a = M - 1
-    is complex conjugation; a = M // c lifts an element of conductor c
-    dividing M into Q(zeta_M).
+    With a = 1 this reduces a polynomial in zeta_M of any length; a = M // c
+    lifts an element of conductor c dividing M into Q(zeta_M).
     """
     table = _power_table(M)
     out = [Fraction(0)] * _phi(M)
@@ -356,11 +355,6 @@ class AlgReal:
         return f"AlgReal(M={self.conductor}, coeffs={self.coeffs})"
 
     # -- predicates and conversions -----------------------------------
-
-    def is_real(self) -> bool:
-        """True iff the element is fixed by complex conjugation."""
-        conj = _substitute(self.conductor, self.coeffs, self.conductor - 1)
-        return tuple(conj) == self.coeffs
 
     def as_rational(self) -> Optional[Fraction]:
         """The value, or None when irrational: a reduced value is rational

@@ -321,28 +321,25 @@ def solve_radial(case_id: str, a: AsymptoticData,
 class AsymptoticsReport:
     gamma_ok: bool
     delta_ok: bool
-    decay_ok: bool
     gamma_error: float
     delta_error: float
-    boundary_value: float
     residual_ok: bool
 
     @property
     def ok(self) -> bool:
-        return self.gamma_ok and self.delta_ok and self.decay_ok and self.residual_ok
+        return self.gamma_ok and self.delta_ok and self.residual_ok
 
 
 def verify_asymptotics(sol: RadialSolution, tol_slope: float) -> AsymptoticsReport:
-    """Fitted slopes within tol_slope, and a solved, decaying profile.
+    """Fitted slopes within tol_slope, and a solved profile.
 
     The profile counts as solved when its Newton residual is below
     DEFAULT_NEWTON_TOL, whatever tolerance stopped the iteration: a profile
     left unsolved by a loose tolerance would otherwise pass on the exact
-    slopes of the initial iterate.
+    slopes of the initial iterate.  It then decays too: the residual's last
+    two rows are u and v at t_max, so |u| + |v| there is at most twice it.
     """
     ge = abs(sol.fitted_gamma - float(sol.asymptotic.gamma))
     de = abs(sol.fitted_delta - float(sol.asymptotic.delta))
-    boundary = abs(float(sol.u[-1])) + abs(float(sol.v[-1]))
-    return AsymptoticsReport(ge < tol_slope, de < tol_slope,
-                             boundary < 10 * DEFAULT_NEWTON_TOL, ge, de, boundary,
+    return AsymptoticsReport(ge < tol_slope, de < tol_slope, ge, de,
                              sol.residual_norm < DEFAULT_NEWTON_TOL)

@@ -143,20 +143,20 @@ def tk_numerators(gaps: Sequence) -> list:
     return [0, *accumulate(canon[:-1])]
 
 
-def _shape(cs: Sequence[int], slot: list[int],
-           symmetry: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
-    """For the gaps cs[slot[i]]: the classes of their lowest rotation but
+def _shape(cs: Sequence[int], class_of: tuple[int, ...],
+           symmetry: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """For the gaps cs[class_of[i]]: the classes of their lowest rotation but
     its last, whose prefix sums are ``tk_numerators``, and back, the least
     j >= 1 with the gaps rotated by -j (entry i is gaps[i - j]) symmetric.
 
     Both depend only on how the class values cs compare, as every
     comparison of two rotations, or of two entries, compares two of them."""
-    n1 = len(slot)
-    vec = [cs[k] for k in slot]
+    n1 = len(class_of)
+    vec = [cs[k] for k in class_of]
     j = min(range(n1), key=lambda j: vec[j:] + vec[:j])
     back = next(j for j in range(1, n1 + 1) if all(
         vec[a - j] == vec[b - j] for a, b in symmetry))
-    return (slot[j:] + slot[:j])[:-1], back
+    return (class_of[j:] + class_of[:j])[:-1], back
 
 
 def tk_from_k(k: KVector | Sequence[Fraction]) -> ThetaPoly:
@@ -387,12 +387,11 @@ def verify_corollary(case_id: str, search_bound: int,
                 f"at {block}[{pos}]")
 
     weight_bound = search_bound * n1
-    classes = desc.classes
-    s0, s1, s2 = map(len, classes)  # every case has three classes
-    slot = [next(k for k, cls in enumerate(classes) if i in cls) for i in range(n1)]
+    s0, s1, s2 = map(len, desc.classes)  # every case has three classes
+    class_of = desc.class_of
     # by how c0, c1 and c2 compare: the classes of the lowest rotation but
     # its last, and back
-    shapes: dict[tuple[bool, ...], tuple[list[int], int]] = {}
+    shapes: dict[tuple[bool, ...], tuple[tuple[int, ...], int]] = {}
     flagged: set[tuple[tuple[int, ...], int]] = set()  # (T_k numerators, q)
     for q in range(1, search_bound + 1):
         # the primitive case-symmetric gap vectors c/q with a zero class, as
@@ -411,7 +410,7 @@ def verify_corollary(case_id: str, search_bound: int,
                 pattern = (c0 < c1, c0 < c2, c1 < c2, c0 == c1, c0 == c2, c1 == c2)
                 shape = shapes.get(pattern)
                 if shape is None:
-                    shape = shapes[pattern] = _shape(cs, slot, desc.symmetry)
+                    shape = shapes[pattern] = _shape(cs, class_of, desc.symmetry)
                 lowest, back = shape
                 roots = [0, *accumulate([cs[k] for k in lowest])]  # T_k's roots r/q
                 if not _mirror_closed(roots, q):
@@ -419,7 +418,7 @@ def verify_corollary(case_id: str, search_bound: int,
                 # vec stands for itself and its rotations by -1, -2, ... up to
                 # the previous case-symmetric one, excluded (at -n1 at most)
                 report.converse_checked += back
-                vec = [cs[k] for k in slot]
+                vec = [cs[k] for k in class_of]
                 if k_gaps_stokes(case_id, vec) is not None:
                     continue
                 match = _match_numerators(roots, q, weight_bound)

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 
@@ -56,6 +58,13 @@ def random_symmetric_k(rng: random.Random, case_id: str,
                        max_den: int = 24) -> KVector:
     gaps = random_symmetric_gaps(rng, case_id, max_den)
     return KVector(case_id, tuple(g - 1 for g in gaps))
+
+
+def primitive(gaps) -> list[int]:
+    """Integer gaps divided by their gcd: equal for vectors equal up to a
+    positive scale (the sign is kept)."""
+    g = reduce(gcd, gaps)
+    return [c // g for c in gaps]
 
 
 @pytest.fixture

@@ -1,13 +1,12 @@
 from fractions import Fraction
-from functools import reduce
-from math import gcd
+from math import lcm
 
 import pytest
 
-from conftest import random_symmetric_k
+from conftest import primitive, random_symmetric_k
 from ttstar.cases import (CASE_IDS, GROUP_OF_CASE, GROUPS, AsymptoticData,
                           KVector, SymmetryError, _class_system, _det3,
-                          asymptotic_gaps, asymptotic_to_k, descriptor,
+                          asymptotic_gaps, asymptotic_to_k, class_gaps, descriptor,
                           gaps_to_asymptotic, in_region, k_to_asymptotic, make_k)
 
 
@@ -55,7 +54,7 @@ def test_descriptor_shapes():
         # gaps_to_asymptotic reads (gamma, delta) off gaps at any scale
         assert sum(d.gamma_row) == sum(d.delta_row) == 0
         # asymptotic_to_k solves for one value per class of equal k_i
-        assert len(d.classes) == 3 and _class_system(cid)[1] != 0
+        assert len(d.classes) == 3 and _det3(_class_system(cid)) != 0
 
 
 def test_unknown_case():
@@ -133,7 +132,8 @@ def _reference_asymptotic_to_k(case_id, a, N):
     """The retired ``asymptotic_to_k``: Cramer's rule over Fractions on the
     class values k, with right-hand side (N*gamma, N*delta, N - (n+1))."""
     desc = descriptor(case_id)
-    rows, det = _class_system(case_id)
+    rows = _class_system(case_id)
+    det = _det3(rows)
     rhs = (N * a.gamma, N * a.delta, N - desc.n_plus_1)
     entries = [None] * desc.n_plus_1
     for c, cls in enumerate(desc.classes):
@@ -154,11 +154,6 @@ def test_asymptotic_to_k_matches_fraction_cramer(rng):
             assert asymptotic_to_k(cid, a, n) == _reference_asymptotic_to_k(cid, a, n)
 
 
-def _primitive(gaps):
-    g = reduce(gcd, gaps)
-    return [c // g for c in gaps]
-
-
 def test_asymptotic_gaps_inverts_gaps_to_asymptotic(rng):
     """On case-symmetric integer gaps with a positive sum, negative ones
     included, the gaps read back from (gamma, delta) are the same up to
@@ -173,7 +168,31 @@ def test_asymptotic_gaps_inverts_gaps_to_asymptotic(rng):
                 for j in cls:
                     gaps[j] = value
         back = asymptotic_gaps(cid, gaps_to_asymptotic(cid, gaps))
-        assert sum(back) > 0 and _primitive(back) == _primitive(gaps), (cid, gaps)
+        assert sum(back) > 0 and primitive(back) == primitive(gaps), (cid, gaps)
+
+
+def test_class_gaps_solves_its_rows(rng):
+    """On random nonsingular integer rows and rational values, int ones
+    included, the class values x of ``class_gaps`` (each spread to the
+    positions of its class) satisfy rows . x = lam * values with
+    lam = |det| * lcm of the denominators > 0."""
+    checked = 0
+    while checked < 300:
+        cid = CASE_IDS[checked % 10]
+        desc = descriptor(cid)
+        rows = tuple(tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(3))
+        det = _det3(rows)
+        if det == 0:
+            continue
+        values = [Fraction(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(3)]
+        values[rng.randrange(3)] = rng.randint(-3, 3)
+        gaps = class_gaps(cid, rows, values)
+        xs = [gaps[cls[0]] for cls in desc.classes]
+        assert all(gaps[i] == xs[c] for c, cls in enumerate(desc.classes) for i in cls)
+        lam = abs(det) * lcm(*(Fraction(v).denominator for v in values))
+        assert [sum(r * x for r, x in zip(row, xs)) for row in rows] == \
+            [lam * v for v in values], (cid, rows, values)
+        checked += 1
 
 
 @pytest.mark.parametrize("n", [0, -1, Fraction(-1, 2)])

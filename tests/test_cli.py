@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -51,6 +52,31 @@ def test_convert_prints_no_negative_zero(capsys, case, k):
     code, out, _ = run(capsys, "convert", case, "--from", "k", *k)
     assert code == 0
     assert out.splitlines()[-1] == "stokes    (1.41421356237, 0)  [irrational]"
+
+
+# whole outputs of ``convert --from k``, as the gaps (k_i + 1)/N over their
+# common denominator gave them before ``cases.asymptotic_gaps`` did
+@pytest.mark.parametrize("k,want", [
+    (("4a", "-1/2", "-1", "0", "-1"),  # N = 3/2
+     "case      4a\ngamma     1/3\ndelta     -5/3\nk         -1/2 -1 0 -1\n"
+     "N         3/2\nin_region yes\nstokes    (±2, -3)  [integral]\n"),
+    (("5a", "-3/2", "1/4", "-1/2", "-1/2", "1/4"),  # k_0 + 1 < 0
+     "case      5a\ngamma     -11/6\ndelta     1/3\nk         -3/2 1/4 -1/2 -1/2 1/4\n"
+     "N         3\nin_region no\n"
+     "stokes    (0.267949192431, 0.464101615138)  [irrational]\n")])
+def test_convert_from_k_pinned(capsys, k, want):
+    assert run(capsys, "convert", k[0], "--from", "k", *k[1:]) == (0, want, "")
+
+
+def test_convert_thousand_digit_k_pinned(capsys):
+    big = "1234567890" * 100
+    code, out, err = run(capsys, "convert", "6a", "--from", "k",
+                         big, "-1", "1/3", "1/3", "-1", big)
+    assert code == 0 and err == ""
+    assert [len(line) for line in out.splitlines()] == [12, 2012, 2011, 2025, 1012, 13, 31]
+    assert out.endswith("in_region yes\nstokes    (4, -5)  [irrational]\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3f37c381a63da044f053d12ee90fdcf6609e2bc040dfef51b0f554c4e200776e")
 
 
 def test_convert_n_with_k_rejected(capsys):

@@ -1,8 +1,9 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
+from conftest import primitive
 from ttstar import enumeration, exact, stokes, theta
 from ttstar.cases import CASE_IDS, GROUPS, descriptor, in_region, k_to_asymptotic
 from ttstar.cli import half_table
@@ -135,6 +136,53 @@ def test_k_from_labels_consistency():
     q = sum(gaps)
     assert tuple(Fraction(c, q) for c in gaps) == (
         F("1/2"), F("1/12"), F("1/3"), F("1/12"))
+
+
+def _reference_k_from_labels(case_id, a_label, b_label):
+    """The retired ``k_from_labels``: the labels over m on the two slot
+    gaps, over one denominator q, and what is left of q shared by the
+    class holding neither slot, over a multiple of q where it must be."""
+    desc = descriptor(case_id)
+    (ki, mk, _), (li, ml, _) = stokes.case_formula(case_id).slots
+    da, db = a_label.denominator * mk, b_label.denominator * ml
+    q = lcm(da, db)
+    slot_gap = {ki: a_label.numerator * (q // da), li: b_label.numerator * (q // db)}
+    gaps = [0] * desc.n_plus_1
+    free = []
+    for cls in desc.classes:
+        known = [slot_gap[i] for i in cls if i in slot_gap]
+        if known:
+            for i in cls:
+                gaps[i] = known[0]
+        else:
+            free += cls
+    rest = q - sum(gaps)
+    scale = len(free) // gcd(rest, len(free))
+    gaps = [c * scale for c in gaps]
+    for i in free:
+        gaps[i] = rest * scale // len(free)
+    assert sum(gaps) == q * scale
+    return gaps
+
+
+def test_k_from_labels_matches_reference(rng):
+    """The one ``class_gaps`` solve gives the retired bookkeeping's gaps up
+    to a positive scale, on the 19 table points of every case and on random
+    label pairs with a, b >= 0, a + b <= 1 and denominators up to 12."""
+    table = [labels for _, block in enumeration._BLOCK_ORDER for labels in block]
+    assert len(table) == 19
+    pairs = []
+    while len(pairs) < 200:
+        a = Fraction(rng.randint(0, 12), rng.randint(1, 12))
+        b = Fraction(rng.randint(0, 12), rng.randint(1, 12))
+        if a + b <= 1:
+            pairs.append((a, b))
+    for cid in CASE_IDS:
+        for a, b in table + pairs:
+            gaps = k_from_labels(cid, a, b)
+            assert sum(gaps) > 0, (cid, a, b)
+            assert primitive(gaps) == primitive(_reference_k_from_labels(cid, a, b)), \
+                (cid, a, b)
 
 
 def test_records_match_algreal_oracle():

@@ -144,11 +144,6 @@ def test_set_of_stokes_values():
     assert len(distinct) == len({round(v.to_float(), 9) for v in values}) < len(values)
 
 
-def test_is_real():
-    assert cos2(Fraction(3, 7)).is_real()
-    assert AlgReal.from_rational(5).is_real()
-
-
 @settings(max_examples=300, deadline=None)
 @given(rationals, rationals)
 def test_product_to_sum(r, s):

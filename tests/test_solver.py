@@ -186,7 +186,7 @@ def test_unsolved_profile_not_verified():
                        SolverConfig(grid_points=512, newton_tol=1.0))
     assert sol.iterations == 0 and sol.residual_norm > 1e-3
     rep = verify_asymptotics(sol, 0.05)
-    assert rep.gamma_ok and rep.delta_ok and rep.decay_ok
+    assert rep.gamma_ok and rep.delta_ok
     assert not rep.residual_ok and not rep.ok
 
 
@@ -391,12 +391,16 @@ def test_fit_slope_matches_polyfit():
 
 def test_residual_norm_is_residual_vector():
     """The Newton loop's residual, evaluated with the Jacobian's exponentials,
-    is the public ``residual_vector`` of the profile it returns, exactly."""
+    is the public ``residual_vector`` of the profile it returns, exactly, and
+    bounds the profile at t_max."""
     for case in ("4a", "5a", "5c", "6a"):
         for r in integral_solutions(case):
             sol = solve_radial(case, r.asymptotic)
             res = residual_vector(case, r.asymptotic, sol.grid, sol.u, sol.v)
             assert sol.residual_norm == float(np.max(np.abs(res))), (case, r.asymptotic)
+            # the Dirichlet rows are rows of the residual, so a solved
+            # profile decays: verify_asymptotics checks no boundary value
+            assert abs(sol.u[-1]) + abs(sol.v[-1]) <= 2 * sol.residual_norm
 
 
 def _recording_dgbsv(monkeypatch) -> list[int]:
