@@ -39,10 +39,28 @@ With the unknowns interleaved as (u_0, v_0, u_1, v_1, ...), the Jacobian is
 banded with lower and upper bandwidth 3: a row of node i reaches both
 functions at nodes i - 1, i and i + 1, and the slope rows reach nodes 0 and
 1.  Every entry of a column depends on the iterate at that column's node
-only.  Each solve owns one Fortran-ordered (10, 2m) LAPACK band buffer
-(three rows for the fill-in of the LU); ``dgbsv`` overwrites it with the LU
-factors, so every Newton step refills it in place.  It is factored and
-solved with LAPACK's ``dgbsv``, called directly.
+only, and linearly on its exponentials (e1, e2, e3) = (e^{2t + au},
+e^{2t + v - u}, e^{2t - bv}).  Each solve owns one Fortran-ordered (10, 2m)
+LAPACK band buffer (three rows for the fill-in of the LU); ``dgbsv``
+overwrites it with the LU factors, so every Newton step refills it in
+place.  A node's two columns are 20 contiguous doubles of that buffer, so
+the buffer viewed as (m, 20) is filled by one matrix product of the (m, 4)
+array (e1, e2, e3, 1) with a 4 x 20 table of each entry's coefficients,
+whose last row is the entry's constant.  The fill-in rows' coefficients are
+zero.  Only node 0's four slope-row entries and the constants where the
+matrix ends (the Dirichlet rows, the slots outside it) are written
+afterwards.  It is factored and solved with LAPACK's ``dgbsv``, called
+directly.
+
+Everything a solve needs that its (gamma, delta) leave alone is built on
+first use for each exponent pair (a, b) and grid (t_min, t_max,
+grid_points), not at import.  That is the grid t, 2t per source term, the
+exponent and source matrices, the band table and the slope-fit weights.
+An ``lru_cache`` keeps the last 8 of them, so the cache holds at most 8
+grids of about 40 bytes a node: 10 KB for the default 256 points and
+10.5 MB for MAX_GRID_POINTS.  A solve then only turns (gamma, delta) into
+its slope and decay rates.  The cached t is read-only, and it is the
+solution's ``grid``.
 
 ``dgbsv`` is the f2py wrapper of scipy's LAPACK extension module
 ``scipy.linalg._flapack``, the same object ``scipy.linalg.lapack.dgbsv``
@@ -60,6 +78,7 @@ from __future__ import annotations
 import importlib.util
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
                                  FileFinder)
 from pathlib import Path
@@ -151,55 +170,81 @@ class RadialSolution:
     history: tuple[tuple[float, float, float], ...] = field(repr=False)
 
 
-class _Problem(NamedTuple):
-    """The constants of one discretized problem on m nodes, with c = h^2/3."""
+class _Grid(NamedTuple):
+    """The constants of one exponent pair (a, b) on one uniform grid t: all
+    that a solve needs and its (gamma, delta) leave alone."""
     ab: tuple[int, int]
-    # (u, v) @ exponents = (au, v - u, -bv), the source terms' exponents less 2t
+    t: np.ndarray  # read-only
+    # exp((u, v) @ exponents + t2) = (e1, e2, e3, 1) at every node, where
+    # e1 = e^{2t + au}, e2 = e^{2t + v - u}, e3 = e^{2t - bv}
     exponents: np.ndarray
-    t2: np.ndarray  # (m, 3): 2t at every node, once per source term
-    # (e1, e2, e3) @ source = c (e1 - e2, e2 - e3) = h^2 F/12, where F is the
-    # right-hand side 4 (e1 - e2, e2 - e3) and e1 = e^{2t + au}, e2 =
-    # e^{2t + v - u}, e3 = e^{2t - bv}; (e1, e2, e3) @ diagonal = c (a e1 + e2,
-    # e2 + b e3), the diagonal of d(h^2 F/12)/d(u, v); the off-diagonal is -c e2
+    t2: np.ndarray
+    # (e1, e2, e3, 1) @ source = c (e1 - e2, e2 - e3) = h^2 F/12 with
+    # c = h^2/3, where F is the right-hand side 4 (e1 - e2, e2 - e3)
     source: np.ndarray
-    diagonal: np.ndarray
-    c: float
-    slope: tuple[float, float]  # h (gamma, delta)
-    # h c kappa: the rates kappa = (2 + a gamma, 2 + delta - gamma,
-    # 2 - b delta) at which e1, e2, e3 decay along the asymptote
-    rates: tuple[float, float, float]
+    # (e1, e2, e3, 1) @ band is a node's 20 band entries (its two columns),
+    # but for node 0's slope rows and the end nodes' missing neighbours
+    band: np.ndarray
+    # fit @ w[:n] is the least-squares (slope, intercept) of w over the
+    # first n = max(m // 10, 4) nodes
+    fit: np.ndarray
 
 
-def _problem(case_id: str, a: AsymptoticData, t: np.ndarray) -> _Problem:
-    ea, eb = descriptor(case_id).ab
-    h = float(t[1] - t[0])
+@lru_cache(maxsize=8)
+def _grid(ab: tuple[int, int], t_min: float, t_max: float, m: int) -> _Grid:
+    """The constants on m nodes from t_min to t_max."""
+    n = max(m // 10, 4)
+    # a grid of huge or non-finite extent gives inf and nan constants, which
+    # the line search then rejects; numpy's warnings about them are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.linspace(t_min, t_max, m)
+        h = float(t[1] - t[0])
+        exponents = np.array([[ab[0], -1.0, 0.0, 0.0], [0.0, 1.0, -ab[1], 0.0]])
+        source = h * h / 3.0 * np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0], [0.0, 0.0]])
+        # the Numerov rows (r = 0 for u, 1 for v) of the nodes i - 1, i,
+        # i + 1 reach the unknown k of node i with weights 1, 10, 1 through
+        # d(h^2 F_r/12)/dy_k = (e1, e2, e3) @ (source[:, r] * exponents[k]),
+        # at band row 6 + r - k + 2 offset of column 2i + k
+        band = np.zeros((4, 20))
+        for offset, weight, second in ((-1, 1.0, 1.0), (0, 10.0, -2.0), (1, 1.0, 1.0)):
+            for r, k in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                band[:, 10 * k + 6 - k + 2 * offset + r] = (
+                    -weight * source[:, r] * exponents[k] + (0, 0, 0, second * (r == k)))
+        # the slope of n nodes t_0 + ih has weights (i - (n - 1)/2) h / S with
+        # S = h^2 n(n^2 - 1)/12; the intercept is their mean less slope * mean t
+        slope = (np.arange(n) - 0.5 * (n - 1)) * (12.0 / (h * n * (n * n - 1)))
+        t.flags.writeable = False
+        return _Grid(ab, t, exponents, np.outer(2.0 * t, (1.0, 1.0, 1.0, 0.0)), source,
+                     band, np.array([slope, 1.0 / n - slope * (t_min + 0.5 * (n - 1) * h)]))
+
+
+def _problem(grid: _Grid, a: AsymptoticData):
+    """The grid, h (gamma, delta) and h c kappa, where kappa = (2 + a gamma,
+    2 + delta - gamma, 2 - b delta) are the rates at which e1, e2, e3 decay
+    along the asymptote."""
+    (ea, eb), h = grid.ab, float(grid.t[1] - grid.t[0])
     g, d, c = float(a.gamma), float(a.delta), h * h / 3.0
-    return _Problem(
-        (ea, eb), np.array([[ea, -1.0, 0.0], [0.0, 1.0, -eb]]),
-        np.repeat(2.0 * t[:, None], 3, axis=1),
-        c * np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]]),
-        c * np.array([[ea, 0.0], [1.0, 1.0], [0.0, eb]]), c, (h * g, h * d),
-        (h * c * (2.0 + ea * g), h * c * (2.0 + d - g), h * c * (2.0 - eb * d)))
+    return grid, (h * g, h * d), (h * c * (2.0 + ea * g), h * c * (2.0 + d - g),
+                                  h * c * (2.0 - eb * d))
 
 
-def _residual(problem: _Problem, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _residual(problem, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The residual at the interleaved state s = (u_0, v_0, u_1, v_1, ...),
-    and the (m, 3) exponentials (e1, e2, e3) at every node it was built from."""
-    e = s.reshape(-1, 2) @ problem.exponents
-    e += problem.t2
+    and the (m, 4) exponentials (e1, e2, e3, 1) at every node it was built from."""
+    grid, (slope_u, slope_v), (k1, k2, k3) = problem
+    e = s.reshape(-1, 2) @ grid.exponents
+    e += grid.t2
     np.exp(e, out=e)
-    z = (e @ problem.source).ravel()  # h^2 F/12, interleaved
-    out = np.empty(len(s))
+    z = (e @ grid.source).ravel()  # h^2 F/12, interleaved
     # Numerov: w_{i-1} - 2 w_i + w_{i+1} - 12 z_i with w = y - z
     w = s - z
+    out = np.empty(len(s))
     out[2:-2] = w[:-4] + w[4:] - 2.0 * (s[2:-2] + 5.0 * z[2:-2])
     # the slope rows y_1 - y_0 - h (gamma, delta) - h^2 (5 F_0 + F_1)/12 -
     # h^3 y_0^(3)/12, where y^(3) = dF/dt + (dF/dy) y' at t_min is
     # 4 (k1 e1 - k2 e2, k2 e2 - k3 e3) with y' = (gamma, delta)
-    u0, v0, u1, v1 = s[:4].tolist()
-    zu0, zv0, zu1, zv1 = z[:4].tolist()
-    e1, e2, e3 = e[0].tolist()
-    (slope_u, slope_v), (k1, k2, k3) = problem.slope, problem.rates
+    (u0, v0, u1, v1), (zu0, zv0, zu1, zv1) = s[:4].tolist(), z[:4].tolist()
+    e1, e2, e3, _ = e[0].tolist()
     out[0] = u1 - u0 - slope_u - 5.0 * zu0 - zu1 - (k1 * e1 - k2 * e2)
     out[1] = v1 - v0 - slope_v - 5.0 * zv0 - zv1 - (k2 * e2 - k3 * e3)
     out[-2:] = s[-2:]
@@ -208,15 +253,17 @@ def _residual(problem: _Problem, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def residual_vector(case_id: str, a: AsymptoticData, t: np.ndarray,
                     u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """h^2-scaled residual of the discretized boundary-value problem.
+    """h^2-scaled residual of the discretized boundary-value problem on the
+    uniform grid t of len(t) nodes from t[0] to t[-1].
 
     Layout: interleaved (F_u[i], F_v[i]) per node; boundary rows encode the
     compact slope condition at t_min and the Dirichlet condition at t_max.
     """
-    return _residual(_problem(case_id, a, t), np.column_stack((u, v)).ravel())[0]
+    problem = _problem(_grid(descriptor(case_id).ab, t[0], t[-1], len(t)), a)
+    return _residual(problem, np.column_stack((u, v)).ravel())[0]
 
 
-def _jacobian(problem: _Problem, e: np.ndarray, out=None) -> np.ndarray:
+def _jacobian(problem, e: np.ndarray, out=None) -> np.ndarray:
     """Analytic Jacobian of ``_residual``, written into a LAPACK band buffer.
 
     ``e`` is the exponentials ``_residual`` returns with the residual.
@@ -226,44 +273,30 @@ def _jacobian(problem: _Problem, e: np.ndarray, out=None) -> np.ndarray:
     ``out[6 + r - c, c]``.  The buffer is rewritten in full.  Rows 3-9 are
     returned as a (7, 2m) view, whose entry (r, c) is at ``[3 + r - c, c]``.
     """
+    grid, _, (k1, k2, k3) = problem
     if out is None:
         out = np.empty((10, 2 * len(e)), order="F")
-    # the derivatives of h^2 F/12 at every node: the diagonal p, interleaved,
-    # and the off-diagonal -q; all entries of a column come from its own node
-    p = (e @ problem.diagonal).ravel()
-    q = problem.c * e[:, 1]
-    out.fill(0.0)
-    # interior rows of nodes i - 1, i, i + 1 reach node i with weights 1, 10, 1
-    out[8, :-4] = 1.0 - p[:-4]
-    out[6, 2:-2] = -2.0 - 10.0 * p[2:-2]
-    out[4, 4:] = 1.0 - p[4:]
-    out[9, 0:-4:2] = out[7, 1:-4:2] = q[:-2]
-    out[7, 2:-2:2] = out[5, 3:-2:2] = 10.0 * q[1:-1]
-    out[5, 4::2] = out[3, 5::2] = q[2:]
-    # the slope rows 0, 1 reach node 1 with weight 1, and node 0 with weight
-    # 5 and through its third derivative
-    pu0, pv0, pu1, pv1 = p[:4].tolist()
-    e1, e2, e3 = e[0].tolist()
-    (ea, eb), (k1, k2, k3) = problem.ab, problem.rates
-    q0, q1 = 5.0 * q[0] + k2 * e2, q[1]
-    out[6:8, 0] = -1.0 - 5.0 * pu0 - k1 * ea * e1 - k2 * e2, q0
-    out[5:7, 1] = q0, -1.0 - 5.0 * pv0 - k2 * e2 - k3 * eb * e3
-    out[4:6, 2] = 1.0 - pu1, q1
-    out[3:5, 3] = q1, 1.0 - pv1
-    # the Dirichlet rows at t_max
-    out[6, -2:] = 1.0
+    # node i's columns 2i and 2i + 1 are 20 contiguous doubles of the
+    # Fortran-ordered buffer, so this is a view of it
+    nodes = out.T.reshape(-1, 20)
+    np.matmul(e, grid.band, out=nodes)
+    # node 0 reaches no row before its own, node m - 2 none of the Dirichlet
+    # rows at t_max, which are node m - 1's, and node m - 1 no row after them
+    nodes[0, 4:6] = nodes[0, 13:15] = nodes[-2, 8:10] = nodes[-2, 17:19] = 0.0
+    nodes[-1, 6:10], nodes[-1, 15:19] = (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)
+    # the slope rows reach node 0 with weight 5 and through its third
+    # derivative; c = h^2/3
+    (e1, e2, e3, _), (ea, eb), c = e[0].tolist(), grid.ab, float(grid.source[0, 0])
+    q0 = 5.0 * (c * e2) + k2 * e2
+    nodes[0, 6:8] = -1.0 - 5.0 * (c * ea * e1 + c * e2) - k1 * ea * e1 - k2 * e2, q0
+    nodes[0, 15:17] = q0, -1.0 - 5.0 * (c * e2 + c * eb * e3) - k2 * e2 - k3 * eb * e3
     return out[3:]
 
 
-def _fit_slope(t: np.ndarray, w: np.ndarray):
+def _fit_slope(grid: _Grid, w: np.ndarray) -> np.ndarray:
     """Least-squares (slope, intercept) of w, or of each column of w, over the
-    left 10% of the uniform grid t, in closed form: the n nodes are t_0 + ih,
-    with mean t_0 + (n - 1)h/2 and sum of squared deviations h^2 n(n^2 - 1)/12."""
-    n = max(len(t) // 10, 4)
-    h = float(t[1] - t[0])
-    y = w[:n]
-    slope = (np.arange(n) - 0.5 * (n - 1)) @ y * (12.0 / (h * n * (n * n - 1)))
-    return slope, y.sum(axis=0) / n - slope * (float(t[0]) + 0.5 * (n - 1) * h)
+    left 10% of the grid."""
+    return grid.fit @ w[:grid.fit.shape[1]]
 
 
 def solve_radial(case_id: str, a: AsymptoticData,
@@ -273,11 +306,11 @@ def solve_radial(case_id: str, a: AsymptoticData,
         raise ValueError(f"asymptotic data {tuple(a)} outside the region of "
                          f"case {case_id}")
     m = cfg.grid_points
-    t = np.linspace(cfg.t_min, cfg.t_max, m)
+    grid = _grid(descriptor(case_id).ab, cfg.t_min, cfg.t_max, m)
+    problem = _problem(grid, a)
     # the interleaved state (u_0, v_0, u_1, v_1, ...), first the asymptotic
     # shape bent at t = KINK
-    s = np.outer(np.minimum(t - KINK, 0.0), (float(a.gamma), float(a.delta))).ravel()
-    problem = _problem(case_id, a, t)
+    s = np.outer(np.minimum(grid.t - KINK, 0.0), (float(a.gamma), float(a.delta))).ravel()
     band = np.empty((10, 2 * m), order="F")
     history = []
     # the line search rejects the nan and inf that a diverging iterate
@@ -312,8 +345,8 @@ def solve_radial(case_id: str, a: AsymptoticData,
         raise ConvergenceError(
             f"no convergence after {cfg.max_iterations} iterations on the "
             f"{m}-point grid (residual {norm:.3e})", norm, tuple(history))
-    (fg, fd), (cu, cv) = (x.tolist() for x in _fit_slope(t, s.reshape(-1, 2)))
-    return RadialSolution(case_id, a, t, s[0::2], s[1::2], norm, fg, fd,
+    (fg, fd), (cu, cv) = _fit_slope(grid, s.reshape(-1, 2)).tolist()
+    return RadialSolution(case_id, a, grid.t, s[0::2], s[1::2], norm, fg, fd,
                           len(history), cu, cv, tuple(history))
 
 

@@ -11,8 +11,8 @@ keeps the sum(weights) roots of its ambient factor less the sum(degrees)
 of its hypersurface factor.  ``fmt_qdo`` writes the operator from P.
 
 The corollary verifier's converse sweep is one pass over the primitive
-case-symmetric gap vectors with a zero class (check_Q asks for a zero
-gap), one integer per class of equal k_i, each counting the rotations
+case-symmetric gap vectors with a zero class (condition Q asks for a
+zero gap), one integer per class of equal k_i, each counting the rotations
 back to the previous symmetric one.  It runs on the integer numerators c
 of the gaps c/q: T_k's roots are the prefix sums of the lowest rotation
 (``tk_numerators``, which the tables and ``tk_from_k`` use too; the sweep
@@ -198,16 +198,6 @@ def qdo_from_ci(spec: CISpec) -> ThetaPoly:
     return ThetaPoly(tuple((a_roots - b_roots).elements()), lcm)
 
 
-def check_Q(k_gaps: Counter | Iterable) -> bool:
-    """At least one vanishing gap (nonzero second cohomology of the target)."""
-    gaps = Counter(k_gaps) if not isinstance(k_gaps, Counter) else k_gaps
-    if any(g < 0 for g in gaps):
-        raise ValueError("gaps must be nonnegative")
-    if sum(gaps.elements()) != 1:
-        raise ValueError("gaps must sum to 1")
-    return gaps[Fraction(0)] > 0
-
-
 def _mirror_closed(numerators: Sequence[int], q: int) -> bool:
     """Whether the multiset of exponents r/q, given as ascending numerators
     r >= 0, is closed under x -> 1 - x mod 1: the zeros map to themselves,
@@ -338,7 +328,7 @@ def verify_corollary(case_id: str, search_bound: int,
     symmetry class (every case has three) with the class-size-weighted sum
     q and gcd 1 with q (so each vector appears at its primitive denominator
     only) gives a symmetric vector s.  Only the triples (c0, c1, c2) with a
-    zero, which check_Q asks for, are visited: for c0 = 0 every c1, else
+    zero, which condition Q asks for, are visited: for c0 = 0 every c1, else
     c1 = 0 and the c1 giving c2 = 0.  A candidate is read through its first
     case-symmetric rotation at or after its own index.  So s stands for
     itself and its rotations by -1, ..., -(back - 1), where back is the
@@ -404,7 +394,7 @@ def verify_corollary(case_id: str, search_bound: int,
                 c2, left = divmod(rest - c1 * s1, s2)
                 if left or math.gcd(q, c0, c1, c2) != 1:
                     continue
-                if c0 and c1 and c2:  # fails check_Q
+                if c0 and c1 and c2:  # fails condition Q
                     continue
                 cs = (c0, c1, c2)
                 pattern = (c0 < c1, c0 < c2, c1 < c2, c0 == c1, c0 == c2, c1 == c2)

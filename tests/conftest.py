@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -65,6 +66,18 @@ def primitive(gaps) -> list[int]:
     positive scale (the sign is kept)."""
     g = reduce(gcd, gaps)
     return [c // g for c in gaps]
+
+
+def check_Q(k_gaps) -> bool:
+    """Condition Q of the corollary, at least one vanishing gap (nonzero
+    second cohomology of the target), on a nonnegative gap vector summing
+    to 1; the converse sweep keeps the vectors with a zero class inline."""
+    gaps = Counter(k_gaps)
+    if any(g < 0 for g in gaps):
+        raise ValueError("gaps must be nonnegative")
+    if sum(gaps.elements()) != 1:
+        raise ValueError("gaps must sum to 1")
+    return gaps[Fraction(0)] > 0
 
 
 @pytest.fixture

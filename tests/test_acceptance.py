@@ -17,7 +17,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_symmetric_gaps, random_symmetric_k
+from conftest import check_Q, random_symmetric_gaps, random_symmetric_k
 from ttstar.cases import (CASE_IDS, GROUPS, AsymptoticData, KVector,
                           asymptotic_to_k, in_region, k_to_asymptotic)
 from ttstar.cli import case_rows, default_tables_dir, golden_rows
@@ -27,7 +27,7 @@ from ttstar.enumeration import (_cos_dictionary, admissible_points,
 from ttstar.exact import cos2
 from ttstar.solver import SolverConfig, solve_radial, verify_asymptotics
 from ttstar.stokes import stokes_from_asymptotic, stokes_from_k
-from ttstar.theta import (CISpec, catalog, check_G, check_Q, match_ci,
+from ttstar.theta import (CISpec, catalog, check_G, match_ci,
                           qdo_from_ci, theta_poly, tk_from_k)
 
 REP_CASE = {"4": "4a", "5ab": "5a", "5cde": "5c", "6": "6a"}

@@ -418,17 +418,20 @@ def test_solve_non_convergence(capsys):
 
 def test_solve_overflow_prints_only_the_error():
     """A diverging solve exits 6 with one error line on stderr: numpy's
-    overflow warnings from the rejected iterates are not printed."""
+    overflow warnings from the rejected iterates are not printed, nor those
+    from the constants of a window so wide that h^2, or t_max - t_min,
+    overflows."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ttstar.cli", "solve", "4a", "3", "1",
-         "--t-max", "400", "--points", "64"],
-        capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 6 and not proc.stdout
-    assert proc.stderr == ("error: line search stalled at residual nan "
-                           "on the 64-point grid\n")
+    for window in (("--t-max", "400"), ("--t-min", "-1e300"),
+                   ("--t-min", "-1e308", "--t-max", "1e308")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ttstar.cli", "solve", "4a", "3", "1", *window,
+             "--points", "64"], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 6 and not proc.stdout, window
+        assert proc.stderr == ("error: line search stalled at residual nan "
+                               "on the 64-point grid\n"), window
 
 
 def test_solve_trace(capsys, tmp_path):

@@ -19,7 +19,7 @@ from ttstar import solver
 from ttstar.cases import AsymptoticData, descriptor, in_region
 from ttstar.enumeration import integral_solutions
 from ttstar.solver import (MAX_GRID_POINTS, ConvergenceError, SolverConfig,
-                           _fit_slope, _jacobian, _problem, _residual,
+                           _fit_slope, _grid, _jacobian, _problem, _residual,
                            residual_vector, solve_radial, verify_asymptotics)
 
 
@@ -97,7 +97,7 @@ def _dense(ab: np.ndarray) -> np.ndarray:
 
 def _band(case_id, a: AsymptoticData, t, u, v, out=None) -> np.ndarray:
     """``_jacobian`` at (u, v), from the exponentials of its residual."""
-    problem = _problem(case_id, a, t)
+    problem = _problem(_grid(descriptor(case_id).ab, t[0], t[-1], len(t)), a)
     _, e = _residual(problem, np.column_stack((u, v)).ravel())
     return _jacobian(problem, e, out)
 
@@ -273,12 +273,16 @@ def test_non_convergence_reported():
 def test_overflow_raises_convergence_error():
     """A solve whose iterates overflow ends in ConvergenceError, also with
     numpy's warnings turned into errors: the line search rejects the nan and
-    inf residuals, and no RuntimeWarning escapes."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ConvergenceError, match="line search stalled"):
-            solve_radial("4a", AsymptoticData(F(3), F(1)),
-                         SolverConfig(t_max=400.0, grid_points=64))
+    inf residuals, and no RuntimeWarning escapes, nor one from the constants
+    of a window so wide that they overflow, when they are built or cached."""
+    for cfg in (SolverConfig(t_max=400.0, grid_points=64),
+                SolverConfig(t_min=-1e300, grid_points=64),
+                SolverConfig(t_min=-1e308, t_max=1e308, grid_points=64),
+                SolverConfig(t_min=-1e308, t_max=1e308, grid_points=64)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="line search stalled"):
+                solve_radial("4a", AsymptoticData(F(3), F(1)), cfg)
 
 
 @pytest.mark.parametrize("case", ["4a", "5a", "5c", "6a"])
@@ -366,6 +370,39 @@ def test_direct_dgbsv_matches_scipy(monkeypatch):
     assert infos[:-1] == [0] * len(calls) and infos[-1] > 0
 
 
+def _same_solution(x, y) -> bool:
+    return (x.grid.tobytes() == y.grid.tobytes() and x.u.tobytes() == y.u.tobytes()
+            and x.v.tobytes() == y.v.tobytes() and x.history == y.history
+            and (x.residual_norm, x.fitted_gamma, x.fitted_delta, x.offset_u,
+                 x.offset_v) == (y.residual_norm, y.fitted_gamma, y.fitted_delta,
+                                 y.offset_u, y.offset_v))
+
+
+def test_cached_grids_interleave():
+    """Solves interleaved across two cases and two grid sizes give bitwise
+    the solutions of the same solves run alone, each on an empty cache of
+    grid constants; solves on one config share its read-only grid."""
+    runs = [(case, a, cfg)
+            for cfg in (SolverConfig(), SolverConfig(grid_points=2048))
+            for case, a in (("4a", AsymptoticData(F(3), F(1))),
+                            ("6a", AsymptoticData(F(1), F(2))))]
+    alone = []
+    for case, a, cfg in runs:
+        solver._grid.cache_clear()
+        alone.append(solve_radial(case, a, cfg))
+    solver._grid.cache_clear()
+    order = [0, 3, 1, 2, 2, 0, 3, 1]
+    interleaved = [solve_radial(*runs[i]) for i in order]
+    for i, sol in zip(order, interleaved):
+        assert _same_solution(sol, alone[i]), runs[i]
+    assert interleaved[0].grid is interleaved[5].grid
+    assert solver._grid.cache_info().currsize == 4
+    for sol in interleaved:
+        assert not sol.grid.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            sol.grid[0] = 0.0
+
+
 def test_fit_slope_matches_polyfit():
     """``_fit_slope`` of one column and of the (u, v) columns of a solve."""
     rng = np.random.default_rng(5)
@@ -378,7 +415,9 @@ def test_fit_slope_matches_polyfit():
         for r in integral_solutions(case):
             sol = solve_radial(case, r.asymptotic)
             w = np.column_stack((sol.u, sol.v))
-            (fg, fd), (cu, cv) = _fit_slope(sol.grid, w)
+            t = sol.grid
+            grid = _grid(descriptor(case).ab, t[0], t[-1], len(t))
+            (fg, fd), (cu, cv) = _fit_slope(grid, w)
             assert (fg, fd, cu, cv) == (sol.fitted_gamma, sol.fitted_delta,
                                         sol.offset_u, sol.offset_v)
             samples.append((sol.grid, w))
@@ -386,7 +425,8 @@ def test_fit_slope_matches_polyfit():
     for t, w in samples:
         n = max(len(t) // 10, 4)
         ref = np.polyfit(t[:n], w[:n], 1)
-        assert np.allclose(_fit_slope(t, w), ref, rtol=0, atol=1e-9)
+        assert np.allclose(_fit_slope(_grid((1, 1), t[0], t[-1], len(t)), w), ref,
+                           rtol=0, atol=1e-9)
 
 
 def test_residual_norm_is_residual_vector():

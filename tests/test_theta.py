@@ -6,7 +6,7 @@ from functools import partial
 
 import pytest
 
-from conftest import (class_compositions, random_symmetric_gaps,
+from conftest import (check_Q, class_compositions, random_symmetric_gaps,
                       random_symmetric_k)
 from ttstar import theta
 from ttstar.cases import CASE_IDS, GROUPS, KVector, descriptor, make_k
@@ -14,7 +14,7 @@ from ttstar.enumeration import integral_solutions
 from ttstar.stokes import k_gaps_stokes, stokes_from_k
 from ttstar.theta import (CISpec, CorollaryReport, NotReducibleError,
                           ThetaPoly, _fmt_roots, _match_numerators,
-                          _mirror_closed, catalog, check_G, check_Q, fmt_qdo,
+                          _mirror_closed, catalog, check_G, fmt_qdo,
                           match_ci, qdo_from_ci, theta_poly, tk_from_k,
                           tk_numerators, verify_corollary)
 
