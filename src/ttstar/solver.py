@@ -239,7 +239,7 @@ def _residual(problem, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Numerov: w_{i-1} - 2 w_i + w_{i+1} - 12 z_i with w = y - z
     w = s - z
     out = np.empty(len(s))
-    out[2:-2] = w[:-4] + w[4:] - 2.0 * (s[2:-2] + 5.0 * z[2:-2])
+    np.subtract(w[:-4] + w[4:], 2.0 * (s[2:-2] + 5.0 * z[2:-2]), out=out[2:-2])
     # the slope rows y_1 - y_0 - h (gamma, delta) - h^2 (5 F_0 + F_1)/12 -
     # h^3 y_0^(3)/12, where y^(3) = dF/dt + (dF/dy) y' at t_min is
     # 4 (k1 e1 - k2 e2, k2 e2 - k3 e3) with y' = (gamma, delta)
@@ -284,8 +284,8 @@ def _jacobian(problem, e: np.ndarray, out=None) -> np.ndarray:
     # rows at t_max, which are node m - 1's, and node m - 1 no row after them
     nodes[0, 4:6] = nodes[0, 13:15] = nodes[-2, 8:10] = nodes[-2, 17:19] = 0.0
     nodes[-1, 6:10], nodes[-1, 15:19] = (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)
-    # the slope rows reach node 0 with weight 5 and through its third
-    # derivative; c = h^2/3
+    # the slope rows reach node 1 as node 0's Numerov rows would, and node 0
+    # with weight 5 and through its third derivative; c = h^2/3
     (e1, e2, e3, _), (ea, eb), c = e[0].tolist(), grid.ab, float(grid.source[0, 0])
     q0 = 5.0 * (c * e2) + k2 * e2
     nodes[0, 6:8] = -1.0 - 5.0 * (c * ea * e1 + c * e2) - k1 * ea * e1 - k2 * e2, q0
