@@ -47,8 +47,10 @@ side,
 and, for ``cli_cold``, times every ``ttstar`` command of the README and
 ``import ttstar.solver``, each in a fresh interpreter, in ``--repeats``
 rounds that alternate which side runs first; it keeps each side's wall
-times, their median and quartiles, the exit code and whether
-``scipy.linalg`` was loaded.  In as many fresh interpreters it times
+times, their median and quartiles, the exit code, whether
+``scipy.linalg`` was loaded and which of ``dataclasses``, ``json``,
+``csv``, ``numpy``, ``ttstar.enumeration``, ``ttstar.theta`` and
+``ttstar.solver`` were (``COLD_WATCHED``).  In as many fresh interpreters it times
 ``convert`` in-process at three common denominators of the gaps
 (``CONVERT``), and it runs the Tier-1 tests (``TIER1``) once per side, the
 parent first, keeping each side's wall time and passed and failed counts.
@@ -401,19 +403,23 @@ def solve_phases(sides: dict[str, Path], repeats: int) -> dict:
     return out
 
 
+# the modules whose loading by a cold command ``cold_run`` reports
+COLD_WATCHED = ("scipy.linalg", "dataclasses", "json", "csv", "numpy",
+                "ttstar.enumeration", "ttstar.theta", "ttstar.solver")
+
 # One cold command in a fresh interpreter: ``python -m ttstar.cli ARGS``,
 # run by ``runpy`` as ``-m`` does, or ``import ttstar.solver`` when ARGS is
-# empty.  At exit it adds a last stderr line saying whether ``scipy.linalg``
-# was loaded.
+# empty.  At exit it adds a last stderr line "loaded: ..." naming the
+# modules of ``COLD_WATCHED`` it loaded.
 COLD = r"""
 import atexit, runpy, sys
-atexit.register(lambda: print("\nscipy.linalg loaded:", "scipy.linalg" in sys.modules,
+atexit.register(lambda: print("\nloaded:", *[m for m in %r if m in sys.modules],
                               file=sys.stderr))
 if len(sys.argv) > 1:
     runpy.run_module("ttstar.cli", run_name="__main__", alter_sys=True)
 else:
     import ttstar.solver
-"""
+""" % (COLD_WATCHED,)
 
 
 def readme_commands() -> list[list[str]]:
@@ -424,20 +430,21 @@ def readme_commands() -> list[list[str]]:
 
 
 def cold_run(checkout: Path, argv: list[str]) -> dict:
-    """Wall time, exit code and ``scipy.linalg`` flag of one cold command,
-    run in an empty directory (the README's ``--output profile.csv`` lands
-    there)."""
+    """Wall time, exit code, ``scipy.linalg`` flag and the other modules of
+    ``COLD_WATCHED`` loaded by one cold command, run in an empty directory
+    (the README's ``--output profile.csv`` lands there)."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     with tempfile.TemporaryDirectory() as cwd:
         t0 = time.perf_counter()
         proc = subprocess.run([sys.executable, "-c", COLD, *argv], cwd=cwd, env=env,
                               text=True, capture_output=True)
         wall = time.perf_counter() - t0
-    flag = proc.stderr.rstrip().rsplit("\n", 1)[-1]
-    if flag not in ("scipy.linalg loaded: True", "scipy.linalg loaded: False"):
-        raise RuntimeError(f"{argv}: no scipy.linalg line on stderr: {proc.stderr[-300:]}")
+    names = proc.stderr.rstrip().rsplit("\n", 1)[-1].split()
+    if names[:1] != ["loaded:"] or not set(names[1:]) <= set(COLD_WATCHED):
+        raise RuntimeError(f"{argv}: no loaded: line on stderr: {proc.stderr[-300:]}")
     return {"wall_s": wall, "returncode": proc.returncode,
-            "scipy_linalg_loaded": flag.endswith("True")}
+            "scipy_linalg_loaded": "scipy.linalg" in names,
+            "loaded": [m for m in names[1:] if m != "scipy.linalg"]}
 
 
 def cold_commands(sides: dict[str, Path], repeats: int) -> list[dict]:
@@ -458,7 +465,8 @@ def cold_commands(sides: dict[str, Path], repeats: int) -> list[dict]:
                            "runs_s": [r["wall_s"] for r in recs],
                            "returncode": sorted({r["returncode"] for r in recs}),
                            "scipy_linalg_loaded": sorted({r["scipy_linalg_loaded"]
-                                                          for r in recs})}
+                                                          for r in recs}),
+                           "loaded": sorted({tuple(r["loaded"]) for r in recs})}
         out.append(entry)
     return out
 

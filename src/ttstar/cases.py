@@ -14,7 +14,7 @@ solve, ``class_gaps``, of three linear forms on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
@@ -28,24 +28,19 @@ class SymmetryError(ValueError):
     """A k-vector violates its case's equality constraints."""
 
 
-@dataclass(frozen=True)
-class AsymptoticData:
-    gamma: Fraction
-    delta: Fraction
+# The records of the package are named tuples: immutable, compared and
+# hashed by their fields, and cheap to define and to build.  So a record is
+# also the tuple of its fields: it iterates over them and equals that tuple.
 
-    def __iter__(self):
-        return iter((self.gamma, self.delta))
+# the asymptotic data (gamma, delta), two Fractions
+AsymptoticData = namedtuple("AsymptoticData", "gamma delta")
 
 
-@dataclass(frozen=True)
-class CaseDescriptor:
-    id: str
-    n_plus_1: int
-    ab: tuple[int, int]
-    symmetry: tuple[tuple[int, int], ...]
-    gamma_row: tuple[int, ...]
-    delta_row: tuple[int, ...]
-    group: str
+class CaseDescriptor(namedtuple("CaseDescriptor", "id n_plus_1 ab symmetry "
+                                "gamma_row delta_row group")):
+    """One case: the size n+1, the exponents (a, b), the symmetry pairs of
+    positions, the gamma and delta rows and the group's name.  It keeps an
+    instance dictionary (no ``__slots__``) for its cached values."""
 
     @property
     def classes(self) -> tuple[tuple[int, ...], ...]:
@@ -124,21 +119,22 @@ def descriptor(case_id: str) -> CaseDescriptor:
         raise ValueError(f"unknown case {case_id!r}") from None
 
 
-@dataclass(frozen=True)
-class KVector:
-    case: str
-    entries: tuple[Fraction, ...]
+class KVector(namedtuple("KVector", "case entries")):
+    """The holomorphic data k_0..k_n of a case, a tuple of Fractions."""
 
-    def __post_init__(self):
-        desc = descriptor(self.case)
-        if len(self.entries) != desc.n_plus_1:
+    __slots__ = ()
+
+    def __new__(cls, case: str, entries: tuple[Fraction, ...]):
+        desc = descriptor(case)
+        if len(entries) != desc.n_plus_1:
             raise ValueError(
-                f"case {self.case} needs {desc.n_plus_1} entries, "
-                f"got {len(self.entries)}")
+                f"case {case} needs {desc.n_plus_1} entries, "
+                f"got {len(entries)}")
         for i, j in desc.symmetry:
-            if self.entries[i] != self.entries[j]:
+            if entries[i] != entries[j]:
                 raise SymmetryError(
-                    f"case {self.case} requires k_{i} = k_{j}")
+                    f"case {case} requires k_{i} = k_{j}")
+        return super().__new__(cls, case, entries)
 
     @property
     def N(self) -> Fraction:

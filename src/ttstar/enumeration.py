@@ -30,7 +30,7 @@ of ``exact``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -44,25 +44,14 @@ from .theta import ThetaPoly, tk_numerators
 BLOCKS = ("top-edge", "left-edge", "diagonal-edge", "center-line", "other-interior")
 
 
-@dataclass(frozen=True)
-class CosPair:
-    a_label: Fraction
-    b_label: Fraction
-    # the integers m = x - y and p = x*y for x = 2cos(pi*a), y = 2cos(pi*b)
-    m: int
-    p: int
+# the cosine labels a, b (Fractions) and the integers m = x - y and p = x*y
+# for x = 2cos(pi*a), y = 2cos(pi*b)
+CosPair = namedtuple("CosPair", "a_label b_label m p")
 
-
-@dataclass(frozen=True)
-class SolutionRecord:
-    case: str
-    a_label: Fraction
-    b_label: Fraction
-    asymptotic: AsymptoticData
-    stokes_int: tuple[int, int]
-    k: KVector
-    tk: ThetaPoly
-    block: str
+# one row of a case's table: the labels, the AsymptoticData, the integral
+# Stokes data (s1, s2), the KVector, T_k as a ThetaPoly and the block
+SolutionRecord = namedtuple("SolutionRecord", "case a_label b_label asymptotic "
+                            "stokes_int k tk block")
 
 
 @lru_cache(maxsize=1)

@@ -77,7 +77,7 @@ from __future__ import annotations
 
 import importlib.util
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
                                  FileFinder)
@@ -128,46 +128,48 @@ KINK = -2.0
 MAX_GRID_POINTS = 2 ** 18
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    t_min: float = -12.0
-    t_max: float = 4.0
-    grid_points: int = 256
-    newton_tol: float = DEFAULT_NEWTON_TOL
-    max_iterations: int = 60
+class SolverConfig(namedtuple("SolverConfig", "t_min t_max grid_points "
+                               "newton_tol max_iterations")):
+    """The window [t_min, t_max], its number of grid points and the Newton
+    iteration's residual tolerance and step limit."""
 
-    def __post_init__(self):
-        if not (math.isfinite(self.t_min) and math.isfinite(self.t_max)):
+    __slots__ = ()
+
+    def __new__(cls, t_min: float = -12.0, t_max: float = 4.0,
+                grid_points: int = 256, newton_tol: float = DEFAULT_NEWTON_TOL,
+                max_iterations: int = 60):
+        if not (math.isfinite(t_min) and math.isfinite(t_max)):
             raise ValueError("t_min and t_max must be finite")
-        if not self.t_min < self.t_max:
+        if not t_min < t_max:
             raise ValueError("t_min must be below t_max")
-        if not 64 <= self.grid_points <= MAX_GRID_POINTS:
+        if not 64 <= grid_points <= MAX_GRID_POINTS:
             raise ValueError(
                 f"grid_points must be between 64 and {MAX_GRID_POINTS}")
-        if not 0 < self.newton_tol < math.inf:
+        if not 0 < newton_tol < math.inf:
             raise ValueError("newton_tol must be positive and finite")
-        if self.max_iterations < 0:
+        if max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
+        return super().__new__(cls, t_min, t_max, grid_points, newton_tol,
+                               max_iterations)
 
 
-@dataclass(frozen=True)
-class RadialSolution:
-    case: str
-    asymptotic: AsymptoticData
-    grid: np.ndarray = field(repr=False)
-    u: np.ndarray = field(repr=False)
-    v: np.ndarray = field(repr=False)
-    residual_norm: float
-    fitted_gamma: float
-    fitted_delta: float
-    iterations: int
-    # additive constant of u - gamma*t near t_min (diagnostic only; the
-    # asymptotics fix the slope but not the constant)
-    offset_u: float
-    offset_v: float
-    # (residual after the step, line-search factor lambda, max |Newton step|)
-    # for each accepted Newton step on the requested grid
-    history: tuple[tuple[float, float, float], ...] = field(repr=False)
+class RadialSolution(namedtuple("RadialSolution", "case asymptotic grid u v "
+                                "residual_norm fitted_gamma fitted_delta "
+                                "iterations offset_u offset_v history")):
+    """A converged profile: u and v on the grid, the Newton residual, the
+    least-squares slopes and offsets (the additive constants of u - gamma*t
+    and v - delta*t near t_min, diagnostic only: the asymptotics fix the
+    slope but not the constant), the Newton steps taken, and the history
+    (residual after the step, line-search factor lambda, max |Newton step|)
+    of each accepted step.  Its repr leaves out the arrays and the history.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "RadialSolution(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self)
+            if name not in ("grid", "u", "v", "history")) + ")"
 
 
 class _Grid(NamedTuple):
@@ -258,9 +260,12 @@ def residual_vector(case_id: str, a: AsymptoticData, t: np.ndarray,
 
     Layout: interleaved (F_u[i], F_v[i]) per node; boundary rows encode the
     compact slope condition at t_min and the Dirichlet condition at t_max.
+    Rows that overflow are inf or nan, as in ``solve_radial``, without numpy
+    warnings.
     """
     problem = _problem(_grid(descriptor(case_id).ab, t[0], t[-1], len(t)), a)
-    return _residual(problem, np.column_stack((u, v)).ravel())[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _residual(problem, np.column_stack((u, v)).ravel())[0]
 
 
 def _jacobian(problem, e: np.ndarray, out=None) -> np.ndarray:
@@ -350,13 +355,12 @@ def solve_radial(case_id: str, a: AsymptoticData,
                           len(history), cu, cv, tuple(history))
 
 
-@dataclass(frozen=True)
-class AsymptoticsReport:
-    gamma_ok: bool
-    delta_ok: bool
-    gamma_error: float
-    delta_error: float
-    residual_ok: bool
+class AsymptoticsReport(namedtuple("AsymptoticsReport", "gamma_ok delta_ok "
+                                   "gamma_error delta_error residual_ok")):
+    """The fitted slopes' errors, whether each is within tolerance, and
+    whether the profile is solved (``verify_asymptotics``)."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -19,7 +19,7 @@ other data as floats; each applies the formula through ``_stokes``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -28,8 +28,7 @@ from .cases import AsymptoticData, KVector, asymptotic_gaps, descriptor
 from .exact import AlgReal, cos2, cos_pair_sums
 
 
-@dataclass(frozen=True)
-class CaseFormula:
+class CaseFormula(namedtuple("CaseFormula", "slots t c2")):
     """The Stokes formula of one case, derived by ``case_formula``.
 
     slots are the two (i, m, f) whose slot angles are (m*gaps[i] + f*q)/q.
@@ -39,9 +38,7 @@ class CaseFormula:
     nonnegative.
     """
 
-    slots: tuple[tuple[int, int, int], ...]
-    t: int
-    c2: int
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)
@@ -87,11 +84,11 @@ def case_formula(case_id: str) -> CaseFormula:
                        n1 % 2, 2 - len(axis) // 2)
 
 
-@dataclass(frozen=True)
-class StokesData:
-    s1: AlgReal
-    s2: AlgReal
-    s1_sign_ambiguous: bool
+class StokesData(namedtuple("StokesData", "s1 s2 s1_sign_ambiguous")):
+    """The Stokes data (s1, s2) as ``AlgReal``s; s1 is reported nonnegative
+    where it is only defined up to sign (``s1_sign_ambiguous``)."""
+
+    __slots__ = ()
 
     def integral(self) -> Optional[tuple[int, int]]:
         i1 = self.s1.is_integer()

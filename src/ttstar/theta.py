@@ -35,8 +35,7 @@ its weights and degrees) against its integral-solution record's T_k.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -68,22 +67,18 @@ def _fmt_roots(numerators: Iterable[int], q: int) -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True)
-class ThetaPoly:
+class ThetaPoly(namedtuple("ThetaPoly", "numerators q")):
     """prod (theta - r/q) over the multiset of root numerators r.
 
     The numerators are kept ascending over their least common denominator
     q, so equal operators are equal objects however they were built.
     """
 
-    numerators: tuple[int, ...]
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        g = math.gcd(self.q, *self.numerators)
-        object.__setattr__(self, "numerators",
-                           tuple(sorted(r // g for r in self.numerators)))
-        object.__setattr__(self, "q", self.q // g)
+    def __new__(cls, numerators: Sequence[int], q: int):
+        g = math.gcd(q, *numerators)
+        return super().__new__(cls, tuple(sorted(r // g for r in numerators)), q // g)
 
     @property
     def roots(self) -> tuple[Fraction, ...]:
@@ -109,22 +104,19 @@ def fmt_qdo(t: ThetaPoly) -> str:
     return f"λ^{t.degree} {t} - z"
 
 
-@dataclass(frozen=True)
-class CISpec:
+class CISpec(namedtuple("CISpec", "weights degrees")):
     """A complete intersection of the given degrees in weighted projective space."""
 
-    weights: tuple[int, ...]
-    degrees: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.weights or any(v < 1 for v in self.weights):
+    def __new__(cls, weights: tuple[int, ...], degrees: tuple[int, ...] = ()):
+        if not weights or any(v < 1 for v in weights):
             raise ValueError("weights must be a nonempty list of positive integers")
-        if any(d < 1 for d in self.degrees):
+        if any(d < 1 for d in degrees):
             raise ValueError("degrees must be positive integers")
-        if sum(self.weights) <= sum(self.degrees):
+        if sum(weights) <= sum(degrees):
             raise ValueError("sum of weights must exceed sum of degrees")
-        object.__setattr__(self, "weights", tuple(sorted(self.weights)))
-        object.__setattr__(self, "degrees", tuple(sorted(self.degrees)))
+        return super().__new__(cls, tuple(sorted(weights)), tuple(sorted(degrees)))
 
     def __str__(self) -> str:
         w = ",".join(map(str, self.weights))
@@ -166,6 +158,7 @@ def tk_from_k(k: KVector | Sequence[Fraction]) -> ThetaPoly:
     data need not keep the case symmetry); its roots are the
     ``tk_numerators`` of the gaps k_i + 1.
     """
+    # a KVector is itself a tuple, of (case, entries), so it is tested first
     entries = tuple(k.entries if isinstance(k, KVector) else k)
     if len(entries) + sum(entries) != 1:
         raise ValueError("tk_from_k requires N = 1")
@@ -299,15 +292,35 @@ def match_ci(roots: Iterable[Fraction],
     return _match_numerators(t.numerators, t.q, weight_sum_bound)
 
 
-@dataclass
 class CorollaryReport:
-    case: str
-    bound: int
-    forward_checked: int = 0
-    forward_mismatches: list[str] = field(default_factory=list)
-    converse_checked: int = 0
-    converse_violations: list[str] = field(default_factory=list)
-    flagged_non_ci: list[str] = field(default_factory=list)
+    """What ``verify_corollary`` found, filled in as it runs; reports with
+    equal fields are equal."""
+
+    __slots__ = ("case", "bound", "forward_checked", "forward_mismatches",
+                 "converse_checked", "converse_violations", "flagged_non_ci")
+
+    def __init__(self, case: str, bound: int, forward_checked: int = 0,
+                 forward_mismatches: Optional[list[str]] = None,
+                 converse_checked: int = 0,
+                 converse_violations: Optional[list[str]] = None,
+                 flagged_non_ci: Optional[list[str]] = None):
+        self.case, self.bound = case, bound
+        self.forward_checked, self.converse_checked = forward_checked, converse_checked
+        self.forward_mismatches = [] if forward_mismatches is None else forward_mismatches
+        self.converse_violations = [] if converse_violations is None else converse_violations
+        self.flagged_non_ci = [] if flagged_non_ci is None else flagged_non_ci
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "CorollaryReport(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())) + ")"
 
     @property
     def ok(self) -> bool:

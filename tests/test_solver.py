@@ -285,6 +285,16 @@ def test_overflow_raises_convergence_error():
                 solve_radial("4a", AsymptoticData(F(3), F(1)), cfg)
 
 
+def test_residual_vector_overflow_warns_nothing():
+    """``residual_vector`` on a window whose constants overflow gives inf and
+    nan rows, as ``solve_radial`` does, and no RuntimeWarning."""
+    t = np.linspace(-1e300, 4, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = residual_vector("4a", AsymptoticData(F(3), F(1)), t, 3.0 * t, t)
+    assert res.shape == (128,) and not np.isfinite(res).all()
+
+
 @pytest.mark.parametrize("case", ["4a", "5a", "5c", "6a"])
 def test_robustness_sweep(case):
     rng = random.Random(f"radial-{case}")
