@@ -310,17 +310,17 @@ class CorollaryReport:
         self.converse_violations = [] if converse_violations is None else converse_violations
         self.flagged_non_ci = [] if flagged_non_ci is None else flagged_non_ci
 
-    def _fields(self) -> tuple:
+    def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._values() == other._values()
 
     def __repr__(self) -> str:
         return "CorollaryReport(" + ", ".join(
-            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())) + ")"
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())) + ")"
 
     @property
     def ok(self) -> bool:

@@ -13,7 +13,7 @@ from ttstar.cases import (AsymptoticData, CaseDescriptor, KVector, SymmetryError
 from ttstar.enumeration import CosPair, SolutionRecord, integral_solutions
 from ttstar.solver import (MAX_GRID_POINTS, AsymptoticsReport, RadialSolution,
                            SolverConfig, solve_radial)
-from ttstar.stokes import CaseFormula, StokesData, case_formula, stokes_from_k
+from ttstar.stokes import CaseFormula, case_formula, stokes_from_k
 from ttstar.theta import CISpec, CorollaryReport, ThetaPoly
 
 
