@@ -41,7 +41,9 @@ side,
   residual, slope fit).  Each of ``--repeats`` rounds (11 by default for
   this workload), alternating which side runs first, is a fresh
   interpreter that reports the mean per solve of each phase next to the
-  untimed time per solve, and the Newton steps per grid size; each side
+  untimed time per solve, and the Newton steps per grid size, also summed
+  over untimed solves of the same points on 2,048 and 4,096 points
+  (``FINE_GRIDS``); each side
   keeps the median and quartiles over its rounds and every round's values;
 
 and, for ``cli_cold``, times every ``ttstar`` command of the README and
@@ -183,6 +185,9 @@ for _ in range(rounds):
     print(json.dumps({k: v * 1e3 for k, v in out.items()}), flush=True)
 """
 
+# the requested grids on which PHASES also counts the Newton steps, untimed
+FINE_GRIDS = (2048, 4096)
+
 # Wraps the solver's internals with timers (the linear solve is ``dgbsv``)
 # and classifies the intervals of each solve; the line search runs from the
 # end of a linear solve to the next Jacobian or to the slope fit.  A solve
@@ -247,14 +252,19 @@ steps = {}
 for _, point_steps in per_point:
     for size, count in point_steps.items():
         steps[size] = steps.get(size, 0) + count
+# untimed: the Newton steps of the same points on the requested grids above
+# the default one, where the stopping rule decides how far a solve goes
+fine_steps = {f"{m}_points": sum(solver.solve_radial(c, a, solver.SolverConfig(grid_points=m))
+                                 .iterations for c, a in points) for m in FINE_GRIDS}
 print(json.dumps({
     "points": len(points),
     "untimed_ms_per_solve": untimed * 1e3,
     "phase_ms_per_solve": {k: statistics.fmean(p[k] for p, _ in per_point) * 1e3
                            for k in per_point[0][0]},
     "newton_steps_over_points": {f"{size}_points": steps[size] for size in sorted(steps)},
+    "newton_steps_on_finer_grids": fine_steps,
 }))
-"""
+""".replace("FINE_GRIDS", repr(FINE_GRIDS))
 
 
 def git_sha(checkout: Path) -> str:
@@ -399,6 +409,7 @@ def solve_phases(sides: dict[str, Path], repeats: int) -> dict:
             "phase_ms_per_solve": {k: spread(r["phase_ms_per_solve"][k] for r in rounds)
                                    for k in phases},
             "newton_steps_over_points": rounds[0]["newton_steps_over_points"],
+            "newton_steps_on_finer_grids": rounds[0]["newton_steps_on_finer_grids"],
             "rounds": rounds}
     return out
 

@@ -15,11 +15,11 @@ solve, ``class_gaps``, of three linear forms on them.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 from operator import mul
-from typing import Iterable, Sequence
 
 CASE_IDS = ("4a", "4b", "5a", "5b", "5c", "5d", "5e", "6a", "6b", "6c")
 

@@ -428,8 +428,7 @@ def cmd_solve(args) -> int:
                          verify_asymptotics)
     try:
         cfg = SolverConfig(t_min=args.t_min, t_max=args.t_max,
-                           grid_points=args.points, newton_tol=args.tol,
-                           max_iterations=args.max_iterations)
+                           grid_points=args.points)
     except ValueError as e:
         raise CliError(str(e), EXIT_PARSE) from None
     if not 0 < args.tol_slope < math.inf:
@@ -523,8 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--t-min", type=float, default=-12.0)
     s.add_argument("--t-max", type=float, default=4.0)
     s.add_argument("--points", type=int, default=2048)
-    s.add_argument("--tol", type=float, default=1e-10)
-    s.add_argument("--max-iterations", type=int, default=60)
     s.add_argument("--tol-slope", type=float, default=0.05)
     s.add_argument("--output", help="CSV profile path (default: stdout)")
     s.add_argument("--trace", action="store_true",

@@ -23,9 +23,9 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Union
+from collections.abc import Iterable
 
-RationalLike = Union[Fraction, int]
+RationalLike = Fraction | int
 
 
 @lru_cache(maxsize=None)
@@ -90,7 +90,7 @@ def moebius(n: int) -> int:
     return -1 if len(primes) % 2 else 1
 
 
-def cyclotomic_factors(exponents: Iterable[int], n: int) -> Optional[dict[int, int]]:
+def cyclotomic_factors(exponents: Iterable[int], n: int) -> dict[int, int] | None:
     """{d: m_d} with prod Phi_d^m_d having exactly the roots zeta_n^e, or None.
 
     The one integrality decision of the package (Kronecker): a monic
@@ -122,7 +122,7 @@ def cyclotomic_factors(exponents: Iterable[int], n: int) -> Optional[dict[int, i
 _RATIONAL_2COS = {1: 2, 2: -2, 3: -1, 4: 0, 6: 1}
 
 
-def _pair_root_sum(a: int, b: int, n: int) -> Optional[int]:
+def _pair_root_sum(a: int, b: int, n: int) -> int | None:
     """The sum of the roots zeta_n^(+-a), zeta_n^(+-b), or None when they are
     not a product of cyclotomic polynomials (``cyclotomic_factors``), in
     closed form from the orders d_a = n/gcd(a, n) and d_b of zeta_n^a and
@@ -146,7 +146,7 @@ def _pair_root_sum(a: int, b: int, n: int) -> Optional[int]:
     return None
 
 
-def cos_pair_sums(a: int, b: int, n: int) -> Optional[tuple[int, int]]:
+def cos_pair_sums(a: int, b: int, n: int) -> tuple[int, int] | None:
     """The integers (x + y, x*y) for x = 2cos(pi*a/n), y = 2cos(pi*b/n), or
     None when they are not integral: the one integer kernel behind every
     integral Stokes answer.
@@ -356,14 +356,14 @@ class AlgReal:
 
     # -- predicates and conversions -----------------------------------
 
-    def as_rational(self) -> Optional[Fraction]:
+    def as_rational(self) -> Fraction | None:
         """The value, or None when irrational: a reduced value is rational
         exactly when every coefficient but the constant one is zero."""
         if any(self.coeffs[1:]):
             return None
         return self.coeffs[0]
 
-    def is_integer(self) -> Optional[int]:
+    def is_integer(self) -> int | None:
         q = self.as_rational()
         if q is not None and q.denominator == 1:
             return int(q)

@@ -22,14 +22,15 @@ exact to O(h^5), where y^(3) = dF/dt + (dF/dy) y' is known at node 0 from the
 slope itself; at t_max it imposes homogeneous Dirichlet data.  It relaxes
 from the piecewise-linear asymptotic shape gamma*min(t - KINK, 0),
 delta*min(t - KINK, 0) with a Newton iteration damped by a line search that
-halves lambda from 1 until the residual drops.  A solution behaves like
-gamma*t + rho near t = -infinity, and at the integral points of 4a, 5a, 5c
-and 6a that line crosses zero at t = -1.5 in the median; with the kink at
--2 the default 256-point grid takes 3.8 Newton steps on average there, and
-every point of a random sweep of those regions converges from it in at most
-5 steps on grids of 256, 2048 and 4096 points.  The nonlinear terms are
-always evaluated with combined exponents exp(2t + a*u) etc., which stay
-bounded on the region of asymptotic data.  Each iterate's three
+halves lambda from 1 until the residual's max-norm drops, and stops below
+``newton_tolerance``, which the grid and (gamma, delta) fix.  A solution
+behaves like gamma*t + rho near t = -infinity, and at the integral points of
+4a, 5a, 5c and 6a that line crosses zero at t = -1.5 in the median; with the
+kink at -2 the default 256-point grid takes 3.8 Newton steps on average
+there, and every point of a random sweep of those regions converges from it
+in at most 5 steps on grids of 256, 2048 and 4096 points.  The nonlinear
+terms are always evaluated with combined exponents exp(2t + a*u) etc., which
+stay bounded on the region of asymptotic data.  Each iterate's three
 exponentials are evaluated once: the residual that accepts the iterate is
 built from them, and so is the next step's Jacobian.  Every accepted step
 is recorded as (residual, lambda, max |step|) in the solution's
@@ -82,7 +83,6 @@ from functools import lru_cache
 from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
                                  FileFinder)
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -118,39 +118,57 @@ class ConvergenceError(RuntimeError):
         self.history = history
 
 
-# the default Newton tolerance, and the residual a verified profile must reach
-DEFAULT_NEWTON_TOL = 1e-10
 # the initial iterate is the asymptotic shape bent at t = KINK, near where the
 # converged asymptote crosses zero
 KINK = -2.0
 # the largest grid a config accepts (its Newton band alone takes 42 MB); a
 # far larger one would end in a numpy allocation error
 MAX_GRID_POINTS = 2 ** 18
+# the largest t_max a config accepts: from t_max 9.25 to 9.75, depending on
+# the grid, the residual's rounding floor, which grows like h^2 e^{2 t_max},
+# is out of reach at every integral point, while the far field K_0(4e^t) is
+# zero to double precision from t = 3 on
+MAX_T_MAX = 8.0
+# the Newton steps a solve may take; no measured solve took more than 12
+MAX_NEWTON_STEPS = 60
+# the spacing of the default grid, 256 points on [-12, 4], where a solve
+# stops at the residual 1e-10
+H0 = 16 / 255
 
 
-class SolverConfig(namedtuple("SolverConfig", "t_min t_max grid_points "
-                               "newton_tol max_iterations")):
-    """The window [t_min, t_max], its number of grid points and the Newton
-    iteration's residual tolerance and step limit."""
+class SolverConfig(namedtuple("SolverConfig", "t_min t_max grid_points")):
+    """The window [t_min, t_max] and its number of grid points."""
 
     __slots__ = ()
 
     def __new__(cls, t_min: float = -12.0, t_max: float = 4.0,
-                grid_points: int = 256, newton_tol: float = DEFAULT_NEWTON_TOL,
-                max_iterations: int = 60):
+                grid_points: int = 256):
         if not (math.isfinite(t_min) and math.isfinite(t_max)):
             raise ValueError("t_min and t_max must be finite")
         if not t_min < t_max:
             raise ValueError("t_min must be below t_max")
+        if t_max > MAX_T_MAX:
+            raise ValueError(f"t_max must be at most {MAX_T_MAX:g}")
         if not 64 <= grid_points <= MAX_GRID_POINTS:
             raise ValueError(
                 f"grid_points must be between 64 and {MAX_GRID_POINTS}")
-        if not 0 < newton_tol < math.inf:
-            raise ValueError("newton_tol must be positive and finite")
-        if max_iterations < 0:
-            raise ValueError("max_iterations must be nonnegative")
-        return super().__new__(cls, t_min, t_max, grid_points, newton_tol,
-                               max_iterations)
+        return super().__new__(cls, t_min, t_max, grid_points)
+
+
+def newton_tolerance(t: np.ndarray, a: AsymptoticData) -> float:
+    """The residual max-norm at which a solve on the uniform grid t stops.
+
+    The residual is h^2-scaled, so 1e-10 (h/H0)^2 asks every grid for the
+    accuracy 1e-10 gives on the default one: about 4e-7 from the grid's
+    discrete solution.  On fine grids that falls below the residual's
+    rounding floor, 16 eps times the size of the asymptote at t_min, so
+    the tolerance is the larger of the two.
+    """
+    t_min = float(t[0])
+    h = (float(t[-1]) - t_min) / (len(t) - 1)
+    return max(1e-10 * (h / H0) * (h / H0),
+               16.0 * math.ulp(1.0) * max(1.0, abs(float(a.gamma) * t_min),
+                                          abs(float(a.delta) * t_min)))
 
 
 class RadialSolution(namedtuple("RadialSolution", "case asymptotic grid u v "
@@ -172,24 +190,19 @@ class RadialSolution(namedtuple("RadialSolution", "case asymptotic grid u v "
             if name not in ("grid", "u", "v", "history")) + ")"
 
 
-class _Grid(NamedTuple):
-    """The constants of one exponent pair (a, b) on one uniform grid t: all
-    that a solve needs and its (gamma, delta) leave alone."""
-    ab: tuple[int, int]
-    t: np.ndarray  # read-only
-    # exp((u, v) @ exponents + t2) = (e1, e2, e3, 1) at every node, where
-    # e1 = e^{2t + au}, e2 = e^{2t + v - u}, e3 = e^{2t - bv}
-    exponents: np.ndarray
-    t2: np.ndarray
-    # (e1, e2, e3, 1) @ source = c (e1 - e2, e2 - e3) = h^2 F/12 with
-    # c = h^2/3, where F is the right-hand side 4 (e1 - e2, e2 - e3)
-    source: np.ndarray
-    # (e1, e2, e3, 1) @ band is a node's 20 band entries (its two columns),
-    # but for node 0's slope rows and the end nodes' missing neighbours
-    band: np.ndarray
-    # fit @ w[:n] is the least-squares (slope, intercept) of w over the
-    # first n = max(m // 10, 4) nodes
-    fit: np.ndarray
+# The constants of one exponent pair (a, b) on one uniform grid t: all that
+# a solve needs and its (gamma, delta) leave alone.
+#   t: read-only
+#   exponents, t2: exp((u, v) @ exponents + t2) = (e1, e2, e3, 1) at every
+#     node, where e1 = e^{2t + au}, e2 = e^{2t + v - u}, e3 = e^{2t - bv}
+#   source: (e1, e2, e3, 1) @ source = c (e1 - e2, e2 - e3) = h^2 F/12 with
+#     c = h^2/3, where F is the right-hand side 4 (e1 - e2, e2 - e3)
+#   band: (e1, e2, e3, 1) @ band is a node's 20 band entries (its two
+#     columns), but for node 0's slope rows and the end nodes' missing
+#     neighbours
+#   fit: fit @ w[:n] is the least-squares (slope, intercept) of w over the
+#     first n = max(m // 10, 4) nodes
+_Grid = namedtuple("_Grid", "ab t exponents t2 source band fit")
 
 
 @lru_cache(maxsize=8)
@@ -312,19 +325,21 @@ def solve_radial(case_id: str, a: AsymptoticData,
                          f"case {case_id}")
     m = cfg.grid_points
     grid = _grid(descriptor(case_id).ab, cfg.t_min, cfg.t_max, m)
-    problem = _problem(grid, a)
-    # the interleaved state (u_0, v_0, u_1, v_1, ...), first the asymptotic
-    # shape bent at t = KINK
-    s = np.outer(np.minimum(grid.t - KINK, 0.0), (float(a.gamma), float(a.delta))).ravel()
+    problem, tol = _problem(grid, a), newton_tolerance(grid.t, a)
     band = np.empty((10, 2 * m), order="F")
     history = []
-    # the line search rejects the nan and inf that a diverging iterate
-    # gives, so numpy's warnings about them are noise
+    # the line search rejects the nan and inf that a diverging iterate, or
+    # the initial one of a window too wide for doubles, gives, so numpy's
+    # warnings about them are noise
     with np.errstate(over="ignore", invalid="ignore"):
+        # the interleaved state (u_0, v_0, u_1, v_1, ...), first the
+        # asymptotic shape bent at t = KINK
+        s = np.outer(np.minimum(grid.t - KINK, 0.0),
+                     (float(a.gamma), float(a.delta))).ravel()
         res, e = _residual(problem, s)
         norm = float(np.abs(res).max())
-        for _ in range(cfg.max_iterations):
-            if norm < cfg.newton_tol:
+        for _ in range(MAX_NEWTON_STEPS):
+            if norm < tol:
                 break
             _jacobian(problem, e, band)
             _, _, step, info = dgbsv(3, 3, band, -res, overwrite_ab=1, overwrite_b=1)
@@ -346,9 +361,9 @@ def solve_radial(case_id: str, a: AsymptoticData,
                     norm, tuple(history))
             s, res, e, norm = sn, rn, en, nn
             history.append((nn, lam, float(np.abs(step).max())))
-    if norm >= cfg.newton_tol:
+    if norm >= tol:
         raise ConvergenceError(
-            f"no convergence after {cfg.max_iterations} iterations on the "
+            f"no convergence after {MAX_NEWTON_STEPS} iterations on the "
             f"{m}-point grid (residual {norm:.3e})", norm, tuple(history))
     (fg, fd), (cu, cv) = _fit_slope(grid, s.reshape(-1, 2)).tolist()
     return RadialSolution(case_id, a, grid.t, s[0::2], s[1::2], norm, fg, fd,
@@ -368,15 +383,13 @@ class AsymptoticsReport(namedtuple("AsymptoticsReport", "gamma_ok delta_ok "
 
 
 def verify_asymptotics(sol: RadialSolution, tol_slope: float) -> AsymptoticsReport:
-    """Fitted slopes within tol_slope, and a solved profile.
-
-    The profile counts as solved when its Newton residual is below
-    DEFAULT_NEWTON_TOL, whatever tolerance stopped the iteration: a profile
-    left unsolved by a loose tolerance would otherwise pass on the exact
-    slopes of the initial iterate.  It then decays too: the residual's last
-    two rows are u and v at t_max, so |u| + |v| there is at most twice it.
+    """Fitted slopes within tol_slope, and a solved profile: a Newton
+    residual below ``newton_tolerance`` on its grid, as ``solve_radial``
+    returns, so a profile left unsolved does not pass on the exact slopes of
+    the initial iterate.  It then decays too: the residual's last two rows
+    are u and v at t_max, so |u| + |v| there is at most twice it.
     """
     ge = abs(sol.fitted_gamma - float(sol.asymptotic.gamma))
     de = abs(sol.fitted_delta - float(sol.asymptotic.delta))
     return AsymptoticsReport(ge < tol_slope, de < tol_slope, ge, de,
-                             sol.residual_norm < DEFAULT_NEWTON_TOL)
+                             sol.residual_norm < newton_tolerance(sol.grid, sol.asymptotic))

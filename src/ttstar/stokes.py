@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
 
 from .cases import AsymptoticData, KVector, asymptotic_gaps, descriptor
 from .exact import AlgReal, cos2, cos_pair_sums
@@ -90,7 +90,7 @@ class StokesData(namedtuple("StokesData", "s1 s2 s1_sign_ambiguous")):
 
     __slots__ = ()
 
-    def integral(self) -> Optional[tuple[int, int]]:
+    def integral(self) -> tuple[int, int] | None:
         i1 = self.s1.is_integer()
         i2 = self.s2.is_integer()
         if i1 is None or i2 is None:
@@ -147,7 +147,7 @@ def stokes_from_k(k: KVector) -> StokesData:
     return _assemble(*_slots(k.case, [e + 1 for e in k.entries]))
 
 
-def k_gaps_stokes(case_id: str, gaps: Sequence[int]) -> Optional[tuple[int, int]]:
+def k_gaps_stokes(case_id: str, gaps: Sequence[int]) -> tuple[int, int] | None:
     """``stokes_from_k(k).integral()`` for k_i + 1 proportional to gaps.
 
     gaps are integers with a positive sum q, so the slot angles are a/q and

@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Optional, Sequence
 
 from .cases import KVector, descriptor
 from .exact import cyclotomic_factors, moebius
@@ -252,7 +252,7 @@ def catalog(group: str) -> list[tuple[CISpec, str, int]]:
 # --- CI matching and the corollary verifier ---------------------------
 
 def _match_numerators(numerators: Sequence[int], q: int,
-                      weight_sum_bound: int) -> Optional[CISpec]:
+                      weight_sum_bound: int) -> CISpec | None:
     """``match_ci`` on the roots r/q given as integer numerators r."""
     if min(numerators) < 0 or max(numerators) >= q:
         return None
@@ -280,7 +280,7 @@ def _match_numerators(numerators: Sequence[int], q: int,
 
 
 def match_ci(roots: Iterable[Fraction],
-             weight_sum_bound: int) -> Optional[CISpec]:
+             weight_sum_bound: int) -> CISpec | None:
     """The minimal complete intersection whose operator has the given theta roots.
 
     The root multiset of a weight/degree factor list is determined by the
@@ -300,10 +300,10 @@ class CorollaryReport:
                  "converse_checked", "converse_violations", "flagged_non_ci")
 
     def __init__(self, case: str, bound: int, forward_checked: int = 0,
-                 forward_mismatches: Optional[list[str]] = None,
+                 forward_mismatches: list[str] | None = None,
                  converse_checked: int = 0,
-                 converse_violations: Optional[list[str]] = None,
-                 flagged_non_ci: Optional[list[str]] = None):
+                 converse_violations: list[str] | None = None,
+                 flagged_non_ci: list[str] | None = None):
         self.case, self.bound = case, bound
         self.forward_checked, self.converse_checked = forward_checked, converse_checked
         self.forward_mismatches = [] if forward_mismatches is None else forward_mismatches

@@ -131,6 +131,32 @@ def test_even_size_label_swap():
                 assert other.tk == rec.tk
 
 
+def test_even_cases_fold_stokes_pairs():
+    """Where n+1 is even, s1 is known up to sign, and the 19 records carry 12
+    distinct Stokes pairs: each of the 7 shared ones belongs to two records
+    exchanged by (gamma, delta) -> (-delta, -gamma), and the printed half
+    table (gamma + delta >= 0) holds one record per pair.  In the odd cases
+    all 19 pairs are distinct."""
+    from ttstar.cli import case_rows, fmt_frac
+    for cid in CASE_IDS:
+        recs = integral_solutions(cid)
+        by_pair = {}
+        for rec in recs:
+            by_pair.setdefault(rec.stokes_int, []).append(rec.asymptotic)
+        if not half_table(cid):
+            assert len(by_pair) == 19, cid
+            continue
+        shared = [points for points in by_pair.values() if len(points) > 1]
+        assert len(by_pair) == 12 and len(shared) == 7, cid
+        for p, q in shared:
+            assert (q.gamma, q.delta) == (-p.delta, -p.gamma), (cid, p, q)
+        printed = {(row["gamma"], row["delta"]) for row in case_rows(cid, full=False)}
+        assert len(printed) == 12, cid
+        for points in by_pair.values():
+            assert sum((fmt_frac(p.gamma), fmt_frac(p.delta)) in printed
+                       for p in points) == 1, (cid, points)
+
+
 def test_k_from_labels_consistency():
     gaps = k_from_labels("4a", F("1/2"), F("1/3"))
     q = sum(gaps)

@@ -1,6 +1,6 @@
 """What a cold start loads, checked in fresh interpreters: no ``ttstar``
-module imports ``dataclasses``, and ``json`` and ``csv`` load only in the
-commands that write them."""
+module imports ``dataclasses``, ``import ttstar.cli`` leaves out ``typing``,
+and ``json`` and ``csv`` load only in the commands that write them."""
 
 import os
 import subprocess
@@ -12,11 +12,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 WATCHED = ("dataclasses", "json", "csv")
 
 
-def _fresh(code: str) -> list[str]:
+def _fresh(code: str, *flags: str) -> list[str]:
     """The stdout lines of ``code`` run in a fresh interpreter on ``src``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
@@ -39,6 +39,13 @@ def test_no_module_imports_dataclasses_and_cli_skips_json_csv():
     lines = _fresh(_IMPORTS)
     assert lines == ["start -", "cli -", "cases -", "stokes -", "exact -",
                      "enumeration -", "theta -", "solver -"]
+
+
+def test_cli_import_skips_typing():
+    """Annotations are never evaluated, so no module imports ``typing`` for
+    them; ``-S`` keeps ``site`` from loading it first."""
+    assert _fresh("import sys, ttstar.cli; print('typing' in sys.modules)",
+                  "-S") == ["False"]
 
 
 def test_readme_convert_loads_neither_json_nor_csv():

@@ -128,9 +128,8 @@ def test_cispec_sorted_with_default_degrees():
     ({"grid_points": 63}, f"grid_points must be between 64 and {MAX_GRID_POINTS}"),
     ({"grid_points": MAX_GRID_POINTS + 1},
      f"grid_points must be between 64 and {MAX_GRID_POINTS}"),
-    ({"newton_tol": 0.0}, "newton_tol must be positive and finite"),
-    ({"newton_tol": math.inf}, "newton_tol must be positive and finite"),
-    ({"max_iterations": -1}, "max_iterations must be nonnegative"),
+    ({"t_max": 8.5}, "t_max must be at most 8"),
+    ({"t_min": -1e300, "t_max": 400.0}, "t_max must be at most 8"),
 ])
 def test_solver_config_validation(options, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -139,10 +138,10 @@ def test_solver_config_validation(options, message):
 
 def test_solver_config_defaults_and_positional_order():
     cfg = SolverConfig()
-    assert (cfg.t_min, cfg.t_max, cfg.grid_points, cfg.newton_tol,
-            cfg.max_iterations) == (-12.0, 4.0, 256, 1e-10, 60)
-    assert SolverConfig(-8.0, 2.0, 128, 1e-9, 5) == SolverConfig(
-        t_min=-8.0, t_max=2.0, grid_points=128, newton_tol=1e-9, max_iterations=5)
+    assert cfg._fields == ("t_min", "t_max", "grid_points")
+    assert tuple(cfg) == (-12.0, 4.0, 256)
+    assert SolverConfig(-8.0, 2.0, 128) == SolverConfig(
+        t_min=-8.0, t_max=2.0, grid_points=128)
 
 
 def test_theta_poly_gcd_normalisation():
