@@ -1,15 +1,19 @@
 """The ten two-function reductions of the tt*-Toda system.
 
-Each case carries the size of the underlying cyclic matrix, the exponents
-(a, b) of the reduced PDE system, the symmetry pattern of the holomorphic
-exponents k_0..k_n, and the linear forms giving the asymptotic data
-(gamma, delta) in terms of the k_i.  Conversions between k-vectors and
-(gamma, delta) are exact in both directions.
+Each case is one reflection i -> rho - i mod n+1 of the gaps k_i + 1 of the
+holomorphic exponents k_0..k_n, stated once as (n+1, rho, group).  The
+reflection's orbits are the three classes of positions whose k_i are equal,
+and everything else is derived from it: the Stokes formula and its two slots
+(``case_formula``), and from them the exponents (a, b) of the reduced PDE
+system and the order of the symmetry pairs (``descriptor``).
 
-On case-symmetric points every data set is linear in the three class values
-of the gaps k_i + 1, so every inverse map (from (gamma, delta) here, from
-the cosine-pair labels in ``enumeration.k_from_labels``) is one integer
-solve, ``class_gaps``, of three linear forms on them.
+The asymptotic data are the slot classes' shares of the gaps.  If the slots
+are (i, m, f) and (j, l, f'), the classes holding positions i and j have m
+and l positions, (a, b) = (2/m, 2/l), and at gaps c with sum q the labels
+A = m*c_i/q and B = l*c_j/q give (gamma, delta) = ((n+1)*A - m, l - (n+1)*B).
+So every inverse map (from (gamma, delta), from the cosine-pair labels A, B)
+is one spread of the shares A, B and the rest over the positions, on
+integers (``share_gaps``).  Conversions are exact in both directions.
 """
 
 from __future__ import annotations
@@ -18,10 +22,23 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
-from operator import mul
 
-CASE_IDS = ("4a", "4b", "5a", "5b", "5c", "5d", "5e", "6a", "6b", "6c")
+# each case as (n+1, rho, group): the size of its cyclic matrix, its
+# reflection i -> rho - i mod n+1 of the gaps, and its group of cases
+_CASES = {
+    "4a": (4, 0, "4"), "4b": (4, 2, "4"),
+    "5a": (5, 0, "5ab"), "5b": (5, 3, "5ab"),
+    "5c": (5, 4, "5cde"), "5d": (5, 1, "5cde"), "5e": (5, 2, "5cde"),
+    "6a": (6, 5, "6"), "6b": (6, 1, "6"), "6c": (6, 3, "6"),
+}
+
+CASE_IDS = tuple(_CASES)
+
+GROUP_OF_CASE = {c: g for c, (_, _, g) in _CASES.items()}
+
+# the cases of each group, in CASE_IDS order
+GROUPS = {g: tuple(c for c in CASE_IDS if GROUP_OF_CASE[c] == g)
+          for g in dict.fromkeys(GROUP_OF_CASE.values())}
 
 
 class SymmetryError(ValueError):
@@ -36,11 +53,77 @@ class SymmetryError(ValueError):
 AsymptoticData = namedtuple("AsymptoticData", "gamma delta")
 
 
-class CaseDescriptor(namedtuple("CaseDescriptor", "id n_plus_1 ab symmetry "
-                                "gamma_row delta_row group")):
+def _case(case_id: str) -> tuple[int, int, str]:
+    try:
+        return _CASES[case_id]
+    except KeyError:
+        raise ValueError(f"unknown case {case_id!r}") from None
+
+
+def _orbits(n1: int, rho: int) -> list[tuple[int, ...]]:
+    """The orbits of i -> rho - i mod n1, each sorted, by least position."""
+    return sorted({tuple(sorted({i, (rho - i) % n1})) for i in range(n1)})
+
+
+class CaseFormula(namedtuple("CaseFormula", "slots t c2")):
+    """The Stokes formula of one case, derived by ``case_formula``.
+
+    slots are the two (i, m, f) whose slot angles are (m*gaps[i] + f*q)/q.
+    With x = 2cos(pi*A) and y = 2cos(pi*B) at the slot angles A, B:
+    s1 = t + x + y and -s2 = c2 + t*(x + y) + x*y, with t = (n+1) mod 2.
+    Where t = 0 (even n+1) s1 is only defined up to sign and is reported
+    nonnegative.
+    """
+
+    __slots__ = ()
+
+
+@lru_cache(maxsize=None)
+def case_formula(case_id: str) -> CaseFormula:
+    """The case's Stokes formula, derived from its reflection of the gaps.
+
+    The symmetry pairs (i, j) of a case are the orbits of its reflection
+    i -> rho - i of the gaps, i + j = rho mod n+1.
+    With r_k = gaps[0] + ... + gaps[k-1] (r_0 = 0, r_(n+1) = q) the roots are
+    xi_k = exp(i*pi*(2r_k - r_(rho+1))/q), k = 0..n, and s1 = e1, s2 = -e2
+    of them (s1 up to sign for even n+1).  The reflection maps root k to
+    root rho+1-k mod n+1, its conjugate.  Over the three class values of
+    case-symmetric gaps each exponent reduces to m*gaps[i] + f*q, i the
+    first gap of one class, and conjugate roots share that class.
+
+    - The first root, by k, of each of the two conjugate pairs gives a
+      slot (i, |m|, f mod 2); in this order they are the table's slots.
+    - A root on the axis has m = 0: its exponent is f*q at every
+      case-symmetric vector, so it is (-1)^f there and its side never
+      changes.  For odd n+1 every f gains the one on-axis root's f, which
+      negates all roots and puts that root at +1.
+    - Each pair gives a factor z^2 - x z + 1, so e1 = t + x + y and
+      e2 = c2 + t*(x + y) + x*y, with t the sum of the on-axis roots
+      ((n+1) mod 2) and c2 = 2 + their e2 = 2 - (number of them)//2.
+    """
+    n1, rho, _ = _case(case_id)
+    classes = _orbits(n1, rho)
+    # r[k] counts each class's gaps among gaps[0..k-1], so r[n1] stands for q
+    r = [[sum(g < k for g in cls) for cls in classes] for k in range(n1 + 1)]
+    slots, axis = {}, []
+    for k in range(n1):
+        e = [2 * a - c for a, c in zip(r[k], r[rho + 1])]
+        # e - f*q vanishes on every class but at most one, x
+        f = next(f for f in range(-1, 3) if sum(a != f * s for a, s in zip(e, r[n1])) < 2)
+        m, x = max((abs(a - f * s), x) for x, (a, s) in enumerate(zip(e, r[n1])))
+        if m:  # setdefault keeps the first root of each conjugate pair
+            slots.setdefault(classes[x][0], (m, f))
+        else:
+            axis.append(f)
+    flip = axis[0] if n1 % 2 else 0
+    return CaseFormula(tuple((i, m, (f + flip) % 2) for i, (m, f) in slots.items()),
+                       n1 % 2, 2 - len(axis) // 2)
+
+
+class CaseDescriptor(namedtuple("CaseDescriptor", "id n_plus_1 ab symmetry group")):
     """One case: the size n+1, the exponents (a, b), the symmetry pairs of
-    positions, the gamma and delta rows and the group's name.  It keeps an
-    instance dictionary (no ``__slots__``) for its cached values."""
+    positions and the group's name.  It keeps an instance dictionary (no
+    ``__slots__``) for its cached values."""
 
     @property
     def classes(self) -> tuple[tuple[int, ...], ...]:
@@ -71,52 +154,17 @@ class CaseDescriptor(namedtuple("CaseDescriptor", "id n_plus_1 ab symmetry "
         return sum(self.corners)
 
 
-_DESCRIPTORS = {
-    "4a": CaseDescriptor(
-        "4a", 4, (2, 2), ((1, 3),),
-        (3, -2, -1, 0), (1, 2, -3, 0), "4"),
-    "4b": CaseDescriptor(
-        "4b", 4, (2, 2), ((0, 2),),
-        (-2, -1, 0, 3), (2, -3, 0, 1), "4"),
-    "5a": CaseDescriptor(
-        "5a", 5, (2, 1), ((1, 4), (2, 3)),
-        (4, -2, -2, 0, 0), (2, 4, -6, 0, 0), "5ab"),
-    "5b": CaseDescriptor(
-        "5b", 5, (2, 1), ((0, 3), (1, 2)),
-        (-2, -2, 0, 0, 4), (4, -6, 0, 0, 2), "5ab"),
-    "5c": CaseDescriptor(
-        "5c", 5, (1, 2), ((1, 3), (0, 4)),
-        (6, -4, -2, 0, 0), (2, 2, -4, 0, 0), "5cde"),
-    "5d": CaseDescriptor(
-        "5d", 5, (1, 2), ((2, 4), (0, 1)),
-        (6, 0, -4, -2, 0), (2, 0, 2, -4, 0), "5cde"),
-    "5e": CaseDescriptor(
-        "5e", 5, (1, 2), ((0, 2), (3, 4)),
-        (-4, -2, 0, 6, 0), (2, -4, 0, 2, 0), "5cde"),
-    "6a": CaseDescriptor(
-        "6a", 6, (1, 1), ((1, 4), (0, 5), (2, 3)),
-        (8, -4, -4, 0, 0, 0), (4, 4, -8, 0, 0, 0), "6"),
-    "6b": CaseDescriptor(
-        "6b", 6, (1, 1), ((2, 5), (0, 1), (3, 4)),
-        (8, 0, -4, -4, 0, 0), (4, 0, 4, -8, 0, 0), "6"),
-    "6c": CaseDescriptor(
-        "6c", 6, (1, 1), ((0, 3), (4, 5), (1, 2)),
-        (-4, -4, 0, 0, 8, 0), (4, -8, 0, 0, 4, 0), "6"),
-}
-
-
-GROUP_OF_CASE = {c: _DESCRIPTORS[c].group for c in CASE_IDS}
-
-# the cases of each group, in CASE_IDS order
-GROUPS = {g: tuple(c for c in CASE_IDS if GROUP_OF_CASE[c] == g)
-          for g in dict.fromkeys(GROUP_OF_CASE.values())}
-
-
+@lru_cache(maxsize=None)
 def descriptor(case_id: str) -> CaseDescriptor:
-    try:
-        return _DESCRIPTORS[case_id]
-    except KeyError:
-        raise ValueError(f"unknown case {case_id!r}") from None
+    """The case's descriptor, derived from its reflection and the slots
+    (i, m, f), (j, l, f') of ``case_formula``: (a, b) = (2/m, 2/l), and the
+    symmetry pairs list the class without a slot, then the classes of i and
+    of j."""
+    n1, rho, group = _case(case_id)
+    (i, m, _), (j, l, _) = case_formula(case_id).slots
+    orbits = sorted(_orbits(n1, rho), key=lambda cls: (i in cls) + 2 * (j in cls))
+    return CaseDescriptor(case_id, n1, (2 // m, 2 // l),
+                          tuple(cls for cls in orbits if len(cls) == 2), group)
 
 
 class KVector(namedtuple("KVector", "case entries")):
@@ -149,65 +197,50 @@ def make_k(case_id: str, entries: Iterable) -> KVector:
     return KVector(case_id, tuple(Fraction(e) for e in entries))
 
 
-def _asymptotic(desc: CaseDescriptor, values: Sequence, n) -> AsymptoticData:
-    """(gamma, delta) = (sum(row_i * values_i)/n) over the two rows.
-
-    gamma = sum(row_i * k_i)/N.  Every row of every case sums to 0, so the
-    values may be the k_i or the gaps k_i + 1, at any common scale with n
-    scaled alike.
-    """
-    if n <= 0:
+def gaps_to_asymptotic(case_id: str, gaps: Sequence) -> AsymptoticData:
+    """(gamma, delta) = (m*((n+1)*c_i/q - 1), l*(1 - (n+1)*c_j/q)) at gaps c
+    proportional to the k_i + 1, q = sum(c), for the slots (i, m, f) and
+    (j, l, f'): from integer gaps only the two Fractions returned are made."""
+    (i, m, _), (j, l, _) = case_formula(case_id).slots
+    q = sum(gaps)
+    if q <= 0:
         raise ValueError("N must be positive")
-    return AsymptoticData(Fraction(sum(map(mul, desc.gamma_row, values)), n),
-                          Fraction(sum(map(mul, desc.delta_row, values)), n))
+    n1 = descriptor(case_id).n_plus_1
+    return AsymptoticData(Fraction(m * (n1 * gaps[i] - q), q),
+                          Fraction(l * (q - n1 * gaps[j]), q))
 
 
 def k_to_asymptotic(k: KVector) -> AsymptoticData:
-    return _asymptotic(descriptor(k.case), k.entries, k.N)
+    return gaps_to_asymptotic(k.case, [e + 1 for e in k.entries])
 
 
-def gaps_to_asymptotic(case_id: str, gaps: Sequence[int]) -> AsymptoticData:
-    """(gamma, delta) at k_i = gaps_i/q - 1 for integer gaps with sum q: only
-    the two Fractions returned are made."""
-    return _asymptotic(descriptor(case_id), gaps, sum(gaps))
-
-
-def _det3(rows):
-    """The determinant of a 3 x 3 matrix."""
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-@lru_cache(maxsize=None)
-def _class_system(case_id: str) -> tuple[tuple[int, ...], ...]:
-    """The gamma, delta and sum rows summed over each class of equal k_i:
-    every case has three classes, and the 3 x 3 system is nonsingular."""
+def share_gaps(case_id: str, a: Fraction | int, b: Fraction | int) -> list[int]:
+    """The integer gaps c, with q = sum(c) > 0, whose slot classes hold the
+    shares a and b of q, m*c_i = a*q and l*c_j = b*q for the slots (i, m, f),
+    (j, l, f'), and whose third class, of r positions, holds the rest: the
+    class values a/m, b/l and (1 - a - b)/r times m*l*r*d, d the product of
+    the denominators of a and b, spread over the positions.  Every inverse
+    data map is one call."""
     desc = descriptor(case_id)
-    return tuple(tuple(sum(row[i] for i in cls) for cls in desc.classes)
-                 for row in (desc.gamma_row, desc.delta_row, (1,) * desc.n_plus_1))
-
-
-def class_gaps(case_id: str, rows: Sequence[tuple[int, ...]],
-               values: Sequence[Fraction | int]) -> list[int]:
-    """The integer gaps, one value per class spread to its positions, whose
-    class values x satisfy rows . x = lam * values, lam = |det|*lcm > 0:
-    Cramer's rule on three integer linear forms of the class values, with
-    the right-hand side scaled to integers by the lcm of the denominators
-    of the values and signed like det.  Every inverse data map is one call.
-    """
-    det = _det3(rows)
-    scale = lcm(*[v.denominator for v in values]) * (1 if det > 0 else -1)
-    rhs = [v.numerator * scale // v.denominator for v in values]
-    xs = [_det3([row[:c] + (b,) + row[c + 1:] for row, b in zip(rows, rhs)])
-          for c in range(3)]
-    return [xs[c] for c in descriptor(case_id).class_of]
+    (i, m, _), (j, l, _) = case_formula(case_id).slots
+    r = desc.n_plus_1 - m - l
+    d = a.denominator * b.denominator
+    x, y = a.numerator * b.denominator, b.numerator * a.denominator
+    values = [(d - x - y) * m * l] * 3
+    values[desc.class_of[i]] = x * l * r
+    values[desc.class_of[j]] = y * m * r
+    return [values[c] for c in desc.class_of]
 
 
 def asymptotic_gaps(case_id: str, a: AsymptoticData) -> list[int]:
     """The integer gaps c with k_i + 1 = N*c_i/sum(c) at (gamma, delta), for
-    every N (every row sums to 0): ``class_gaps`` on the gamma, delta and
-    sum rows with values (gamma, delta, 1), so sum(c) > 0."""
-    return class_gaps(case_id, _class_system(case_id), (a.gamma, a.delta, 1))
+    every N: ``share_gaps`` at the shares (gamma + m)/(n+1) and
+    (l - delta)/(n+1) of the slots (i, m, f), (j, l, f')."""
+    (_, m, _), (_, l, _) = case_formula(case_id).slots
+    n1 = descriptor(case_id).n_plus_1
+    g, d = a.gamma, a.delta
+    return share_gaps(case_id, Fraction(g.numerator + m * g.denominator, n1 * g.denominator),
+                      Fraction(l * d.denominator - d.numerator, n1 * d.denominator))
 
 
 def asymptotic_to_k(case_id: str, a: AsymptoticData, N=Fraction(1)) -> KVector:

@@ -54,11 +54,6 @@ class CliError(Exception):
         self.code = code
 
 
-def fmt_frac(q: Fraction) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _excerpt(text: str) -> str:
     """text, or its first 37 characters and "..." when it is longer than 40."""
     return text if len(text) <= 40 else text[:37] + "..."
@@ -92,9 +87,9 @@ def fmt_s1(n: int, ambiguous: bool) -> str:
 def record_row(rec) -> dict:
     s1, s2 = rec.stokes_int
     return {
-        "a": fmt_frac(rec.a_label), "b": fmt_frac(rec.b_label),
-        "gamma": fmt_frac(rec.asymptotic.gamma),
-        "delta": fmt_frac(rec.asymptotic.delta),
+        "a": str(rec.a_label), "b": str(rec.b_label),
+        "gamma": str(rec.asymptotic.gamma),
+        "delta": str(rec.asymptotic.delta),
         "s1": fmt_s1(s1, half_table(rec.case)), "s2": str(s2),
         "tk": str(rec.tk), "block": rec.block,
     }
@@ -188,8 +183,8 @@ EMITTERS = {"table": emit_table, "csv": emit_csv, "json": emit_json,
 
 def check_region(case_id: str, asym: AsymptoticData) -> None:
     if not in_region(case_id, asym):
-        raise CliError(f"(gamma, delta) = ({_excerpt(fmt_frac(asym.gamma))}, "
-                       f"{_excerpt(fmt_frac(asym.delta))}) outside the region "
+        raise CliError(f"(gamma, delta) = ({_excerpt(str(asym.gamma))}, "
+                       f"{_excerpt(str(asym.delta))}) outside the region "
                        f"of case {case_id}", EXIT_DOMAIN)
 
 
@@ -227,10 +222,10 @@ def cmd_convert(args) -> int:
     gaps = asymptotic_gaps(case_id, asym)
     ints = k_gaps_stokes(case_id, gaps)
     print(f"case      {case_id}")
-    print(f"gamma     {fmt_frac(asym.gamma)}")
-    print(f"delta     {fmt_frac(asym.delta)}")
-    print(f"k         {' '.join(fmt_frac(e) for e in k.entries)}")
-    print(f"N         {fmt_frac(k.N)}")
+    print(f"gamma     {asym.gamma}")
+    print(f"delta     {asym.delta}")
+    print(f"k         {' '.join(map(str, k.entries))}")
+    print(f"N         {k.N}")
     print(f"in_region {'yes' if in_region(case_id, asym) else 'no'}")
     if ints is not None:
         s1, s2 = ints
@@ -245,7 +240,7 @@ def _raw_rows() -> list[dict]:
     from .enumeration import enumerate_cos_pairs
     rows = []
     for pair in enumerate_cos_pairs():
-        rows.append({"a": fmt_frac(pair.a_label), "b": fmt_frac(pair.b_label),
+        rows.append({"a": str(pair.a_label), "b": str(pair.b_label),
                      "m": str(pair.m), "p": str(pair.p)})
     return rows
 
@@ -303,7 +298,7 @@ def cmd_qdo(args) -> int:
                 # an operator has one root per power of lambda
                 if op == rec.tk:
                     found.append(f"group {group} {rec.block} "
-                                 f"(a,b)=({fmt_frac(rec.a_label)},{fmt_frac(rec.b_label)})")
+                                 f"(a,b)=({rec.a_label},{rec.b_label})")
         if found:
             for f in found:
                 print(f"match: {f}")
@@ -342,7 +337,7 @@ def compare_golden(case_id: str, tables_dir: Path) -> list[str]:
         expected = golden_rows(path, FIELDS)
     except ValueError as e:
         return [str(e)]
-    got = case_rows(case_id, full=not half_table(case_id))
+    got = case_rows(case_id, full=False)
     if len(expected) != len(got):
         problems.append(f"{path.name}: {len(got)} rows computed, "
                         f"{len(expected)} expected")
@@ -365,8 +360,8 @@ def compare_golden(case_id: str, tables_dir: Path) -> list[str]:
         else:
             for i, (e, rec) in enumerate(zip(rows3, recs)):
                 want = (e["block"], e[f"gamma_{group}"], e[f"delta_{group}"])
-                have = (rec.block, fmt_frac(rec.asymptotic.gamma),
-                        fmt_frac(rec.asymptotic.delta))
+                have = (rec.block, str(rec.asymptotic.gamma),
+                        str(rec.asymptotic.delta))
                 if want != have:
                     problems.append(f"table3.csv row {i + 1} group {group}: "
                                     f"computed {have}, expected {want}")
@@ -456,9 +451,9 @@ def cmd_solve(args) -> int:
         sys.stdout.write(profile)
     report = verify_asymptotics(sol, args.tol_slope)
     print(f"residual      {sol.residual_norm:.3e}")
-    print(f"fitted gamma  {sol.fitted_gamma:.6f}  (target {fmt_frac(asym.gamma)},"
+    print(f"fitted gamma  {sol.fitted_gamma:.6f}  (target {asym.gamma},"
           f" error {report.gamma_error:.4f})")
-    print(f"fitted delta  {sol.fitted_delta:.6f}  (target {fmt_frac(asym.delta)},"
+    print(f"fitted delta  {sol.fitted_delta:.6f}  (target {asym.delta},"
           f" error {report.delta_error:.4f})")
     print(f"offsets       u: {sol.offset_u:.6f}  v: {sol.offset_v:.6f}")
     print("asymptotics   " + ("verified" if report.ok else "NOT verified"))

@@ -11,14 +11,14 @@ recovers the full candidate set without reference to any published list.
 The quadratics' range (-4 <= m, p <= 4, m^2 + 4p >= 0) is asserted.
 
 The tables are built on integers too, and this module holds no ``AlgReal``.
-Each admissible label pair gives integer gaps c over q = sum(c)
-(``k_from_labels``: the labels on the two slot gaps of
-``stokes.case_formula`` and the sum q are one ``cases.class_gaps`` solve,
-as every inverse data map is), and from them come the asymptotic data
-(``cases.gaps_to_asymptotic``), the Stokes data (``stokes.k_gaps_stokes``,
-over the same kernel) and T_k, whose ``ThetaPoly`` keeps its roots as the
-integer numerators ``theta.tk_numerators`` over q; a ``Fraction`` is made
-only for the other fields a record stores.
+Each admissible label pair gives integer gaps c over q = sum(c): the labels
+are the shares of q that the two slot classes of ``cases.case_formula``
+hold (``cases.share_gaps``, as for every inverse data map), and from the
+gaps come the asymptotic data (``cases.gaps_to_asymptotic``), the Stokes
+data (``stokes.k_gaps_stokes``, over the same kernel) and T_k, whose
+``ThetaPoly`` keeps its roots as the integer numerators
+``theta.tk_numerators`` over q; a ``Fraction`` is made only for the other
+fields a record stores.
 ``stokes.stokes_from_k`` serves arbitrary rational points and is the tests'
 oracle for these records.
 
@@ -35,10 +35,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .cases import (AsymptoticData, KVector, class_gaps, descriptor,
-                    gaps_to_asymptotic, in_region)
+from .cases import (AsymptoticData, KVector, descriptor, gaps_to_asymptotic,
+                    in_region, share_gaps)
 from .exact import cos_pair_sums
-from .stokes import case_formula, k_gaps_stokes
+from .stokes import k_gaps_stokes
 from .theta import ThetaPoly, tk_numerators
 
 BLOCKS = ("top-edge", "left-edge", "diagonal-edge", "center-line", "other-interior")
@@ -133,21 +133,6 @@ def classify_block(case_id: str, a: AsymptoticData) -> str:
     return "other-interior"
 
 
-def k_from_labels(case_id: str, a_label: Fraction, b_label: Fraction
-                  ) -> list[int]:
-    """Holomorphic data with N = 1 for one admissible cosine-pair point, as
-    integer gaps c: k_i = c_i/q - 1 with q = sum(c).
-
-    One ``class_gaps`` solve: the two slots (i, m, f) of
-    ``stokes.case_formula`` give m*c_i = a*q and m*c_i = b*q, and the class
-    sizes give sum(c) = q."""
-    desc = descriptor(case_id)
-    rows = [tuple(m if c == desc.class_of[i] else 0 for c in range(3))
-            for i, m, _ in case_formula(case_id).slots]
-    rows.append(tuple(map(len, desc.classes)))
-    return class_gaps(case_id, rows, (a_label, b_label, 1))
-
-
 @lru_cache(maxsize=None)
 def integral_solutions(case_id: str) -> tuple[SolutionRecord, ...]:
     """The 19 complete solution records of one case, in table order."""
@@ -156,7 +141,7 @@ def integral_solutions(case_id: str) -> tuple[SolutionRecord, ...]:
     for block, labels in _BLOCK_ORDER:
         for a_label, b_label in labels:
             assert (a_label, b_label) in admissible
-            gaps = k_from_labels(case_id, a_label, b_label)
+            gaps = share_gaps(case_id, a_label, b_label)
             q = sum(gaps)
             asym = gaps_to_asymptotic(case_id, gaps)
             ints = k_gaps_stokes(case_id, gaps)
@@ -274,7 +259,8 @@ def brute_force_integral_points(case_id: str, max_denominator: int = 60
     """Exhaustive integral-Stokes sweep over the region on a rational grid.
 
     Independent of the enumeration route, of ``AlgReal``, of the integer
-    kernels in ``exact`` and of ``stokes.case_formula``: the cosine
+    kernels in ``exact`` and of the slot angles of ``cases.case_formula``
+    (only the region's (a, b) come from the descriptor): the cosine
     arguments are its own (``_GROUP_ANGLES``), and integrality is decided
     by exact quadratic-field arithmetic (``_cos_class``, ``_pair_integral``)
     and read from a table of folded label pairs (``_integral_label_pairs``).

@@ -175,9 +175,11 @@ class RadialSolution(namedtuple("RadialSolution", "case asymptotic grid u v "
                                 "residual_norm fitted_gamma fitted_delta "
                                 "iterations offset_u offset_v history")):
     """A converged profile: u and v on the grid, the Newton residual, the
-    least-squares slopes and offsets (the additive constants of u - gamma*t
-    and v - delta*t near t_min, diagnostic only: the asymptotics fix the
-    slope but not the constant), the Newton steps taken, and the history
+    least-squares slopes and offsets over the first ``FIT_SPAN`` of t (the
+    additive constants of u - gamma*t and v - delta*t near t_min, which
+    (gamma, delta) fix as they fix the slopes: in closed form on the line
+    delta = -gamma of 4a and 4b, by the Painleve III connection formula;
+    only the slopes are checked), the Newton steps taken, and the history
     (residual after the step, line-search factor lambda, max |Newton step|)
     of each accepted step.  Its repr leaves out the arrays and the history.
     """
@@ -201,19 +203,25 @@ class RadialSolution(namedtuple("RadialSolution", "case asymptotic grid u v "
 #     columns), but for node 0's slope rows and the end nodes' missing
 #     neighbours
 #   fit: fit @ w[:n] is the least-squares (slope, intercept) of w over the
-#     first n = max(m // 10, 4) nodes
+#     first n = max(int(FIT_SPAN/h), 4) nodes
 _Grid = namedtuple("_Grid", "ab t exponents t2 source band fit")
+
+# the slopes are fitted over the first FIT_SPAN of t, whatever the window:
+# the n nodes whose cells [t_i, t_i + h] lie within it, (m - 1) // 10 of m
+# nodes on the default window (-12 to 4), so m // 10 unless 10 divides m
+FIT_SPAN = 1.6
 
 
 @lru_cache(maxsize=8)
 def _grid(ab: tuple[int, int], t_min: float, t_max: float, m: int) -> _Grid:
     """The constants on m nodes from t_min to t_max."""
-    n = max(m // 10, 4)
     # a grid of huge or non-finite extent gives inf and nan constants, which
     # the line search then rejects; numpy's warnings about them are noise
     with np.errstate(over="ignore", invalid="ignore"):
         t = np.linspace(t_min, t_max, m)
         h = float(t[1] - t[0])
+        # the guard keeps a span of exactly n cells from rounding down
+        n = min(max(int(FIT_SPAN / h + 1e-9), 4), m)
         exponents = np.array([[ab[0], -1.0, 0.0, 0.0], [0.0, 1.0, -ab[1], 0.0]])
         source = h * h / 3.0 * np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0], [0.0, 0.0]])
         # the Numerov rows (r = 0 for u, 1 for v) of the nodes i - 1, i,
@@ -313,7 +321,7 @@ def _jacobian(problem, e: np.ndarray, out=None) -> np.ndarray:
 
 def _fit_slope(grid: _Grid, w: np.ndarray) -> np.ndarray:
     """Least-squares (slope, intercept) of w, or of each column of w, over the
-    left 10% of the grid."""
+    first ``FIT_SPAN`` of the grid."""
     return grid.fit @ w[:grid.fit.shape[1]]
 
 

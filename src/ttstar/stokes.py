@@ -3,9 +3,10 @@
 The two real Stokes parameters (s1, s2) are one cosine polynomial per case,
 in two slot angles read from the gaps k_i + 1 of the holomorphic data.  The
 polynomial and the gaps -> slot map are derived once per case from the
-case's reflection of the gaps (``case_formula``).  The asymptotic data
-(gamma, delta) take the same route, through their integer gaps
-(``cases.asymptotic_gaps``), so there is one slot map.  In the cases with an
+case's reflection of the gaps (``cases.case_formula``, which the case
+descriptors derive from too).  The asymptotic data (gamma, delta) take the
+same route, through their integer gaps (``cases.asymptotic_gaps``), so there
+is one slot map.  In the cases with an
 even size matrix s1 is only defined up to sign; its sign is decided exactly
 from the rational angles and s1 is reported nonnegative.
 
@@ -22,66 +23,10 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache
 
-from .cases import AsymptoticData, KVector, asymptotic_gaps, descriptor
+from .cases import (AsymptoticData, CaseFormula, KVector, asymptotic_gaps,
+                    case_formula)
 from .exact import AlgReal, cos2, cos_pair_sums
-
-
-class CaseFormula(namedtuple("CaseFormula", "slots t c2")):
-    """The Stokes formula of one case, derived by ``case_formula``.
-
-    slots are the two (i, m, f) whose slot angles are (m*gaps[i] + f*q)/q.
-    With x = 2cos(pi*A) and y = 2cos(pi*B) at the slot angles A, B:
-    s1 = t + x + y and -s2 = c2 + t*(x + y) + x*y, with t = (n+1) mod 2.
-    Where t = 0 (even n+1) s1 is only defined up to sign and is reported
-    nonnegative.
-    """
-
-    __slots__ = ()
-
-
-@lru_cache(maxsize=None)
-def case_formula(case_id: str) -> CaseFormula:
-    """The case's Stokes formula, derived from its reflection of the gaps.
-
-    The symmetry pairs (i, j) of a case are the orbits of one reflection
-    i -> rho - i of the gaps, and all give rho + 1 = (i + j mod n+1) + 1.
-    With r_k = gaps[0] + ... + gaps[k-1] (r_0 = 0, r_(n+1) = q) the roots are
-    xi_k = exp(i*pi*(2r_k - r_(rho+1))/q), k = 0..n, and s1 = e1, s2 = -e2
-    of them (s1 up to sign for even n+1).  The reflection maps root k to
-    root rho+1-k mod n+1, its conjugate.  Over the three class values of
-    case-symmetric gaps each exponent reduces to m*gaps[i] + f*q, i the
-    first gap of one class, and conjugate roots share that class.
-
-    - The first root, by k, of each of the two conjugate pairs gives a
-      slot (i, |m|, f mod 2); in this order they are the table's slots.
-    - A root on the axis has m = 0: its exponent is f*q at every
-      case-symmetric vector, so it is (-1)^f there and its side never
-      changes.  For odd n+1 every f gains the one on-axis root's f, which
-      negates all roots and puts that root at +1.
-    - Each pair gives a factor z^2 - x z + 1, so e1 = t + x + y and
-      e2 = c2 + t*(x + y) + x*y, with t the sum of the on-axis roots
-      ((n+1) mod 2) and c2 = 2 + their e2 = 2 - (number of them)//2.
-    """
-    desc = descriptor(case_id)
-    n1, classes = desc.n_plus_1, desc.classes
-    rho1 = sum(desc.symmetry[0]) % n1 + 1
-    # r[k] counts each class's gaps among gaps[0..k-1], so r[n1] stands for q
-    r = [[sum(g < k for g in cls) for cls in classes] for k in range(n1 + 1)]
-    slots, axis = {}, []
-    for k in range(n1):
-        e = [2 * a - c for a, c in zip(r[k], r[rho1])]
-        # e - f*q vanishes on every class but at most one, x
-        f = next(f for f in range(-1, 3) if sum(a != f * s for a, s in zip(e, r[n1])) < 2)
-        m, x = max((abs(a - f * s), x) for x, (a, s) in enumerate(zip(e, r[n1])))
-        if m:  # setdefault keeps the first root of each conjugate pair
-            slots.setdefault(classes[x][0], (m, f))
-        else:
-            axis.append(f)
-    flip = axis[0] if n1 % 2 else 0
-    return CaseFormula(tuple((i, m, (f + flip) % 2) for i, (m, f) in slots.items()),
-                       n1 % 2, 2 - len(axis) // 2)
 
 
 class StokesData(namedtuple("StokesData", "s1 s2 s1_sign_ambiguous")):

@@ -5,9 +5,9 @@ import pytest
 
 from conftest import primitive, random_symmetric_k
 from ttstar.cases import (CASE_IDS, GROUP_OF_CASE, GROUPS, AsymptoticData,
-                          KVector, SymmetryError, _class_system, _det3,
-                          asymptotic_gaps, asymptotic_to_k, class_gaps, descriptor,
-                          gaps_to_asymptotic, in_region, k_to_asymptotic, make_k)
+                          KVector, SymmetryError, asymptotic_gaps, asymptotic_to_k,
+                          case_formula, descriptor, gaps_to_asymptotic, in_region,
+                          k_to_asymptotic, make_k, share_gaps)
 
 
 def F(x):
@@ -31,9 +31,53 @@ PAPER_GROUPS = {
 PAPER_CENTER_SUM = {"4a": 0, "4b": 0, "5a": 1, "5b": 1, "5c": -1, "5d": -1,
                     "5e": -1, "6a": 0, "6b": 0, "6c": 0}
 
+# and each case's exponents (a, b), symmetry pairs, and gamma and delta rows:
+# gamma = sum(gamma_row_i * k_i)/N and delta = sum(delta_row_i * k_i)/N
+PAPER_CASES = {
+    "4a": ((2, 2), ((1, 3),), (3, -2, -1, 0), (1, 2, -3, 0)),
+    "4b": ((2, 2), ((0, 2),), (-2, -1, 0, 3), (2, -3, 0, 1)),
+    "5a": ((2, 1), ((1, 4), (2, 3)), (4, -2, -2, 0, 0), (2, 4, -6, 0, 0)),
+    "5b": ((2, 1), ((0, 3), (1, 2)), (-2, -2, 0, 0, 4), (4, -6, 0, 0, 2)),
+    "5c": ((1, 2), ((1, 3), (0, 4)), (6, -4, -2, 0, 0), (2, 2, -4, 0, 0)),
+    "5d": ((1, 2), ((2, 4), (0, 1)), (6, 0, -4, -2, 0), (2, 0, 2, -4, 0)),
+    "5e": ((1, 2), ((0, 2), (3, 4)), (-4, -2, 0, 6, 0), (2, -4, 0, 2, 0)),
+    "6a": ((1, 1), ((1, 4), (0, 5), (2, 3)), (8, -4, -4, 0, 0, 0), (4, 4, -8, 0, 0, 0)),
+    "6b": ((1, 1), ((2, 5), (0, 1), (3, 4)), (8, 0, -4, -4, 0, 0), (4, 0, 4, -8, 0, 0)),
+    "6c": ((1, 1), ((0, 3), (4, 5), (1, 2)), (-4, -4, 0, 0, 8, 0), (4, -8, 0, 0, 4, 0)),
+}
+
+
+def _paper_classes(case_id):
+    """The classes of equal k_i by the paper's pairs: the pairs, then each
+    unpaired position."""
+    _, symmetry, gamma_row, _ = PAPER_CASES[case_id]
+    paired = {i for pair in symmetry for i in pair}
+    return symmetry + tuple((i,) for i in range(len(gamma_row)) if i not in paired)
+
+
+def _det3(rows):
+    """The determinant of a 3 x 3 matrix."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _class_system(case_id):
+    """The paper's gamma, delta and sum rows summed over each class."""
+    _, _, gamma_row, delta_row = PAPER_CASES[case_id]
+    return tuple(tuple(sum(row[i] for i in cls) for cls in _paper_classes(case_id))
+                 for row in (gamma_row, delta_row, (1,) * len(gamma_row)))
+
+
+def _paper_asymptotic(case_id, entries):
+    """(gamma, delta) by the paper's rows at the k_i."""
+    _, _, gamma_row, delta_row = PAPER_CASES[case_id]
+    n = len(entries) + sum(entries)
+    return AsymptoticData(sum(r * k for r, k in zip(gamma_row, entries)) / n,
+                          sum(r * k for r, k in zip(delta_row, entries)) / n)
+
 
 def test_derived_case_facts_match_paper():
-    """GROUPS and GROUP_OF_CASE come from the descriptors' group field and
+    """GROUPS and GROUP_OF_CASE come from the case table's group field and
     center_sum from the corners; all three equal the paper's data."""
     assert GROUPS == PAPER_GROUPS
     assert list(GROUPS.items()) == list(PAPER_GROUPS.items())
@@ -43,18 +87,54 @@ def test_derived_case_facts_match_paper():
         assert d.center_sum == PAPER_CENTER_SUM[cid] == sum(d.corners)
 
 
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_derived_descriptor_matches_paper(case_id):
+    """(a, b) and the symmetry pairs, derived from the reflection through the
+    slots of ``case_formula``, equal the paper's, and so do the classes and
+    the values read from them; the slot classes have m and l positions."""
+    ab, symmetry, gamma_row, _ = PAPER_CASES[case_id]
+    d = descriptor(case_id)
+    classes = _paper_classes(case_id)
+    assert (d.n_plus_1, d.ab, d.symmetry, d.classes) == (len(gamma_row), ab, symmetry, classes)
+    assert d.class_of == tuple(next(c for c, cls in enumerate(classes) if i in cls)
+                               for i in range(d.n_plus_1))
+    assert d.corners == (Fraction(-2, ab[0]), Fraction(2, ab[1]))
+    (i, m, _), (j, l, _) = case_formula(case_id).slots
+    assert (len(classes[d.class_of[i]]), len(classes[d.class_of[j]])) == (m, l)
+    # the pairs list the class without a slot, then the slot classes in order
+    slot_classes = [classes[d.class_of[i]], classes[d.class_of[j]]]
+    no_slot = [cls for cls in classes if cls not in slot_classes]
+    assert tuple(cls for cls in no_slot + slot_classes if len(cls) == 2) == symmetry
+
+
 def test_descriptor_shapes():
     for cid in CASE_IDS:
         d = descriptor(cid)
-        assert len(d.gamma_row) == len(d.delta_row) == d.n_plus_1
+        _, _, gamma_row, delta_row = PAPER_CASES[cid]
+        assert len(gamma_row) == len(delta_row) == d.n_plus_1
         assert d.ab in {(2, 2), (2, 1), (1, 2), (1, 1)}
         # every symmetry pair (i, j) gives one reflection i -> rho - i, with
-        # rho = i + j mod n+1; ``stokes.case_formula`` reads only the first
+        # rho = i + j mod n+1
         assert len({(i + j) % d.n_plus_1 for i, j in d.symmetry}) == 1
-        # gaps_to_asymptotic reads (gamma, delta) off gaps at any scale
-        assert sum(d.gamma_row) == sum(d.delta_row) == 0
-        # asymptotic_to_k solves for one value per class of equal k_i
+        # the paper's rows read (gamma, delta) off gaps at any scale
+        assert sum(gamma_row) == sum(delta_row) == 0
+        # and fix one value per class of equal k_i
         assert len(d.classes) == 3 and _det3(_class_system(cid)) != 0
+
+
+def test_asymptotic_matches_paper_rows(rng):
+    """On random case-symmetric k, (gamma, delta) are the paper's row forms,
+    and ``asymptotic_gaps`` gives back the gaps k_i + 1 up to scale."""
+    for i in range(3000):
+        cid = CASE_IDS[i % 10]
+        k = random_symmetric_k(rng, cid)
+        a = k_to_asymptotic(k)
+        assert a == _paper_asymptotic(cid, k.entries), (cid, k)
+        scale = lcm(*(e.denominator for e in k.entries))
+        gaps = [int((e + 1) * scale) for e in k.entries]
+        assert gaps_to_asymptotic(cid, gaps) == a
+        back = asymptotic_gaps(cid, a)
+        assert sum(back) > 0 and primitive(back) == primitive(gaps), (cid, k)
 
 
 def test_unknown_case():
@@ -130,13 +210,14 @@ def test_nonpositive_n_rejected():
 
 def _reference_asymptotic_to_k(case_id, a, N):
     """The retired ``asymptotic_to_k``: Cramer's rule over Fractions on the
-    class values k, with right-hand side (N*gamma, N*delta, N - (n+1))."""
-    desc = descriptor(case_id)
+    class values k of the paper's rows, with right-hand side (N*gamma,
+    N*delta, N - (n+1))."""
+    n1 = descriptor(case_id).n_plus_1
     rows = _class_system(case_id)
     det = _det3(rows)
-    rhs = (N * a.gamma, N * a.delta, N - desc.n_plus_1)
-    entries = [None] * desc.n_plus_1
-    for c, cls in enumerate(desc.classes):
+    rhs = (N * a.gamma, N * a.delta, N - n1)
+    entries = [None] * n1
+    for c, cls in enumerate(_paper_classes(case_id)):
         value = _det3([row[:c] + (b,) + row[c + 1:] for row, b in zip(rows, rhs)]) / det
         for i in cls:
             entries[i] = value
@@ -144,8 +225,8 @@ def _reference_asymptotic_to_k(case_id, a, N):
 
 
 def test_asymptotic_to_k_matches_fraction_cramer(rng):
-    """The integer Cramer equals the retired Fraction one at N = 1, 3/2 and 7,
-    inside the region and outside it."""
+    """The shares of the slot classes give the retired Fraction Cramer's k at
+    N = 1, 3/2 and 7, inside the region and outside it."""
     for i in range(300):
         cid = CASE_IDS[i % 10]
         a = AsymptoticData(Fraction(rng.randint(-90, 90), rng.randint(1, 30)),
@@ -171,28 +252,22 @@ def test_asymptotic_gaps_inverts_gaps_to_asymptotic(rng):
         assert sum(back) > 0 and primitive(back) == primitive(gaps), (cid, gaps)
 
 
-def test_class_gaps_solves_its_rows(rng):
-    """On random nonsingular integer rows and rational values, int ones
-    included, the class values x of ``class_gaps`` (each spread to the
-    positions of its class) satisfy rows . x = lam * values with
-    lam = |det| * lcm of the denominators > 0."""
-    checked = 0
-    while checked < 300:
-        cid = CASE_IDS[checked % 10]
+def test_share_gaps_holds_the_shares(rng):
+    """On random rational shares a, b, negative ones and a + b > 1 included,
+    the gaps are equal on each class, their sum q is positive, and the slot
+    classes (i, m, f), (j, l, f') hold m*c_i = a*q and l*c_j = b*q."""
+    for n in range(600):
+        cid = CASE_IDS[n % 10]
         desc = descriptor(cid)
-        rows = tuple(tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(3))
-        det = _det3(rows)
-        if det == 0:
-            continue
-        values = [Fraction(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(3)]
-        values[rng.randrange(3)] = rng.randint(-3, 3)
-        gaps = class_gaps(cid, rows, values)
-        xs = [gaps[cls[0]] for cls in desc.classes]
-        assert all(gaps[i] == xs[c] for c, cls in enumerate(desc.classes) for i in cls)
-        lam = abs(det) * lcm(*(Fraction(v).denominator for v in values))
-        assert [sum(r * x for r, x in zip(row, xs)) for row in rows] == \
-            [lam * v for v in values], (cid, rows, values)
-        checked += 1
+        a, b = (Fraction(rng.randint(-30, 30), rng.randint(1, 20)) for _ in range(2))
+        if n % 7 == 0:
+            a = rng.randint(-2, 2)
+        gaps = share_gaps(cid, a, b)
+        q = sum(gaps)
+        assert q > 0 and len(gaps) == desc.n_plus_1
+        assert all(len({gaps[i] for i in cls}) == 1 for cls in desc.classes)
+        (i, m, _), (j, l, _) = case_formula(cid).slots
+        assert (m * gaps[i], l * gaps[j]) == (a * q, b * q), (cid, a, b)
 
 
 @pytest.mark.parametrize("n", [0, -1, Fraction(-1, 2)])

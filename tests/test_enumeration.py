@@ -5,15 +5,15 @@ import pytest
 
 from conftest import primitive
 from ttstar import enumeration, exact, stokes, theta
-from ttstar.cases import CASE_IDS, GROUPS, descriptor, in_region, k_to_asymptotic
+from ttstar.cases import (CASE_IDS, GROUPS, descriptor, in_region, k_to_asymptotic,
+                          share_gaps)
 from ttstar.cli import half_table
 from ttstar.exact import _cyclotomic, cos2
 from ttstar.enumeration import (BLOCKS, CosPair, _admissible_set, _cos_class,
                                 _cos_dictionary, _integral_label_pairs,
                                 _pair_integral, admissible_points,
                                 brute_force_integral_points, classify_block,
-                                enumerate_cos_pairs, integral_solutions,
-                                k_from_labels)
+                                enumerate_cos_pairs, integral_solutions)
 from ttstar.stokes import stokes_from_k
 from ttstar.theta import tk_from_k
 
@@ -137,7 +137,7 @@ def test_even_cases_fold_stokes_pairs():
     exchanged by (gamma, delta) -> (-delta, -gamma), and the printed half
     table (gamma + delta >= 0) holds one record per pair.  In the odd cases
     all 19 pairs are distinct."""
-    from ttstar.cli import case_rows, fmt_frac
+    from ttstar.cli import case_rows
     for cid in CASE_IDS:
         recs = integral_solutions(cid)
         by_pair = {}
@@ -153,20 +153,20 @@ def test_even_cases_fold_stokes_pairs():
         printed = {(row["gamma"], row["delta"]) for row in case_rows(cid, full=False)}
         assert len(printed) == 12, cid
         for points in by_pair.values():
-            assert sum((fmt_frac(p.gamma), fmt_frac(p.delta)) in printed
+            assert sum((str(p.gamma), str(p.delta)) in printed
                        for p in points) == 1, (cid, points)
 
 
-def test_k_from_labels_consistency():
-    gaps = k_from_labels("4a", F("1/2"), F("1/3"))
+def test_share_gaps_at_labels_consistency():
+    gaps = share_gaps("4a", F("1/2"), F("1/3"))
     q = sum(gaps)
     assert tuple(Fraction(c, q) for c in gaps) == (
         F("1/2"), F("1/12"), F("1/3"), F("1/12"))
 
 
-def _reference_k_from_labels(case_id, a_label, b_label):
-    """The retired ``k_from_labels``: the labels over m on the two slot
-    gaps, over one denominator q, and what is left of q shared by the
+def _reference_label_gaps(case_id, a_label, b_label):
+    """The retired ``k_from_labels`` bookkeeping: the labels over m on the two
+    slot gaps, over one denominator q, and what is left of q shared by the
     class holding neither slot, over a multiple of q where it must be."""
     desc = descriptor(case_id)
     (ki, mk, _), (li, ml, _) = stokes.case_formula(case_id).slots
@@ -191,8 +191,8 @@ def _reference_k_from_labels(case_id, a_label, b_label):
     return gaps
 
 
-def test_k_from_labels_matches_reference(rng):
-    """The one ``class_gaps`` solve gives the retired bookkeeping's gaps up
+def test_share_gaps_at_labels_matches_reference(rng):
+    """``share_gaps`` at the labels gives the retired bookkeeping's gaps up
     to a positive scale, on the 19 table points of every case and on random
     label pairs with a, b >= 0, a + b <= 1 and denominators up to 12."""
     table = [labels for _, block in enumeration._BLOCK_ORDER for labels in block]
@@ -205,9 +205,9 @@ def test_k_from_labels_matches_reference(rng):
             pairs.append((a, b))
     for cid in CASE_IDS:
         for a, b in table + pairs:
-            gaps = k_from_labels(cid, a, b)
+            gaps = share_gaps(cid, a, b)
             assert sum(gaps) > 0, (cid, a, b)
-            assert primitive(gaps) == primitive(_reference_k_from_labels(cid, a, b)), \
+            assert primitive(gaps) == primitive(_reference_label_gaps(cid, a, b)), \
                 (cid, a, b)
 
 

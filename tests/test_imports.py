@@ -1,6 +1,7 @@
 """What a cold start loads, checked in fresh interpreters: no ``ttstar``
 module imports ``dataclasses``, ``import ttstar.cli`` leaves out ``typing``,
-and ``json`` and ``csv`` load only in the commands that write them."""
+``json`` and ``csv`` load only in the commands that write them, and a case
+is derived only when it is read."""
 
 import os
 import subprocess
@@ -77,3 +78,19 @@ def test_json_and_csv_output_unchanged():
         "0 3b3e56ab5ab138374a20348b4b980844a7a1aedb5d0c38872b3312cb33d8300f True",
         "0 0d86320b7f2b16eb32c4719712d7bede5b3a761a5e6a6c2fd17ec1c72f0e364d True",
     ]
+
+
+def test_cases_derived_only_when_read():
+    """Each case's formula and descriptor are derived from its reflection on
+    first use: ``import ttstar.cli`` derives none, and ``convert`` derives
+    only its own case's."""
+    lines = _fresh(
+        "import contextlib, io\n"
+        "import ttstar.cli\n"
+        "from ttstar.cases import case_formula, descriptor\n"
+        "print(case_formula.cache_info().currsize, descriptor.cache_info().currsize)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = ttstar.cli.main(['convert', '4a', '--from', 'asymptotic', '3', '1'])\n"
+        "print(code, case_formula.cache_info().currsize, descriptor.cache_info().currsize,\n"
+        "      ttstar.cases.GROUPS['4'])\n")
+    assert lines == ["0 0", "0 1 1 ('4a', '4b')"]

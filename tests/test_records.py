@@ -19,8 +19,7 @@ from ttstar.theta import CISpec, CorollaryReport, ThetaPoly
 
 def _descriptor_copy():
     d = descriptor("4a")
-    return CaseDescriptor(d.id, d.n_plus_1, d.ab, d.symmetry, d.gamma_row,
-                          d.delta_row, d.group)
+    return CaseDescriptor(d.id, d.n_plus_1, d.ab, d.symmetry, d.group)
 
 
 def _formula_copy():
