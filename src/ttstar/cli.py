@@ -135,21 +135,14 @@ def emit_json(rows: list[dict], fields, out) -> None:
     out.write("\n")
 
 
-def _latex_frac(text: str) -> str:
-    if "/" in text:
-        num, den = text.split("/")
-        sign = ""
-        if num.startswith("-"):
-            sign, num = "-", num[1:]
-        return f"{sign}\\tfrac{{{num}}}{{{den}}}"
-    return text
+# the fields that ``emit_latex`` sets in math mode
+LATEX_MATH = frozenset(("a", "b", "gamma", "delta", "s1", "s2", "tk"))
 
 
-def _latex_tk(tk: str) -> str:
-    out = tk.replace("\u03b8", "\\theta ")
-    # rewrite the root fractions
-    out = re.sub(r"(\d+)/(\d+)", r"\\tfrac{\1}{\2}", out)
-    return f"${out}$"
+def _latex_math(text: str) -> str:
+    """A math-mode cell: theta, +- and every fraction p/q rewritten."""
+    text = text.replace("\u03b8", "\\theta ").replace("\u00b1", "\\pm ")
+    return "$" + re.sub(r"(\d+)/(\d+)", r"\\tfrac{\1}{\2}", text) + "$"
 
 
 def emit_latex(rows: list[dict], fields, out) -> None:
@@ -164,16 +157,8 @@ def emit_latex(rows: list[dict], fields, out) -> None:
         if prev_block is not None and r.get("block") != prev_block:
             out.write("\\hline\n")
         prev_block = r.get("block")
-        cells = []
-        for f in fields:
-            val = r[f]
-            if f == "tk":
-                cells.append(_latex_tk(val))
-            elif f in ("a", "b", "gamma", "delta", "s1", "s2"):
-                cells.append(f"${_latex_frac(val.replace(chr(0xb1), chr(92) + 'pm '))}$")
-            else:
-                cells.append(val)
-        out.write(" & ".join(cells) + " \\\\\n")
+        out.write(" & ".join(_latex_math(r[f]) if f in LATEX_MATH else r[f]
+                             for f in fields) + " \\\\\n")
     out.write("\\hline\n\\end{tabular}\n")
 
 
@@ -236,19 +221,13 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def _raw_rows() -> list[dict]:
-    from .enumeration import enumerate_cos_pairs
-    rows = []
-    for pair in enumerate_cos_pairs():
-        rows.append({"a": str(pair.a_label), "b": str(pair.b_label),
-                     "m": str(pair.m), "p": str(pair.p)})
-    return rows
-
-
 def cmd_enumerate(args) -> int:
     emit = EMITTERS[args.format]
     if args.raw:
-        emit(_raw_rows(), ("a", "b", "m", "p"), sys.stdout)
+        from .enumeration import enumerate_cos_pairs
+        fields = ("a", "b", "m", "p")  # a CosPair's own fields, in order
+        emit([dict(zip(fields, map(str, pair))) for pair in enumerate_cos_pairs()],
+             fields, sys.stdout)
         return 0
     if args.all:
         rows = []
@@ -276,7 +255,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 def cmd_qdo(args) -> int:
     from .enumeration import integral_solutions
-    from .theta import CISpec, fmt_qdo, qdo_from_ci
+    from .theta import CISpec, NotReducibleError, fmt_qdo, qdo_from_ci
     weights = _parse_int_list(args.weights)
     degrees = _parse_int_list(args.degrees)
     try:
@@ -285,11 +264,10 @@ def cmd_qdo(args) -> int:
             raise CliError(f"the weights sum to {sum(spec.weights)}, above qdo's "
                            f"limit of {MAX_QDO_WEIGHT_SUM}", EXIT_PARSE)
         op = qdo_from_ci(spec)
-    except ValueError as e:  # NotReducibleError too
-        # a list without a weight or with an entry below 1 is malformed
-        malformed = not weights or min(weights + degrees) < 1
-        raise CliError(str(e), EXIT_PARSE if malformed
-                       else EXIT_NOT_REDUCIBLE) from None
+    except NotReducibleError as e:
+        raise CliError(str(e), EXIT_NOT_REDUCIBLE) from None
+    except ValueError as e:  # a malformed list
+        raise CliError(str(e), EXIT_PARSE) from None
     print(f"{spec}: {fmt_qdo(op)}")
     if args.match:
         found = []
@@ -326,47 +304,32 @@ def golden_rows(path: Path, columns: tuple[str, ...] = ()) -> list[dict]:
 
 
 def compare_golden(case_id: str, tables_dir: Path) -> list[str]:
-    """Mismatches between computed records and the golden table files."""
-    from .enumeration import integral_solutions
-    problems = []
+    """Mismatches between the rows ``enumerate`` prints and the golden table
+    files: the group's table against the case's rows, and the (gamma, delta)
+    summary table3, which lists all 19 points per group, against its
+    ``--full`` rows."""
     group = descriptor(case_id).group
-    path = tables_dir / f"{GROUP_TABLE[group]}.csv"
-    if not path.exists():
-        return [f"missing golden file {path}"]
-    try:
-        expected = golden_rows(path, FIELDS)
-    except ValueError as e:
-        return [str(e)]
-    got = case_rows(case_id, full=False)
-    if len(expected) != len(got):
-        problems.append(f"{path.name}: {len(got)} rows computed, "
-                        f"{len(expected)} expected")
-        return problems
-    for i, (e, g) in enumerate(zip(expected, got)):
-        for f in FIELDS:
-            if e[f] != g[f]:
-                problems.append(f"{path.name} row {i + 1} field {f}: "
-                                f"computed {g[f]!r}, expected {e[f]!r}")
-    # the (gamma, delta) summary table lists all 19 points per group
-    path3 = tables_dir / "table3.csv"
-    if path3.exists():
+    problems = []
+    for name, full, columns, fields in (
+            (GROUP_TABLE[group], False, FIELDS, FIELDS),
+            ("table3", True, ("block", f"gamma_{group}", f"delta_{group}"),
+             ("block", "gamma", "delta"))):
+        path = tables_dir / f"{name}.csv"
+        if not path.exists():
+            return problems + [f"missing golden file {path}"]
         try:
-            rows3 = golden_rows(path3, ("block", f"gamma_{group}", f"delta_{group}"))
+            expected = golden_rows(path, columns)
         except ValueError as e:
             return problems + [str(e)]
-        recs = integral_solutions(case_id)
-        if len(rows3) != len(recs):
-            problems.append(f"table3.csv: {len(rows3)} rows, expected {len(recs)}")
-        else:
-            for i, (e, rec) in enumerate(zip(rows3, recs)):
-                want = (e["block"], e[f"gamma_{group}"], e[f"delta_{group}"])
-                have = (rec.block, str(rec.asymptotic.gamma),
-                        str(rec.asymptotic.delta))
-                if want != have:
-                    problems.append(f"table3.csv row {i + 1} group {group}: "
-                                    f"computed {have}, expected {want}")
-    else:
-        problems.append(f"missing golden file {path3}")
+        got = case_rows(case_id, full)
+        if len(expected) != len(got):
+            return problems + [f"{path.name}: {len(got)} rows computed, "
+                               f"{len(expected)} expected"]
+        for i, (e, g) in enumerate(zip(expected, got)):
+            for column, f in zip(columns, fields):
+                if e[column] != g[f]:
+                    problems.append(f"{path.name} row {i + 1} field {column}: "
+                                    f"computed {g[f]!r}, expected {e[column]!r}")
     return problems
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from math import gcd, lcm
 
 from .cases import (AsymptoticData, KVector, descriptor, gaps_to_asymptotic,
@@ -91,30 +92,25 @@ def admissible_points() -> list[tuple[Fraction, Fraction]]:
             if c.a_label + c.b_label <= 1]
 
 
-@lru_cache(maxsize=1)
-def _admissible_set() -> frozenset[tuple[Fraction, Fraction]]:
-    return frozenset(admissible_points())
-
-
-# Canonical row order of the published tables: the five blocks, each with
-# a fixed label sequence (top and diagonal sweep a downward/upward along
-# the respective edge; the paper fixes the rest by printing order).
-_BLOCK_ORDER: tuple[tuple[str, tuple[tuple[Fraction, Fraction], ...]], ...] = (
-    ("top-edge", ((Fraction(1), Fraction(0)), (Fraction(2, 3), Fraction(0)),
-                  (Fraction(1, 2), Fraction(0)), (Fraction(1, 3), Fraction(0)),
-                  (Fraction(0), Fraction(0)))),
-    ("left-edge", ((Fraction(0), Fraction(1, 3)), (Fraction(0), Fraction(1, 2)),
-                   (Fraction(0), Fraction(2, 3)), (Fraction(0), Fraction(1)))),
-    ("diagonal-edge", ((Fraction(1, 3), Fraction(2, 3)),
-                       (Fraction(1, 2), Fraction(1, 2)),
-                       (Fraction(2, 3), Fraction(1, 3)))),
-    ("center-line", ((Fraction(1, 3), Fraction(1, 3)),
-                     (Fraction(1, 4), Fraction(1, 4)),
-                     (Fraction(1, 6), Fraction(1, 6)))),
-    ("other-interior", ((Fraction(1, 2), Fraction(1, 3)),
-                        (Fraction(2, 5), Fraction(1, 5)),
-                        (Fraction(1, 5), Fraction(2, 5)),
-                        (Fraction(1, 3), Fraction(1, 2)))),
+# The 19 admissible label pairs in the paper's printing order: its five
+# blocks in turn (``classify_block`` names each; top and diagonal sweep a
+# downward/upward along the respective edge, and the paper fixes the rest).
+_TABLE_ORDER: tuple[tuple[Fraction, Fraction], ...] = (
+    (Fraction(1), Fraction(0)), (Fraction(2, 3), Fraction(0)),
+    (Fraction(1, 2), Fraction(0)), (Fraction(1, 3), Fraction(0)),
+    (Fraction(0), Fraction(0)),
+    (Fraction(0), Fraction(1, 3)), (Fraction(0), Fraction(1, 2)),
+    (Fraction(0), Fraction(2, 3)), (Fraction(0), Fraction(1)),
+    (Fraction(1, 3), Fraction(2, 3)),
+    (Fraction(1, 2), Fraction(1, 2)),
+    (Fraction(2, 3), Fraction(1, 3)),
+    (Fraction(1, 3), Fraction(1, 3)),
+    (Fraction(1, 4), Fraction(1, 4)),
+    (Fraction(1, 6), Fraction(1, 6)),
+    (Fraction(1, 2), Fraction(1, 3)),
+    (Fraction(2, 5), Fraction(1, 5)),
+    (Fraction(1, 5), Fraction(2, 5)),
+    (Fraction(1, 3), Fraction(1, 2)),
 )
 
 
@@ -136,27 +132,24 @@ def classify_block(case_id: str, a: AsymptoticData) -> str:
 @lru_cache(maxsize=None)
 def integral_solutions(case_id: str) -> tuple[SolutionRecord, ...]:
     """The 19 complete solution records of one case, in table order."""
-    admissible = _admissible_set()
+    assert sorted(_TABLE_ORDER) == sorted(admissible_points())
     records = []
-    for block, labels in _BLOCK_ORDER:
-        for a_label, b_label in labels:
-            assert (a_label, b_label) in admissible
-            gaps = share_gaps(case_id, a_label, b_label)
-            q = sum(gaps)
-            asym = gaps_to_asymptotic(case_id, gaps)
-            ints = k_gaps_stokes(case_id, gaps)
-            if ints is None:
-                raise AssertionError(
-                    f"non-integral Stokes data at {case_id} {(a_label, b_label)}")
-            # k admissible: every k_i = c_i/q - 1 >= -1
-            assert in_region(case_id, asym) and min(gaps) >= 0
-            derived_block = classify_block(case_id, asym)
-            assert derived_block == block, (case_id, a_label, b_label, derived_block)
-            records.append(SolutionRecord(
-                case_id, a_label, b_label, asym, ints,
-                KVector(case_id, tuple(Fraction(c - q, q) for c in gaps)),
-                ThetaPoly(tk_numerators(gaps), q), block))
-    assert len(records) == 19
+    for a_label, b_label in _TABLE_ORDER:
+        gaps = share_gaps(case_id, a_label, b_label)
+        q = sum(gaps)
+        asym = gaps_to_asymptotic(case_id, gaps)
+        ints = k_gaps_stokes(case_id, gaps)
+        if ints is None:
+            raise AssertionError(
+                f"non-integral Stokes data at {case_id} {(a_label, b_label)}")
+        # k admissible: every k_i = c_i/q - 1 >= -1
+        assert in_region(case_id, asym) and min(gaps) >= 0
+        records.append(SolutionRecord(
+            case_id, a_label, b_label, asym, ints,
+            KVector(case_id, tuple(Fraction(c - q, q) for c in gaps)),
+            ThetaPoly(tk_numerators(gaps), q), classify_block(case_id, asym)))
+    # one run per block, in BLOCKS order: ``cli.emit_latex`` rules off each run
+    assert tuple(block for block, _ in groupby(r.block for r in records)) == BLOCKS
     return tuple(records)
 
 

@@ -40,6 +40,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from types import SimpleNamespace
 
 from .cases import KVector, descriptor
 from .exact import cyclotomic_factors, moebius
@@ -47,7 +48,8 @@ from .stokes import k_gaps_stokes
 
 
 class NotReducibleError(ValueError):
-    """The hypersurface factor does not divide the ambient-space factor."""
+    """The hypersurface factor does not divide the ambient-space factor, or
+    its degrees sum to no less than the weights."""
 
 
 def _fmt_ratio(r: int, q: int) -> str:
@@ -115,7 +117,7 @@ class CISpec(namedtuple("CISpec", "weights degrees")):
         if any(d < 1 for d in degrees):
             raise ValueError("degrees must be positive integers")
         if sum(weights) <= sum(degrees):
-            raise ValueError("sum of weights must exceed sum of degrees")
+            raise NotReducibleError("sum of weights must exceed sum of degrees")
         return super().__new__(cls, tuple(sorted(weights)), tuple(sorted(degrees)))
 
     def __str__(self) -> str:
@@ -292,35 +294,21 @@ def match_ci(roots: Iterable[Fraction],
     return _match_numerators(t.numerators, t.q, weight_sum_bound)
 
 
-class CorollaryReport:
+class CorollaryReport(SimpleNamespace):
     """What ``verify_corollary`` found, filled in as it runs; reports with
     equal fields are equal."""
-
-    __slots__ = ("case", "bound", "forward_checked", "forward_mismatches",
-                 "converse_checked", "converse_violations", "flagged_non_ci")
 
     def __init__(self, case: str, bound: int, forward_checked: int = 0,
                  forward_mismatches: list[str] | None = None,
                  converse_checked: int = 0,
                  converse_violations: list[str] | None = None,
                  flagged_non_ci: list[str] | None = None):
-        self.case, self.bound = case, bound
-        self.forward_checked, self.converse_checked = forward_checked, converse_checked
-        self.forward_mismatches = [] if forward_mismatches is None else forward_mismatches
-        self.converse_violations = [] if converse_violations is None else converse_violations
-        self.flagged_non_ci = [] if flagged_non_ci is None else flagged_non_ci
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        return "CorollaryReport(" + ", ".join(
-            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())) + ")"
+        super().__init__(
+            case=case, bound=bound, forward_checked=forward_checked,
+            forward_mismatches=[] if forward_mismatches is None else forward_mismatches,
+            converse_checked=converse_checked,
+            converse_violations=[] if converse_violations is None else converse_violations,
+            flagged_non_ci=[] if flagged_non_ci is None else flagged_non_ci)
 
     @property
     def ok(self) -> bool:

@@ -268,9 +268,31 @@ def test_json_round_trip(capsys):
 
 
 def test_latex_layout(capsys):
+    """Every field but the block in math mode, with its fractions as
+    \\tfrac, and a rule between blocks; --raw's m and p stay outside math
+    mode and its single block needs no rule."""
     _, out, _ = run(capsys, "enumerate", "4a", "--format", "latex")
-    assert out.startswith("\\begin{tabular}")
-    assert "\\theta ^4" in out and "\\pm 4" in out
+    lines = out.splitlines()
+    assert lines[:5] == [
+        r"\begin{tabular}{|c|c|c|c|c|c|c|c|}", r"\hline",
+        r"$a/\pi$ & $b/\pi$ & $\gamma$ & $\delta$ & $s_1^{\mathbb R}$ & "
+        r"$s_2^{\mathbb R}$ & $T_k$ & block \\", r"\hline",
+        r"$1$ & $0$ & $3$ & $1$ & $\pm 4$ & $-6$ & $\theta ^4$ & top-edge \\"]
+    # the last top-edge row, the rule, the first diagonal-edge row
+    assert lines[8:11] == [
+        r"$0$ & $0$ & $-1$ & $1$ & $0$ & $2$ & $\theta ^2(\theta -\tfrac{1}{2})^2$"
+        r" & top-edge \\", r"\hline",
+        r"$\tfrac{1}{2}$ & $\tfrac{1}{2}$ & $1$ & $-1$ & $0$ & $-2$ & "
+        r"$\theta ^2(\theta -\tfrac{1}{2})^2$ & diagonal-edge \\"]
+    assert lines[-2:] == [r"\hline", r"\end{tabular}"]
+    assert lines.count(r"\hline") == 3 + 3  # 4a's half table has four blocks
+    _, out, _ = run(capsys, "enumerate", "--raw", "--format", "latex")
+    lines = out.splitlines()
+    assert lines[2:6] == [r"$a/\pi$ & $b/\pi$ & m & p \\", r"\hline",
+                          r"$0$ & $0$ & 0 & 4 \\",
+                          r"$0$ & $\tfrac{1}{3}$ & 1 & 2 \\"]
+    assert r"$\tfrac{2}{3}$ & $0$ & -3 & -2 \\" in lines
+    assert lines.count(r"\hline") == 3 and len(lines) == 33 + 6
 
 
 def test_qdo_match(capsys):
@@ -344,6 +366,28 @@ def test_verify_detects_corrupted_golden(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--case", "4a", "--bound", "6",
                        "--tables", str(tmp_path))
     assert code == 5 and "field s2" in err
+
+
+def test_verify_detects_corrupted_table3(capsys, tmp_path):
+    """table3.csv is compared field by field with the rows of
+    ``enumerate --full``, as the group tables are with ``enumerate``."""
+    _copy_tables(tmp_path)
+    rows = list(csv.reader(io.StringIO(
+        (TABLES / "table3.csv").read_text(encoding="utf-8"))))
+    column = rows[0].index("gamma_4")
+    assert rows[7][column] == "-1"  # left-edge (0, 1/2)
+    rows[7][column] = "-2"
+    (tmp_path / "table3.csv").write_text(
+        "".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--case", "4a", "--bound", "6",
+                         "--tables", str(tmp_path))
+    assert code == 5 and "golden tables: 1 mismatches" in out
+    assert err == ("error: FAIL: table3.csv row 7 field gamma_4: "
+                   "computed '-1', expected '-2'\n")
+    # only the groups whose columns it changed see the corruption
+    code, out, _ = run(capsys, "verify", "--case", "5a", "--bound", "6",
+                       "--tables", str(tmp_path))
+    assert code == 0 and "golden tables: 0 mismatches" in out
 
 
 def _copy_tables(tmp_path):

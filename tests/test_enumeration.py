@@ -9,7 +9,7 @@ from ttstar.cases import (CASE_IDS, GROUPS, descriptor, in_region, k_to_asymptot
                           share_gaps)
 from ttstar.cli import half_table
 from ttstar.exact import _cyclotomic, cos2
-from ttstar.enumeration import (BLOCKS, CosPair, _admissible_set, _cos_class,
+from ttstar.enumeration import (BLOCKS, CosPair, _cos_class,
                                 _cos_dictionary, _integral_label_pairs,
                                 _pair_integral, admissible_points,
                                 brute_force_integral_points, classify_block,
@@ -195,7 +195,7 @@ def test_share_gaps_at_labels_matches_reference(rng):
     """``share_gaps`` at the labels gives the retired bookkeeping's gaps up
     to a positive scale, on the 19 table points of every case and on random
     label pairs with a, b >= 0, a + b <= 1 and denominators up to 12."""
-    table = [labels for _, block in enumeration._BLOCK_ORDER for labels in block]
+    table = admissible_points()
     assert len(table) == 19
     pairs = []
     while len(pairs) < 200:
@@ -231,7 +231,7 @@ def test_records_match_algreal_oracle():
 def test_cold_tables_make_no_algreal_arithmetic(monkeypatch):
     """A cold cosine-pair sweep and a cold build of the ten tables run with
     every cos2 binding and AlgReal's ring operations made to raise."""
-    for cached in (_cos_dictionary, enumerate_cos_pairs, _admissible_set,
+    for cached in (_cos_dictionary, enumerate_cos_pairs,
                    integral_solutions, exact._power_table, exact._cyclotomic,
                    exact._phi, exact._prime_factors):
         cached.cache_clear()

@@ -513,19 +513,29 @@ def test_tight_tol_bounds_requested_grid(monkeypatch, points):
 
 def test_newton_tolerance():
     """1e-10 (h/h0)^2 with h0 the default grid's spacing, and never below
-    16 eps times the size of the asymptote at t_min."""
+    32 eps times the size of the asymptote at t_min."""
     eps, a = np.finfo(float).eps, AsymptoticData(F(3), F(-1))
     for t_min, t_max, m in ((-12.0, 4.0, 256), (-12.0, 4.0, 2048), (-24.0, 8.0, 64),
                             (-100.0, 8.0, 4096), (-12.0, 4.0, MAX_GRID_POINTS)):
         t = np.linspace(t_min, t_max, m)
         h = (t_max - t_min) / (m - 1)
-        expected = max(1e-10 * (h * 255 / 16) ** 2, 16 * eps * 3 * abs(t_min))
+        expected = max(1e-10 * (h * 255 / 16) ** 2, 32 * eps * 3 * abs(t_min))
         assert newton_tolerance(t, a) == pytest.approx(expected, rel=1e-12)
     assert newton_tolerance(np.linspace(-12.0, 4.0, 256), a) == 1e-10
-    # the floor is 16 eps where the asymptote is small at t_min
+    # the floor is 32 eps where the asymptote is small at t_min
     tiny = newton_tolerance(np.linspace(-0.5, 4.0, MAX_GRID_POINTS),
                             AsymptoticData(F(1), F(0)))
-    assert tiny == 16 * eps
+    assert tiny == 32 * eps
+
+
+def test_long_window_reaches_rounding_floor():
+    """With t_min -400 on 65,536 points the tolerance is the rounding floor
+    32 eps |gamma t_min| = 2.8e-12; at 16 eps (1.4e-12) this solve stalled
+    at 1.514e-12, and so did 5a (-1, -1/2)."""
+    a = AsymptoticData(F(-1), F("1/3"))
+    sol = solve_radial("5a", a, SolverConfig(t_min=-400.0, t_max=8.0,
+                                             grid_points=65536))
+    assert sol.residual_norm < newton_tolerance(sol.grid, a)
 
 
 @pytest.mark.parametrize("points", [256, 2048])
