@@ -6,7 +6,9 @@ SRC is the package directory (default: ``src/ttstar`` next to this
 script's directory).  For each module the script prints its lines and its
 code lines: the lines that hold part of a statement, so blank lines,
 comment lines and the lines of docstrings (a string literal that opens a
-module, class or function body) do not count.
+module, class or function body) do not count.  Then it prints what a user
+can set: the number of ``add_argument`` calls in ``cli.py`` and the fields
+of ``solver.SolverConfig``.
 """
 
 from __future__ import annotations
@@ -44,6 +46,18 @@ def count(text: str) -> tuple[int, int]:
     return len(text.splitlines()), len(code)
 
 
+def options(src: Path) -> tuple[int, list[str]]:
+    """(the add_argument calls of cli.py, the fields of SolverConfig)."""
+    cli = ast.parse((src / "cli.py").read_text(encoding="utf-8"))
+    calls = sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument" for node in ast.walk(cli))
+    solver = ast.parse((src / "solver.py").read_text(encoding="utf-8"))
+    # class SolverConfig(namedtuple("SolverConfig", "<fields>"))
+    config = next(node for node in ast.walk(solver)
+                  if isinstance(node, ast.ClassDef) and node.name == "SolverConfig")
+    return calls, config.bases[0].args[1].value.split()
+
+
 def main(argv: list[str]) -> int:
     default = Path(__file__).resolve().parents[1] / "src" / "ttstar"
     src = Path(argv[0]) if argv else default
@@ -55,6 +69,9 @@ def main(argv: list[str]) -> int:
         total_code += code
         print(f"{path.name:<16}{lines:>8,}{code:>8,}")
     print(f"{'total':<16}{total_lines:>8,}{total_code:>8,}")
+    calls, fields = options(src)
+    print(f"cli.py add_argument calls: {calls}")
+    print(f"SolverConfig fields: {len(fields)} ({', '.join(fields)})")
     return 0
 
 

@@ -45,6 +45,10 @@ class SymmetryError(ValueError):
     """A k-vector violates its case's equality constraints."""
 
 
+class RegionError(ValueError):
+    """Asymptotic data lie outside their case's region."""
+
+
 # The records of the package are named tuples: immutable, compared and
 # hashed by their fields, and cheap to define and to build.  So a record is
 # also the tuple of its fields: it iterates over them and equals that tuple.
@@ -258,3 +262,17 @@ def in_region(case_id: str, a: AsymptoticData) -> bool:
     """Membership in the closed triangular region of asymptotic data."""
     gamma_lo, delta_hi = descriptor(case_id).corners
     return a.gamma >= gamma_lo and a.delta <= delta_hi and a.gamma - a.delta <= 2
+
+
+def _excerpt(text: str) -> str:
+    """text, or its first 37 characters and "..." when it is longer than 40."""
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def check_region(case_id: str, a: AsymptoticData) -> None:
+    """Raise ``RegionError`` unless (gamma, delta) lie in the case's region;
+    the message cuts each value to 40 characters."""
+    if not in_region(case_id, a):
+        raise RegionError(f"(gamma, delta) = ({_excerpt(str(a.gamma))}, "
+                          f"{_excerpt(str(a.delta))}) outside the region "
+                          f"of case {case_id}")

@@ -4,21 +4,23 @@
 
 Exit codes: 0 success, 1 asymptotics not verified, 2 parse error,
 3 symmetry/region violation, 4 operator not reducible, 5 verification
-mismatch, 6 solver non-convergence.
+mismatch, 6 solver non-convergence.  ``main`` gives a ``CliError`` its own
+code, the library's ``SymmetryError`` and ``RegionError`` 3 and any other
+``ValueError`` 2, so no subcommand re-checks a library rule.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .cases import (CASE_IDS, GROUPS, AsymptoticData, SymmetryError,
-                    asymptotic_gaps, asymptotic_to_k, descriptor, in_region,
-                    k_to_asymptotic, make_k)
+from .cases import (CASE_IDS, GROUPS, AsymptoticData, RegionError,
+                    SymmetryError, _excerpt, asymptotic_gaps, asymptotic_to_k,
+                    check_region, descriptor, in_region, k_to_asymptotic,
+                    make_k)
 from .stokes import k_gaps_floats, k_gaps_stokes
 
 # ``enumeration`` and ``theta``, like ``solver``, load only in the subcommands
@@ -49,14 +51,12 @@ GROUP_TABLE = {"4": "table5", "5ab": "table6", "5cde": "table7", "6": "table8"}
 
 
 class CliError(Exception):
+    """A rule of the command line itself, with its exit code; ``main`` gives
+    the library's ``ValueError`` theirs."""
+
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
-
-
-def _excerpt(text: str) -> str:
-    """text, or its first 37 characters and "..." when it is longer than 40."""
-    return text if len(text) <= 40 else text[:37] + "..."
 
 
 # n/d, or w.p times 10^(+-e), which Fraction forms as wp*10^e / 10^len(p)
@@ -166,13 +166,6 @@ EMITTERS = {"table": emit_table, "csv": emit_csv, "json": emit_json,
             "latex": emit_latex}
 
 
-def check_region(case_id: str, asym: AsymptoticData) -> None:
-    if not in_region(case_id, asym):
-        raise CliError(f"(gamma, delta) = ({_excerpt(str(asym.gamma))}, "
-                       f"{_excerpt(str(asym.delta))}) outside the region "
-                       f"of case {case_id}", EXIT_DOMAIN)
-
-
 def default_tables_dir() -> Path:
     return Path(__file__).resolve().parents[2] / "tables"
 
@@ -185,8 +178,6 @@ def cmd_convert(args) -> int:
         raise CliError("--n applies to --from asymptotic only: a k-vector "
                        "fixes its own N", EXIT_PARSE)
     n = parse_frac(args.n or "1")
-    if n <= 0:
-        raise CliError("N must be positive", EXIT_PARSE)
     values = [parse_frac(v) for v in args.values]
     if args.source == "asymptotic":
         if len(values) != 2:
@@ -195,12 +186,7 @@ def cmd_convert(args) -> int:
         check_region(case_id, asym)
         k = asymptotic_to_k(case_id, asym, n)
     else:
-        try:
-            k = make_k(case_id, values)
-        except SymmetryError as e:
-            raise CliError(str(e), EXIT_DOMAIN) from None
-        except ValueError as e:
-            raise CliError(str(e), EXIT_PARSE) from None
+        k = make_k(case_id, values)
         if k.N <= 0:
             raise CliError("k-vector has nonpositive N", EXIT_DOMAIN)
         asym = k_to_asymptotic(k)
@@ -266,8 +252,6 @@ def cmd_qdo(args) -> int:
         op = qdo_from_ci(spec)
     except NotReducibleError as e:
         raise CliError(str(e), EXIT_NOT_REDUCIBLE) from None
-    except ValueError as e:  # a malformed list
-        raise CliError(str(e), EXIT_PARSE) from None
     print(f"{spec}: {fmt_qdo(op)}")
     if args.match:
         found = []
@@ -384,13 +368,8 @@ def cmd_solve(args) -> int:
     # so bad input and the other subcommands exit sooner (never scipy.linalg)
     from .solver import (ConvergenceError, SolverConfig, solve_radial,
                          verify_asymptotics)
-    try:
-        cfg = SolverConfig(t_min=args.t_min, t_max=args.t_max,
-                           grid_points=args.points)
-    except ValueError as e:
-        raise CliError(str(e), EXIT_PARSE) from None
-    if not 0 < args.tol_slope < math.inf:
-        raise CliError("--tol-slope must be positive and finite", EXIT_PARSE)
+    cfg = SolverConfig(t_min=args.t_min, t_max=args.t_max,
+                       grid_points=args.points)
     if args.output:
         _check_writable(Path(args.output))
     try:
@@ -412,7 +391,7 @@ def cmd_solve(args) -> int:
         print(f"profile written to {args.output}")
     else:
         sys.stdout.write(profile)
-    report = verify_asymptotics(sol, args.tol_slope)
+    report = verify_asymptotics(sol)
     print(f"residual      {sol.residual_norm:.3e}")
     print(f"fitted gamma  {sol.fitted_gamma:.6f}  (target {asym.gamma},"
           f" error {report.gamma_error:.4f})")
@@ -480,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--t-min", type=float, default=-12.0)
     s.add_argument("--t-max", type=float, default=4.0)
     s.add_argument("--points", type=int, default=2048)
-    s.add_argument("--tol-slope", type=float, default=0.05)
     s.add_argument("--output", help="CSV profile path (default: stdout)")
     s.add_argument("--trace", action="store_true",
                    help="print the Newton history (residual, line-search "
@@ -495,9 +473,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as e:
+    except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return e.code
+        if isinstance(e, CliError):
+            return e.code
+        return EXIT_DOMAIN if isinstance(e, (SymmetryError, RegionError)) else EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -29,35 +29,6 @@ RationalLike = Fraction | int
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic(n: int) -> tuple[int, ...]:
-    """Coefficients (ascending) of the n-th cyclotomic polynomial."""
-    if n == 1:
-        return (-1, 1)
-    # (x^n - 1) divided by the product of Phi_d for proper divisors d.
-    poly = [0] * (n + 1)
-    poly[0], poly[n] = -1, 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _polydiv_exact(poly, _cyclotomic(d))
-    return tuple(poly)
-
-
-def _polydiv_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Exact division of integer polynomials (remainder must vanish)."""
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c:
-            out[i - dd] = c
-            for j, dc in enumerate(den):
-                num[i - dd + j] -= c * dc
-    assert all(c == 0 for c in num)
-    return out
-
-
-@lru_cache(maxsize=None)
 def _prime_factors(n: int) -> tuple[int, ...]:
     out = []
     m = n
@@ -88,6 +59,26 @@ def moebius(n: int) -> int:
     if any(n % (p * p) == 0 for p in primes):
         return 0
     return -1 if len(primes) % 2 else 1
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(n: int) -> tuple[int, ...]:
+    """Coefficients (ascending) of the n-th cyclotomic polynomial, the
+    Moebius product of the x^d - 1 over the divisors d of n to the powers
+    mu(n/d): the factors of power 1 multiplied, then those of power -1
+    divided out, where q (x^d - 1) = p gives q_i = q_(i-d) - p_i."""
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    poly = [1]
+    for d in divisors:
+        if moebius(n // d) == 1:
+            poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+    for d in divisors:
+        if moebius(n // d) == -1:
+            q = []
+            for i in range(len(poly) - d):
+                q.append((q[i - d] if i >= d else 0) - poly[i])
+            poly = q
+    return tuple(poly)
 
 
 def cyclotomic_factors(exponents: Iterable[int], n: int) -> dict[int, int] | None:

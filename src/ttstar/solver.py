@@ -86,7 +86,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cases import AsymptoticData, descriptor, in_region
+from .cases import AsymptoticData, check_region, descriptor
 
 
 def _load_dgbsv():
@@ -131,9 +131,9 @@ MAX_GRID_POINTS = 2 ** 18
 MAX_T_MAX = 8.0
 # the Newton steps a solve may take; no measured solve took more than 12
 MAX_NEWTON_STEPS = 60
-# the spacing of the default grid, 256 points on [-12, 4], where a solve
-# stops at the residual 1e-10
-H0 = 16 / 255
+# the largest error of a fitted slope that ``verify_asymptotics`` accepts by
+# default
+SLOPE_TOL = 0.05
 
 
 class SolverConfig(namedtuple("SolverConfig", "t_min t_max grid_points")):
@@ -153,6 +153,11 @@ class SolverConfig(namedtuple("SolverConfig", "t_min t_max grid_points")):
             raise ValueError(
                 f"grid_points must be between 64 and {MAX_GRID_POINTS}")
         return super().__new__(cls, t_min, t_max, grid_points)
+
+
+# the spacing of the default grid, where a solve stops at the residual 1e-10
+_DEFAULT = SolverConfig()
+H0 = (_DEFAULT.t_max - _DEFAULT.t_min) / (_DEFAULT.grid_points - 1)
 
 
 def newton_tolerance(t: np.ndarray, a: AsymptoticData) -> float:
@@ -327,11 +332,9 @@ def _fit_slope(grid: _Grid, w: np.ndarray) -> np.ndarray:
 
 
 def solve_radial(case_id: str, a: AsymptoticData,
-                 cfg: SolverConfig = SolverConfig()) -> RadialSolution:
+                 cfg: SolverConfig = _DEFAULT) -> RadialSolution:
     """Damped-Newton solution of the radial boundary-value problem."""
-    if not in_region(case_id, a):
-        raise ValueError(f"asymptotic data {tuple(a)} outside the region of "
-                         f"case {case_id}")
+    check_region(case_id, a)
     m = cfg.grid_points
     grid = _grid(descriptor(case_id).ab, cfg.t_min, cfg.t_max, m)
     problem, tol = _problem(grid, a), newton_tolerance(grid.t, a)
@@ -391,7 +394,8 @@ class AsymptoticsReport(namedtuple("AsymptoticsReport", "gamma_ok delta_ok "
         return self.gamma_ok and self.delta_ok and self.residual_ok
 
 
-def verify_asymptotics(sol: RadialSolution, tol_slope: float) -> AsymptoticsReport:
+def verify_asymptotics(sol: RadialSolution,
+                       tol_slope: float = SLOPE_TOL) -> AsymptoticsReport:
     """Fitted slopes within tol_slope, and a solved profile: a Newton
     residual below ``newton_tolerance`` on its grid, as ``solve_radial``
     returns, so a profile left unsolved does not pass on the exact slopes of

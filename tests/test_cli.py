@@ -448,6 +448,16 @@ def test_solve_trivial(capsys, tmp_path):
     assert rows[0] == ["t", "u", "v"] and len(rows) == 513
 
 
+def test_solve_not_verified(capsys):
+    """A converged solve whose fitted slope misses gamma by more than
+    SLOPE_TOL (0.2292 here, on a window starting at t = -4) exits 1."""
+    code, out, err = run(capsys, "solve", "4a", "3", "1", "--t-min", "-4",
+                         "--points", "64")
+    assert code == 1 and not err
+    assert "error 0.2292)" in out
+    assert out.splitlines()[-1] == "asymptotics   NOT verified"
+
+
 def test_solve_region_violation(capsys):
     code, _, err = run(capsys, "solve", "4a", "5", "0")
     assert code == 3 and "outside the region" in err
@@ -545,10 +555,6 @@ def test_solve_non_convergence_writes_no_profile(capsys, tmp_path, two_newton_st
     (("--t-max", "inf", "--points", "64"), "t_max"),
     (("--t-min=-inf",), "t_min"),
     (("--t-min", "nan"), "t_min"),
-    (("--tol-slope", "inf"), "tol-slope"),
-    (("--tol-slope", "nan"), "tol-slope"),
-    (("--tol-slope", "-1"), "tol-slope"),
-    (("--tol-slope", "0"), "tol-slope"),
     (("--points", "100000000"), "grid_points"),
 ])
 def test_solve_invalid_options(capsys, options, message):

@@ -385,6 +385,15 @@ def test_cyclotomic_factors_match_definition(case):
         assert sum(m * moebius(d) for d, m in factors.items()) == round(root_sum)
 
 
+def test_cyclotomic_matches_sympy():
+    """The Moebius product gives sympy's cyclotomic polynomials."""
+    import sympy
+    x = sympy.Symbol("x")
+    for n in range(1, 201):
+        want = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        assert _cyclotomic(n) == tuple(map(int, want)), n
+
+
 def test_moebius_is_sum_of_primitive_roots():
     for n in range(1, 200):
         primitive = math.fsum(math.cos(2 * math.pi * k / n)

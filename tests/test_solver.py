@@ -16,7 +16,8 @@ from scipy.linalg import lapack, solve_banded
 from scipy.sparse import csr_matrix
 
 from ttstar import solver
-from ttstar.cases import CASE_IDS, AsymptoticData, descriptor, in_region
+from ttstar.cases import (CASE_IDS, AsymptoticData, RegionError, descriptor,
+                          in_region)
 from ttstar.enumeration import integral_solutions
 from ttstar.solver import (MAX_GRID_POINTS, ConvergenceError, SolverConfig,
                            _fit_slope, _grid, _jacobian, _problem, _residual,
@@ -163,6 +164,13 @@ def test_config_validation():
 def test_outside_region_rejected():
     with pytest.raises(ValueError):
         solve_radial("4a", AsymptoticData(F(5), F(0)), FAST)
+
+
+def test_outside_region_message():
+    """The solver raises the region error the CLI prints, values as written."""
+    with pytest.raises(RegionError) as info:
+        solve_radial("4a", AsymptoticData(F(3), F(5)))
+    assert str(info.value) == "(gamma, delta) = (3, 5) outside the region of case 4a"
 
 
 def test_trivial_solution():

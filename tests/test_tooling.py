@@ -34,3 +34,18 @@ def test_bench_wrapped_names_exist():
         assert callable(getattr(theta, name, None)), name
     for name in ("_jacobian", "dgbsv", "_fit_slope", "solve_radial"):
         assert callable(getattr(solver, name, None)), name
+
+
+def test_loc_options_match_the_live_objects():
+    """``benchmarks/loc.py`` reads the options from the source: as many
+    ``add_argument`` calls as the parser's subcommands hold arguments, and
+    the fields of ``SolverConfig``."""
+    import argparse
+
+    from ttstar.cli import build_parser
+    loc = _load(ROOT / "benchmarks" / "loc.py")
+    calls, fields = loc.options(ROOT / "src" / "ttstar")
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert calls == sum(len(p._actions) - 1 for p in sub.choices.values())
+    assert tuple(fields) == solver.SolverConfig._fields
