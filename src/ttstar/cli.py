@@ -34,7 +34,7 @@ EXIT_VERIFY = 5
 EXIT_NO_CONVERGENCE = 6
 
 # the largest weight sum ``qdo`` accepts: the operator has one root per unit
-# of weight (the degrees sum to less), and at this sum it takes about 0.3 s
+# of weight (the degrees sum to less), and at this sum it takes about 0.03 s
 MAX_QDO_WEIGHT_SUM = 10_000
 
 # the largest --bound ``verify`` accepts: the converse sweep grows about as
@@ -320,8 +320,6 @@ def compare_golden(case_id: str, tables_dir: Path) -> list[str]:
 def cmd_verify(args) -> int:
     from .theta import verify_corollary
     case_id = args.case
-    if args.bound < 6:
-        raise CliError("--bound must be at least 6", EXIT_PARSE)
     if args.bound > MAX_VERIFY_BOUND:
         raise CliError(f"--bound {args.bound} is above verify's limit of "
                        f"{MAX_VERIFY_BOUND}", EXIT_PARSE)

@@ -226,10 +226,12 @@ def _integral_label_pairs() -> frozenset[tuple[int, int]]:
                      for jy, cy in classes.items() if _pair_integral(cx, cy))
 
 
+@lru_cache(maxsize=64)
 def _label_axis(lo: int, hi: int, max_den: int, shift: int, div: int
-                ) -> list[tuple[int, int]]:
-    """(V, folded J) over the grid values v = V/L in [lo/L, hi/L] whose cosine
-    argument (v + shift)/div is a label J/L with denominator at most 6.
+                ) -> tuple[tuple[int, Fraction, int], ...]:
+    """(V, V/L, folded J) over the grid values v = V/L in [lo/L, hi/L] whose
+    cosine argument (v + shift)/div is a label J/L with denominator at most 6
+    (cached: a case's two axes are built once per grid).
 
     v = (div*J - L*shift)/L, kept when its reduced denominator
     L/gcd(V, L) is at most max_den; J is folded to [0, L] by the symmetries
@@ -243,8 +245,8 @@ def _label_axis(lo: int, hi: int, max_den: int, shift: int, div: int
         V = div * J - L * shift
         if L // gcd(V, L) <= max_den:
             J %= 2 * L
-            out.append((V, min(J, 2 * L - J)))
-    return out
+            out.append((V, Fraction(V, L), min(J, 2 * L - J)))
+    return tuple(out)
 
 
 def brute_force_integral_points(case_id: str, max_denominator: int = 60
@@ -260,7 +262,9 @@ def brute_force_integral_points(case_id: str, max_denominator: int = 60
     Grid points whose cosine argument has reduced denominator above 6
     (degree >= 3, never integral) are never visited; the rest are integers
     over L = 60, the lcm of the label denominators: gamma = G/L and
-    delta = D/L (``_label_axis``), and the region's diagonal is G - D <= 2L.
+    delta = D/L (``_label_axis``, built once per case and grid), and the
+    region's diagonal is G - D <= 2L.  A call joins the two axes against
+    the table and returns a new set.
     """
     desc = descriptor(case_id)
     ea, eb = desc.ab
@@ -272,6 +276,6 @@ def brute_force_integral_points(case_id: str, max_denominator: int = 60
     gammas = _label_axis(lo, hi + 2 * L, max_denominator, shift_gamma, div)
     deltas = _label_axis(lo - 2 * L, hi, max_denominator, shift_delta, div)
     table = _integral_label_pairs()
-    return {(Fraction(G, L), Fraction(D, L))
-            for G, jx in gammas for D, jy in deltas
+    return {(gamma, delta)
+            for G, gamma, jx in gammas for D, delta, jy in deltas
             if G - D <= 2 * L and (jx, jy) in table}

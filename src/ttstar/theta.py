@@ -16,9 +16,10 @@ zero gap), one integer per class of equal k_i, each counting the rotations
 back to the previous symmetric one.  It runs on the integer numerators c
 of the gaps c/q: T_k's roots are the prefix sums of the lowest rotation
 (``tk_numerators``, which the tables and ``tk_from_k`` use too; the sweep
-finds that rotation once per order pattern of the class values,
-``_shape``), they come out ascending, so check_G's closure under
-r -> -r mod q is a sort-free mirror test (``_mirror_closed``).
+reads that rotation from a table of the 13 order patterns of the class
+values, built once per case, ``_order_table``), they come out ascending,
+so check_G's closure under r -> -r mod q is a sort-free mirror test
+(``_mirror_closed``).
 Integrality is decided at the slot angles (``stokes.k_gaps_stokes``, over
 the closed-form kernel ``exact.cos_pair_sums``), and the
 complete-intersection match (``_match_numerators``, behind ``match_ci``)
@@ -39,8 +40,8 @@ from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from types import SimpleNamespace
+from itertools import accumulate, groupby, product
+from types import MappingProxyType, SimpleNamespace
 
 from .cases import KVector, descriptor
 from .exact import cyclotomic_factors, moebius
@@ -60,12 +61,11 @@ def _fmt_ratio(r: int, q: int) -> str:
 
 def _fmt_roots(numerators: Iterable[int], q: int) -> str:
     """prod (theta - r/q) over the multiset of numerators, e.g. "θ^2(θ-1/6)"."""
-    ordered = sorted(numerators)
     parts = []
-    for r in dict.fromkeys(ordered):  # the distinct numerators, ascending
-        mult = ordered.count(r)
-        parts.append(("θ" if r == 0 else f"(θ-{_fmt_ratio(r, q)})")
-                     + (f"^{mult}" if mult > 1 else ""))
+    for r, run in groupby(sorted(numerators)):  # the distinct numerators, ascending
+        factor = "θ" if r == 0 else f"(θ-{_fmt_ratio(r, q)})"
+        mult = len(list(run))
+        parts.append(f"{factor}^{mult}" if mult > 1 else factor)
     return "".join(parts)
 
 
@@ -151,6 +151,25 @@ def _shape(cs: Sequence[int], class_of: tuple[int, ...],
     back = next(j for j in range(1, n1 + 1) if all(
         vec[a - j] == vec[b - j] for a, b in symmetry))
     return (class_of[j:] + class_of[:j])[:-1], back
+
+
+def _order_pattern(c0: int, c1: int, c2: int) -> tuple[bool, ...]:
+    """How the class values compare: the key of ``_order_table``."""
+    return (c0 < c1, c0 < c2, c1 < c2, c0 == c1, c0 == c2, c1 == c2)
+
+
+@lru_cache(maxsize=None)
+def _order_table(case_id: str
+                 ) -> MappingProxyType[tuple[bool, ...], tuple[tuple[int, ...], int]]:
+    """``_shape`` for each of the 13 weak orders of the case's class values,
+    keyed by ``_order_pattern``: found at the orders' rank representatives
+    (the triples over 0, 1, 2 that use every rank up to their largest),
+    which it holds for every triple of that order (cached per case, and
+    read-only, as every caller shares it)."""
+    desc = descriptor(case_id)
+    return MappingProxyType({_order_pattern(*cs): _shape(cs, desc.class_of, desc.symmetry)
+                             for cs in product(range(3), repeat=3)
+                             if set(cs) == set(range(max(cs) + 1))})
 
 
 def tk_from_k(k: KVector | Sequence[Fraction]) -> ThetaPoly:
@@ -342,9 +361,10 @@ def verify_corollary(case_id: str, search_bound: int,
 
     How c0, c1 and c2 compare fixes both back and the lowest rotation of s,
     as each comparison of two rotations or two entries is one of the class
-    values against another; so both are found once per such order pattern
-    and call (``_shape``), and T_k's roots are one prefix sum over the
-    lowest rotation's classes.  They come out ascending, so check_G is the
+    values against another; so both are read from the case's table of the
+    13 such order patterns (``_order_table``, which finds them once per case
+    with ``_shape``), and T_k's roots are one prefix sum over the lowest
+    rotation's classes.  They come out ascending, so check_G is the
     sort-free mirror test of ``_mirror_closed``.  Every vector passing both
     conditions gets ``stokes.k_gaps_stokes``, and every non-integral one
     ``_match_numerators``; a flagged operator's string is formatted once per
@@ -382,7 +402,7 @@ def verify_corollary(case_id: str, search_bound: int,
     class_of = desc.class_of
     # by how c0, c1 and c2 compare: the classes of the lowest rotation but
     # its last, and back
-    shapes: dict[tuple[bool, ...], tuple[tuple[int, ...], int]] = {}
+    shapes = _order_table(case_id)
     flagged: set[tuple[tuple[int, ...], int]] = set()  # (T_k numerators, q)
     for q in range(1, search_bound + 1):
         # the primitive case-symmetric gap vectors c/q with a zero class, as
@@ -398,11 +418,7 @@ def verify_corollary(case_id: str, search_bound: int,
                 if c0 and c1 and c2:  # fails condition Q
                     continue
                 cs = (c0, c1, c2)
-                pattern = (c0 < c1, c0 < c2, c1 < c2, c0 == c1, c0 == c2, c1 == c2)
-                shape = shapes.get(pattern)
-                if shape is None:
-                    shape = shapes[pattern] = _shape(cs, class_of, desc.symmetry)
-                lowest, back = shape
+                lowest, back = shapes[_order_pattern(c0, c1, c2)]
                 roots = [0, *accumulate([cs[k] for k in lowest])]  # T_k's roots r/q
                 if not _mirror_closed(roots, q):
                     continue

@@ -150,6 +150,12 @@ def test_long_exact_values_shortened_in_errors(capsys, argv, code, text):
     assert err.startswith("error:") and text in err and len(err) < 200, err
 
 
+def test_convert_nonpositive_n(capsys):
+    """A k-vector whose N = n + 1 + sum(k) is not positive is a domain error."""
+    code, out, err = run(capsys, "convert", "4a", "--from", "k", "-2", "-2", "-2", "-2")
+    assert (code, out, err) == (3, "", "error: k-vector has nonpositive N\n")
+
+
 def test_convert_region_violation(capsys):
     code, _, err = run(capsys, "convert", "4a", "--from", "asymptotic", "5", "0")
     assert code == 3 and "outside the region" in err
@@ -344,6 +350,12 @@ def test_verify_large_bound_rejected(capsys):
         code, out, err = run(capsys, "verify", "--case", "4a", "--bound", str(bound))
         assert code == 2 and f"limit of {MAX_VERIFY_BOUND}" in err and not out
     assert time.perf_counter() - start < 1.0
+
+
+def test_verify_small_bound_rejected(capsys):
+    """A bound below 6 reaches the library's rule, a parse error."""
+    code, out, err = run(capsys, "verify", "--case", "4a", "--bound", "5")
+    assert (code, out, err) == (2, "", "error: search_bound must be at least 6\n")
 
 
 def test_verify_pass(capsys):

@@ -11,7 +11,7 @@ from ttstar.cli import half_table
 from ttstar.exact import _cyclotomic, cos2
 from ttstar.enumeration import (BLOCKS, CosPair, _cos_class,
                                 _cos_dictionary, _integral_label_pairs,
-                                _pair_integral, admissible_points,
+                                _label_axis, _pair_integral, admissible_points,
                                 brute_force_integral_points, classify_block,
                                 enumerate_cos_pairs, integral_solutions)
 from ttstar.stokes import stokes_from_k
@@ -312,6 +312,16 @@ def test_brute_force_matches_reference(case_id):
     assert found == {tuple(r.asymptotic) for r in integral_solutions(case_id)}
 
 
+def test_brute_force_returns_a_new_set():
+    """Mutating a returned set leaves the next call's result as it was."""
+    for case_id in CASE_IDS:
+        first = brute_force_integral_points(case_id, 60)
+        want = set(first)
+        first.clear()
+        assert brute_force_integral_points(case_id, 60) == want
+        assert len(want) == 19
+
+
 def test_brute_force_label_table():
     """The sweep's table holds exactly the label pairs whose cosines pass
     ``_pair_integral``, and, as 2cos(pi(1 - b)) = -2cos(pi b), exactly the
@@ -332,6 +342,7 @@ def test_brute_force_independent_of_exact_kernels(monkeypatch):
         raise AssertionError("the brute-force sweep called a route it checks")
 
     _integral_label_pairs.cache_clear()
+    _label_axis.cache_clear()
     for module in (exact, enumeration, stokes, theta):
         for name in ("cos_pair_sums", "cyclotomic_factors", "case_formula",
                      "_slots", "k_gaps_stokes"):

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 from collections import Counter
@@ -199,6 +200,36 @@ def test_shape_matches_min_over_rotations(case_id):
             assert not any(all(vec[(a - j) % n1] == vec[(b - j) % n1]
                                for a, b in desc.symmetry) for j in range(1, back))
             assert [0, *itertools.accumulate(cs[k] for k in lowest)] == tk_numerators(vec)
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_order_table_is_shape_at_every_weak_order(case_id):
+    """The case's cached table holds, for each of the 13 weak orders of the
+    class values, what ``theta._shape`` finds at every triple of values up
+    to 3 with that order."""
+    desc = descriptor(case_id)
+    table = theta._order_table(case_id)
+    assert len(table) == 13
+    seen = set()
+    for cs in itertools.product(range(4), repeat=3):
+        pattern = theta._order_pattern(*cs)
+        seen.add(pattern)
+        assert table[pattern] == theta._shape(cs, desc.class_of, desc.symmetry), cs
+    assert seen == set(table)
+    assert {theta._order_pattern(*cs) for cs in _weak_orders().values()} == seen
+
+
+def test_verify_corollary_repeatable():
+    """Successive calls give equal reports, and mutating a returned report
+    leaves the next call's report as it was."""
+    for case_id in CASE_IDS:
+        first = verify_corollary(case_id, 12)
+        want = CorollaryReport(**copy.deepcopy(vars(first)))
+        assert verify_corollary(case_id, 12) == want
+        for field in ("forward_mismatches", "converse_violations", "flagged_non_ci"):
+            getattr(first, field).append("mutated")
+        first.converse_checked = -1
+        assert verify_corollary(case_id, 12) == want
 
 
 def test_match_ci_positive():
