@@ -41,6 +41,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, groupby, product
+from operator import itemgetter
 from types import MappingProxyType, SimpleNamespace
 
 from .cases import KVector, descriptor
@@ -160,16 +161,20 @@ def _order_pattern(c0: int, c1: int, c2: int) -> tuple[bool, ...]:
 
 @lru_cache(maxsize=None)
 def _order_table(case_id: str
-                 ) -> MappingProxyType[tuple[bool, ...], tuple[tuple[int, ...], int]]:
+                 ) -> MappingProxyType[tuple[bool, ...], tuple[itemgetter, int]]:
     """``_shape`` for each of the 13 weak orders of the case's class values,
-    keyed by ``_order_pattern``: found at the orders' rank representatives
-    (the triples over 0, 1, 2 that use every rank up to their largest),
-    which it holds for every triple of that order (cached per case, and
+    keyed by ``_order_pattern``, with the lowest rotation's classes as a
+    getter of their values: found at the orders' rank representatives (the
+    triples over 0, 1, 2 that use every rank up to their largest), which
+    it holds for every triple of that order (cached per case, and
     read-only, as every caller shares it)."""
     desc = descriptor(case_id)
-    return MappingProxyType({_order_pattern(*cs): _shape(cs, desc.class_of, desc.symmetry)
-                             for cs in product(range(3), repeat=3)
-                             if set(cs) == set(range(max(cs) + 1))})
+    table = {}
+    for cs in product(range(3), repeat=3):
+        if set(cs) == set(range(max(cs) + 1)):
+            lowest, back = _shape(cs, desc.class_of, desc.symmetry)
+            table[_order_pattern(*cs)] = itemgetter(*lowest), back
+    return MappingProxyType(table)
 
 
 def tk_from_k(k: KVector | Sequence[Fraction]) -> ThetaPoly:
@@ -399,10 +404,12 @@ def verify_corollary(case_id: str, search_bound: int,
 
     weight_bound = search_bound * n1
     s0, s1, s2 = map(len, desc.classes)  # every case has three classes
-    class_of = desc.class_of
-    # by how c0, c1 and c2 compare: the classes of the lowest rotation but
+    # the gap vector of the class values (n+1 >= 4, so a getter gives a tuple)
+    spread = itemgetter(*desc.class_of)
+    # by how c0, c1 and c2 compare: the values of the lowest rotation but
     # its last, and back
     shapes = _order_table(case_id)
+    checked = 0
     flagged: set[tuple[tuple[int, ...], int]] = set()  # (T_k numerators, q)
     for q in range(1, search_bound + 1):
         # the primitive case-symmetric gap vectors c/q with a zero class, as
@@ -419,13 +426,13 @@ def verify_corollary(case_id: str, search_bound: int,
                     continue
                 cs = (c0, c1, c2)
                 lowest, back = shapes[_order_pattern(c0, c1, c2)]
-                roots = [0, *accumulate([cs[k] for k in lowest])]  # T_k's roots r/q
+                roots = list(accumulate(lowest(cs), initial=0))  # T_k's roots r/q
                 if not _mirror_closed(roots, q):
                     continue
                 # vec stands for itself and its rotations by -1, -2, ... up to
                 # the previous case-symmetric one, excluded (at -n1 at most)
-                report.converse_checked += back
-                vec = [cs[k] for k in class_of]
+                checked += back
+                vec = spread(cs)
                 if k_gaps_stokes(case_id, vec) is not None:
                     continue
                 match = _match_numerators(roots, q, weight_bound)
@@ -435,6 +442,7 @@ def verify_corollary(case_id: str, search_bound: int,
                     report.converse_violations += [
                         f"{_fmt_roots(roots, q)}: non-integral Stokes but "
                         f"matches {match}"] * back
+    report.converse_checked = checked
     # one string per operator (different gap vectors can share one)
     report.flagged_non_ci = sorted({_fmt_roots(r, q) for r, q in flagged})
     return report

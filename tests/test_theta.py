@@ -206,7 +206,8 @@ def test_shape_matches_min_over_rotations(case_id):
 def test_order_table_is_shape_at_every_weak_order(case_id):
     """The case's cached table holds, for each of the 13 weak orders of the
     class values, what ``theta._shape`` finds at every triple of values up
-    to 3 with that order."""
+    to 3 with that order: the values of the lowest rotation but its last,
+    and back."""
     desc = descriptor(case_id)
     table = theta._order_table(case_id)
     assert len(table) == 13
@@ -214,7 +215,9 @@ def test_order_table_is_shape_at_every_weak_order(case_id):
     for cs in itertools.product(range(4), repeat=3):
         pattern = theta._order_pattern(*cs)
         seen.add(pattern)
-        assert table[pattern] == theta._shape(cs, desc.class_of, desc.symmetry), cs
+        lowest, back = theta._shape(cs, desc.class_of, desc.symmetry)
+        getter, got_back = table[pattern]
+        assert (getter(cs), got_back) == (tuple(cs[k] for k in lowest), back), cs
     assert seen == set(table)
     assert {theta._order_pattern(*cs) for cs in _weak_orders().values()} == seen
 
