@@ -19,7 +19,9 @@ of the gaps c/q: T_k's roots are the prefix sums of the lowest rotation
 reads that rotation from a table of the 13 order patterns of the class
 values, built once per case, ``_order_table``), they come out ascending,
 so check_G's closure under r -> -r mod q is a sort-free mirror test
-(``_mirror_closed``).
+(``_mirror_closed``).  With a zero gap that test is a palindrome of the
+lowest rotation, so the table holds its answer too (the lemma is in
+``verify_corollary``).
 Integrality is decided at the slot angles (``stokes.k_gaps_stokes``, over
 the closed-form kernel ``exact.cos_pair_sums``), and the
 complete-intersection match (``_match_numerators``, behind ``match_ci``)
@@ -161,19 +163,24 @@ def _order_pattern(c0: int, c1: int, c2: int) -> tuple[bool, ...]:
 
 @lru_cache(maxsize=None)
 def _order_table(case_id: str
-                 ) -> MappingProxyType[tuple[bool, ...], tuple[itemgetter, int]]:
+                 ) -> MappingProxyType[tuple[bool, ...], tuple[itemgetter, int, bool]]:
     """``_shape`` for each of the 13 weak orders of the case's class values,
     keyed by ``_order_pattern``, with the lowest rotation's classes as a
-    getter of their values: found at the orders' rank representatives (the
-    triples over 0, 1, 2 that use every rank up to their largest), which
-    it holds for every triple of that order (cached per case, and
-    read-only, as every caller shares it)."""
+    getter of their values, and whether T_k is check_G closed: found at the
+    orders' rank representatives (the triples over 0, 1, 2 that use every
+    rank up to their largest), which it holds for every triple of that
+    order (closed: every such triple with a zero class, by the palindrome
+    lemma of ``verify_corollary``; cached per case, and read-only, as every
+    caller shares it)."""
     desc = descriptor(case_id)
     table = {}
     for cs in product(range(3), repeat=3):
         if set(cs) == set(range(max(cs) + 1)):
             lowest, back = _shape(cs, desc.class_of, desc.symmetry)
-            table[_order_pattern(*cs)] = itemgetter(*lowest), back
+            getter = itemgetter(*lowest)
+            roots = list(accumulate(getter(cs), initial=0))
+            closed = _mirror_closed(roots, sum(cs[k] for k in desc.class_of))
+            table[_order_pattern(*cs)] = getter, back, closed
     return MappingProxyType(table)
 
 
@@ -369,13 +376,27 @@ def verify_corollary(case_id: str, search_bound: int,
     values against another; so both are read from the case's table of the
     13 such order patterns (``_order_table``, which finds them once per case
     with ``_shape``), and T_k's roots are one prefix sum over the lowest
-    rotation's classes.  They come out ascending, so check_G is the
-    sort-free mirror test of ``_mirror_closed``.  Every vector passing both
-    conditions gets ``stokes.k_gaps_stokes``, and every non-integral one
-    ``_match_numerators``; a flagged operator's string is formatted once per
-    distinct (T_k numerators, q).  The forward check compares the catalog
-    entry's theta-part (``qdo_from_ci``) with its record's T_k; an operator
-    has one root per power of lambda, so equal roots give equal powers.
+    rotation's classes.  So is check_G, by the palindrome lemma: let
+    g_0..g_n be the lowest rotation (the gaps sum to q), r_k = g_0 + ... +
+    g_{k-1} T_k's roots, ascending, and r_0..r_{z-1} the zero ones, so
+    r_z > 0.  Then check_G, r_{z+i} + r_{n-i} = q for 0 <= i <= n - z
+    (``_mirror_closed``), holds exactly when (g_{z-1}, ..., g_n) is a
+    palindrome.  Proof: g_0..g_{z-2} are 0, so r_{z+i} = g_{z-1} + ... +
+    g_{z-1+i}, and q - r_{n-i} = g_{n-i} + ... + g_n; these two sums agree
+    for every i exactly when their successive terms do, g_{z-1+i} =
+    g_{n-i}.  Each of these equalities compares two class values, and the
+    zero gaps, which fix z, are the classes at the least value, 0 under
+    condition Q; so the order pattern fixes check_G, and the table finds it
+    once at the pattern's rank representative.
+
+    A vector failing check_G is skipped before anything is built for it.
+    Every vector passing both conditions gets ``stokes.k_gaps_stokes``; T_k's
+    roots are built only for the non-integral ones, and
+    ``_match_numerators`` runs once per distinct (T_k numerators, q), as do
+    the flagged operators' strings, while a matching operator adds one
+    violation per gap vector that has it.  The forward check compares the catalog entry's theta-part
+    (``qdo_from_ci``) with its record's T_k; an operator has one root per
+    power of lambda, so equal roots give equal powers.
     """
     from .enumeration import integral_solutions  # enumeration imports this module
 
@@ -407,10 +428,11 @@ def verify_corollary(case_id: str, search_bound: int,
     # the gap vector of the class values (n+1 >= 4, so a getter gives a tuple)
     spread = itemgetter(*desc.class_of)
     # by how c0, c1 and c2 compare: the values of the lowest rotation but
-    # its last, and back
+    # its last, back, and check_G
     shapes = _order_table(case_id)
     checked = 0
-    flagged: set[tuple[tuple[int, ...], int]] = set()  # (T_k numerators, q)
+    # (T_k numerators, q) -> its CI match, one per non-integral operator
+    matches: dict[tuple[tuple[int, ...], int], CISpec | None] = {}
     for q in range(1, search_bound + 1):
         # the primitive case-symmetric gap vectors c/q with a zero class, as
         # integer numerators c
@@ -424,26 +446,25 @@ def verify_corollary(case_id: str, search_bound: int,
                     continue
                 if c0 and c1 and c2:  # fails condition Q
                     continue
-                cs = (c0, c1, c2)
-                lowest, back = shapes[_order_pattern(c0, c1, c2)]
-                roots = list(accumulate(lowest(cs), initial=0))  # T_k's roots r/q
-                if not _mirror_closed(roots, q):
+                lowest, back, closed = shapes[_order_pattern(c0, c1, c2)]
+                if not closed:  # fails condition G
                     continue
-                # vec stands for itself and its rotations by -1, -2, ... up to
-                # the previous case-symmetric one, excluded (at -n1 at most)
+                # the vector stands for itself and its rotations by -1, -2, ...
+                # up to the previous case-symmetric one, excluded (at -n1 at most)
                 checked += back
-                vec = spread(cs)
-                if k_gaps_stokes(case_id, vec) is not None:
+                cs = (c0, c1, c2)
+                if k_gaps_stokes(case_id, spread(cs)) is not None:
                     continue
-                match = _match_numerators(roots, q, weight_bound)
-                if match is None:
-                    flagged.add((tuple(roots), q))
-                else:
+                key = tuple(accumulate(lowest(cs), initial=0)), q  # T_k's roots r/q
+                if key not in matches:
+                    matches[key] = _match_numerators(*key, weight_bound)
+                if matches[key] is not None:
                     report.converse_violations += [
-                        f"{_fmt_roots(roots, q)}: non-integral Stokes but "
-                        f"matches {match}"] * back
+                        f"{_fmt_roots(*key)}: non-integral Stokes but "
+                        f"matches {matches[key]}"] * back
     report.converse_checked = checked
     # one string per operator (different gap vectors can share one)
-    report.flagged_non_ci = sorted({_fmt_roots(r, q) for r, q in flagged})
+    report.flagged_non_ci = sorted({_fmt_roots(*key)
+                                    for key, match in matches.items() if match is None})
     return report
 

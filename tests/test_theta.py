@@ -207,19 +207,62 @@ def test_order_table_is_shape_at_every_weak_order(case_id):
     """The case's cached table holds, for each of the 13 weak orders of the
     class values, what ``theta._shape`` finds at every triple of values up
     to 3 with that order: the values of the lowest rotation but its last,
-    and back."""
+    and back; and, at every such triple with a zero class, whether T_k's
+    roots are closed under r -> -r mod q, by sorting."""
     desc = descriptor(case_id)
     table = theta._order_table(case_id)
     assert len(table) == 13
     seen = set()
+    zero_class = 0
     for cs in itertools.product(range(4), repeat=3):
         pattern = theta._order_pattern(*cs)
         seen.add(pattern)
         lowest, back = theta._shape(cs, desc.class_of, desc.symmetry)
-        getter, got_back = table[pattern]
+        getter, got_back, closed = table[pattern]
         assert (getter(cs), got_back) == (tuple(cs[k] for k in lowest), back), cs
+        if 0 in cs and any(cs):
+            vec = [cs[k] for k in desc.class_of]
+            assert closed == _reference_mirror_closed(tk_numerators(vec), sum(vec)), cs
+            zero_class += 1
+    assert zero_class == 4**3 - 3**3 - 1
     assert seen == set(table)
     assert {theta._order_pattern(*cs) for cs in _weak_orders().values()} == seen
+
+
+def test_order_table_closed_matches_mirror_test():
+    """At every triple (c0, c1, c2) with a zero class and class-size-weighted
+    sum q <= 48, primitive or not, in all ten cases, the table's check_G
+    flag is ``_mirror_closed`` of the roots built from its lowest rotation,
+    and both flags occur."""
+    flags = Counter()
+    for case_id in CASE_IDS:
+        desc = descriptor(case_id)
+        table = theta._order_table(case_id)
+        sizes = [len(cls) for cls in desc.classes]
+        for q in range(1, 49):
+            for cs in class_compositions(q, sizes):
+                if 0 not in cs:
+                    continue
+                getter, _, closed = table[theta._order_pattern(*cs)]
+                roots = list(itertools.accumulate(getter(cs), initial=0))
+                assert closed == _mirror_closed(roots, q), (case_id, cs)
+                flags[closed] += 1
+    assert flags[True] and flags[False]
+
+
+def test_match_numerators_once_per_operator(monkeypatch):
+    """The converse sweep matches each distinct non-integral operator once,
+    however many gap vectors share it: 19 operators for 4a at bound 12."""
+    calls = Counter()
+    match = theta._match_numerators
+
+    def counted(numerators, q, weight_sum_bound):
+        calls[tuple(numerators), q] += 1
+        return match(numerators, q, weight_sum_bound)
+
+    monkeypatch.setattr(theta, "_match_numerators", counted)
+    rep = verify_corollary("4a", 12)
+    assert sum(calls.values()) == len(calls) == len(rep.flagged_non_ci) == 19
 
 
 def test_verify_corollary_repeatable():
