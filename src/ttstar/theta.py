@@ -394,9 +394,10 @@ def verify_corollary(case_id: str, search_bound: int,
     roots are built only for the non-integral ones, and
     ``_match_numerators`` runs once per distinct (T_k numerators, q), as do
     the flagged operators' strings, while a matching operator adds one
-    violation per gap vector that has it.  The forward check compares the catalog entry's theta-part
-    (``qdo_from_ci``) with its record's T_k; an operator has one root per
-    power of lambda, so equal roots give equal powers.
+    violation per gap vector that has it.  The forward check compares the
+    catalog entry's theta-part (``qdo_from_ci``) with its record's T_k; an
+    operator has one root per power of lambda, so equal roots give equal
+    powers.
     """
     from .enumeration import integral_solutions  # enumeration imports this module
 
@@ -455,7 +456,10 @@ def verify_corollary(case_id: str, search_bound: int,
                 cs = (c0, c1, c2)
                 if k_gaps_stokes(case_id, spread(cs)) is not None:
                     continue
-                key = tuple(accumulate(lowest(cs), initial=0)), q  # T_k's roots r/q
+                # T_k's roots r/q, through a list: CPython builds a tuple from
+                # an iterator long and shrinks it, and each such tuple, once
+                # freed, stays on the free list of its length (peak RSS)
+                key = tuple([*accumulate(lowest(cs), initial=0)]), q
                 if key not in matches:
                     matches[key] = _match_numerators(*key, weight_bound)
                 if matches[key] is not None:
