@@ -458,7 +458,7 @@ def verify_corollary(case_id: str, search_bound: int,
                     continue
                 # T_k's roots r/q, through a list: CPython builds a tuple from
                 # an iterator long and shrinks it, and each such tuple, once
-                # freed, stays on the free list of its length (peak RSS)
+                # freed, stays on the free list of its length, raising peak RSS
                 key = tuple([*accumulate(lowest(cs), initial=0)]), q
                 if key not in matches:
                     matches[key] = _match_numerators(*key, weight_bound)
