@@ -20,8 +20,8 @@ reads that rotation from a table of the 13 order patterns of the class
 values, built once per case, ``_order_table``), they come out ascending,
 so check_G's closure under r -> -r mod q is a sort-free mirror test
 (``_mirror_closed``).  With a zero gap that test is a palindrome of the
-lowest rotation, so the table holds its answer too (the lemma is in
-``verify_corollary``).
+lowest rotation from its first nonzero gap on, so the table holds its
+answer too (the lemma is in ``verify_corollary``).
 Integrality is decided at the slot angles (``stokes.k_gaps_stokes``, over
 the closed-form kernel ``exact.cos_pair_sums``), and the
 complete-intersection match (``_match_numerators``, behind ``match_ci``)
