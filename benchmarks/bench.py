@@ -35,7 +35,9 @@ side,
   forward check (``qdo_from_ci``), ``k_gaps_stokes``,
   ``_match_numerators``, the formatting of operator strings
   (``_fmt_roots``) and the rest, candidate generation with check_G (the
-  loops, the order-pattern lookup and the roots of non-integral vectors),
+  loops, the order-pattern lookup and the roots of non-integral vectors)
+  less the timers' own cost that would land in it (``timer_overhead``: the
+  round's wrapped calls times a wrapped no-op's cost outside its timer),
   with the median and quartiles of each over the rounds next to the
   untimed round;
 * for ``radial_bvp``, splits ``solve_radial`` at the 76 integral points of
@@ -145,7 +147,11 @@ for bound in map(int, sys.argv[1:]):
 # in ``ttstar.theta`` by the call, are wrapped with timers, and the rest of
 # the call is candidate generation with check_G: the loops, the order-pattern
 # lookup (which holds check_G) and T_k's roots, built for the non-integral
-# vectors only.  Each round first runs untimed, then timed.
+# vectors only.  Each round first runs untimed, then timed.  The wrappers'
+# own cost outside their timers, less the bare calls they replace, would
+# land in that rest: it is measured on a wrapped no-op after each timed
+# round, reported times the round's wrapped calls as ``timer_overhead``,
+# and taken out of ``candidates_check_G``.
 SWEEP_SPLIT = r"""
 import json, sys, time
 from ttstar import theta
@@ -157,10 +163,12 @@ for case in CASE_IDS:
     integral_solutions(case)
 PIECES = {"forward_check": "qdo_from_ci", "k_gaps_stokes": "k_gaps_stokes",
           "match_numerators": "_match_numerators", "formatting": "_fmt_roots"}
-spent = dict.fromkeys(PIECES, 0.0)
+spent = dict.fromkeys([*PIECES, "noop"], 0.0)
+calls = dict.fromkeys([*PIECES, "noop"], 0)
 
 def timed(piece, fn):
     def wrapper(*args, **kwargs):
+        calls[piece] += 1
         t0 = time.perf_counter()
         try:
             return fn(*args, **kwargs)
@@ -174,6 +182,24 @@ def one_round():
         theta.verify_corollary(case, bound)
     return time.perf_counter() - t0
 
+def noop(a, b):
+    pass
+
+# per call, the cost of ``timed`` around a no-op of two arguments, as most
+# timed calls pass, outside its timer, less the bare no-op call, which the
+# timer then holds
+def wrapper_overhead(n=10_000):
+    wrapped = timed("noop", noop)
+    spent["noop"] = 0.0
+    t0 = time.perf_counter()
+    for _ in range(n):
+        wrapped(0, 0)
+    t1 = time.perf_counter()
+    for _ in range(n):
+        noop(0, 0)
+    t2 = time.perf_counter()
+    return (t1 - t0 - spent["noop"] - (t2 - t1)) / n
+
 originals = {piece: getattr(theta, name) for piece, name in PIECES.items()}
 for _ in range(3):
     one_round()
@@ -183,10 +209,12 @@ for _ in range(rounds):
     untimed = one_round()
     for piece, name in PIECES.items():
         setattr(theta, name, timed(piece, originals[piece]))
-        spent[piece] = 0.0
+        spent[piece], calls[piece] = 0.0, 0
     total = one_round()
-    out = dict(spent, candidates_check_G=total - sum(spent.values()),
-               total=total, untimed=untimed)
+    pieces = {piece: spent[piece] for piece in PIECES}
+    overhead = sum(calls[piece] for piece in PIECES) * wrapper_overhead()
+    out = dict(pieces, candidates_check_G=total - sum(pieces.values()) - overhead,
+               timer_overhead=overhead, total=total, untimed=untimed)
     print(json.dumps({k: v * 1e3 for k, v in out.items()}), flush=True)
 """
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 # each case as (n+1, rho, group): the size of its cyclic matrix, its
 # reflection i -> rho - i mod n+1 of the gaps, and its group of cases
@@ -49,9 +49,17 @@ class RegionError(ValueError):
     """Asymptotic data lie outside their case's region."""
 
 
-# The records of the package are named tuples: immutable, compared and
-# hashed by their fields, and cheap to define and to build.  So a record is
-# also the tuple of its fields: it iterates over them and equals that tuple.
+class NotReducibleError(ValueError):
+    """The hypersurface factor does not divide the ambient-space factor, or
+    its degrees sum to no less than the weights."""
+
+
+# The records of the package are named tuples, filled once when built: no
+# field can be reassigned, they are compared by their fields and hashed by
+# them where every field is hashable (a CorollaryReport's lists and a
+# RadialSolution's arrays are not), and cheap to define and to build.  So a
+# record is also the tuple of its fields: it iterates over them and equals
+# that tuple.
 
 # the asymptotic data (gamma, delta), two Fractions
 AsymptoticData = namedtuple("AsymptoticData", "gamma delta")
@@ -124,38 +132,22 @@ def case_formula(case_id: str) -> CaseFormula:
                        n1 % 2, 2 - len(axis) // 2)
 
 
-class CaseDescriptor(namedtuple("CaseDescriptor", "id n_plus_1 ab symmetry group")):
+class CaseDescriptor(namedtuple("CaseDescriptor", "id n_plus_1 ab symmetry group "
+                                "classes class_of corners center_sum")):
     """One case: the size n+1, the exponents (a, b), the symmetry pairs of
-    positions and the group's name.  It keeps an instance dictionary (no
-    ``__slots__``) for its cached values."""
+    positions, the group's name, and what ``descriptor`` derives from them:
 
-    @property
-    def classes(self) -> tuple[tuple[int, ...], ...]:
-        """The classes of positions whose k_i are equal: the symmetry pairs,
-        which are disjoint in every case, then each unpaired position."""
-        paired = {i for pair in self.symmetry for i in pair}
-        return self.symmetry + tuple((i,) for i in range(self.n_plus_1)
-                                     if i not in paired)
+    - classes: the classes of positions whose k_i are equal, the symmetry
+      pairs (disjoint in every case), then each unpaired position;
+    - class_of: the index in classes of each position's class;
+    - corners: (-2/a, 2/b), the least gamma and the greatest delta of the
+      region;
+    - center_sum: gamma + delta on the region's line of symmetry, the sum of
+      the corners: the region is a right isosceles triangle, and that line
+      passes through the corner at its right angle.
+    """
 
-    @cached_property
-    def class_of(self) -> tuple[int, ...]:
-        """The index in ``classes`` of each position's class."""
-        classes = self.classes
-        return tuple(next(c for c, cls in enumerate(classes) if i in cls)
-                     for i in range(self.n_plus_1))
-
-    @cached_property
-    def corners(self) -> tuple[Fraction, Fraction]:
-        """(-2/a, 2/b): the least gamma and the greatest delta of the region."""
-        ea, eb = self.ab
-        return Fraction(-2, ea), Fraction(2, eb)
-
-    @cached_property
-    def center_sum(self) -> Fraction:
-        """gamma + delta on the region's line of symmetry: the region is a
-        right isosceles triangle, and that line passes through the corner
-        at its right angle."""
-        return sum(self.corners)
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)
@@ -163,12 +155,19 @@ def descriptor(case_id: str) -> CaseDescriptor:
     """The case's descriptor, derived from its reflection and the slots
     (i, m, f), (j, l, f') of ``case_formula``: (a, b) = (2/m, 2/l), and the
     symmetry pairs list the class without a slot, then the classes of i and
-    of j."""
+    of j; the other fields are derived from these, once per case."""
     n1, rho, group = _case(case_id)
     (i, m, _), (j, l, _) = case_formula(case_id).slots
     orbits = sorted(_orbits(n1, rho), key=lambda cls: (i in cls) + 2 * (j in cls))
-    return CaseDescriptor(case_id, n1, (2 // m, 2 // l),
-                          tuple(cls for cls in orbits if len(cls) == 2), group)
+    symmetry = tuple(cls for cls in orbits if len(cls) == 2)
+    paired = {p for pair in symmetry for p in pair}
+    classes = symmetry + tuple((p,) for p in range(n1) if p not in paired)
+    class_of = tuple(next(c for c, cls in enumerate(classes) if p in cls)
+                     for p in range(n1))
+    ea, eb = 2 // m, 2 // l
+    corners = Fraction(-2, ea), Fraction(2, eb)
+    return CaseDescriptor(case_id, n1, (ea, eb), symmetry, group,
+                          classes, class_of, corners, sum(corners))
 
 
 class KVector(namedtuple("KVector", "case entries")):

@@ -5,8 +5,9 @@
 Exit codes: 0 success, 1 asymptotics not verified, 2 parse error,
 3 symmetry/region violation, 4 operator not reducible, 5 verification
 mismatch, 6 solver non-convergence.  ``main`` gives a ``CliError`` its own
-code, the library's ``SymmetryError`` and ``RegionError`` 3 and any other
-``ValueError`` 2, so no subcommand re-checks a library rule.
+code, the library's ``SymmetryError`` and ``RegionError`` 3, its
+``NotReducibleError`` 4 and any other ``ValueError`` 2, so no subcommand
+re-checks a library rule or catches a library error.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .cases import (CASE_IDS, GROUPS, AsymptoticData, RegionError,
-                    SymmetryError, _excerpt, asymptotic_gaps, asymptotic_to_k,
-                    check_region, descriptor, in_region, k_to_asymptotic,
-                    make_k)
+from .cases import (CASE_IDS, GROUPS, AsymptoticData, NotReducibleError,
+                    RegionError, SymmetryError, _excerpt, asymptotic_gaps,
+                    asymptotic_to_k, check_region, descriptor, in_region,
+                    k_to_asymptotic, make_k)
 from .stokes import k_gaps_floats, k_gaps_stokes
 
 # ``enumeration`` and ``theta``, like ``solver``, load only in the subcommands
@@ -241,17 +242,12 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 def cmd_qdo(args) -> int:
     from .enumeration import integral_solutions
-    from .theta import CISpec, NotReducibleError, fmt_qdo, qdo_from_ci
-    weights = _parse_int_list(args.weights)
-    degrees = _parse_int_list(args.degrees)
-    try:
-        spec = CISpec(weights, degrees)
-        if sum(spec.weights) > MAX_QDO_WEIGHT_SUM:
-            raise CliError(f"the weights sum to {sum(spec.weights)}, above qdo's "
-                           f"limit of {MAX_QDO_WEIGHT_SUM}", EXIT_PARSE)
-        op = qdo_from_ci(spec)
-    except NotReducibleError as e:
-        raise CliError(str(e), EXIT_NOT_REDUCIBLE) from None
+    from .theta import CISpec, fmt_qdo, qdo_from_ci
+    spec = CISpec(_parse_int_list(args.weights), _parse_int_list(args.degrees))
+    if sum(spec.weights) > MAX_QDO_WEIGHT_SUM:
+        raise CliError(f"the weights sum to {sum(spec.weights)}, above qdo's "
+                       f"limit of {MAX_QDO_WEIGHT_SUM}", EXIT_PARSE)
+    op = qdo_from_ci(spec)
     print(f"{spec}: {fmt_qdo(op)}")
     if args.match:
         found = []
@@ -475,6 +471,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         if isinstance(e, CliError):
             return e.code
+        if isinstance(e, NotReducibleError):
+            return EXIT_NOT_REDUCIBLE
         return EXIT_DOMAIN if isinstance(e, (SymmetryError, RegionError)) else EXIT_PARSE
 
 

@@ -44,16 +44,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, groupby, product
 from operator import itemgetter
-from types import MappingProxyType, SimpleNamespace
+from types import MappingProxyType
 
-from .cases import KVector, descriptor
+from .cases import KVector, NotReducibleError, descriptor
 from .exact import cyclotomic_factors, moebius
 from .stokes import k_gaps_stokes
-
-
-class NotReducibleError(ValueError):
-    """The hypersurface factor does not divide the ambient-space factor, or
-    its degrees sum to no less than the weights."""
 
 
 def _fmt_ratio(r: int, q: int) -> str:
@@ -287,7 +282,7 @@ def catalog(group: str) -> list[tuple[CISpec, str, int]]:
 def _match_numerators(numerators: Sequence[int], q: int,
                       weight_sum_bound: int) -> CISpec | None:
     """``match_ci`` on the roots r/q given as integer numerators r."""
-    if min(numerators) < 0 or max(numerators) >= q:
+    if not numerators or min(numerators) < 0 or max(numerators) >= q:
         return None
     # the root multiplicity must be constant on each class {c/e : gcd(c, e) = 1},
     # the exponents of the primitive e-th roots of unity
@@ -325,21 +320,14 @@ def match_ci(roots: Iterable[Fraction],
     return _match_numerators(t.numerators, t.q, weight_sum_bound)
 
 
-class CorollaryReport(SimpleNamespace):
-    """What ``verify_corollary`` found, filled in as it runs; reports with
-    equal fields are equal."""
+class CorollaryReport(namedtuple("CorollaryReport", "case bound forward_checked "
+                                 "forward_mismatches converse_checked "
+                                 "converse_violations flagged_non_ci")):
+    """What ``verify_corollary`` found: the catalog entries checked and the
+    forward mismatches, the gap vectors checked and the converse violations,
+    and the flagged non-CI operators, the last three as lists."""
 
-    def __init__(self, case: str, bound: int, forward_checked: int = 0,
-                 forward_mismatches: list[str] | None = None,
-                 converse_checked: int = 0,
-                 converse_violations: list[str] | None = None,
-                 flagged_non_ci: list[str] | None = None):
-        super().__init__(
-            case=case, bound=bound, forward_checked=forward_checked,
-            forward_mismatches=[] if forward_mismatches is None else forward_mismatches,
-            converse_checked=converse_checked,
-            converse_violations=[] if converse_violations is None else converse_violations,
-            flagged_non_ci=[] if flagged_non_ci is None else flagged_non_ci)
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -395,7 +383,8 @@ def verify_corollary(case_id: str, search_bound: int,
     ``_match_numerators`` runs once per distinct (T_k numerators, q), as do
     the flagged operators' strings, while a matching operator adds one
     violation per gap vector that has it.  The forward check compares the
-    catalog entry's theta-part (``qdo_from_ci``) with its record's T_k; an
+    catalog entry's theta-part (``qdo_from_ci``) with its record's T_k, the
+    entries pairing with the case's first nine records in table order; an
     operator has one root per power of lambda, so equal roots give equal
     powers.
     """
@@ -405,22 +394,22 @@ def verify_corollary(case_id: str, search_bound: int,
         raise ValueError("search_bound must be at least 6")
     desc = descriptor(case_id)
     n1 = desc.n_plus_1
-    report = CorollaryReport(case_id, search_bound)
 
-    by_block: dict[str, list] = {}
-    for rec in integral_solutions(case_id):
-        by_block.setdefault(rec.block, []).append(rec)
-    for idx, (spec, block, pos) in enumerate(catalog(desc.group)):
-        rec = by_block[block][pos]
+    # the catalog lists its entries in the order of the case's first nine
+    # records: the top edge, then the left edge
+    entries = catalog(desc.group)
+    records = integral_solutions(case_id)
+    mismatches = []
+    for idx, ((spec, block, pos), rec) in enumerate(zip(entries, records)):
+        assert rec.block == block
         if corrupt_catalog and idx == 0:
             spec = CISpec((1,) * (n1 + 1))
-        report.forward_checked += 1
         try:
             produced = qdo_from_ci(spec)
         except NotReducibleError:
             produced = None
         if produced != rec.tk:
-            report.forward_mismatches.append(
+            mismatches.append(
                 f"{spec} -> {produced and fmt_qdo(produced)} != {fmt_qdo(rec.tk)} "
                 f"at {block}[{pos}]")
 
@@ -432,6 +421,7 @@ def verify_corollary(case_id: str, search_bound: int,
     # its last, back, and check_G
     shapes = _order_table(case_id)
     checked = 0
+    violations = []
     # (T_k numerators, q) -> its CI match, one per non-integral operator
     matches: dict[tuple[tuple[int, ...], int], CISpec | None] = {}
     for q in range(1, search_bound + 1):
@@ -463,12 +453,11 @@ def verify_corollary(case_id: str, search_bound: int,
                 if key not in matches:
                     matches[key] = _match_numerators(*key, weight_bound)
                 if matches[key] is not None:
-                    report.converse_violations += [
+                    violations += [
                         f"{_fmt_roots(*key)}: non-integral Stokes but "
                         f"matches {matches[key]}"] * back
-    report.converse_checked = checked
     # one string per operator (different gap vectors can share one)
-    report.flagged_non_ci = sorted({_fmt_roots(*key)
-                                    for key, match in matches.items() if match is None})
-    return report
+    flagged = sorted({_fmt_roots(*key) for key, match in matches.items() if match is None})
+    return CorollaryReport(case_id, search_bound, len(entries), mismatches,
+                           checked, violations, flagged)
 

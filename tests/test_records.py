@@ -8,8 +8,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from ttstar.cases import (AsymptoticData, CaseDescriptor, KVector, SymmetryError,
-                          descriptor, make_k)
+from ttstar.cases import (CASE_IDS, AsymptoticData, CaseDescriptor, KVector,
+                          SymmetryError, descriptor, make_k)
 from ttstar.enumeration import CosPair, SolutionRecord, integral_solutions
 from ttstar.solver import (MAX_GRID_POINTS, AsymptoticsReport, RadialSolution,
                            SolverConfig, solve_radial)
@@ -19,7 +19,8 @@ from ttstar.theta import CISpec, CorollaryReport, ThetaPoly
 
 def _descriptor_copy():
     d = descriptor("4a")
-    return CaseDescriptor(d.id, d.n_plus_1, d.ab, d.symmetry, d.group)
+    return CaseDescriptor(d.id, d.n_plus_1, d.ab, d.symmetry, d.group,
+                          d.classes, d.class_of, d.corners, d.center_sum)
 
 
 def _formula_copy():
@@ -75,12 +76,25 @@ def test_fields_are_read_only(name):
 
 
 def test_case_descriptor_derived_values():
-    copy, d = _descriptor_copy(), descriptor("4a")
-    assert copy.classes == d.classes == ((1, 3), (0,), (2,))
-    assert copy.class_of == d.class_of == (1, 0, 2, 0)
-    assert copy.corners == d.corners == (F(-1), F(1))
-    assert copy.center_sum == d.center_sum == 0
-    assert copy == d and hash(copy) == hash(d)
+    """Every case's derived fields, each found here from the symmetry
+    pairs and (a, b): the classes are the pairs, then each unpaired
+    position; class_of indexes each position's class; the corners are
+    (-2/a, 2/b) and center_sum their sum."""
+    for case_id in CASE_IDS:
+        d = descriptor(case_id)
+        paired = {i for pair in d.symmetry for i in pair}
+        classes = d.symmetry + tuple((i,) for i in range(d.n_plus_1)
+                                     if i not in paired)
+        assert d.classes == classes, case_id
+        assert d.class_of == tuple(next(c for c, cls in enumerate(classes) if i in cls)
+                                   for i in range(d.n_plus_1)), case_id
+        a, b = d.ab
+        assert d.corners == (F(-2, a), F(2, b)), case_id
+        assert d.center_sum == F(-2, a) + F(2, b), case_id
+    d = descriptor("4a")
+    assert (d.classes, d.class_of) == (((1, 3), (0,), (2,)), (1, 0, 2, 0))
+    assert (d.corners, d.center_sum) == ((F(-1), F(1)), 0)
+    assert _descriptor_copy() == d and hash(_descriptor_copy()) == hash(d)
 
 
 def test_kvector_validation():
@@ -165,15 +179,16 @@ def test_stokes_data_and_report_methods():
 
 
 def test_corollary_report_equality():
-    a, b = CorollaryReport("4a", 12), CorollaryReport("4a", 12)
+    a, b = (CorollaryReport("4a", 12, 0, [], 0, [], []) for _ in range(2))
     assert a == b and a.ok and a.forward_checked == a.converse_checked == 0
     assert a.forward_mismatches is not b.forward_mismatches
     a.forward_mismatches.append("x")
     assert a != b and not a.ok
     b.forward_mismatches.append("x")
     assert a == b
-    b.converse_checked += 3
-    assert a != b and b.converse_checked == 3
+    with pytest.raises(AttributeError):
+        b.converse_checked = 3
+    assert a == b and b.converse_checked == 0
     full = CorollaryReport("6a", 24, 9, ["m"], 5, ["v"], ["f"])
     assert full == CorollaryReport(
         case="6a", bound=24, forward_checked=9, forward_mismatches=["m"],

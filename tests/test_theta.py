@@ -270,11 +270,10 @@ def test_verify_corollary_repeatable():
     leaves the next call's report as it was."""
     for case_id in CASE_IDS:
         first = verify_corollary(case_id, 12)
-        want = CorollaryReport(**copy.deepcopy(vars(first)))
+        want = copy.deepcopy(first)
         assert verify_corollary(case_id, 12) == want
         for field in ("forward_mismatches", "converse_violations", "flagged_non_ci"):
             getattr(first, field).append("mutated")
-        first.converse_checked = -1
         assert verify_corollary(case_id, 12) == want
 
 
@@ -289,6 +288,8 @@ def test_match_ci_positive():
 
 def test_match_ci_counterexample():
     assert match_ci([F(0), F(0), F("1/10"), F("9/10")], 72) is None
+    # the empty operator: no complete intersection has degree 0
+    assert match_ci([], 72) is None
 
 
 def test_catalog_shape():
@@ -557,16 +558,17 @@ def _reference_converse(case_id, search_bound, compositions=None):
     if compositions is None:
         def compositions(q):
             return _reference_compositions(q, n1)
-    report = CorollaryReport(case_id, search_bound)
+    forward_checked, forward_mismatches = 0, []
+    converse_checked, converse_violations, flagged_non_ci = 0, [], []
     by_block = {}
     for rec in integral_solutions(case_id):
         by_block.setdefault(rec.block, []).append(rec)
     for spec, block, pos in catalog(desc.group):
         expected = by_block[block][pos].tk
         produced = _reference_qdo_from_ci(spec)
-        report.forward_checked += 1
+        forward_checked += 1
         if produced != expected:
-            report.forward_mismatches.append(
+            forward_mismatches.append(
                 f"{spec} -> {fmt_qdo(produced)} != {fmt_qdo(expected)} at {block}[{pos}]")
 
     def symmetric(rot):
@@ -586,16 +588,17 @@ def _reference_converse(case_id, search_bound, compositions=None):
             if not (check_Q(Counter(gaps)) and check_G(tk)):
                 continue
             s = stokes_from_k(KVector(case_id, tuple(g - 1 for g in aligned[0])))
-            report.converse_checked += 1
+            converse_checked += 1
             if s.integral() is None:
                 match = _reference_match_ci(tk.roots, search_bound * n1)
                 if match is not None:
-                    report.converse_violations.append(
+                    converse_violations.append(
                         f"{tk}: non-integral Stokes but matches {match}")
                 else:
-                    report.flagged_non_ci.append(str(tk))
-    report.flagged_non_ci = sorted(set(report.flagged_non_ci))
-    return report
+                    flagged_non_ci.append(str(tk))
+    return CorollaryReport(case_id, search_bound, forward_checked, forward_mismatches,
+                           converse_checked, converse_violations,
+                           sorted(set(flagged_non_ci)))
 
 
 @pytest.mark.parametrize("case_id, bound",
@@ -735,7 +738,8 @@ def _reference_sweep(case_id, search_bound, corrupt_catalog=False):
     there patches both sweeps."""
     desc = descriptor(case_id)
     n1 = desc.n_plus_1
-    report = CorollaryReport(case_id, search_bound)
+    forward_checked, forward_mismatches = 0, []
+    converse_checked, converse_violations, flagged_non_ci = 0, [], []
 
     records = integral_solutions(case_id)
     by_block: dict[str, list] = {}
@@ -745,13 +749,13 @@ def _reference_sweep(case_id, search_bound, corrupt_catalog=False):
         rec = by_block[block][pos]
         if corrupt_catalog and idx == 0:
             spec = CISpec((1,) * (n1 + 1))
-        report.forward_checked += 1
+        forward_checked += 1
         if not _reference_qdo_matches(spec, rec.tk):
             try:
                 produced = qdo_from_ci(spec)
             except NotReducibleError:
                 produced = None
-            report.forward_mismatches.append(
+            forward_mismatches.append(
                 f"{spec} -> {produced and fmt_qdo(produced)} != {fmt_qdo(rec.tk)} "
                 f"at {block}[{pos}]")
 
@@ -778,19 +782,20 @@ def _reference_sweep(case_id, search_bound, corrupt_catalog=False):
                 # the previous case-symmetric one, excluded (at -n1 at most)
                 back = next(j for j in range(1, n1 + 1) if all(
                     vec[a - j] == vec[b - j] for a, b in desc.symmetry))
-                report.converse_checked += back
+                converse_checked += back
                 if theta.k_gaps_stokes(case_id, vec) is not None:
                     continue
                 tk = _fmt_roots(roots, q)
                 match = _match_numerators(roots, q, weight_bound)
                 if match is None:
-                    report.flagged_non_ci.append(tk)
+                    flagged_non_ci.append(tk)
                 else:
-                    report.converse_violations += [
+                    converse_violations += [
                         f"{tk}: non-integral Stokes but matches {match}"] * back
     # dedupe flags (different gap vectors can share one operator)
-    report.flagged_non_ci = sorted(set(report.flagged_non_ci))
-    return report
+    return CorollaryReport(case_id, search_bound, forward_checked, forward_mismatches,
+                           converse_checked, converse_violations,
+                           sorted(set(flagged_non_ci)))
 
 
 @pytest.mark.parametrize("case_id", CASE_IDS)

@@ -3,11 +3,13 @@
 ``perfbench/tracing.py`` wraps each ``(module, name)`` of its
 ``ENTRY_POINTS`` with ``getattr``, and ``benchmarks/bench.py`` wraps some
 internals of ``theta`` and ``solver`` by name, so a renamed function would
-break every traced run or the per-phase split.
+break every traced run or the per-phase split.  The sweep split itself is
+run for one round.
 """
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 from ttstar import solver, theta
@@ -49,3 +51,15 @@ def test_loc_options_match_the_live_objects():
                if isinstance(a, argparse._SubParsersAction))
     assert calls == sum(len(p._actions) - 1 for p in sub.choices.values())
     assert tuple(fields) == solver.SolverConfig._fields
+
+
+def test_sweep_split_reports_timer_overhead():
+    """One round of ``bench.SWEEP_SPLIT`` on this checkout gives the
+    wrappers' own cost as a positive ``timer_overhead``, kept out of
+    ``candidates_check_G``."""
+    bench = _load(ROOT / "benchmarks" / "bench.py")
+    (record,) = bench.run_script(ROOT, bench.SWEEP_SPLIT, 12, 1)
+    assert record["timer_overhead"] > 0
+    parts = ("forward_check", "k_gaps_stokes", "match_numerators", "formatting",
+             "candidates_check_G", "timer_overhead")
+    assert math.isclose(sum(record[p] for p in parts), record["total"])
