@@ -19,8 +19,7 @@ side,
   are the calls and self times of ``stokes.*`` and
   ``cases.asymptotic_to_k`` per operation, next to the ``exact.add_*_us``
   and ``exact.mul_*_us`` probes of ``AlgReal`` arithmetic;
-* for ``verify_sweep``, times the two halves of a round in a fresh
-  interpreter that imports that checkout's ``src/``:
+* for ``verify_sweep``, times the two halves of a round (``verify_round``):
   ``brute_force_integral_points(case, 60)`` for every case, then
   ``verify_corollary(case, bound)`` for every case and bound
   (``--bounds``); the integral-solution tables are built, and each
@@ -31,25 +30,27 @@ side,
   keeps, per side, the median and quartiles of each (case,
   bound), of each case's brute force and of the round's split summed over
   the cases; and it splits ``verify_corollary`` at bound 12 over the ten
-  cases, in ``--repeats`` fresh interpreters of 20 rounds each, into the
-  forward check (``qdo_from_ci``), ``k_gaps_stokes``,
-  ``_match_numerators``, the formatting of operator strings
-  (``_fmt_roots``) and the rest, candidate generation with check_G (the
-  loops, the order-pattern lookup and the roots of non-integral vectors)
-  less the timers' own cost that would land in it (``timer_overhead``: the
-  round's wrapped calls times a wrapped no-op's cost outside its timer),
-  with the median and quartiles of each over the rounds next to the
-  untimed round;
+  cases (``sweep_split_rounds``), in ``--repeats`` fresh interpreters of
+  20 rounds each, into the forward check (``qdo_from_ci``),
+  ``k_gaps_stokes``, ``_match_numerators``, the formatting of operator
+  strings (``_fmt_roots``) and the rest, candidate generation with check_G
+  (the loops, the order-pattern lookup and the roots of non-integral
+  vectors), each less the timers' own cost that lands in it; the whole of
+  that cost is ``timer_overhead``, the round's wrapped calls times a
+  wrapped no-op's cost less the bare no-op's, so the timed round is the
+  untimed one plus ``timer_overhead``.  It keeps the median and quartiles
+  of each over the rounds next to the untimed round;
 * for ``radial_bvp``, splits ``solve_radial`` at the 76 integral points of
-  4a, 5a, 5c and 6a into phases: Jacobian assembly, the banded linear
-  solve, the line search, and the rest (grid, initial guess, first
-  residual, slope fit).  Each of ``--repeats`` rounds (11 by default for
-  this workload), alternating which side runs first, is a fresh
-  interpreter that reports the mean per solve of each phase next to the
-  untimed time per solve, and the Newton steps per grid size, also summed
-  over untimed solves of the same points on 2,048 and 4,096 points
-  (``FINE_GRIDS``); each side
-  keeps the median and quartiles over its rounds and every round's values;
+  4a, 5a, 5c and 6a into phases (``solve_phases_round``): Jacobian
+  assembly, the banded linear solve, the line search, and the rest
+  (grid, initial guess, first residual, slope fit).  Each of
+  ``--repeats`` rounds (11 by default for this workload), alternating
+  which side runs first, is a fresh interpreter that reports the mean per
+  solve of each phase next to the untimed time per solve, and the Newton
+  steps summed over the points on the default grid, and over untimed
+  solves of the same points on 2,048 and 4,096 points (``FINE_GRIDS``);
+  each side keeps the median and quartiles over its rounds and every
+  round's values;
 
 and, for ``cli_cold``, times every ``ttstar`` command of the README and
 ``import ttstar.solver``, each in a fresh interpreter, in ``--repeats``
@@ -59,8 +60,9 @@ times, their median and quartiles, the exit code, whether
 ``csv``, ``numpy``, ``ttstar.enumeration``, ``ttstar.theta`` and
 ``ttstar.solver`` were (``COLD_WATCHED``).  In as many fresh interpreters it times
 ``convert`` in-process at three common denominators of the gaps
-(``CONVERT``), and it runs the Tier-1 tests (``TIER1``) once per side, the
-parent first, keeping each side's wall time and passed and failed counts.
+(``CONVERT_INPUTS``), and it runs the Tier-1 tests (``TIER1``) once per
+side, the parent first, keeping each side's wall time and passed and
+failed counts.
 
 Then, for every workload, with ``--pairs N``, runs N untraced pairs with
 seeds PAIR_SEED, PAIR_SEED + 1, ..., alternating which side runs first, and
@@ -69,6 +71,10 @@ keeps each run's end-to-end metrics and set-up phases (``import_cli_s``,
 run's set-up samples), summarized per side over the pairs.  The JSON
 written holds the machine, the Python version and the git SHA of each side.
 The runs are sequential; run nothing else on the machine meanwhile.
+
+The timed functions below (``verify_round``, ``sweep_split_rounds``,
+``solve_phases_round``, ``convert_round``) run in a fresh interpreter that
+imports one side's ``src/`` (``run_in``).
 """
 
 from __future__ import annotations
@@ -86,7 +92,8 @@ import tempfile
 import time
 from pathlib import Path
 
-CHANGE = Path(__file__).resolve().parents[1]
+HERE = Path(__file__).resolve().parent
+CHANGE = HERE.parent
 
 # traced perfbench runs per side; machine drift between runs is of the order
 # of the per-layer differences being measured, so one run per side is not
@@ -116,188 +123,206 @@ WORKLOADS = {
     },
 }
 
-TIMER = r"""
-import json, sys, time
-from ttstar.cases import CASE_IDS
-from ttstar.enumeration import brute_force_integral_points, integral_solutions
-from ttstar.theta import verify_corollary
-for case in CASE_IDS:
-    integral_solutions(case)
-for case in CASE_IDS:
-    t0 = time.perf_counter()
-    points = brute_force_integral_points(case, 60)
-    print(json.dumps({"case": case, "brute_force_den": 60,
-                      "wall_s": time.perf_counter() - t0, "points": len(points)}),
-          flush=True)
-for bound in map(int, sys.argv[1:]):
+
+def verify_round(bounds: list[int]) -> list[dict]:
+    """One timed round of ``verify_sweep``'s two halves, a record per call."""
+    from ttstar.cases import CASE_IDS
+    from ttstar.enumeration import brute_force_integral_points, integral_solutions
+    from ttstar.theta import verify_corollary
     for case in CASE_IDS:
-        verify_corollary(case, bound)  # first-use set-up, untimed
-        t0 = time.perf_counter()
-        rep = verify_corollary(case, bound)
-        print(json.dumps({"case": case, "bound": bound,
-                          "wall_s": time.perf_counter() - t0,
-                          "converse_checked": rep.converse_checked,
-                          "flagged_non_ci": len(rep.flagged_non_ci),
-                          "converse_violations": len(rep.converse_violations)}),
-              flush=True)
-"""
-
-# Splits ``verify_corollary`` at bound 12 over the ten cases, as a
-# ``verify_sweep`` round runs it, into pieces: the timed helpers, looked up
-# in ``ttstar.theta`` by the call, are wrapped with timers, and the rest of
-# the call is candidate generation with check_G: the loops, the order-pattern
-# lookup (which holds check_G) and T_k's roots, built for the non-integral
-# vectors only.  Each round first runs untimed, then timed.  The wrappers'
-# own cost outside their timers, less the bare calls they replace, would
-# land in that rest: it is measured on a wrapped no-op after each timed
-# round, reported times the round's wrapped calls as ``timer_overhead``,
-# and taken out of ``candidates_check_G``.
-SWEEP_SPLIT = r"""
-import json, sys, time
-from ttstar import theta
-from ttstar.cases import CASE_IDS
-from ttstar.enumeration import integral_solutions
-
-bound, rounds = int(sys.argv[1]), int(sys.argv[2])
-for case in CASE_IDS:
-    integral_solutions(case)
-PIECES = {"forward_check": "qdo_from_ci", "k_gaps_stokes": "k_gaps_stokes",
-          "match_numerators": "_match_numerators", "formatting": "_fmt_roots"}
-spent = dict.fromkeys([*PIECES, "noop"], 0.0)
-calls = dict.fromkeys([*PIECES, "noop"], 0)
-
-def timed(piece, fn):
-    def wrapper(*args, **kwargs):
-        calls[piece] += 1
-        t0 = time.perf_counter()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            spent[piece] += time.perf_counter() - t0
-    return wrapper
-
-def one_round():
-    t0 = time.perf_counter()
+        integral_solutions(case)
+    out = []
     for case in CASE_IDS:
-        theta.verify_corollary(case, bound)
-    return time.perf_counter() - t0
+        t0 = time.perf_counter()
+        points = brute_force_integral_points(case, 60)
+        out.append({"case": case, "brute_force_den": 60,
+                    "wall_s": time.perf_counter() - t0, "points": len(points)})
+    for bound in bounds:
+        for case in CASE_IDS:
+            verify_corollary(case, bound)  # first-use set-up, untimed
+            t0 = time.perf_counter()
+            rep = verify_corollary(case, bound)
+            out.append({"case": case, "bound": bound,
+                        "wall_s": time.perf_counter() - t0,
+                        "converse_checked": rep.converse_checked,
+                        "flagged_non_ci": len(rep.flagged_non_ci),
+                        "converse_violations": len(rep.converse_violations)})
+    return out
 
-def noop(a, b):
-    pass
 
-# per call, the cost of ``timed`` around a no-op of two arguments, as most
-# timed calls pass, outside its timer, less the bare no-op call, which the
-# timer then holds
-def wrapper_overhead(n=10_000):
-    wrapped = timed("noop", noop)
-    spent["noop"] = 0.0
-    t0 = time.perf_counter()
-    for _ in range(n):
-        wrapped(0, 0)
-    t1 = time.perf_counter()
-    for _ in range(n):
-        noop(0, 0)
-    t2 = time.perf_counter()
-    return (t1 - t0 - spent["noop"] - (t2 - t1)) / n
+def sweep_split_rounds(bound: int, rounds: int) -> list[dict]:
+    """Per round, in ms: ``verify_corollary(case, bound)`` over the ten cases
+    split into the pieces that ``theta`` looks up by name, each wrapped with
+    a timer, and the rest of the call, candidate generation with check_G.
 
-originals = {piece: getattr(theta, name) for piece, name in PIECES.items()}
-for _ in range(3):
-    one_round()
-for _ in range(rounds):
-    for piece, name in PIECES.items():
-        setattr(theta, name, originals[piece])
-    untimed = one_round()
-    for piece, name in PIECES.items():
-        setattr(theta, name, timed(piece, originals[piece]))
+    Each round first runs untimed, then timed.  A wrapped no-op of two
+    arguments, as most timed calls pass, is then timed against the bare
+    no-op over the same calls: the wrapper costs ``wrapped - bare`` a call
+    (``timer_overhead`` is the round's calls times that), of which
+    ``window - bare`` falls inside its timer and is taken out of each
+    piece, per call, and the rest out of ``candidates_check_G``.
+    """
+    from ttstar import theta
+    from ttstar.cases import CASE_IDS
+    from ttstar.enumeration import integral_solutions
+    for case in CASE_IDS:
+        integral_solutions(case)
+    names = {"forward_check": "qdo_from_ci", "k_gaps_stokes": "k_gaps_stokes",
+             "match_numerators": "_match_numerators", "formatting": "_fmt_roots"}
+    originals = {piece: getattr(theta, name) for piece, name in names.items()}
+    spent, calls = {}, {}
+
+    def timed(piece, fn):
         spent[piece], calls[piece] = 0.0, 0
-    total = one_round()
-    pieces = {piece: spent[piece] for piece in PIECES}
-    overhead = sum(calls[piece] for piece in PIECES) * wrapper_overhead()
-    out = dict(pieces, candidates_check_G=total - sum(pieces.values()) - overhead,
-               timer_overhead=overhead, total=total, untimed=untimed)
-    print(json.dumps({k: v * 1e3 for k, v in out.items()}), flush=True)
-"""
 
-# the requested grids on which PHASES also counts the Newton steps, untimed
+        def wrapper(*args, **kwargs):
+            calls[piece] += 1
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[piece] += time.perf_counter() - t0
+        return wrapper
+
+    def one_round(wrap):
+        for piece, name in names.items():
+            setattr(theta, name, wrap(piece, originals[piece]))
+        t0 = time.perf_counter()
+        for case in CASE_IDS:
+            theta.verify_corollary(case, bound)
+        return time.perf_counter() - t0
+
+    def noop(a, b):
+        pass
+
+    def noop_costs(n=10_000):
+        """Per call: the wrapped no-op, its timer's window and the bare no-op."""
+        wrapped = timed("noop", noop)
+        t0 = time.perf_counter()
+        for _ in range(n):
+            wrapped(0, 0)
+        t1 = time.perf_counter()
+        for _ in range(n):
+            noop(0, 0)
+        return (t1 - t0) / n, spent["noop"] / n, (time.perf_counter() - t1) / n
+
+    def bare(piece, fn):
+        return fn
+
+    for _ in range(3):
+        one_round(bare)
+    out = []
+    for _ in range(rounds):
+        untimed = one_round(bare)
+        total = one_round(timed)
+        wrapped, window, base = noop_costs()
+        n = sum(calls[piece] for piece in names)
+        split = {piece: spent[piece] - calls[piece] * (window - base) for piece in names}
+        split["candidates_check_G"] = (total - sum(spent[piece] for piece in names)
+                                       - n * (wrapped - window))
+        split.update(timer_overhead=n * (wrapped - base), total=total, untimed=untimed)
+        out.append({k: v * 1e3 for k, v in split.items()})
+    return out
+
+
+# the requested grids on which ``solve_phases_round`` also counts the Newton
+# steps, untimed
 FINE_GRIDS = (2048, 4096)
 
-# Wraps the solver's internals with timers (the linear solve is ``dgbsv``)
-# and classifies the intervals of each solve; the line search runs from the
-# end of a linear solve to the next Jacobian or to the slope fit.  A solve
-# that relaxes a nested sequence of grids, each started from the solution
-# on a coarser one (the central-difference solver before the Numerov one),
-# has the phases of every grid summed, and the interpolation between grids
-# counted in the line search; its Newton steps are counted per grid size.
-PHASES = r"""
-import json, statistics, sys, time
-from ttstar import enumeration, solver
 
-points = [(c, r.asymptotic) for c in ("4a", "5a", "5c", "6a")
-          for r in enumeration.integral_solutions(c)]
-events = []
+def solve_phases_round() -> dict:
+    """``solve_radial`` at the 76 integral points of 4a, 5a, 5c and 6a, split
+    into phases by timers around the solver's internals (the linear solve is
+    ``dgbsv``).  A solve on its one grid runs (Jacobian, linear solve) once
+    per Newton step, then the slope fit; the line search runs from the end
+    of each linear solve to the next Jacobian or to the fit."""
+    from ttstar import enumeration, solver
+    points = [(c, r.asymptotic) for c in ("4a", "5a", "5c", "6a")
+              for r in enumeration.integral_solutions(c)]
+    events = []
 
-def timed(kind, fn):
-    def wrapper(*args, **kwargs):
-        # the grid size of a linear solve: its band has two columns per node
-        size = args[2].shape[1] // 2 if kind == "linear_solve" else 0
+    def timed(kind, fn):
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                events.append((kind, t0, time.perf_counter()))
+        return wrapper
+
+    def round_untimed():
         t0 = time.perf_counter()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            events.append((kind, size, t0, time.perf_counter()))
-    return wrapper
+        for c, a in points:
+            solver.solve_radial(c, a)
+        return (time.perf_counter() - t0) / len(points)
 
-def round_untimed():
-    t0 = time.perf_counter()
-    for c, a in points:
-        solver.solve_radial(c, a)
-    return (time.perf_counter() - t0) / len(points)
+    def phases(c, a):
+        events.clear()
+        t0 = time.perf_counter()
+        steps = solver.solve_radial(c, a).iterations
+        total = time.perf_counter() - t0
+        assert [e[0] for e in events] == ["jacobian", "linear_solve"] * steps + ["fit"]
+        jac, lin, fit = events[:-1:2], events[1::2], events[-1]
+        out = {"jacobian": sum(e - s for _, s, e in jac),
+               "linear_solve": sum(e - s for _, s, e in lin),
+               "line_search": sum(after[1] - solve[2]
+                                  for solve, after in zip(lin, jac[1:] + [fit]))}
+        return dict(out, other=total - sum(out.values()), total=total), steps
 
-def phases(c, a):
-    events.clear()
-    t0 = time.perf_counter()
-    solver.solve_radial(c, a)
-    total = time.perf_counter() - t0
-    out = dict.fromkeys(("jacobian", "linear_solve", "line_search"), 0.0)
-    steps = {}
-    solve_end = None
-    for kind, size, s, e in events:
-        if solve_end is not None and kind in ("jacobian", "fit"):
-            out["line_search"] += s - solve_end
-            solve_end = None
-        if kind == "linear_solve":
-            steps[size] = steps.get(size, 0) + 1
-            solve_end = e
-        if kind != "fit":
-            out[kind] += e - s
-    out["other"] = total - sum(out.values())
-    out["total"] = total
-    return out, steps
+    for _ in range(2):
+        round_untimed()
+    untimed = round_untimed()
+    for name, kind in (("_jacobian", "jacobian"), ("dgbsv", "linear_solve"),
+                       ("_fit_slope", "fit")):
+        setattr(solver, name, timed(kind, getattr(solver, name)))
+    per_point = [phases(c, a) for c, a in points]
+    return {
+        "points": len(points),
+        "untimed_ms_per_solve": untimed * 1e3,
+        "phase_ms_per_solve": {k: statistics.fmean(p[k] for p, _ in per_point) * 1e3
+                               for k in per_point[0][0]},
+        "newton_steps_over_points": {f"{solver.SolverConfig().grid_points}_points":
+                                     sum(steps for _, steps in per_point)},
+        # the Newton steps of the same points on the requested grids above
+        # the default one, where the stopping rule decides how far a solve goes
+        "newton_steps_on_finer_grids": {
+            f"{m}_points": sum(solver.solve_radial(c, a, solver.SolverConfig(grid_points=m))
+                               .iterations for c, a in points) for m in FINE_GRIDS},
+    }
 
-for _ in range(2):
-    round_untimed()
-untimed = round_untimed()
-for name, kind in (("_jacobian", "jacobian"), ("dgbsv", "linear_solve"),
-                   ("_fit_slope", "fit")):
-    setattr(solver, name, timed(kind, getattr(solver, name)))
-per_point = [phases(c, a) for c, a in points]
-steps = {}
-for _, point_steps in per_point:
-    for size, count in point_steps.items():
-        steps[size] = steps.get(size, 0) + count
-# untimed: the Newton steps of the same points on the requested grids above
-# the default one, where the stopping rule decides how far a solve goes
-fine_steps = {f"{m}_points": sum(solver.solve_radial(c, a, solver.SolverConfig(grid_points=m))
-                                 .iterations for c, a in points) for m in FINE_GRIDS}
-print(json.dumps({
-    "points": len(points),
-    "untimed_ms_per_solve": untimed * 1e3,
-    "phase_ms_per_solve": {k: statistics.fmean(p[k] for p, _ in per_point) * 1e3
-                           for k in per_point[0][0]},
-    "newton_steps_over_points": {f"{size}_points": steps[size] for size in sorted(steps)},
-    "newton_steps_on_finer_grids": fine_steps,
-}))
-""".replace("FINE_GRIDS", repr(FINE_GRIDS))
+
+# ``convert`` in-process at three common denominators q of the gaps
+# (k_i + 1)/N: q = 480, the prime q = 10^16 + 61 (both slot roots of one huge
+# order) and a q of about 3,000 digits (k_i = 1/(10^999 + j))
+_X = str(5 * 10**15 + 28)
+CONVERT_INPUTS = {"q_480": ["0", "0", "476", "0"], "q_10e16_61": ["0", _X, "1", _X],
+                  "q_3000_digits": ["1/" + str(10**999 + j) for j in (1, 3, 7, 3)]}
+
+
+def convert_round() -> list[dict]:
+    """Each ``CONVERT_INPUTS`` entry timed once with its exit code, after one
+    README conversion has loaded the modules."""
+    import contextlib
+    import io
+    from ttstar.cli import main
+    out = []
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        main(["convert", "4a", "--from", "asymptotic", "3", "1"])
+        for values in CONVERT_INPUTS.values():
+            t0 = time.perf_counter()
+            code = main(["convert", "4a", "--from", "k", *values])
+            out.append({"wall_s": time.perf_counter() - t0, "returncode": code})
+    return out
+
+
+def run_in(checkout: Path, function: str, *args):
+    """``function(*args)`` of this module in a fresh interpreter that imports
+    the checkout's ``src/``; what it returns, through JSON."""
+    code = f"import json, bench; print(json.dumps(bench.{function}(*{list(args)!r})))"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=HERE, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(checkout / "src")),
+                          capture_output=True)
+    return json.loads(proc.stdout)
 
 
 def git_sha(checkout: Path) -> str:
@@ -338,6 +363,43 @@ def perfbench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     return out
 
 
+def alternating(sides: dict[str, Path], repeats: int, run) -> dict[str, list]:
+    """``run(checkout)`` for both sides in ``repeats`` rounds, the parent
+    first in even rounds and the change first in odd ones."""
+    out = {name: [] for name in sides}
+    for i in range(repeats):
+        for name in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
+            out[name].append(run(sides[name]))
+    return out
+
+
+def spread(values, unit: str = "") -> dict:
+    """One side's median and quartiles over its runs and, given a unit
+    (``_s``), every run too, each key ending in the unit."""
+    values = list(values)
+    quartiles = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    out = {"median": statistics.median(values), "quartiles": quartiles}
+    if unit:
+        out["runs"] = values
+    return {key + unit: value for key, value in out.items()}
+
+
+def by_item(runs: dict[str, list], label: str, items) -> list[dict]:
+    """Per item, the j-th record of every run: its label and, per side, the
+    ``spread`` of its wall times and the sorted distinct values of its other
+    fields."""
+    out = []
+    for j, item in enumerate(items):
+        entry = {label: item}
+        for name, rounds in runs.items():
+            recs = [r[j] for r in rounds]
+            entry[name] = spread((r["wall_s"] for r in recs), "_s")
+            entry[name].update((key, sorted({r[key] for r in recs}))
+                               for key in recs[0] if key != "wall_s")
+        out.append(entry)
+    return out
+
+
 def traced(sides: dict[str, Path], workload: str, seed: int) -> dict:
     """Per side, ``TRACED_REPEATS`` traced runs, alternating which side runs
     first: each kept number's median over the runs, and every run."""
@@ -355,70 +417,41 @@ def traced(sides: dict[str, Path], workload: str, seed: int) -> dict:
     return out
 
 
-def run_script(checkout: Path, script: str, *args) -> list[dict]:
-    """Run a script in a fresh interpreter on the checkout's ``src/``; its
-    JSON output lines."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
-                          env=env, text=True, capture_output=True, check=True)
-    return [json.loads(line) for line in proc.stdout.splitlines()]
-
-
-def alternating(sides: dict[str, Path], repeats: int, run) -> dict[str, list]:
-    """``run(checkout)`` for both sides in ``repeats`` rounds, the parent
-    first in even rounds and the change first in odd ones."""
-    out = {name: [] for name in sides}
-    for i in range(repeats):
-        for name in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
-            out[name].append(run(sides[name]))
-    return out
-
-
-def spread(values) -> dict:
-    """The median and quartiles of one side's values over its rounds."""
-    values = list(values)
-    quartiles = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-    return {"median": statistics.median(values), "quartiles": quartiles}
-
-
-def round_split(records: list[dict], bounds: list[int]) -> dict:
-    """The wall time of one ``TIMER`` round, summed over the ten cases: the
+def round_split(records: list[dict]) -> dict:
+    """The wall time of one ``verify_round`` summed over the ten cases: the
     brute force at 60 and ``verify_corollary`` at each bound."""
-    split = {"brute_force_60": sum(r["wall_s"] for r in records
-                                   if "brute_force_den" in r)}
-    for bound in bounds:
-        split[f"verify_corollary_{bound}"] = sum(
-            r["wall_s"] for r in records if r.get("bound") == bound)
+    split = {}
+    for r in records:
+        half = f"verify_corollary_{r['bound']}" if "bound" in r else "brute_force_60"
+        split[half] = split.get(half, 0.0) + r["wall_s"]
     return split
 
 
 def verify_times(sides: dict[str, Path], bounds: list[int], repeats: int) -> dict:
-    """Per side, the ``TIMER`` records with each one's median and quartiles
-    of the wall time over the rounds and every round's time, and the median
-    and quartiles over the rounds of ``round_split`` (``verify_sweep`` runs
+    """Per side, the ``verify_round`` records, each with its wall time's
+    median, quartiles and every round's time, and the median and quartiles
+    over the rounds of ``round_split`` (``verify_sweep`` runs
     ``verify_corollary`` at 12)."""
-    runs = alternating(sides, repeats, lambda path: run_script(path, TIMER, *bounds))
+    runs = alternating(sides, repeats, lambda path: run_in(path, "verify_round", bounds))
     out = {}
     for name, rounds in runs.items():
         records = []
         for j, rec in enumerate(rounds[0]):
-            times = spread(r[j]["wall_s"] for r in rounds)
-            records.append(dict(rec, wall_s=times["median"],
-                                quartiles_s=times["quartiles"],
-                                runs_s=[r[j]["wall_s"] for r in rounds]))
-        splits = [round_split(r, bounds) for r in rounds]
-        out[name] = {"round_split_s": {part: spread(split[part] for split in splits)
-                                       for part in splits[0]},
+            times = spread((r[j]["wall_s"] for r in rounds), "_s")
+            records.append(dict(rec, wall_s=times.pop("median_s"), **times))
+        splits = [round_split(r) for r in rounds]
+        out[name] = {"round_split_s": {half: spread(split[half] for split in splits)
+                                       for half in splits[0]},
                      "records": records}
     return out
 
 
 def sweep_split(sides: dict[str, Path], repeats: int, rounds: int = 20) -> dict:
-    """Per side, the ``SWEEP_SPLIT`` of ``rounds`` rounds in each of
+    """Per side, the ``sweep_split_rounds`` of ``rounds`` rounds in each of
     ``repeats`` fresh interpreters, alternating which side runs first: the
     median and quartiles over all rounds of each piece, in ms per round."""
     runs = alternating(sides, repeats,
-                       lambda path: run_script(path, SWEEP_SPLIT, 12, rounds))
+                       lambda path: run_in(path, "sweep_split_rounds", 12, rounds))
     out = {}
     for name, interpreters in runs.items():
         records = [r for recs in interpreters for r in recs]
@@ -429,20 +462,20 @@ def sweep_split(sides: dict[str, Path], repeats: int, rounds: int = 20) -> dict:
 
 
 def solve_phases(sides: dict[str, Path], repeats: int) -> dict:
-    """Per side, the ``PHASES`` split over ``repeats`` fresh interpreters:
+    """Per side, ``solve_phases_round`` in ``repeats`` fresh interpreters:
     each time's median and quartiles over the rounds, and every round's
     record."""
-    runs = alternating(sides, repeats, lambda path: run_script(path, PHASES)[0])
+    runs = alternating(sides, repeats, lambda path: run_in(path, "solve_phases_round"))
     out = {}
     for name, rounds in runs.items():
-        phases = rounds[0]["phase_ms_per_solve"]
+        first = rounds[0]
         out[name] = {
-            "points": rounds[0]["points"], "repeats": repeats,
+            "points": first["points"], "repeats": repeats,
             "untimed_ms_per_solve": spread(r["untimed_ms_per_solve"] for r in rounds),
             "phase_ms_per_solve": {k: spread(r["phase_ms_per_solve"][k] for r in rounds)
-                                   for k in phases},
-            "newton_steps_over_points": rounds[0]["newton_steps_over_points"],
-            "newton_steps_on_finer_grids": rounds[0]["newton_steps_on_finer_grids"],
+                                   for k in first["phase_ms_per_solve"]},
+            "newton_steps_over_points": first["newton_steps_over_points"],
+            "newton_steps_on_finer_grids": first["newton_steps_on_finer_grids"],
             "rounds": rounds}
     return out
 
@@ -454,7 +487,8 @@ COLD_WATCHED = ("scipy.linalg", "dataclasses", "json", "csv", "numpy",
 # One cold command in a fresh interpreter: ``python -m ttstar.cli ARGS``,
 # run by ``runpy`` as ``-m`` does, or ``import ttstar.solver`` when ARGS is
 # empty.  At exit it adds a last stderr line "loaded: ..." naming the
-# modules of ``COLD_WATCHED`` it loaded.
+# modules of ``COLD_WATCHED`` it loaded.  It imports nothing of this module,
+# which loads ``json``.
 COLD = r"""
 import atexit, runpy, sys
 atexit.register(lambda: print("\nloaded:", *[m for m in %r if m in sys.modules],
@@ -488,69 +522,7 @@ def cold_run(checkout: Path, argv: list[str]) -> dict:
         raise RuntimeError(f"{argv}: no loaded: line on stderr: {proc.stderr[-300:]}")
     return {"wall_s": wall, "returncode": proc.returncode,
             "scipy_linalg_loaded": "scipy.linalg" in names,
-            "loaded": [m for m in names[1:] if m != "scipy.linalg"]}
-
-
-def cold_commands(sides: dict[str, Path], repeats: int) -> list[dict]:
-    """Per README command and the solver import, each side's cold runs and
-    their median and quartiles."""
-    commands = readme_commands() + [[]]
-    runs = alternating(sides, repeats,
-                       lambda path: [cold_run(path, argv) for argv in commands])
-    out = []
-    for j, argv in enumerate(commands):
-        entry = {"command": "ttstar " + shlex.join(argv) if argv
-                 else 'python -c "import ttstar.solver"'}
-        for name, rounds in runs.items():
-            recs = [r[j] for r in rounds]
-            times = spread(r["wall_s"] for r in recs)
-            entry[name] = {"median_s": times["median"],
-                           "quartiles_s": times["quartiles"],
-                           "runs_s": [r["wall_s"] for r in recs],
-                           "returncode": sorted({r["returncode"] for r in recs}),
-                           "scipy_linalg_loaded": sorted({r["scipy_linalg_loaded"]
-                                                          for r in recs}),
-                           "loaded": sorted({tuple(r["loaded"]) for r in recs})}
-        out.append(entry)
-    return out
-
-
-# ``convert`` in-process, after one README conversion has loaded the modules,
-# at three common denominators q of the gaps (k_i + 1)/N: q = 480, the
-# prime q = 10^16 + 61 (both slot roots of one huge order) and a q of about
-# 3,000 digits (k_i = 1/(10^999 + j)).  Each input is timed once per
-# interpreter, with its exit code.
-CONVERT = r"""
-import contextlib, io, json, sys, time
-from ttstar.cli import main
-X = str(5 * 10**15 + 28)
-INPUTS = {"q_480": ["0", "0", "476", "0"], "q_10e16_61": ["0", X, "1", X],
-          "q_3000_digits": ["1/" + str(10**999 + j) for j in (1, 3, 7, 3)]}
-sink = io.StringIO()
-with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-    main(["convert", "4a", "--from", "asymptotic", "3", "1"])
-    for name, values in INPUTS.items():
-        t0 = time.perf_counter()
-        code = main(["convert", "4a", "--from", "k", *values])
-        print(json.dumps({"input": name, "wall_s": time.perf_counter() - t0,
-                          "returncode": code}), file=sys.__stdout__, flush=True)
-"""
-
-
-def convert_times(sides: dict[str, Path], repeats: int) -> list[dict]:
-    """Per ``CONVERT`` input, each side's in-process times over ``repeats``
-    fresh interpreters, alternating which side runs first."""
-    runs = alternating(sides, repeats, lambda path: run_script(path, CONVERT))
-    out = []
-    for j, rec in enumerate(runs["parent"][0]):
-        entry = {"input": rec["input"]}
-        for name, rounds in runs.items():
-            times = spread(r[j]["wall_s"] for r in rounds)
-            entry[name] = {"median_s": times["median"], "quartiles_s": times["quartiles"],
-                           "runs_s": [r[j]["wall_s"] for r in rounds],
-                           "returncode": sorted({r[j]["returncode"] for r in rounds})}
-        out.append(entry)
-    return out
+            "loaded": tuple(m for m in names[1:] if m != "scipy.linalg")}
 
 
 # the Tier-1 command of ROADMAP.md, run in the root of a checkout with its
@@ -581,9 +553,7 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         name, sign = metric["name"], (1 if metric["better"] == "lower" else -1)
         runs = {side: [p[side]["end_to_end"][name] for p in pairs]
                 for side in ("parent", "change")}
-        out[name] = {side: {"median": statistics.median(v),
-                            "quartiles": statistics.quantiles(v, n=4)}
-                     for side, v in runs.items()}
+        out[name] = {side: spread(v) for side, v in runs.items()}
         out[name]["change_wins"] = sum(sign * (c - p) < 0 for p, c in
                                        zip(runs["parent"], runs["change"]))
         out[name]["pairs"] = len(pairs)
@@ -635,8 +605,15 @@ def main(argv=None) -> int:
     elif args.workload == "radial_bvp":
         result["solve_phases"] = solve_phases(sides, args.repeats)
     elif args.workload == "cli_cold":
-        result["cold_commands"] = cold_commands(sides, args.repeats)
-        result["convert_times"] = convert_times(sides, args.repeats)
+        commands = readme_commands() + [[]]
+        result["cold_commands"] = by_item(
+            alternating(sides, args.repeats,
+                        lambda path: [cold_run(path, argv) for argv in commands]),
+            "command", ["ttstar " + shlex.join(argv) if argv
+                        else 'python -c "import ttstar.solver"' for argv in commands])
+        result["convert_times"] = by_item(
+            alternating(sides, args.repeats, lambda path: run_in(path, "convert_round")),
+            "input", CONVERT_INPUTS)
         result["tier1"] = {"command": "python " + shlex.join(TIER1),
                            **{name: runs[0] for name, runs in
                               alternating(sides, 1, tier1_run).items()}}

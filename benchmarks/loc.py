@@ -2,13 +2,14 @@
 
     python benchmarks/loc.py [SRC]
 
-SRC is the package directory (default: ``src/ttstar`` next to this
-script's directory).  For each module the script prints its lines and its
-code lines: the lines that hold part of a statement, so blank lines,
-comment lines and the lines of docstrings (a string literal that opens a
-module, class or function body) do not count.  Then it prints what a user
-can set: the number of ``add_argument`` calls in ``cli.py`` and the fields
-of ``solver.SolverConfig``.
+SRC is a directory of modules (default: the package, ``src/ttstar`` next
+to this script's directory).  For each module the script prints its lines
+and its code lines: the lines that hold part of a statement, so blank
+lines, comment lines and the lines of docstrings (a string literal that
+opens a module, class or function body) do not count.  Then, for a
+directory holding ``cli.py`` and ``solver.py``, it prints what a user can
+set: the number of ``add_argument`` calls in ``cli.py`` and the fields of
+``solver.SolverConfig``.
 """
 
 from __future__ import annotations
@@ -69,9 +70,10 @@ def main(argv: list[str]) -> int:
         total_code += code
         print(f"{path.name:<16}{lines:>8,}{code:>8,}")
     print(f"{'total':<16}{total_lines:>8,}{total_code:>8,}")
-    calls, fields = options(src)
-    print(f"cli.py add_argument calls: {calls}")
-    print(f"SolverConfig fields: {len(fields)} ({', '.join(fields)})")
+    if (src / "cli.py").exists() and (src / "solver.py").exists():
+        calls, fields = options(src)
+        print(f"cli.py add_argument calls: {calls}")
+        print(f"SolverConfig fields: {len(fields)} ({', '.join(fields)})")
     return 0
 
 

@@ -188,8 +188,6 @@ def cmd_convert(args) -> int:
         k = asymptotic_to_k(case_id, asym, n)
     else:
         k = make_k(case_id, values)
-        if k.N <= 0:
-            raise CliError("k-vector has nonpositive N", EXIT_DOMAIN)
         asym = k_to_asymptotic(k)
     gaps = asymptotic_gaps(case_id, asym)
     ints = k_gaps_stokes(case_id, gaps)

@@ -236,11 +236,12 @@ class AlgReal:
 
     __slots__ = ("conductor", "coeffs", "_hash")
 
-    def __init__(self, conductor: int, coeffs, _reduced: bool = False):
-        # coeffs are ints or Fractions; the reduction returns Fractions
-        if not _reduced:
-            if conductor % 2 != 0:
-                raise ValueError("conductor must be even")
+    def __init__(self, conductor: int, coeffs):
+        # coeffs are ints or Fractions; phi(M) of them are the reduced form,
+        # any other number is reduced (to Fractions)
+        if conductor % 2 != 0:
+            raise ValueError("conductor must be even")
+        if len(coeffs) != _phi(conductor):
             coeffs = _substitute(conductor, coeffs)
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -252,8 +253,7 @@ class AlgReal:
 
     @staticmethod
     def from_rational(q: RationalLike) -> "AlgReal":
-        # a rational is reduced at conductor 2
-        return AlgReal(2, (Fraction(q),), _reduced=True)
+        return AlgReal(2, (Fraction(q),))
 
     # -- ring operations ----------------------------------------------
 
@@ -278,9 +278,9 @@ class AlgReal:
         if self.conductor == 2:
             self, other = other, self
         if other.conductor == 2:
-            # a rational moves the constant term only: still reduced
+            # a rational moves the constant term only
             coeffs = (self.coeffs[0] + other.coeffs[0],) + self.coeffs[1:]
-            return AlgReal(self.conductor, coeffs, _reduced=True)
+            return AlgReal(self.conductor, coeffs)
         M, a, b = self._unify(other)
         return AlgReal(M, [x + y for x, y in zip(a, b)])
 
@@ -293,13 +293,11 @@ class AlgReal:
         return (-self) + other
 
     def __neg__(self) -> "AlgReal":
-        return AlgReal(self.conductor, [-c for c in self.coeffs], _reduced=True)
+        return AlgReal(self.conductor, [-c for c in self.coeffs])
 
     def __mul__(self, other) -> "AlgReal":
         if isinstance(other, (int, Fraction)):
-            # a rational multiple is still reduced
-            return AlgReal(self.conductor, [c * other for c in self.coeffs],
-                           _reduced=True)
+            return AlgReal(self.conductor, [c * other for c in self.coeffs])
         M, a, b = self._unify(other)
         prod = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):

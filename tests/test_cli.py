@@ -151,9 +151,25 @@ def test_long_exact_values_shortened_in_errors(capsys, argv, code, text):
 
 
 def test_convert_nonpositive_n(capsys):
-    """A k-vector whose N = n + 1 + sum(k) is not positive is a domain error."""
-    code, out, err = run(capsys, "convert", "4a", "--from", "k", "-2", "-2", "-2", "-2")
-    assert (code, out, err) == (3, "", "error: k-vector has nonpositive N\n")
+    """A k-vector whose N = n + 1 + sum(k) is not positive reaches the
+    library's rule, a parse error, as a nonpositive --n does."""
+    for k in (["-2"] * 4, ["-1"] * 4):
+        code, out, err = run(capsys, "convert", "4a", "--from", "k", *k)
+        assert (code, out, err) == (2, "", "error: N must be positive\n")
+
+
+@pytest.mark.parametrize("argv, code, last_line", [
+    (["convert", "4a", "--from", "asymptotic", "3"], 2,
+     "error: asymptotic input needs exactly two values"),
+    (["enumerate"], 2, "error: a case id or --all is required"),
+    (["qdo", "--weights", "1,1,1,1,1,1,1", "--match"], 0, "match: none"),
+])
+def test_exit_last_line(capsys, argv, code, last_line):
+    """An error exits with its one stderr line and no output; a success
+    writes stdout only."""
+    got, out, err = run(capsys, *argv)
+    assert got == code and not (out and err)
+    assert (out or err).splitlines()[-1] == last_line
 
 
 def test_convert_region_violation(capsys):
@@ -440,6 +456,23 @@ def test_verify_golden_unreadable_file(capsys, tmp_path, name):
                        "--tables", str(tmp_path))
     assert code == 5 and f"{name}: unreadable" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("remove", "missing golden file"),
+    ("extra row", "table5.csv: 12 rows computed, 13 expected"),
+])
+def test_verify_golden_missing_file_or_row_count(capsys, tmp_path, edit, message):
+    _copy_tables(tmp_path)
+    path = tmp_path / "table5.csv"
+    if edit == "remove":
+        path.unlink()
+    else:
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines + lines[-1:]), encoding="utf-8")
+    code, _, err = run(capsys, "verify", "--case", "4a", "--bound", "6",
+                       "--tables", str(tmp_path))
+    assert code == 5 and err.startswith(f"error: FAIL: {message}")
 
 
 def test_verify_golden_missing_field_column(capsys, tmp_path):

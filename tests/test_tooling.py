@@ -4,7 +4,7 @@
 ``ENTRY_POINTS`` with ``getattr``, and ``benchmarks/bench.py`` wraps some
 internals of ``theta`` and ``solver`` by name, so a renamed function would
 break every traced run or the per-phase split.  The sweep split itself is
-run for one round.
+run for one round, and ``benchmarks/loc.py`` on the benchmark scripts.
 """
 
 import importlib
@@ -53,12 +53,21 @@ def test_loc_options_match_the_live_objects():
     assert tuple(fields) == solver.SolverConfig._fields
 
 
+def test_loc_counts_any_directory(capsys):
+    """``benchmarks/loc.py`` counts a directory without ``cli.py`` and
+    ``solver.py`` too, and then prints no option counts."""
+    loc = _load(ROOT / "benchmarks" / "loc.py")
+    assert loc.main([str(ROOT / "benchmarks")]) == 0
+    names = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert names == ["bench.py", "loc.py", "total"]
+
+
 def test_sweep_split_reports_timer_overhead():
-    """One round of ``bench.SWEEP_SPLIT`` on this checkout gives the
-    wrappers' own cost as a positive ``timer_overhead``, kept out of
-    ``candidates_check_G``."""
+    """One round of ``bench.sweep_split_rounds`` on this checkout gives the
+    wrappers' own cost as a positive ``timer_overhead``, kept out of the
+    pieces and ``candidates_check_G``."""
     bench = _load(ROOT / "benchmarks" / "bench.py")
-    (record,) = bench.run_script(ROOT, bench.SWEEP_SPLIT, 12, 1)
+    (record,) = bench.run_in(ROOT, "sweep_split_rounds", 12, 1)
     assert record["timer_overhead"] > 0
     parts = ("forward_check", "k_gaps_stokes", "match_numerators", "formatting",
              "candidates_check_G", "timer_overhead")
