@@ -34,12 +34,13 @@ side,
   20 rounds each, into the forward check (``qdo_from_ci``),
   ``k_gaps_stokes``, ``_match_numerators``, the formatting of operator
   strings (``_fmt_roots``) and the rest, candidate generation with check_G
-  (the loops, the order-pattern lookup and the roots of non-integral
+  (the walk, the order-pattern lookup and the roots of non-integral
   vectors), each less the timers' own cost that lands in it; the whole of
-  that cost is ``timer_overhead``, the round's wrapped calls times a
-  wrapped no-op's cost less the bare no-op's, so the timed round is the
-  untimed one plus ``timer_overhead``.  It keeps the median and quartiles
-  of each over the rounds next to the untimed round;
+  that cost is ``timer_overhead``, each piece's calls times a wrapped
+  no-op's cost less the bare no-op's, at the piece's own argument count,
+  so the timed round is the untimed one plus ``timer_overhead``.  It keeps
+  the median and quartiles of each over the rounds next to the untimed
+  round;
 * for ``radial_bvp``, splits ``solve_radial`` at the 76 integral points of
   4a, 5a, 5c and 6a into phases (``solve_phases_round``): Jacobian
   assembly, the banded linear solve, the line search, and the rest
@@ -155,11 +156,11 @@ def sweep_split_rounds(bound: int, rounds: int) -> list[dict]:
     split into the pieces that ``theta`` looks up by name, each wrapped with
     a timer, and the rest of the call, candidate generation with check_G.
 
-    Each round first runs untimed, then timed.  A wrapped no-op of two
-    arguments, as most timed calls pass, is then timed against the bare
+    Each round first runs untimed, then timed.  For each piece a wrapped
+    no-op of the piece's own argument count is then timed against the bare
     no-op over the same calls: the wrapper costs ``wrapped - bare`` a call
-    (``timer_overhead`` is the round's calls times that), of which
-    ``window - bare`` falls inside its timer and is taken out of each
+    (``timer_overhead`` is the sum of each piece's calls times that), of
+    which ``window - bare`` falls inside its timer and is taken out of the
     piece, per call, and the rest out of ``candidates_check_G``.
     """
     from ttstar import theta
@@ -167,9 +168,11 @@ def sweep_split_rounds(bound: int, rounds: int) -> list[dict]:
     from ttstar.enumeration import integral_solutions
     for case in CASE_IDS:
         integral_solutions(case)
-    names = {"forward_check": "qdo_from_ci", "k_gaps_stokes": "k_gaps_stokes",
-             "match_numerators": "_match_numerators", "formatting": "_fmt_roots"}
-    originals = {piece: getattr(theta, name) for piece, name in names.items()}
+    # piece -> the function it times and that function's argument count
+    names = {"forward_check": ("qdo_from_ci", 1), "k_gaps_stokes": ("k_gaps_stokes", 2),
+             "match_numerators": ("_match_numerators", 3), "formatting": ("_fmt_roots", 2)}
+    noops = {1: lambda a: None, 2: lambda a, b: None, 3: lambda a, b, c: None}
+    originals = {piece: getattr(theta, name) for piece, (name, _) in names.items()}
     spent, calls = {}, {}
 
     def timed(piece, fn):
@@ -185,25 +188,23 @@ def sweep_split_rounds(bound: int, rounds: int) -> list[dict]:
         return wrapper
 
     def one_round(wrap):
-        for piece, name in names.items():
+        for piece, (name, _) in names.items():
             setattr(theta, name, wrap(piece, originals[piece]))
         t0 = time.perf_counter()
         for case in CASE_IDS:
             theta.verify_corollary(case, bound)
         return time.perf_counter() - t0
 
-    def noop(a, b):
-        pass
-
-    def noop_costs(n=10_000):
-        """Per call: the wrapped no-op, its timer's window and the bare no-op."""
+    def noop_costs(k, n=10_000):
+        """Per call of a k-argument no-op: wrapped, its timer's window and bare."""
+        noop, args = noops[k], (0,) * k
         wrapped = timed("noop", noop)
         t0 = time.perf_counter()
         for _ in range(n):
-            wrapped(0, 0)
+            wrapped(*args)
         t1 = time.perf_counter()
         for _ in range(n):
-            noop(0, 0)
+            noop(*args)
         return (t1 - t0) / n, spent["noop"] / n, (time.perf_counter() - t1) / n
 
     def bare(piece, fn):
@@ -215,12 +216,15 @@ def sweep_split_rounds(bound: int, rounds: int) -> list[dict]:
     for _ in range(rounds):
         untimed = one_round(bare)
         total = one_round(timed)
-        wrapped, window, base = noop_costs()
-        n = sum(calls[piece] for piece in names)
-        split = {piece: spent[piece] - calls[piece] * (window - base) for piece in names}
-        split["candidates_check_G"] = (total - sum(spent[piece] for piece in names)
-                                       - n * (wrapped - window))
-        split.update(timer_overhead=n * (wrapped - base), total=total, untimed=untimed)
+        costs = {k: noop_costs(k) for k in noops}
+        split, outside, overhead = {}, 0.0, 0.0
+        for piece, (_, k) in names.items():
+            wrapped, window, base = costs[k]
+            split[piece] = spent[piece] - calls[piece] * (window - base)
+            outside += calls[piece] * (wrapped - window)
+            overhead += calls[piece] * (wrapped - base)
+        split["candidates_check_G"] = total - sum(spent[p] for p in names) - outside
+        split.update(timer_overhead=overhead, total=total, untimed=untimed)
         out.append({k: v * 1e3 for k, v in split.items()})
     return out
 

@@ -35,6 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from math import gcd, lcm
+from types import MappingProxyType
 
 from .cases import (AsymptoticData, KVector, descriptor, gaps_to_asymptotic,
                     in_region, share_gaps)
@@ -228,25 +229,26 @@ def _integral_label_pairs() -> frozenset[tuple[int, int]]:
 
 @lru_cache(maxsize=64)
 def _label_axis(lo: int, hi: int, max_den: int, shift: int, div: int
-                ) -> tuple[tuple[int, Fraction, int], ...]:
-    """(V, V/L, folded J) over the grid values v = V/L in [lo/L, hi/L] whose
-    cosine argument (v + shift)/div is a label J/L with denominator at most 6
-    (cached: a case's two axes are built once per grid).
+                ) -> MappingProxyType[int, tuple[tuple[int, Fraction], ...]]:
+    """(V, V/L) over the grid values v = V/L in [lo/L, hi/L] whose cosine
+    argument (v + shift)/div is a label J/L with denominator at most 6,
+    indexed by their folded J (cached: a case's two axes are built once per
+    grid; read-only, as every caller shares them).
 
     v = (div*J - L*shift)/L, kept when its reduced denominator
     L/gcd(V, L) is at most max_den; J is folded to [0, L] by the symmetries
     of the cosine (period 2L, even).
     """
     L = _LABEL_DEN
-    out = []
+    out: dict[int, list[tuple[int, Fraction]]] = {}
     for J in range(-(-(lo + L * shift) // div), (hi + L * shift) // div + 1):
         if L // gcd(J, L) > 6:
             continue
         V = div * J - L * shift
         if L // gcd(V, L) <= max_den:
             J %= 2 * L
-            out.append((V, Fraction(V, L), min(J, 2 * L - J)))
-    return tuple(out)
+            out.setdefault(min(J, 2 * L - J), []).append((V, Fraction(V, L)))
+    return MappingProxyType({J: tuple(values) for J, values in out.items()})
 
 
 def brute_force_integral_points(case_id: str, max_denominator: int = 60
@@ -258,13 +260,14 @@ def brute_force_integral_points(case_id: str, max_denominator: int = 60
     (only the region's (a, b) come from the descriptor): the cosine
     arguments are its own (``_GROUP_ANGLES``), and integrality is decided
     by exact quadratic-field arithmetic (``_cos_class``, ``_pair_integral``)
-    and read from a table of folded label pairs (``_integral_label_pairs``).
+    and kept as a table of folded label pairs (``_integral_label_pairs``).
     Grid points whose cosine argument has reduced denominator above 6
     (degree >= 3, never integral) are never visited; the rest are integers
     over L = 60, the lcm of the label denominators: gamma = G/L and
-    delta = D/L (``_label_axis``, built once per case and grid), and the
-    region's diagonal is G - D <= 2L.  A call joins the two axes against
-    the table and returns a new set.
+    delta = D/L (``_label_axis``, built once per case and grid, each axis
+    indexed by folded label), and the region's diagonal is G - D <= 2L.
+    A call walks the table's pairs, joins the two axes' values at each and
+    returns a new set.
     """
     desc = descriptor(case_id)
     ea, eb = desc.ab
@@ -275,7 +278,7 @@ def brute_force_integral_points(case_id: str, max_denominator: int = 60
     lo, hi = -2 * L // ea, 2 * L // eb
     gammas = _label_axis(lo, hi + 2 * L, max_denominator, shift_gamma, div)
     deltas = _label_axis(lo - 2 * L, hi, max_denominator, shift_delta, div)
-    table = _integral_label_pairs()
     return {(gamma, delta)
-            for G, gamma, jx in gammas for D, delta, jy in deltas
-            if G - D <= 2 * L and (jx, jy) in table}
+            for jx, jy in _integral_label_pairs()
+            for G, gamma in gammas.get(jx, ()) for D, delta in deltas.get(jy, ())
+            if G - D <= 2 * L}

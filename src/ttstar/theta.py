@@ -179,6 +179,21 @@ def _order_table(case_id: str
     return MappingProxyType(table)
 
 
+@lru_cache(maxsize=16)
+def _zero_class_triples(sizes: tuple[int, int, int], bound: int
+                        ) -> tuple[tuple[int, tuple[int, int, int]], ...]:
+    """(q, (c0, c1, c2)) for the coprime class values with a zero, weighted
+    by the class sizes to sum q <= bound, by q, then c0, then c1 (cached:
+    the walk depends only on the sizes and the bound).  A zero class leaves
+    c2 free when c0 or c1 is 0, else c2 = 0; a gcd of 1 excludes all zeros."""
+    s0, s1, s2 = sizes
+    return tuple(sorted(
+        (c0 * s0 + c1 * s1 + c2 * s2, (c0, c1, c2))
+        for c0 in range(bound // s0 + 1) for c1 in range((bound - c0 * s0) // s1 + 1)
+        for c2 in (range((bound - c0 * s0 - c1 * s1) // s2 + 1) if not (c0 and c1) else (0,))
+        if math.gcd(c0, c1, c2) == 1))
+
+
 def tk_from_k(k: KVector | Sequence[Fraction]) -> ThetaPoly:
     """The monic scalar operator attached to holomorphic data with N = 1.
 
@@ -281,8 +296,8 @@ def catalog(group: str) -> list[tuple[CISpec, str, int]]:
 
 def _match_numerators(numerators: Sequence[int], q: int,
                       weight_sum_bound: int) -> CISpec | None:
-    """``match_ci`` on the roots r/q given as integer numerators r."""
-    if not numerators or min(numerators) < 0 or max(numerators) >= q:
+    """``match_ci`` on the roots r/q given as ascending integer numerators r."""
+    if not numerators or numerators[0] < 0 or numerators[-1] >= q:
         return None
     # the root multiplicity must be constant on each class {c/e : gcd(c, e) = 1},
     # the exponents of the primitive e-th roots of unity
@@ -325,7 +340,8 @@ class CorollaryReport(namedtuple("CorollaryReport", "case bound forward_checked 
                                  "converse_violations flagged_non_ci")):
     """What ``verify_corollary`` found: the catalog entries checked and the
     forward mismatches, the gap vectors checked and the converse violations,
-    and the flagged non-CI operators, the last three as lists."""
+    and the flagged non-CI operators, the last three as lists, the last
+    sorted ``ThetaPoly`` values (``str`` writes one)."""
 
     __slots__ = ()
 
@@ -348,9 +364,10 @@ def verify_corollary(case_id: str, search_bound: int,
     symmetry class (every case has three) with the class-size-weighted sum
     q and gcd 1 with q (so each vector appears at its primitive denominator
     only) gives a symmetric vector s.  Only the triples (c0, c1, c2) with a
-    zero, which condition Q asks for, are visited: for c0 = 0 every c1, else
-    c1 = 0 and the c1 giving c2 = 0.  A candidate is read through its first
-    case-symmetric rotation at or after its own index.  So s stands for
+    zero, which condition Q asks for, are visited, by q, then c0, then c1
+    (``_zero_class_triples``, listed once per class sizes and bound, so a
+    call steps through its candidates only).  A candidate is read through
+    its first case-symmetric rotation at or after its own index.  So s stands for
     itself and its rotations by -1, ..., -(back - 1), where back is the
     least j >= 1 with s rotated by -j (entry i is s[i - j]) case-symmetric:
     s counts back candidates, which share its T_k, its two conditions and
@@ -380,10 +397,11 @@ def verify_corollary(case_id: str, search_bound: int,
     A vector failing check_G is skipped before anything is built for it.
     Every vector passing both conditions gets ``stokes.k_gaps_stokes``; T_k's
     roots are built only for the non-integral ones, and
-    ``_match_numerators`` runs once per distinct (T_k numerators, q), as do
-    the flagged operators' strings, while a matching operator adds one
-    violation per gap vector that has it.  The forward check compares the
-    catalog entry's theta-part (``qdo_from_ci``) with its record's T_k, the
+    ``_match_numerators`` runs once per distinct (T_k numerators, q), while
+    a matching operator adds one violation per gap vector that has it.  An
+    operator matching none is flagged as the ``ThetaPoly`` of that key, and
+    nothing is formatted unless there is a violation.  The forward check
+    compares the catalog entry's theta-part (``qdo_from_ci``) with its record's T_k, the
     entries pairing with the case's first nine records in table order; an
     operator has one root per power of lambda, so equal roots give equal
     powers.
@@ -414,7 +432,6 @@ def verify_corollary(case_id: str, search_bound: int,
                 f"at {block}[{pos}]")
 
     weight_bound = search_bound * n1
-    s0, s1, s2 = map(len, desc.classes)  # every case has three classes
     # the gap vector of the class values (n+1 >= 4, so a getter gives a tuple)
     spread = itemgetter(*desc.class_of)
     # by how c0, c1 and c2 compare: the values of the lowest rotation but
@@ -424,40 +441,32 @@ def verify_corollary(case_id: str, search_bound: int,
     violations = []
     # (T_k numerators, q) -> its CI match, one per non-integral operator
     matches: dict[tuple[tuple[int, ...], int], CISpec | None] = {}
-    for q in range(1, search_bound + 1):
-        # the primitive case-symmetric gap vectors c/q with a zero class, as
-        # integer numerators c
-        for c0 in range(q // s0 + 1):
-            rest = q - c0 * s0
-            c1s = (range(rest // s1 + 1) if c0 == 0
-                   else (0,) if rest < s1 else (0, rest // s1))
-            for c1 in c1s:
-                c2, left = divmod(rest - c1 * s1, s2)
-                if left or math.gcd(q, c0, c1, c2) != 1:
-                    continue
-                if c0 and c1 and c2:  # fails condition Q
-                    continue
-                lowest, back, closed = shapes[_order_pattern(c0, c1, c2)]
-                if not closed:  # fails condition G
-                    continue
-                # the vector stands for itself and its rotations by -1, -2, ...
-                # up to the previous case-symmetric one, excluded (at -n1 at most)
-                checked += back
-                cs = (c0, c1, c2)
-                if k_gaps_stokes(case_id, spread(cs)) is not None:
-                    continue
-                # T_k's roots r/q, through a list: CPython builds a tuple from
-                # an iterator long and shrinks it, and each such tuple, once
-                # freed, stays on the free list of its length, raising peak RSS
-                key = tuple([*accumulate(lowest(cs), initial=0)]), q
-                if key not in matches:
-                    matches[key] = _match_numerators(*key, weight_bound)
-                if matches[key] is not None:
-                    violations += [
-                        f"{_fmt_roots(*key)}: non-integral Stokes but "
-                        f"matches {matches[key]}"] * back
-    # one string per operator (different gap vectors can share one)
-    flagged = sorted({_fmt_roots(*key) for key, match in matches.items() if match is None})
+    # the primitive case-symmetric gap vectors c/q with a zero class, as the
+    # integer class values c (every case has three classes)
+    for q, cs in _zero_class_triples(tuple(map(len, desc.classes)), search_bound):
+        lowest, back, closed = shapes[_order_pattern(*cs)]
+        if not closed:  # fails condition G
+            continue
+        # the vector stands for itself and its rotations by -1, -2, ... up to
+        # the previous case-symmetric one, excluded (at -n1 at most)
+        checked += back
+        if k_gaps_stokes(case_id, spread(cs)) is not None:
+            continue
+        # T_k's roots r/q, through a list: CPython builds a tuple from an
+        # iterator long and shrinks it, and each such tuple, once freed,
+        # stays on the free list of its length, raising peak RSS
+        key = tuple([*accumulate(lowest(cs), initial=0)]), q
+        match = matches.get(key, False)
+        if match is False:  # a new operator
+            match = matches[key] = _match_numerators(*key, weight_bound)
+        if match is not None:
+            violations += [f"{_fmt_roots(*key)}: non-integral Stokes but "
+                           f"matches {match}"] * back
+    # a key is a ThetaPoly's fields as its constructor leaves them: the gaps
+    # are >= 0, so the numerators ascend, and a factor common to q and the
+    # numerators divides every gap, so for a primitive vector there is none
+    flagged = sorted(ThetaPoly._make(key) for key, match in matches.items()
+                     if match is None)
     return CorollaryReport(case_id, search_bound, len(entries), mismatches,
                            checked, violations, flagged)
 

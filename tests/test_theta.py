@@ -265,6 +265,21 @@ def test_match_numerators_once_per_operator(monkeypatch):
     assert sum(calls.values()) == len(calls) == len(rep.flagged_non_ci) == 19
 
 
+def test_verify_corollary_formats_nothing_without_a_violation(monkeypatch):
+    """With no violation nothing is formatted: every case passes at bound 12
+    with ``_fmt_roots`` made to raise, and each flagged operator, built
+    from its sweep key, is the operator its constructor normalizes."""
+    def forbidden(*args):
+        raise AssertionError("an operator was formatted")
+
+    monkeypatch.setattr(theta, "_fmt_roots", forbidden)
+    for case_id in CASE_IDS:
+        rep = verify_corollary(case_id, 12)
+        assert rep.ok and rep.flagged_non_ci
+        for op in rep.flagged_non_ci:
+            assert type(op) is ThetaPoly and ThetaPoly(*op) == op
+
+
 def test_verify_corollary_repeatable():
     """Successive calls give equal reports, and mutating a returned report
     leaves the next call's report as it was."""
@@ -314,9 +329,9 @@ def test_verify_corollary_4a():
     rep = verify_corollary("4a", 10)
     assert rep.ok
     assert rep.forward_checked == 9
-    assert "θ^2(θ-1/10)(θ-9/10)" in rep.flagged_non_ci
+    assert theta_poly([0, 0, F(1, 10), F(9, 10)]) in rep.flagged_non_ci
     # the uniform A_n operator has no zero gap, so check_Q excludes it
-    assert "θ(θ-1/5)(θ-2/5)(θ-3/5)" not in rep.flagged_non_ci
+    assert theta_poly([0, F(1, 5), F(2, 5), F(3, 5)]) not in rep.flagged_non_ci
 
 
 def test_verify_corollary_corrupt():
@@ -595,7 +610,7 @@ def _reference_converse(case_id, search_bound, compositions=None):
                     converse_violations.append(
                         f"{tk}: non-integral Stokes but matches {match}")
                 else:
-                    flagged_non_ci.append(str(tk))
+                    flagged_non_ci.append(tk)
     return CorollaryReport(case_id, search_bound, forward_checked, forward_mismatches,
                            converse_checked, converse_violations,
                            sorted(set(flagged_non_ci)))
@@ -733,7 +748,8 @@ def _reference_sweep(case_id, search_bound, corrupt_catalog=False):
     come from ``min`` over the rotations (``tk_numerators``), check_G and
     the forward check are the sorted and Fraction comparisons
     (``_reference_mirror_closed``, ``_reference_qdo_matches``), ``back`` is
-    searched per vector, and every flagged operator is formatted.  It reads
+    searched per vector, and each flagged vector's operator is normalized
+    by the ``ThetaPoly`` constructor.  It reads
     ``k_gaps_stokes`` through ``ttstar.theta``, so a test that patches it
     there patches both sweeps."""
     desc = descriptor(case_id)
@@ -785,13 +801,12 @@ def _reference_sweep(case_id, search_bound, corrupt_catalog=False):
                 converse_checked += back
                 if theta.k_gaps_stokes(case_id, vec) is not None:
                     continue
-                tk = _fmt_roots(roots, q)
                 match = _match_numerators(roots, q, weight_bound)
                 if match is None:
-                    flagged_non_ci.append(tk)
+                    flagged_non_ci.append(ThetaPoly(roots, q))
                 else:
-                    converse_violations += [
-                        f"{tk}: non-integral Stokes but matches {match}"] * back
+                    converse_violations += [f"{_fmt_roots(roots, q)}: non-integral "
+                                            f"Stokes but matches {match}"] * back
     # dedupe flags (different gap vectors can share one operator)
     return CorollaryReport(case_id, search_bound, forward_checked, forward_mismatches,
                            converse_checked, converse_violations,
