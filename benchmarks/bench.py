@@ -20,8 +20,10 @@ side,
   ``cases.asymptotic_to_k`` per operation, next to the ``exact.add_*_us``
   and ``exact.mul_*_us`` probes of ``AlgReal`` arithmetic;
 * for ``verify_sweep``, times the two halves of a round (``verify_round``):
-  ``brute_force_integral_points(case, 60)`` for every case, then
-  ``verify_corollary(case, bound)`` for every case and bound
+  ``brute_force_integral_points(case, 60)`` twice for every case, the
+  ``first`` call with its first-use set-up (the label table and the case's
+  label axes, when no earlier case built them) and the ``warm`` one
+  without, then ``verify_corollary(case, bound)`` for every case and bound
   (``--bounds``); the integral-solution tables are built, and each
   ``verify_corollary(case, bound)`` called once untimed, before timing, so
   each ``verify_corollary`` time is the forward check and the converse
@@ -134,10 +136,11 @@ def verify_round(bounds: list[int]) -> list[dict]:
         integral_solutions(case)
     out = []
     for case in CASE_IDS:
-        t0 = time.perf_counter()
-        points = brute_force_integral_points(case, 60)
-        out.append({"case": case, "brute_force_den": 60,
-                    "wall_s": time.perf_counter() - t0, "points": len(points)})
+        for call in ("first", "warm"):
+            t0 = time.perf_counter()
+            points = brute_force_integral_points(case, 60)
+            out.append({"case": case, "brute_force_den": 60, "call": call,
+                        "wall_s": time.perf_counter() - t0, "points": len(points)})
     for bound in bounds:
         for case in CASE_IDS:
             verify_corollary(case, bound)  # first-use set-up, untimed
@@ -423,10 +426,12 @@ def traced(sides: dict[str, Path], workload: str, seed: int) -> dict:
 
 def round_split(records: list[dict]) -> dict:
     """The wall time of one ``verify_round`` summed over the ten cases: the
-    brute force at 60 and ``verify_corollary`` at each bound."""
+    brute force's first and warm calls at 60 and ``verify_corollary`` at
+    each bound."""
     split = {}
     for r in records:
-        half = f"verify_corollary_{r['bound']}" if "bound" in r else "brute_force_60"
+        half = (f"verify_corollary_{r['bound']}" if "bound" in r
+                else f"brute_force_60_{r['call']}")
         split[half] = split.get(half, 0.0) + r["wall_s"]
     return split
 
