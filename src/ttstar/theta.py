@@ -367,9 +367,9 @@ def verify_corollary(case_id: str, search_bound: int,
     zero, which condition Q asks for, are visited, by q, then c0, then c1
     (``_zero_class_triples``, listed once per class sizes and bound, so a
     call steps through its candidates only).  A candidate is read through
-    its first case-symmetric rotation at or after its own index.  So s stands for
-    itself and its rotations by -1, ..., -(back - 1), where back is the
-    least j >= 1 with s rotated by -j (entry i is s[i - j]) case-symmetric:
+    its first case-symmetric rotation at or after its own index.  So s
+    stands for itself and its rotations by -1, ..., -(back - 1), where back
+    is the least j >= 1 with s rotated by -j (entry i is s[i - j]) case-symmetric:
     s counts back candidates, which share its T_k, its two conditions and
     its CI match (all rotation invariant) and are read through its Stokes
     data.  Every distinct gap vector is counted once, because the symmetric
@@ -401,10 +401,10 @@ def verify_corollary(case_id: str, search_bound: int,
     a matching operator adds one violation per gap vector that has it.  An
     operator matching none is flagged as the ``ThetaPoly`` of that key, and
     nothing is formatted unless there is a violation.  The forward check
-    compares the catalog entry's theta-part (``qdo_from_ci``) with its record's T_k, the
-    entries pairing with the case's first nine records in table order; an
-    operator has one root per power of lambda, so equal roots give equal
-    powers.
+    compares the catalog entry's theta-part (``qdo_from_ci``) with its
+    record's T_k, the entries pairing with the case's first nine records in
+    table order; an operator has one root per power of lambda, so equal
+    roots give equal powers.
     """
     from .enumeration import integral_solutions  # enumeration imports this module
 
