@@ -34,13 +34,14 @@ side,
   the cases; and it splits ``verify_corollary`` at bound 12 over the ten
   cases (``sweep_split_rounds``), in ``--repeats`` fresh interpreters of
   20 rounds each, into the forward check (``qdo_from_ci``),
-  ``k_gaps_stokes``, ``_match_numerators``, the formatting of operator
-  strings (``_fmt_roots``) and the rest, candidate generation with check_G
-  (the walk, the order-pattern lookup and the roots of non-integral
-  vectors), each less the timers' own cost that lands in it; the whole of
-  that cost is ``timer_overhead``, each piece's calls times a wrapped
-  no-op's cost less the bare no-op's, at the piece's own argument count,
-  so the timed round is the untimed one plus ``timer_overhead``.  It keeps
+  ``k_gaps_stokes``, the complete-intersection match (``match_ci``, or
+  ``_match_numerators`` on a checkout that still has it) and the rest,
+  candidate generation with check_G (the walk, the order-pattern lookup
+  and the operators of non-integral vectors), each less the timers' own
+  cost that lands in it; the whole of that cost is ``timer_overhead``,
+  each piece's calls times a wrapped no-op's cost less the bare no-op's,
+  at the piece's own argument count, so the timed round is the untimed
+  one plus ``timer_overhead``.  It keeps
   the median and quartiles of each over the rounds next to the untimed
   round;
 * for ``radial_bvp``, splits ``solve_radial`` at the 76 integral points of
@@ -115,7 +116,7 @@ WORKLOADS = {
         "round": ("stokes.from_asymptotic.calls", None),
     },
     "verify_sweep": {
-        "layers": ("theta.verify_corollary", "enumeration.brute_force"),
+        "layers": ("theta.verify_corollary", "theta.match_ci", "enumeration.brute_force"),
         "counts": ("theta.converse_checked", "theta.flagged_non_ci"),
         "round": ("theta.verify_corollary.calls", "cases_per_round"),
     },
@@ -171,9 +172,12 @@ def sweep_split_rounds(bound: int, rounds: int) -> list[dict]:
     from ttstar.enumeration import integral_solutions
     for case in CASE_IDS:
         integral_solutions(case)
-    # piece -> the function it times and that function's argument count
+    # piece -> the function it times and that function's argument count; an
+    # older checkout's sweep matches through ``_match_numerators``
+    match = (("_match_numerators", 3) if hasattr(theta, "_match_numerators")
+             else ("match_ci", 2))
     names = {"forward_check": ("qdo_from_ci", 1), "k_gaps_stokes": ("k_gaps_stokes", 2),
-             "match_numerators": ("_match_numerators", 3), "formatting": ("_fmt_roots", 2)}
+             "match_numerators": match}
     noops = {1: lambda a: None, 2: lambda a, b: None, 3: lambda a, b, c: None}
     originals = {piece: getattr(theta, name) for piece, (name, _) in names.items()}
     spent, calls = {}, {}

@@ -209,22 +209,22 @@ def cmd_convert(args) -> int:
 def cmd_enumerate(args) -> int:
     emit = EMITTERS[args.format]
     if args.raw:
+        if args.case or args.all or args.full:
+            raise CliError("--raw lists the cosine pairs and takes no case id, "
+                           "--all or --full", EXIT_PARSE)
         from .enumeration import enumerate_cos_pairs
         fields = ("a", "b", "m", "p")  # a CosPair's own fields, in order
         emit([dict(zip(fields, map(str, pair))) for pair in enumerate_cos_pairs()],
              fields, sys.stdout)
         return 0
-    if args.all:
-        rows = []
-        for case_id in CASE_IDS:
-            for r in case_rows(case_id, args.full):
-                r["case"] = case_id
-                rows.append(r)
-        emit(rows, ("case",) + FIELDS, sys.stdout)
-        return 0
-    if not args.case:
+    if args.case and args.all:
+        raise CliError("give a case id or --all, not both", EXIT_PARSE)
+    if not (args.case or args.all):
         raise CliError("a case id or --all is required", EXIT_PARSE)
-    emit(case_rows(args.case, args.full), FIELDS, sys.stdout)
+    case_ids = CASE_IDS if args.all else (args.case,)
+    rows = [{"case": case_id, **r} for case_id in case_ids
+            for r in case_rows(case_id, args.full)]
+    emit(rows, ("case", *FIELDS) if args.all else FIELDS, sys.stdout)
     return 0
 
 

@@ -24,15 +24,14 @@ lowest rotation from its first nonzero gap on, so the table holds its
 answer too (the lemma is in ``verify_corollary``).
 Integrality is decided at the slot angles (``stokes.k_gaps_stokes``, over
 the closed-form kernel ``exact.cos_pair_sums``), and the
-complete-intersection match (``_match_numerators``, behind ``match_ci``)
-reads the cyclotomic factors of the numerators
-(``exact.cyclotomic_factors``, which states the lemma).  The operator
-strings (``_fmt_roots``, behind ``ThetaPoly.__str__``) take the same
-numerators over q, and so does every operator: a ``ThetaPoly`` keeps its
-roots as ascending integer numerators over their least common
-denominator, so the forward check is one equality of ``ThetaPoly``s, a
-catalog entry's (``qdo_from_ci``, which counts its roots over the lcm of
-its weights and degrees) against its integral-solution record's T_k.
+complete-intersection match (``match_ci``, on a ``ThetaPoly``) reads the
+cyclotomic factors of the numerators (``exact.cyclotomic_factors``, which
+states the lemma).  Every operator keeps its roots as ascending integer
+numerators over their least common denominator, which ``ThetaPoly.__str__``
+writes as they are, so the forward check is one equality of
+``ThetaPoly``s, a catalog entry's (``qdo_from_ci``, which counts its roots
+over the lcm of its weights and degrees) against its integral-solution
+record's T_k.
 """
 
 from __future__ import annotations
@@ -57,16 +56,6 @@ def _fmt_ratio(r: int, q: int) -> str:
     return str(r // g) if g == q else f"{r // g}/{q // g}"
 
 
-def _fmt_roots(numerators: Iterable[int], q: int) -> str:
-    """prod (theta - r/q) over the multiset of numerators, e.g. "θ^2(θ-1/6)"."""
-    parts = []
-    for r, run in groupby(sorted(numerators)):  # the distinct numerators, ascending
-        factor = "θ" if r == 0 else f"(θ-{_fmt_ratio(r, q)})"
-        mult = len(list(run))
-        parts.append(f"{factor}^{mult}" if mult > 1 else factor)
-    return "".join(parts)
-
-
 class ThetaPoly(namedtuple("ThetaPoly", "numerators q")):
     """prod (theta - r/q) over the multiset of root numerators r.
 
@@ -89,7 +78,13 @@ class ThetaPoly(namedtuple("ThetaPoly", "numerators q")):
         return len(self.numerators)
 
     def __str__(self) -> str:
-        return _fmt_roots(self.numerators, self.q) or "1"
+        """The product over the distinct roots, ascending, e.g. "θ^2(θ-1/6)"."""
+        parts = []
+        for r, run in groupby(self.numerators):
+            factor = "θ" if r == 0 else f"(θ-{_fmt_ratio(r, self.q)})"
+            mult = len(list(run))
+            parts.append(f"{factor}^{mult}" if mult > 1 else factor)
+        return "".join(parts) or "1"
 
 
 def theta_poly(roots: Iterable) -> ThetaPoly:
@@ -294,9 +289,15 @@ def catalog(group: str) -> list[tuple[CISpec, str, int]]:
 
 # --- CI matching and the corollary verifier ---------------------------
 
-def _match_numerators(numerators: Sequence[int], q: int,
-                      weight_sum_bound: int) -> CISpec | None:
-    """``match_ci`` on the roots r/q given as ascending integer numerators r."""
+def match_ci(t: ThetaPoly, weight_sum_bound: int) -> CISpec | None:
+    """The minimal complete intersection whose operator has the roots of t.
+
+    The root multiset of a weight/degree factor list is determined by the
+    divisor counts of the weights and degrees; matching reduces to a
+    Moebius inversion over denominators.  Returns None when no weights
+    and degrees reproduce the multiset with the weight sum within bound.
+    """
+    numerators, q = t
     if not numerators or numerators[0] < 0 or numerators[-1] >= q:
         return None
     # the root multiplicity must be constant on each class {c/e : gcd(c, e) = 1},
@@ -318,21 +319,8 @@ def _match_numerators(numerators: Sequence[int], q: int,
         return None
     spec = CISpec(tuple(weights), tuple(degrees))
     # paranoia: the divisor-count argument is exact, but verify anyway
-    assert qdo_from_ci(spec) == ThetaPoly(numerators, q)
+    assert qdo_from_ci(spec) == t
     return spec
-
-
-def match_ci(roots: Iterable[Fraction],
-             weight_sum_bound: int) -> CISpec | None:
-    """The minimal complete intersection whose operator has the given theta roots.
-
-    The root multiset of a weight/degree factor list is determined by the
-    divisor counts of the weights and degrees; matching reduces to a
-    Moebius inversion over denominators.  Returns None when no weights
-    and degrees reproduce the multiset with the weight sum within bound.
-    """
-    t = theta_poly(roots)
-    return _match_numerators(t.numerators, t.q, weight_sum_bound)
 
 
 class CorollaryReport(namedtuple("CorollaryReport", "case bound forward_checked "
@@ -396,15 +384,14 @@ def verify_corollary(case_id: str, search_bound: int,
 
     A vector failing check_G is skipped before anything is built for it.
     Every vector passing both conditions gets ``stokes.k_gaps_stokes``; T_k's
-    roots are built only for the non-integral ones, and
-    ``_match_numerators`` runs once per distinct (T_k numerators, q), while
-    a matching operator adds one violation per gap vector that has it.  An
-    operator matching none is flagged as the ``ThetaPoly`` of that key, and
-    nothing is formatted unless there is a violation.  The forward check
-    compares the catalog entry's theta-part (``qdo_from_ci``) with its
-    record's T_k, the entries pairing with the case's first nine records in
-    table order; an operator has one root per power of lambda, so equal
-    roots give equal powers.
+    roots are built only for the non-integral ones, T_k is built once per
+    distinct operator and ``match_ci`` runs once on it, while a matching
+    operator adds one violation per gap vector that has it.  An operator
+    matching none is flagged, and nothing is formatted unless there is a
+    violation.  The forward check compares the catalog entry's theta-part
+    (``qdo_from_ci``) with its record's T_k, the entries pairing with the
+    case's first nine records in table order; an operator has one root per
+    power of lambda, so equal roots give equal powers.
     """
     from .enumeration import integral_solutions  # enumeration imports this module
 
@@ -439,8 +426,8 @@ def verify_corollary(case_id: str, search_bound: int,
     shapes = _order_table(case_id)
     checked = 0
     violations = []
-    # (T_k numerators, q) -> its CI match, one per non-integral operator
-    matches: dict[tuple[tuple[int, ...], int], CISpec | None] = {}
+    # T_k -> its CI match, one per non-integral operator
+    matches: dict[ThetaPoly, CISpec | None] = {}
     # the primitive case-symmetric gap vectors c/q with a zero class, as the
     # integer class values c (every case has three classes)
     for q, cs in _zero_class_triples(tuple(map(len, desc.classes)), search_bound):
@@ -454,19 +441,20 @@ def verify_corollary(case_id: str, search_bound: int,
             continue
         # T_k's roots r/q, through a list: CPython builds a tuple from an
         # iterator long and shrinks it, and each such tuple, once freed,
-        # stays on the free list of its length, raising peak RSS
+        # stays on the free list of its length, raising peak RSS.  The key
+        # is T_k's fields as ThetaPoly's constructor leaves them (the gaps
+        # are >= 0, so the numerators ascend, and a factor common to q and
+        # the numerators divides every gap, so for a primitive vector there
+        # is none), and a ThetaPoly is a tuple, so the key finds it
         key = tuple([*accumulate(lowest(cs), initial=0)]), q
         match = matches.get(key, False)
         if match is False:  # a new operator
-            match = matches[key] = _match_numerators(*key, weight_bound)
+            tk = ThetaPoly._make(key)
+            match = matches[tk] = match_ci(tk, weight_bound)
         if match is not None:
-            violations += [f"{_fmt_roots(*key)}: non-integral Stokes but "
+            violations += [f"{ThetaPoly._make(key)}: non-integral Stokes but "
                            f"matches {match}"] * back
-    # a key is a ThetaPoly's fields as its constructor leaves them: the gaps
-    # are >= 0, so the numerators ascend, and a factor common to q and the
-    # numerators divides every gap, so for a primitive vector there is none
-    flagged = sorted(ThetaPoly._make(key) for key, match in matches.items()
-                     if match is None)
+    flagged = sorted(tk for tk, match in matches.items() if match is None)
     return CorollaryReport(case_id, search_bound, len(entries), mismatches,
                            checked, violations, flagged)
 

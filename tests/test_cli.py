@@ -158,11 +158,18 @@ def test_convert_nonpositive_n(capsys):
         assert (code, out, err) == (2, "", "error: N must be positive\n")
 
 
+_RAW_ALONE = "error: --raw lists the cosine pairs and takes no case id, --all or --full"
+
+
 @pytest.mark.parametrize("argv, code, last_line", [
     (["convert", "4a", "--from", "asymptotic", "3"], 2,
      "error: asymptotic input needs exactly two values"),
     (["enumerate"], 2, "error: a case id or --all is required"),
     (["qdo", "--weights", "1,1,1,1,1,1,1", "--match"], 0, "match: none"),
+    (["enumerate", "4a", "--all"], 2, "error: give a case id or --all, not both"),
+    (["enumerate", "--raw", "4a"], 2, _RAW_ALONE),
+    (["enumerate", "--raw", "--all"], 2, _RAW_ALONE),
+    (["enumerate", "--raw", "--full"], 2, _RAW_ALONE),
 ])
 def test_exit_last_line(capsys, argv, code, last_line):
     """An error exits with its one stderr line and no output; a success

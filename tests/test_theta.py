@@ -14,8 +14,7 @@ from ttstar.cases import CASE_IDS, GROUPS, KVector, descriptor, make_k
 from ttstar.enumeration import integral_solutions
 from ttstar.stokes import k_gaps_stokes, stokes_from_k
 from ttstar.theta import (CISpec, CorollaryReport, NotReducibleError,
-                          ThetaPoly, _fmt_roots, _match_numerators,
-                          _mirror_closed, catalog, check_G, fmt_qdo,
+                          ThetaPoly, _mirror_closed, catalog, check_G, fmt_qdo,
                           match_ci, qdo_from_ci, theta_poly, tk_from_k,
                           tk_numerators, verify_corollary)
 
@@ -254,25 +253,26 @@ def test_match_numerators_once_per_operator(monkeypatch):
     """The converse sweep matches each distinct non-integral operator once,
     however many gap vectors share it: 19 operators for 4a at bound 12."""
     calls = Counter()
-    match = theta._match_numerators
+    match = theta.match_ci
 
-    def counted(numerators, q, weight_sum_bound):
-        calls[tuple(numerators), q] += 1
-        return match(numerators, q, weight_sum_bound)
+    def counted(t, weight_sum_bound):
+        assert type(t) is ThetaPoly
+        calls[t] += 1
+        return match(t, weight_sum_bound)
 
-    monkeypatch.setattr(theta, "_match_numerators", counted)
+    monkeypatch.setattr(theta, "match_ci", counted)
     rep = verify_corollary("4a", 12)
     assert sum(calls.values()) == len(calls) == len(rep.flagged_non_ci) == 19
 
 
 def test_verify_corollary_formats_nothing_without_a_violation(monkeypatch):
     """With no violation nothing is formatted: every case passes at bound 12
-    with ``_fmt_roots`` made to raise, and each flagged operator, built
-    from its sweep key, is the operator its constructor normalizes."""
+    with ``ThetaPoly.__str__`` made to raise, and each flagged operator,
+    built from its sweep key, is the operator its constructor normalizes."""
     def forbidden(*args):
         raise AssertionError("an operator was formatted")
 
-    monkeypatch.setattr(theta, "_fmt_roots", forbidden)
+    monkeypatch.setattr(ThetaPoly, "__str__", forbidden)
     for case_id in CASE_IDS:
         rep = verify_corollary(case_id, 12)
         assert rep.ok and rep.flagged_non_ci
@@ -295,16 +295,16 @@ def test_verify_corollary_repeatable():
 def test_match_ci_positive():
     # the minimal-weight representative is returned (the quadric in
     # P^{1,2,3} shares its operator with P^{1,3})
-    assert match_ci([F(0), F(0), F("1/3"), F("2/3")], 48) == CISpec((1, 3))
-    assert match_ci([F(0)] * 4, 48) == CISpec((1, 1, 1, 1))
-    assert match_ci([F(0), F(0), F("1/6"), F("5/6")], 48) == CISpec(
+    assert match_ci(theta_poly([F(0), F(0), F("1/3"), F("2/3")]), 48) == CISpec((1, 3))
+    assert match_ci(theta_poly([F(0)] * 4), 48) == CISpec((1, 1, 1, 1))
+    assert match_ci(theta_poly([F(0), F(0), F("1/6"), F("5/6")]), 48) == CISpec(
         (1, 1, 1, 6), (2, 3))
 
 
 def test_match_ci_counterexample():
-    assert match_ci([F(0), F(0), F("1/10"), F("9/10")], 72) is None
+    assert match_ci(theta_poly([F(0), F(0), F("1/10"), F("9/10")]), 72) is None
     # the empty operator: no complete intersection has degree 0
-    assert match_ci([], 72) is None
+    assert match_ci(theta_poly([]), 72) is None
 
 
 def test_catalog_shape():
@@ -346,12 +346,12 @@ def test_verify_corollary_bound_validation():
 
 # --- Fraction references for the integer operator code ----------------
 
-def _reference_str(t):
-    """str(ThetaPoly) over Fraction roots, grouped with a Counter."""
+def _reference_str(roots):
+    """str(ThetaPoly) over its Fraction roots, grouped with a Counter."""
     def fmt(r):
         return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
     parts = []
-    for r, mult in sorted(Counter(t.roots).items()):
+    for r, mult in sorted(Counter(roots).items()):
         base = "θ" if r == 0 else f"(θ-{fmt(r)})"
         parts.append(base + (f"^{mult}" if mult > 1 else ""))
     return "".join(parts) or "1"
@@ -443,16 +443,12 @@ def test_qdo_matches_reference(rng):
 
 
 def test_fmt_roots_matches_reference(rng):
-    assert _fmt_roots([0, 0, 0], 1) == "θ^3"
-    assert _fmt_roots([0, 0, 2, 10, 10], 12) == "θ^2(θ-1/6)(θ-5/6)^2"
     for _ in range(500):
         q = rng.choice([1, 1, 2, 6, 12, rng.randint(1, 60)])
         numerators = [rng.randrange(-q, 2 * q) for _ in range(rng.randint(0, 7))]
         numerators += [0] * rng.randint(0, 3) + numerators[:rng.randint(0, 2)]
         t = theta_poly(F(r, q) for r in numerators)
-        if numerators:
-            assert _fmt_roots(numerators, q) == _reference_str(t)
-        assert str(t) == _reference_str(t)
+        assert str(t) == _reference_str(t.roots)
 
 
 def test_theta_poly_canonical_form(rng):
@@ -474,7 +470,7 @@ def test_theta_poly_canonical_form(rng):
         k = rng.randint(2, 7)
         scaled = ThetaPoly(tuple(r * k for r in numerators), q * k)
         assert scaled == t and hash(scaled) == hash(t)
-        assert str(t) == _reference_str(t)
+        assert str(t) == _reference_str(t.roots)
 
 
 def _orbit_roots(case_id, bound):
@@ -499,7 +495,7 @@ def test_match_ci_matches_reference_on_orbits(case_id):
     n1 = descriptor(case_id).n_plus_1
     for roots in _orbit_roots(case_id, 24):
         for bound in (2 * n1, 24 * n1):
-            assert match_ci(roots, bound) == _reference_match_ci(roots, bound)
+            assert match_ci(theta_poly(roots), bound) == _reference_match_ci(roots, bound)
 
 
 def test_match_ci_matches_reference_on_ci_roots(rng):
@@ -508,8 +504,8 @@ def test_match_ci_matches_reference_on_ci_roots(rng):
         roots = list(qdo_from_ci(spec).roots)
         n1 = len(roots)
         bound = rng.choice([sum(spec.weights), n1, 10 ** 6])
-        assert match_ci(roots, bound) == _reference_match_ci(roots, bound)
-        found = match_ci(roots, 10 ** 6)
+        assert match_ci(theta_poly(roots), bound) == _reference_match_ci(roots, bound)
+        found = match_ci(theta_poly(roots), 10 ** 6)
         assert found is not None and qdo_from_ci(found) == qdo_from_ci(spec)
         # a near miss: one root moved, possibly out of [0, 1)
         i = rng.randrange(n1)
@@ -518,7 +514,7 @@ def test_match_ci_matches_reference_on_ci_roots(rng):
             roots[i] = F(rng.randrange(d), d)
         else:
             roots[i] += F(rng.choice([-1, 1]), rng.randint(1, 30))
-        assert match_ci(roots, 10 ** 6) == _reference_match_ci(roots, 10 ** 6)
+        assert match_ci(theta_poly(roots), 10 ** 6) == _reference_match_ci(roots, 10 ** 6)
 
 
 # --- slow reference for the converse sweep ------------------------------
@@ -703,7 +699,7 @@ def test_no_integral_or_ci_point_past_12(case_id):
                     gaps[i] = c
             assert k_gaps_stokes(case_id, gaps) is None, gaps
             roots = [F(r, q) for r in tk_numerators(gaps)]
-            assert match_ci(roots, 10**6) is None, gaps
+            assert match_ci(theta_poly(roots), 10**6) is None, gaps
 
 
 @pytest.mark.parametrize("case_id", CASE_IDS)
@@ -719,7 +715,7 @@ def test_converse_violations_count_every_gap_vector(case_id, monkeypatch):
         for gaps in _symmetric_rotations(case_id, q):
             tk = _reference_tk(tuple(F(c, q) for c in gaps))
             if (math.gcd(q, *gaps) == 1 and 0 in gaps and check_G(tk)
-                    and match_ci(tk.roots, 12 * n1) is not None):
+                    and match_ci(tk, 12 * n1) is not None):
                 matching.add(gaps)
     assert len(verify_corollary(case_id, 12).converse_violations) == len(matching) > 0
 
@@ -748,8 +744,10 @@ def _reference_sweep(case_id, search_bound, corrupt_catalog=False):
     come from ``min`` over the rotations (``tk_numerators``), check_G and
     the forward check are the sorted and Fraction comparisons
     (``_reference_mirror_closed``, ``_reference_qdo_matches``), ``back`` is
-    searched per vector, and each flagged vector's operator is normalized
-    by the ``ThetaPoly`` constructor.  It reads
+    searched per vector, the match and the violation string are
+    ``_reference_match_ci`` and ``_reference_str`` on the Fraction roots,
+    and each flagged vector's operator is normalized by the ``ThetaPoly``
+    constructor.  It reads
     ``k_gaps_stokes`` through ``ttstar.theta``, so a test that patches it
     there patches both sweeps."""
     desc = descriptor(case_id)
@@ -776,6 +774,7 @@ def _reference_sweep(case_id, search_bound, corrupt_catalog=False):
                 f"at {block}[{pos}]")
 
     weight_bound = search_bound * n1
+    matches = {}  # (T_k numerators, q) -> its reference match
     classes = desc.classes
     s0, s1, s2 = map(len, classes)  # every case has three classes
     for q in range(1, search_bound + 1):
@@ -801,11 +800,15 @@ def _reference_sweep(case_id, search_bound, corrupt_catalog=False):
                 converse_checked += back
                 if theta.k_gaps_stokes(case_id, vec) is not None:
                     continue
-                match = _match_numerators(roots, q, weight_bound)
+                fractions = [F(r, q) for r in roots]
+                key = tuple(roots), q
+                if key not in matches:
+                    matches[key] = _reference_match_ci(fractions, weight_bound)
+                match = matches[key]
                 if match is None:
                     flagged_non_ci.append(ThetaPoly(roots, q))
                 else:
-                    converse_violations += [f"{_fmt_roots(roots, q)}: non-integral "
+                    converse_violations += [f"{_reference_str(fractions)}: non-integral "
                                             f"Stokes but matches {match}"] * back
     # dedupe flags (different gap vectors can share one operator)
     return CorollaryReport(case_id, search_bound, forward_checked, forward_mismatches,

@@ -32,7 +32,7 @@ def test_tracing_entry_points_resolve():
 
 
 def test_bench_wrapped_names_exist():
-    for name in ("qdo_from_ci", "k_gaps_stokes", "_match_numerators", "_fmt_roots"):
+    for name in ("qdo_from_ci", "k_gaps_stokes", "match_ci"):
         assert callable(getattr(theta, name, None)), name
     for name in ("_jacobian", "dgbsv", "_fit_slope", "solve_radial"):
         assert callable(getattr(solver, name, None)), name
@@ -69,6 +69,6 @@ def test_sweep_split_reports_timer_overhead():
     bench = _load(ROOT / "benchmarks" / "bench.py")
     (record,) = bench.run_in(ROOT, "sweep_split_rounds", 12, 1)
     assert record["timer_overhead"] > 0
-    parts = ("forward_check", "k_gaps_stokes", "match_numerators", "formatting",
+    parts = ("forward_check", "k_gaps_stokes", "match_numerators",
              "candidates_check_G", "timer_overhead")
     assert math.isclose(sum(record[p] for p in parts), record["total"])
