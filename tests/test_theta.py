@@ -443,6 +443,8 @@ def test_qdo_matches_reference(rng):
 
 
 def test_fmt_roots_matches_reference(rng):
+    assert str(ThetaPoly((0, 0, 0), 1)) == "θ^3"
+    assert str(ThetaPoly((0, 0, 2, 10, 10), 12)) == "θ^2(θ-1/6)(θ-5/6)^2"
     for _ in range(500):
         q = rng.choice([1, 1, 2, 6, 12, rng.randint(1, 60)])
         numerators = [rng.randrange(-q, 2 * q) for _ in range(rng.randint(0, 7))]
