@@ -5,80 +5,51 @@
         [--bounds 12 24 36 48 96] [--repeats N]
 
 W is any workload of ``BENCHMARK.json``.  DIR is a clone of the parent
-commit; the change is the checkout holding this file.  For
-``exact_stream``, ``verify_sweep`` and ``radial_bvp`` the script, for each
-side,
+commit; the change is the checkout holding this file.  Every measurement
+below is run for both sides in rounds that alternate which side runs
+first (``alternating``), and each side's runs are kept as one record,
+their ``summary``: a float becomes its median, quartiles and every run
+(``{"median", "quartiles", "runs"}``), any other field the one value all
+runs agree on or else its sorted distinct values, dicts key by key and
+lists index by index.  So each record below is written per side, in the
+shape of one run with its floats spread.  The records:
 
-* runs ``perfbench/run.py --workload W --trace 1 --seed SEED`` in that
-  checkout ``TRACED_REPEATS`` (3) times, alternating which side runs
-  first, and keeps the median over the runs (and every run) of the
-  per-layer metrics of the layers W exercises, and of the calls and self
-  times per round: the traced totals over the rounds run, set-up included
-  (building the integral-solution tables on integer gaps calls no traced
-  layer); on ``exact_stream``, whose rounds are single operations, these
-  are the calls and self times of ``stokes.*`` and
-  ``cases.asymptotic_to_k`` per operation, next to the ``exact.add_*_us``
+* ``traced`` (``exact_stream``, ``verify_sweep``, ``radial_bvp``):
+  ``TRACED_REPEATS`` (3) runs of ``perfbench/run.py --workload W --trace 1
+  --seed SEED``, each the per-layer metrics of the layers W exercises and
+  their calls and self times per round, the traced totals (set-up
+  included: building the integral-solution tables on integer gaps calls
+  no traced layer) over the rounds run; on ``exact_stream``, whose rounds
+  are single operations, per operation, next to the ``exact.add_*_us``
   and ``exact.mul_*_us`` probes of ``AlgReal`` arithmetic;
-* for ``verify_sweep``, times the two halves of a round (``verify_round``):
-  ``brute_force_integral_points(case, 60)`` twice for every case, the
-  ``first`` call with its first-use set-up (the label table and the case's
-  label axes, when no earlier case built them) and the ``warm`` one
-  without, then ``verify_corollary(case, bound)`` for every case and bound
-  (``--bounds``); the integral-solution tables are built, and each
-  ``verify_corollary(case, bound)`` called once untimed, before timing, so
-  each ``verify_corollary`` time is the forward check and the converse
-  sweep without first-use set-up (such as the per-case order tables).  It
-  runs ``--repeats`` rounds that alternate which side runs first, and
-  keeps, per side, the median and quartiles of each (case,
-  bound), of each case's brute force and of the round's split summed over
-  the cases; and it splits ``verify_corollary`` at bound 12 over the ten
-  cases (``sweep_split_rounds``), in ``--repeats`` fresh interpreters of
-  20 rounds each, into the forward check (``qdo_from_ci``),
-  ``k_gaps_stokes``, the complete-intersection match (``match_ci``, or
-  ``_match_numerators`` on a checkout that still has it) and the rest,
-  candidate generation with check_G (the walk, the order-pattern lookup
-  and the operators of non-integral vectors), each less the timers' own
-  cost that lands in it; the whole of that cost is ``timer_overhead``,
-  each piece's calls times a wrapped no-op's cost less the bare no-op's,
-  at the piece's own argument count, so the timed round is the untimed
-  one plus ``timer_overhead``.  It keeps
-  the median and quartiles of each over the rounds next to the untimed
-  round;
-* for ``radial_bvp``, splits ``solve_radial`` at the 76 integral points of
-  4a, 5a, 5c and 6a into phases (``solve_phases_round``): Jacobian
-  assembly, the banded linear solve, the line search, and the rest
-  (grid, initial guess, first residual, slope fit).  Each of
-  ``--repeats`` rounds (11 by default for this workload), alternating
-  which side runs first, is a fresh interpreter that reports the mean per
-  solve of each phase next to the untimed time per solve, and the Newton
-  steps summed over the points on the default grid, and over untimed
-  solves of the same points on 2,048 and 4,096 points (``FINE_GRIDS``);
-  each side keeps the median and quartiles over its rounds and every
-  round's values;
+* ``verify_corollary`` (``verify_sweep``, ``--repeats`` fresh
+  interpreters): ``verify_round``, a record per timed call at each of
+  ``--bounds`` and the round's split summed over the ten cases;
+* ``verify_corollary_split`` (``verify_sweep``, ``--repeats`` fresh
+  interpreters of 20 rounds each): ``sweep_split_rounds`` at bound 12,
+  ``verify_corollary`` split into its pieces, in ms per round;
+* ``solve_phases`` (``radial_bvp``, ``--repeats`` fresh interpreters, 11
+  by default): ``solve_phases_round``, the mean per solve of each phase
+  of ``solve_radial`` next to the untimed time per solve, and the Newton
+  steps on the default grid and on ``FINE_GRIDS``;
+* ``cold_commands``, ``convert_times`` and ``tier1`` (``cli_cold``): in
+  ``--repeats`` rounds, every ``ttstar`` command of the README and
+  ``import ttstar.solver``, each in a fresh interpreter (``cold_run``:
+  wall time, exit code and the modules of ``COLD_WATCHED`` it loaded),
+  and ``convert_round`` (``CONVERT_INPUTS``); once per side, the parent
+  first, the Tier-1 tests (``tier1_run``);
+* ``pair_summary`` (every workload, ``--pairs N``): N untraced perfbench
+  runs per side with seeds PAIR_SEED, PAIR_SEED + 1, ..., whose end-to-end
+  metrics and set-up phases (``import_cli_s``, ``cos_pairs_cold_s``,
+  ``tables_cold_s``, ``inputs_s``: the median over the run's set-up
+  samples) are summarised per side, with ``change_wins``: per end-to-end
+  metric, the pairs (the i-th run of each side) where the change is better.
 
-and, for ``cli_cold``, times every ``ttstar`` command of the README and
-``import ttstar.solver``, each in a fresh interpreter, in ``--repeats``
-rounds that alternate which side runs first; it keeps each side's wall
-times, their median and quartiles, the exit code, whether
-``scipy.linalg`` was loaded and which of ``dataclasses``, ``json``,
-``csv``, ``numpy``, ``ttstar.enumeration``, ``ttstar.theta`` and
-``ttstar.solver`` were (``COLD_WATCHED``).  In as many fresh interpreters it times
-``convert`` in-process at three common denominators of the gaps
-(``CONVERT_INPUTS``), and it runs the Tier-1 tests (``TIER1``) once per
-side, the parent first, keeping each side's wall time and passed and
-failed counts.
-
-Then, for every workload, with ``--pairs N``, runs N untraced pairs with
-seeds PAIR_SEED, PAIR_SEED + 1, ..., alternating which side runs first, and
-keeps each run's end-to-end metrics and set-up phases (``import_cli_s``,
-``cos_pairs_cold_s``, ``tables_cold_s``, ``inputs_s``: the median over the
-run's set-up samples), summarized per side over the pairs.  The JSON
-written holds the machine, the Python version and the git SHA of each side.
-The runs are sequential; run nothing else on the machine meanwhile.
-
-The timed functions below (``verify_round``, ``sweep_split_rounds``,
-``solve_phases_round``, ``convert_round``) run in a fresh interpreter that
-imports one side's ``src/`` (``run_in``).
+The JSON written also holds the machine, the Python version and the git
+SHA of each side.  The runs are sequential; run nothing else on the
+machine meanwhile.  ``verify_round``, ``sweep_split_rounds``,
+``solve_phases_round`` and ``convert_round`` run in a fresh interpreter
+that imports one side's ``src/`` (``run_in``).
 """
 
 from __future__ import annotations
@@ -128,57 +99,77 @@ WORKLOADS = {
 }
 
 
-def verify_round(bounds: list[int]) -> list[dict]:
-    """One timed round of ``verify_sweep``'s two halves, a record per call."""
+def verify_round(bounds: list[int]) -> dict:
+    """One timed round of ``verify_sweep``'s two halves: a record per call,
+    and the round's split, their wall times summed over the ten cases.
+
+    ``brute_force_integral_points(case, 60)`` runs twice for every case, the
+    ``first`` call with its first-use set-up (the label table and the case's
+    label axes, when no earlier case built them) and the ``warm`` one
+    without; then ``verify_corollary(case, bound)`` for every case and bound.
+    The integral-solution tables are built, and each ``verify_corollary``
+    called once untimed, before timing, so each ``verify_corollary`` time is
+    the forward check and the converse sweep without first-use set-up (such
+    as the per-case order tables)."""
     from ttstar.cases import CASE_IDS
     from ttstar.enumeration import brute_force_integral_points, integral_solutions
     from ttstar.theta import verify_corollary
     for case in CASE_IDS:
         integral_solutions(case)
-    out = []
+    records, split = [], {}
+
+    def add(half, record):
+        records.append(record)
+        split[half] = split.get(half, 0.0) + record["wall_s"]
+
     for case in CASE_IDS:
         for call in ("first", "warm"):
             t0 = time.perf_counter()
             points = brute_force_integral_points(case, 60)
-            out.append({"case": case, "brute_force_den": 60, "call": call,
-                        "wall_s": time.perf_counter() - t0, "points": len(points)})
+            add(f"brute_force_60_{call}",
+                {"case": case, "brute_force_den": 60, "call": call,
+                 "wall_s": time.perf_counter() - t0, "points": len(points)})
+
     for bound in bounds:
         for case in CASE_IDS:
             verify_corollary(case, bound)  # first-use set-up, untimed
             t0 = time.perf_counter()
             rep = verify_corollary(case, bound)
-            out.append({"case": case, "bound": bound,
-                        "wall_s": time.perf_counter() - t0,
-                        "converse_checked": rep.converse_checked,
-                        "flagged_non_ci": len(rep.flagged_non_ci),
-                        "converse_violations": len(rep.converse_violations)})
-    return out
+            add(f"verify_corollary_{bound}",
+                {"case": case, "bound": bound, "wall_s": time.perf_counter() - t0,
+                 "converse_checked": rep.converse_checked,
+                 "flagged_non_ci": len(rep.flagged_non_ci),
+                 "converse_violations": len(rep.converse_violations)})
+    return {"round_split_s": split, "records": records}
 
 
-def sweep_split_rounds(bound: int, rounds: int) -> list[dict]:
-    """Per round, in ms: ``verify_corollary(case, bound)`` over the ten cases
-    split into the pieces that ``theta`` looks up by name, each wrapped with
-    a timer, and the rest of the call, candidate generation with check_G.
+def sweep_split_rounds(bound: int, rounds: int) -> dict:
+    """``verify_corollary(case, bound)`` over the ten cases split into the
+    pieces that ``theta`` looks up by name, each wrapped with a timer: the
+    forward check (``qdo_from_ci``), ``k_gaps_stokes`` and the
+    complete-intersection match (``match_ci``), and the rest of the call,
+    ``candidates_check_G`` (the walk, the order-pattern lookup and the
+    operators of non-integral vectors); each piece's mean over ``rounds``
+    rounds, in ms per round.
 
     Each round first runs untimed, then timed.  For each piece a wrapped
     no-op of the piece's own argument count is then timed against the bare
     no-op over the same calls: the wrapper costs ``wrapped - bare`` a call
     (``timer_overhead`` is the sum of each piece's calls times that), of
     which ``window - bare`` falls inside its timer and is taken out of the
-    piece, per call, and the rest out of ``candidates_check_G``.
+    piece, per call, and the rest out of ``candidates_check_G``.  So the
+    pieces sum to the timed round, ``total``, which is the ``untimed`` one
+    plus ``timer_overhead``.
     """
     from ttstar import theta
     from ttstar.cases import CASE_IDS
     from ttstar.enumeration import integral_solutions
     for case in CASE_IDS:
         integral_solutions(case)
-    # piece -> the function it times and that function's argument count; an
-    # older checkout's sweep matches through ``_match_numerators``
-    match = (("_match_numerators", 3) if hasattr(theta, "_match_numerators")
-             else ("match_ci", 2))
+    # piece -> the function it times and that function's argument count
     names = {"forward_check": ("qdo_from_ci", 1), "k_gaps_stokes": ("k_gaps_stokes", 2),
-             "match_numerators": match}
-    noops = {1: lambda a: None, 2: lambda a, b: None, 3: lambda a, b, c: None}
+             "match_ci": ("match_ci", 2)}
+    noops = {1: lambda a: None, 2: lambda a, b: None}
     originals = {piece: getattr(theta, name) for piece, (name, _) in names.items()}
     spent, calls = {}, {}
 
@@ -219,7 +210,7 @@ def sweep_split_rounds(bound: int, rounds: int) -> list[dict]:
 
     for _ in range(3):
         one_round(bare)
-    out = []
+    splits = []
     for _ in range(rounds):
         untimed = one_round(bare)
         total = one_round(timed)
@@ -232,8 +223,10 @@ def sweep_split_rounds(bound: int, rounds: int) -> list[dict]:
             overhead += calls[piece] * (wrapped - base)
         split["candidates_check_G"] = total - sum(spent[p] for p in names) - outside
         split.update(timer_overhead=overhead, total=total, untimed=untimed)
-        out.append({k: v * 1e3 for k, v in split.items()})
-    return out
+        splits.append(split)
+    return {"bound": bound, "rounds": rounds,
+            "ms_per_round": {piece: statistics.fmean(s[piece] for s in splits) * 1e3
+                             for piece in splits[0]}}
 
 
 # the requested grids on which ``solve_phases_round`` also counts the Newton
@@ -311,18 +304,19 @@ CONVERT_INPUTS = {"q_480": ["0", "0", "476", "0"], "q_10e16_61": ["0", _X, "1", 
 
 
 def convert_round() -> list[dict]:
-    """Each ``CONVERT_INPUTS`` entry timed once with its exit code, after one
-    README conversion has loaded the modules."""
+    """Each ``CONVERT_INPUTS`` entry timed once with its label and exit
+    code, after one README conversion has loaded the modules."""
     import contextlib
     import io
     from ttstar.cli import main
     out = []
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         main(["convert", "4a", "--from", "asymptotic", "3", "1"])
-        for values in CONVERT_INPUTS.values():
+        for label, values in CONVERT_INPUTS.items():
             t0 = time.perf_counter()
             code = main(["convert", "4a", "--from", "k", *values])
-            out.append({"wall_s": time.perf_counter() - t0, "returncode": code})
+            out.append({"input": label, "wall_s": time.perf_counter() - t0,
+                        "returncode": code})
     return out
 
 
@@ -374,123 +368,31 @@ def perfbench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     return out
 
 
-def alternating(sides: dict[str, Path], repeats: int, run) -> dict[str, list]:
-    """``run(checkout)`` for both sides in ``repeats`` rounds, the parent
-    first in even rounds and the change first in odd ones."""
-    out = {name: [] for name in sides}
+def summary(runs: list):
+    """One side's runs as one record: a float becomes its median, quartiles
+    and every run, any other field the one value all runs agree on or else
+    its sorted distinct values; dicts are summarised key by key and lists
+    index by index."""
+    first = runs[0]
+    if isinstance(first, dict):
+        return {key: summary([r[key] for r in runs]) for key in first}
+    if isinstance(first, list):
+        return [summary(list(items)) for items in zip(*runs)]
+    if isinstance(first, float):
+        quartiles = statistics.quantiles(runs, n=4) if len(runs) > 1 else runs * 3
+        return {"median": statistics.median(runs), "quartiles": quartiles, "runs": runs}
+    distinct = sorted(set(runs))
+    return distinct[0] if len(distinct) == 1 else distinct
+
+
+def alternating(sides: dict[str, Path], repeats: int, run) -> dict:
+    """Each side's ``summary`` of ``run(checkout, i)`` for i < ``repeats``,
+    the parent first for even i and the change first for odd i."""
+    runs = {name: [] for name in sides}
     for i in range(repeats):
         for name in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
-            out[name].append(run(sides[name]))
-    return out
-
-
-def spread(values, unit: str = "") -> dict:
-    """One side's median and quartiles over its runs and, given a unit
-    (``_s``), every run too, each key ending in the unit."""
-    values = list(values)
-    quartiles = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-    out = {"median": statistics.median(values), "quartiles": quartiles}
-    if unit:
-        out["runs"] = values
-    return {key + unit: value for key, value in out.items()}
-
-
-def by_item(runs: dict[str, list], label: str, items) -> list[dict]:
-    """Per item, the j-th record of every run: its label and, per side, the
-    ``spread`` of its wall times and the sorted distinct values of its other
-    fields."""
-    out = []
-    for j, item in enumerate(items):
-        entry = {label: item}
-        for name, rounds in runs.items():
-            recs = [r[j] for r in rounds]
-            entry[name] = spread((r["wall_s"] for r in recs), "_s")
-            entry[name].update((key, sorted({r[key] for r in recs}))
-                               for key in recs[0] if key != "wall_s")
-        out.append(entry)
-    return out
-
-
-def traced(sides: dict[str, Path], workload: str, seed: int) -> dict:
-    """Per side, ``TRACED_REPEATS`` traced runs, alternating which side runs
-    first: each kept number's median over the runs, and every run."""
-    runs = alternating(sides, TRACED_REPEATS,
-                       lambda path: perfbench(path, workload, seed, 1))
-    out = {}
-    for name, recs in runs.items():
-        out[name] = {"seed": seed, "repeats": len(recs),
-                     "failed": max(r["failed"] for r in recs),
-                     "rounds": statistics.median(r["rounds"] for r in recs)}
-        for key in ("per_layer", "per_round"):
-            out[name][key] = {metric: statistics.median(r[key][metric] for r in recs)
-                              for metric in recs[0][key]}
-        out[name]["runs"] = recs
-    return out
-
-
-def round_split(records: list[dict]) -> dict:
-    """The wall time of one ``verify_round`` summed over the ten cases: the
-    brute force's first and warm calls at 60 and ``verify_corollary`` at
-    each bound."""
-    split = {}
-    for r in records:
-        half = (f"verify_corollary_{r['bound']}" if "bound" in r
-                else f"brute_force_60_{r['call']}")
-        split[half] = split.get(half, 0.0) + r["wall_s"]
-    return split
-
-
-def verify_times(sides: dict[str, Path], bounds: list[int], repeats: int) -> dict:
-    """Per side, the ``verify_round`` records, each with its wall time's
-    median, quartiles and every round's time, and the median and quartiles
-    over the rounds of ``round_split`` (``verify_sweep`` runs
-    ``verify_corollary`` at 12)."""
-    runs = alternating(sides, repeats, lambda path: run_in(path, "verify_round", bounds))
-    out = {}
-    for name, rounds in runs.items():
-        records = []
-        for j, rec in enumerate(rounds[0]):
-            times = spread((r[j]["wall_s"] for r in rounds), "_s")
-            records.append(dict(rec, wall_s=times.pop("median_s"), **times))
-        splits = [round_split(r) for r in rounds]
-        out[name] = {"round_split_s": {half: spread(split[half] for split in splits)
-                                       for half in splits[0]},
-                     "records": records}
-    return out
-
-
-def sweep_split(sides: dict[str, Path], repeats: int, rounds: int = 20) -> dict:
-    """Per side, the ``sweep_split_rounds`` of ``rounds`` rounds in each of
-    ``repeats`` fresh interpreters, alternating which side runs first: the
-    median and quartiles over all rounds of each piece, in ms per round."""
-    runs = alternating(sides, repeats,
-                       lambda path: run_in(path, "sweep_split_rounds", 12, rounds))
-    out = {}
-    for name, interpreters in runs.items():
-        records = [r for recs in interpreters for r in recs]
-        out[name] = {"bound": 12, "rounds": len(records),
-                     "ms_per_round": {piece: spread(r[piece] for r in records)
-                                      for piece in records[0]}}
-    return out
-
-
-def solve_phases(sides: dict[str, Path], repeats: int) -> dict:
-    """Per side, ``solve_phases_round`` in ``repeats`` fresh interpreters:
-    each time's median and quartiles over the rounds, and every round's
-    record."""
-    runs = alternating(sides, repeats, lambda path: run_in(path, "solve_phases_round"))
-    out = {}
-    for name, rounds in runs.items():
-        first = rounds[0]
-        out[name] = {
-            "points": first["points"], "repeats": repeats,
-            "untimed_ms_per_solve": spread(r["untimed_ms_per_solve"] for r in rounds),
-            "phase_ms_per_solve": {k: spread(r["phase_ms_per_solve"][k] for r in rounds)
-                                   for k in first["phase_ms_per_solve"]},
-            "newton_steps_over_points": first["newton_steps_over_points"],
-            "newton_steps_on_finer_grids": first["newton_steps_on_finer_grids"],
-            "rounds": rounds}
-    return out
+            runs[name].append(run(sides[name], i))
+    return {name: summary(side_runs) for name, side_runs in runs.items()}
 
 
 # the modules whose loading by a cold command ``cold_run`` reports
@@ -521,9 +423,9 @@ def readme_commands() -> list[list[str]]:
 
 
 def cold_run(checkout: Path, argv: list[str]) -> dict:
-    """Wall time, exit code, ``scipy.linalg`` flag and the other modules of
-    ``COLD_WATCHED`` loaded by one cold command, run in an empty directory
-    (the README's ``--output profile.csv`` lands there)."""
+    """The command line, wall time, exit code, ``scipy.linalg`` flag and the
+    other modules of ``COLD_WATCHED`` loaded by one cold command, run in an
+    empty directory (the README's ``--output profile.csv`` lands there)."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     with tempfile.TemporaryDirectory() as cwd:
         t0 = time.perf_counter()
@@ -533,7 +435,9 @@ def cold_run(checkout: Path, argv: list[str]) -> dict:
     names = proc.stderr.rstrip().rsplit("\n", 1)[-1].split()
     if names[:1] != ["loaded:"] or not set(names[1:]) <= set(COLD_WATCHED):
         raise RuntimeError(f"{argv}: no loaded: line on stderr: {proc.stderr[-300:]}")
-    return {"wall_s": wall, "returncode": proc.returncode,
+    return {"command": ("ttstar " + shlex.join(argv) if argv
+                        else 'python -c "import ttstar.solver"'),
+            "wall_s": wall, "returncode": proc.returncode,
             "scipy_linalg_loaded": "scipy.linalg" in names,
             "loaded": tuple(m for m in names[1:] if m != "scipy.linalg")}
 
@@ -544,41 +448,21 @@ TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
 
 def tier1_run(checkout: Path) -> dict:
-    """Wall time, exit code and the passed and failed counts of one Tier-1 run."""
+    """The command, wall time, exit code and passed and failed counts of one
+    Tier-1 run."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(checkout / "src"), os.environ.get("PYTHONPATH")])))
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=env,
                           text=True, capture_output=True)
     wall = time.perf_counter() - t0
-    summary = proc.stdout.rstrip().rsplit("\n", 1)[-1]
-    out = {"wall_s": wall, "returncode": proc.returncode, "summary": summary}
+    last = proc.stdout.rstrip().rsplit("\n", 1)[-1]
+    out = {"command": "python " + shlex.join(TIER1), "wall_s": wall,
+           "returncode": proc.returncode, "summary": last}
     for kind in ("passed", "failed"):
-        count = re.search(rf"(\d+) {kind}", summary)
+        count = re.search(rf"(\d+) {kind}", last)
         out[kind] = int(count.group(1)) if count else 0
     return out
-
-
-def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per end-to-end metric: each side's median and quartiles, the change's wins."""
-    out = {}
-    for metric in metrics:
-        name, sign = metric["name"], (1 if metric["better"] == "lower" else -1)
-        runs = {side: [p[side]["end_to_end"][name] for p in pairs]
-                for side in ("parent", "change")}
-        out[name] = {side: spread(v) for side, v in runs.items()}
-        out[name]["change_wins"] = sum(sign * (c - p) < 0 for p, c in
-                                       zip(runs["parent"], runs["change"]))
-        out[name]["pairs"] = len(pairs)
-    return out
-
-
-def summarize_setup(pairs: list[dict]) -> dict:
-    """Per set-up phase: each side's median over the pairs, in seconds."""
-    return {phase: {side: statistics.median(p[side]["setup_phases"][phase]
-                                            for p in pairs)
-                    for side in ("parent", "change")}
-            for phase in pairs[0]["parent"]["setup_phases"]}
 
 
 def main(argv=None) -> int:
@@ -611,36 +495,33 @@ def main(argv=None) -> int:
         "git_sha": {name: git_sha(path) for name, path in sides.items()},
     }
     if args.workload in WORKLOADS:
-        result["traced"] = traced(sides, args.workload, args.seed)
+        result["traced"] = alternating(
+            sides, TRACED_REPEATS, lambda path, _: perfbench(path, args.workload, args.seed, 1))
     if args.workload == "verify_sweep":
-        result["verify_corollary"] = verify_times(sides, args.bounds, args.repeats)
-        result["verify_corollary_split"] = sweep_split(sides, args.repeats)
+        result["verify_corollary"] = alternating(
+            sides, args.repeats, lambda path, _: run_in(path, "verify_round", args.bounds))
+        result["verify_corollary_split"] = alternating(
+            sides, args.repeats, lambda path, _: run_in(path, "sweep_split_rounds", 12, 20))
     elif args.workload == "radial_bvp":
-        result["solve_phases"] = solve_phases(sides, args.repeats)
+        result["solve_phases"] = alternating(
+            sides, args.repeats, lambda path, _: run_in(path, "solve_phases_round"))
     elif args.workload == "cli_cold":
         commands = readme_commands() + [[]]
-        result["cold_commands"] = by_item(
-            alternating(sides, args.repeats,
-                        lambda path: [cold_run(path, argv) for argv in commands]),
-            "command", ["ttstar " + shlex.join(argv) if argv
-                        else 'python -c "import ttstar.solver"' for argv in commands])
-        result["convert_times"] = by_item(
-            alternating(sides, args.repeats, lambda path: run_in(path, "convert_round")),
-            "input", CONVERT_INPUTS)
-        result["tier1"] = {"command": "python " + shlex.join(TIER1),
-                           **{name: runs[0] for name, runs in
-                              alternating(sides, 1, tier1_run).items()}}
-    result["pairs"] = []
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        seed = args.pair_seed + i
-        pair = {"seed": seed, "first": order[0]}
-        for name in order:
-            pair[name] = perfbench(sides[name], args.workload, seed, 0)
-        result["pairs"].append(pair)
-    if len(result["pairs"]) >= 2:
-        result["pair_summary"] = summarize(result["pairs"], config["end_to_end"])
-        result["setup_phase_summary"] = summarize_setup(result["pairs"])
+        result["cold_commands"] = alternating(
+            sides, args.repeats, lambda path, _: [cold_run(path, argv) for argv in commands])
+        result["convert_times"] = alternating(
+            sides, args.repeats, lambda path, _: run_in(path, "convert_round"))
+        result["tier1"] = alternating(sides, 1, lambda path, _: tier1_run(path))
+    if args.pairs:
+        pairs = result["pair_summary"] = alternating(
+            sides, args.pairs,
+            lambda path, i: perfbench(path, args.workload, args.pair_seed + i, 0))
+        pairs["change_wins"] = {}
+        for metric in config["end_to_end"]:
+            name, sign = metric["name"], (1 if metric["better"] == "lower" else -1)
+            parent, change = (pairs[side]["end_to_end"][name]["runs"] for side in sides)
+            pairs["change_wins"][name] = sum(sign * (c - p) < 0
+                                             for p, c in zip(parent, change))
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     return 0
 

@@ -178,7 +178,7 @@ def cmd_convert(args) -> int:
     if args.source == "k" and args.n is not None:
         raise CliError("--n applies to --from asymptotic only: a k-vector "
                        "fixes its own N", EXIT_PARSE)
-    n = parse_frac(args.n or "1")
+    n = parse_frac("1" if args.n is None else args.n)
     values = [parse_frac(v) for v in args.values]
     if args.source == "asymptotic":
         if len(values) != 2:

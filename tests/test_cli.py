@@ -170,6 +170,8 @@ _RAW_ALONE = "error: --raw lists the cosine pairs and takes no case id, --all or
     (["enumerate", "--raw", "4a"], 2, _RAW_ALONE),
     (["enumerate", "--raw", "--all"], 2, _RAW_ALONE),
     (["enumerate", "--raw", "--full"], 2, _RAW_ALONE),
+    (["convert", "4a", "--from", "asymptotic", "3", "1", "--n", ""], 2,
+     "error: not an exact rational: ''"),
 ])
 def test_exit_last_line(capsys, argv, code, last_line):
     """An error exits with its one stderr line and no output; a success
